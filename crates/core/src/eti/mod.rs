@@ -23,6 +23,7 @@ use fm_text::minhash::MinHasher;
 
 use crate::config::SignatureScheme;
 use crate::error::Result;
+use crate::postings::{self, decode_value, encode_value, Chunk, Probed};
 
 /// Coordinate index used for whole-token entries under `Q+T` (§5.1: "say,
 /// as the 0th coordinate in the signature"). Min-hash q-gram coordinates
@@ -134,37 +135,6 @@ pub struct TidList {
     pub tids: Option<Vec<u32>>,
 }
 
-const FLAG_STOP: u8 = 1;
-
-fn encode_value(frequency: u32, stop: bool, tids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(7 + 4 * tids.len());
-    out.push(if stop { FLAG_STOP } else { 0 });
-    out.extend_from_slice(&frequency.to_le_bytes());
-    out.extend_from_slice(&(tids.len() as u16).to_le_bytes());
-    for &tid in tids {
-        out.extend_from_slice(&tid.to_le_bytes());
-    }
-    out
-}
-
-fn decode_value(bytes: &[u8]) -> Result<(u32, bool, Vec<u32>)> {
-    if bytes.len() < 7 {
-        return Err(StoreError::Corrupt("eti value too short".into()).into());
-    }
-    let stop = bytes[0] & FLAG_STOP != 0;
-    // lint:allow(unwrap): slice lengths are fixed
-    let frequency = u32::from_le_bytes(bytes[1..5].try_into().unwrap());
-    let count = u16::from_le_bytes(bytes[5..7].try_into().unwrap()) as usize; // lint:allow(unwrap): fixed-size slice
-    if bytes.len() != 7 + 4 * count {
-        return Err(StoreError::Corrupt("eti value length mismatch".into()).into());
-    }
-    let tids = bytes[7..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap())) // lint:allow(unwrap): chunks_exact(4)
-        .collect();
-    Ok((frequency, stop, tids))
-}
-
 /// The ETI: a B+-tree of chunked tid-list rows.
 pub struct Eti {
     // BTree is a self-synchronized handle: every descent and mutation runs
@@ -189,12 +159,17 @@ impl Eti {
         self.stop_threshold
     }
 
-    /// Key prefix shared by all chunks of one logical row.
+    /// Write the key prefix shared by all chunks of one logical row.
+    fn write_prefix(key: &mut Vec<u8>, gram: &str, coordinate: u8, column: u8) {
+        key.clear();
+        keycode::encode_str(key, gram);
+        keycode::encode_u8(key, coordinate);
+        keycode::encode_u8(key, column);
+    }
+
     fn prefix(gram: &str, coordinate: u8, column: u8) -> Vec<u8> {
         let mut key = Vec::with_capacity(gram.len() + 8);
-        keycode::encode_str(&mut key, gram);
-        keycode::encode_u8(&mut key, coordinate);
-        keycode::encode_u8(&mut key, column);
+        Self::write_prefix(&mut key, gram, coordinate, column);
         key
     }
 
@@ -204,25 +179,29 @@ impl Eti {
         key
     }
 
-    /// Look up the tid-list for `(gram, coordinate, column)`. One logical
-    /// ETI lookup (the unit counted by the paper's efficiency metrics).
+    /// Look up the tid-list for `(gram, coordinate, column)`, materialized
+    /// as one [`TidList`] — for maintenance, diagnostics and tests. Queries
+    /// go through [`Eti::probe`], which never builds the list.
     pub fn lookup(&self, gram: &str, coordinate: u8, column: u8) -> Result<Option<TidList>> {
-        Ok(self.lookup_impl(gram, coordinate, column)?.0)
+        postings::lookup(&self.tree, &Self::prefix(gram, coordinate, column))
     }
 
-    /// [`Eti::lookup`], also returning the number of physical chunk rows
-    /// scanned in the B+-tree. The query processor accounts the counts
-    /// into its (stack-local) `LookupTrace`; returning them instead of
-    /// taking the trace `&mut` keeps this hot-path function read-only
-    /// under the mut-map gate. The plain `lookup` serves maintenance and
-    /// diagnostics.
-    pub fn lookup_counted(
+    /// One logical ETI lookup on the query path (the unit counted by the
+    /// paper's efficiency metrics): stream the row's tids into `sink`
+    /// chunk by chunk, straight off the pinned leaf. Returns the outcome
+    /// and the number of physical chunk rows scanned, which the query
+    /// processor accounts into its (stack-local) `LookupTrace`. `key` is
+    /// the caller's reusable key buffer.
+    pub(crate) fn probe(
         &self,
         gram: &str,
         coordinate: u8,
         column: u8,
-    ) -> Result<(Option<TidList>, u64)> {
-        self.lookup_impl(gram, coordinate, column)
+        key: &mut Vec<u8>,
+        sink: impl FnMut(Chunk<'_>),
+    ) -> Result<(Probed, u64)> {
+        Self::write_prefix(key, gram, coordinate, column);
+        postings::probe(&self.tree, key, sink)
     }
 
     /// A second handle onto the same index, sharing the underlying tree's
@@ -233,41 +212,6 @@ impl Eti {
             tree: self.tree.clone_handle(),
             stop_threshold: self.stop_threshold,
         }
-    }
-
-    fn lookup_impl(
-        &self,
-        gram: &str,
-        coordinate: u8,
-        column: u8,
-    ) -> Result<(Option<TidList>, u64)> {
-        let prefix = Self::prefix(gram, coordinate, column);
-        let mut scan = self.tree.scan_prefix(&prefix)?;
-        let mut frequency = 0u32;
-        let mut stop = false;
-        let mut tids: Vec<u32> = Vec::new();
-        let mut found = false;
-        let mut rows = 0u64;
-        while let Some((_, value)) = scan.next_entry()? {
-            let (freq, is_stop, chunk_tids) = decode_value(&value)?;
-            rows += 1;
-            if !found {
-                frequency = freq; // chunk 0 is authoritative
-                stop = is_stop;
-                found = true;
-            }
-            tids.extend(chunk_tids);
-        }
-        if !found {
-            return Ok((None, rows));
-        }
-        Ok((
-            Some(TidList {
-                frequency,
-                tids: if stop { None } else { Some(tids) },
-            }),
-            rows,
-        ))
     }
 
     /// The physical `(key, value)` entries representing one group's
@@ -325,16 +269,7 @@ impl Eti {
     /// reference tuple). Creates the row if absent; converts to a stop
     /// q-gram if the list outgrows the threshold; idempotent per tid.
     pub fn append_tid(&self, gram: &str, coordinate: u8, column: u8, tid: u32) -> Result<()> {
-        // Collect the existing chunks.
-        let prefix = Self::prefix(gram, coordinate, column);
-        let mut chunks: Vec<(Vec<u8>, u32, bool, Vec<u32>)> = Vec::new();
-        {
-            let mut scan = self.tree.scan_prefix(&prefix)?;
-            while let Some((key, value)) = scan.next_entry()? {
-                let (freq, stop, tids) = decode_value(&value)?;
-                chunks.push((key, freq, stop, tids));
-            }
-        }
+        let chunks = postings::collect_chunks(&self.tree, &Self::prefix(gram, coordinate, column))?;
         if chunks.is_empty() {
             return self.insert_group(gram, coordinate, column, &[tid]);
         }
@@ -387,15 +322,7 @@ impl Eti {
     /// the row is a stop row — stop-row frequencies are approximate by
     /// construction.
     pub fn remove_tid(&self, gram: &str, coordinate: u8, column: u8, tid: u32) -> Result<()> {
-        let prefix = Self::prefix(gram, coordinate, column);
-        let mut chunks: Vec<(Vec<u8>, u32, bool, Vec<u32>)> = Vec::new();
-        {
-            let mut scan = self.tree.scan_prefix(&prefix)?;
-            while let Some((key, value)) = scan.next_entry()? {
-                let (freq, stop, tids) = decode_value(&value)?;
-                chunks.push((key, freq, stop, tids));
-            }
-        }
+        let chunks = postings::collect_chunks(&self.tree, &Self::prefix(gram, coordinate, column))?;
         if chunks.is_empty() {
             return Ok(());
         }
@@ -639,21 +566,6 @@ mod tests {
     fn eti(stop: usize) -> Eti {
         let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 64));
         Eti::new(BTree::create(pool).unwrap(), stop)
-    }
-
-    #[test]
-    fn value_codec_round_trip() {
-        for (freq, stop, tids) in [
-            (0u32, false, vec![]),
-            (3, false, vec![1, 2, 3]),
-            (50_000, true, vec![]),
-            (1, false, vec![u32::MAX]),
-        ] {
-            let enc = encode_value(freq, stop, &tids);
-            assert_eq!(decode_value(&enc).unwrap(), (freq, stop, tids));
-        }
-        assert!(decode_value(&[1, 2]).is_err());
-        assert!(decode_value(&encode_value(1, false, &[7])[..8]).is_err());
     }
 
     #[test]

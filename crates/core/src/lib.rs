@@ -55,6 +55,7 @@ pub mod lsh;
 pub mod matcher;
 pub mod metrics;
 pub mod naive;
+mod postings;
 pub mod query;
 pub mod record;
 pub mod sim;

@@ -24,41 +24,11 @@ use fm_text::minhash::MinHasher;
 
 use crate::error::Result;
 use crate::eti::{TidList, TIDS_PER_CHUNK};
+use crate::postings::{self, decode_value, encode_value, Chunk, Probed};
 
 /// Salt folded into the matcher seed so the LSH tier's min-hash family is
 /// independent of the ETI's ("lsh_minh").
 const LSH_MINHASH_SALT: u64 = 0x6c73_685f_6d69_6e68;
-
-const FLAG_STOP: u8 = 1;
-
-fn encode_value(frequency: u32, stop: bool, tids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(7 + 4 * tids.len());
-    out.push(if stop { FLAG_STOP } else { 0 });
-    out.extend_from_slice(&frequency.to_le_bytes());
-    out.extend_from_slice(&(tids.len() as u16).to_le_bytes());
-    for &tid in tids {
-        out.extend_from_slice(&tid.to_le_bytes());
-    }
-    out
-}
-
-fn decode_value(bytes: &[u8]) -> Result<(u32, bool, Vec<u32>)> {
-    if bytes.len() < 7 {
-        return Err(StoreError::Corrupt("lsh value too short".into()).into());
-    }
-    let stop = bytes[0] & FLAG_STOP != 0;
-    // lint:allow(unwrap): slice lengths are fixed
-    let frequency = u32::from_le_bytes(bytes[1..5].try_into().unwrap());
-    let count = u16::from_le_bytes(bytes[5..7].try_into().unwrap()) as usize; // lint:allow(unwrap): fixed-size slice
-    if bytes.len() != 7 + 4 * count {
-        return Err(StoreError::Corrupt("lsh value length mismatch".into()).into());
-    }
-    let tids = bytes[7..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap())) // lint:allow(unwrap): chunks_exact(4)
-        .collect();
-    Ok((frequency, stop, tids))
-}
 
 /// The LSH banding index: a B+-tree of chunked posting-list rows keyed by
 /// `(column, band, band-key)`.
@@ -125,12 +95,17 @@ impl LshIndex {
         self.bander.band_keys(&self.minhasher.signature(token))
     }
 
-    /// Key prefix shared by all chunks of one posting list.
+    /// Write the key prefix shared by all chunks of one posting list.
+    fn write_prefix(out: &mut Vec<u8>, column: u8, band: u8, key: u64) {
+        out.clear();
+        keycode::encode_u8(out, column);
+        keycode::encode_u8(out, band);
+        keycode::encode_u64(out, key);
+    }
+
     fn prefix(column: u8, band: u8, key: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(12);
-        keycode::encode_u8(&mut out, column);
-        keycode::encode_u8(&mut out, band);
-        keycode::encode_u64(&mut out, key);
+        Self::write_prefix(&mut out, column, band, key);
         out
     }
 
@@ -140,44 +115,27 @@ impl LshIndex {
         out
     }
 
-    /// Look up the posting list for `(column, band, key)`, also returning
-    /// the number of physical chunk rows scanned (accounted into the
-    /// stack-local `LookupTrace` by the caller, keeping this read path off
-    /// the mut-map like [`Eti::lookup_counted`](crate::eti::Eti::lookup_counted)).
-    pub fn lookup_counted(&self, column: u8, band: u8, key: u64) -> Result<(Option<TidList>, u64)> {
-        let prefix = Self::prefix(column, band, key);
-        let mut scan = self.tree.scan_prefix(&prefix)?;
-        let mut frequency = 0u32;
-        let mut stop = false;
-        let mut tids: Vec<u32> = Vec::new();
-        let mut found = false;
-        let mut rows = 0u64;
-        while let Some((_, value)) = scan.next_entry()? {
-            let (freq, is_stop, chunk_tids) = decode_value(&value)?;
-            rows += 1;
-            if !found {
-                frequency = freq; // chunk 0 is authoritative
-                stop = is_stop;
-                found = true;
-            }
-            tids.extend(chunk_tids);
-        }
-        if !found {
-            return Ok((None, rows));
-        }
-        Ok((
-            Some(TidList {
-                frequency,
-                tids: if stop { None } else { Some(tids) },
-            }),
-            rows,
-        ))
+    /// Look up the posting list for `(column, band, key)`, materialized as
+    /// one [`TidList`] (maintenance and diagnostics; queries go through
+    /// [`LshIndex::probe`]).
+    pub fn lookup(&self, column: u8, band: u8, key: u64) -> Result<Option<TidList>> {
+        postings::lookup(&self.tree, &Self::prefix(column, band, key))
     }
 
-    /// [`LshIndex::lookup_counted`] without the row count (maintenance and
-    /// diagnostics).
-    pub fn lookup(&self, column: u8, band: u8, key: u64) -> Result<Option<TidList>> {
-        Ok(self.lookup_counted(column, band, key)?.0)
+    /// One band probe on the query path: stream the posting list's tids
+    /// into `sink` chunk by chunk off the pinned leaf (the LSH mirror of
+    /// [`Eti::probe`](crate::eti::Eti::probe)). `buf` is the caller's
+    /// reusable key buffer.
+    pub(crate) fn probe(
+        &self,
+        column: u8,
+        band: u8,
+        key: u64,
+        buf: &mut Vec<u8>,
+        sink: impl FnMut(Chunk<'_>),
+    ) -> Result<(Probed, u64)> {
+        Self::write_prefix(buf, column, band, key);
+        postings::probe(&self.tree, buf, sink)
     }
 
     /// The physical `(key, value)` entries representing one posting list:
@@ -252,15 +210,7 @@ impl LshIndex {
     /// Append one tid to a posting list. Creates the row if absent; converts
     /// to a stop band if the list outgrows the threshold; idempotent per tid.
     fn append_tid(&self, column: u8, band: u8, key: u64, tid: u32) -> Result<()> {
-        let prefix = Self::prefix(column, band, key);
-        let mut chunks: Vec<(Vec<u8>, u32, bool, Vec<u32>)> = Vec::new();
-        {
-            let mut scan = self.tree.scan_prefix(&prefix)?;
-            while let Some((k, value)) = scan.next_entry()? {
-                let (freq, stop, tids) = decode_value(&value)?;
-                chunks.push((k, freq, stop, tids));
-            }
-        }
+        let chunks = postings::collect_chunks(&self.tree, &Self::prefix(column, band, key))?;
         if chunks.is_empty() {
             return self.insert_group(column, band, key, &[tid]);
         }
@@ -310,15 +260,7 @@ impl LshIndex {
     /// frequencies are decremented approximately (membership unknowable),
     /// matching the ETI's stop-row semantics.
     fn remove_tid(&self, column: u8, band: u8, key: u64, tid: u32) -> Result<()> {
-        let prefix = Self::prefix(column, band, key);
-        let mut chunks: Vec<(Vec<u8>, u32, bool, Vec<u32>)> = Vec::new();
-        {
-            let mut scan = self.tree.scan_prefix(&prefix)?;
-            while let Some((k, value)) = scan.next_entry()? {
-                let (freq, stop, tids) = decode_value(&value)?;
-                chunks.push((k, freq, stop, tids));
-            }
-        }
+        let chunks = postings::collect_chunks(&self.tree, &Self::prefix(column, band, key))?;
         if chunks.is_empty() {
             return Ok(());
         }
@@ -562,21 +504,6 @@ mod tests {
     fn index(stop: usize) -> LshIndex {
         let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 64));
         LshIndex::new(BTree::create(pool).unwrap(), 4, 2, 3, 42, stop)
-    }
-
-    #[test]
-    fn value_codec_round_trip() {
-        for (freq, stop, tids) in [
-            (0u32, false, vec![]),
-            (3, false, vec![1, 2, 3]),
-            (50_000, true, vec![]),
-            (1, false, vec![u32::MAX]),
-        ] {
-            let enc = encode_value(freq, stop, &tids);
-            assert_eq!(decode_value(&enc).unwrap(), (freq, stop, tids));
-        }
-        assert!(decode_value(&[1, 2]).is_err());
-        assert!(decode_value(&encode_value(1, false, &[7])[..8]).is_err());
     }
 
     #[test]

@@ -1650,6 +1650,166 @@ mod tests {
         assert_eq!(reopened.config().candidate_tier, CandidateTier::Eti);
     }
 
+    /// A few hundred customer-like tuples over a small vocabulary: tokens
+    /// are shared widely, so posting lists are long, overlap, and (with a
+    /// low stop threshold) some become stop rows.
+    fn synthetic_reference(n: usize) -> Vec<Record> {
+        const FIRST: [&str; 12] = [
+            "boeing",
+            "bonney",
+            "companion",
+            "pacific",
+            "cascade",
+            "summit",
+            "harbor",
+            "evergreen",
+            "rainier",
+            "olympic",
+            "puget",
+            "columbia",
+        ];
+        const SECOND: [&str; 8] = [
+            "company",
+            "corporation",
+            "holdings",
+            "systems",
+            "partners",
+            "logistics",
+            "foods",
+            "aerospace",
+        ];
+        const CITY: [&str; 6] = [
+            "seattle", "tacoma", "spokane", "redmond", "bellevue", "everett",
+        ];
+        let mut x = 0x2003_u64;
+        let mut next = move |m: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % m
+        };
+        (0..n)
+            .map(|i| {
+                let name = format!(
+                    "{} {} {}",
+                    FIRST[next(FIRST.len())],
+                    SECOND[next(SECOND.len())],
+                    i % 97
+                );
+                let zip = format!("98{:03}", next(40));
+                Record::new(&[&name, CITY[next(CITY.len())], "wa", &zip])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pipeline_on_the_incremental_table_equals_the_sorting_oracle() {
+        use crate::query::basic::basic_run;
+        use crate::query::oracle::OracleTable;
+        use crate::query::osc::osc_run;
+        use crate::query::{EtiSource, Scratch};
+
+        let reference = synthetic_reference(600);
+        let db = Database::in_memory().unwrap();
+        let m = FuzzyMatcher::build(
+            &db,
+            "syn",
+            reference.iter().cloned(),
+            org_config().with_stop_threshold(150),
+        )
+        .unwrap();
+        // Dirty inputs: a transposed letter pair, a dropped token, a NULL.
+        let inputs: Vec<Record> = reference
+            .iter()
+            .step_by(41)
+            .enumerate()
+            .map(|(i, r)| {
+                let mut values: Vec<Option<String>> = r.values().to_vec();
+                let name = values[0].clone().unwrap();
+                values[0] = Some(match i % 3 {
+                    0 => {
+                        let mut b = name.into_bytes();
+                        b.swap(1, 2);
+                        String::from_utf8(b).unwrap()
+                    }
+                    1 => name.split(' ').skip(1).collect::<Vec<_>>().join(" "),
+                    _ => name,
+                });
+                if i % 4 == 3 {
+                    values[2] = None;
+                }
+                Record::from_options(values)
+            })
+            .collect();
+
+        let weights = m.weights.read();
+        let fetcher = Fetcher {
+            matcher: &m,
+            tokenizer: &m.tokenizer,
+        };
+        let ctx = QueryContext {
+            config: &m.config,
+            weights: &*weights,
+            minhasher: &m.minhasher,
+            eti: &m.eti,
+            reference: &fetcher,
+        };
+        let eti = EtiSource { eti: &m.eti };
+        let lsh = LshSource { lsh: &m.lsh };
+        let mut oracle = Scratch::<OracleTable>::default();
+        let (mut short_circuits, mut stops, mut pruned, mut fallbacks) = (0, 0, 0, 0);
+        for input in &inputs {
+            let tokens = input.tokenize(&m.tokenizer);
+            for k in [1usize, 3, 10] {
+                for c in [0.0, 0.8] {
+                    // [new pipeline, oracle-backed pipeline] per mode × tier.
+                    let rows = [
+                        (
+                            "basic/eti",
+                            basic_lookup_with(&ctx, &eti, &tokens, k, c),
+                            basic_run(&ctx, &eti, &tokens, k, c, &mut oracle),
+                        ),
+                        (
+                            "basic/lsh",
+                            basic_lookup_with(&ctx, &lsh, &tokens, k, c),
+                            basic_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
+                        ),
+                        (
+                            "osc/eti",
+                            osc_lookup_with(&ctx, &eti, &tokens, k, c),
+                            osc_run(&ctx, &eti, &tokens, k, c, &mut oracle),
+                        ),
+                        (
+                            "osc/lsh",
+                            osc_lookup_with(&ctx, &lsh, &tokens, k, c),
+                            osc_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
+                        ),
+                    ];
+                    for (row, new, old) in rows {
+                        let (new, new_trace) = new.unwrap();
+                        let (old, old_trace) = old.unwrap();
+                        let bits = |ms: &[ScoredMatch]| -> Vec<(u32, u64)> {
+                            ms.iter().map(|m| (m.tid, m.similarity.to_bits())).collect()
+                        };
+                        assert_eq!(bits(&new), bits(&old), "{row} k={k} c={c} on {input}");
+                        assert_eq!(new_trace, old_trace, "{row} k={k} c={c} on {input}");
+                        new_trace.check_consistent().unwrap();
+                        short_circuits += u32::from(new_trace.osc_succeeded());
+                        stops += new_trace.stop_qgrams;
+                        pruned += new_trace.apx_pruned;
+                        fallbacks +=
+                            u32::from(row.starts_with("osc") && !new_trace.osc_succeeded());
+                    }
+                }
+            }
+        }
+        // The matrix must actually have walked the interesting paths.
+        assert!(short_circuits > 0, "no OSC success exercised");
+        assert!(fallbacks > 0, "no OSC fallback exercised");
+        assert!(stops > 0, "no stop row exercised");
+        assert!(pruned > 0, "no bound-pruned candidate exercised");
+    }
+
     #[test]
     fn concurrent_lookups() {
         use std::sync::Arc;

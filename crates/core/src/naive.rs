@@ -94,9 +94,10 @@ impl NaiveMatcher {
         }
         let tokens = input.tokenize(&Tokenizer::new());
         let mut sim = Similarity::new(&self.weights, &self.config);
+        let prepared = sim.prepare(&tokens);
         let mut top: Vec<ScoredMatch> = Vec::with_capacity(k + 1);
         for (tid, reference) in &self.reference {
-            let similarity = sim.fms(&tokens, reference);
+            let similarity = sim.fms_prepared(&prepared, reference);
             if similarity >= c {
                 crate::query::insert_match(
                     &mut top,

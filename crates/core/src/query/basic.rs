@@ -1,12 +1,10 @@
 //! The basic query processing algorithm (paper §4.3.1, Figure 3).
 
-use std::collections::HashMap;
-
 use crate::error::Result;
 use crate::metrics::LookupTrace;
 use crate::query::{
-    plan_query, verify_candidates, CandidateSource, EtiSource, Probed, QueryContext,
-    ReferenceFetch, ScoreTable, ScoredMatch,
+    plan_query, probe_into, verify_candidates, with_scratch, CandidateSource, EtiSource, Probed,
+    QueryContext, ReferenceFetch, ScoredMatch, Scratch, TidScores,
 };
 use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
@@ -32,7 +30,8 @@ where
 }
 
 /// The basic algorithm over any [`CandidateSource`]: the scoring and
-/// verification math never sees which tier answers the probes.
+/// verification math never sees which tier answers the probes. Runs in
+/// this thread's reusable scratch.
 pub(crate) fn basic_lookup_with<W, F, S>(
     ctx: &QueryContext<'_, W, F>,
     source: &S,
@@ -45,67 +44,70 @@ where
     F: ReferenceFetch + ?Sized,
     S: CandidateSource + ?Sized,
 {
+    with_scratch(|scratch| basic_run(ctx, source, input, k, c, scratch))
+}
+
+/// [`basic_lookup_with`] in a caller-supplied scratch (whatever a previous
+/// query left in it is discarded).
+pub(crate) fn basic_run<W, F, S, T>(
+    ctx: &QueryContext<'_, W, F>,
+    source: &S,
+    input: &TokenizedRecord,
+    k: usize,
+    c: f64,
+    scratch: &mut Scratch<T>,
+) -> Result<(Vec<ScoredMatch>, LookupTrace)>
+where
+    W: WeightProvider + ?Sized,
+    F: ReferenceFetch + ?Sized,
+    S: CandidateSource + ?Sized,
+    T: TidScores,
+{
     let mut trace = LookupTrace::default();
     if k == 0 {
         return Ok((Vec::new(), trace));
     }
-    let (plan, units) = {
-        let _span = crate::tracing::span("plan");
-        let plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
-        let units = source.plan_units(&plan);
-        (plan, units)
-    };
+    let plan_span = crate::tracing::span("plan");
+    let plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
+    let units = source.plan_units(&plan);
+    drop(plan_span);
     if plan.wu == 0.0 {
         return Ok((Vec::new(), trace));
     }
+    let Scratch {
+        table,
+        key,
+        fms_cache,
+    } = scratch;
+    table.begin(k);
+    fms_cache.clear();
 
     // Step 4: the admission threshold for new tids.
     let threshold = c * plan.wu;
     let mut remaining: f64 = units.iter().map(|u| u.weight).sum();
-    let mut table = ScoreTable::default();
     // Weight of stop rows we could not score: candidates must not be
     // penalized for them, so it joins the adjustment term in every bound.
     let mut stop_credit = 0.0;
 
     let probe_span = crate::tracing::span("probe");
     for unit in &units {
-        match source.probe(unit, &mut trace)? {
-            Probed::Missing => {}
-            Probed::Stop => stop_credit += unit.weight,
-            Probed::Tids(tids) => {
-                // Step 9b: a new tid's best possible final score is the
-                // weight not yet consumed (this unit included) — plus
-                // the adjustment term, exactly as step 11's filter
-                // subtracts it: a low score does not bound fms without
-                // the d_q slack.
-                let admit_new =
-                    !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
-                table.absorb(&tids, unit.weight, admit_new, &mut trace);
-            }
+        // Step 9b: a new tid's best possible final score is the weight not
+        // yet consumed (this unit included) — plus the adjustment term,
+        // exactly as step 11's filter subtracts it: a low score does not
+        // bound fms without the d_q slack.
+        let admit_new = !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
+        if probe_into(source, unit, key, table, admit_new, &mut trace)? == Probed::Stop {
+            stop_credit += unit.weight;
         }
         remaining -= unit.weight;
     }
-
     drop(probe_span);
 
     let adjustment = plan.adjustment + stop_credit;
-    let ranked = {
-        let _span = crate::tracing::span("rank");
-        table.ranked()
-    };
     let mut sim = Similarity::new(ctx.weights, ctx.config);
-    let mut fms_cache: HashMap<u32, f64> = HashMap::new();
+    let prepared = sim.prepare(input);
     let matches = verify_candidates(
-        ctx,
-        &mut sim,
-        input,
-        &ranked,
-        k,
-        c,
-        plan.wu,
-        adjustment,
-        &mut fms_cache,
-        &mut trace,
+        ctx, &mut sim, &prepared, table, k, c, plan.wu, adjustment, fms_cache, &mut trace,
     )?;
     Ok((matches, trace))
 }

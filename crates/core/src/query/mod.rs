@@ -8,7 +8,8 @@
 //!    `Σ_t w(t)·(1 − 1/q)` that corrects for estimating edit distance with
 //!    q-gram commonality (Figure 3, step 7).
 //! 2. **Score**: look up each coordinate's tid-list in the ETI and
-//!    accumulate per-tid scores in a hash table (Figure 3, steps 5–10).
+//!    accumulate per-tid scores in a hash table (Figure 3, steps 5–10) as
+//!    the list streams off the index leaf — no list is ever materialized.
 //!    New tids are admitted only while the weight still to be processed
 //!    could lift them past the threshold (step 9b).
 //! 3. **Verify**: fetch candidate reference tuples in decreasing score
@@ -18,11 +19,16 @@
 //!    see DESIGN.md on why the fetch must be ordered).
 //!
 //! [`basic`] runs the phases in sequence; [`osc`] interleaves phase 3 into
-//! phase 2 (optimistic short circuiting, §4.3.2).
+//! phase 2 (optimistic short circuiting, §4.3.2). The hash table, its
+//! always-current best K+1 and the lazily popped ranking are [`scores`].
 
 pub mod basic;
 pub mod osc;
+pub(crate) mod scores;
 pub(crate) mod source;
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 use std::collections::HashMap;
 
@@ -33,7 +39,7 @@ use crate::error::Result;
 use crate::eti::{token_signature, Eti};
 use crate::metrics::LookupTrace;
 use crate::record::TokenizedRecord;
-use crate::sim::Similarity;
+use crate::sim::{PreparedInput, Similarity};
 use crate::weights::WeightProvider;
 
 pub use basic::basic_lookup;
@@ -41,7 +47,8 @@ pub use osc::osc_lookup;
 
 pub(crate) use basic::basic_lookup_with;
 pub(crate) use osc::osc_lookup_with;
-pub(crate) use source::{CandidateSource, EtiSource, LshSource, Probed};
+pub(crate) use scores::{with_scratch, Scratch, TidScores};
+pub(crate) use source::{CandidateSource, EtiSource, LshSource, Probed, SourceUnit};
 
 /// Which query algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,20 +140,20 @@ pub(crate) struct PlannedGram {
 /// LSH source expands these into band-key probes ([`source::LshSource`]),
 /// the ETI source uses the pre-expanded [`PlannedGram`]s.
 #[derive(Debug, Clone)]
-pub(crate) struct PlannedToken {
+pub(crate) struct PlannedToken<'a> {
     pub column: u8,
-    pub token: String,
+    pub token: &'a str,
     /// `w(t)`: IDF weight × column factor.
     pub weight: f64,
 }
 
-/// The query plan for one input tuple.
+/// The query plan for one input tuple (borrows the input's tokens).
 #[derive(Debug, Clone)]
-pub(crate) struct QueryPlan {
+pub(crate) struct QueryPlan<'a> {
     pub grams: Vec<PlannedGram>,
     /// The weighted tokens behind `grams`, for sources that probe at token
     /// granularity.
-    pub tokens: Vec<PlannedToken>,
+    pub tokens: Vec<PlannedToken<'a>>,
     /// `w(u)`: total weight of the input token set.
     pub wu: f64,
     /// `Σ_t w(t)·(1 − 1/q)`: the full adjustment term.
@@ -154,12 +161,12 @@ pub(crate) struct QueryPlan {
 }
 
 /// Build the query plan (Figure 3, steps 2–4 and 7 precomputed).
-pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
-    input: &TokenizedRecord,
+pub(crate) fn plan_query<'a, W: WeightProvider + ?Sized>(
+    input: &'a TokenizedRecord,
     config: &Config,
     weights: &W,
     minhasher: &MinHasher,
-) -> QueryPlan {
+) -> QueryPlan<'a> {
     let dq = 1.0 - 1.0 / config.q as f64;
     let mut grams = Vec::new();
     let mut tokens = Vec::new();
@@ -171,7 +178,7 @@ pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
         adjustment += w * dq;
         tokens.push(PlannedToken {
             column: col as u8,
-            token: token.to_string(),
+            token,
             weight: w,
         });
         for entry in token_signature(token, minhasher, config.scheme) {
@@ -191,54 +198,33 @@ pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
     }
 }
 
-/// The scoring hash table (Figure 3's `TidScores`).
-#[derive(Debug, Default)]
-pub(crate) struct ScoreTable {
-    scores: HashMap<u32, f64>,
-}
-
-impl ScoreTable {
-    /// Process one fetched tid-list: bump existing tids; admit new ones only
-    /// if `admit_new` (the step-9b pruning decision made by the caller).
-    pub fn absorb(&mut self, tids: &[u32], weight: f64, admit_new: bool, trace: &mut LookupTrace) {
-        for &tid in tids {
-            match self.scores.get_mut(&tid) {
-                Some(s) => {
-                    *s += weight;
-                    trace.tids_processed += 1;
-                }
-                None if admit_new => {
-                    self.scores.insert(tid, weight);
-                    trace.tids_processed += 1;
-                    trace.candidates += 1;
-                }
-                None => {}
-            }
-        }
-    }
-
-    /// Scored tids in decreasing `(score, tid asc)` order (deterministic).
-    pub fn ranked(&self) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = self.scores.iter().map(|(&t, &s)| (t, s)).collect();
-        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// The `n` highest scores, padded with `floor` when fewer tids are
-    /// scored. Used by the OSC fetching test.
-    pub fn top_scores(&self, n: usize, floor: f64) -> Vec<(Option<u32>, f64)> {
-        let ranked = self.ranked();
-        (0..n)
-            .map(|i| match ranked.get(i) {
-                Some(&(tid, s)) => (Some(tid), s),
-                None => (None, floor),
-            })
-            .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
+/// Probe one unit and absorb its posting list into the score table as the
+/// chunks come off the index leaf (Figure 3, steps 5–10 for one
+/// coordinate). `admit_new` is the caller's step-9b decision.
+pub(crate) fn probe_into<S, T>(
+    source: &S,
+    unit: &SourceUnit<'_>,
+    key: &mut Vec<u8>,
+    table: &mut T,
+    admit_new: bool,
+    trace: &mut LookupTrace,
+) -> Result<Probed>
+where
+    S: CandidateSource + ?Sized,
+    T: TidScores,
+{
+    let probed = {
+        let _scan = crate::tracing::span("probe.scan");
+        source.probe(unit, key, trace, |chunk| {
+            let _absorb = crate::tracing::span("probe.absorb");
+            table.absorb(chunk.tids(), unit.weight, admit_new);
+        })?
+    };
+    // The table counts for the query `trace` describes (both start at
+    // zero together), so its totals are the trace's.
+    trace.tids_processed = table.tids_processed();
+    trace.candidates = table.len() as u64;
+    Ok(probed)
 }
 
 /// The sound aggregate upper bound on a candidate's `fms` given its hash
@@ -273,37 +259,39 @@ pub(crate) fn score_bound(score: f64, wu: f64, adjustment: f64, q: usize) -> f64
 /// [`LookupTrace::apx_pruned`]: their `fms_apx`-style score bound — not an
 /// exact evaluation — ruled them out.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_candidates<W, F>(
+pub(crate) fn verify_candidates<W, F, T>(
     ctx: &QueryContext<'_, W, F>,
     sim: &mut Similarity<'_, W>,
-    input: &TokenizedRecord,
-    ranked: &[(u32, f64)],
+    input: &PreparedInput<'_>,
+    table: &mut T,
     k: usize,
     c: f64,
     wu: f64,
     adjustment: f64,
-    fms_cache: &mut HashMap<u32, f64>,
+    fms_cache: &HashMap<u32, f64>,
     trace: &mut LookupTrace,
 ) -> Result<Vec<ScoredMatch>>
 where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
+    T: TidScores,
 {
+    {
+        let _span = crate::tracing::span("rank");
+        table.rank();
+    }
     let _verify_span = crate::tracing::span("verify");
     let mut top: Vec<ScoredMatch> = Vec::with_capacity(k + 1);
     let cap = ctx.config.max_candidates;
     let mut fetched = 0usize;
-    for (idx, &(tid, score)) in ranked.iter().enumerate() {
+    // Candidates come off the ranking one pop at a time: the loop usually
+    // ends after a few dozen of the thousands scored.
+    while let Some((tid, score)) = table.pop_best() {
         let bound = score_bound(score, wu, adjustment, ctx.config.q);
-        if bound < c {
-            // Cannot clear the threshold; neither can anything later.
-            trace.apx_pruned += (ranked.len() - idx) as u64;
-            crate::tracing::instant("apx_prune");
-            break;
-        }
-        if top.len() == k && top[k - 1].similarity >= bound {
-            // The K-th verified match dominates everything unfetched.
-            trace.apx_pruned += (ranked.len() - idx) as u64;
+        // Either this candidate cannot clear the threshold, or the K-th
+        // verified match dominates it — and with it everything unfetched.
+        if bound < c || (top.len() == k && top[k - 1].similarity >= bound) {
+            trace.apx_pruned += 1 + table.remaining() as u64;
             crate::tracing::instant("apx_prune");
             break;
         }
@@ -321,9 +309,7 @@ where
                 trace.fms_evals += 1;
                 fetched += 1;
                 let _span = crate::tracing::span("fms");
-                let f = sim.fms(input, &tuple);
-                fms_cache.insert(tid, f);
-                f
+                sim.fms_prepared(input, &tuple)
             }
         };
         if similarity >= c {
@@ -390,45 +376,65 @@ mod tests {
         assert!(plan.grams.is_empty());
     }
 
+    /// A tier whose rows are literal posting lists, addressed by the
+    /// unit's coordinate.
+    struct Lists(Vec<Vec<u32>>);
+
+    impl CandidateSource for Lists {
+        fn plan_units<'p>(&self, _plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
+            Vec::new()
+        }
+
+        fn probe(
+            &self,
+            unit: &SourceUnit<'_>,
+            _key: &mut Vec<u8>,
+            _trace: &mut LookupTrace,
+            mut sink: impl FnMut(crate::postings::Chunk<'_>),
+        ) -> Result<Probed> {
+            let source::UnitKind::Gram { coordinate, .. } = unit.kind else {
+                return Ok(Probed::Missing);
+            };
+            let tids = &self.0[coordinate as usize];
+            let value = crate::postings::encode_value(tids.len() as u32, false, tids);
+            sink(crate::postings::Chunk::parse(&value)?);
+            Ok(Probed::List {
+                len: tids.len() as u64,
+            })
+        }
+    }
+
     #[test]
-    fn score_table_absorb_and_rank() {
+    fn probe_into_carries_the_table_counters_into_the_trace_and_legacy_stats() {
+        let lists = Lists(vec![vec![1, 2, 3], vec![2, 3], vec![3, 4]]);
         let mut trace = LookupTrace::default();
-        let mut table = ScoreTable::default();
-        table.absorb(&[1, 2, 3], 1.0, true, &mut trace);
-        table.absorb(&[2, 3], 0.5, true, &mut trace);
-        table.absorb(&[3, 4], 0.25, false, &mut trace); // 4 not admitted
-        let ranked = table.ranked();
-        assert_eq!(ranked[0], (3, 1.75));
-        assert_eq!(ranked[1], (2, 1.5));
-        assert_eq!(ranked[2], (1, 1.0));
-        assert_eq!(table.len(), 3);
+        let mut table = scores::ScoreTable::default();
+        table.begin(1);
+        let mut key = Vec::new();
+        for (coordinate, weight, admit_new) in [(0, 1.0, true), (1, 0.5, true), (2, 0.25, false)] {
+            let unit = SourceUnit {
+                weight,
+                kind: source::UnitKind::Gram {
+                    column: 0,
+                    coordinate,
+                    gram: "g",
+                },
+            };
+            let probed =
+                probe_into(&lists, &unit, &mut key, &mut table, admit_new, &mut trace).unwrap();
+            assert!(matches!(probed, Probed::List { .. }));
+        }
+        // Tid 4 was not admitted: 3 inserts + 2 bumps + 1 bump.
         assert_eq!(trace.candidates, 3);
-        assert_eq!(trace.tids_processed, 6); // 3 inserts + 2 bumps + 1 bump
-                                             // The legacy summary projects straight out of the trace.
+        assert_eq!(trace.tids_processed, 6);
+        assert_eq!(table.top(), &[(3, 1.75), (2, 1.5)]);
+        // The legacy summary projects straight out of the trace.
         let stats = QueryStats::from(&trace);
         assert_eq!(stats.distinct_tids, 3);
         assert_eq!(stats.tids_processed, 6);
         assert!(!stats.osc_succeeded);
-    }
-
-    #[test]
-    fn score_table_rank_breaks_ties_by_tid() {
-        let mut trace = LookupTrace::default();
-        let mut table = ScoreTable::default();
-        table.absorb(&[9, 4, 7], 1.0, true, &mut trace);
-        let ranked = table.ranked();
-        assert_eq!(ranked, vec![(4, 1.0), (7, 1.0), (9, 1.0)]);
-    }
-
-    #[test]
-    fn top_scores_pads_with_floor() {
-        let mut trace = LookupTrace::default();
-        let mut table = ScoreTable::default();
-        table.absorb(&[1], 2.0, true, &mut trace);
-        let top = table.top_scores(3, 0.5);
-        assert_eq!(top[0], (Some(1), 2.0));
-        assert_eq!(top[1], (None, 0.5));
-        assert_eq!(top[2], (None, 0.5));
+        trace.osc_round = Some(2);
+        assert!(QueryStats::from(&trace).osc_succeeded);
     }
 
     #[test]

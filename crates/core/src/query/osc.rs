@@ -23,13 +23,11 @@
 //! runs over either candidate tier ([`CandidateSource`]): ETI signature
 //! coordinates or LSH band keys.
 
-use std::collections::HashMap;
-
 use crate::error::Result;
 use crate::metrics::LookupTrace;
 use crate::query::{
-    insert_match, plan_query, verify_candidates, CandidateSource, EtiSource, Probed, QueryContext,
-    ReferenceFetch, ScoreTable, ScoredMatch,
+    insert_match, plan_query, probe_into, verify_candidates, with_scratch, CandidateSource,
+    EtiSource, Probed, QueryContext, ReferenceFetch, ScoredMatch, Scratch, TidScores,
 };
 use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
@@ -50,7 +48,7 @@ where
     osc_lookup_with(ctx, &EtiSource { eti: ctx.eti }, input, k, c)
 }
 
-/// OSC over any [`CandidateSource`].
+/// OSC over any [`CandidateSource`], in this thread's reusable scratch.
 pub(crate) fn osc_lookup_with<W, F, S>(
     ctx: &QueryContext<'_, W, F>,
     source: &S,
@@ -62,6 +60,25 @@ where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
     S: CandidateSource + ?Sized,
+{
+    with_scratch(|scratch| osc_run(ctx, source, input, k, c, scratch))
+}
+
+/// [`osc_lookup_with`] in a caller-supplied scratch (whatever a previous
+/// query left in it is discarded).
+pub(crate) fn osc_run<W, F, S, T>(
+    ctx: &QueryContext<'_, W, F>,
+    source: &S,
+    input: &TokenizedRecord,
+    k: usize,
+    c: f64,
+    scratch: &mut Scratch<T>,
+) -> Result<(Vec<ScoredMatch>, LookupTrace)>
+where
+    W: WeightProvider + ?Sized,
+    F: ReferenceFetch + ?Sized,
+    S: CandidateSource + ?Sized,
+    T: TidScores,
 {
     let mut trace = LookupTrace::default();
     if k == 0 {
@@ -76,44 +93,48 @@ where
     // Step 3.1: decreasing weight order; ties broken deterministically.
     units.sort_by(|a, b| b.weight.total_cmp(&a.weight).then_with(|| a.tie_cmp(b)));
     drop(plan_span);
+    let Scratch {
+        table,
+        key,
+        fms_cache,
+    } = scratch;
+    table.begin(k);
+    fms_cache.clear();
 
     let threshold = c * plan.wu;
     let total: f64 = units.iter().map(|u| u.weight).sum();
     let mut remaining = total; // w(Q_p) − w(Q_i)
     let mut processed_scored = 0.0; // weight of non-stop units processed
     let mut stop_credit = 0.0;
-    let mut table = ScoreTable::default();
     let mut sim = Similarity::new(ctx.weights, ctx.config);
-    let mut fms_cache: HashMap<u32, f64> = HashMap::new();
+    let prepared = sim.prepare(input);
 
     let n_units = units.len();
     let probe_span = crate::tracing::span("probe");
     for (i, unit) in units.iter().enumerate() {
-        match source.probe(unit, &mut trace)? {
+        let admit_new = !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
+        match probe_into(source, unit, key, table, admit_new, &mut trace)? {
             Probed::Missing => {}
             Probed::Stop => stop_credit += unit.weight,
-            Probed::Tids(tids) => {
-                let admit_new =
-                    !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
-                table.absorb(&tids, unit.weight, admit_new, &mut trace);
-                processed_scored += unit.weight;
-            }
+            Probed::List { .. } => processed_scored += unit.weight,
         }
         remaining -= unit.weight;
 
         // Step 8.1: the short-circuit procedure — pointless after the last
         // unit (the fallback handles that) or before anything scored.
-        if i + 1 == n_units || processed_scored <= 0.0 || table.len() == 0 {
+        if i + 1 == n_units || processed_scored <= 0.0 {
             continue;
+        }
+        let _gate_span = crate::tracing::span("osc_gate");
+        // The table keeps its best K+1 current, so the gate is a read.
+        let tops = table.top();
+        if tops.len() < k {
+            continue; // fewer than K candidates so far
         }
         // Raw scores, with stop-row weight credited (those lists were
         // never scored, so a candidate may own them in full).
-        let tops = table.top_scores(k + 1, 0.0);
         let ss_k = tops[k - 1].1 + stop_credit;
-        let ss_k1 = tops[k].1 + stop_credit;
-        if tops[k - 1].0.is_none() {
-            continue; // fewer than K candidates so far
-        }
+        let ss_k1 = tops.get(k).map_or(0.0, |e| e.1) + stop_credit;
         // Fetching test: extrapolated K-th score vs best possible (K+1)-th.
         // (processed_scored + stop_credit + remaining == total.)
         // When every current top-K candidate has already been fetched (a
@@ -121,9 +142,7 @@ where
         // the fetching test only gates *new* reference fetches.
         let estimated = ss_k / (processed_scored + stop_credit) * total;
         let best_next = ss_k1 + remaining;
-        let all_cached = tops[..k]
-            .iter()
-            .all(|(tid, _)| tid.map(|t| fms_cache.contains_key(&t)).unwrap_or(false));
+        let all_cached = tops[..k].iter().all(|(tid, _)| fms_cache.contains_key(tid));
         if estimated <= best_next && !all_cached {
             continue;
         }
@@ -141,9 +160,7 @@ where
         };
         let mut verified: Vec<ScoredMatch> = Vec::with_capacity(k);
         let mut all_pass = true;
-        for &(tid, _) in tops[..k].iter() {
-            // lint:allow(expect): tops[..k] was filtered to Some just above
-            let tid = tid.expect("checked above");
+        for &(tid, _) in &tops[..k] {
             let similarity = match fms_cache.get(&tid) {
                 Some(&f) => f,
                 None => {
@@ -154,7 +171,7 @@ where
                     trace.candidates_fetched += 1;
                     trace.fms_evals += 1;
                     let _span = crate::tracing::span("fms");
-                    let f = sim.fms(input, &tuple);
+                    let f = sim.fms_prepared(&prepared, &tuple);
                     fms_cache.insert(tid, f);
                     f
                 }
@@ -178,21 +195,8 @@ where
     // Fall back to the ordered verification phase; fms evaluations done
     // during failed short circuits are reused through the cache.
     let adjustment = plan.adjustment + stop_credit;
-    let ranked = {
-        let _span = crate::tracing::span("rank");
-        table.ranked()
-    };
     let matches = verify_candidates(
-        ctx,
-        &mut sim,
-        input,
-        &ranked,
-        k,
-        c,
-        plan.wu,
-        adjustment,
-        &mut fms_cache,
-        &mut trace,
+        ctx, &mut sim, &prepared, table, k, c, plan.wu, adjustment, fms_cache, &mut trace,
     )?;
     Ok((matches, trace))
 }

@@ -9,8 +9,10 @@
 //!
 //! [`CandidateSource`] is that seam. A source expands the token-level
 //! [`QueryPlan`] into its own units (each carrying an absolute weight
-//! share of `w(u)`) and answers probes with [`Probed`] outcomes; the
-//! algorithms never see which tier produced a tid-list. Tier-specific
+//! share of `w(u)`) and answers a probe by streaming the posting list,
+//! chunk by chunk off the pinned index leaf, into the caller's sink, then
+//! reporting a [`Probed`] outcome; the algorithms never see which tier
+//! produced a tid-list, and no tier ever materializes one. Tier-specific
 //! trace counters (`qgrams_probed` vs `lsh_probes`) are folded in by the
 //! source itself, while the shared counters — posting-list lengths, score
 //! table traffic — keep identical semantics across tiers so
@@ -19,40 +21,43 @@
 use std::cmp::Ordering;
 
 use crate::error::Result;
-use crate::eti::{Eti, TidList};
+use crate::eti::Eti;
 use crate::lsh::LshIndex;
 use crate::metrics::LookupTrace;
+use crate::postings::Chunk;
 use crate::query::QueryPlan;
+
+pub(crate) use crate::postings::Probed;
 
 /// One probe scheduled against a candidate tier, carrying the absolute
 /// weight it contributes toward `w(u)`. Unit weights of a plan sum to
 /// `w(Q_p)` regardless of tier, so the admission and bound math is
-/// tier-agnostic.
+/// tier-agnostic. Units borrow from the plan they were expanded from.
 #[derive(Debug, Clone)]
-pub(crate) struct SourceUnit {
+pub(crate) struct SourceUnit<'p> {
     /// Absolute weight: `w(t) × share` of the token this unit came from.
     pub weight: f64,
-    pub kind: UnitKind,
+    pub kind: UnitKind<'p>,
 }
 
 /// What a [`SourceUnit`] physically probes.
 #[derive(Debug, Clone)]
-pub(crate) enum UnitKind {
+pub(crate) enum UnitKind<'p> {
     /// An ETI probe: one signature coordinate of one token.
     Gram {
         column: u8,
         coordinate: u8,
-        gram: String,
+        gram: &'p str,
     },
     /// An LSH probe: one band key of one token.
     Band { column: u8, band: u8, key: u64 },
 }
 
-impl SourceUnit {
+impl SourceUnit<'_> {
     /// Deterministic tiebreak for equal weights (the OSC ordering must be
     /// reproducible across runs and replicas). Units of one plan are
     /// homogeneous; the cross-kind arms only exist for totality.
-    pub fn tie_cmp(&self, other: &SourceUnit) -> Ordering {
+    pub fn tie_cmp(&self, other: &SourceUnit<'_>) -> Ordering {
         match (&self.kind, &other.kind) {
             (
                 UnitKind::Gram {
@@ -65,7 +70,7 @@ impl SourceUnit {
                     coordinate: bx,
                     gram: bg,
                 },
-            ) => (ac, ax, ag.as_str()).cmp(&(bc, bx, bg.as_str())),
+            ) => (ac, ax, ag).cmp(&(bc, bx, bg)),
             (
                 UnitKind::Band {
                     column: ac,
@@ -84,26 +89,22 @@ impl SourceUnit {
     }
 }
 
-/// Outcome of probing one unit.
-#[derive(Debug)]
-pub(crate) enum Probed {
-    /// No posting list — the unit scores nothing.
-    Missing,
-    /// A stop row (frequency above threshold, tid-list elided, §4.2.2).
-    /// The unit's weight must be credited back into every bound: any
-    /// candidate may own it in full.
-    Stop,
-    /// A posting list to absorb into the score table.
-    Tids(Vec<u32>),
-}
-
 /// A tier that turns a query plan into candidate tids.
 pub(crate) trait CandidateSource {
     /// Expand the token-level plan into weighted probe units.
-    fn plan_units(&self, plan: &QueryPlan) -> Vec<SourceUnit>;
+    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>>;
 
-    /// Probe one unit, folding tier counters into the trace.
-    fn probe(&self, unit: &SourceUnit, trace: &mut LookupTrace) -> Result<Probed>;
+    /// Probe one unit: stream its posting list into `sink` and fold the
+    /// tier's counters into the trace. `key` is the query's reusable key
+    /// buffer. `sink` runs under the index leaf's read pin and must not
+    /// touch the store.
+    fn probe(
+        &self,
+        unit: &SourceUnit<'_>,
+        key: &mut Vec<u8>,
+        trace: &mut LookupTrace,
+        sink: impl FnMut(Chunk<'_>),
+    ) -> Result<Probed>;
 }
 
 /// The exact tier: every signature coordinate of every token, answered by
@@ -113,7 +114,7 @@ pub(crate) struct EtiSource<'a> {
 }
 
 impl CandidateSource for EtiSource<'_> {
-    fn plan_units(&self, plan: &QueryPlan) -> Vec<SourceUnit> {
+    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
         plan.grams
             .iter()
             .map(|g| SourceUnit {
@@ -121,38 +122,39 @@ impl CandidateSource for EtiSource<'_> {
                 kind: UnitKind::Gram {
                     column: g.column,
                     coordinate: g.coordinate,
-                    gram: g.gram.clone(),
+                    gram: &g.gram,
                 },
             })
             .collect()
     }
 
-    fn probe(&self, unit: &SourceUnit, trace: &mut LookupTrace) -> Result<Probed> {
+    fn probe(
+        &self,
+        unit: &SourceUnit<'_>,
+        key: &mut Vec<u8>,
+        trace: &mut LookupTrace,
+        sink: impl FnMut(Chunk<'_>),
+    ) -> Result<Probed> {
         let UnitKind::Gram {
             column,
             coordinate,
             gram,
-        } = &unit.kind
+        } = unit.kind
         else {
             return Ok(Probed::Missing);
         };
         trace.qgrams_probed += 1;
-        let (list, rows) = self.eti.lookup_counted(gram, *coordinate, *column)?;
+        let (probed, rows) = self.eti.probe(gram, coordinate, column, key, sink)?;
         trace.eti_rows += rows;
-        match list {
-            None => Ok(Probed::Missing),
-            Some(TidList { tids: None, .. }) => {
-                trace.stop_qgrams += 1;
-                Ok(Probed::Stop)
-            }
-            Some(TidList {
-                tids: Some(tids), ..
-            }) => {
-                trace.tid_list_entries += tids.len() as u64;
-                trace.tid_list_max = trace.tid_list_max.max(tids.len() as u64);
-                Ok(Probed::Tids(tids))
+        match probed {
+            Probed::Missing => {}
+            Probed::Stop => trace.stop_qgrams += 1,
+            Probed::List { len } => {
+                trace.tid_list_entries += len;
+                trace.tid_list_max = trace.tid_list_max.max(len);
             }
         }
+        Ok(probed)
     }
 }
 
@@ -166,12 +168,12 @@ pub(crate) struct LshSource<'a> {
 }
 
 impl CandidateSource for LshSource<'_> {
-    fn plan_units(&self, plan: &QueryPlan) -> Vec<SourceUnit> {
+    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
         let bands = self.lsh.bands() as f64;
         let mut units = Vec::new();
         for t in &plan.tokens {
             let share = t.weight / bands;
-            for (band, key) in self.lsh.band_keys(&t.token).into_iter().enumerate() {
+            for (band, key) in self.lsh.band_keys(t.token).into_iter().enumerate() {
                 units.push(SourceUnit {
                     weight: share,
                     kind: UnitKind::Band {
@@ -185,26 +187,31 @@ impl CandidateSource for LshSource<'_> {
         units
     }
 
-    fn probe(&self, unit: &SourceUnit, trace: &mut LookupTrace) -> Result<Probed> {
-        let UnitKind::Band { column, band, key } = unit.kind else {
+    fn probe(
+        &self,
+        unit: &SourceUnit<'_>,
+        key: &mut Vec<u8>,
+        trace: &mut LookupTrace,
+        sink: impl FnMut(Chunk<'_>),
+    ) -> Result<Probed> {
+        let UnitKind::Band {
+            column,
+            band,
+            key: band_key,
+        } = unit.kind
+        else {
             return Ok(Probed::Missing);
         };
         trace.lsh_probes += 1;
-        let (list, _rows) = self.lsh.lookup_counted(column, band, key)?;
-        match list {
-            None => Ok(Probed::Missing),
-            // Stop bands elide their tid-list just like stop q-grams, but
-            // they are not q-grams: only the weight credit is shared, the
-            // `stop_qgrams` counter stays an ETI quantity.
-            Some(TidList { tids: None, .. }) => Ok(Probed::Stop),
-            Some(TidList {
-                tids: Some(tids), ..
-            }) => {
-                trace.lsh_collisions += 1;
-                trace.tid_list_entries += tids.len() as u64;
-                trace.tid_list_max = trace.tid_list_max.max(tids.len() as u64);
-                Ok(Probed::Tids(tids))
-            }
+        let (probed, _rows) = self.lsh.probe(column, band, band_key, key, sink)?;
+        // Stop bands elide their tid-list just like stop q-grams, but they
+        // are not q-grams: only the weight credit is shared, the
+        // `stop_qgrams` counter stays an ETI quantity.
+        if let Probed::List { len } = probed {
+            trace.lsh_collisions += 1;
+            trace.tid_list_entries += len;
+            trace.tid_list_max = trace.tid_list_max.max(len);
         }
+        Ok(probed)
     }
 }

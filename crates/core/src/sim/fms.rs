@@ -33,6 +33,20 @@ pub struct Similarity<'a, W: WeightProvider + ?Sized> {
     config: &'a Config,
     edit: EditBuffer,
     dp: Vec<f64>,
+    /// Reference-token weights of the column being costed.
+    wb: Vec<f64>,
+}
+
+/// The input side of `fms(u, ·)`, computed once per input tuple: `w(u)`
+/// and every input token's weight. Verifying a query's candidates compares
+/// one `u` against dozens of reference tuples; the input's weights (string-
+/// hash lookups into the frequency tables) do not change between them.
+#[derive(Debug, Clone)]
+pub struct PreparedInput<'u> {
+    u: &'u TokenizedRecord,
+    wu: f64,
+    /// Token weights, all columns concatenated in column order.
+    wa: Vec<f64>,
 }
 
 impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
@@ -42,6 +56,7 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
             config,
             edit: EditBuffer::new(),
             dp: Vec::new(),
+            wb: Vec::new(),
         }
     }
 
@@ -56,11 +71,36 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
         u.iter_tokens().map(|(col, t)| self.w(col, t)).sum()
     }
 
+    /// Weigh the input tuple once, for any number of
+    /// [`Similarity::fms_prepared`] calls against it.
+    pub fn prepare<'u>(&self, u: &'u TokenizedRecord) -> PreparedInput<'u> {
+        let mut wa = Vec::with_capacity(u.token_count());
+        for col in 0..u.arity() {
+            wa.extend(u.column(col).iter().map(|t| self.w(col, t)));
+        }
+        PreparedInput {
+            u,
+            wu: self.input_weight(u),
+            wa,
+        }
+    }
+
     /// Transformation cost `tc(u, v)`: sum of per-column minimum costs.
     pub fn transformation_cost(&mut self, u: &TokenizedRecord, v: &TokenizedRecord) -> f64 {
-        assert_eq!(u.arity(), v.arity(), "tuples must share a schema");
-        (0..u.arity())
-            .map(|col| self.column_cost(col, u.column(col), v.column(col)))
+        let prepared = self.prepare(u);
+        self.cost_prepared(&prepared, v)
+    }
+
+    fn cost_prepared(&mut self, p: &PreparedInput<'_>, v: &TokenizedRecord) -> f64 {
+        assert_eq!(p.u.arity(), v.arity(), "tuples must share a schema");
+        let mut wa = p.wa.as_slice();
+        (0..p.u.arity())
+            .map(|col| {
+                let a = p.u.column(col);
+                let (wa_col, rest) = wa.split_at(a.len());
+                wa = rest;
+                self.column_cost(col, a, wa_col, v.column(col))
+            })
             .sum()
     }
 
@@ -70,22 +110,30 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
     /// `w(u) = 0`; it matches a token-less `v` perfectly and anything else
     /// not at all.
     pub fn fms(&mut self, u: &TokenizedRecord, v: &TokenizedRecord) -> f64 {
-        let wu = self.input_weight(u);
-        if wu == 0.0 {
+        let prepared = self.prepare(u);
+        self.fms_prepared(&prepared, v)
+    }
+
+    /// [`Similarity::fms`] against an input weighed once with
+    /// [`Similarity::prepare`] (by this instance's weights and config).
+    /// Same floating-point operations in the same order, so the result is
+    /// bitwise that of `fms`.
+    pub fn fms_prepared(&mut self, p: &PreparedInput<'_>, v: &TokenizedRecord) -> f64 {
+        if p.wu == 0.0 {
             return if v.token_count() == 0 { 1.0 } else { 0.0 };
         }
-        let tc = self.transformation_cost(u, v);
-        1.0 - (tc / wu).min(1.0)
+        let tc = self.cost_prepared(p, v);
+        1.0 - (tc / p.wu).min(1.0)
     }
 
     /// Minimum transformation cost for one column: edit DP over token
-    /// sequences `a` (input) → `b` (reference).
-    fn column_cost(&mut self, col: usize, a: &[String], b: &[String]) -> f64 {
+    /// sequences `a` (input, weights `wa`) → `b` (reference).
+    fn column_cost(&mut self, col: usize, a: &[String], wa: &[f64], b: &[String]) -> f64 {
         let m = a.len();
         let n = b.len();
-        // Pre-compute weights once per token.
-        let wa: Vec<f64> = a.iter().map(|t| self.w(col, t)).collect();
-        let wb: Vec<f64> = b.iter().map(|t| self.w(col, t)).collect();
+        let mut wb = std::mem::take(&mut self.wb);
+        wb.clear();
+        wb.extend(b.iter().map(|t| self.w(col, t)));
         let cins = self.config.cins;
         let width = n + 1;
         self.dp.clear();
@@ -113,6 +161,7 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
                 self.dp[j * width + k] = best;
             }
         }
+        self.wb = wb;
         self.dp[m * width + n]
     }
 }
@@ -314,6 +363,116 @@ mod tests {
         let tc = sim.transformation_cost(&u, &v);
         let expect = 1.0 / 3.0 + fm_text::normalized_edit_distance("co", "company");
         assert!((tc - expect).abs() < 1e-9, "tc {tc} vs expected {expect}");
+    }
+
+    /// `fms` as it was computed before the input side was prepared once
+    /// per query: every weight looked up afresh, `wa`/`wb` allocated per
+    /// column. The prepared path must reproduce it to the bit.
+    fn reference_fms<W: WeightProvider + ?Sized>(
+        weights: &W,
+        config: &Config,
+        u: &TokenizedRecord,
+        v: &TokenizedRecord,
+    ) -> f64 {
+        let w = |col: usize, t: &str| config.column_factor(col) * weights.weight(col, t);
+        let wu: f64 = u.iter_tokens().map(|(col, t)| w(col, t)).sum();
+        if wu == 0.0 {
+            return if v.token_count() == 0 { 1.0 } else { 0.0 };
+        }
+        let mut edit = EditBuffer::new();
+        let tc: f64 = (0..u.arity())
+            .map(|col| {
+                let (a, b) = (u.column(col), v.column(col));
+                let (m, n) = (a.len(), b.len());
+                let wa: Vec<f64> = a.iter().map(|t| w(col, t)).collect();
+                let wb: Vec<f64> = b.iter().map(|t| w(col, t)).collect();
+                let cins = config.cins;
+                let width = n + 1;
+                let mut dp = vec![0.0; (m + 1) * width];
+                for j in 1..=m {
+                    dp[j * width] = dp[(j - 1) * width] + wa[j - 1];
+                }
+                for k in 1..=n {
+                    dp[k] = dp[k - 1] + cins * wb[k - 1];
+                }
+                for j in 1..=m {
+                    for k in 1..=n {
+                        let del = dp[(j - 1) * width + k] + wa[j - 1];
+                        let ins = dp[j * width + (k - 1)] + cins * wb[k - 1];
+                        let rep = dp[(j - 1) * width + (k - 1)]
+                            + edit.normalized(&a[j - 1], &b[k - 1]) * wa[j - 1];
+                        let mut best = del.min(ins).min(rep);
+                        if let Some(g) = config.transposition {
+                            if j >= 2 && k >= 2 && a[j - 1] == b[k - 2] && a[j - 2] == b[k - 1] {
+                                best = best.min(
+                                    dp[(j - 2) * width + (k - 2)] + g.cost(wa[j - 2], wa[j - 1]),
+                                );
+                            }
+                        }
+                        dp[j * width + k] = best;
+                    }
+                }
+                dp[m * width + n]
+            })
+            .sum();
+        1.0 - (tc / wu).min(1.0)
+    }
+
+    mod prepared {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Columns of 0–4 tokens from a six-word vocabulary (so adjacent
+        /// swaps between `u` and `v` happen and the transposition move
+        /// fires), or NULL.
+        fn value() -> impl Strategy<Value = Option<String>> {
+            prop_oneof![
+                1 => Just(None),
+                6 => "(ab|ba|abc|boeing|beoing|co)( (ab|ba|abc|boeing|beoing|co)){0,3}".prop_map(Some),
+            ]
+        }
+
+        fn record() -> impl Strategy<Value = Record> {
+            proptest::collection::vec(value(), 3).prop_map(Record::from_options)
+        }
+
+        proptest! {
+            #[test]
+            fn prepared_fms_is_bitwise_the_unprepared_one(
+                reference in proptest::collection::vec(record(), 1..12),
+                u in record(),
+                candidates in proptest::collection::vec(record(), 1..6),
+                transposition in any::<bool>(),
+                column_weights in any::<bool>(),
+            ) {
+                let tokenizer = Tokenizer::new();
+                // IDF weights from a random little relation: seen tokens get
+                // distinct weights, unseen ones the column average.
+                let mut freqs = TokenFrequencies::new(3);
+                for r in &reference {
+                    freqs.observe(&r.tokenize(&tokenizer));
+                }
+                let weights = WeightTable::new(freqs);
+                let mut cfg = Config::default().with_columns(&["a", "b", "c"]);
+                if transposition {
+                    cfg = cfg.with_transposition(TranspositionCost::Constant(0.15));
+                }
+                if column_weights {
+                    cfg = cfg.with_column_weights(&[2.0, 1.0, 0.5]);
+                }
+                let ut = u.tokenize(&tokenizer);
+                // One Similarity, one prepared input, many candidates: the
+                // reused `wb`/`dp` buffers must not leak between calls.
+                let mut sim = Similarity::new(&weights, &cfg);
+                let prepared = sim.prepare(&ut);
+                for v in &candidates {
+                    let vt = v.tokenize(&tokenizer);
+                    let want = reference_fms(&weights, &cfg, &ut, &vt).to_bits();
+                    prop_assert_eq!(sim.fms_prepared(&prepared, &vt).to_bits(), want);
+                    prop_assert_eq!(sim.fms(&ut, &vt).to_bits(), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,4 +6,4 @@ pub mod approx;
 pub mod fms;
 
 pub use approx::{fms_apx, fms_t_apx};
-pub use fms::Similarity;
+pub use fms::{PreparedInput, Similarity};

@@ -48,7 +48,7 @@ use crate::metrics::{LatencySnapshot, LookupTrace};
 
 /// Per-thread span slab capacity: a trace keeps at most this many spans;
 /// extras are counted in [`CompletedTrace::dropped_spans`].
-pub const MAX_SPANS: usize = 256;
+pub const MAX_SPANS: usize = 512;
 
 /// Completed traces retained regardless of speed.
 pub const RECENT_CAPACITY: usize = 64;

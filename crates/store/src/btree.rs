@@ -78,18 +78,22 @@ fn split_internal_cell(cell: &[u8]) -> (&[u8], PageId) {
 /// Binary search over a node's cells by key.
 ///
 /// Returns `Ok(slot)` when `key` equals the slot's key, else `Err(slot)` of
-/// the insertion point.
+/// the insertion point — or [`StoreError::Corrupt`] on a dead slot, which a
+/// btree node never has.
 fn search_node(
     page: &SlottedPage<'_>,
     key: &[u8],
     internal: bool,
-) -> std::result::Result<u16, u16> {
+) -> Result<std::result::Result<u16, u16>> {
     let mut lo = 0u16;
     let mut hi = page.slot_count();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        // lint:allow(expect): mid < slot_count and btree nodes have no dead slots
-        let cell = page.get(mid).expect("btree nodes have no dead slots");
+        let Some(cell) = page.get(mid) else {
+            return Err(StoreError::Corrupt(format!(
+                "dead slot {mid} in btree node"
+            )));
+        };
         let ckey = if internal {
             split_internal_cell(cell).0
         } else {
@@ -98,10 +102,10 @@ fn search_node(
         match ckey.cmp(key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
+            std::cmp::Ordering::Equal => return Ok(Ok(mid)),
         }
     }
-    Err(lo)
+    Ok(Err(lo))
 }
 
 /// Outcome of a recursive insert: the child split and the parent must add a
@@ -173,7 +177,7 @@ impl BTree {
             let sp = SlottedPage::new(&page);
             match sp.page_type()? {
                 PageType::BTreeLeaf => {
-                    return match search_node(&sp, key, false) {
+                    return match search_node(&sp, key, false)? {
                         Ok(slot) => {
                             let cell = sp.get(slot).ok_or_else(|| {
                                 StoreError::Corrupt(format!("dead slot {slot} in btree leaf"))
@@ -200,7 +204,7 @@ impl BTree {
 
     /// The child of `node` responsible for `key`.
     fn child_for(node: &SlottedPage<'_>, key: &[u8]) -> Result<PageId> {
-        let slot = match search_node(node, key, true) {
+        let slot = match search_node(node, key, true)? {
             Ok(slot) => slot,
             Err(0) => return Ok(node.next_page()), // leftmost child
             Err(slot) => slot - 1,
@@ -275,7 +279,7 @@ impl BTree {
         {
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            match search_node(&sp.view(), key, false) {
+            match search_node(&sp.view(), key, false)? {
                 Ok(slot) => {
                     was_present = true;
                     // Upsert; replacement may itself overflow the page.
@@ -307,7 +311,7 @@ impl BTree {
         };
         let mut page = self.pool.get_mut(target)?;
         let mut sp = SlottedPageMut::new(&mut page);
-        match search_node(&sp.view(), key, false) {
+        match search_node(&sp.view(), key, false)? {
             Ok(slot) => sp.replace(slot, &cell)?,
             Err(slot) => {
                 sp.insert_at(slot, &cell)?;
@@ -328,7 +332,7 @@ impl BTree {
         {
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            match search_node(&sp.view(), &child_split.sep, true) {
+            match search_node(&sp.view(), &child_split.sep, true)? {
                 Ok(_) => {
                     return Err(StoreError::Corrupt(
                         "duplicate separator during split propagation".into(),
@@ -349,7 +353,7 @@ impl BTree {
         };
         let mut page = self.pool.get_mut(target)?;
         let mut sp = SlottedPageMut::new(&mut page);
-        match search_node(&sp.view(), &child_split.sep, true) {
+        match search_node(&sp.view(), &child_split.sep, true)? {
             Ok(_) => {
                 return Err(StoreError::Corrupt(
                     "duplicate separator during split propagation".into(),
@@ -619,7 +623,7 @@ impl BTree {
             debug_assert_eq!(page_type, PageType::BTreeLeaf);
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            return Ok(match search_node(&sp.view(), key, false) {
+            return Ok(match search_node(&sp.view(), key, false)? {
                 Ok(slot) => {
                     sp.remove_at(slot);
                     true
@@ -629,21 +633,15 @@ impl BTree {
         }
     }
 
-    /// Range scan over `[start, end)` byte-key bounds.
-    pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<RangeScan<'_>> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
-        let _read = self.latch.read();
-        // Find the first leaf possibly containing the start bound.
-        let seek: &[u8] = match start {
-            Bound::Included(k) | Bound::Excluded(k) => k,
-            Bound::Unbounded => &[],
-        };
+    /// The leaf that holds the first key at or after `seek` (or would, if
+    /// the key is absent). Caller holds the structural latch.
+    fn find_leaf(&self, seek: &[u8]) -> Result<PageId> {
         let mut page_id = self.root;
         loop {
             let page = self.pool.get(page_id)?;
             let sp = SlottedPage::new(&page);
             match sp.page_type()? {
-                PageType::BTreeLeaf => break,
+                PageType::BTreeLeaf => return Ok(page_id),
                 PageType::BTreeInternal => {
                     let next = Self::child_for(&sp, seek)?;
                     drop(page);
@@ -656,45 +654,101 @@ impl BTree {
                 }
             }
         }
-        let end_owned = match end {
+    }
+
+    /// The one leaf walker behind both scan front ends ([`RangeScan`] and
+    /// [`BTree::for_each_prefix`]): pin `leaf`, position at `start` by
+    /// binary search, and hand each following `(key, value)` to `visit` as
+    /// slices into the pinned page until it returns `false`. Returns the
+    /// right sibling to continue with, or [`PageId::NONE`] once `visit`
+    /// stopped the walk.
+    ///
+    /// `visit` runs under the leaf's read pin and must not re-enter the
+    /// pool: a walk holds at most this one pin.
+    fn walk_leaf(
+        &self,
+        leaf: PageId,
+        start: Bound<&[u8]>,
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<PageId> {
+        let page = self.pool.get(leaf)?;
+        let sp = SlottedPage::new(&page);
+        let first = match start {
+            Bound::Unbounded => 0,
+            Bound::Included(k) => match search_node(&sp, k, false)? {
+                Ok(slot) | Err(slot) => slot,
+            },
+            Bound::Excluded(k) => match search_node(&sp, k, false)? {
+                Ok(slot) => slot + 1,
+                Err(slot) => slot,
+            },
+        };
+        for i in first..sp.slot_count() {
+            let Some(cell) = sp.get(i) else {
+                return Err(StoreError::Corrupt(format!("dead slot {i} in btree leaf")));
+            };
+            let (key, value) = split_leaf_cell(cell);
+            if !visit(key, value)? {
+                return Ok(PageId::NONE);
+            }
+        }
+        Ok(sp.next_page())
+    }
+
+    /// Visit every entry whose key starts with `prefix`, in key order,
+    /// without copying: `visit` receives `(key, value)` slices that live
+    /// in the pinned leaf. The structural latch is held (shared) for the
+    /// whole walk, so the entries seen are one consistent snapshot.
+    ///
+    /// `visit` must not call back into this tree or its pool (see
+    /// [`BTree::walk_leaf`]).
+    pub fn for_each_prefix(
+        &self,
+        prefix: &[u8],
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
+        let _read = self.latch.read();
+        let mut leaf = self.find_leaf(prefix)?;
+        let mut start = Bound::Included(prefix);
+        while !leaf.is_none() {
+            leaf = self.walk_leaf(leaf, start, |key, value| {
+                if !key.starts_with(prefix) {
+                    return Ok(false);
+                }
+                visit(key, value)?;
+                Ok(true)
+            })?;
+            // Every key of a right sibling is above the prefix already.
+            start = Bound::Unbounded;
+        }
+        Ok(())
+    }
+
+    /// Range scan over `[start, end)` byte-key bounds.
+    pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<RangeScan<'_>> {
+        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
+        let _read = self.latch.read();
+        // Find the first leaf possibly containing the start bound.
+        let seek: &[u8] = match start {
+            Bound::Included(k) | Bound::Excluded(k) => k,
+            Bound::Unbounded => &[],
+        };
+        let owned = |b: Bound<&[u8]>| match b {
             Bound::Included(k) => Bound::Included(k.to_vec()),
             Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
             Bound::Unbounded => Bound::Unbounded,
         };
         let mut scan = RangeScan {
             tree: self,
-            next_leaf: page_id,
-            start: match start {
-                Bound::Included(k) => Bound::Included(k.to_vec()),
-                Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-            end: end_owned,
+            next_leaf: self.find_leaf(seek)?,
+            start: owned(start),
+            end: owned(end),
             buffer: Vec::new().into_iter(),
             done: false,
         };
         scan.load_next_leaf()?;
         Ok(scan)
-    }
-
-    /// All entries whose key starts with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<RangeScan<'_>> {
-        // [prefix, successor(prefix)) — successor = prefix with last
-        // incrementable byte bumped.
-        let mut upper = prefix.to_vec();
-        loop {
-            match upper.last_mut() {
-                None => return self.range(Bound::Included(prefix), Bound::Unbounded),
-                Some(b) if *b < 0xFF => {
-                    *b += 1;
-                    break;
-                }
-                Some(_) => {
-                    upper.pop();
-                }
-            }
-        }
-        self.range(Bound::Included(prefix), Bound::Excluded(&upper))
     }
 
     /// Number of entries (full scan; for tests and stats).
@@ -939,8 +993,8 @@ pub struct TreeCheck {
     pub leaf_live_bytes: usize,
 }
 
-/// Iterator over a key range. Buffers one leaf at a time; does not hold page
-/// pins across yields.
+/// Iterator over a key range: the copying front end of [`BTree::walk_leaf`].
+/// Buffers one leaf at a time; does not hold page pins across yields.
 pub struct RangeScan<'a> {
     tree: &'a BTree,
     next_leaf: PageId,
@@ -957,38 +1011,27 @@ impl RangeScan<'_> {
                 self.done = true;
                 return Ok(());
             }
-            let page = self.tree.pool.get(self.next_leaf)?;
-            let sp = SlottedPage::new(&page);
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(sp.slot_count() as usize);
-            let mut past_end = false;
-            for i in 0..sp.slot_count() {
-                let Some(cell) = sp.get(i) else {
-                    return Err(StoreError::Corrupt(format!("dead slot {i} in btree leaf")));
-                };
-                let (k, v) = split_leaf_cell(cell);
-                let after_start = match &self.start {
-                    Bound::Included(s) => k >= s.as_slice(),
-                    Bound::Excluded(s) => k > s.as_slice(),
-                    Bound::Unbounded => true,
-                };
-                let before_end = match &self.end {
+            // Only the first leaf needs positioning: every key of a right
+            // sibling is above the start bound already.
+            let start = std::mem::replace(&mut self.start, Bound::Unbounded);
+            let start = match &start {
+                Bound::Included(k) => Bound::Included(k.as_slice()),
+                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+                Bound::Unbounded => Bound::Unbounded,
+            };
+            let end = &self.end;
+            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            self.next_leaf = self.tree.walk_leaf(self.next_leaf, start, |k, v| {
+                let before_end = match end {
                     Bound::Included(e) => k <= e.as_slice(),
                     Bound::Excluded(e) => k < e.as_slice(),
                     Bound::Unbounded => true,
                 };
-                if !before_end {
-                    past_end = true;
-                    break;
-                }
-                if after_start {
+                if before_end {
                     entries.push((k.to_vec(), v.to_vec()));
                 }
-            }
-            self.next_leaf = if past_end {
-                PageId::NONE
-            } else {
-                sp.next_page()
-            };
+                Ok(before_end)
+            })?;
             if !entries.is_empty() {
                 self.buffer = entries.into_iter();
                 return Ok(());
@@ -1148,34 +1191,205 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan() {
+    fn prefix_walk_stops_at_the_prefix_boundary() {
         let t = tree();
         t.insert(b"ing\x001\x01", b"a").unwrap();
         t.insert(b"ing\x001\x02", b"b").unwrap();
         t.insert(b"inh\x001\x01", b"c").unwrap();
         t.insert(b"in", b"d").unwrap();
-        let got: Vec<Vec<u8>> = t
-            .scan_prefix(b"ing\x00")
-            .unwrap()
-            .map(|r| r.unwrap().0)
-            .collect();
         assert_eq!(
-            got,
+            walk_keys(&t, b"ing\x00"),
             vec![b"ing\x001\x01".to_vec(), b"ing\x001\x02".to_vec()]
         );
     }
 
-    #[test]
-    fn prefix_scan_all_ff_prefix() {
-        let t = tree();
-        t.insert(&[0xFF, 0xFF, 1], b"x").unwrap();
-        t.insert(&[0xFE], b"y").unwrap();
-        let got: Vec<Vec<u8>> = t
-            .scan_prefix(&[0xFF, 0xFF])
+    /// Keys (in order) `for_each_prefix` visits, checked against the
+    /// copying front end on the way out.
+    fn walk_keys(t: &BTree, prefix: &[u8]) -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        t.for_each_prefix(prefix, |k, v| {
+            seen.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        let copied: Vec<_> = t
+            .range(Bound::Included(prefix), Bound::Unbounded)
             .unwrap()
-            .map(|r| r.unwrap().0)
+            .map(|r| r.unwrap())
+            .take_while(|(k, _)| k.starts_with(prefix))
             .collect();
-        assert_eq!(got, vec![vec![0xFF, 0xFF, 1]]);
+        assert_eq!(seen, copied, "the two front ends disagree");
+        seen.into_iter().map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn prefix_walk_spans_several_leaves() {
+        let t = tree();
+        // ~1.5 KB values: five per leaf at most, so 40 entries of one
+        // prefix cross well over three leaves, with neighbours either side.
+        let big = vec![b'v'; 1500];
+        for i in 0..40u32 {
+            t.insert(format!("mid-{i:04}").as_bytes(), &big).unwrap();
+        }
+        for i in 0..10u32 {
+            t.insert(format!("low-{i:04}").as_bytes(), &big).unwrap();
+            t.insert(format!("top-{i:04}").as_bytes(), &big).unwrap();
+        }
+        assert!(t.check_invariants().unwrap().leaf_pages >= 8);
+        let want: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| format!("mid-{i:04}").into_bytes())
+            .collect();
+        assert_eq!(walk_keys(&t, b"mid-"), want);
+        // A prefix that starts mid-leaf and ends mid-leaf.
+        assert_eq!(walk_keys(&t, b"mid-001").len(), 10);
+    }
+
+    #[test]
+    fn prefix_walk_steps_over_an_empty_leaf() {
+        let t = tree();
+        let big = vec![b'v'; 1500];
+        for i in 0..30u32 {
+            t.insert(format!("row-{i:04}").as_bytes(), &big).unwrap();
+        }
+        // Deletes never rebalance: emptying a run of keys leaves at least
+        // one leaf in the middle of the chain with no entries at all.
+        for i in 8..22u32 {
+            assert!(t.delete(format!("row-{i:04}").as_bytes()).unwrap());
+        }
+        let want: Vec<Vec<u8>> = (0..8u32)
+            .chain(22..30)
+            .map(|i| format!("row-{i:04}").into_bytes())
+            .collect();
+        assert_eq!(walk_keys(&t, b"row-"), want);
+    }
+
+    #[test]
+    fn prefix_walk_absent_and_all_ff_prefixes() {
+        let t = tree();
+        for i in 0..500 {
+            t.insert(&k(i), &v(i)).unwrap();
+        }
+        // Absent: below everything, between keys, above everything.
+        assert!(walk_keys(&t, b"a").is_empty());
+        assert!(walk_keys(&t, b"key-00000123x").is_empty());
+        assert!(walk_keys(&t, b"zzz").is_empty());
+        // The empty prefix is every key.
+        assert_eq!(walk_keys(&t, b"").len(), 500);
+        // An all-0xFF prefix has no successor key to stop at.
+        t.insert(&[0xFF, 0xFF, 1], b"x").unwrap();
+        t.insert(&[0xFF, 0xFF], b"y").unwrap();
+        t.insert(&[0xFF, 0xFE], b"z").unwrap();
+        assert_eq!(
+            walk_keys(&t, &[0xFF, 0xFF]),
+            vec![vec![0xFF, 0xFF], vec![0xFF, 0xFF, 1]]
+        );
+    }
+
+    #[test]
+    fn prefix_walk_sees_a_snapshot_under_concurrent_writes() {
+        // A pool far smaller than the tree (the tiny-pool shape of the
+        // integration suite's miss-path test), one writer inserting and
+        // deleting inside the walked prefix and around it, readers walking
+        // it: every walk must see the stable keys, in order, whatever the
+        // writer is doing — the walk holds the structural latch shared.
+        let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 8));
+        let t = Arc::new(BTree::create(pool).unwrap());
+        let big = vec![b'v'; 900];
+        let stable: Vec<Vec<u8>> = (0..60u32)
+            .map(|i| format!("p-{i:04}-stable").into_bytes())
+            .collect();
+        for key in &stable {
+            t.insert(key, &big).unwrap();
+        }
+        for i in 0..60u32 {
+            t.insert(format!("o-{i:04}").as_bytes(), &big).unwrap();
+            t.insert(format!("q-{i:04}").as_bytes(), &big).unwrap();
+        }
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (t, stop, big) = (Arc::clone(&t), Arc::clone(&stop), big.clone());
+            std::thread::spawn(move || {
+                let mut round = 0u32;
+                while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                    let i = round % 60;
+                    let inside = format!("p-{i:04}-volatile").into_bytes();
+                    let outside = format!("pz-{i:04}").into_bytes();
+                    t.insert(&inside, &big).unwrap();
+                    t.insert(&outside, &big).unwrap();
+                    t.delete(&inside).unwrap();
+                    t.delete(&outside).unwrap();
+                    round += 1;
+                }
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (t, stable) = (Arc::clone(&t), stable.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        let mut seen: Vec<Vec<u8>> = Vec::new();
+                        t.for_each_prefix(b"p-", |k, _| {
+                            seen.push(k.to_vec());
+                            Ok(())
+                        })
+                        .unwrap();
+                        assert!(seen.windows(2).all(|w| w[0] < w[1]), "keys out of order");
+                        assert!(seen.iter().all(|k| k.starts_with(b"p-")));
+                        let kept: Vec<&Vec<u8>> =
+                            seen.iter().filter(|k| k.ends_with(b"-stable")).collect();
+                        assert_eq!(kept.len(), stable.len(), "a stable key went missing");
+                        assert!(seen.len() <= stable.len() + 1, "one volatile key at most");
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        writer.join().unwrap();
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_dead_slot_in_a_leaf_is_corrupt_not_a_panic() {
+        // Slot 5 of 10 is where the positioning binary search looks first;
+        // slot 9 is only reached by the walk's own loop.
+        for dead in [5u16, 9] {
+            let t = tree();
+            for i in 0..10 {
+                t.insert(&k(i), &v(i)).unwrap();
+            }
+            {
+                let mut page = t.pool.get_mut(t.root).unwrap();
+                SlottedPageMut::new(&mut page).mark_deleted(dead);
+            }
+            let corrupt = |r: Result<()>| matches!(r, Err(StoreError::Corrupt(_)));
+            assert!(corrupt(t.for_each_prefix(b"key-", |_, _| Ok(()))));
+            assert!(corrupt(
+                t.range(Bound::Included(&k(0)), Bound::Unbounded)
+                    .and_then(|mut scan| scan.try_for_each(|r| r.map(|_| ())))
+            ));
+            assert!(corrupt(t.get(&k(dead as u32)).map(|_| ())));
+        }
+    }
+
+    #[test]
+    fn prefix_walk_propagates_the_visitor_error() {
+        let t = tree();
+        for i in 0..10 {
+            t.insert(&k(i), &v(i)).unwrap();
+        }
+        let mut calls = 0;
+        let err = t.for_each_prefix(b"key-", |_, _| {
+            calls += 1;
+            if calls == 3 {
+                return Err(StoreError::Corrupt("stop here".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(err, Err(StoreError::Corrupt(_))));
+        assert_eq!(calls, 3);
     }
 
     #[test]

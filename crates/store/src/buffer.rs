@@ -231,6 +231,10 @@ impl BufferPool {
     fn pin_frame(&self, id: PageId, load: bool) -> Result<usize> {
         let shard = self.shard_of_page(id);
         let mut stalls = 0usize;
+        // One request is one miss, however many trips round the stall
+        // loop it takes: retries must not deflate the hit ratio exactly
+        // when the pool is under pin pressure.
+        let mut miss_counted = false;
         loop {
             let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
             let mut st = shard.state.lock();
@@ -259,7 +263,10 @@ impl BufferPool {
                 std::thread::yield_now();
                 continue;
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            if !miss_counted {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                miss_counted = true;
+            }
 
             // Clock sweep for an unpinned victim (loading frames carry
             // the loader's pin and are skipped automatically).
@@ -682,6 +689,41 @@ mod tests {
         drop(b);
         // After unpinning, allocation succeeds again.
         assert!(pool.allocate().is_ok());
+    }
+
+    #[test]
+    fn a_stalled_miss_is_counted_once() {
+        use std::sync::Arc;
+        // Three pages through two frames, then pin the two resident ones:
+        // a request for the third finds every frame pinned and stalls.
+        let pool = Arc::new(mem_pool(2));
+        let ids: Vec<PageId> = (0..3)
+            .map(|_| {
+                let (id, g) = pool.allocate().unwrap();
+                drop(g);
+                id
+            })
+            .collect();
+        let a = pool.get(ids[1]).unwrap();
+        let b = pool.get(ids[2]).unwrap();
+        let before = pool.stats().misses;
+        let waiter = {
+            let pool = Arc::clone(&pool);
+            let id = ids[0];
+            std::thread::spawn(move || pool.get(id).map(|_| ()))
+        };
+        // The miss is counted under the shard lock before the sweep that
+        // finds nothing to evict, so once it shows, the waiter's first
+        // sweep has failed or is about to: it is in the stall loop.
+        while pool.stats().misses == before {
+            std::thread::yield_now();
+        }
+        drop(a);
+        // Served after the release or exhausted before it — either way it
+        // was one request.
+        let _ = waiter.join().unwrap();
+        assert_eq!(pool.stats().misses, before + 1);
+        drop(b);
     }
 
     #[test]

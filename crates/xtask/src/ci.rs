@@ -21,11 +21,17 @@
 //!    the `timeseries` verb through [`crate::jsonv`], provoke an
 //!    explicit overload reply, then drain and assert the lossless
 //!    shutdown ledger (every decoded frame answered)
-//! 10. the committed `BENCH_PR10.json` replica-scaling,
+//! 10. the committed `BENCH_PR15.json` replica-scaling,
 //!     telemetry-overhead, and LSH candidate-tier records, judged by
 //!     [`crate::bench::scaling_gate`] / [`crate::bench::telemetry_gate`]
 //!     / [`crate::bench::lsh_gate`]
 //! 11. `cargo test --workspace -q`
+//! 12. `cargo test --release --offline --manifest-path
+//!     crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
+//!     package of its own outside the workspace (the driver builds it from
+//!     that manifest), so nothing above compiles it: this step is what
+//!     turns an API break that would stop `BENCHMARK.json`'s command from
+//!     building into a CI failure, and runs its `--smoke` workloads
 //!
 //! Everything runs offline. `scripts/ci.sh` wraps this for shell callers
 //! and adds the CLI-level `fuzzymatch trace export --chrome` smoke.
@@ -99,6 +105,18 @@ pub fn run() -> i32 {
     if let Some(code) = run_cargo("test", &["test", "--workspace", "-q"]) {
         return code;
     }
+    if let Some(code) = run_cargo(
+        "benchmark test",
+        &[
+            "test",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "crates/bench/src/bin/benchmark/Cargo.toml",
+        ],
+    ) {
+        return code;
+    }
     println!("ci: all checks passed");
     0
 }
@@ -167,7 +185,7 @@ pub fn mutmap_gate() -> Result<(), String> {
     Ok(())
 }
 
-/// Gate the *committed* `BENCH_PR10.json` record: the recorded
+/// Gate the *committed* `BENCH_PR15.json` record: the recorded
 /// 1→4-worker speedup must satisfy the floor for the `host_parallelism`
 /// the report itself recorded (≥2.5x on 4+ cores, down to a
 /// no-serialization-regression check on 1), the recorded telemetry
@@ -178,7 +196,7 @@ pub fn mutmap_gate() -> Result<(), String> {
 /// in-process step keeps the committed record honest without re-running
 /// the release bench.
 pub fn scaling_record_gate() -> Result<(), String> {
-    let path = crate::workspace_root().join("BENCH_PR10.json");
+    let path = crate::workspace_root().join("BENCH_PR15.json");
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
             "cannot read {}: {e} — run `cargo xtask bench`",
@@ -187,13 +205,13 @@ pub fn scaling_record_gate() -> Result<(), String> {
     })?;
     let report = jsonv::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     if crate::bench::scaling_gate(&report) != 0 {
-        return Err("committed BENCH_PR10.json fails the replica-scaling floor".into());
+        return Err("committed BENCH_PR15.json fails the replica-scaling floor".into());
     }
     if crate::bench::telemetry_gate(&report) != 0 {
-        return Err("committed BENCH_PR10.json fails the telemetry-overhead gate".into());
+        return Err("committed BENCH_PR15.json fails the telemetry-overhead gate".into());
     }
     if crate::bench::lsh_gate(&report) != 0 {
-        return Err("committed BENCH_PR10.json fails the LSH candidate-tier gate".into());
+        return Err("committed BENCH_PR15.json fails the LSH candidate-tier gate".into());
     }
     Ok(())
 }

@@ -8,6 +8,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# (`cargo xtask ci` ends by building and testing the benchmark package —
+# crates/bench/src/bin/benchmark, outside the workspace — so an API break
+# that would stop BENCHMARK.json's command from compiling fails here.)
 cargo xtask ci
 
 # The JSON mode is what external tooling consumes; keep it parseable.

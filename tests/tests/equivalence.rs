@@ -2,10 +2,13 @@
 //! (the probabilistic guarantee of Theorems 1–2, checked empirically).
 
 use fm_core::naive::NaiveMatcher;
-use fm_core::{Config, FuzzyMatcher, OscStopping, QueryMode, TranspositionCost};
+use fm_core::{
+    CandidateTier, Config, CoreError, FuzzyMatcher, LookupTrace, OscStopping, QueryMode, Record,
+    TranspositionCost,
+};
 use fm_datagen::{make_inputs, ErrorModel, ErrorSpec, D2_PROBS, D3_PROBS};
 use fm_integration::{build, customer_config, customers};
-use fm_store::Database;
+use fm_store::{Database, FaultPager, MemPager, StoreError};
 
 const N_REF: usize = 1500;
 const N_INPUTS: usize = 150;
@@ -370,4 +373,167 @@ fn paper_example_osc_is_faster_but_can_differ() {
         paper_fetches <= sound_fetches,
         "paper bound should fetch no more ({paper_fetches} vs {sound_fetches})"
     );
+}
+
+/// Everything a lookup reports except how long it took: matches to the bit
+/// and the whole trace.
+type Answer = (Vec<(u32, u64)>, LookupTrace);
+
+fn answer(
+    matcher: &FuzzyMatcher,
+    input: &Record,
+    k: usize,
+    c: f64,
+    mode: QueryMode,
+) -> Result<Answer, CoreError> {
+    let result = matcher.lookup_with(input, k, c, mode)?;
+    let mut trace = result.trace;
+    trace.check_consistent().expect("trace invariants");
+    trace.latency_us = 0;
+    let matches = result
+        .matches
+        .iter()
+        .map(|m| (m.tid, m.similarity.to_bits()))
+        .collect();
+    Ok((matches, trace))
+}
+
+/// The same lookup on a thread that has never run one: its score-table
+/// scratch is pristine, so nothing a previous query did can show.
+fn answer_on_a_fresh_thread(
+    matcher: &FuzzyMatcher,
+    input: &Record,
+    k: usize,
+    c: f64,
+    mode: QueryMode,
+) -> Answer {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| answer(matcher, input, k, c, mode).expect("lookup"))
+            .join()
+            .expect("fresh-thread lookup")
+    })
+}
+
+#[test]
+fn reused_scratch_answers_like_a_pristine_one_across_modes_tiers_k_and_c() {
+    // Basic/Osc × Eti/Lsh × K ∈ {1, 3, 10} × c ∈ {0, 0.8}: this thread runs
+    // the whole matrix back to back, so each lookup inherits the scratch of
+    // one with another mode, tier, K, threshold and candidate count; every
+    // answer — matches and the whole trace — must equal the one a fresh
+    // thread gives. (The bitwise comparison of this pipeline with the
+    // collect-and-sort score table it replaced runs inside fm-core, where
+    // that oracle lives: matcher::tests::pipeline_on_the_incremental_table_
+    // equals_the_sorting_oracle.)
+    let reference = customers(N_REF, 31);
+    let (_db, eti) = build(&reference, customer_config());
+    let mut lsh = eti.replicate();
+    lsh.set_candidate_tier(CandidateTier::Lsh);
+    let ds = make_inputs(
+        &reference,
+        12,
+        &ErrorSpec::new(&D2_PROBS, ErrorModel::TypeI, 32),
+    );
+    let (mut short_circuits, mut band_probes, mut nonempty) = (0u32, 0u64, 0usize);
+    for input in &ds.inputs {
+        for mode in [QueryMode::Basic, QueryMode::Osc] {
+            for (tier, matcher) in [("eti", &eti), ("lsh", &lsh)] {
+                for k in [1usize, 3, 10] {
+                    for c in [0.0, 0.8] {
+                        let warm = answer(matcher, input, k, c, mode).expect("lookup");
+                        let cold = answer_on_a_fresh_thread(matcher, input, k, c, mode);
+                        assert_eq!(warm, cold, "{mode:?}/{tier} k={k} c={c} on {input}");
+                        short_circuits += u32::from(warm.1.osc_succeeded());
+                        band_probes += warm.1.lsh_probes;
+                        nonempty += usize::from(!warm.0.is_empty());
+                    }
+                }
+            }
+        }
+    }
+    assert!(short_circuits > 0, "no OSC success in the matrix");
+    assert!(band_probes > 0, "the LSH tier never ran");
+    assert!(nonempty > 0, "no lookup matched anything");
+}
+
+#[test]
+fn a_small_query_after_a_huge_one_and_after_a_failed_one_sees_a_clean_scratch() {
+    let big_ref = customers(4000, 33);
+    let small_ref = customers(60, 34);
+    let (_big_db, big) = build(&big_ref, customer_config());
+    let (_small_db, small) = build(&small_ref, customer_config());
+    let small_inputs = make_inputs(
+        &small_ref,
+        8,
+        &ErrorSpec::new(&D2_PROBS, ErrorModel::TypeI, 35),
+    )
+    .inputs;
+    let cold: Vec<Answer> = small_inputs
+        .iter()
+        .map(|i| answer_on_a_fresh_thread(&small, i, 3, 0.0, QueryMode::Osc))
+        .collect();
+
+    // A matcher whose store runs out of IO budget mid-query: a tiny pool
+    // keeps every lookup reading pages, and the budget leaves the build
+    // just enough. Sized by doubling, like failure_injection.rs.
+    let faulty_ref = customers(2500, 36);
+    let mut budget = 50_000u64;
+    let (_faulty_db, faulty) = loop {
+        let pager = Box::new(FaultPager::new(MemPager::new(), budget));
+        let built = Database::with_pager(pager, 8)
+            .map_err(CoreError::Store)
+            .and_then(|db| {
+                let m =
+                    FuzzyMatcher::build(&db, "f", faulty_ref.iter().cloned(), customer_config())?;
+                Ok((db, m))
+            });
+        match built {
+            Ok(pair) => break pair,
+            Err(CoreError::Store(StoreError::InjectedFault)) => budget *= 2,
+            Err(e) => panic!("unexpected build error {e}"),
+        }
+    };
+
+    // One thread, one scratch, in sequence: huge query → small ones, then
+    // queries that die with Err part-way → small ones again.
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let huge = answer(&big, &big_ref[17], 10, 0.0, QueryMode::Basic).expect("big");
+                assert!(
+                    huge.1.candidates > 20 * cold.iter().map(|a| a.1.candidates).max().unwrap_or(0),
+                    "the first query must dwarf the second ({} candidates)",
+                    huge.1.candidates
+                );
+                for (input, want) in small_inputs.iter().zip(&cold) {
+                    let got = answer(&small, input, 3, 0.0, QueryMode::Osc).expect("small");
+                    assert_eq!(&got, want, "after a much larger query, on {input}");
+                }
+
+                let mut failures = 0;
+                'exhaust: for _ in 0..400 {
+                    for input in &faulty_ref {
+                        match answer(&faulty, input, 1, 0.0, QueryMode::Osc) {
+                            Ok(_) => {}
+                            Err(CoreError::Store(StoreError::InjectedFault)) => {
+                                failures += 1;
+                                // Whatever the dead query left in the
+                                // scratch, the next one must not see it.
+                                let i = failures % small_inputs.len();
+                                let got = answer(&small, &small_inputs[i], 3, 0.0, QueryMode::Osc)
+                                    .expect("small");
+                                assert_eq!(got, cold[i], "after a failed query");
+                                if failures == 6 {
+                                    break 'exhaust;
+                                }
+                            }
+                            Err(e) => panic!("unexpected lookup error {e}"),
+                        }
+                    }
+                }
+                assert_eq!(failures, 6, "the IO budget never ran out");
+            })
+            .join()
+            .expect("sequence thread");
+    });
 }
