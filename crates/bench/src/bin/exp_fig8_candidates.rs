@@ -40,14 +40,9 @@ fn main() {
             QueryMode::Osc,
             OscStopping::PaperExample,
         );
-        // The fetch counts come off the per-query LookupTrace; every fetch
-        // is verified with one exact fms, so the two columns must agree.
-        assert!(
-            (row.avg_fetches - row.avg_fms_evals).abs() < 1e-9,
-            "fetches {} != fms evals {}",
-            row.avg_fetches,
-            row.avg_fms_evals
-        );
+        // Both counts come off the per-query LookupTrace; a fetched tuple
+        // gets a full fms evaluation unless the verification bounds reject
+        // it first, so the "fms evals" column can only be the smaller one.
         eprintln!(
             "[fig8] {:>6}: {:.2} fetches ({:.2} on success / {:.2} on failure), {:.2} apx-pruned",
             row.strategy,

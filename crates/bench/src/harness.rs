@@ -508,8 +508,9 @@ mod tests {
         assert!(row.avg_tids > 0.0);
         assert!(row.avg_fetches > 0.0);
         assert!(row.avg_eti_rows > 0.0);
-        // Every fetched candidate is verified with exactly one fms call.
-        assert!((row.avg_fms_evals - row.avg_fetches).abs() < 1e-12);
+        // A fetched candidate is evaluated in full at most once; the
+        // verification bounds reject the rest from the raw row.
+        assert!(row.avg_fms_evals > 0.0 && row.avg_fms_evals <= row.avg_fetches);
     }
 
     #[test]

@@ -420,7 +420,11 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         eprintln!("  candidates:         {}", t.candidates);
         eprintln!("  apx-pruned:         {}", t.apx_pruned);
         eprintln!("  candidates fetched: {}", t.candidates_fetched);
-        eprintln!("  fms evaluations:    {}", t.fms_evals);
+        eprintln!(
+            "  fms evaluations:    {} ({} fetched candidates bound-rejected)",
+            t.fms_evals,
+            t.candidates_fetched - t.fms_evals
+        );
         match t.osc_round {
             Some(round) => eprintln!(
                 "  OSC:                short-circuited after q-gram {} ({} attempts)",
@@ -497,7 +501,11 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     println!("  candidates:         {}", m.candidates);
     println!("  apx-pruned:         {}", m.apx_pruned);
     println!("  candidates fetched: {}", m.candidates_fetched);
-    println!("  fms evaluations:    {}", m.fms_evals);
+    println!(
+        "  fms evaluations:    {} ({} fetched candidates bound-rejected)",
+        m.fms_evals,
+        m.candidates_fetched - m.fms_evals
+    );
     println!(
         "  OSC:                {} short circuits / {} attempts",
         m.osc_short_circuits, m.osc_attempts

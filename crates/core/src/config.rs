@@ -376,6 +376,15 @@ impl Config {
                 return Err(CoreError::Config("column weights must be positive".into()));
             }
         }
+        if let Some(TranspositionCost::Constant(g)) = self.transposition {
+            // The verification bounds (DESIGN §4.2) rely on every
+            // transformation step costing at least nothing.
+            if !(g >= 0.0 && g.is_finite()) {
+                return Err(CoreError::Config(format!(
+                    "transposition cost must be finite and non-negative, got {g}"
+                )));
+            }
+        }
         if self.stop_qgram_threshold == 0 {
             return Err(CoreError::Config("stop threshold must be positive".into()));
         }
@@ -573,6 +582,10 @@ mod tests {
         assert!(base().validate().is_ok());
         assert!(base().with_q(0).validate().is_err());
         assert!(base().with_cins(0.0).validate().is_err());
+        assert!(base()
+            .with_transposition(TranspositionCost::Constant(-0.1))
+            .validate()
+            .is_err());
         assert!(base().with_cins(1.5).validate().is_err());
         assert!(base()
             .with_signature(SignatureScheme::QGrams, 0)

@@ -78,6 +78,11 @@ pub struct CandidateExplain {
     pub bound: f64,
     /// Exact similarity.
     pub fms: f64,
+    /// A K = 1 lookup reaching this candidate after the ones listed above
+    /// it would have dropped it from the raw row, without a full `fms`
+    /// evaluation (DESIGN §4.2) — counted in `candidates_fetched` but not
+    /// in `fms_evals`.
+    pub bound_rejected: bool,
     pub record: Record,
 }
 
@@ -162,11 +167,21 @@ impl std::fmt::Display for Explain {
         for c in &self.candidates {
             writeln!(
                 f,
-                "  tid {:>8} score {:>7.3} bound {:>5.3} fms {:>6.4}  {}",
-                c.tid, c.score, c.bound, c.fms, c.record
+                "  tid {:>8} score {:>7.3} bound {:>5.3} fms {:>6.4}{} {}",
+                c.tid,
+                c.score,
+                c.bound,
+                c.fms,
+                if c.bound_rejected { "*" } else { " " },
+                c.record
             )?;
         }
-        Ok(())
+        writeln!(
+            f,
+            "  * bound-rejected at K = 1: {} of {} would skip the full fms evaluation",
+            self.candidates.iter().filter(|c| c.bound_rejected).count(),
+            self.candidates.len()
+        )
     }
 }
 
@@ -250,10 +265,17 @@ impl FuzzyMatcher {
         let mut ranked: Vec<(u32, f64)> = scores.iter().map(|(&t, &s)| (t, s)).collect();
         ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         let mut sim = Similarity::new(&*weights, config);
+        let prepared = sim.prepare(&tokens);
         let mut candidates = Vec::new();
+        let mut best = 0.0f64;
         for &(tid, score) in ranked.iter().take(candidate_limit) {
             let record = self.fetch_reference(tid)?;
-            let fms = sim.fms(&tokens, &record.tokenize(self.tokenizer()));
+            let evaluations = sim.evaluations();
+            let bounded = sim.fms_at_least(&prepared, &record, self.tokenizer(), best);
+            let bound_rejected = bounded.is_none() && sim.evaluations() == evaluations;
+            let fms = bounded
+                .unwrap_or_else(|| sim.fms_prepared(&prepared, &record.tokenize(self.tokenizer())));
+            best = best.max(fms);
             candidates.push(CandidateExplain {
                 tid,
                 score,
@@ -263,6 +285,7 @@ impl FuzzyMatcher {
                     0.0
                 },
                 fms,
+                bound_rejected,
                 record,
             });
         }

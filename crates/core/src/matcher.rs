@@ -39,7 +39,7 @@ use crate::query::{
     basic_lookup, basic_lookup_with, osc_lookup, osc_lookup_with, LshSource, QueryContext,
     QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
 };
-use crate::record::{Record, TokenizedRecord};
+use crate::record::Record;
 use crate::sim::Similarity;
 use crate::tracing;
 use crate::weights::{TokenFrequencies, WeightTable};
@@ -128,11 +128,16 @@ fn record_to_row(tid: u32, record: &Record) -> fm_store::Row {
     row
 }
 
-fn row_to_record(row: &[Value]) -> Record {
+/// The attribute columns of a decoded reference row (tid dropped), moved
+/// out of it rather than copied.
+fn row_to_record(row: fm_store::Row) -> Record {
     Record::from_options(
-        row[1..]
-            .iter()
-            .map(|v| v.as_text().map(str::to_string))
+        row.into_iter()
+            .skip(1)
+            .map(|v| match v {
+                Value::Text(s) => Some(s),
+                _ => None,
+            })
             .collect(),
     )
 }
@@ -422,7 +427,7 @@ impl FuzzyMatcher {
             let tid = row[0]
                 .as_u32()
                 .ok_or_else(|| CoreError::BadState("reference row without tid".into()))?;
-            out.push((tid, row_to_record(&row)));
+            out.push((tid, row_to_record(row)));
         }
         Ok(out)
     }
@@ -439,7 +444,7 @@ impl FuzzyMatcher {
                 .map_err(|_| CoreError::BadState("bad rid in tid index".into()))?,
         ));
         let row = self.ref_table.get(rid)?;
-        Ok(row_to_record(&row))
+        Ok(row_to_record(row))
     }
 
     /// The K-fuzzy-match query with the default (OSC) algorithm.
@@ -469,16 +474,13 @@ impl FuzzyMatcher {
         };
         let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
-        let fetcher = Fetcher {
-            matcher: self,
-            tokenizer: &self.tokenizer,
-        };
         let ctx = QueryContext {
             config: &self.config,
             weights: &*weights,
+            tokenizer: &self.tokenizer,
             minhasher: &self.minhasher,
             eti: &self.eti,
-            reference: &fetcher,
+            reference: self,
         };
         let resolved = self
             .config
@@ -581,7 +583,7 @@ impl FuzzyMatcher {
                 .map_err(|_| CoreError::BadState("bad rid in tid index".into()))?,
         ));
         let row = self.ref_table.get(rid)?;
-        let record = row_to_record(&row);
+        let record = row_to_record(row);
         let tokens = record.tokenize(&self.tokenizer);
         self.ref_table.delete(rid)?;
         self.tid_index.delete(&tid_key(tid))?;
@@ -795,7 +797,7 @@ impl FuzzyMatcher {
                      lives at {rid:?}"
                 )));
             }
-            observed.observe(&row_to_record(&row).tokenize(&self.tokenizer));
+            observed.observe(&row_to_record(row).tokenize(&self.tokenizer));
             max_tid = Some(max_tid.map_or(tid, |m| m.max(tid)));
             tuples += 1;
         }
@@ -904,15 +906,9 @@ pub struct MatcherCheck {
     pub lsh: crate::lsh::LshCheck,
 }
 
-/// Borrow-friendly [`ReferenceFetch`] implementation for the query layer.
-struct Fetcher<'a> {
-    matcher: &'a FuzzyMatcher,
-    tokenizer: &'a Tokenizer,
-}
-
-impl ReferenceFetch for Fetcher<'_> {
-    fn fetch(&self, tid: u32) -> Result<TokenizedRecord> {
-        Ok(self.matcher.fetch_reference(tid)?.tokenize(self.tokenizer))
+impl ReferenceFetch for FuzzyMatcher {
+    fn fetch(&self, tid: u32) -> Result<Record> {
+        self.fetch_reference(tid)
     }
 }
 
@@ -1702,12 +1698,15 @@ mod tests {
             .collect()
     }
 
+    /// The pipeline as it runs — incremental score table, verification
+    /// bounded by the K-th verified `fms` — against its reference: the
+    /// sorting oracle table with every fetched candidate evaluated in full.
     #[test]
-    fn pipeline_on_the_incremental_table_equals_the_sorting_oracle() {
+    fn pipeline_equals_the_sorting_oracle_with_unbounded_verification() {
         use crate::query::basic::basic_run;
         use crate::query::oracle::OracleTable;
         use crate::query::osc::osc_run;
-        use crate::query::{EtiSource, Scratch};
+        use crate::query::{EtiSource, Scratch, UNBOUNDED_VERIFY};
 
         let reference = synthetic_reference(600);
         let db = Database::in_memory().unwrap();
@@ -1743,55 +1742,53 @@ mod tests {
             .collect();
 
         let weights = m.weights.read();
-        let fetcher = Fetcher {
-            matcher: &m,
-            tokenizer: &m.tokenizer,
-        };
         let ctx = QueryContext {
             config: &m.config,
             weights: &*weights,
+            tokenizer: &m.tokenizer,
             minhasher: &m.minhasher,
             eti: &m.eti,
-            reference: &fetcher,
+            reference: &m,
         };
         let eti = EtiSource { eti: &m.eti };
         let lsh = LshSource { lsh: &m.lsh };
         let mut oracle = Scratch::<OracleTable>::default();
         let (mut short_circuits, mut stops, mut pruned, mut fallbacks) = (0, 0, 0, 0);
+        let (mut evals, mut reference_evals) = (0, 0);
         for input in &inputs {
             let tokens = input.tokenize(&m.tokenizer);
             for k in [1usize, 3, 10] {
                 for c in [0.0, 0.8] {
-                    // [new pipeline, oracle-backed pipeline] per mode × tier.
-                    let rows = [
-                        (
-                            "basic/eti",
-                            basic_lookup_with(&ctx, &eti, &tokens, k, c),
-                            basic_run(&ctx, &eti, &tokens, k, c, &mut oracle),
-                        ),
-                        (
-                            "basic/lsh",
-                            basic_lookup_with(&ctx, &lsh, &tokens, k, c),
-                            basic_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
-                        ),
-                        (
-                            "osc/eti",
-                            osc_lookup_with(&ctx, &eti, &tokens, k, c),
-                            osc_run(&ctx, &eti, &tokens, k, c, &mut oracle),
-                        ),
-                        (
-                            "osc/lsh",
-                            osc_lookup_with(&ctx, &lsh, &tokens, k, c),
-                            osc_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
-                        ),
+                    // [pipeline, reference pipeline] per mode × tier; the
+                    // flag is read when a reference run verifies.
+                    UNBOUNDED_VERIFY.set(false);
+                    let new = [
+                        basic_lookup_with(&ctx, &eti, &tokens, k, c),
+                        basic_lookup_with(&ctx, &lsh, &tokens, k, c),
+                        osc_lookup_with(&ctx, &eti, &tokens, k, c),
+                        osc_lookup_with(&ctx, &lsh, &tokens, k, c),
                     ];
-                    for (row, new, old) in rows {
+                    UNBOUNDED_VERIFY.set(true);
+                    let old = [
+                        basic_run(&ctx, &eti, &tokens, k, c, &mut oracle),
+                        basic_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
+                        osc_run(&ctx, &eti, &tokens, k, c, &mut oracle),
+                        osc_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
+                    ];
+                    let rows = ["basic/eti", "basic/lsh", "osc/eti", "osc/lsh"];
+                    for ((row, new), old) in rows.into_iter().zip(new).zip(old) {
                         let (new, new_trace) = new.unwrap();
-                        let (old, old_trace) = old.unwrap();
+                        let (old, mut old_trace) = old.unwrap();
                         let bits = |ms: &[ScoredMatch]| -> Vec<(u32, u64)> {
                             ms.iter().map(|m| (m.tid, m.similarity.to_bits())).collect()
                         };
                         assert_eq!(bits(&new), bits(&old), "{row} k={k} c={c} on {input}");
+                        // The bounds may only save token-DP evaluations.
+                        assert_eq!(old_trace.fms_evals, old_trace.candidates_fetched);
+                        assert!(new_trace.fms_evals <= old_trace.fms_evals);
+                        evals += new_trace.fms_evals;
+                        reference_evals += old_trace.fms_evals;
+                        old_trace.fms_evals = new_trace.fms_evals;
                         assert_eq!(new_trace, old_trace, "{row} k={k} c={c} on {input}");
                         new_trace.check_consistent().unwrap();
                         short_circuits += u32::from(new_trace.osc_succeeded());
@@ -1803,11 +1800,16 @@ mod tests {
                 }
             }
         }
+        UNBOUNDED_VERIFY.set(false);
         // The matrix must actually have walked the interesting paths.
         assert!(short_circuits > 0, "no OSC success exercised");
         assert!(fallbacks > 0, "no OSC fallback exercised");
         assert!(stops > 0, "no stop row exercised");
         assert!(pruned > 0, "no bound-pruned candidate exercised");
+        assert!(
+            evals * 2 < reference_evals,
+            "verification bounds rejected too little: {evals} of {reference_evals} evaluations left"
+        );
     }
 
     #[test]

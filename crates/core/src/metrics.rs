@@ -7,7 +7,8 @@
 //!   did: signature coordinates probed against the ETI, stop q-grams
 //!   skipped, physical ETI rows scanned, tid-list lengths, score-table
 //!   traffic, candidates admitted past the min-hash filter, candidates
-//!   pruned by the `fms_apx`-style score bound, exact `fms` evaluations,
+//!   pruned by the `fms_apx`-style score bound, fetched candidates and
+//!   how many of them needed a full `fms` evaluation,
 //!   and the OSC short-circuit round. It is a plain `Copy` struct of
 //!   scalar counters bumped on the query's own stack — collecting it costs
 //!   a handful of register increments, so it is always on.
@@ -56,8 +57,10 @@ pub struct LookupTrace {
     pub apx_pruned: u64,
     /// Reference tuples actually fetched for verification.
     pub candidates_fetched: u64,
-    /// Exact `fms` evaluations (≤ `candidates_fetched`; caching re-checks
-    /// a candidate without re-fetching).
+    /// Full `fms` evaluations: fetched tuples that were tokenized and run
+    /// through the token DP. `candidates_fetched − fms_evals` is the number
+    /// the verification bounds rejected from the raw row alone, against
+    /// the K-th verified similarity (DESIGN §4.2).
     pub fms_evals: u64,
     /// Times the OSC fetching test fired (§4.3.2).
     pub osc_attempts: u64,

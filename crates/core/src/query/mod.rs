@@ -16,7 +16,10 @@
 //!    order and compute the exact `fms`, stopping as soon as the current
 //!    K-th best verified similarity dominates the score-derived upper bound
 //!    `(score + adjustment)/w(u)` of every unfetched candidate (step 11–13;
-//!    see DESIGN.md on why the fetch must be ordered).
+//!    see DESIGN.md on why the fetch must be ordered). Once K candidates
+//!    are verified, a fetched tuple is first bounded against the K-th of
+//!    them and dropped — untokenized — when it provably loses (DESIGN.md
+//!    §4.2).
 //!
 //! [`basic`] runs the phases in sequence; [`osc`] interleaves phase 3 into
 //! phase 2 (optimistic short circuiting, §4.3.2). The hash table, its
@@ -33,12 +36,13 @@ pub(crate) mod oracle;
 use std::collections::HashMap;
 
 use fm_text::minhash::MinHasher;
+use fm_text::Tokenizer;
 
 use crate::config::Config;
 use crate::error::Result;
 use crate::eti::{token_signature, Eti};
 use crate::metrics::LookupTrace;
-use crate::record::TokenizedRecord;
+use crate::record::{Record, TokenizedRecord};
 use crate::sim::{PreparedInput, Similarity};
 use crate::weights::WeightProvider;
 
@@ -79,8 +83,9 @@ pub struct QueryStats {
     /// Reference tuples fetched and verified with `fms` — the paper's
     /// "candidate set size" (Figure 8).
     pub candidates_fetched: u64,
-    /// Exact `fms` evaluations (≤ `candidates_fetched`; OSC may re-check a
-    /// cached candidate without re-fetching).
+    /// Fetched candidates that reached the token DP (≤
+    /// `candidates_fetched`: the rest were rejected from the raw row by the
+    /// verification bounds).
     pub fms_evaluations: u64,
     /// Stop q-grams encountered.
     pub stop_qgrams: u64,
@@ -112,15 +117,19 @@ pub struct ScoredMatch {
     pub similarity: f64,
 }
 
-/// Provides reference tuples by tid for the verification phase.
+/// Provides reference tuples by tid for the verification phase — raw, so
+/// that verification can bound a tuple before paying to tokenize it.
 pub trait ReferenceFetch {
-    fn fetch(&self, tid: u32) -> Result<TokenizedRecord>;
+    fn fetch(&self, tid: u32) -> Result<Record>;
 }
 
 /// Everything a query needs, borrowed from the matcher.
 pub struct QueryContext<'a, W: WeightProvider + ?Sized, F: ReferenceFetch + ?Sized> {
     pub config: &'a Config,
     pub weights: &'a W,
+    /// The tokenizer the input was tokenized with (and the reference
+    /// relation indexed with).
+    pub tokenizer: &'a Tokenizer,
     pub minhasher: &'a MinHasher,
     pub eti: &'a Eti,
     pub reference: &'a F,
@@ -228,7 +237,7 @@ where
 }
 
 /// The sound aggregate upper bound on a candidate's `fms` given its hash
-/// table score `s` (see DESIGN.md §4.2 for the derivation):
+/// table score `s` (see DESIGN.md §4.0 (a) for the derivation):
 ///
 /// `fms ≤ fms_apx ≤ (Σ_t w(t)·d_q + (2/q)·s) / w(u)`, capped at 1.
 ///
@@ -258,6 +267,12 @@ pub(crate) fn score_bound(score: f64, wu: f64, adjustment: f64, q: usize) -> f64
 /// Candidates skipped by the first two exits are counted as
 /// [`LookupTrace::apx_pruned`]: their `fms_apx`-style score bound — not an
 /// exact evaluation — ruled them out.
+///
+/// A fetched candidate only matters if its `fms` is at least `c` and, once
+/// K are verified, at least the K-th of them (equal still matters: a
+/// smaller tid wins the tie). That floor goes to
+/// [`Similarity::fms_at_least`], which answers exactly or proves the
+/// candidate below it — usually from the raw row.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates<W, F, T>(
     ctx: &QueryContext<'_, W, F>,
@@ -299,24 +314,45 @@ where
             break; // work cap
         }
         let similarity = match fms_cache.get(&tid) {
-            Some(&f) => f,
+            Some(&f) => Some(f),
             None => {
-                let tuple = {
+                let row = {
                     let _span = crate::tracing::span("fetch");
                     ctx.reference.fetch(tid)?
                 };
                 trace.candidates_fetched += 1;
-                trace.fms_evals += 1;
                 fetched += 1;
-                let _span = crate::tracing::span("fms");
-                sim.fms_prepared(input, &tuple)
+                let floor = verification_floor(&top, k, c);
+                #[cfg(test)]
+                let floor = if UNBOUNDED_VERIFY.get() { 0.0 } else { floor };
+                sim.fms_at_least(input, &row, ctx.tokenizer, floor)
             }
         };
-        if similarity >= c {
+        if let Some(similarity) = similarity.filter(|&f| f >= c) {
             insert_match(&mut top, ScoredMatch { tid, similarity }, k);
         }
     }
+    // `sim` was made for this query, so its evaluation count — the OSC
+    // rounds' included — is the query's.
+    trace.fms_evals = sim.evaluations();
     Ok(top)
+}
+
+/// The similarity a newly fetched candidate has to reach to change `top`:
+/// the threshold, and the K-th verified match once there are K.
+fn verification_floor(top: &[ScoredMatch], k: usize, c: f64) -> f64 {
+    match top.get(k - 1) {
+        Some(kth) => kth.similarity.max(c),
+        None => c,
+    }
+}
+
+// Test-only: make this thread's verification unbounded (floor 0, so every
+// fetched candidate is evaluated in full, as before the bounds existed) —
+// the reference the bounded pipeline is compared against.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static UNBOUNDED_VERIFY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Insert into a K-bounded list kept sorted by (similarity desc, tid asc).

@@ -164,14 +164,15 @@ where
             let similarity = match fms_cache.get(&tid) {
                 Some(&f) => f,
                 None => {
-                    let tuple = {
+                    let row = {
                         let _span = crate::tracing::span("fetch");
                         ctx.reference.fetch(tid)?
                     };
                     trace.candidates_fetched += 1;
-                    trace.fms_evals += 1;
-                    let _span = crate::tracing::span("fms");
-                    let f = sim.fms_prepared(&prepared, &tuple);
+                    // Exact, not bounded: the value is cached for later
+                    // rounds and the fallback, which compare it against
+                    // bounds that do not exist yet.
+                    let f = sim.fms_prepared(&prepared, &row.tokenize(ctx.tokenizer));
                     fms_cache.insert(tid, f);
                     f
                 }
@@ -185,6 +186,7 @@ where
         // Stopping test: every fetched tuple dominates anything unfetched.
         if all_pass {
             trace.osc_round = Some(i as u32);
+            trace.fms_evals = sim.evaluations();
             verified.retain(|m| m.similarity >= c);
             return Ok((verified, trace));
         }

@@ -20,11 +20,19 @@
 //! `fms` is asymmetric by design: we only ever transform dirty inputs into
 //! clean reference tuples.
 
-use fm_text::EditBuffer;
+use fm_text::{EditBuffer, TokenPrint, Tokenizer};
 
 use crate::config::Config;
-use crate::record::TokenizedRecord;
+use crate::record::{Record, TokenizedRecord};
 use crate::weights::WeightProvider;
+
+/// Slack, in similarity units, between what [`Similarity::fms_at_least`]'s
+/// bounds prove and what they are allowed to reject. The bounds and the
+/// exact cost add the same non-negative terms in different orders, so
+/// their rounding errors differ by a few ulps of `w(u)` — about 10⁻¹⁵ of
+/// it; demanding 10⁻⁹ more than `1 − floor` keeps a candidate whose exact
+/// `fms` rounds to `floor` or above from ever being rejected.
+const BOUND_SLACK: f64 = 1e-9;
 
 /// Computes `fms` and transformation costs. Holds scratch buffers, so one
 /// instance per thread; construction is cheap.
@@ -35,18 +43,39 @@ pub struct Similarity<'a, W: WeightProvider + ?Sized> {
     dp: Vec<f64>,
     /// Reference-token weights of the column being costed.
     wb: Vec<f64>,
+    /// Per column: the cost of the tuple being compared — a lower bound
+    /// while [`Similarity::fms_at_least`] is still deciding, the exact DP
+    /// result once the column has been costed.
+    col_cost: Vec<f64>,
+    /// Tier-1 scratch of [`Similarity::fms_at_least`].
+    nearest: Vec<f64>,
+    evaluations: u64,
 }
 
-/// The input side of `fms(u, ·)`, computed once per input tuple: `w(u)`
-/// and every input token's weight. Verifying a query's candidates compares
-/// one `u` against dozens of reference tuples; the input's weights (string-
-/// hash lookups into the frequency tables) do not change between them.
+/// The input side of `fms(u, ·)`, computed once per input tuple: `w(u)`,
+/// every input token's weight and fingerprint, and the order in which
+/// columns are worth costing. Verifying a query's candidates compares one
+/// `u` against dozens of reference tuples; none of this (string-hash
+/// lookups into the frequency tables, mostly) changes between them.
 #[derive(Debug, Clone)]
 pub struct PreparedInput<'u> {
     u: &'u TokenizedRecord,
     wu: f64,
     /// Token weights, all columns concatenated in column order.
     wa: Vec<f64>,
+    /// Token fingerprints, aligned with `wa`.
+    prints: Vec<TokenPrint>,
+    /// Column `col`'s tokens are `offsets[col]..offsets[col + 1]` of `wa`.
+    offsets: Vec<usize>,
+    /// Columns by decreasing total token weight: the order that moves a
+    /// running cost past a budget soonest.
+    heaviest_first: Vec<usize>,
+}
+
+impl PreparedInput<'_> {
+    fn column(&self, col: usize) -> std::ops::Range<usize> {
+        self.offsets[col]..self.offsets[col + 1]
+    }
 }
 
 impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
@@ -57,6 +86,9 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
             edit: EditBuffer::new(),
             dp: Vec::new(),
             wb: Vec::new(),
+            col_cost: Vec::new(),
+            nearest: Vec::new(),
+            evaluations: 0,
         }
     }
 
@@ -66,42 +98,52 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
         self.config.column_factor(col) * self.weights.weight(col, token)
     }
 
-    /// Total weight `w(u)` of the input tuple's token set.
-    pub fn input_weight(&self, u: &TokenizedRecord) -> f64 {
-        u.iter_tokens().map(|(col, t)| self.w(col, t)).sum()
+    /// How many tuples this instance has run the token DP against — every
+    /// [`Similarity::fms`]-family call except the
+    /// [`Similarity::fms_at_least`] ones rejected from the raw row alone.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 
     /// Weigh the input tuple once, for any number of
     /// [`Similarity::fms_prepared`] calls against it.
     pub fn prepare<'u>(&self, u: &'u TokenizedRecord) -> PreparedInput<'u> {
         let mut wa = Vec::with_capacity(u.token_count());
+        let mut offsets = Vec::with_capacity(u.arity() + 1);
         for col in 0..u.arity() {
+            offsets.push(wa.len());
             wa.extend(u.column(col).iter().map(|t| self.w(col, t)));
         }
+        offsets.push(wa.len());
+        let column_weight = |col: usize| wa[offsets[col]..offsets[col + 1]].iter().sum::<f64>();
+        let mut heaviest_first: Vec<usize> = (0..u.arity()).collect();
+        heaviest_first.sort_by(|&a, &b| column_weight(b).total_cmp(&column_weight(a)));
         PreparedInput {
             u,
-            wu: self.input_weight(u),
+            // `w(u)`: the token weights added in column-then-token order.
+            wu: wa.iter().sum(),
+            prints: u.iter_tokens().map(|(_, t)| TokenPrint::of(t)).collect(),
             wa,
+            offsets,
+            heaviest_first,
         }
     }
 
     /// Transformation cost `tc(u, v)`: sum of per-column minimum costs.
     pub fn transformation_cost(&mut self, u: &TokenizedRecord, v: &TokenizedRecord) -> f64 {
-        let prepared = self.prepare(u);
-        self.cost_prepared(&prepared, v)
+        assert_eq!(u.arity(), v.arity(), "tuples must share a schema");
+        let p = self.prepare(u);
+        (0..v.arity())
+            .map(|col| self.column_cost(col, u.column(col), &p.wa[p.column(col)], v.column(col)))
+            .sum()
     }
 
-    fn cost_prepared(&mut self, p: &PreparedInput<'_>, v: &TokenizedRecord) -> f64 {
-        assert_eq!(p.u.arity(), v.arity(), "tuples must share a schema");
-        let mut wa = p.wa.as_slice();
-        (0..p.u.arity())
-            .map(|col| {
-                let a = p.u.column(col);
-                let (wa_col, rest) = wa.split_at(a.len());
-                wa = rest;
-                self.column_cost(col, a, wa_col, v.column(col))
-            })
-            .sum()
+    /// `fms` from the per-column costs, added in column order — the one
+    /// summation every exact result comes from, whatever order the columns
+    /// were costed in.
+    fn fms_of_costs(&self, wu: f64) -> f64 {
+        let tc: f64 = self.col_cost.iter().sum();
+        1.0 - (tc / wu).min(1.0)
     }
 
     /// `fms(u, v) = 1 − min(tc(u, v)/w(u), 1)`.
@@ -119,11 +161,102 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
     /// Same floating-point operations in the same order, so the result is
     /// bitwise that of `fms`.
     pub fn fms_prepared(&mut self, p: &PreparedInput<'_>, v: &TokenizedRecord) -> f64 {
+        assert_eq!(p.u.arity(), v.arity(), "tuples must share a schema");
         if p.wu == 0.0 {
             return if v.token_count() == 0 { 1.0 } else { 0.0 };
         }
-        let tc = self.cost_prepared(p, v);
-        1.0 - (tc / p.wu).min(1.0)
+        // A token-DP evaluation: counted, and — inside a traced query —
+        // timed as an `fms` span.
+        self.evaluations += 1;
+        let _span = crate::tracing::span("fms");
+        self.col_cost.clear();
+        for col in 0..v.arity() {
+            let cost = self.column_cost(col, p.u.column(col), &p.wa[p.column(col)], v.column(col));
+            self.col_cost.push(cost);
+        }
+        self.fms_of_costs(p.wu)
+    }
+
+    /// Exact-or-reject `fms` of the prepared input against the raw
+    /// reference tuple `row` (tokenized with `tokenizer`, as the input
+    /// was): `Some(f)` is bitwise `fms_prepared`'s result; `None` means
+    /// `fms_prepared` would have returned something **below `floor`** —
+    /// never something equal to it. A `floor` of 0 or less rejects nothing.
+    ///
+    /// A tuple is rejected when a lower bound on `tc` exceeds the budget
+    /// `(1 − floor)·w(u)` (plus [`BOUND_SLACK`]), in two tiers
+    /// (DESIGN.md §4.2):
+    ///
+    /// 1. from the raw row, before tokenizing it: every input token `t` is
+    ///    deleted (`w(t)`) or replaced by some reference token `r` of its
+    ///    column (`w(t)·ed(t, r)`), so it costs at least
+    ///    `w(t)·min(1, min_r lb(t, r))` with `lb` the fingerprint bound on
+    ///    `ed`; insertions and alignment only add to that, and a
+    ///    transposition needs both tokens present verbatim, where the bound
+    ///    is 0;
+    /// 2. for survivors, columns are costed exactly, each result replacing
+    ///    that column's tier-1 bound, stopping as soon as exact-so-far plus
+    ///    bound-of-the-rest exceeds the budget.
+    ///
+    /// Both tiers take the columns heaviest first. Requires non-negative
+    /// costs: weights are (IDF is clamped at 0), and [`Config::validate`]
+    /// rejects a negative transposition constant.
+    pub fn fms_at_least(
+        &mut self,
+        p: &PreparedInput<'_>,
+        row: &Record,
+        tokenizer: &Tokenizer,
+        floor: f64,
+    ) -> Option<f64> {
+        assert_eq!(p.u.arity(), row.arity(), "tuples must share a schema");
+        // `fms` is clamped at 0 and is all-or-nothing when `w(u) = 0`:
+        // neither leaves anything a cost bound could rule out.
+        if !(floor > 0.0 && p.wu > 0.0) {
+            return Some(self.fms_prepared(p, &row.tokenize(tokenizer)));
+        }
+        let budget = (1.0 - floor + BOUND_SLACK) * p.wu;
+
+        // Tier 1: `col_cost[col]` = the column's lower bound.
+        let mut bound = 0.0;
+        self.col_cost.clear();
+        self.col_cost.resize(row.arity(), 0.0);
+        for &col in &p.heaviest_first {
+            let prints = &p.prints[p.column(col)];
+            // Per input token, the least `ed` bound against any reference
+            // token; 1 = "deleted", what it costs when nothing is near.
+            let nearest = &mut self.nearest;
+            nearest.clear();
+            nearest.resize(prints.len(), 1.0);
+            if let (Some(text), false) = (row.get(col), prints.is_empty()) {
+                tokenizer.for_each_print(text, |r| {
+                    for (least, t) in nearest.iter_mut().zip(prints) {
+                        *least = least.min(t.ed_lower_bound(&r));
+                    }
+                });
+            }
+            let weights = &p.wa[p.column(col)];
+            self.col_cost[col] = nearest.iter().zip(weights).map(|(d, w)| d * w).sum();
+            bound += self.col_cost[col];
+            if bound > budget {
+                return None;
+            }
+        }
+
+        // Tier 2: exact costs replace the bounds, one column at a time.
+        let v = row.tokenize(tokenizer);
+        self.evaluations += 1;
+        let _span = crate::tracing::span("fms");
+        let mut exact = 0.0;
+        for &col in &p.heaviest_first {
+            bound -= self.col_cost[col];
+            self.col_cost[col] =
+                self.column_cost(col, p.u.column(col), &p.wa[p.column(col)], v.column(col));
+            exact += self.col_cost[col];
+            if exact + bound > budget {
+                return None;
+            }
+        }
+        Some(self.fms_of_costs(p.wu))
     }
 
     /// Minimum transformation cost for one column: edit DP over token
@@ -422,13 +555,16 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Columns of 0–4 tokens from a six-word vocabulary (so adjacent
-        /// swaps between `u` and `v` happen and the transposition move
-        /// fires), or NULL.
+        /// Columns of 0–4 tokens from a small mixed-case vocabulary (so
+        /// adjacent swaps between `u` and `v` happen and the transposition
+        /// move fires, and values repeat a token), NULL, or — rarely — a
+        /// value with more tokens than any fixed-size scratch would hold.
         fn value() -> impl Strategy<Value = Option<String>> {
             prop_oneof![
-                1 => Just(None),
-                6 => "(ab|ba|abc|boeing|beoing|co)( (ab|ba|abc|boeing|beoing|co)){0,3}".prop_map(Some),
+                2 => Just(None),
+                12 => "(ab|BA|abc|Boeing|beoing|co|İz)(  ?(ab|ba|abc|boeing|Beoing|CO|xyzzy)){0,3}"
+                    .prop_map(Some),
+                1 => "(ab|ba|co)( (ab|ba|co|abc|boeing)){30,40}".prop_map(Some),
             ]
         }
 
@@ -438,12 +574,13 @@ mod tests {
 
         proptest! {
             #[test]
-            fn prepared_fms_is_bitwise_the_unprepared_one(
+            fn prepared_and_bounded_fms_are_bitwise_the_unprepared_one(
                 reference in proptest::collection::vec(record(), 1..12),
                 u in record(),
                 candidates in proptest::collection::vec(record(), 1..6),
                 transposition in any::<bool>(),
                 column_weights in any::<bool>(),
+                null_input in any::<bool>(),
             ) {
                 let tokenizer = Tokenizer::new();
                 // IDF weights from a random little relation: seen tokens get
@@ -460,19 +597,75 @@ mod tests {
                 if column_weights {
                     cfg = cfg.with_column_weights(&[2.0, 1.0, 0.5]);
                 }
+                // Now and then the degenerate `w(u) = 0` input.
+                let u = if null_input && u.get(0).is_none() {
+                    Record::from_options(vec![None, None, None])
+                } else {
+                    u
+                };
                 let ut = u.tokenize(&tokenizer);
                 // One Similarity, one prepared input, many candidates: the
-                // reused `wb`/`dp` buffers must not leak between calls.
+                // reused scratch buffers must not leak between calls.
                 let mut sim = Similarity::new(&weights, &cfg);
                 let prepared = sim.prepare(&ut);
                 for v in &candidates {
                     let vt = v.tokenize(&tokenizer);
-                    let want = reference_fms(&weights, &cfg, &ut, &vt).to_bits();
+                    let exact = reference_fms(&weights, &cfg, &ut, &vt);
+                    let want = exact.to_bits();
                     prop_assert_eq!(sim.fms_prepared(&prepared, &vt).to_bits(), want);
                     prop_assert_eq!(sim.fms(&ut, &vt).to_bits(), want);
+                    // Exact or rejected, and rejected only strictly below
+                    // the floor — the exact value itself is a floor that
+                    // must accept (an equal similarity with a smaller tid
+                    // still has to be ranked), the next float up need not.
+                    let next_up = f64::from_bits(want + 1);
+                    for floor in [0.0, 0.5, exact, next_up, 1.0] {
+                        match sim.fms_at_least(&prepared, v, &tokenizer, floor) {
+                            Some(f) => prop_assert_eq!(f.to_bits(), want, "floor {}", floor),
+                            None => prop_assert!(exact < floor, "{} rejected at {}", exact, floor),
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn fms_at_least_rejects_from_the_raw_row_then_from_the_dp() {
+        let cfg = config4();
+        let tokenizer = Tokenizer::new();
+        let mut sim = Similarity::new(&UnitWeights, &cfg);
+        let u = tok(&["Beoing Corporation", "Seattle", "WA", "98004"]);
+        let prepared = sim.prepare(&u);
+        let best = Record::new(&["Boeing Company", "Seattle", "WA", "98004"]);
+        let floor = sim.fms_prepared(&prepared, &best.tokenize(&tokenizer));
+        assert_eq!(
+            sim.fms_at_least(&prepared, &best, &tokenizer, floor),
+            Some(floor)
+        );
+        assert_eq!(sim.evaluations(), 2);
+
+        // Nothing resembles anything: the fingerprints alone rule it out,
+        // so the row is neither tokenized nor costed.
+        let far = Record::new(&["Bon Inc", "Tacoma", "OR", "11111"]);
+        assert_eq!(sim.fms_at_least(&prepared, &far, &tokenizer, floor), None);
+        assert_eq!(sim.evaluations(), 2);
+        assert!(sim.fms_prepared(&prepared, &far.tokenize(&tokenizer)) < floor);
+
+        // Anagrams fool a character bag, not the DP: costed, then rejected
+        // once the first (heaviest) column alone exceeds the budget.
+        let anagram = Record::new(&["gniobe noitaroproc", "elttaes", "AW", "40089"]);
+        assert_eq!(
+            sim.fms_at_least(&prepared, &anagram, &tokenizer, floor),
+            None
+        );
+        assert_eq!(sim.evaluations(), 4);
+        // Without a floor the same row is simply evaluated.
+        let exact = sim.fms_prepared(&prepared, &anagram.tokenize(&tokenizer));
+        assert_eq!(
+            sim.fms_at_least(&prepared, &anagram, &tokenizer, 0.0),
+            Some(exact)
+        );
     }
 
     #[test]

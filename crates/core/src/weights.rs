@@ -122,6 +122,21 @@ fn idf(relation_size: u64, freq: u32) -> f64 {
     ratio.max(1.0).ln()
 }
 
+/// `Σ term(f)` over one column's token frequencies, added in increasing
+/// order of `f`: the sum then depends on the frequencies alone, not on the
+/// map's iteration order, which differs from process to process — and an
+/// ulp of difference in the unseen-token weight is enough to flip a fetch
+/// decision between two runs of one binary.
+fn sum_over_freqs(map: &HashMap<String, u32>, term: impl Fn(u32) -> f64) -> f64 {
+    let mut freqs: Vec<u32> = map.values().copied().collect();
+    freqs.sort_unstable();
+    freqs.into_iter().map(term).sum()
+}
+
+fn sum_ln_freq(map: &HashMap<String, u32>) -> f64 {
+    sum_over_freqs(map, |f| f64::from(f).ln())
+}
+
 fn column_averages(freqs: &TokenFrequencies) -> Vec<f64> {
     freqs
         .per_column
@@ -132,8 +147,7 @@ fn column_averages(freqs: &TokenFrequencies) -> Vec<f64> {
                 // weight of 1 so unseen tokens still participate.
                 return 1.0;
             }
-            let sum: f64 = map.values().map(|&f| idf(freqs.relation_size, f)).sum();
-            sum / map.len() as f64
+            sum_over_freqs(map, |f| idf(freqs.relation_size, f)) / map.len() as f64
         })
         .collect()
 }
@@ -157,14 +171,7 @@ pub struct WeightTable {
 
 impl WeightTable {
     pub fn new(freqs: TokenFrequencies) -> WeightTable {
-        let sum_ln_freq = (0..freqs.arity())
-            .map(|col| {
-                freqs.per_column[col]
-                    .values()
-                    .map(|&f| f64::from(f).ln())
-                    .sum()
-            })
-            .collect();
+        let sum_ln_freq = freqs.per_column.iter().map(sum_ln_freq).collect();
         WeightTable { freqs, sum_ln_freq }
     }
 
@@ -209,14 +216,7 @@ impl WeightTable {
     /// Recompute the running sums from scratch (after direct
     /// [`WeightTable::frequencies_mut`] edits).
     pub fn refresh(&mut self) {
-        self.sum_ln_freq = (0..self.freqs.arity())
-            .map(|col| {
-                self.freqs.per_column[col]
-                    .values()
-                    .map(|&f| f64::from(f).ln())
-                    .sum()
-            })
-            .collect();
+        self.sum_ln_freq = self.freqs.per_column.iter().map(sum_ln_freq).collect();
     }
 
     /// Validate the table's internal bookkeeping at a quiescent point:
@@ -252,10 +252,7 @@ impl WeightTable {
             }
         }
         for col in 0..self.freqs.arity() {
-            let recomputed: f64 = self.freqs.per_column[col]
-                .values()
-                .map(|&f| f64::from(f).ln())
-                .sum();
+            let recomputed = sum_ln_freq(&self.freqs.per_column[col]);
             if (self.sum_ln_freq[col] - recomputed).abs() > 1e-6 {
                 return Err(CoreError::BadState(format!(
                     "weight table running sum for column {col} is {} but the \
@@ -508,6 +505,44 @@ mod tests {
             &["Bon Corporation", "Seattle", "WA", "98014"],
             &["Companions", "Seattle", "WA", "98024"],
         ])
+    }
+
+    #[test]
+    fn tables_do_not_depend_on_insertion_or_hash_order() {
+        // 400 tokens with frequencies 1..=23, entered front to back and
+        // back to front into maps that hash with different keys: a sum in
+        // iteration order would differ in its last bits.
+        let entries: Vec<(String, u32)> = (0..400u32)
+            .map(|i| (format!("t{i}"), 1 + i * 7 % 23))
+            .collect();
+        let fill = |order: &mut dyn Iterator<Item = &(String, u32)>| {
+            let mut freqs = TokenFrequencies::new(1);
+            freqs.set_relation_size(1000);
+            for (token, f) in order {
+                freqs.set(0, token, *f);
+            }
+            freqs
+        };
+        let forward = fill(&mut entries.iter());
+        let backward = fill(&mut entries.iter().rev());
+        let (a, mut b) = (
+            WeightTable::new(forward.clone()),
+            WeightTable::new(backward.clone()),
+        );
+        assert_eq!(a.column_average(0).to_bits(), b.column_average(0).to_bits());
+        b.refresh();
+        assert_eq!(
+            a.weight(0, "unseen").to_bits(),
+            b.weight(0, "unseen").to_bits()
+        );
+        let (a, b) = (
+            HashedWeightTable::new(&forward, 7),
+            HashedWeightTable::new(&backward, 7),
+        );
+        assert_eq!(
+            a.weight(0, "unseen").to_bits(),
+            b.weight(0, "unseen").to_bits()
+        );
     }
 
     #[test]

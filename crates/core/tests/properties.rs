@@ -138,7 +138,7 @@ proptest! {
     fn lookup_traces_satisfy_invariants(u in record(), k in 1usize..4, mode_osc in any::<bool>()) {
         // Every query, whatever the input, must leave a consistent trace:
         // the funnel only narrows (tid-list entries ≥ tids processed ≥
-        // candidates ≥ fetched = fms evaluations) and stop q-grams are a
+        // candidates ≥ fetched ≥ fms evaluations) and stop q-grams are a
         // subset of the probes.
         let (_db, matcher) = shared_matcher();
         let mode = if mode_osc { QueryMode::Osc } else { QueryMode::Basic };
@@ -149,7 +149,7 @@ proptest! {
         }
         prop_assert!(t.fms_evals <= t.candidates_fetched + t.apx_pruned + t.candidates,
                      "evals beyond the candidate funnel: {t:?}");
-        prop_assert!(t.fms_evals == t.candidates_fetched, "one exact fms per fetch: {t:?}");
+        prop_assert!(t.fms_evals >= result.matches.len() as u64, "unverified match: {t:?}");
         prop_assert!(t.candidates_fetched <= t.candidates, "{t:?}");
         prop_assert!(t.candidates <= t.tids_processed, "{t:?}");
         prop_assert!(t.tids_processed <= t.tid_list_entries, "{t:?}");

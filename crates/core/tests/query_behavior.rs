@@ -15,12 +15,12 @@ use fm_text::minhash::MinHasher;
 use fm_text::Tokenizer;
 
 struct MockRef {
-    tuples: HashMap<u32, TokenizedRecord>,
+    tuples: HashMap<u32, Record>,
     fetches: std::sync::atomic::AtomicU64,
 }
 
 impl ReferenceFetch for MockRef {
-    fn fetch(&self, tid: u32) -> Result<TokenizedRecord> {
+    fn fetch(&self, tid: u32) -> Result<Record> {
         self.fetches
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(self.tuples.get(&tid).expect("known tid").clone())
@@ -29,6 +29,7 @@ impl ReferenceFetch for MockRef {
 
 struct Fixture {
     config: Config,
+    tokenizer: Tokenizer,
     minhasher: MinHasher,
     eti: Eti,
     reference: MockRef,
@@ -45,7 +46,8 @@ impl Fixture {
         let mut groups: HashMap<(String, u8, u8), Vec<u32>> = HashMap::new();
         let mut tuples = HashMap::new();
         for (tid, values) in rows {
-            let tokens = Record::new(values).tokenize(&tokenizer);
+            let record = Record::new(values);
+            let tokens = record.tokenize(&tokenizer);
             for (col, token) in tokens.iter_tokens() {
                 for e in token_signature(token, &minhasher, config.scheme) {
                     let v = groups.entry((e.gram, e.coordinate, col as u8)).or_default();
@@ -54,7 +56,7 @@ impl Fixture {
                     }
                 }
             }
-            tuples.insert(*tid, tokens);
+            tuples.insert(*tid, record);
         }
         let mut keys: Vec<_> = groups.into_iter().collect();
         keys.sort_by(|a, b| a.0.cmp(&b.0));
@@ -65,6 +67,7 @@ impl Fixture {
         }
         Fixture {
             config,
+            tokenizer,
             minhasher,
             eti,
             reference: MockRef {
@@ -78,6 +81,7 @@ impl Fixture {
         QueryContext {
             config: &self.config,
             weights: &UnitWeights,
+            tokenizer: &self.tokenizer,
             minhasher: &self.minhasher,
             eti: &self.eti,
             reference: &self.reference,

@@ -14,7 +14,9 @@
 //! * [`lsh`] — banding of those signatures into seeded band keys (the
 //!   b×r LSH construction) with the `1-(1-s^r)^b` tuning curve;
 //! * [`hash`] — the deterministic seeded hash functions everything above is
-//!   built on.
+//!   built on;
+//! * [`fingerprint`] — per-token length + character-bag prints that bound
+//!   edit distance from below, computable from a raw attribute value.
 //!
 //! The crate is deliberately free of any relational or weighting concerns:
 //! columns, IDF weights and the similarity functions live in `fm-core`.
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod edit_distance;
+pub mod fingerprint;
 pub mod hash;
 pub mod jaccard;
 pub mod lsh;
@@ -30,6 +33,7 @@ pub mod qgram;
 pub mod tokenize;
 
 pub use edit_distance::{levenshtein, normalized_edit_distance, EditBuffer};
+pub use fingerprint::TokenPrint;
 pub use jaccard::jaccard;
 pub use lsh::{collision_probability, Bander};
 pub use minhash::{MinHasher, Signature};

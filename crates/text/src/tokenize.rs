@@ -6,6 +6,8 @@
 //! of the same token in *different* columns are kept apart by the column
 //! property, which is handled one level up in `fm-core`.
 
+use crate::fingerprint::TokenPrint;
+
 /// Maximum bytes per token. Real attribute values tokenize far below this;
 /// the cap bounds index key sizes against pathological kilobyte "tokens"
 /// (unbroken junk strings), which are truncated at a character boundary.
@@ -58,25 +60,56 @@ impl Tokenizer {
         c.is_whitespace() || self.delimiters.contains(&c)
     }
 
+    /// The one definition of a token: fold `push` over the lowercased
+    /// characters of each maximal delimiter-free run of `s`, capped at
+    /// [`MAX_TOKEN_BYTES`], and `emit` every non-empty result. Whatever is
+    /// accumulated — the token itself or only its [`TokenPrint`] — sees
+    /// exactly the characters [`Tokenizer::tokenize`] keeps.
+    fn scan<A: Default>(&self, s: &str, push: impl Fn(A, char) -> A, mut emit: impl FnMut(A)) {
+        let mut current = A::default();
+        let mut bytes = 0;
+        for c in s.chars() {
+            if self.is_delimiter(c) {
+                if bytes > 0 {
+                    emit(std::mem::take(&mut current));
+                    bytes = 0;
+                }
+            } else if bytes < MAX_TOKEN_BYTES {
+                if c.is_ascii() {
+                    // What `to_lowercase` yields for ASCII, minus its iterator.
+                    current = push(current, c.to_ascii_lowercase());
+                    bytes += 1;
+                } else {
+                    for folded in c.to_lowercase() {
+                        current = push(current, folded);
+                        bytes += folded.len_utf8();
+                    }
+                }
+            }
+        }
+        if bytes > 0 {
+            emit(current);
+        }
+    }
+
+    /// Call `f` with the [`TokenPrint`] of every token of `s`, in order,
+    /// without building the tokens. Duplicates are not collapsed: a bound
+    /// that minimizes over the prints is unaffected by them.
+    pub fn for_each_print(&self, s: &str, f: impl FnMut(TokenPrint)) {
+        self.scan(s, TokenPrint::with, f);
+    }
+
     /// Tokenize `s`, appending lowercase tokens to `out`.
     ///
     /// Reuses `out`'s allocation; callers in hot loops should keep a
     /// workhorse vector around.
     pub fn tokenize_into(&self, s: &str, out: &mut Vec<String>) {
         let start = out.len();
-        let mut current = String::new();
-        for c in s.chars() {
-            if self.is_delimiter(c) {
-                if !current.is_empty() {
-                    out.push(std::mem::take(&mut current));
-                }
-            } else if current.len() < MAX_TOKEN_BYTES {
-                current.extend(c.to_lowercase());
-            }
-        }
-        if !current.is_empty() {
-            out.push(current);
-        }
+        let push = |mut token: String, c| {
+            token.push(c);
+            token
+        };
+        self.scan(s, push, |token| out.push(token));
         if self.dedup {
             // Set semantics while preserving first-occurrence order; token
             // counts per attribute value are tiny (typically < 10, paper §2),

@@ -1,6 +1,9 @@
 //! Property-based tests for the string kernels.
 
-use fm_text::{jaccard, levenshtein, normalized_edit_distance, qgram_set, tokenize, MinHasher};
+use fm_text::{
+    jaccard, levenshtein, normalized_edit_distance, qgram_set, tokenize, MinHasher, TokenPrint,
+    Tokenizer,
+};
 use proptest::prelude::*;
 
 /// Short lowercase-ish token strategy resembling the data domain.
@@ -8,7 +11,53 @@ fn token() -> impl Strategy<Value = String> {
     "[a-z0-9]{0,12}"
 }
 
+/// A raw attribute value: words over a small alphabet (so pairs land close
+/// together and repeat within a value) with upper case, `İ` (whose
+/// lowercase is two characters), `ß`, digits and multi-byte letters, split
+/// by runs of spaces, tabs and commas — plus, now and then, an unbroken run
+/// long enough to hit the tokenizer's `MAX_TOKEN_BYTES` cap.
+fn raw_value() -> impl Strategy<Value = String> {
+    prop_oneof![
+        8 => "[ ,\t]{0,2}([abcABİß9é]{1,6}[ ,\t]{1,3}){0,5}",
+        1 => "[abİ]{95,230}( [abİ]{95,230})?",
+    ]
+}
+
 proptest! {
+    #[test]
+    fn print_bounds_hold_for_every_token_pair_of_two_raw_values(
+        a in raw_value(),
+        b in raw_value(),
+        comma_delimits in any::<bool>(),
+    ) {
+        let tokenizer = if comma_delimits {
+            Tokenizer::new().with_delimiters(&[','])
+        } else {
+            Tokenizer::new()
+        };
+        // The raw scan sees exactly the tokens the tokenizer builds
+        // (duplicates included), however folding and the cap reshape them.
+        let prints_of = |s: &str| {
+            let mut prints = Vec::new();
+            tokenizer.for_each_print(s, |p| prints.push(p));
+            let tokens = tokenizer.clone().keep_duplicates().tokenize(s);
+            let want: Vec<TokenPrint> = tokens.iter().map(|t| TokenPrint::of(t)).collect();
+            assert_eq!(prints, want, "prints of {s:?}");
+            (tokens, prints)
+        };
+        let (ta, pa) = prints_of(&a);
+        let (tb, pb) = prints_of(&b);
+        for (x, px) in ta.iter().zip(&pa).chain([(&String::new(), &TokenPrint::default())]) {
+            prop_assert_eq!(px.chars() as usize, x.chars().count());
+            for (y, py) in tb.iter().zip(&pb) {
+                let lb = px.lev_lower_bound(py);
+                prop_assert!(lb <= levenshtein(x, y), "lb {} for {:?} vs {:?}", lb, x, y);
+                prop_assert_eq!(lb, py.lev_lower_bound(px));
+                prop_assert!(px.ed_lower_bound(py) <= normalized_edit_distance(x, y));
+            }
+        }
+    }
+
     #[test]
     fn ed_is_symmetric(a in token(), b in token()) {
         prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));

@@ -1,7 +1,7 @@
 //! `cargo xtask bench` — the performance regression gate.
 //!
 //! Runs the `bench_gate` binary (`crates/bench/src/bin/bench_gate.rs`) in
-//! release mode, which writes `BENCH_PR15.json`, then:
+//! release mode, which writes `BENCH_PR16.json`, then:
 //!
 //! 1. checks the structured-tracing overhead on `lookup_batch`
 //!    (enabled vs runtime-disabled, same binary) is under 5%, and the
@@ -75,7 +75,7 @@ pub fn run(args: &[String]) -> i32 {
     let rebaseline = args.iter().any(|a| a == "--rebaseline");
     let skip_run = args.iter().any(|a| a == "--skip-run");
     let root = crate::workspace_root();
-    let report_path = root.join("BENCH_PR15.json");
+    let report_path = root.join("BENCH_PR16.json");
     let baseline_path = root.join("BENCH_baseline.json");
 
     if !skip_run {

@@ -21,11 +21,14 @@
 //!    the `timeseries` verb through [`crate::jsonv`], provoke an
 //!    explicit overload reply, then drain and assert the lossless
 //!    shutdown ledger (every decoded frame answered)
-//! 10. the committed `BENCH_PR15.json` replica-scaling,
+//! 10. the committed `BENCH_PR16.json` replica-scaling,
 //!     telemetry-overhead, and LSH candidate-tier records, judged by
 //!     [`crate::bench::scaling_gate`] / [`crate::bench::telemetry_gate`]
 //!     / [`crate::bench::lsh_gate`]
-//! 11. `cargo test --workspace -q`
+//! 11. `cargo test --workspace -q --no-fail-fast` — every test binary runs
+//!     even after one fails, so a flake in one suite (`concurrency`'s
+//!     tiny-pool test, ROADMAP item 1) cannot hide the results of the
+//!     binaries that sort after it (`equivalence`, `persistence`, …)
 //! 12. `cargo test --release --offline --manifest-path
 //!     crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
 //!     package of its own outside the workspace (the driver builds it from
@@ -102,7 +105,7 @@ pub fn run() -> i32 {
         return 1;
     }
 
-    if let Some(code) = run_cargo("test", &["test", "--workspace", "-q"]) {
+    if let Some(code) = run_cargo("test", &["test", "--workspace", "-q", "--no-fail-fast"]) {
         return code;
     }
     if let Some(code) = run_cargo(
@@ -185,7 +188,7 @@ pub fn mutmap_gate() -> Result<(), String> {
     Ok(())
 }
 
-/// Gate the *committed* `BENCH_PR15.json` record: the recorded
+/// Gate the *committed* `BENCH_PR16.json` record: the recorded
 /// 1→4-worker speedup must satisfy the floor for the `host_parallelism`
 /// the report itself recorded (≥2.5x on 4+ cores, down to a
 /// no-serialization-regression check on 1), the recorded telemetry
@@ -196,7 +199,7 @@ pub fn mutmap_gate() -> Result<(), String> {
 /// in-process step keeps the committed record honest without re-running
 /// the release bench.
 pub fn scaling_record_gate() -> Result<(), String> {
-    let path = crate::workspace_root().join("BENCH_PR15.json");
+    let path = crate::workspace_root().join("BENCH_PR16.json");
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
             "cannot read {}: {e} — run `cargo xtask bench`",
@@ -205,13 +208,13 @@ pub fn scaling_record_gate() -> Result<(), String> {
     })?;
     let report = jsonv::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     if crate::bench::scaling_gate(&report) != 0 {
-        return Err("committed BENCH_PR15.json fails the replica-scaling floor".into());
+        return Err("committed BENCH_PR16.json fails the replica-scaling floor".into());
     }
     if crate::bench::telemetry_gate(&report) != 0 {
-        return Err("committed BENCH_PR15.json fails the telemetry-overhead gate".into());
+        return Err("committed BENCH_PR16.json fails the telemetry-overhead gate".into());
     }
     if crate::bench::lsh_gate(&report) != 0 {
-        return Err("committed BENCH_PR15.json fails the LSH candidate-tier gate".into());
+        return Err("committed BENCH_PR16.json fails the LSH candidate-tier gate".into());
     }
     Ok(())
 }

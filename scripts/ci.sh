@@ -10,7 +10,9 @@ cd "$(dirname "$0")/.."
 
 # (`cargo xtask ci` ends by building and testing the benchmark package —
 # crates/bench/src/bin/benchmark, outside the workspace — so an API break
-# that would stop BENCHMARK.json's command from compiling fails here.)
+# that would stop BENCHMARK.json's command from compiling fails here. Its
+# workspace test step runs with --no-fail-fast, so one failing suite does
+# not keep the later test binaries from reporting.)
 cargo xtask ci
 
 # The JSON mode is what external tooling consumes; keep it parseable.

@@ -237,10 +237,6 @@ fn assert_matches_naive_bitwise(config: Config, seed: u64, min_agree_pct: usize)
             let result = matcher.lookup_with(input, 3, 0.0, mode).expect("lookup");
             let t = result.trace;
             t.check_consistent().expect("trace invariants");
-            assert_eq!(
-                t.fms_evals, t.candidates_fetched,
-                "every fetched candidate is verified exactly once ({mode:?}, {input})"
-            );
             // Agreement on the top answer, ties (equal similarity) counting,
             // as in the other differential tests: min-hash is probabilistic.
             let same = match (result.matches.first(), ground.first()) {
