@@ -1146,20 +1146,20 @@ fn load_chrome_phases(
     path: &str,
 ) -> Result<std::collections::BTreeMap<String, (u64, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = xtask::jsonv::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let doc = fm_server::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let events = doc
         .get("traceEvents")
-        .and_then(xtask::jsonv::Json::as_arr)
+        .and_then(fm_server::Json::as_arr)
         .ok_or_else(|| format!("{path}: no traceEvents array (not a Chrome export?)"))?;
     let mut phases: std::collections::BTreeMap<String, (u64, f64)> =
         std::collections::BTreeMap::new();
     for event in events {
-        let Some(name) = event.get("name").and_then(xtask::jsonv::Json::as_str) else {
+        let Some(name) = event.get("name").and_then(fm_server::Json::as_str) else {
             continue;
         };
         let dur = event
             .get("dur")
-            .and_then(xtask::jsonv::Json::as_f64)
+            .and_then(fm_server::Json::as_f64)
             .unwrap_or(0.0);
         let entry = phases.entry(name.to_string()).or_insert((0, 0.0));
         entry.0 += 1;

@@ -355,6 +355,19 @@ impl Config {
                 "Q_0 has no signature at all; use Q+T_0 for a tokens-only index".into(),
             ));
         }
+        // Coordinates, band numbers and column numbers are one key byte
+        // each (coordinate 0 is the whole token, DESIGN.md §4.5).
+        for (what, value, max) in [
+            ("h", self.h, 255),
+            ("lsh_bands", self.lsh_bands, 255),
+            ("the number of columns", self.column_names.len(), 256),
+        ] {
+            if value > max {
+                return Err(CoreError::Config(format!(
+                    "{what} must be at most {max} to fit its index key byte, got {value}"
+                )));
+            }
+        }
         if !(self.cins > 0.0 && self.cins <= 1.0) {
             return Err(CoreError::Config(format!(
                 "cins must be in (0, 1], got {}",
@@ -694,6 +707,39 @@ mod tests {
         }
         assert!(base().with_lsh_shape(0, 2).validate().is_err());
         assert!(base().with_lsh_shape(4, 0).validate().is_err());
+    }
+
+    #[test]
+    fn values_that_overflow_their_key_byte_are_rejected() {
+        let wide = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
+            base().with_columns(&names.iter().map(String::as_str).collect::<Vec<_>>())
+        };
+        for ok in [
+            base().with_signature(SignatureScheme::QGrams, 255),
+            base().with_lsh_shape(255, 1),
+            wide(256),
+        ] {
+            assert!(ok.validate().is_ok());
+        }
+        for (config, fragment) in [
+            (
+                base().with_signature(SignatureScheme::QGrams, 256),
+                "h must be at most 255",
+            ),
+            (
+                base().with_signature(SignatureScheme::QGramsPlusToken, 300),
+                "h must be at most 255",
+            ),
+            (
+                base().with_lsh_shape(256, 1),
+                "lsh_bands must be at most 255",
+            ),
+            (wide(257), "number of columns must be at most 256"),
+        ] {
+            let err = config.validate().unwrap_err().to_string();
+            assert!(err.contains(fragment), "got: {err}");
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! [`fm_store::ExternalSorter`] (row bytes = order-preserving key encoding
 //! of `(gram, coordinate, column)` followed by the big-endian tid, so
 //! lexicographic record order *is* the ETI-query's ORDER BY), and
-//! [`EtiBuilder::finish`] streams the merge output into the ETI B+-tree one
-//! group at a time.
+//! [`EtiBuilder::finish`] hands the merge output to the posting index, which
+//! groups it on the key prefix and fills the B+-tree one row at a time.
 
 use fm_store::keycode;
-use fm_store::{ExternalSorter, StoreError};
+use fm_store::ExternalSorter;
 use fm_text::minhash::MinHasher;
 
 use crate::config::SignatureScheme;
@@ -46,49 +46,20 @@ pub struct BuildStats {
     pub lsh_stop_bands: u64,
 }
 
-/// Encode one pre-ETI row.
+/// Encode one pre-ETI row: the row's key prefix, then the tid.
 fn pre_eti_record(gram: &str, coordinate: u8, column: u8, tid: u32) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(gram.len() + 10);
-    keycode::encode_str(&mut rec, gram);
-    keycode::encode_u8(&mut rec, coordinate);
-    keycode::encode_u8(&mut rec, column);
+    let mut rec = Eti::prefix(gram, coordinate, column);
     keycode::encode_u32(&mut rec, tid); // big-endian: ties ordered by tid
     rec
-}
-
-/// Decode a pre-ETI row.
-fn parse_pre_eti_record(rec: &[u8]) -> Result<(String, u8, u8, u32)> {
-    let (gram, rest) = keycode::decode_str(rec)?;
-    let (coordinate, rest) = keycode::decode_u8(rest)?;
-    let (column, rest) = keycode::decode_u8(rest)?;
-    let (tid, rest) = keycode::decode_u32(rest)?;
-    if !rest.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in pre-ETI record".into()).into());
-    }
-    Ok((gram, coordinate, column, tid))
 }
 
 /// Encode one pre-LSH row: the LSH index's clustered key order
 /// `(column, band, key)` followed by the big-endian tid.
 fn pre_lsh_record(column: u8, band: u8, key: u64, tid: u32) -> Vec<u8> {
     let mut rec = Vec::with_capacity(14);
-    keycode::encode_u8(&mut rec, column);
-    keycode::encode_u8(&mut rec, band);
-    keycode::encode_u64(&mut rec, key);
+    LshIndex::write_prefix(&mut rec, column, band, key);
     keycode::encode_u32(&mut rec, tid); // big-endian: ties ordered by tid
     rec
-}
-
-/// Decode a pre-LSH row.
-fn parse_pre_lsh_record(rec: &[u8]) -> Result<(u8, u8, u64, u32)> {
-    let (column, rest) = keycode::decode_u8(rec)?;
-    let (band, rest) = keycode::decode_u8(rest)?;
-    let (key, rest) = keycode::decode_u64(rest)?;
-    let (tid, rest) = keycode::decode_u32(rest)?;
-    if !rest.is_empty() {
-        return Err(StoreError::Corrupt("trailing bytes in pre-LSH record".into()).into());
-    }
-    Ok((column, band, key, tid))
 }
 
 /// Incremental ETI builder: feed tokenized reference tuples, then
@@ -166,193 +137,21 @@ impl EtiBuilder {
     /// materializing the index in memory. The LSH fill streams the same way
     /// in `(column, band, key, tid)` order.
     pub fn finish(mut self, eti: &Eti) -> Result<BuildStats> {
-        self.stats.spilled_runs = self.sorter.spilled_runs();
+        let mut stats = self.stats;
+        stats.spilled_runs = self.sorter.spilled_runs();
         let sorted = self.sorter.finish()?;
         let _span = crate::tracing::span("group_fill");
-        let mut error: Option<crate::error::CoreError> = None;
-        let mut stats = self.stats;
-        let stream = EntryStream {
-            sorted,
-            eti,
-            stats: &mut stats,
-            error: &mut error,
-            current: None,
-            tids: Vec::new(),
-            queue: std::collections::VecDeque::new(),
-            done: false,
-        };
-        eti.bulk_fill_entries(stream)?;
-        if let Some(e) = error {
-            return Err(e);
-        }
+        let filled = eti.postings().bulk_fill(sorted)?;
+        stats.eti_groups = filled.groups;
+        stats.stop_qgrams = filled.stop_groups;
         if let Some((sorter, lsh)) = self.lsh.take() {
             let _span = crate::tracing::span("lsh_fill");
             stats.spilled_runs += sorter.spilled_runs();
-            let sorted = sorter.finish()?;
-            let mut error: Option<crate::error::CoreError> = None;
-            let stream = LshEntryStream {
-                sorted,
-                lsh: &lsh,
-                stats: &mut stats,
-                error: &mut error,
-                current: None,
-                tids: Vec::new(),
-                queue: std::collections::VecDeque::new(),
-                done: false,
-            };
-            lsh.bulk_fill_entries(stream)?;
-            if let Some(e) = error {
-                return Err(e);
-            }
+            let filled = lsh.postings().bulk_fill(sorter.finish()?)?;
+            stats.lsh_groups = filled.groups;
+            stats.lsh_stop_bands = filled.stop_groups;
         }
         Ok(stats)
-    }
-}
-
-/// Streaming adapter: sorted pre-ETI records → physical ETI entries, one
-/// group at a time. Errors are smuggled out through `error` (the stream
-/// simply ends early; the caller checks and propagates).
-struct EntryStream<'a> {
-    sorted: fm_store::extsort::SortedRun,
-    eti: &'a Eti,
-    stats: &'a mut BuildStats,
-    error: &'a mut Option<crate::error::CoreError>,
-    current: Option<(String, u8, u8)>,
-    tids: Vec<u32>,
-    queue: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
-    done: bool,
-}
-
-impl EntryStream<'_> {
-    fn flush_group(&mut self) {
-        if let Some((gram, coordinate, column)) = self.current.take() {
-            self.stats.eti_groups += 1;
-            if self.tids.len() > self.eti.stop_threshold() {
-                self.stats.stop_qgrams += 1;
-            }
-            self.queue.extend(
-                self.eti
-                    .group_entries(&gram, coordinate, column, &self.tids),
-            );
-            self.tids.clear();
-        }
-    }
-}
-
-impl Iterator for EntryStream<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(entry) = self.queue.pop_front() {
-                return Some(entry);
-            }
-            if self.done {
-                return None;
-            }
-            match self.sorted.next_record() {
-                Err(e) => {
-                    *self.error = Some(e.into());
-                    self.done = true;
-                }
-                Ok(None) => {
-                    self.flush_group();
-                    self.done = true;
-                }
-                Ok(Some(rec)) => match parse_pre_eti_record(&rec) {
-                    Err(e) => {
-                        *self.error = Some(e);
-                        self.done = true;
-                    }
-                    Ok((gram, coordinate, column, tid)) => {
-                        let key = (gram, coordinate, column);
-                        if self.current.as_ref() == Some(&key) {
-                            // Dedupe: two tokens of one tuple can share a
-                            // coordinate value; the tid-list is a tuple set.
-                            if self.tids.last() != Some(&tid) {
-                                self.tids.push(tid);
-                            }
-                        } else {
-                            self.flush_group();
-                            self.current = Some(key);
-                            self.tids.push(tid);
-                        }
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// The LSH sibling of [`EntryStream`]: sorted pre-LSH records → physical
-/// posting-list entries, one `(column, band, key)` group at a time.
-struct LshEntryStream<'a> {
-    sorted: fm_store::extsort::SortedRun,
-    lsh: &'a LshIndex,
-    stats: &'a mut BuildStats,
-    error: &'a mut Option<crate::error::CoreError>,
-    current: Option<(u8, u8, u64)>,
-    tids: Vec<u32>,
-    queue: std::collections::VecDeque<(Vec<u8>, Vec<u8>)>,
-    done: bool,
-}
-
-impl LshEntryStream<'_> {
-    fn flush_group(&mut self) {
-        if let Some((column, band, key)) = self.current.take() {
-            self.stats.lsh_groups += 1;
-            if self.tids.len() > self.lsh.stop_threshold() {
-                self.stats.lsh_stop_bands += 1;
-            }
-            self.queue
-                .extend(self.lsh.group_entries(column, band, key, &self.tids));
-            self.tids.clear();
-        }
-    }
-}
-
-impl Iterator for LshEntryStream<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(entry) = self.queue.pop_front() {
-                return Some(entry);
-            }
-            if self.done {
-                return None;
-            }
-            match self.sorted.next_record() {
-                Err(e) => {
-                    *self.error = Some(e.into());
-                    self.done = true;
-                }
-                Ok(None) => {
-                    self.flush_group();
-                    self.done = true;
-                }
-                Ok(Some(rec)) => match parse_pre_lsh_record(&rec) {
-                    Err(e) => {
-                        *self.error = Some(e);
-                        self.done = true;
-                    }
-                    Ok((column, band, key, tid)) => {
-                        let group = (column, band, key);
-                        if self.current == Some(group) {
-                            // Dedupe: two tokens of one tuple can share a
-                            // band key; the posting list is a tuple set.
-                            if self.tids.last() != Some(&tid) {
-                                self.tids.push(tid);
-                            }
-                        } else {
-                            self.flush_group();
-                            self.current = Some(group);
-                            self.tids.push(tid);
-                        }
-                    }
-                },
-            }
-        }
     }
 }
 
@@ -375,11 +174,16 @@ mod tests {
 
     #[test]
     fn pre_eti_record_round_trip() {
+        // A build record is its row's key prefix plus the tid, so the fill
+        // can group on the bytes without decoding them.
         let rec = pre_eti_record("oei", 1, 0, 42);
-        assert_eq!(
-            parse_pre_eti_record(&rec).unwrap(),
-            ("oei".into(), 1, 0, 42)
-        );
+        let (prefix, tid) = rec.split_at(rec.len() - 4);
+        assert_eq!(prefix, Eti::prefix("oei", 1, 0));
+        assert_eq!(tid, 42u32.to_be_bytes());
+        let rec = pre_lsh_record(3, 1, 0xBEEF, 42);
+        let (prefix, tid) = rec.split_at(rec.len() - 4);
+        assert_eq!(prefix, LshIndex::prefix(3, 1, 0xBEEF));
+        assert_eq!(tid, 42u32.to_be_bytes());
     }
 
     #[test]
@@ -589,6 +393,58 @@ mod tests {
             }
         }
         spilled.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn bulk_fill_equals_incremental_appends_under_both_key_schemes() {
+        // 450 tuples share "common" (rows of two chunks); every third also
+        // carries a token of its own.
+        let rows: Vec<TokenizedRecord> = (0..450)
+            .map(|i| tok(&[&format!("common unit{}", i / 3), "city"]))
+            .collect();
+        let mh = MinHasher::new(2, 3, 7);
+        let (bulk_eti, bulk_lsh) = (make_eti(10_000), make_lsh(7, 10_000));
+        let mut b = EtiBuilder::new(mh.clone(), SignatureScheme::QGramsPlusToken, 1 << 20)
+            .unwrap()
+            .with_lsh(&bulk_lsh, 1 << 20)
+            .unwrap();
+        let (eti, lsh) = (make_eti(10_000), make_lsh(7, 10_000));
+        for (i, row) in rows.iter().enumerate() {
+            let tid = i as u32 + 1;
+            b.observe(tid, row).unwrap();
+            for (col, token) in row.iter_tokens() {
+                for e in token_signature(token, &mh, SignatureScheme::QGramsPlusToken) {
+                    eti.append_tid(&e.gram, e.coordinate, col as u8, tid)
+                        .unwrap();
+                }
+                lsh.append_token(col as u8, token, tid).unwrap();
+            }
+        }
+        b.finish(&bulk_eti).unwrap();
+        for (bulk, incremental) in [
+            (bulk_eti.postings(), eti.postings()),
+            (bulk_lsh.postings(), lsh.postings()),
+        ] {
+            let rows = |index: &crate::postings::PostingIndex| {
+                let mut rows: Vec<Vec<u8>> = index
+                    .entries()
+                    .into_iter()
+                    .map(|(key, _)| key[..key.len() - 4].to_vec())
+                    .collect();
+                rows.dedup();
+                rows
+            };
+            assert_eq!(rows(bulk), rows(incremental));
+            assert!(rows(bulk).len() > 10);
+            for row in rows(bulk) {
+                assert_eq!(
+                    bulk.lookup(&row).unwrap(),
+                    incremental.lookup(&row).unwrap()
+                );
+            }
+        }
+        let common = bulk_eti.lookup("common", super::super::TOKEN_COORDINATE, 0);
+        assert_eq!(common.unwrap().unwrap().frequency, 450);
     }
 
     #[test]

@@ -65,11 +65,11 @@ pub mod weights;
 
 pub use config::{CandidateTier, Config, OscStopping, SignatureScheme, TranspositionCost};
 pub use error::{CoreError, Result};
-pub use eti::EtiCheck;
 pub use explain::Explain;
-pub use lsh::{LshCheck, LshIndex};
+pub use lsh::LshIndex;
 pub use matcher::{FuzzyMatcher, Match, MatchResult, MatcherCheck};
 pub use metrics::{LookupTrace, MetricsCheck, MetricsRegistry, MetricsSnapshot};
+pub use postings::PostingCheck;
 pub use query::{QueryMode, QueryStats};
 pub use record::Record;
 pub use telemetry::{PromText, TimeSeries, WindowSnapshot};

@@ -35,6 +35,7 @@ use crate::eti::build::{BuildStats, EtiBuilder};
 use crate::eti::{token_signature, Eti};
 use crate::lsh::LshIndex;
 use crate::metrics::{LookupTrace, MetricsRegistry, MetricsSnapshot};
+use crate::postings::PostingCheck;
 use crate::query::{
     basic_lookup, basic_lookup_with, osc_lookup, osc_lookup_with, LshSource, QueryContext,
     QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
@@ -752,11 +753,12 @@ impl FuzzyMatcher {
         Ok(tid)
     }
 
-    /// Deep-validate the matcher's five storage objects and their cross-
+    /// Deep-validate the matcher's six storage objects and their cross-
     /// object consistency at a quiescent point:
     ///
-    /// * the ETI passes [`Eti::check_invariants`] (B+-tree structure plus
-    ///   chunking/stop-row/frequency rules);
+    /// * the ETI and the LSH tier pass [`Eti::check_invariants`] and
+    ///   [`LshIndex::check_invariants`] (B+-tree structure plus the
+    ///   chunking/stop-row/frequency rules of DESIGN.md §4.5);
     /// * the live weight table passes [`WeightTable::check_invariants`] and
     ///   its IDF inputs — `|R|` and every `(column, token)` frequency —
     ///   equal a fresh recount from a full scan of the reference relation;
@@ -901,9 +903,9 @@ pub struct MatcherCheck {
     /// Distinct `(column, token)` pairs in the live weight table.
     pub distinct_tokens: usize,
     /// The ETI's own report.
-    pub eti: crate::eti::EtiCheck,
+    pub eti: PostingCheck,
     /// The LSH candidate tier's own report.
-    pub lsh: crate::lsh::LshCheck,
+    pub lsh: PostingCheck,
 }
 
 impl ReferenceFetch for FuzzyMatcher {

@@ -1,11 +1,15 @@
-//! The chunked posting-list row shared by the ETI and the LSH tier: the
-//! value codec, and the one read path over it.
+//! The chunked posting-list relation under both candidate tiers (DESIGN.md
+//! §4.5): the value codec, the one read path, and [`PostingIndex`] — the
+//! one place that writes, maintains, bulk-loads and validates rows.
 //!
-//! A logical row (`(gram, coordinate, column)` in the ETI, `(column, band,
-//! key)` in the LSH index) is a run of consecutive B+-tree entries sharing
-//! a key prefix, one per chunk. Each value is
-//! `[flags:u8][frequency:u32][count:u16][count × tid:u32]`, little-endian;
-//! chunk 0's flags and frequency speak for the whole row.
+//! A logical row is addressed by an opaque byte **prefix** chosen by a
+//! key-scheme (`(gram, coordinate, column)` in [`crate::eti`], `(column,
+//! band, key)` in [`crate::lsh`]) and stored as a run of B+-tree entries
+//! `prefix ‖ be32(chunk)`, one per chunk of at most [`TIDS_PER_CHUNK`] tids.
+//! Each value is `[flags:u8][frequency:u32][count:u16][count × tid:u32]`,
+//! little-endian; chunk 0's flags and frequency speak for the whole row.
+//! Key-schemes must be prefix-free — no row's prefix may begin another
+//! row's key — which `keycode`'s self-delimiting fields guarantee.
 //!
 //! Every reader goes through [`for_each_chunk`], which walks the row on
 //! the pinned leaf ([`BTree::for_each_prefix`]) and hands out [`Chunk`]s
@@ -14,10 +18,19 @@
 //! `Vec<u32>`, no concatenated list; [`lookup`] materializes a [`TidList`]
 //! for maintenance and diagnostics.
 
+use std::collections::VecDeque;
+use std::ops::Bound;
+
+use fm_store::extsort::SortedRun;
+use fm_store::keycode;
 use fm_store::{BTree, StoreError};
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::eti::TidList;
+
+/// Maximum tids stored per chunk. With 4-byte tids this keeps every entry
+/// well under the B+-tree's entry cap even alongside a long token key.
+pub const TIDS_PER_CHUNK: usize = 400;
 
 const FLAG_STOP: u8 = 1;
 const HEADER_LEN: usize = 7;
@@ -169,11 +182,493 @@ pub(crate) fn lookup(tree: &BTree, prefix: &[u8]) -> Result<Option<TidList>> {
     }))
 }
 
+/// The physical key of one chunk of the row under `prefix`.
+fn chunk_key(prefix: &[u8], chunk: u32) -> Vec<u8> {
+    let mut key = Vec::with_capacity(prefix.len() + 4);
+    key.extend_from_slice(prefix);
+    keycode::encode_u32(&mut key, chunk);
+    key
+}
+
+/// Split off the trailing big-endian `u32`: a chunk key into `(prefix,
+/// chunk)`, a build record ([`PostingIndex::bulk_fill`]) into `(prefix,
+/// tid)`.
+fn split_u32(bytes: &[u8]) -> Option<(&[u8], u32)> {
+    let (prefix, tail) = bytes.split_at(bytes.len().checked_sub(4)?);
+    Some((prefix, u32::from_be_bytes(tail.try_into().ok()?)))
+}
+
+/// A B+-tree of chunked posting-list rows plus the stop rule: rows whose
+/// list would exceed `stop_threshold` keep their frequency but a NULL list
+/// (the paper's stop q-grams, §4.2.2), and never convert back.
+pub(crate) struct PostingIndex {
+    // BTree is a self-synchronized handle: every descent and mutation runs
+    // under the shared structural latch and the pool's shard/frame locks
+    // inside fm-store (DESIGN §11) — locks the field-level lockset analysis
+    // cannot see from the call site.
+    // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
+    tree: BTree,
+    stop_threshold: usize,
+}
+
+/// What [`PostingIndex::bulk_fill`] loaded.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Filled {
+    /// Logical rows.
+    pub groups: u64,
+    /// Rows stored as stop rows.
+    pub stop_groups: u64,
+}
+
+impl PostingIndex {
+    pub fn new(tree: BTree, stop_threshold: usize) -> PostingIndex {
+        PostingIndex {
+            tree,
+            stop_threshold,
+        }
+    }
+
+    /// A second handle onto the same index, sharing the underlying tree's
+    /// pool and structural latch (see [`BTree::clone_handle`]).
+    #[must_use]
+    pub fn clone_handle(&self) -> PostingIndex {
+        PostingIndex::new(self.tree.clone_handle(), self.stop_threshold)
+    }
+
+    /// Number of physical entries (chunks) in the index.
+    pub fn entry_count(&self) -> Result<usize> {
+        Ok(self.tree.len()?)
+    }
+
+    /// [`lookup`] on this index's tree.
+    pub fn lookup(&self, prefix: &[u8]) -> Result<Option<TidList>> {
+        lookup(&self.tree, prefix)
+    }
+
+    /// [`probe`] on this index's tree.
+    pub fn probe(&self, prefix: &[u8], sink: impl FnMut(Chunk<'_>)) -> Result<(Probed, u64)> {
+        probe(&self.tree, prefix, sink)
+    }
+
+    /// The physical `(key, value)` entries representing one row: one entry
+    /// per chunk, or a single stop entry. `tids` must be sorted and
+    /// deduplicated.
+    fn group_entries(&self, prefix: &[u8], tids: &[u32]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        debug_assert!(
+            tids.windows(2).all(|w| w[0] < w[1]),
+            "tids must be sorted unique"
+        );
+        let frequency = tids.len() as u32;
+        if tids.len() > self.stop_threshold {
+            return vec![(chunk_key(prefix, 0), encode_value(frequency, true, &[]))];
+        }
+        tids.chunks(TIDS_PER_CHUNK)
+            .enumerate()
+            .map(|(i, chunk)| {
+                (
+                    chunk_key(prefix, i as u32),
+                    encode_value(frequency, false, chunk),
+                )
+            })
+            .collect()
+    }
+
+    /// Insert the complete list of one absent row. `tids` must be sorted
+    /// and deduplicated. Applies the stop rule.
+    pub fn insert_group(&self, prefix: &[u8], tids: &[u32]) -> Result<()> {
+        for (key, value) in self.group_entries(prefix, tids) {
+            self.tree.insert(&key, &value)?;
+        }
+        Ok(())
+    }
+
+    /// Bulk-load an empty index from the external sorter's run of
+    /// `prefix ‖ be32(tid)` records — the fast path of the initial build.
+    /// Records arrive in `(prefix, tid)` order, which is the tree's key
+    /// order, so rows are grouped on prefix equality and streamed straight
+    /// into [`BTree::bulk_fill`] without materializing the index. A tid
+    /// repeated within a row (two tokens of one tuple sharing the row) is
+    /// listed once.
+    pub fn bulk_fill(&self, mut sorted: SortedRun) -> Result<Filled> {
+        let mut filled = Filled::default();
+        // `BTree::bulk_fill` takes an infallible iterator: a failure ends
+        // the stream like the end of the run does, and is returned once
+        // the fill comes back.
+        let mut error: Option<CoreError> = None;
+        let mut row: Option<Vec<u8>> = None;
+        let mut tids: Vec<u32> = Vec::new();
+        let mut queue: VecDeque<(Vec<u8>, Vec<u8>)> = VecDeque::new();
+        let mut done = false;
+        let entries = std::iter::from_fn(|| loop {
+            if let Some(entry) = queue.pop_front() {
+                return Some(entry);
+            }
+            if done {
+                return None;
+            }
+            let record = sorted.next_record().unwrap_or_else(|e| {
+                error = Some(e.into());
+                None
+            });
+            let next = record.as_deref().and_then(|record| {
+                let split = split_u32(record);
+                if split.is_none() {
+                    let short = StoreError::Corrupt("build record shorter than a tid".into());
+                    error = Some(short.into());
+                }
+                split
+            });
+            if let (Some((prefix, tid)), Some(current)) = (next, &row) {
+                if current == prefix {
+                    if tids.last() != Some(&tid) {
+                        tids.push(tid);
+                    }
+                    continue;
+                }
+            }
+            if let Some(finished) = row.take() {
+                filled.groups += 1;
+                filled.stop_groups += u64::from(tids.len() > self.stop_threshold);
+                queue.extend(self.group_entries(&finished, &tids));
+                tids.clear();
+            }
+            match next {
+                Some((prefix, tid)) => {
+                    row = Some(prefix.to_vec());
+                    tids.push(tid);
+                }
+                None => done = true,
+            }
+        });
+        self.tree.bulk_fill(entries)?;
+        match error {
+            Some(e) => Err(e),
+            None => Ok(filled),
+        }
+    }
+
+    /// Append one tid to a row (maintenance for a newly inserted reference
+    /// tuple). Creates the row if absent; converts it to a stop row if the
+    /// list outgrows the threshold; idempotent per tid.
+    pub fn append_tid(&self, prefix: &[u8], tid: u32) -> Result<()> {
+        let chunks = collect_chunks(&self.tree, prefix)?;
+        let Some((last_key, last_freq, _, last_tids)) = chunks.last() else {
+            return self.insert_group(prefix, &[tid]);
+        };
+        let (first_key, total, stop, first_tids) = &chunks[0];
+        if *stop {
+            // Already a stop row: just bump the frequency.
+            self.tree
+                .insert(first_key, &encode_value(total + 1, true, &[]))?;
+            return Ok(());
+        }
+        if chunks.iter().any(|(_, _, _, tids)| tids.contains(&tid)) {
+            return Ok(()); // another token of the same tuple hit this row
+        }
+        let new_total = total + 1;
+        if new_total as usize > self.stop_threshold {
+            // Convert to a stop row: rewrite chunk 0, drop the rest.
+            for (key, _, _, _) in &chunks[1..] {
+                self.tree.delete(key)?;
+            }
+            self.tree
+                .insert(first_key, &encode_value(new_total, true, &[]))?;
+            return Ok(());
+        }
+        // Refresh the authoritative frequency in chunk 0.
+        self.tree
+            .insert(first_key, &encode_value(new_total, false, first_tids))?;
+        // Append to the last chunk or open a new one. New tids are minted
+        // monotonically, so appending keeps chunks sorted.
+        if last_tids.len() < TIDS_PER_CHUNK {
+            let mut tids = last_tids.clone();
+            tids.push(tid);
+            tids.sort_unstable();
+            let freq = if chunks.len() == 1 {
+                new_total
+            } else {
+                *last_freq
+            };
+            self.tree
+                .insert(last_key, &encode_value(freq, false, &tids))?;
+        } else {
+            // Numbered after the last *stored* chunk, not after the chunk
+            // count: `remove_tid` may have left a gap below it, and the
+            // count would then name a chunk that is still live.
+            let (_, last_chunk) = split_u32(last_key)
+                .ok_or_else(|| StoreError::Corrupt("posting key without a chunk number".into()))?;
+            self.tree.insert(
+                &chunk_key(prefix, last_chunk + 1),
+                &encode_value(new_total, false, &[tid]),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Remove one tid from a row (maintenance for a deleted reference
+    /// tuple). Idempotent: a tid not present changes nothing — except in a
+    /// stop row, whose membership is unknowable and whose frequency is
+    /// therefore decremented regardless (stop-row frequencies are
+    /// approximate by construction).
+    pub fn remove_tid(&self, prefix: &[u8], tid: u32) -> Result<()> {
+        let chunks = collect_chunks(&self.tree, prefix)?;
+        let Some((first_key, total, stop, first_tids)) = chunks.first() else {
+            return Ok(());
+        };
+        if *stop {
+            self.tree
+                .insert(first_key, &encode_value(total.saturating_sub(1), true, &[]))?;
+            return Ok(());
+        }
+        let Some(pos) = chunks
+            .iter()
+            .position(|(_, _, _, tids)| tids.contains(&tid))
+        else {
+            return Ok(()); // not present
+        };
+        let new_total = total.saturating_sub(1);
+        if new_total == 0 {
+            // Last tid: drop the whole row.
+            for (key, _, _, _) in &chunks {
+                self.tree.delete(key)?;
+            }
+            return Ok(());
+        }
+        // Remove from its chunk; an emptied non-zero chunk is deleted,
+        // leaving a gap in the numbering (chunk 0 stays: it is the header).
+        let (key, freq, _, tids) = &chunks[pos];
+        let mut tids = tids.clone();
+        tids.retain(|&t| t != tid);
+        if tids.is_empty() && pos != 0 {
+            self.tree.delete(key)?;
+        } else {
+            let freq = if pos == 0 { new_total } else { *freq };
+            self.tree.insert(key, &encode_value(freq, false, &tids))?;
+        }
+        // Refresh the authoritative frequency in chunk 0 (if we didn't just
+        // rewrite it above).
+        if pos != 0 {
+            self.tree
+                .insert(first_key, &encode_value(new_total, false, first_tids))?;
+        }
+        Ok(())
+    }
+
+    /// Validate the whole index: the underlying B+-tree structure, then a
+    /// full scan checking the row representation (DESIGN.md §4.5) —
+    ///
+    /// * every key is `prefix ‖ be32(chunk)` with a prefix `describe_row`
+    ///   accepts (the key-scheme's decoder; its `Ok` text names the row in
+    ///   every message), every value decodes as a posting record;
+    /// * a row starts at chunk 0 (its further chunk numbers ascend — the
+    ///   tree's key order — but may skip: see [`PostingIndex::remove_tid`]);
+    /// * chunk 0's frequency equals the number of stored tids (non-stop
+    ///   rows), and tids are globally sorted and deduplicated across the
+    ///   row's chunks, at most [`TIDS_PER_CHUNK`] per chunk;
+    /// * non-stop rows respect the stop threshold;
+    /// * stop rows are a single chunk-0 entry with an empty (NULL) list;
+    /// * emptied non-zero chunks were deleted, not left behind.
+    ///
+    /// (A stop row's frequency may legally sit below the threshold:
+    /// [`PostingIndex::remove_tid`] decrements it approximately, and stop
+    /// rows never convert back.) `label` names the index in messages.
+    pub fn check_invariants(
+        &self,
+        label: &str,
+        describe_row: impl Fn(&[u8]) -> Result<String>,
+    ) -> Result<PostingCheck> {
+        self.tree
+            .check_invariants()
+            .map_err(|e| StoreError::Corrupt(format!("{label} tree: {e}")))?;
+        struct Row {
+            prefix: Vec<u8>,
+            name: String,
+            chunks: usize,
+            stop: bool,
+            frequency: u32,
+            last_tid: Option<u32>,
+            total: usize,
+        }
+        let bad = |msg: String| CoreError::BadState(msg);
+        let finish = |row: &Row, check: &mut PostingCheck| -> Result<()> {
+            let name = &row.name;
+            if row.stop {
+                check.stop_groups += 1;
+            } else {
+                if row.frequency as usize != row.total {
+                    return Err(bad(format!(
+                        "{label} row {name}: chunk-0 frequency {} disagrees with \
+                         {} stored tids",
+                        row.frequency, row.total
+                    )));
+                }
+                if row.total > self.stop_threshold {
+                    return Err(bad(format!(
+                        "{label} row {name}: {} tids exceed stop threshold {} \
+                         without being a stop row",
+                        row.total, self.stop_threshold
+                    )));
+                }
+            }
+            check.groups += 1;
+            check.tids += row.total;
+            Ok(())
+        };
+        let mut check = PostingCheck::default();
+        let mut current: Option<Row> = None;
+        for entry in self.tree.range(Bound::Unbounded, Bound::Unbounded)? {
+            let (key, value) = entry?;
+            let (prefix, chunk) = split_u32(&key)
+                .ok_or_else(|| bad(format!("{label} key {key:?} has no chunk number")))?;
+            let mut row = match current.take() {
+                Some(row) if row.prefix == prefix => row,
+                previous => {
+                    if let Some(row) = previous {
+                        finish(&row, &mut check)?;
+                    }
+                    let name = describe_row(prefix).map_err(|e| {
+                        bad(format!("{label} key {key:?} does not decode as a row: {e}"))
+                    })?;
+                    if chunk != 0 {
+                        return Err(bad(format!(
+                            "{label} row {name}: first chunk is {chunk}, expected 0"
+                        )));
+                    }
+                    Row {
+                        prefix: prefix.to_vec(),
+                        name,
+                        chunks: 0,
+                        stop: false,
+                        frequency: 0,
+                        last_tid: None,
+                        total: 0,
+                    }
+                }
+            };
+            let name = &row.name;
+            let (frequency, stop, tids) = decode_value(&value)
+                .map_err(|e| bad(format!("{label} row {name} chunk {chunk}: {e}")))?;
+            if tids.len() > TIDS_PER_CHUNK {
+                return Err(bad(format!(
+                    "{label} row {name} chunk {chunk}: {} tids in one chunk \
+                     (cap is {TIDS_PER_CHUNK})",
+                    tids.len()
+                )));
+            }
+            if !tids.windows(2).all(|w| w[0] < w[1]) {
+                return Err(bad(format!(
+                    "{label} row {name} chunk {chunk}: tid-list is not sorted \
+                     and deduplicated"
+                )));
+            }
+            if row.chunks == 0 {
+                if stop && !tids.is_empty() {
+                    return Err(bad(format!(
+                        "{label} row {name}: stop row carries {} tids, must have \
+                         a NULL tid-list",
+                        tids.len()
+                    )));
+                }
+                row.stop = stop;
+                row.frequency = frequency;
+            } else {
+                if row.stop || stop {
+                    return Err(bad(format!(
+                        "{label} row {name}: stop row must be a single chunk-0 \
+                         entry, found chunk {chunk}"
+                    )));
+                }
+                if tids.is_empty() {
+                    return Err(bad(format!(
+                        "{label} row {name}: empty non-zero chunk {chunk} should \
+                         have been deleted"
+                    )));
+                }
+                if let (Some(last), Some(&first)) = (row.last_tid, tids.first()) {
+                    if first <= last {
+                        return Err(bad(format!(
+                            "{label} row {name}: tids not globally sorted across \
+                             chunks (chunk {chunk} starts at {first} after {last})"
+                        )));
+                    }
+                }
+            }
+            row.total += tids.len();
+            row.last_tid = tids.last().copied().or(row.last_tid);
+            row.chunks += 1;
+            check.chunks += 1;
+            current = Some(row);
+        }
+        if let Some(row) = current {
+            finish(&row, &mut check)?;
+        }
+        Ok(check)
+    }
+}
+
+#[cfg(test)]
+impl PostingIndex {
+    /// Write one raw chunk entry, bypassing every rule.
+    pub(crate) fn put_raw(
+        &self,
+        prefix: &[u8],
+        chunk: u32,
+        frequency: u32,
+        stop: bool,
+        tids: &[u32],
+    ) {
+        self.tree
+            .insert(
+                &chunk_key(prefix, chunk),
+                &encode_value(frequency, stop, tids),
+            )
+            .unwrap();
+    }
+
+    /// Every physical entry, in key order.
+    pub(crate) fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let all = self.tree.range(Bound::Unbounded, Bound::Unbounded);
+        all.unwrap().map(|entry| entry.unwrap()).collect()
+    }
+}
+
+/// Report from a posting index's validator — [`crate::eti::Eti::check_invariants`],
+/// [`crate::LshIndex::check_invariants`] — one per index in
+/// [`crate::MatcherCheck`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PostingCheck {
+    /// Logical rows (distinct key prefixes).
+    pub groups: usize,
+    /// Physical B+-tree entries (chunks).
+    pub chunks: usize,
+    /// Rows stored as stop rows (NULL tid-list).
+    pub stop_groups: usize,
+    /// Total tids stored across all non-stop rows.
+    pub tids: usize,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fm_store::{BufferPool, MemPager};
+    use crate::eti::Eti;
+    use crate::lsh::LshIndex;
+    use fm_store::{BufferPool, ExternalSorter, MemPager};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
+
+    fn tree() -> BTree {
+        BTree::create(Arc::new(BufferPool::new(Box::new(MemPager::new()), 64))).unwrap()
+    }
+
+    fn index(stop: usize) -> PostingIndex {
+        PostingIndex::new(tree(), stop)
+    }
+
+    /// A key-scheme that accepts every prefix.
+    fn check(index: &PostingIndex) -> Result<PostingCheck> {
+        index.check_invariants("raw", |prefix| Ok(format!("{prefix:?}")))
+    }
 
     #[test]
     fn value_codec_round_trip() {
@@ -195,8 +690,7 @@ mod tests {
 
     #[test]
     fn probe_streams_what_lookup_materializes() {
-        let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 64));
-        let tree = BTree::create(pool).unwrap();
+        let tree = tree();
         // Three rows: a three-chunk list, a stop row, and a neighbour whose
         // key merely extends the first row's prefix bytes.
         let tids: Vec<u32> = (0..1000).collect();
@@ -229,12 +723,329 @@ mod tests {
 
     #[test]
     fn a_malformed_chunk_fails_the_probe() {
-        let pool = Arc::new(BufferPool::new(Box::new(MemPager::new()), 64));
-        let tree = BTree::create(pool).unwrap();
+        let tree = tree();
         tree.insert(b"k0", &encode_value(2, false, &[1, 2]))
             .unwrap();
         tree.insert(b"k1", &[0, 9]).unwrap();
         assert!(probe(&tree, b"k", |_| {}).is_err());
         assert!(lookup(&tree, b"k").is_err());
+    }
+
+    /// The bug both copies of `append_tid` had: deleting every tid of a
+    /// middle chunk leaves chunks 0 and 2, and a new chunk numbered by the
+    /// chunk *count* (2) then replaced the live chunk 2.
+    fn survives_a_gap(index: &PostingIndex, row: &[u8], check: &dyn Fn() -> Result<PostingCheck>) {
+        let n = TIDS_PER_CHUNK as u32;
+        index
+            .insert_group(row, &(0..3 * n).collect::<Vec<_>>())
+            .unwrap();
+        for tid in n..2 * n {
+            index.remove_tid(row, tid).unwrap();
+        }
+        assert_eq!(
+            check().unwrap().chunks,
+            2,
+            "a numbering gap is a legal state"
+        );
+        index.append_tid(row, 3 * n).unwrap();
+        let expected: Vec<u32> = (0..n).chain(2 * n..=3 * n).collect();
+        let list = index.lookup(row).unwrap().unwrap();
+        assert_eq!(list.frequency as usize, expected.len());
+        assert_eq!(list.tids, Some(expected));
+        assert_eq!(check().unwrap().chunks, 3);
+    }
+
+    #[test]
+    fn an_append_after_a_middle_chunk_emptied_loses_nothing() {
+        let eti = Eti::new(tree(), 10_000);
+        let row = Eti::prefix("sea", 1, 0);
+        survives_a_gap(eti.postings(), &row, &|| eti.check_invariants());
+        let lsh = LshIndex::new(tree(), 4, 2, 3, 42, 10_000);
+        let row = LshIndex::prefix(0, 1, 42);
+        survives_a_gap(lsh.postings(), &row, &|| lsh.check_invariants());
+    }
+
+    #[test]
+    fn check_invariants_detects_multi_chunk_corruption() {
+        // (stop threshold, raw chunks as (number, frequency, stop, tids),
+        // message fragment). What a single raw chunk can show is seeded
+        // through the key-schemes, in `crate::eti` and `crate::lsh`.
+        type Raw = (u32, u32, bool, Vec<u32>);
+        let big: Vec<u32> = (0..=TIDS_PER_CHUNK as u32).collect();
+        let cases: Vec<(usize, Vec<Raw>, &str)> = vec![
+            (
+                10,
+                vec![(0, 2, false, vec![5]), (1, 2, false, vec![3])],
+                "not globally sorted",
+            ),
+            (
+                10,
+                vec![(0, 1, false, vec![5]), (3, 1, false, vec![])],
+                "should have been deleted",
+            ),
+            (
+                10,
+                vec![(0, 9, true, vec![]), (1, 9, false, vec![4])],
+                "single chunk-0 entry",
+            ),
+            (
+                10_000,
+                vec![(0, big.len() as u32, false, big)],
+                "tids in one chunk",
+            ),
+        ];
+        for (stop, chunks, fragment) in cases {
+            let index = index(stop);
+            for (chunk, frequency, stop, tids) in chunks {
+                index.put_raw(b"row", chunk, frequency, stop, &tids);
+            }
+            let err = check(&index).unwrap_err().to_string();
+            assert!(
+                err.contains(fragment) && err.contains("raw row"),
+                "got: {err}"
+            );
+        }
+        let index = index(10);
+        index
+            .tree
+            .insert(b"abc", &encode_value(0, false, &[]))
+            .unwrap();
+        let err = check(&index).unwrap_err().to_string();
+        assert!(err.contains("no chunk number"), "got: {err}");
+    }
+
+    /// Sort `records` (`prefix ‖ be32(tid)`) within `budget` bytes and
+    /// bulk-fill a fresh index from the run.
+    fn bulk_filled(records: &[Vec<u8>], budget: usize, stop: usize) -> (PostingIndex, Filled) {
+        let mut sorter = ExternalSorter::with_budget(budget).unwrap();
+        for record in records {
+            sorter.push(record).unwrap();
+        }
+        let index = index(stop);
+        let filled = index.bulk_fill(sorter.finish().unwrap()).unwrap();
+        (index, filled)
+    }
+
+    #[test]
+    fn bulk_fill_writes_exactly_the_entries_of_incremental_inserts() {
+        // Five rows (terminated prefixes, so none begins another's key): one
+        // of three chunks, one over the stop threshold, one whose gram
+        // extends the first's and that lists a tid twice, two singletons.
+        let lists: [(&[u8], Vec<u32>); 5] = [
+            (b"a\x00\x01", (1..=1000).collect()),
+            (b"a\x00\x02", (1..=1300).collect()),
+            (b"ab\x00\x01", vec![7, 7, 9]),
+            (b"b\x00\x01", vec![3]),
+            (b"b\x00\x02", vec![2, 5]),
+        ];
+        let mut records = Vec::new();
+        let mut grouped: BTreeMap<&[u8], BTreeSet<u32>> = BTreeMap::new();
+        for (prefix, tids) in &lists {
+            for tid in tids.iter().rev() {
+                records.push([*prefix, &tid.to_be_bytes()[..]].concat());
+                grouped.entry(prefix).or_default().insert(*tid);
+            }
+        }
+        let (spilled, filled) = bulk_filled(&records, 256, 1200);
+        assert_eq!(
+            filled,
+            Filled {
+                groups: 5,
+                stop_groups: 1
+            }
+        );
+        let (in_memory, _) = bulk_filled(&records, 64 << 20, 1200);
+        let incremental = index(1200);
+        let mut expected = Vec::new();
+        for (prefix, tids) in &grouped {
+            let tids: Vec<u32> = tids.iter().copied().collect();
+            incremental.insert_group(prefix, &tids).unwrap();
+            expected.extend(incremental.group_entries(prefix, &tids));
+        }
+        assert_eq!(spilled.entries(), expected);
+        assert_eq!(in_memory.entries(), expected);
+        assert_eq!(incremental.entries(), expected);
+        assert_eq!(expected.len(), 3 + 1 + 1 + 1 + 1);
+        let report = check(&spilled).unwrap();
+        assert_eq!(
+            (report.groups, report.stop_groups, report.tids),
+            (5, 1, 1005)
+        );
+        // A record too short to carry a tid fails the fill.
+        let mut sorter = ExternalSorter::with_budget(1 << 20).unwrap();
+        sorter.push(b"abc").unwrap();
+        assert!(index(10).bulk_fill(sorter.finish().unwrap()).is_err());
+    }
+
+    /// What the model says a row holds.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Model {
+        List(BTreeSet<u32>),
+        Stop(u32),
+    }
+
+    /// Small enough that rows cross it, large enough for three full chunks
+    /// below it.
+    const STOP: usize = 3 * TIDS_PER_CHUNK + 100;
+
+    /// One call on the index, and what it must do to the row's model.
+    #[derive(Debug)]
+    enum Call {
+        Insert(Vec<u32>),
+        Append(u32),
+        Remove(u32),
+    }
+
+    impl Call {
+        fn apply(self, index: &PostingIndex, row: &[u8], model: Option<Model>) -> Option<Model> {
+            match self {
+                Call::Insert(tids) => {
+                    index.insert_group(row, &tids).unwrap();
+                    Some(match tids.len() > STOP {
+                        true => Model::Stop(tids.len() as u32),
+                        false => Model::List(tids.into_iter().collect()),
+                    })
+                }
+                Call::Append(tid) => {
+                    index.append_tid(row, tid).unwrap();
+                    Some(match model.unwrap_or(Model::List(BTreeSet::new())) {
+                        Model::Stop(frequency) => Model::Stop(frequency + 1),
+                        Model::List(mut tids) => {
+                            tids.insert(tid);
+                            match tids.len() > STOP {
+                                true => Model::Stop(tids.len() as u32),
+                                false => Model::List(tids),
+                            }
+                        }
+                    })
+                }
+                Call::Remove(tid) => {
+                    index.remove_tid(row, tid).unwrap();
+                    match model? {
+                        // Stop rows count down blindly and never convert back.
+                        Model::Stop(frequency) => Some(Model::Stop(frequency.saturating_sub(1))),
+                        Model::List(mut tids) => {
+                            tids.remove(&tid);
+                            (!tids.is_empty()).then_some(Model::List(tids))
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `insert_group` of this many fresh tids (skipped on a live row).
+        Insert(usize),
+        /// `append_tid` of this many fresh tids, then of the last again.
+        Append(usize),
+        /// `append_tid` of fresh tids until the row's last physical chunk
+        /// is full, and of one more, which has to open a new chunk.
+        Overflow,
+        /// `remove_tid` of a run of stored tids starting this far (‰) into
+        /// the list, then of one tid that is not stored.
+        Remove(usize, usize),
+        /// `remove_tid` of every tid in the row's n-th physical chunk.
+        EmptyChunk(usize),
+    }
+
+    fn op() -> impl Strategy<Value = (usize, Op)> {
+        let op = prop_oneof![
+            (1..STOP + 50).prop_map(Op::Insert),
+            (1usize..40).prop_map(Op::Append),
+            Just(Op::Overflow),
+            (0usize..1000, 1usize..40).prop_map(|(at, n)| Op::Remove(at, n)),
+            (0usize..4).prop_map(Op::EmptyChunk),
+        ];
+        // Half the traffic goes to the row that starts out long, so that it
+        // loses chunks and grows again.
+        (
+            prop_oneof![3 => Just(0usize), 1 => Just(1), 1 => Just(2), 1 => Just(3)],
+            op,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random interleavings of the three write paths keep `lookup`
+        /// equal to a set-per-row model and the validator green after
+        /// every call. Tids are minted in increasing order, as the matcher
+        /// mints them.
+        #[test]
+        fn maintenance_matches_a_set_model(
+            first in 2 * TIDS_PER_CHUNK + 1..=STOP,
+            ops in proptest::collection::vec(op(), 1..16),
+        ) {
+            // "ab" and "abc": one gram extends the other, the encoded
+            // prefixes do not; the last two differ in their final byte.
+            let rows = [
+                Eti::prefix("ab", 1, 0),
+                Eti::prefix("abc", 1, 0),
+                LshIndex::prefix(0, 1, 7),
+                LshIndex::prefix(0, 1, 8),
+            ];
+            let index = index(STOP);
+            let mut model: BTreeMap<&[u8], Model> = BTreeMap::new();
+            let mut next_tid = 0u32;
+            let agree = |model: &BTreeMap<&[u8], Model>, rows: &[&[u8]]| {
+                for &row in rows {
+                    let expected = model.get(row).map(|m| match m {
+                        Model::List(tids) => TidList {
+                            frequency: tids.len() as u32,
+                            tids: Some(tids.iter().copied().collect()),
+                        },
+                        Model::Stop(frequency) => TidList { frequency: *frequency, tids: None },
+                    });
+                    prop_assert_eq!(index.lookup(row).unwrap(), expected);
+                }
+                prop_assert_eq!(check(&index).unwrap().groups, model.len());
+            };
+            // The first row starts out spanning three chunks.
+            for (row, op) in std::iter::once((0, Op::Insert(first))).chain(ops) {
+                let row = rows[row].as_slice();
+                let stored: Vec<u32> = match model.get(row) {
+                    Some(Model::List(tids)) => tids.iter().copied().collect(),
+                    _ => Vec::new(),
+                };
+                let mut fresh = |n: usize| {
+                    next_tid += n as u32;
+                    next_tid - n as u32..next_tid
+                };
+                let calls: Vec<Call> = match op {
+                    Op::Insert(_) if model.contains_key(row) => Vec::new(),
+                    Op::Insert(n) => vec![Call::Insert(fresh(n).collect())],
+                    Op::Append(n) => {
+                        let tids = fresh(n);
+                        tids.clone().chain(tids.last()).map(Call::Append).collect()
+                    }
+                    Op::Overflow => {
+                        let chunks = collect_chunks(&index.tree, row).unwrap();
+                        let room = TIDS_PER_CHUNK - chunks.last().map_or(0, |c| c.3.len());
+                        fresh(room + 1).map(Call::Append).collect()
+                    }
+                    Op::Remove(at, n) => {
+                        let run = stored.iter().skip(at * stored.len() / 1000).take(n);
+                        run.chain([&u32::MAX]).copied().map(Call::Remove).collect()
+                    }
+                    Op::EmptyChunk(nth) => {
+                        let mut chunks = collect_chunks(&index.tree, row).unwrap();
+                        let nth = nth % chunks.len().max(1);
+                        let tids = chunks.drain(..).nth(nth).map_or(Vec::new(), |c| c.3);
+                        tids.into_iter().map(Call::Remove).collect()
+                    }
+                };
+                // The touched row after every call, every row after every op.
+                for call in calls {
+                    match call.apply(&index, row, model.remove(row)) {
+                        Some(after) => model.insert(row, after),
+                        None => None,
+                    };
+                    agree(&model, &[row]);
+                }
+                agree(&model, &rows.each_ref().map(Vec::as_slice));
+            }
+        }
     }
 }

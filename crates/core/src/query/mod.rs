@@ -212,7 +212,7 @@ pub(crate) fn plan_query<'a, W: WeightProvider + ?Sized>(
 /// coordinate). `admit_new` is the caller's step-9b decision.
 pub(crate) fn probe_into<S, T>(
     source: &S,
-    unit: &SourceUnit<'_>,
+    unit: &SourceUnit<S::Unit<'_>>,
     key: &mut Vec<u8>,
     table: &mut T,
     admit_new: bool,
@@ -224,7 +224,7 @@ where
 {
     let probed = {
         let _scan = crate::tracing::span("probe.scan");
-        source.probe(unit, key, trace, |chunk| {
+        source.probe(&unit.what, key, trace, |chunk| {
             let _absorb = crate::tracing::span("probe.absorb");
             table.absorb(chunk.tids(), unit.weight, admit_new);
         })?
@@ -412,26 +412,24 @@ mod tests {
         assert!(plan.grams.is_empty());
     }
 
-    /// A tier whose rows are literal posting lists, addressed by the
-    /// unit's coordinate.
+    /// A tier whose rows are literal posting lists, addressed by index.
     struct Lists(Vec<Vec<u32>>);
 
     impl CandidateSource for Lists {
-        fn plan_units<'p>(&self, _plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
+        type Unit<'p> = usize;
+
+        fn plan_units(&self, _plan: &QueryPlan<'_>) -> Vec<SourceUnit<usize>> {
             Vec::new()
         }
 
         fn probe(
             &self,
-            unit: &SourceUnit<'_>,
+            unit: &usize,
             _key: &mut Vec<u8>,
             _trace: &mut LookupTrace,
             mut sink: impl FnMut(crate::postings::Chunk<'_>),
         ) -> Result<Probed> {
-            let source::UnitKind::Gram { coordinate, .. } = unit.kind else {
-                return Ok(Probed::Missing);
-            };
-            let tids = &self.0[coordinate as usize];
+            let tids = &self.0[*unit];
             let value = crate::postings::encode_value(tids.len() as u32, false, tids);
             sink(crate::postings::Chunk::parse(&value)?);
             Ok(Probed::List {
@@ -447,15 +445,8 @@ mod tests {
         let mut table = scores::ScoreTable::default();
         table.begin(1);
         let mut key = Vec::new();
-        for (coordinate, weight, admit_new) in [(0, 1.0, true), (1, 0.5, true), (2, 0.25, false)] {
-            let unit = SourceUnit {
-                weight,
-                kind: source::UnitKind::Gram {
-                    column: 0,
-                    coordinate,
-                    gram: "g",
-                },
-            };
+        for (what, weight, admit_new) in [(0, 1.0, true), (1, 0.5, true), (2, 0.25, false)] {
+            let unit = SourceUnit { weight, what };
             let probed =
                 probe_into(&lists, &unit, &mut key, &mut table, admit_new, &mut trace).unwrap();
             assert!(matches!(probed, Probed::List { .. }));

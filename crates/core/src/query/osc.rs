@@ -91,7 +91,11 @@ where
     }
     let mut units = source.plan_units(&plan);
     // Step 3.1: decreasing weight order; ties broken deterministically.
-    units.sort_by(|a, b| b.weight.total_cmp(&a.weight).then_with(|| a.tie_cmp(b)));
+    units.sort_by(|a, b| {
+        b.weight
+            .total_cmp(&a.weight)
+            .then_with(|| a.what.cmp(&b.what))
+    });
     drop(plan_span);
     let Scratch {
         table,

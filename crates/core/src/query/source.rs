@@ -18,8 +18,6 @@
 //! table traffic — keep identical semantics across tiers so
 //! [`LookupTrace::check_consistent`] holds for both.
 
-use std::cmp::Ordering;
-
 use crate::error::Result;
 use crate::eti::Eti;
 use crate::lsh::LshIndex;
@@ -32,67 +30,24 @@ pub(crate) use crate::postings::Probed;
 /// One probe scheduled against a candidate tier, carrying the absolute
 /// weight it contributes toward `w(u)`. Unit weights of a plan sum to
 /// `w(Q_p)` regardless of tier, so the admission and bound math is
-/// tier-agnostic. Units borrow from the plan they were expanded from.
+/// tier-agnostic. `what` is the tier's own address of the row to probe.
 #[derive(Debug, Clone)]
-pub(crate) struct SourceUnit<'p> {
+pub(crate) struct SourceUnit<U> {
     /// Absolute weight: `w(t) × share` of the token this unit came from.
     pub weight: f64,
-    pub kind: UnitKind<'p>,
-}
-
-/// What a [`SourceUnit`] physically probes.
-#[derive(Debug, Clone)]
-pub(crate) enum UnitKind<'p> {
-    /// An ETI probe: one signature coordinate of one token.
-    Gram {
-        column: u8,
-        coordinate: u8,
-        gram: &'p str,
-    },
-    /// An LSH probe: one band key of one token.
-    Band { column: u8, band: u8, key: u64 },
-}
-
-impl SourceUnit<'_> {
-    /// Deterministic tiebreak for equal weights (the OSC ordering must be
-    /// reproducible across runs and replicas). Units of one plan are
-    /// homogeneous; the cross-kind arms only exist for totality.
-    pub fn tie_cmp(&self, other: &SourceUnit<'_>) -> Ordering {
-        match (&self.kind, &other.kind) {
-            (
-                UnitKind::Gram {
-                    column: ac,
-                    coordinate: ax,
-                    gram: ag,
-                },
-                UnitKind::Gram {
-                    column: bc,
-                    coordinate: bx,
-                    gram: bg,
-                },
-            ) => (ac, ax, ag).cmp(&(bc, bx, bg)),
-            (
-                UnitKind::Band {
-                    column: ac,
-                    band: ab,
-                    key: ak,
-                },
-                UnitKind::Band {
-                    column: bc,
-                    band: bb,
-                    key: bk,
-                },
-            ) => (ac, ab, ak).cmp(&(bc, bb, bk)),
-            (UnitKind::Gram { .. }, UnitKind::Band { .. }) => Ordering::Less,
-            (UnitKind::Band { .. }, UnitKind::Gram { .. }) => Ordering::Greater,
-        }
-    }
+    pub what: U,
 }
 
 /// A tier that turns a query plan into candidate tids.
 pub(crate) trait CandidateSource {
+    /// What one unit physically probes (may borrow from the plan it was
+    /// expanded from). Its order is the deterministic tiebreak between
+    /// units of equal weight: the OSC ordering must be reproducible across
+    /// runs and replicas.
+    type Unit<'p>: Ord;
+
     /// Expand the token-level plan into weighted probe units.
-    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>>;
+    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<Self::Unit<'p>>>;
 
     /// Probe one unit: stream its posting list into `sink` and fold the
     /// tier's counters into the trace. `key` is the query's reusable key
@@ -100,7 +55,7 @@ pub(crate) trait CandidateSource {
     /// touch the store.
     fn probe(
         &self,
-        unit: &SourceUnit<'_>,
+        unit: &Self::Unit<'_>,
         key: &mut Vec<u8>,
         trace: &mut LookupTrace,
         sink: impl FnMut(Chunk<'_>),
@@ -113,13 +68,23 @@ pub(crate) struct EtiSource<'a> {
     pub eti: &'a Eti,
 }
 
+/// An ETI probe: one signature coordinate of one token.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct GramUnit<'p> {
+    pub column: u8,
+    pub coordinate: u8,
+    pub gram: &'p str,
+}
+
 impl CandidateSource for EtiSource<'_> {
-    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
+    type Unit<'p> = GramUnit<'p>;
+
+    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<GramUnit<'p>>> {
         plan.grams
             .iter()
             .map(|g| SourceUnit {
                 weight: g.weight,
-                kind: UnitKind::Gram {
+                what: GramUnit {
                     column: g.column,
                     coordinate: g.coordinate,
                     gram: &g.gram,
@@ -130,21 +95,15 @@ impl CandidateSource for EtiSource<'_> {
 
     fn probe(
         &self,
-        unit: &SourceUnit<'_>,
+        unit: &GramUnit<'_>,
         key: &mut Vec<u8>,
         trace: &mut LookupTrace,
         sink: impl FnMut(Chunk<'_>),
     ) -> Result<Probed> {
-        let UnitKind::Gram {
-            column,
-            coordinate,
-            gram,
-        } = unit.kind
-        else {
-            return Ok(Probed::Missing);
-        };
         trace.qgrams_probed += 1;
-        let (probed, rows) = self.eti.probe(gram, coordinate, column, key, sink)?;
+        let (probed, rows) = self
+            .eti
+            .probe(unit.gram, unit.coordinate, unit.column, key, sink)?;
         trace.eti_rows += rows;
         match probed {
             Probed::Missing => {}
@@ -167,8 +126,18 @@ pub(crate) struct LshSource<'a> {
     pub lsh: &'a LshIndex,
 }
 
+/// An LSH probe: one band key of one token.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct BandUnit {
+    pub column: u8,
+    pub band: u8,
+    pub key: u64,
+}
+
 impl CandidateSource for LshSource<'_> {
-    fn plan_units<'p>(&self, plan: &'p QueryPlan<'_>) -> Vec<SourceUnit<'p>> {
+    type Unit<'p> = BandUnit;
+
+    fn plan_units(&self, plan: &QueryPlan<'_>) -> Vec<SourceUnit<BandUnit>> {
         let bands = self.lsh.bands() as f64;
         let mut units = Vec::new();
         for t in &plan.tokens {
@@ -176,7 +145,7 @@ impl CandidateSource for LshSource<'_> {
             for (band, key) in self.lsh.band_keys(t.token).into_iter().enumerate() {
                 units.push(SourceUnit {
                     weight: share,
-                    kind: UnitKind::Band {
+                    what: BandUnit {
                         column: t.column,
                         band: band as u8,
                         key,
@@ -189,21 +158,15 @@ impl CandidateSource for LshSource<'_> {
 
     fn probe(
         &self,
-        unit: &SourceUnit<'_>,
+        unit: &BandUnit,
         key: &mut Vec<u8>,
         trace: &mut LookupTrace,
         sink: impl FnMut(Chunk<'_>),
     ) -> Result<Probed> {
-        let UnitKind::Band {
-            column,
-            band,
-            key: band_key,
-        } = unit.kind
-        else {
-            return Ok(Probed::Missing);
-        };
         trace.lsh_probes += 1;
-        let (probed, _rows) = self.lsh.probe(column, band, band_key, key, sink)?;
+        let (probed, _rows) = self
+            .lsh
+            .probe(unit.column, unit.band, unit.key, key, sink)?;
         // Stop bands elide their tid-list just like stop q-grams, but they
         // are not q-grams: only the weight credit is shared, the
         // `stop_qgrams` counter stays an ETI quantity.

@@ -5,9 +5,9 @@
 //! (SQL Server Fuzzy Lookup) is driven by heterogeneous clients; a
 //! self-describing text payload inside a binary length-prefixed frame
 //! keeps the protocol debuggable with `nc` while still being cheap to
-//! delimit. `fm-server` may only depend on `fm-core`/`fm-store` (the
-//! `xtask lint` layering rule), so it carries its own ~200-line JSON
-//! implementation instead of reaching into the checker's `jsonv`.
+//! delimit. This is the workspace's one JSON codec: the benchmark's
+//! `compare`, `fuzzymatch trace diff` and the `xtask` gates read their
+//! reports back through it too.
 //!
 //! Numbers are `f64`, like real JSON; every integer the protocol carries
 //! (tids, latencies, counters) is far below 2^53, so round-trips are
@@ -429,6 +429,8 @@ mod tests {
         assert_eq!(back, doc);
         assert_eq!(back.get("k").and_then(Json::as_u64), Some(3));
         assert_eq!(back.get("c").and_then(Json::as_f64), Some(0.85));
+        assert_eq!(back.get("flag").and_then(Json::as_bool), Some(true));
+        assert_eq!(back.get("verb").and_then(Json::as_str), Some("lookup"));
         assert_eq!(
             back.get("input").and_then(Json::as_arr).map(<[Json]>::len),
             Some(2)
@@ -454,9 +456,37 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"\\u12\""] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "[1, 2,]",
+            "[1 2]",
+            "{\"a\":}",
+            "{\"a\": 1} extra",
+            "tru",
+            "1 2",
+            "\"\\u12\"",
+            "\"unterminated",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_literals_and_exponents() {
+        let doc = parse(r#"{"name":"a\"b\\c\nd","args":[[1,-2.5e3],null,false]}"#).expect("nested");
+        assert_eq!(doc.get("name").and_then(Json::as_str), Some("a\"b\\c\nd"));
+        let args = doc.get("args").and_then(Json::as_arr).expect("args");
+        assert_eq!(args[0], Json::Arr(vec![Json::Num(1.0), Json::Num(-2500.0)]));
+        assert_eq!(args[1..], [Json::Null, Json::Bool(false)]);
+    }
+
+    #[test]
+    fn empty_containers_and_whitespace() {
+        assert_eq!(parse(" { } ").expect("object"), Json::Obj(vec![]));
+        assert_eq!(parse("[]").expect("array"), Json::Arr(vec![]));
+        assert_eq!(parse("  42  ").expect("number"), Json::Num(42.0));
     }
 
     #[test]

@@ -282,7 +282,7 @@ fn workspace_sources(cfg: &Config) -> Vec<(String, String)> {
 }
 
 /// The mut-map report over the real workspace (the seam `ci` drives:
-/// it re-parses the JSON with [`crate::jsonv`] and gates the count).
+/// it re-parses the JSON with [`fm_server::json`] and gates the count).
 pub fn mutmap_report() -> mutmap::Report {
     let cfg = project_config();
     let files: Vec<FileIndex> = workspace_sources(&cfg)

@@ -251,7 +251,7 @@ pub fn render(report: &Report) -> Vec<String> {
 }
 
 /// Machine-readable report (std-only, hence by hand — same dialect the
-/// findings array uses; `xtask::jsonv` parses it back in CI).
+/// findings array uses; `fm_server::json` parses it back in CI).
 pub fn to_json(report: &Report) -> String {
     use super::json_str;
     let mut out = String::from("{");

@@ -7,7 +7,7 @@
 //! data race, not tolerable debt), and they run the heavier
 //! interprocedural lockset machinery that `analyze` does not need.
 //! Flags mirror `analyze`: `--json` for machine-readable findings (the
-//! CI smoke re-parses it with [`crate::jsonv`]), `--rebaseline` to
+//! CI smoke re-parses it with [`fm_server::json`]), `--rebaseline` to
 //! freeze, `--explain <rule>` for the rationale table (shared with
 //! `analyze`, so the 10-rule exhaustiveness test covers both commands).
 
@@ -35,7 +35,7 @@ pub fn racecheck_sources(sources: Vec<(String, String)>, cfg: &Config) -> Vec<Fi
 }
 
 /// The `--json` document for the current tree — the seam `xtask ci`'s
-/// smoke re-parses with [`crate::jsonv`] without spawning a process.
+/// smoke re-parses with [`fm_server::json`] without spawning a process.
 pub fn json_report() -> String {
     let cfg = super::project_config();
     let findings = racecheck_sources(super::workspace_sources(&cfg), &cfg);

@@ -40,7 +40,7 @@
 
 use std::process::Command;
 
-use crate::jsonv::{self, Json};
+use fm_server::json::{self, Json};
 
 /// Deterministic per-strategy counters: exact given the seed.
 const GATED_COUNTERS: &[&str] = &[
@@ -310,7 +310,7 @@ pub fn scaling_gate(report: &Json) -> usize {
 
 fn read_report(path: &std::path::Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    jsonv::parse(&text)
+    json::parse(&text)
 }
 
 fn strategy_rows(doc: &Json) -> Vec<(&str, &Json)> {
@@ -560,7 +560,7 @@ mod tests {
     use super::*;
 
     fn report(fetches: f64, batch_ms: f64) -> Json {
-        jsonv::parse(&format!(
+        json::parse(&format!(
             r#"{{"strategies": [{{"strategy": "Q+T_3", "accuracy": 0.9,
                 "avg_fetches": {fetches}, "avg_tids": 100.0,
                 "avg_eti_lookups": 10.0, "avg_eti_rows": 9.0,
@@ -571,7 +571,7 @@ mod tests {
     }
 
     fn scaling_report(speedup: f64, cores: u64) -> Json {
-        jsonv::parse(&format!(
+        json::parse(&format!(
             r#"{{"scaling": {{"workers_1_qps": 100.0, "workers_4_qps": {},
                 "speedup": {speedup}, "host_parallelism": {cores}}}}}"#,
             100.0 * speedup
@@ -605,16 +605,16 @@ mod tests {
 
     #[test]
     fn telemetry_gate_arms_at_5pct() {
-        let ok = jsonv::parse(r#"{"telemetry": {"overhead_pct": 2.4}}"#).unwrap();
+        let ok = json::parse(r#"{"telemetry": {"overhead_pct": 2.4}}"#).unwrap();
         assert_eq!(telemetry_gate(&ok), 0);
-        let slow = jsonv::parse(r#"{"telemetry": {"overhead_pct": 7.1}}"#).unwrap();
+        let slow = json::parse(r#"{"telemetry": {"overhead_pct": 7.1}}"#).unwrap();
         assert_eq!(telemetry_gate(&slow), 1);
-        let missing = jsonv::parse(r#"{"strategies": []}"#).unwrap();
+        let missing = json::parse(r#"{"strategies": []}"#).unwrap();
         assert_eq!(telemetry_gate(&missing), 1);
     }
 
     fn lsh_report(recall: f64, eti_fetches: f64, lsh_fetches: f64, auto_tier: &str) -> Json {
-        jsonv::parse(&format!(
+        json::parse(&format!(
             r#"{{"quick": true, "lsh": {{"recall_top1": {recall},
                 "eti_avg_fetches": {eti_fetches}, "lsh_avg_fetches": {lsh_fetches},
                 "eti_qps": 2000.0, "lsh_qps": 1900.0, "auto_tier": "{auto_tier}"}}}}"#
@@ -640,17 +640,17 @@ mod tests {
 
     #[test]
     fn lsh_gate_fails_on_missing_section() {
-        let missing = jsonv::parse(r#"{"strategies": []}"#).unwrap();
+        let missing = json::parse(r#"{"strategies": []}"#).unwrap();
         assert_eq!(lsh_gate(&missing), 1);
-        let partial = jsonv::parse(r#"{"lsh": {"recall_top1": 0.99}}"#).unwrap();
+        let partial = json::parse(r#"{"lsh": {"recall_top1": 0.99}}"#).unwrap();
         assert_eq!(lsh_gate(&partial), 1);
     }
 
     #[test]
     fn scaling_gate_fails_on_missing_section() {
-        let no_scaling = jsonv::parse(r#"{"strategies": []}"#).unwrap();
+        let no_scaling = json::parse(r#"{"strategies": []}"#).unwrap();
         assert_eq!(scaling_gate(&no_scaling), 1);
-        let partial = jsonv::parse(r#"{"scaling": {"speedup": 3.0}}"#).unwrap();
+        let partial = json::parse(r#"{"scaling": {"speedup": 3.0}}"#).unwrap();
         assert_eq!(scaling_gate(&partial), 1);
     }
 
@@ -672,7 +672,7 @@ mod tests {
 
     #[test]
     fn missing_strategy_fails() {
-        let empty = jsonv::parse(r#"{"strategies": []}"#).unwrap();
+        let empty = json::parse(r#"{"strategies": []}"#).unwrap();
         assert_eq!(compare(&report(40.0, 100.0), &empty), 1);
     }
 
@@ -763,7 +763,7 @@ mod tests {
 
     #[test]
     fn trend_breaks_streaks_across_missing_counters() {
-        let gap = jsonv::parse(r#"{"strategies": [{"strategy": "Q+T_3"}]}"#).unwrap();
+        let gap = json::parse(r#"{"strategies": [{"strategy": "Q+T_3"}]}"#).unwrap();
         let entries = vec![
             ("BENCH_baseline.json".to_string(), report(40.0, 100.0)),
             ("BENCH_PR4.json".to_string(), gap),

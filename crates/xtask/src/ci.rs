@@ -5,31 +5,33 @@
 //! 3. `cargo xtask lint` (in-process)
 //! 4. `cargo xtask analyze` (in-process)
 //! 5. `cargo xtask racecheck` (in-process), plus a smoke that its
-//!    `--json` document re-parses with [`crate::jsonv`]
+//!    `--json` document re-parses with [`fm_server::json`]
 //! 6. the mut-map budget gate: render `analyze --mut-map` to JSON,
-//!    re-parse it with [`crate::jsonv`], and assert the lookup path's
+//!    re-parse it with [`fm_server::json`], and assert the lookup path's
 //!    mutation-site count against the committed `xtask-mutmap.budget`
-//! 7. `cargo xtask deepcheck` (in-process)
-//! 8. an in-process tracing smoke test: build a small matcher, run traced
+//! 7. the line-count gate: `*.rs` lines under `crates`, `tests` and
+//!    `examples` against the committed `xtask-lines.budget`
+//! 8. `cargo xtask deepcheck` (in-process)
+//! 9. an in-process tracing smoke test: build a small matcher, run traced
 //!    lookups, export Chrome trace JSON, and re-parse it with
-//!    [`crate::jsonv`] — proving the observability surface end to end
-//! 9. an in-process serving smoke test: start `fm-server` on an
-//!    ephemeral port, run a traced lookup round-trip (the flight
-//!    recorder must see it through the `trace_slowest` verb), scrape
-//!    the `metrics` verb (the Prometheus exposition must validate and
-//!    agree exactly with `stats` in the same quiesced state), round-trip
-//!    the `timeseries` verb through [`crate::jsonv`], provoke an
-//!    explicit overload reply, then drain and assert the lossless
-//!    shutdown ledger (every decoded frame answered)
-//! 10. the committed `BENCH_PR16.json` replica-scaling,
+//!    [`fm_server::json`] — proving the observability surface end to end
+//! 10. an in-process serving smoke test: start `fm-server` on an
+//!     ephemeral port, run a traced lookup round-trip (the flight
+//!     recorder must see it through the `trace_slowest` verb), scrape
+//!     the `metrics` verb (the Prometheus exposition must validate and
+//!     agree exactly with `stats` in the same quiesced state), round-trip
+//!     the `timeseries` verb through [`fm_server::json`], provoke an
+//!     explicit overload reply, then drain and assert the lossless
+//!     shutdown ledger (every decoded frame answered)
+//! 11. the committed `BENCH_PR16.json` replica-scaling,
 //!     telemetry-overhead, and LSH candidate-tier records, judged by
 //!     [`crate::bench::scaling_gate`] / [`crate::bench::telemetry_gate`]
 //!     / [`crate::bench::lsh_gate`]
-//! 11. `cargo test --workspace -q --no-fail-fast` — every test binary runs
+//! 12. `cargo test --workspace -q --no-fail-fast` — every test binary runs
 //!     even after one fails, so a flake in one suite (`concurrency`'s
 //!     tiny-pool test, ROADMAP item 1) cannot hide the results of the
 //!     binaries that sort after it (`equivalence`, `persistence`, …)
-//! 12. `cargo test --release --offline --manifest-path
+//! 13. `cargo test --release --offline --manifest-path
 //!     crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
 //!     package of its own outside the workspace (the driver builds it from
 //!     that manifest), so nothing above compiles it: this step is what
@@ -41,7 +43,7 @@
 
 use std::process::Command;
 
-use crate::jsonv::{self, Json};
+use fm_server::json::{self, Json};
 
 pub fn run() -> i32 {
     let steps: &[(&str, &[&str])] = &[
@@ -82,6 +84,11 @@ pub fn run() -> i32 {
     println!("ci: mut-map budget");
     if let Err(e) = mutmap_gate() {
         eprintln!("ci: mut-map gate failed: {e}");
+        return 1;
+    }
+    println!("ci: line budget");
+    if let Err(e) = lines_gate() {
+        eprintln!("ci: line-count gate failed: {e}");
         return 1;
     }
     println!("ci: deepcheck");
@@ -127,13 +134,13 @@ pub fn run() -> i32 {
 /// Gate the static race rules: `racecheck` must pass against its
 /// baseline (expected empty — a nonzero baseline is a known data race,
 /// not debt), and its `--json` document must re-parse with
-/// [`crate::jsonv`], keeping the machine-readable surface honest.
+/// [`fm_server::json`], keeping the machine-readable surface honest.
 pub fn racecheck_gate() -> Result<(), String> {
     let code = crate::analyze::racecheck::run(&[]);
     if code != 0 {
         return Err("new race findings — run `cargo xtask racecheck`".into());
     }
-    let doc = jsonv::parse(&crate::analyze::racecheck::json_report())
+    let doc = json::parse(&crate::analyze::racecheck::json_report())
         .map_err(|e| format!("racecheck JSON does not re-parse: {e}"))?;
     let n = doc
         .as_arr()
@@ -144,7 +151,7 @@ pub fn racecheck_gate() -> Result<(), String> {
 }
 
 /// Gate the lookup hot path's shared-mutability footprint: render the
-/// mut-map report to JSON, re-parse it with [`crate::jsonv`] (exercising
+/// mut-map report to JSON, re-parse it with [`fm_server::json`] (exercising
 /// the machine-readable surface, not the in-memory struct), and assert
 /// the mutation-site count against the committed budget in
 /// `xtask-mutmap.budget`. The count can only go *down* without editing
@@ -157,21 +164,13 @@ pub fn mutmap_gate() -> Result<(), String> {
             report.missing_roots.join(", ")
         ));
     }
-    let doc = jsonv::parse(&crate::analyze::mutmap::to_json(&report))
+    let doc = json::parse(&crate::analyze::mutmap::to_json(&report))
         .map_err(|e| format!("mut-map JSON does not re-parse: {e}"))?;
     let count = doc
         .get("mutation_sites")
         .and_then(Json::as_f64)
         .ok_or("mut-map JSON has no mutation_sites count")? as usize;
-    let budget_path = crate::workspace_root().join("xtask-mutmap.budget");
-    let budget: usize = std::fs::read_to_string(&budget_path)
-        .map_err(|e| format!("cannot read xtask-mutmap.budget: {e}"))?
-        .lines()
-        .find(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-        .ok_or("xtask-mutmap.budget has no budget line")?
-        .trim()
-        .parse()
-        .map_err(|e| format!("xtask-mutmap.budget is not a number: {e}"))?;
+    let budget = read_budget("xtask-mutmap.budget")?;
     if count > budget {
         return Err(format!(
             "{count} mutation sites reachable from the lookup path exceed the \
@@ -185,6 +184,45 @@ pub fn mutmap_gate() -> Result<(), String> {
          {} reachable fns)",
         report.reachable
     );
+    Ok(())
+}
+
+/// The number in a committed budget file at the workspace root: its first
+/// line that is neither blank nor a `#` comment.
+pub fn read_budget(name: &str) -> Result<usize, String> {
+    std::fs::read_to_string(crate::workspace_root().join(name))
+        .map_err(|e| format!("cannot read {name}: {e}"))?
+        .lines()
+        .find(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+        .ok_or(format!("{name} has no budget line"))?
+        .trim()
+        .parse()
+        .map_err(|e| format!("{name} is not a number: {e}"))
+}
+
+/// Gate the size of the code base: the `*.rs` lines under `crates`,
+/// `tests` and `examples` — what `find crates tests examples -name '*.rs'
+/// | xargs wc -l` totals on a clean checkout — must not exceed the number
+/// in `xtask-lines.budget`. Growing the workspace takes an edit of that
+/// file; a PR that shrinks it lowers the number to its own count.
+pub fn lines_gate() -> Result<(), String> {
+    let root = crate::workspace_root();
+    let mut count = 0;
+    for dir in ["crates", "tests", "examples"] {
+        for path in crate::lint::rs_files(&root.join(dir)) {
+            let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            count += bytes.iter().filter(|&&b| b == b'\n').count();
+        }
+    }
+    let budget = read_budget("xtask-lines.budget")?;
+    if count > budget {
+        return Err(format!(
+            "{count} lines of Rust exceed the budget of {budget}; delete as \
+             much as the change adds, or raise xtask-lines.budget with \
+             justification"
+        ));
+    }
+    println!("ci: line budget ok ({count} lines of Rust within budget {budget})");
     Ok(())
 }
 
@@ -206,7 +244,7 @@ pub fn scaling_record_gate() -> Result<(), String> {
             path.display()
         )
     })?;
-    let report = jsonv::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let report = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     if crate::bench::scaling_gate(&report) != 0 {
         return Err("committed BENCH_PR16.json fails the replica-scaling floor".into());
     }
@@ -248,7 +286,7 @@ pub fn trace_smoke() -> Result<(), String> {
         Ok::<String, String>(fm_core::tracing::chrome_trace_json(&recorder.all()))
     })?;
 
-    let doc = jsonv::parse(&json).map_err(|e| format!("export is not valid JSON: {e}"))?;
+    let doc = json::parse(&json).map_err(|e| format!("export is not valid JSON: {e}"))?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -401,13 +439,13 @@ pub fn server_smoke() -> Result<(), String> {
         ));
     }
     // The timeseries verb's reply must survive a round-trip through the
-    // independent jsonv parser, and the sampler must have published.
+    // JSON parser, and the sampler must have published.
     std::thread::sleep(std::time::Duration::from_millis(60));
     let ts = client
         .timeseries(8)
         .map_err(|e| format!("timeseries verb failed: {e}"))?;
-    let ts_doc = jsonv::parse(&ts.encode())
-        .map_err(|e| format!("timeseries JSON does not re-parse: {e}"))?;
+    let ts_doc =
+        json::parse(&ts.encode()).map_err(|e| format!("timeseries JSON does not re-parse: {e}"))?;
     let windows = ts_doc
         .get("windows")
         .and_then(Json::as_arr)

@@ -26,7 +26,6 @@ pub mod baseline;
 pub mod bench;
 pub mod ci;
 pub mod deepcheck;
-pub mod jsonv;
 pub mod lint;
 
 /// The workspace root (xtask lives at `<root>/crates/xtask`).

@@ -417,8 +417,8 @@ fn mutmap_lists_reachable_mutation_and_skips_unreachable() {
 
 #[test]
 fn mutmap_json_roundtrips_through_jsonv() {
+    use fm_server::json::{self, Json};
     use xtask::analyze::{graph::CallGraph, items::FileIndex, mutmap};
-    use xtask::jsonv::{self, Json};
 
     let cfg = fixture_config();
     let files: Vec<FileIndex> = fixture_sources()
@@ -429,8 +429,8 @@ fn mutmap_json_roundtrips_through_jsonv() {
     let report = mutmap::compute(&files, &graph, &cfg);
 
     // The exact seam `cargo xtask ci` gates on: render to JSON, re-parse
-    // with the std-only parser, read the count back.
-    let doc = jsonv::parse(&mutmap::to_json(&report)).expect("mut-map JSON must parse");
+    // with the workspace's one JSON value parser, read the count back.
+    let doc = json::parse(&mutmap::to_json(&report)).expect("mut-map JSON must parse");
     assert_eq!(
         doc.get("mutation_sites").and_then(Json::as_f64),
         Some(2.0),

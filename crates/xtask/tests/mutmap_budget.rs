@@ -11,18 +11,6 @@
 
 use xtask::analyze::mutmap_report;
 
-fn read_budget() -> usize {
-    let path = xtask::workspace_root().join("xtask-mutmap.budget");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
-        .lines()
-        .find(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-        .expect("xtask-mutmap.budget has no budget line")
-        .trim()
-        .parse()
-        .expect("xtask-mutmap.budget is not a number")
-}
-
 #[test]
 fn budget_file_matches_live_mut_map_exactly() {
     let report = mutmap_report();
@@ -32,7 +20,7 @@ fn budget_file_matches_live_mut_map_exactly() {
         report.missing_roots.join(", ")
     );
     let live = report.mutation_sites();
-    let budget = read_budget();
+    let budget = xtask::ci::read_budget("xtask-mutmap.budget").expect("budget");
     assert_eq!(
         live, budget,
         "xtask-mutmap.budget ({budget}) does not match the live mut-map \
