@@ -4,10 +4,9 @@
 //! a machine-readable JSON report with per-strategy counters, batch
 //! timings, per-phase span totals from the flight recorder, the tracing
 //! overhead of `lookup_batch` (enabled vs runtime-disabled), and a
-//! replica-scaling measurement (the same matcher + store served with 1
-//! vs 4 worker/replica pairs under 4 closed-loop clients), and a
-//! telemetry-overhead measurement (the served workload with the sampler
-//! at aggressive 25 ms windows vs sampler-off). `cargo xtask
+//! telemetry-overhead measurement (the same matcher + store served by 2
+//! worker/replica pairs to 4 closed-loop clients, with the sampler at
+//! aggressive 25 ms windows vs sampler-off). `cargo xtask
 //! bench` runs this binary (plus a `--no-default-features` build for the
 //! compiled-out baseline) and fails on >20% regressions of the
 //! deterministic counters against the committed `BENCH_baseline.json`.
@@ -32,7 +31,7 @@ struct GateOpts {
 fn parse_args() -> GateOpts {
     let mut opts = GateOpts {
         quick: false,
-        out: "BENCH_PR4.json".to_string(),
+        out: "target/bench_gate.json".to_string(),
         reps: 3,
         seed: 2003,
     };
@@ -195,30 +194,27 @@ fn main() {
         },
     );
 
-    // Replica scaling: serve the same matcher + store with 1 vs 4
-    // worker/replica pairs and hammer each with 4 closed-loop clients.
-    // Wall-clock, so the xtask gate interprets the speedup relative to
-    // `host_parallelism` — a 1-core runner physically cannot speed up
-    // and is only checked for the absence of a serialization slowdown.
-    let scale_requests: usize = if gate.quick { 100 } else { 250 };
-    let scale_db =
+    // The served workload: the same matcher + store behind 2
+    // worker/replica pairs, hammered by 4 closed-loop clients.
+    let served_requests: usize = if gate.quick { 100 } else { 250 };
+    let served_db =
         std::sync::Arc::new(fm_store::Database::in_memory().expect("in-memory database"));
-    let (scale_matcher, _) =
-        fm_bench::build_matcher(&scale_db, &bench.reference, &strategies[2], gate.seed);
-    let scale_matcher = std::sync::Arc::new(scale_matcher);
-    let measure_qps = |workers: usize, telemetry_window_ms: u64| -> f64 {
+    let (served_matcher, _) =
+        fm_bench::build_matcher(&served_db, &bench.reference, &strategies[2], gate.seed);
+    let served_matcher = std::sync::Arc::new(served_matcher);
+    let measure_qps = |telemetry_window_ms: u64| -> f64 {
         let server = fm_server::Server::start(
             "127.0.0.1:0",
-            std::sync::Arc::clone(&scale_matcher),
-            std::sync::Arc::clone(&scale_db),
+            std::sync::Arc::clone(&served_matcher),
+            std::sync::Arc::clone(&served_db),
             fm_server::ServerConfig {
-                workers,
-                replicas: workers,
+                workers: 2,
+                replicas: 2,
                 telemetry_window_ms,
                 ..fm_server::ServerConfig::default()
             },
         )
-        .expect("scaling server");
+        .expect("bench server");
         let addr = server.local_addr().to_string();
         let start = Instant::now();
         let answered: u64 = std::thread::scope(|scope| {
@@ -229,8 +225,8 @@ fn main() {
                     scope.spawn(move || {
                         let mut client = fm_server::Client::connect(addr).expect("connect");
                         let mut ok = 0u64;
-                        for i in 0..scale_requests {
-                            let input = &inputs[(t * scale_requests + i) % inputs.len()];
+                        for i in 0..served_requests {
+                            let input = &inputs[(t * served_requests + i) % inputs.len()];
                             if client.lookup(input, 1, 0.0).expect("lookup reply").ok {
                                 ok += 1;
                             }
@@ -248,34 +244,23 @@ fn main() {
         server.shutdown();
         assert_eq!(
             answered,
-            4 * scale_requests as u64,
-            "scaling run with {workers} worker(s) dropped lookups"
+            4 * served_requests as u64,
+            "served run dropped lookups"
         );
         answered as f64 / wall.max(1e-9)
     };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let qps1 = measure_qps(1, 1000);
-    let qps4 = measure_qps(4, 1000);
-    let speedup = qps4 / qps1.max(1e-9);
-    eprintln!(
-        "[gate] scaling: 1 worker {qps1:.1} qps -> 4 workers {qps4:.1} qps \
-         ({speedup:.2}x on {host_parallelism} core(s))"
-    );
-
     // Telemetry overhead: the same served workload with the sampler off
     // (`telemetry_window_ms: 0`) vs aggressively on (25 ms windows —
     // 40x the default sampling rate, so the gate bounds a worst case).
     // Same paired-interleaved-reps scheme as the tracing overhead above:
     // noise hits both sides of a pair, the minimum ratio is the signal.
-    let _ = measure_qps(2, 0); // warmup
+    let _ = measure_qps(0); // warmup
     let mut telemetry_off_qps = 0.0f64;
     let mut telemetry_on_qps = 0.0f64;
     let mut telemetry_best_ratio = f64::INFINITY;
     for _ in 0..gate.reps.max(1) {
-        let off = measure_qps(2, 0);
-        let on = measure_qps(2, 25);
+        let off = measure_qps(0);
+        let on = measure_qps(25);
         telemetry_off_qps = telemetry_off_qps.max(off);
         telemetry_on_qps = telemetry_on_qps.max(on);
         telemetry_best_ratio = telemetry_best_ratio.min(off / on.max(1e-9));
@@ -416,17 +401,6 @@ fn main() {
     push_f64(&mut json, disabled_ms);
     json.push_str(", \"overhead_pct\": ");
     push_f64(&mut json, overhead_pct);
-    json.push_str("},\n  \"scaling\": {\"workers_1_qps\": ");
-    push_f64(&mut json, qps1);
-    json.push_str(", \"workers_4_qps\": ");
-    push_f64(&mut json, qps4);
-    json.push_str(", \"speedup\": ");
-    push_f64(&mut json, speedup);
-    let _ = write!(
-        json,
-        ", \"host_parallelism\": {host_parallelism}, \"clients\": 4, \
-         \"requests_per_client\": {scale_requests}"
-    );
     json.push_str("},\n  \"telemetry\": {\"qps_on\": ");
     push_f64(&mut json, telemetry_on_qps);
     json.push_str(", \"qps_off\": ");

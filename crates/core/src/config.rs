@@ -244,7 +244,7 @@ impl Default for Config {
             // the smallest shape whose banding is selective enough to
             // fetch fewer candidates than the exact ETI while keeping
             // top-1 agreement with it above the bench gate's 0.95 floor
-            // (see BENCH_PR10.json "lsh").
+            // (the `lsh` section of `cargo xtask bench`'s report).
             lsh_bands: 3,
             lsh_rows: 3,
         }

@@ -141,13 +141,13 @@ impl EtiBuilder {
         stats.spilled_runs = self.sorter.spilled_runs();
         let sorted = self.sorter.finish()?;
         let _span = crate::tracing::span("group_fill");
-        let filled = eti.postings().bulk_fill(sorted)?;
+        let filled = eti.postings.bulk_fill(sorted)?;
         stats.eti_groups = filled.groups;
         stats.stop_qgrams = filled.stop_groups;
         if let Some((sorter, lsh)) = self.lsh.take() {
             let _span = crate::tracing::span("lsh_fill");
             stats.spilled_runs += sorter.spilled_runs();
-            let filled = lsh.postings().bulk_fill(sorter.finish()?)?;
+            let filled = lsh.postings.bulk_fill(sorter.finish()?)?;
             stats.lsh_groups = filled.groups;
             stats.lsh_stop_bands = filled.stop_groups;
         }
@@ -422,8 +422,8 @@ mod tests {
         }
         b.finish(&bulk_eti).unwrap();
         for (bulk, incremental) in [
-            (bulk_eti.postings(), eti.postings()),
-            (bulk_lsh.postings(), lsh.postings()),
+            (&bulk_eti.postings, &eti.postings),
+            (&bulk_lsh.postings, &lsh.postings),
         ] {
             let rows = |index: &crate::postings::PostingIndex| {
                 let mut rows: Vec<Vec<u8>> = index

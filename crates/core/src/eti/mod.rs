@@ -137,7 +137,8 @@ pub struct TidList {
 /// The ETI: the `(gram, coordinate, column)` key-scheme over a
 /// `PostingIndex`, which owns the rows (DESIGN.md §4.5).
 pub struct Eti {
-    postings: PostingIndex,
+    /// The rows; `pub(crate)` for the builder's bulk fill.
+    pub(crate) postings: PostingIndex,
 }
 
 impl Eti {
@@ -145,11 +146,6 @@ impl Eti {
         Eti {
             postings: PostingIndex::new(tree, stop_threshold),
         }
-    }
-
-    /// The rows, for the builder's bulk fill.
-    pub(crate) fn postings(&self) -> &PostingIndex {
-        &self.postings
     }
 
     /// Write the key prefix shared by all chunks of one logical row.

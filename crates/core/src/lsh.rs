@@ -33,7 +33,8 @@ const LSH_MINHASH_SALT: u64 = 0x6c73_685f_6d69_6e68;
 /// The LSH banding index: the `(column, band, band-key)` key-scheme over a
 /// `PostingIndex`, plus the hash family that derives the band keys.
 pub struct LshIndex {
-    postings: PostingIndex,
+    /// The rows; `pub(crate)` for the builder's bulk fill.
+    pub(crate) postings: PostingIndex,
     minhasher: MinHasher,
     bander: Bander,
 }
@@ -84,11 +85,6 @@ impl LshIndex {
     /// a query probes. Deterministic per `(bands, rows, q, seed)`.
     pub fn band_keys(&self, token: &str) -> Vec<u64> {
         self.bander.band_keys(&self.minhasher.signature(token))
-    }
-
-    /// The rows, for the builder's bulk fill.
-    pub(crate) fn postings(&self) -> &PostingIndex {
-        &self.postings
     }
 
     /// Write the key prefix shared by all chunks of one posting list.

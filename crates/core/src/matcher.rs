@@ -84,13 +84,13 @@ pub struct FuzzyMatcher {
     weights: Arc<RwLock<WeightTable>>,
     eti: Eti,
     lsh: LshIndex,
-    // lint:allow(lockset): Table handles synchronize on the pool's frame latches (DESIGN §11)
+    // Table handles synchronize on the pool's frame latches (DESIGN §11)
     ref_table: fm_store::catalog::Table,
-    // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
+    // BTree handles share one structural latch (DESIGN §11)
     tid_index: BTree,
-    // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
+    // BTree handles share one structural latch (DESIGN §11)
     freq_index: BTree,
-    // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
+    // BTree handles share one structural latch (DESIGN §11)
     state_index: BTree,
     next_tid: Arc<AtomicU32>,
     build_stats: Option<BuildStats>,
@@ -651,8 +651,7 @@ impl FuzzyMatcher {
         // One contiguous chunk per worker, each returning its own result
         // vector through `join`: the fan-out shares no mutable state (no
         // work-stealing cursor, no per-slot locks), so per-lookup trace
-        // counters cannot race across workers and this function stays off
-        // the mut-map.
+        // counters cannot race across workers.
         let per = n / threads;
         let extra = n % threads; // the first `extra` workers take one more
         let op = &op;

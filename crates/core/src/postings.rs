@@ -204,9 +204,7 @@ fn split_u32(bytes: &[u8]) -> Option<(&[u8], u32)> {
 pub(crate) struct PostingIndex {
     // BTree is a self-synchronized handle: every descent and mutation runs
     // under the shared structural latch and the pool's shard/frame locks
-    // inside fm-store (DESIGN §11) — locks the field-level lockset analysis
-    // cannot see from the call site.
-    // lint:allow(lockset): BTree handles share one structural latch (DESIGN §11)
+    // inside fm-store (DESIGN §11).
     tree: BTree,
     stop_threshold: usize,
 }
@@ -759,10 +757,10 @@ mod tests {
     fn an_append_after_a_middle_chunk_emptied_loses_nothing() {
         let eti = Eti::new(tree(), 10_000);
         let row = Eti::prefix("sea", 1, 0);
-        survives_a_gap(eti.postings(), &row, &|| eti.check_invariants());
+        survives_a_gap(&eti.postings, &row, &|| eti.check_invariants());
         let lsh = LshIndex::new(tree(), 4, 2, 3, 42, 10_000);
         let row = LshIndex::prefix(0, 1, 42);
-        survives_a_gap(lsh.postings(), &row, &|| lsh.check_invariants());
+        survives_a_gap(&lsh.postings, &row, &|| lsh.check_invariants());
     }
 
     #[test]

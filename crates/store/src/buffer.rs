@@ -442,57 +442,53 @@ impl BufferPool {
 
     /// Write all dirty frames back and fsync the pager.
     pub fn flush(&self) -> Result<()> {
-        // Shard by shard: snapshot the resident pages, then write each one
-        // back under a pin (so the frame cannot be repurposed for another
-        // page between the snapshot and the write) and only the per-frame
-        // read latch — in-flight writers block on one frame, never the
+        // Shard by shard: snapshot the resident pages without pinning, then
+        // write the dirty ones back one at a time, each under its own pin
+        // (so the frame cannot be repurposed for another page during the
+        // write) and only the per-frame read latch. The flusher never holds
+        // more than one pin, so a miss in the shard it is working on still
+        // finds a victim; in-flight writers block on one frame, never the
         // shard, and re-dirtying is preserved on failure.
         for shard in &self.shards {
-            let mapping: Vec<(usize, PageId)> = {
+            let resident: Vec<(usize, PageId)> = {
                 let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
-                let mut st = shard.state.lock();
-                let resident: Vec<(usize, PageId)> = st
-                    .meta
+                let st = shard.state.lock();
+                st.meta
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, m)| {
-                        if m.loading {
-                            None
-                        } else {
-                            m.page.map(|p| (i, p))
-                        }
-                    })
-                    .collect();
-                for &(local, _) in &resident {
-                    st.meta[local].pins += 1;
-                }
-                resident
+                    .filter(|(_, m)| !m.loading)
+                    .filter_map(|(i, m)| m.page.map(|p| (i, p)))
+                    .collect()
             };
-            let mut failure = None;
-            for &(local, page) in &mapping {
+            for (local, page) in resident {
                 let gidx = shard.base + local;
-                if failure.is_none() && self.frames[gidx].dirty.swap(false, Ordering::AcqRel) {
+                {
+                    let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
+                    let mut st = shard.state.lock();
+                    // Evicted, reloaded or cleaned since the snapshot: the
+                    // frame's current owner answers for its bytes.
+                    let m = &mut st.meta[local];
+                    if m.page != Some(page)
+                        || m.loading
+                        || !self.frames[gidx].dirty.swap(false, Ordering::AcqRel)
+                    {
+                        continue;
+                    }
+                    m.pins += 1;
+                }
+                let written = {
                     let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME, "frame-data");
                     let data = self.frames[gidx].data.read();
                     // lint:allow(lock-across-io): per-frame latch only, by design
-                    if let Err(e) = self.pager.write_page(page, &data) {
-                        self.frames[gidx].dirty.store(true, Ordering::Release);
-                        failure = Some(e);
-                    } else {
-                        self.writebacks.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.pager.write_page(page, &data)
+                };
+                if written.is_ok() {
+                    self.writebacks.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.frames[gidx].dirty.store(true, Ordering::Release);
                 }
-            }
-            {
-                let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
-                let mut st = shard.state.lock();
-                for &(local, _) in &mapping {
-                    debug_assert!(st.meta[local].pins > 0, "flush unpin without pin");
-                    st.meta[local].pins -= 1;
-                }
-            }
-            if let Some(e) = failure {
-                return Err(e);
+                self.unpin(gidx);
+                written?;
             }
         }
         self.pager.sync()
@@ -689,6 +685,82 @@ mod tests {
         drop(b);
         // After unpinning, allocation succeeds again.
         assert!(pool.allocate().is_ok());
+    }
+
+    /// A pager whose next `write_page` after `armed` is set signals
+    /// `parked` and waits for `release`: a flusher stopped inside a
+    /// write-back, with no sleeps.
+    struct ParkingPager {
+        inner: MemPager,
+        armed: std::sync::Arc<AtomicBool>,
+        parked: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Pager for ParkingPager {
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+            if self.armed.swap(false, Ordering::AcqRel) {
+                self.parked.lock().send(()).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&self) -> Result<PageId> {
+            self.inner.allocate()
+        }
+        fn page_count(&self) -> u32 {
+            self.inner.page_count()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_miss_beside_a_flush_in_the_same_shard_finds_a_frame() {
+        use std::sync::{mpsc, Arc};
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let armed = Arc::new(AtomicBool::new(false));
+        let pool = Arc::new(BufferPool::new(
+            Box::new(ParkingPager {
+                inner: MemPager::new(),
+                armed: Arc::clone(&armed),
+                parked: Mutex::new(parked_tx),
+                release: Mutex::new(release_rx),
+            }),
+            4,
+        ));
+        assert_eq!(pool.shard_count(), 1);
+        // Five pages through four frames: the shard is full of dirty
+        // pages and one page is not resident.
+        let ids: Vec<PageId> = (0..5)
+            .map(|_| {
+                let (id, g) = pool.allocate().unwrap();
+                drop(g);
+                id
+            })
+            .collect();
+        let cold = *ids
+            .iter()
+            .find(|id| !pool.shards[0].state.lock().map.contains_key(id))
+            .expect("one page was evicted");
+        armed.store(true, Ordering::Release);
+        let flusher = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.flush())
+        };
+        // The flusher is now parked inside its first write-back. A miss in
+        // its shard must still find a victim: the flusher holds one pin,
+        // not the shard's worth.
+        parked_rx.recv().unwrap();
+        let miss = pool.get(cold).map(|_| ());
+        release_tx.send(()).unwrap();
+        flusher.join().unwrap().unwrap();
+        assert!(miss.is_ok(), "miss beside a parked flush: {miss:?}");
     }
 
     #[test]

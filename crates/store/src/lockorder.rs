@@ -137,15 +137,18 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn state_under_frame_is_rejected() {
-        // Publishing without dropping the frame token first must assert —
-        // the runtime twin of the static `latch-protocol` inversion rule.
+        // Publishing without dropping the frame token first must assert:
+        // this is the one mechanism that owns the shard-under-frame
+        // inversion of the miss protocol (DESIGN.md §8).
         let result = std::panic::catch_unwind(|| {
             let _a = HeldRank::acquire(FRAME, "frame-data");
             let _b = HeldRank::acquire(STATE, "state");
         });
+        let panic = result.expect_err("re-taking state under a frame latch must assert");
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
         assert!(
-            result.is_err(),
-            "re-taking state under a frame latch must assert"
+            message.contains("lock-order violation: acquiring `state`"),
+            "got: {message}"
         );
         imp::pop(FRAME);
         imp::pop(STATE);

@@ -18,7 +18,7 @@
 //!    (`let h = self.field.clone_handle()` / `let h = self.replicate()`)
 //!    resolves on the aliased receiver's type — the shared-handle
 //!    boundary introduced by the concurrent read path must not dead-end
-//!    the lockset propagation;
+//!    the lock-order and panic-path propagation;
 //! 5. bare `m(…)` resolves to free functions, same file preferred;
 //! 6. `expr.m(…)` on an unknown receiver resolves by bare name — but only
 //!    when the name is unambiguous: names on the deny list of ubiquitous
@@ -255,7 +255,7 @@ impl CallGraph {
                 // The handle aliases its receiver: `let h = self.field
                 // .clone_handle(); h.m(…)` dispatches on the field's base
                 // type, `let h = self.clone_handle(); h.m(…)` on the
-                // enclosing impl type. Without this the lockset propagation
+                // enclosing impl type. Without this the transitive rules
                 // would dead-end at every PR 7 handle boundary.
                 let base = match field {
                     Some(f) => {

@@ -76,24 +76,9 @@ pub struct Function {
     pub line: u32,
     /// The signature line's trimmed text (fingerprint anchor).
     pub sig_text: String,
-    /// Significant-token index of the `fn` keyword; the parameter list
-    /// lives between here and `body.start` (the mut-map scans it for
-    /// `&mut` receivers and parameters).
-    pub sig_start: usize,
     /// Body span as a range of significant-token indices (excl. braces).
     pub body: Range<usize>,
     pub calls: Vec<Call>,
-}
-
-/// One struct field declaration, with the *full* type ident chain — the
-/// lockset analysis needs the wrappers (`Arc`, `Mutex`, `AtomicU64`, …)
-/// that `field_types` strips for call resolution.
-#[derive(Debug, Clone)]
-pub struct FieldDecl {
-    /// Every type identifier in declaration order: `Arc<Mutex<Vec<u8>>>`
-    /// records `["Arc", "Mutex", "Vec", "u8"]`.
-    pub ty_idents: Vec<String>,
-    pub line: u32,
 }
 
 /// A lexed file plus the item facts extracted from it.
@@ -107,8 +92,6 @@ pub struct FileIndex {
     pub functions: Vec<Function>,
     /// `(struct name, field name) → base type` (wrappers stripped).
     pub field_types: HashMap<(String, String), String>,
-    /// `(struct name, field name) → full declaration` (wrappers kept).
-    pub field_decls: HashMap<(String, String), FieldDecl>,
 }
 
 impl FileIndex {
@@ -122,7 +105,6 @@ impl FileIndex {
             sig,
             functions: Vec::new(),
             field_types: HashMap::new(),
-            field_decls: HashMap::new(),
         };
         index.scan_items();
         index
@@ -366,7 +348,8 @@ impl FileIndex {
                         && is_ident(t)
                         && k + 1 < close
                         && self.sig_text(k + 1) == ":"
-                        && (k == j + 1 || matches!(self.sig_text(k - 1), "," | "{" | "]"))
+                        && (k == j + 1
+                            || matches!(self.sig_text(k - 1), "," | "{" | "]" | "pub" | ")"))
                     {
                         let field = t.to_string();
                         // Collect type idents until `,` at depth 1.
@@ -388,15 +371,8 @@ impl FileIndex {
                             m += 1;
                         }
                         if let Some(base) = base_type(&ty_idents) {
-                            self.field_types.insert((name.clone(), field.clone()), base);
+                            self.field_types.insert((name.clone(), field), base);
                         }
-                        self.field_decls.insert(
-                            (name.clone(), field),
-                            FieldDecl {
-                                ty_idents,
-                                line: self.sig_line(k),
-                            },
-                        );
                         k = m;
                         continue;
                     }
@@ -453,7 +429,6 @@ impl FileIndex {
             is_test,
             line,
             sig_text: self.src_line(line).trim().to_string(),
-            sig_start: i,
             body: body_open + 1..body_close,
             calls: Vec::new(),
         })

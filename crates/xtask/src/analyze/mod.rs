@@ -3,7 +3,7 @@
 //! Where `xtask lint` judges single lines, `analyze` reasons about *paths*:
 //! it lexes every library source file ([`lexer`]), extracts functions,
 //! struct field types, and call sites ([`items`]), resolves calls into a
-//! workspace call graph ([`graph`]), and runs four project-specific flow
+//! workspace call graph ([`graph`]), and runs the project-specific flow
 //! rules on top:
 //!
 //! * [`locks`] — `lock-order`: lock acquisitions must respect the declared
@@ -12,9 +12,8 @@
 //!   layer, and the checkpoint syncs the WAL before touching the main file;
 //! * [`panics`] — `panic-path`: a plain-`pub` fn must not transitively
 //!   reach `panic!`/`unwrap`/`expect`/codec indexing;
-//! * [`unsafety`] — `unsafe-audit` (SAFETY comments, `forbid(unsafe_code)`
-//!   for unsafe-free crates) and `float-det` (no hash-order float
-//!   accumulation in the similarity kernels);
+//! * [`floatdet`] — `float-det`: no hash-order float accumulation in the
+//!   similarity kernels;
 //! * [`lockio`] — `lock-across-io`: no lock-class guard live across a
 //!   direct pager read/write or WAL append;
 //! * [`atomics`] — `atomics-ordering`: no `Relaxed` on flag atomics
@@ -22,21 +21,8 @@
 //! * [`blocking`] — `blocking-in-worker`: no blocking call in the serving
 //!   layer while the queue or connection-registry lock is held.
 //!
-//! On top of the rules, [`mutmap`] (`analyze --mut-map`) reports the
-//! shared-mutability map of the lookup hot path — the concurrent-read-path
-//! refactor's work list, gated in CI against `xtask-mutmap.budget`.
 //! `analyze --explain <rule>` prints each rule's rationale and fix
 //! guidance.
-//!
-//! The concurrency rules ship as their own command, `cargo xtask
-//! racecheck` ([`racecheck`]), with a separate (expected-empty) baseline:
-//!
-//! * [`lockset`] — Eraser-style shared-field lockset analysis with
-//!   interprocedural held-on-entry propagation and spawn-site thread
-//!   entry inference;
-//! * [`latchproto`] — `latch-protocol`: the buffer-pool miss protocol
-//!   (shard lock never across IO, frame latch across the IO window,
-//!   shard re-lock to publish/rollback) as a state machine.
 //!
 //! Known findings are frozen per content fingerprint in
 //! `xtask-analyze.baseline` (see [`crate::baseline`]); `--rebaseline`
@@ -46,17 +32,13 @@
 
 pub mod atomics;
 pub mod blocking;
+pub mod floatdet;
 pub mod graph;
 pub mod items;
-pub mod latchproto;
 pub mod lexer;
 pub mod lockio;
 pub mod locks;
-pub mod lockset;
-pub mod mutmap;
 pub mod panics;
-pub mod racecheck;
-pub mod unsafety;
 pub mod walwrite;
 
 use std::fs;
@@ -76,19 +58,11 @@ pub struct LockClass {
     pub field: String,
 }
 
-/// One analyzed crate, for the per-crate `unsafe` census.
-pub struct CrateCfg {
-    pub name: String,
-    /// Workspace-relative `src` directory.
-    pub src_dir: String,
-    /// Workspace-relative crate root (`…/src/lib.rs`).
-    pub root: String,
-}
-
 /// Everything project-specific the rules need — kept as data so the
 /// fixture tests can run the same rules against a synthetic project.
 pub struct Config {
-    pub crates: Vec<CrateCfg>,
+    /// Workspace-relative `src` directories of the analyzed crates.
+    pub src_dirs: Vec<String>,
     /// Canonical lock order, outermost first.
     pub lock_order: Vec<LockClass>,
     /// Files allowed to call `.write_page(` (the WAL-aware layer).
@@ -119,14 +93,6 @@ pub struct Config {
     pub worker_guard_fns: Vec<String>,
     /// Blocking verbs `blocking-in-worker` flags under a guard.
     pub blocking_calls: Vec<String>,
-    /// Qualified roots of the mut-map reachability walk.
-    pub mutmap_roots: Vec<String>,
-    /// Extra thread-entry roots for `lockset` (public API called from
-    /// arbitrary threads), beyond the spawn sites inferred from sources.
-    pub racecheck_entries: Vec<String>,
-    /// The buffer-pool miss protocol `latch-protocol` verifies; `None`
-    /// disables the rule.
-    pub latch_proto: Option<latchproto::LatchProtoCfg>,
 }
 
 /// One rule finding. `anchor` is the content the baseline fingerprints —
@@ -145,24 +111,15 @@ pub struct Finding {
 ///
 /// `weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages`
 pub fn project_config() -> Config {
-    let krate = |name: &str, dir: &str| CrateCfg {
-        name: name.to_string(),
-        src_dir: format!("crates/{dir}/src"),
-        root: format!("crates/{dir}/src/lib.rs"),
-    };
     let lock = |name: &str, file: &str, field: &str| LockClass {
         name: name.to_string(),
         file: format!("crates/{file}"),
         field: field.to_string(),
     };
     Config {
-        crates: vec![
-            krate("fm-text", "text"),
-            krate("fm-store", "store"),
-            krate("fm-core", "core"),
-            krate("fm-datagen", "datagen"),
-            krate("fm-server", "server"),
-        ],
+        src_dirs: ["text", "store", "core", "datagen", "server"]
+            .map(|dir| format!("crates/{dir}/src"))
+            .to_vec(),
         lock_order: vec![
             lock("weights", "core/src/matcher.rs", "weights"),
             lock("objects", "store/src/catalog.rs", "objects"),
@@ -220,27 +177,6 @@ pub fn project_config() -> Config {
         ]
         .map(String::from)
         .to_vec(),
-        mutmap_roots: vec![
-            "FuzzyMatcher::lookup".to_string(),
-            "FuzzyMatcher::lookup_batch".to_string(),
-        ],
-        // The concurrent API surface: replicas run these on arbitrary
-        // threads (server workers, scope::spawn fan-out), so every one is
-        // a thread entry even where no spawn site names it directly.
-        racecheck_entries: [
-            "FuzzyMatcher::lookup",
-            "FuzzyMatcher::lookup_batch",
-            "FuzzyMatcher::insert_reference",
-            "FuzzyMatcher::delete_reference",
-        ]
-        .map(String::from)
-        .to_vec(),
-        latch_proto: Some(latchproto::LatchProtoCfg {
-            pool_file: "crates/store/src/buffer.rs".to_string(),
-            shard_field: "state".to_string(),
-            frame_field: "data".to_string(),
-            page_io: ["read_page", "write_page"].map(String::from).to_vec(),
-        }),
     }
 }
 
@@ -256,7 +192,7 @@ pub fn analyze_sources(sources: Vec<(String, String)>, cfg: &Config) -> Vec<Find
     locks::check(&files, &graph, cfg, &mut out);
     walwrite::check(&files, cfg, &mut out);
     panics::check(&files, &graph, cfg, &mut out);
-    unsafety::check(&files, cfg, &mut out);
+    floatdet::check(&files, cfg, &mut out);
     lockio::check(&files, &graph, cfg, &mut out);
     atomics::check(&files, cfg, &mut out);
     blocking::check(&files, cfg, &mut out);
@@ -270,8 +206,8 @@ pub fn analyze_sources(sources: Vec<(String, String)>, cfg: &Config) -> Vec<Find
 fn workspace_sources(cfg: &Config) -> Vec<(String, String)> {
     let root = crate::workspace_root();
     let mut sources = Vec::new();
-    for krate in &cfg.crates {
-        for file in crate::lint::rs_files(&root.join(&krate.src_dir)) {
+    for src_dir in &cfg.src_dirs {
+        for file in crate::lint::rs_files(&root.join(src_dir)) {
             let Ok(src) = fs::read_to_string(&file) else {
                 continue;
             };
@@ -279,18 +215,6 @@ fn workspace_sources(cfg: &Config) -> Vec<(String, String)> {
         }
     }
     sources
-}
-
-/// The mut-map report over the real workspace (the seam `ci` drives:
-/// it re-parses the JSON with [`fm_server::json`] and gates the count).
-pub fn mutmap_report() -> mutmap::Report {
-    let cfg = project_config();
-    let files: Vec<FileIndex> = workspace_sources(&cfg)
-        .into_iter()
-        .map(|(path, src)| FileIndex::build(path, src))
-        .collect();
-    let graph = CallGraph::build(&files);
-    mutmap::compute(&files, &graph, &cfg)
 }
 
 pub fn run(args: &[String]) -> i32 {
@@ -304,23 +228,6 @@ pub fn run(args: &[String]) -> i32 {
                 explain_list();
                 2
             }
-        };
-    }
-    if args.iter().any(|a| a == "--mut-map") {
-        let report = mutmap_report();
-        if json {
-            println!("{}", mutmap::to_json(&report));
-        } else {
-            for line in mutmap::render(&report) {
-                println!("{line}");
-            }
-        }
-        // A missing root means the map is silently empty — that is a
-        // config rot, not a clean report.
-        return if report.missing_roots.is_empty() {
-            0
-        } else {
-            1
         };
     }
     let root = crate::workspace_root();
@@ -416,7 +323,7 @@ fn to_json(findings: &[Finding], fps: &[u64], base: &crate::baseline::Baseline) 
 }
 
 /// Rationale and fix guidance for `analyze --explain <rule>`. One entry
-/// per rule (old and new); kept here so the CLI and DESIGN.md §8 cannot
+/// per rule; kept here so the CLI and DESIGN.md §8 cannot
 /// drift apart silently — the doc test in `tests/analyze.rs` walks it.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
@@ -449,14 +356,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "Return `Result` and propagate with `?`; replace indexing with `get`. \
          For invariants that genuinely cannot fail, justify the site with \
          `// lint:allow(panic-path): <why>` at the pub fn's signature.",
-    ),
-    (
-        "unsafe-audit",
-        "Every `unsafe` token needs a `// SAFETY:` comment within three lines, \
-         and a crate with zero unsafe must carry `#![forbid(unsafe_code)]` so \
-         unsafe cannot creep in unreviewed.",
-        "Write the SAFETY argument where the obligation is discharged, or add \
-         `#![forbid(unsafe_code)]` to the crate root.",
     ),
     (
         "float-det",
@@ -497,37 +396,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          the guard first). A `Condvar::wait` that atomically releases the \
          handed-in mutex is the one legitimate shape — justify it with \
          `// lint:allow(blocking-in-worker): <why>`.",
-    ),
-    (
-        "lockset",
-        "Eraser's discipline, statically: every shared-state field (a plain or \
-         interior-mutability field of an Arc-shared struct) must have some lock \
-         held at every access. A field written under lock A but read under lock \
-         B is a data race the moment two threads reach it — and the access-site \
-         locksets (intraprocedural guard liveness plus locks always held on \
-         entry, propagated through the call graph from the spawn-site thread \
-         entries) intersecting to nothing is exactly that shape. Runs under \
-         `cargo xtask racecheck`.",
-        "Pick one lock class and take it at every access site, demote the field \
-         to an atomic with explicit ordering, or confine it to one thread. If \
-         an external invariant protects it (e.g. the field is written only \
-         before the threads start), justify it with \
-         `// lint:allow(lockset): <why>` at the field declaration.",
-    ),
-    (
-        "latch-protocol",
-        "The buffer-pool miss protocol in one sentence: claim under the shard \
-         lock, IO under only the frame latch, re-lock the shard to publish or \
-         roll back. Holding the shard lock across fault-in/write-back IO \
-         serializes every same-shard hit behind the disk; page IO without the \
-         frame latch lets readers see torn bytes; re-locking the shard with \
-         the latch still held inverts the shard → frame order; and never \
-         re-locking strands the `loading` mapping so waiters spin forever. \
-         Runs under `cargo xtask racecheck`.",
-        "Restructure the miss path to the claim → latch → unlock → IO → \
-         unlatch → re-lock shape (see `BufferPool::pin_frame`). A deliberate \
-         deviation needs `// lint:allow(latch-protocol): <why>` with the \
-         invariant that makes it safe.",
     ),
 ];
 
@@ -572,7 +440,7 @@ fn rewrap(text: &str) -> String {
     out
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

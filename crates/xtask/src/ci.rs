@@ -4,34 +4,25 @@
 //! 2. `cargo clippy --workspace --all-targets -- -D warnings`
 //! 3. `cargo xtask lint` (in-process)
 //! 4. `cargo xtask analyze` (in-process)
-//! 5. `cargo xtask racecheck` (in-process), plus a smoke that its
-//!    `--json` document re-parses with [`fm_server::json`]
-//! 6. the mut-map budget gate: render `analyze --mut-map` to JSON,
-//!    re-parse it with [`fm_server::json`], and assert the lookup path's
-//!    mutation-site count against the committed `xtask-mutmap.budget`
-//! 7. the line-count gate: `*.rs` lines under `crates`, `tests` and
+//! 5. the line-count gate: `*.rs` lines under `crates`, `tests` and
 //!    `examples` against the committed `xtask-lines.budget`
-//! 8. `cargo xtask deepcheck` (in-process)
-//! 9. an in-process tracing smoke test: build a small matcher, run traced
+//! 6. `cargo xtask deepcheck` (in-process)
+//! 7. an in-process tracing smoke test: build a small matcher, run traced
 //!    lookups, export Chrome trace JSON, and re-parse it with
 //!    [`fm_server::json`] — proving the observability surface end to end
-//! 10. an in-process serving smoke test: start `fm-server` on an
-//!     ephemeral port, run a traced lookup round-trip (the flight
-//!     recorder must see it through the `trace_slowest` verb), scrape
-//!     the `metrics` verb (the Prometheus exposition must validate and
-//!     agree exactly with `stats` in the same quiesced state), round-trip
-//!     the `timeseries` verb through [`fm_server::json`], provoke an
-//!     explicit overload reply, then drain and assert the lossless
-//!     shutdown ledger (every decoded frame answered)
-//! 11. the committed `BENCH_PR16.json` replica-scaling,
-//!     telemetry-overhead, and LSH candidate-tier records, judged by
-//!     [`crate::bench::scaling_gate`] / [`crate::bench::telemetry_gate`]
-//!     / [`crate::bench::lsh_gate`]
-//! 12. `cargo test --workspace -q --no-fail-fast` — every test binary runs
-//!     even after one fails, so a flake in one suite (`concurrency`'s
-//!     tiny-pool test, ROADMAP item 1) cannot hide the results of the
-//!     binaries that sort after it (`equivalence`, `persistence`, …)
-//! 13. `cargo test --release --offline --manifest-path
+//! 8. an in-process serving smoke test: start `fm-server` on an
+//!    ephemeral port, run a traced lookup round-trip (the flight
+//!    recorder must see it through the `trace_slowest` verb), scrape
+//!    the `metrics` verb (the Prometheus exposition must validate and
+//!    agree exactly with `stats` in the same quiesced state), round-trip
+//!    the `timeseries` verb through [`fm_server::json`], provoke an
+//!    explicit overload reply, then drain and assert the lossless
+//!    shutdown ledger (every decoded frame answered)
+//! 9. `cargo test --workspace -q --no-fail-fast` — every test binary runs
+//!    even after one fails, so a failure in one suite cannot hide the
+//!    results of the binaries that sort after it (`equivalence`,
+//!    `persistence`, …)
+//! 10. `cargo test --release --offline --manifest-path
 //!     crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
 //!     package of its own outside the workspace (the driver builds it from
 //!     that manifest), so nothing above compiles it: this step is what
@@ -76,16 +67,6 @@ pub fn run() -> i32 {
     if code != 0 {
         return code;
     }
-    println!("ci: racecheck");
-    if let Err(e) = racecheck_gate() {
-        eprintln!("ci: racecheck failed: {e}");
-        return 1;
-    }
-    println!("ci: mut-map budget");
-    if let Err(e) = mutmap_gate() {
-        eprintln!("ci: mut-map gate failed: {e}");
-        return 1;
-    }
     println!("ci: line budget");
     if let Err(e) = lines_gate() {
         eprintln!("ci: line-count gate failed: {e}");
@@ -104,11 +85,6 @@ pub fn run() -> i32 {
     println!("ci: server smoke");
     if let Err(e) = server_smoke() {
         eprintln!("ci: server smoke failed: {e}");
-        return 1;
-    }
-    println!("ci: bench scaling record");
-    if let Err(e) = scaling_record_gate() {
-        eprintln!("ci: bench scaling record failed: {e}");
         return 1;
     }
 
@@ -131,65 +107,9 @@ pub fn run() -> i32 {
     0
 }
 
-/// Gate the static race rules: `racecheck` must pass against its
-/// baseline (expected empty — a nonzero baseline is a known data race,
-/// not debt), and its `--json` document must re-parse with
-/// [`fm_server::json`], keeping the machine-readable surface honest.
-pub fn racecheck_gate() -> Result<(), String> {
-    let code = crate::analyze::racecheck::run(&[]);
-    if code != 0 {
-        return Err("new race findings — run `cargo xtask racecheck`".into());
-    }
-    let doc = json::parse(&crate::analyze::racecheck::json_report())
-        .map_err(|e| format!("racecheck JSON does not re-parse: {e}"))?;
-    let n = doc
-        .as_arr()
-        .ok_or("racecheck JSON is not an array of findings")?
-        .len();
-    println!("ci: racecheck json ok ({n} findings, all baselined)");
-    Ok(())
-}
-
-/// Gate the lookup hot path's shared-mutability footprint: render the
-/// mut-map report to JSON, re-parse it with [`fm_server::json`] (exercising
-/// the machine-readable surface, not the in-memory struct), and assert
-/// the mutation-site count against the committed budget in
-/// `xtask-mutmap.budget`. The count can only go *down* without editing
-/// the budget file — an explicit, reviewed decision.
-pub fn mutmap_gate() -> Result<(), String> {
-    let report = crate::analyze::mutmap_report();
-    if !report.missing_roots.is_empty() {
-        return Err(format!(
-            "mut-map roots not found: {} — fix analyze::project_config",
-            report.missing_roots.join(", ")
-        ));
-    }
-    let doc = json::parse(&crate::analyze::mutmap::to_json(&report))
-        .map_err(|e| format!("mut-map JSON does not re-parse: {e}"))?;
-    let count = doc
-        .get("mutation_sites")
-        .and_then(Json::as_f64)
-        .ok_or("mut-map JSON has no mutation_sites count")? as usize;
-    let budget = read_budget("xtask-mutmap.budget")?;
-    if count > budget {
-        return Err(format!(
-            "{count} mutation sites reachable from the lookup path exceed the \
-             budget of {budget}; run `cargo xtask analyze --mut-map` to see \
-             them, and either stage the mutation off the hot path or raise \
-             xtask-mutmap.budget with justification"
-        ));
-    }
-    println!(
-        "ci: mut-map ok ({count} mutation sites within budget {budget}, \
-         {} reachable fns)",
-        report.reachable
-    );
-    Ok(())
-}
-
 /// The number in a committed budget file at the workspace root: its first
 /// line that is neither blank nor a `#` comment.
-pub fn read_budget(name: &str) -> Result<usize, String> {
+fn read_budget(name: &str) -> Result<usize, String> {
     std::fs::read_to_string(crate::workspace_root().join(name))
         .map_err(|e| format!("cannot read {name}: {e}"))?
         .lines()
@@ -223,37 +143,6 @@ pub fn lines_gate() -> Result<(), String> {
         ));
     }
     println!("ci: line budget ok ({count} lines of Rust within budget {budget})");
-    Ok(())
-}
-
-/// Gate the *committed* `BENCH_PR16.json` record: the recorded
-/// 1→4-worker speedup must satisfy the floor for the `host_parallelism`
-/// the report itself recorded (≥2.5x on 4+ cores, down to a
-/// no-serialization-regression check on 1), the recorded telemetry
-/// overhead must be under the 5% limit, and the recorded LSH tier must
-/// hold its recall floor while fetching fewer candidates than the exact
-/// ETI. Fresh numbers are produced and
-/// gated by `cargo xtask bench`, which `scripts/ci.sh` runs; this
-/// in-process step keeps the committed record honest without re-running
-/// the release bench.
-pub fn scaling_record_gate() -> Result<(), String> {
-    let path = crate::workspace_root().join("BENCH_PR16.json");
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read {}: {e} — run `cargo xtask bench`",
-            path.display()
-        )
-    })?;
-    let report = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    if crate::bench::scaling_gate(&report) != 0 {
-        return Err("committed BENCH_PR16.json fails the replica-scaling floor".into());
-    }
-    if crate::bench::telemetry_gate(&report) != 0 {
-        return Err("committed BENCH_PR16.json fails the telemetry-overhead gate".into());
-    }
-    if crate::bench::lsh_gate(&report) != 0 {
-        return Err("committed BENCH_PR16.json fails the LSH candidate-tier gate".into());
-    }
     Ok(())
 }
 

@@ -7,16 +7,18 @@
 //!   hygiene in library code, truncating casts in the storage codecs,
 //!   `#[must_use]` on boolean predicates, unused dependencies.
 //! * [`analyze`] — flow-aware rules over a hand-rolled Rust lexer and call
-//!   graph: lock ordering, WAL-before-write, transitive panic
-//!   reachability, and the unsafe/float-determinism audit.
+//!   graph: lock ordering, lock-across-IO, WAL-before-write, transitive
+//!   panic reachability, float determinism, flag-atomic ordering, and
+//!   blocking under the serving layer's locks.
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
 //! * [`bench`] — the performance gate: runs the fig6/fig8/fig9
-//!   micro-harness (`bench_gate`), checks tracing overhead, and fails on
-//!   >20% drift of deterministic counters vs `BENCH_baseline.json`.
-//! * [`ci`] — the pre-PR gate: fmt, clippy, lint, analyze, deepcheck,
-//!   tests, a traced-lookup → Chrome-export smoke test, and an
-//!   `fm-server` round-trip/overload/drain smoke test.
+//!   micro-harness (`bench_gate`), checks tracing and telemetry overhead
+//!   and LSH recall, and fails on >20% drift of deterministic counters vs
+//!   `BENCH_baseline.json`.
+//! * [`ci`] — the pre-PR gate: fmt, clippy, lint, analyze, the line
+//!   budget, deepcheck, a traced-lookup → Chrome-export smoke test, an
+//!   `fm-server` round-trip/overload/drain smoke test, and the tests.
 //!
 //! Known debt for `lint` and `analyze` is frozen in content-fingerprinted
 //! [`baseline`] files at the workspace root.

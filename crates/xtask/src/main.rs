@@ -11,7 +11,6 @@ fn main() {
                 .any(|a| a == "--rebaseline" || a == "--update-baseline"),
         ),
         Some("analyze") => analyze::run(&args[1..]),
-        Some("racecheck") => analyze::racecheck::run(&args[1..]),
         Some("bench") => bench::run(&args[1..]),
         Some("deepcheck") => deepcheck::run(),
         Some("ci") => ci::run(),
@@ -21,9 +20,8 @@ fn main() {
             }
             eprintln!(
                 "usage: cargo xtask <lint [--rebaseline] | \
-                 analyze [--json] [--rebaseline] [--mut-map] [--explain <rule>] | \
-                 racecheck [--json] [--rebaseline] [--explain <rule>] | \
-                 bench [--rebaseline] [--skip-run] [--trend] | deepcheck | ci>"
+                 analyze [--json] [--rebaseline] [--explain <rule>] | \
+                 bench [--rebaseline] [--skip-run] | deepcheck | ci>"
             );
             2
         }

@@ -4,10 +4,9 @@
 //! synthetic project config — and the negative controls in the same
 //! fixtures must stay silent. If a rule rots into a no-op, these fail.
 
-use xtask::analyze::{analyze_sources, Config, CrateCfg, Finding, LockClass};
+use xtask::analyze::{analyze_sources, Config, Finding, LockClass};
 
-/// The synthetic two-crate project the fixtures form: `fixa` holds one file
-/// per rule, `fixb` is the zero-unsafe crate missing `forbid(unsafe_code)`.
+/// The synthetic project the fixtures form: crate `fixa`, one file per rule.
 fn fixture_config() -> Config {
     let class = |name: &str, file: &str, field: &str| LockClass {
         name: name.to_string(),
@@ -15,18 +14,7 @@ fn fixture_config() -> Config {
         field: field.to_string(),
     };
     Config {
-        crates: vec![
-            CrateCfg {
-                name: "fixa".to_string(),
-                src_dir: "fixa/src".to_string(),
-                root: "fixa/src/lib.rs".to_string(),
-            },
-            CrateCfg {
-                name: "fixb".to_string(),
-                src_dir: "fixb/src".to_string(),
-                root: "fixb/src/lib.rs".to_string(),
-            },
-        ],
+        src_dirs: vec!["fixa/src".to_string()],
         lock_order: vec![
             class("alpha", "locks.rs", "alpha"),
             class("beta", "locks.rs", "beta"),
@@ -51,18 +39,11 @@ fn fixture_config() -> Config {
             "wait".to_string(),
             "join".to_string(),
         ],
-        mutmap_roots: vec!["Hot::lookup".to_string()],
-        racecheck_entries: vec![],
-        latch_proto: None,
     }
 }
 
 fn fixture_sources() -> Vec<(String, String)> {
     vec![
-        (
-            "fixa/src/lib.rs".to_string(),
-            include_str!("fixtures/unsafe_blocks.rs").to_string(),
-        ),
         (
             "fixa/src/locks.rs".to_string(),
             include_str!("fixtures/locks.rs").to_string(),
@@ -102,18 +83,6 @@ fn fixture_sources() -> Vec<(String, String)> {
         (
             "fixa/src/worker.rs".to_string(),
             include_str!("fixtures/blocking_worker.rs").to_string(),
-        ),
-        (
-            "fixa/src/hot.rs".to_string(),
-            include_str!("fixtures/mutmap_hot.rs").to_string(),
-        ),
-        (
-            "fixa/src/util.rs".to_string(),
-            include_str!("fixtures/mutmap_util.rs").to_string(),
-        ),
-        (
-            "fixb/src/lib.rs".to_string(),
-            include_str!("fixtures/safe_lib.rs").to_string(),
         ),
     ]
 }
@@ -206,31 +175,6 @@ fn panic_path_rule_propagates_and_respects_allow() {
         !f.message.contains("decode_checked"),
         "allow at signature ignored: {}",
         f.message
-    );
-}
-
-#[test]
-fn unsafe_audit_rule_demands_safety_comments_and_forbid() {
-    let findings = analyze_sources(fixture_sources(), &fixture_config());
-    let unsafety = by_rule(&findings, "unsafe-audit");
-    assert_eq!(unsafety.len(), 2, "got: {unsafety:#?}");
-    // The undocumented block (the documented one above it is the control).
-    let src = include_str!("fixtures/unsafe_blocks.rs");
-    let undocumented_line = 1 + src
-        .lines()
-        .position(|l| l.contains("pub fn read_raw_undocumented"))
-        .expect("fixture fn present") as u32;
-    assert!(
-        unsafety.iter().any(|f| f.path == "fixa/src/lib.rs"
-            && f.message.contains("SAFETY")
-            && f.line > undocumented_line),
-        "missing-SAFETY-comment not reported: {unsafety:#?}"
-    );
-    assert!(
-        unsafety
-            .iter()
-            .any(|f| f.path == "fixb/src/lib.rs" && f.message.contains("forbid(unsafe_code)")),
-        "missing forbid in zero-unsafe crate not reported: {unsafety:#?}"
     );
 }
 
@@ -368,102 +312,19 @@ fn blocking_in_worker_rule_catches_blocking_under_guard() {
 }
 
 #[test]
-fn mutmap_lists_reachable_mutation_and_skips_unreachable() {
-    use xtask::analyze::{graph::CallGraph, items::FileIndex, mutmap};
-
-    let cfg = fixture_config();
-    let files: Vec<FileIndex> = fixture_sources()
-        .into_iter()
-        .map(|(path, src)| FileIndex::build(path, src))
-        .collect();
-    let graph = CallGraph::build(&files);
-    let report = mutmap::compute(&files, &graph, &cfg);
-
-    assert_eq!(report.roots, vec!["Hot::lookup".to_string()]);
-    assert!(report.missing_roots.is_empty(), "{report:#?}");
-    // Root + module-qualified free fn + Self:: method + clean self.probe.
-    assert_eq!(report.reachable, 4, "{report:#?}");
-
-    let bump = report
-        .sites
-        .iter()
-        .find(|s| s.qual == "bump")
-        .expect("module-qualified free fn must be in the map");
-    assert_eq!(bump.kinds, vec!["mut-param"]);
-    assert_eq!(
-        bump.chain,
-        vec!["Hot::lookup".to_string(), "bump".to_string()],
-        "chain must start at the root"
-    );
-
-    let record = report
-        .sites
-        .iter()
-        .find(|s| s.qual == "Hot::record")
-        .expect("Self::-qualified method must be in the map");
-    assert_eq!(record.kinds, vec!["atomic-store", "lock"]);
-
-    // The clean callee and the unreachable mutator stay out.
-    assert!(
-        !report.sites.iter().any(|s| s.qual == "Hot::probe"),
-        "clean fn listed: {report:#?}"
-    );
-    assert!(
-        !report.sites.iter().any(|s| s.qual == "Hot::rebuild"),
-        "unreachable fn listed: {report:#?}"
-    );
-    assert_eq!(report.mutation_sites(), 2, "{report:#?}");
-}
-
-#[test]
-fn mutmap_json_roundtrips_through_jsonv() {
-    use fm_server::json::{self, Json};
-    use xtask::analyze::{graph::CallGraph, items::FileIndex, mutmap};
-
-    let cfg = fixture_config();
-    let files: Vec<FileIndex> = fixture_sources()
-        .into_iter()
-        .map(|(path, src)| FileIndex::build(path, src))
-        .collect();
-    let graph = CallGraph::build(&files);
-    let report = mutmap::compute(&files, &graph, &cfg);
-
-    // The exact seam `cargo xtask ci` gates on: render to JSON, re-parse
-    // with the workspace's one JSON value parser, read the count back.
-    let doc = json::parse(&mutmap::to_json(&report)).expect("mut-map JSON must parse");
-    assert_eq!(
-        doc.get("mutation_sites").and_then(Json::as_f64),
-        Some(2.0),
-        "gate count mismatch"
-    );
-    let sites = doc
-        .get("sites")
-        .and_then(Json::as_arr)
-        .expect("sites array");
-    assert_eq!(sites.len(), 2, "bump + record");
-    assert!(sites.iter().any(|s| {
-        s.get("fn").and_then(Json::as_str) == Some("bump")
-            && s.get("mutates").and_then(Json::as_bool) == Some(true)
-    }));
-}
-
-#[test]
 fn every_rule_has_an_explain_entry() {
     // `analyze --explain` and the per-module RULE constants must not
     // drift: each rule that can produce findings has rationale text.
-    use xtask::analyze::{atomics, blocking, latchproto, lockio, locks, lockset, panics, RULES};
+    use xtask::analyze::{atomics, blocking, floatdet, lockio, locks, panics, RULES};
     let documented: Vec<&str> = RULES.iter().map(|(name, _, _)| *name).collect();
     let rules = [
         locks::RULE,
         "wal-write",
         panics::RULE,
-        "unsafe-audit",
-        "float-det",
+        floatdet::RULE,
         lockio::RULE,
         atomics::RULE,
         blocking::RULE,
-        lockset::RULE,
-        latchproto::RULE,
     ];
     for rule in rules {
         assert!(
@@ -472,8 +333,7 @@ fn every_rule_has_an_explain_entry() {
         );
     }
     // …and nothing documented that no module can emit: the table and the
-    // RULE constants are the same 10-rule set (`racecheck` delegates its
-    // --explain here, so this covers both commands).
+    // RULE constants are the same set.
     assert_eq!(
         documented.len(),
         rules.len(),
@@ -483,14 +343,12 @@ fn every_rule_has_an_explain_entry() {
 
 #[test]
 fn clean_sources_produce_no_findings() {
-    // A crate with forbid(unsafe_code), ordered locking, and no panics —
-    // the analyzer must stay silent (rules fire on violations, not style).
+    // No lock inversion, no panic path, no hash-order floats — the analyzer
+    // must stay silent (rules fire on violations, not style).
     let sources = vec![(
-        "fixb/src/lib.rs".to_string(),
+        "fixa/src/lib.rs".to_string(),
         "#![forbid(unsafe_code)]\n\npub fn answer() -> u32 {\n    42\n}\n".to_string(),
     )];
-    let mut cfg = fixture_config();
-    cfg.crates.retain(|c| c.name == "fixb");
-    let findings = analyze_sources(sources, &cfg);
+    let findings = analyze_sources(sources, &fixture_config());
     assert!(findings.is_empty(), "got: {findings:#?}");
 }

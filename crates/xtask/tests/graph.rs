@@ -3,7 +3,7 @@
 //! files, module-qualified free-function calls (`util::f(…)` — the
 //! shape the lookup hot path uses for the keycode and hashing helpers),
 //! and handle-bound locals (`let h = self.field.clone_handle(); h.m(…)` —
-//! the shared-handle boundary the racecheck lockset walks through) each
+//! the shared-handle boundary the transitive rules walk through) each
 //! get a positive test, and the deliberate under-approximations (unknown
 //! `Type::m`, ambiguous module fallbacks, non-handle bindings) get
 //! negative ones.
@@ -194,12 +194,13 @@ fn module_qualified_fallback_requires_uniqueness() {
 fn handle_bound_locals_resolve_through_the_field_type() {
     // `let h = self.field.clone_handle(); h.m(…)` — the PR 7 shared-handle
     // boundary. The alias must dispatch on the field's base type or the
-    // lockset propagation dead-ends at every reader clone.
+    // transitive rules dead-end at every reader clone. The field carries a
+    // visibility: the struct parser must see `pub(crate) name: Type` too.
     let files = build(&[
         (
             "a/src/owner.rs",
             "pub struct Owner {\n\
-                 registry: Arc<Registry>,\n\
+                 pub(crate) registry: Arc<Registry>,\n\
              }\n\
              impl Owner {\n\
                  pub fn run(&self) {\n\
