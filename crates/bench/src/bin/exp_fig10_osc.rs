@@ -5,34 +5,15 @@
 //! the success fraction grows with signature size (more q-grams separate
 //! the top candidate from the rest earlier).
 
-use fm_bench::{
-    default_strategies, make_dataset, run_strategy_with, write_csv, Opts, Table, Workbench,
-};
-use fm_core::{OscStopping, QueryMode};
-use fm_datagen::{ErrorModel, D2_PROBS};
+use fm_bench::{for_each_d2_paper_osc_row, write_csv, Opts, Table};
 
 fn main() {
     let opts = Opts::from_args();
-    let bench = Workbench::new(&opts);
-    let dataset = make_dataset(
-        &bench.reference,
-        opts.inputs,
-        &D2_PROBS,
-        ErrorModel::TypeI,
-        opts.seed + u64::from(b'2'),
-    );
     let mut table = Table::new(
         "Figure 10 — OSC success and failure fractions (D2)",
         &["strategy", "success fraction", "failure fraction"],
     );
-    for strategy in default_strategies() {
-        let row = run_strategy_with(
-            &bench,
-            &strategy,
-            &dataset,
-            QueryMode::Osc,
-            OscStopping::PaperExample,
-        );
+    for_each_d2_paper_osc_row(&opts, |row| {
         eprintln!(
             "[fig10] {:>6}: {:.2} success",
             row.strategy, row.osc_success_fraction
@@ -42,6 +23,6 @@ fn main() {
             format!("{:.2}", row.osc_success_fraction),
             format!("{:.2}", 1.0 - row.osc_success_fraction),
         ]);
-    }
+    });
     write_csv(&table, &opts.out, "fig10_osc");
 }

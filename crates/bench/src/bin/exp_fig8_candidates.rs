@@ -5,22 +5,10 @@
 //! (more q-grams separate the scores better), and when OSC succeeds the
 //! algorithm fetches ≈1 tuple per input.
 
-use fm_bench::{
-    default_strategies, make_dataset, run_strategy_with, write_csv, Opts, Table, Workbench,
-};
-use fm_core::{OscStopping, QueryMode};
-use fm_datagen::{ErrorModel, D2_PROBS};
+use fm_bench::{for_each_d2_paper_osc_row, write_csv, Opts, Table};
 
 fn main() {
     let opts = Opts::from_args();
-    let bench = Workbench::new(&opts);
-    let dataset = make_dataset(
-        &bench.reference,
-        opts.inputs,
-        &D2_PROBS,
-        ErrorModel::TypeI,
-        opts.seed + u64::from(b'2'),
-    );
     let mut table = Table::new(
         "Figure 8 — reference tuples fetched per input tuple (D2)",
         &[
@@ -32,14 +20,7 @@ fn main() {
             "apx pruned",
         ],
     );
-    for strategy in default_strategies() {
-        let row = run_strategy_with(
-            &bench,
-            &strategy,
-            &dataset,
-            QueryMode::Osc,
-            OscStopping::PaperExample,
-        );
+    for_each_d2_paper_osc_row(&opts, |row| {
         // Both counts come off the per-query LookupTrace; a fetched tuple
         // gets a full fms evaluation unless the verification bounds reject
         // it first, so the "fms evals" column can only be the smaller one.
@@ -59,6 +40,6 @@ fn main() {
             format!("{:.2}", row.avg_fms_evals),
             format!("{:.2}", row.avg_apx_pruned),
         ]);
-    }
+    });
     write_csv(&table, &opts.out, "fig8_candidates");
 }

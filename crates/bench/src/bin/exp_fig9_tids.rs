@@ -5,22 +5,10 @@
 //! fetches (Figure 8) fall — the extra scoring is "more than compensated"
 //! by the smaller candidate sets.
 
-use fm_bench::{
-    default_strategies, make_dataset, run_strategy_with, write_csv, Opts, Table, Workbench,
-};
-use fm_core::{OscStopping, QueryMode};
-use fm_datagen::{ErrorModel, D2_PROBS};
+use fm_bench::{for_each_d2_paper_osc_row, write_csv, Opts, Table};
 
 fn main() {
     let opts = Opts::from_args();
-    let bench = Workbench::new(&opts);
-    let dataset = make_dataset(
-        &bench.reference,
-        opts.inputs,
-        &D2_PROBS,
-        ErrorModel::TypeI,
-        opts.seed + u64::from(b'2'),
-    );
     let mut table = Table::new(
         "Figure 9 — tids processed per input tuple (D2)",
         &[
@@ -30,14 +18,7 @@ fn main() {
             "avg ETI rows",
         ],
     );
-    for strategy in default_strategies() {
-        let row = run_strategy_with(
-            &bench,
-            &strategy,
-            &dataset,
-            QueryMode::Osc,
-            OscStopping::PaperExample,
-        );
+    for_each_d2_paper_osc_row(&opts, |row| {
         // All three counters come off the per-query LookupTrace; a probe
         // can touch several chunked ETI rows, never fewer than zero.
         eprintln!(
@@ -50,6 +31,6 @@ fn main() {
             format!("{:.1}", row.avg_eti_lookups),
             format!("{:.1}", row.avg_eti_rows),
         ]);
-    }
+    });
     write_csv(&table, &opts.out, "fig9_tids");
 }

@@ -296,6 +296,28 @@ pub fn run_strategy(
     run_strategy_with(bench, strategy, dataset, mode, OscStopping::Sound)
 }
 
+/// Figures 8–10's runs, one row per default strategy as it completes:
+/// the D2 Type-I inputs under OSC with the paper's own stopping test.
+pub fn for_each_d2_paper_osc_row(opts: &Opts, mut f: impl FnMut(EfficiencyRow)) {
+    let bench = Workbench::new(opts);
+    let d2 = make_dataset(
+        &bench.reference,
+        opts.inputs,
+        &fm_datagen::D2_PROBS,
+        ErrorModel::TypeI,
+        opts.seed + u64::from(b'2'),
+    );
+    for s in default_strategies() {
+        f(run_strategy_with(
+            &bench,
+            &s,
+            &d2,
+            QueryMode::Osc,
+            OscStopping::PaperExample,
+        ));
+    }
+}
+
 /// [`run_strategy`] with an explicit OSC stopping flavor.
 pub fn run_strategy_with(
     bench: &Workbench,

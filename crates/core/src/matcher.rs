@@ -101,6 +101,40 @@ fn tid_key(tid: u32) -> [u8; 4] {
     tid.to_be_bytes()
 }
 
+/// A fixed-width little-endian value read back from the store.
+fn le_bytes<const N: usize>(bytes: &[u8], what: &str) -> Result<[u8; N]> {
+    bytes
+        .try_into()
+        .map_err(|_| CoreError::BadState(format!("bad {what}")))
+}
+
+/// One row of the `{p}.state` index (`relation_size`, `next_tid`).
+fn state_row<const N: usize>(state: &BTree, key: &str) -> Result<[u8; N]> {
+    let bytes = state
+        .get(key.as_bytes())?
+        .ok_or_else(|| CoreError::BadState(format!("missing {key}")))?;
+    le_bytes(&bytes, key)
+}
+
+/// Every `(column, token, frequency)` row of the frequency index, the
+/// zero-frequency tombstones deletions leave included.
+fn for_each_freq(
+    index: &BTree,
+    mut visit: impl FnMut(u8, String, u32) -> Result<()>,
+) -> Result<()> {
+    let mut scan = index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
+    while let Some((key, value)) = scan.next_entry()? {
+        let (col, rest) = keycode::decode_u8(&key)?;
+        let (token, _) = keycode::decode_str(rest)?;
+        visit(
+            col,
+            token,
+            u32::from_le_bytes(le_bytes(&value, "freq value")?),
+        )?;
+    }
+    Ok(())
+}
+
 fn freq_key(col: usize, token: &str) -> Vec<u8> {
     let mut key = Vec::with_capacity(token.len() + 4);
     keycode::encode_u8(&mut key, col as u8);
@@ -166,28 +200,20 @@ impl FuzzyMatcher {
         config.validate()?;
         let _trace = tracing::start(tracing::TraceKind::Build);
         let arity = config.arity();
-        let tokenizer = Tokenizer::new();
-        let minhasher = MinHasher::new(config.h, config.q, config.seed);
-
         let ref_table = db.create_table(&format!("{prefix}.ref"), ref_schema(&config))?;
-        let tid_index = db.create_index(&format!("{prefix}.tid"))?;
-        let eti_tree = db.create_index(&format!("{prefix}.eti"))?;
-        let lsh_tree = db.create_index(&format!("{prefix}.lsh"))?;
-        let freq_index = db.create_index(&format!("{prefix}.freq"))?;
-        let state_index = db.create_index(&format!("{prefix}.state"))?;
-        let eti = Eti::new(eti_tree, config.stop_qgram_threshold);
-        let lsh = LshIndex::new(
-            lsh_tree,
-            config.lsh_bands,
-            config.lsh_rows,
-            config.q,
-            config.seed,
-            config.stop_qgram_threshold,
-        );
+        let index = |name: &str| db.create_index(&format!("{prefix}.{name}"));
+        let trees = [
+            index("tid")?,
+            index("eti")?,
+            index("lsh")?,
+            index("freq")?,
+            index("state")?,
+        ];
+        let mut m = Self::assemble(config, ref_table, trees, TokenFrequencies::new(arity), 1);
 
         let mut freqs = TokenFrequencies::new(arity);
-        let mut builder = EtiBuilder::new(minhasher.clone(), config.scheme, sort_budget)?
-            .with_lsh(&lsh, sort_budget)?;
+        let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?
+            .with_lsh(&m.lsh, sort_budget)?;
         let mut next_tid = 1u32;
         {
             let _span = tracing::span("pre_eti");
@@ -200,40 +226,58 @@ impl FuzzyMatcher {
                 }
                 let tid = next_tid;
                 next_tid += 1;
-                let rid = ref_table.insert(&record_to_row(tid, &record))?;
-                tid_index.insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
-                let tokens = record.tokenize(&tokenizer);
+                let rid = m.ref_table.insert(&record_to_row(tid, &record))?;
+                m.tid_index
+                    .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
+                let tokens = record.tokenize(&m.tokenizer);
                 freqs.observe(&tokens);
                 builder.observe(tid, &tokens)?;
             }
         }
-        let build_stats = builder.finish(&eti)?;
+        m.build_stats = Some(builder.finish(&m.eti)?);
 
         // Persist frequencies, state, and config.
         let _span = tracing::span("persist");
         for (col, token, freq) in freqs.iter() {
-            freq_index.insert(&freq_key(col, token), &freq.to_le_bytes())?;
+            m.freq_index
+                .insert(&freq_key(col, token), &freq.to_le_bytes())?;
         }
-        state_index.insert(b"relation_size", &freqs.relation_size().to_le_bytes())?;
-        state_index.insert(b"next_tid", &next_tid.to_le_bytes())?;
-        db.put_meta(&format!("{prefix}.config"), &config.encode())?;
+        let state = &m.state_index;
+        state.insert(b"relation_size", &freqs.relation_size().to_le_bytes())?;
+        state.insert(b"next_tid", &next_tid.to_le_bytes())?;
+        db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
+        m.weights = Arc::new(RwLock::new(WeightTable::new(freqs)));
+        m.next_tid = Arc::new(AtomicU32::new(next_tid));
+        Ok(m)
+    }
 
-        Ok(FuzzyMatcher {
-            config,
-            tokenizer,
-            minhasher,
+    /// A handle over the storage objects of one matcher: `trees` are its
+    /// tid, ETI, LSH, frequency and state indexes.
+    fn assemble(
+        config: Config,
+        ref_table: fm_store::catalog::Table,
+        [tid_index, eti, lsh, freq_index, state_index]: [BTree; 5],
+        freqs: TokenFrequencies,
+        next_tid: u32,
+    ) -> FuzzyMatcher {
+        let (bands, rows, q, seed) = (config.lsh_bands, config.lsh_rows, config.q, config.seed);
+        let stop = config.stop_qgram_threshold;
+        FuzzyMatcher {
+            tokenizer: Tokenizer::new(),
+            minhasher: MinHasher::new(config.h, q, seed),
             weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
-            eti,
-            lsh,
+            eti: Eti::new(eti, stop),
+            lsh: LshIndex::new(lsh, bands, rows, q, seed, stop),
             ref_table,
             tid_index,
             freq_index,
             state_index,
             next_tid: Arc::new(AtomicU32::new(next_tid)),
-            build_stats: Some(build_stats),
+            build_stats: None,
             metrics: Arc::new(MetricsRegistry::new()),
-        })
+            config,
+        }
     }
 
     /// Reopen a matcher previously built under `prefix` in `db`.
@@ -257,65 +301,17 @@ impl FuzzyMatcher {
         let state_index = db.open_index(&format!("{prefix}.state"))?;
 
         let mut freqs = TokenFrequencies::new(config.arity());
-        {
-            let mut scan =
-                freq_index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
-            while let Some((key, value)) = scan.next_entry()? {
-                let (col, rest) = keycode::decode_u8(&key)?;
-                let (token, _) = keycode::decode_str(rest)?;
-                let freq = u32::from_le_bytes(
-                    value
-                        .as_slice()
-                        .try_into()
-                        .map_err(|_| CoreError::BadState("bad freq value".into()))?,
-                );
-                freqs.set(col as usize, &token, freq);
-            }
-        }
-        let relation_size = state_index
-            .get(b"relation_size")?
-            .ok_or_else(|| CoreError::BadState("missing relation_size".into()))?;
-        freqs.set_relation_size(u64::from_le_bytes(
-            relation_size
-                .as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad relation_size".into()))?,
-        ));
-        let next_tid = state_index
-            .get(b"next_tid")?
-            .ok_or_else(|| CoreError::BadState("missing next_tid".into()))?;
-        let next_tid = u32::from_le_bytes(
-            next_tid
-                .as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad next_tid".into()))?,
-        );
-
-        let minhasher = MinHasher::new(config.h, config.q, config.seed);
-        let eti = Eti::new(eti_tree, config.stop_qgram_threshold);
-        let lsh = LshIndex::new(
-            lsh_tree,
-            config.lsh_bands,
-            config.lsh_rows,
-            config.q,
-            config.seed,
-            config.stop_qgram_threshold,
-        );
-        Ok(FuzzyMatcher {
-            config,
-            tokenizer: Tokenizer::new(),
-            minhasher,
-            weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
-            eti,
-            lsh,
-            ref_table,
-            tid_index,
-            freq_index,
-            state_index,
-            next_tid: Arc::new(AtomicU32::new(next_tid)),
-            build_stats: None,
-            metrics: Arc::new(MetricsRegistry::new()),
-        })
+        for_each_freq(&freq_index, |col, token, freq| {
+            freqs.set(col as usize, &token, freq);
+            Ok(())
+        })?;
+        freqs.set_relation_size(u64::from_le_bytes(state_row(
+            &state_index,
+            "relation_size",
+        )?));
+        let next_tid = u32::from_le_bytes(state_row(&state_index, "next_tid")?);
+        let trees = [tid_index, eti_tree, lsh_tree, freq_index, state_index];
+        Ok(Self::assemble(config, ref_table, trees, freqs, next_tid))
     }
 
     /// A replica: another lookup handle over the same store.
@@ -433,19 +429,24 @@ impl FuzzyMatcher {
         Ok(out)
     }
 
+    /// Where the tid index says `tid`'s tuple lives.
+    fn rid_of(&self, tid: u32) -> Result<Option<fm_store::Rid>> {
+        let Some(bytes) = self.tid_index.get(&tid_key(tid))? else {
+            return Ok(None);
+        };
+        let rid = u64::from_le_bytes(le_bytes(&bytes, "rid in tid index")?);
+        Ok(Some(fm_store::Rid::from_u64(rid)))
+    }
+
+    /// Where `tid`'s tuple lives, or `NotFound`.
+    fn locate(&self, tid: u32) -> Result<fm_store::Rid> {
+        self.rid_of(tid)?
+            .ok_or_else(|| CoreError::Store(StoreError::NotFound(format!("tid {tid}"))))
+    }
+
     /// Fetch one reference tuple by tid.
     pub fn fetch_reference(&self, tid: u32) -> Result<Record> {
-        let rid = self
-            .tid_index
-            .get(&tid_key(tid))?
-            .ok_or_else(|| CoreError::Store(StoreError::NotFound(format!("tid {tid}"))))?;
-        let rid = fm_store::Rid::from_u64(u64::from_le_bytes(
-            rid.as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad rid in tid index".into()))?,
-        ));
-        let row = self.ref_table.get(rid)?;
-        Ok(row_to_record(row))
+        Ok(row_to_record(self.ref_table.get(self.locate(tid)?)?))
     }
 
     /// The K-fuzzy-match query with the default (OSC) algorithm.
@@ -573,16 +574,7 @@ impl FuzzyMatcher {
     /// Returns the removed record, or `NotFound` if the tid does not exist.
     pub fn delete_reference(&self, tid: u32) -> Result<Record> {
         // Locate and remove the row + index entry first.
-        let rid_bytes = self
-            .tid_index
-            .get(&tid_key(tid))?
-            .ok_or_else(|| CoreError::Store(StoreError::NotFound(format!("tid {tid}"))))?;
-        let rid = fm_store::Rid::from_u64(u64::from_le_bytes(
-            rid_bytes
-                .as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad rid in tid index".into()))?,
-        ));
+        let rid = self.locate(tid)?;
         let row = self.ref_table.get(rid)?;
         let record = row_to_record(row);
         let tokens = record.tokenize(&self.tokenizer);
@@ -781,17 +773,11 @@ impl FuzzyMatcher {
             let tid = row[0]
                 .as_u32()
                 .ok_or_else(|| CoreError::BadState("reference row without tid".into()))?;
-            let mapped = self.tid_index.get(&tid_key(tid))?.ok_or_else(|| {
+            let mapped = self.rid_of(tid)?.ok_or_else(|| {
                 CoreError::BadState(format!(
                     "reference tuple tid {tid} is missing from the tid index"
                 ))
             })?;
-            let mapped = fm_store::Rid::from_u64(u64::from_le_bytes(
-                mapped
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| CoreError::BadState("bad rid in tid index".into()))?,
-            ));
             if mapped != rid {
                 return Err(CoreError::BadState(format!(
                     "tid index maps tid {tid} to {mapped:?} but the tuple \
@@ -815,32 +801,20 @@ impl FuzzyMatcher {
         // live table exactly (zero-frequency rows are tombstones left by
         // deletions; FuzzyMatcher::open drops them on load).
         let mut persisted_live = 0usize;
-        {
-            let mut scan = self
-                .freq_index
-                .range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
-            while let Some((key, value)) = scan.next_entry()? {
-                let (col, rest) = keycode::decode_u8(&key)?;
-                let (token, _) = keycode::decode_str(rest)?;
-                let freq = u32::from_le_bytes(
-                    value
-                        .as_slice()
-                        .try_into()
-                        .map_err(|_| CoreError::BadState("bad freq value".into()))?,
-                );
-                if freq == 0 {
-                    continue;
-                }
-                persisted_live += 1;
-                let live = weights.frequencies().freq(col as usize, &token);
-                if live != freq {
-                    return Err(CoreError::BadState(format!(
-                        "persisted frequency for {token:?} in column {col} is \
-                         {freq}, the live weight table says {live}"
-                    )));
-                }
+        for_each_freq(&self.freq_index, |col, token, freq| {
+            if freq == 0 {
+                return Ok(());
             }
-        }
+            persisted_live += 1;
+            let live = weights.frequencies().freq(col as usize, &token);
+            if live != freq {
+                return Err(CoreError::BadState(format!(
+                    "persisted frequency for {token:?} in column {col} is \
+                     {freq}, the live weight table says {live}"
+                )));
+            }
+            Ok(())
+        })?;
         if persisted_live != weights.frequencies().distinct_tokens() {
             return Err(CoreError::BadState(format!(
                 "frequency index persists {persisted_live} live tokens, the \
@@ -850,16 +824,7 @@ impl FuzzyMatcher {
         }
 
         // Persisted state row.
-        let persisted_n = self
-            .state_index
-            .get(b"relation_size")?
-            .ok_or_else(|| CoreError::BadState("missing relation_size".into()))?;
-        let persisted_n = u64::from_le_bytes(
-            persisted_n
-                .as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad relation_size".into()))?,
-        );
+        let persisted_n = u64::from_le_bytes(state_row(&self.state_index, "relation_size")?);
         if persisted_n != weights.frequencies().relation_size() {
             return Err(CoreError::BadState(format!(
                 "persisted relation size {persisted_n} disagrees with the \
@@ -867,16 +832,7 @@ impl FuzzyMatcher {
                 weights.frequencies().relation_size()
             )));
         }
-        let persisted_next = self
-            .state_index
-            .get(b"next_tid")?
-            .ok_or_else(|| CoreError::BadState("missing next_tid".into()))?;
-        let persisted_next = u32::from_le_bytes(
-            persisted_next
-                .as_slice()
-                .try_into()
-                .map_err(|_| CoreError::BadState("bad next_tid".into()))?,
-        );
+        let persisted_next = u32::from_le_bytes(state_row(&self.state_index, "next_tid")?);
         if let Some(max) = max_tid {
             if persisted_next <= max {
                 return Err(CoreError::BadState(format!(
@@ -1811,6 +1767,52 @@ mod tests {
             evals * 2 < reference_evals,
             "verification bounds rejected too little: {evals} of {reference_evals} evaluations left"
         );
+    }
+
+    /// A posting naming a tid far outside the relation (`u32::MAX - 1`,
+    /// written past every rule) costs the thread's score table one page,
+    /// not gigabytes, and the thread's next lookup answers exactly as a
+    /// fresh thread's does.
+    #[test]
+    fn a_corrupt_posting_tid_costs_one_page_and_leaves_the_thread_clean() {
+        use std::thread::scope;
+
+        let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
+        let answer = |m: &FuzzyMatcher| {
+            let mut r = m.lookup(&input, 1, 0.0)?;
+            r.trace.latency_us = 0;
+            let bits: Vec<_> = r
+                .matches
+                .iter()
+                .map(|m| (m.tid, m.similarity.to_bits()))
+                .collect();
+            Ok::<_, CoreError>((bits, r.trace))
+        };
+        let clean = build_table1(&Database::in_memory().unwrap());
+        let corrupt = build_table1(&Database::in_memory().unwrap());
+        // Every row the input probes gains the tid.
+        for (col, token) in input.tokenize(&corrupt.tokenizer).iter_tokens() {
+            for entry in token_signature(token, &corrupt.minhasher, corrupt.config.scheme) {
+                let (gram, coordinate, column) = (&entry.gram, entry.coordinate, col as u8);
+                let list = corrupt.eti.lookup(gram, coordinate, column).unwrap();
+                if let Some(mut tids) = list.and_then(|l| l.tids) {
+                    tids.push(u32::MAX - 1);
+                    let (prefix, n) = (Eti::prefix(gram, coordinate, column), tids.len() as u32);
+                    corrupt.eti.postings.put_raw(&prefix, 0, n, false, &tids);
+                }
+            }
+        }
+        let fresh = scope(|s| s.spawn(|| answer(&clean).unwrap()).join().unwrap());
+        scope(|s| {
+            s.spawn(|| {
+                // The unknown tid outscores everything and its fetch fails.
+                let err = answer(&corrupt).unwrap_err().to_string();
+                assert!(err.contains("tid 4294967294"), "{err}");
+                let cells = crate::query::with_scratch(|s| s.table.capacity());
+                assert!(cells <= 2 << 16, "{cells}");
+                assert_eq!(answer(&clean).unwrap(), fresh);
+            });
+        });
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!    `Σ_t w(t)·(1 − 1/q)` that corrects for estimating edit distance with
 //!    q-gram commonality (Figure 3, step 7).
 //! 2. **Score**: look up each coordinate's tid-list in the ETI and
-//!    accumulate per-tid scores in a hash table (Figure 3, steps 5–10) as
-//!    the list streams off the index leaf — no list is ever materialized.
+//!    accumulate per-tid scores (Figure 3, steps 5–10; an array indexed by
+//!    tid where the paper uses a hash table) as the list streams off the
+//!    index leaf — no list is ever materialized.
 //!    New tids are admitted only while the weight still to be processed
 //!    could lift them past the threshold (step 9b).
 //! 3. **Verify**: fetch candidate reference tuples in decreasing score
@@ -22,8 +23,9 @@
 //!    §4.2).
 //!
 //! [`basic`] runs the phases in sequence; [`osc`] interleaves phase 3 into
-//! phase 2 (optimistic short circuiting, §4.3.2). The hash table, its
-//! always-current best K+1 and the lazily popped ranking are [`scores`].
+//! phase 2 (optimistic short circuiting, §4.3.2). The score accumulator,
+//! its always-current best K+1 and the lazily popped ranking are
+//! [`scores`].
 
 pub mod basic;
 pub mod osc;
@@ -236,8 +238,8 @@ where
     Ok(probed)
 }
 
-/// The sound aggregate upper bound on a candidate's `fms` given its hash
-/// table score `s` (see DESIGN.md §4.0 (a) for the derivation):
+/// The sound aggregate upper bound on a candidate's `fms` given its
+/// accumulated score `s` (see DESIGN.md §4.0 (a) for the derivation):
 ///
 /// `fms ≤ fms_apx ≤ (Σ_t w(t)·d_q + (2/q)·s) / w(u)`, capped at 1.
 ///

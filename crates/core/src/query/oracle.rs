@@ -143,47 +143,76 @@ mod tests {
     fn begin_forgets_the_previous_query_and_growth_keeps_every_score() {
         let mut table = ScoreTable::default();
         table.begin(1);
-        // Far past the initial capacity: several doublings mid-absorb.
-        table.absorb(0..5000, 1.0, true);
-        table.absorb((0..5000).step_by(7), 0.5, true);
-        assert_eq!(table.len(), 5000);
+        // The list crosses into a second page mid-absorb.
+        let tids = || (0..5000).chain(65_000..70_000);
+        table.absorb(tids(), 1.0, true);
+        table.absorb(tids().step_by(7), 0.5, true);
+        assert_eq!(table.len(), 10_000);
         assert_eq!(table.top(), &[(0, 1.5), (7, 1.5)]);
         let mut oracle = OracleTable::default();
         oracle.begin(1);
-        oracle.absorb(0..5000, 1.0, true);
-        oracle.absorb((0..5000).step_by(7), 0.5, true);
+        oracle.absorb(tids(), 1.0, true);
+        oracle.absorb(tids().step_by(7), 0.5, true);
         assert_eq!(drain(&mut table), drain(&mut oracle));
 
-        // The same storage, next query: nothing of the 5000 shows.
+        // The same storage, next query: nothing of the 10 000 shows.
         table.begin(1);
         assert_eq!((table.len(), table.tids_processed()), (0, 0));
         assert!(table.top().is_empty());
-        table.absorb([3, 4999].into_iter(), 0.25, false);
-        assert_eq!(table.len(), 0, "leftover slots must read as empty");
-        table.absorb([3, 4999].into_iter(), 0.25, true);
-        assert_eq!(drain(&mut table), bits(&[(3, 0.25), (4999, 0.25)]));
+        table.absorb([3, 69_999].into_iter(), 0.25, false);
+        assert_eq!(table.len(), 0, "leftover cells must read as empty");
+        table.absorb([3, 69_999].into_iter(), 0.25, true);
+        assert_eq!(drain(&mut table), bits(&[(3, 0.25), (69_999, 0.25)]));
+    }
+
+    /// Each step's `top()` and counters, then the drain.
+    type Run = (Vec<(Vec<(u32, u64)>, usize, u64)>, Vec<(u32, u64)>);
+
+    fn run(table: &mut impl TidScores, steps: &[(&[u32], f64, bool)]) -> Run {
+        table.begin(2);
+        let mut seen = Vec::new();
+        for &(tids, weight, admit_new) in steps {
+            table.absorb(tids.iter().copied(), weight, admit_new);
+            seen.push((bits(table.top()), table.len(), table.tids_processed()));
+        }
+        (seen, drain(table))
     }
 
     #[test]
-    fn storage_beyond_the_retention_cap_is_given_back() {
+    fn storage_follows_the_tids_scored_not_the_candidate_count() {
+        let page = 1 << 16;
         let mut table = ScoreTable::default();
-        table.begin(1);
-        table.absorb(0..40_000, 1.0, true);
-        let big = table.capacity();
-        assert!(big >= 80_000);
-        table.begin(1);
-        // Shrunk to the cap — not to the initial size, which would make
-        // the next query of this shape regrow through every doubling.
-        let kept = table.capacity();
-        assert!(kept < big, "oversized table kept: {big}");
-        assert!(kept >= 60_000, "cap's worth not retained: {kept}");
-        table.absorb([1, 2].into_iter(), 1.0, true);
-        assert_eq!(table.len(), 2, "the shrunk table reads as empty");
-        // A query that fits under the cap leaves the storage alone.
-        table.absorb(0..30_000, 1.0, true);
-        assert_eq!(table.capacity(), kept);
-        table.begin(1);
-        assert_eq!(table.capacity(), kept);
+        // 40 000 candidates below 2^16 fit one page; two, one far above,
+        // add that one's page and none between; nothing is given back.
+        run(&mut table, &[(&(0..40_000).collect::<Vec<_>>(), 1.0, true)]);
+        assert_eq!(table.capacity(), page);
+        run(&mut table, &[(&[7, 5 << 16], 1.0, true)]);
+        assert_eq!(table.capacity(), 2 * page);
+        // The warm table scores a low-tid query exactly as a fresh one.
+        let low: &[(&[u32], f64, bool)] = &[(&[1, 2, 3], 1.0, true), (&[2, 3, 7], 0.5, false)];
+        assert_eq!(run(&mut table, low), run(&mut ScoreTable::default(), low));
+        assert_eq!(table.capacity(), 2 * page);
+    }
+
+    #[test]
+    fn queries_on_both_sides_of_the_stamp_wrap_read_as_on_a_fresh_table() {
+        // The first query runs at stamp 1 — the stamp the wrap hands out
+        // next — and the second at `u32::MAX`; the third begins with the
+        // wrap. Its non-admitting step would bump any leftover (or any
+        // never-written cell, stamped 0) that read as live.
+        let queries: [&[(&[u32], f64, bool)]; 3] = [
+            &[(&[1, 4, 9, 70_000], 1.0, true), (&[4, 9], 0.5, true)],
+            &[(&[2, 4, 8], 0.25, true), (&[1, 9, 70_000], 2.0, false)],
+            &[(&[3, 9], 0.5, true), (&[1, 2, 4, 5, 8, 70_000], 1.0, false)],
+        ];
+        let mut warm = ScoreTable::default();
+        let mut got = vec![run(&mut warm, queries[0])];
+        warm.set_stamp(u32::MAX - 1);
+        got.push(run(&mut warm, queries[1]));
+        got.push(run(&mut warm, queries[2]));
+        for (steps, got) in queries.iter().zip(got) {
+            assert_eq!(got, run(&mut ScoreTable::default(), steps));
+        }
     }
 
     /// One absorb call of a generated scenario.
@@ -197,8 +226,12 @@ mod tests {
     fn step() -> impl Strategy<Value = Step> {
         (
             // Sorted posting lists over a small tid universe, so lists
-            // overlap heavily and scores collide.
-            proptest::collection::btree_set(0u32..60, 0..25),
+            // overlap heavily and scores collide — plus a few tids on the
+            // next pages, so pages are added mid-absorb beside live scores.
+            proptest::collection::btree_set(
+                prop_oneof![12 => 0u32..60, 2 => 65_535u32..65_537, 1 => Just(131_075u32)],
+                0..25,
+            ),
             // Few distinct weights (0.0 included): exact ties are common.
             prop_oneof![Just(0.0), Just(0.25), Just(0.5), Just(1.0), 0.0f64..2.0],
             any::<bool>(),

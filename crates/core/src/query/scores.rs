@@ -1,4 +1,4 @@
-//! The scoring hash table (Figure 3's `TidScores`) and the per-thread
+//! The score accumulator (Figure 3's `TidScores`) and the per-thread
 //! scratch it lives in.
 //!
 //! A lookup at 10^5 reference tuples bumps ~20 000 tid scores, asks "what
@@ -6,10 +6,14 @@
 //! gate), and finally verifies only the few dozen best candidates. The
 //! table is built for exactly that shape:
 //!
-//! * **accumulate** — an open-addressing `u32 → f64` table (multiplicative
-//!   hash, linear probing) whose slots carry a per-query stamp, so
-//!   "clearing" it for the next query is one increment and its storage is
-//!   reused for the life of the thread;
+//! * **accumulate** — Figure 3 keeps the scores "in a hash table"; here the
+//!   tid itself is the index. Tids are dense integers the matcher mints
+//!   (1..=N) and every posting list is sorted, so absorbing a list walks a
+//!   dense array forward, in address order the prefetcher follows. Each
+//!   cell carries the stamp of the query that wrote it, so "clearing" the
+//!   array for the next query is one increment and its storage is reused
+//!   for the life of the thread; the query's tids are also listed in
+//!   admission order, so every later pass is O(candidates);
 //! * **best K+1, always current** — scores only grow, so a tid can enter
 //!   the top set only at one of its own bumps: each bump is compared with
 //!   the current (K+1)-th entry (one branch in the common case) and only a
@@ -17,6 +21,16 @@
 //! * **rank lazily** — the verification phase consumes candidates in
 //!   `(score desc, tid asc)` order but stops after a few dozen, so ranking
 //!   is an O(n) heapify plus one pop per candidate actually consumed.
+//!
+//! **Footprint.** The array is paged: a page holds the cells of 2^16
+//! consecutive tids (a score and a stamp, 12 B), is allocated zeroed on
+//! first touch and found through a directory indexed by `tid >> 16`. A
+//! thread's table follows the relation, not the query — one page per
+//! 2^16-tid range its queries scored, ≈ 1.2 MB of touched cells at 10^5
+//! tuples — so there is nothing to give back between queries, and a tid
+//! outside the relation (a corrupt posting) costs one page, never
+//! gigabytes. Tids never come from a caller, so no key needs a defence
+//! beyond that.
 //!
 //! `(score desc, tid asc)` is a total order over distinct tids, so the top
 //! set and the pop order are the same whatever algorithm realises them:
@@ -64,21 +78,6 @@ pub(crate) trait TidScores {
     fn remaining(&self) -> usize;
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    tid: u32,
-    /// The slot belongs to the current query iff this equals the table's
-    /// stamp; anything else is a leftover and reads as empty.
-    stamp: u32,
-    score: f64,
-}
-
-const EMPTY: Slot = Slot {
-    tid: 0,
-    stamp: 0,
-    score: 0.0,
-};
-
 /// A heap entry; `Ord` is the ranking order with "ranks first" greatest.
 #[derive(Debug, Clone, Copy)]
 struct Ranked(u32, f64);
@@ -103,80 +102,85 @@ impl Ord for Ranked {
     }
 }
 
-const MIN_SLOTS: usize = 1 << 10;
-
-/// Storage kept between queries is capped here (1 MiB of slots); a query
-/// that needed more shrinks back to the cap when the next one begins.
-const MAX_RETAINED_SLOTS: usize = 1 << 16;
-
 /// See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ScoreTable {
-    /// Power-of-two length; load factor kept at or below one half.
-    slots: Vec<Slot>,
+    /// Page `i` holds the cells of tids `i << PAGE_BITS ..`.
+    pages: Vec<Page>,
     stamp: u32,
-    /// Slot indices of this query's tids, in admission order.
+    /// This query's tids, in admission order.
     live: Vec<u32>,
     processed: u64,
-    /// At most `top_len` best entries, best first.
-    top: Vec<(u32, f64)>,
-    top_len: usize,
+    best: Best,
     heap: BinaryHeap<Ranked>,
 }
 
-impl Default for ScoreTable {
-    fn default() -> ScoreTable {
-        ScoreTable {
-            slots: vec![EMPTY; MIN_SLOTS],
-            stamp: 0,
-            live: Vec::new(),
-            processed: 0,
-            top: Vec::new(),
-            top_len: 0,
-            heap: BinaryHeap::new(),
-        }
-    }
+/// At most `len` best `(tid, score)` entries, best first.
+#[derive(Debug, Default)]
+struct Best {
+    top: Vec<(u32, f64)>,
+    len: usize,
 }
 
-/// Fibonacci hashing into a table of `slots` (a power of two) entries: the
-/// high bits of `tid × 2^32/φ` spread the dense, monotonically minted tids
-/// evenly. (Tids are minted by the matcher, never supplied by a caller, so
-/// there is no adversary to defend the hash against.)
+const PAGE_BITS: u32 = 16;
+const PAGE_LEN: usize = 1 << PAGE_BITS;
+
+/// The cells of 2^16 consecutive tids, or none if the page was never
+/// touched. A cell belongs to the current query iff its stamp equals the
+/// table's; anything else is a leftover and reads as empty. (Parallel
+/// arrays: 12 B a cell, and a fresh page is a zeroed allocation, which the
+/// OS maps only where it is written.)
+#[derive(Debug, Default)]
+struct Page {
+    scores: Box<[f64]>,
+    stamps: Box<[u32]>,
+}
+
+/// Page `at`, allocated on first touch.
 #[inline]
-fn home(tid: u32, slots: usize) -> usize {
-    (tid.wrapping_mul(0x9E37_79B9) >> (32 - slots.trailing_zeros())) as usize
+fn page_mut(pages: &mut Vec<Page>, at: usize) -> &mut Page {
+    if pages.get(at).map_or(true, |p| p.stamps.is_empty()) {
+        touch(pages, at);
+    }
+    &mut pages[at]
+}
+
+#[cold]
+fn touch(pages: &mut Vec<Page>, at: usize) {
+    if at >= pages.len() {
+        pages.resize_with(at + 1, Page::default);
+    }
+    pages[at] = Page {
+        scores: vec![0.0; PAGE_LEN].into_boxed_slice(),
+        stamps: vec![0; PAGE_LEN].into_boxed_slice(),
+    };
 }
 
 impl ScoreTable {
+    /// Cells allocated.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
+        self.pages.iter().map(|p| p.stamps.len()).sum()
     }
 
-    fn grow(&mut self) {
-        let doubled = vec![EMPTY; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for at in &mut self.live {
-            let slot = old[*at as usize];
-            let mut i = home(slot.tid, self.slots.len());
-            while self.slots[i].stamp == self.stamp {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = slot;
-            *at = i as u32;
-        }
+    /// Put the stamp where the next `begin` wraps it.
+    #[cfg(test)]
+    pub(crate) fn set_stamp(&mut self, stamp: u32) {
+        self.stamp = stamp;
     }
+}
 
+impl Best {
     /// A bumped or admitted tid now scores `score`: keep `top` current.
     #[inline]
     fn note(&mut self, tid: u32, score: f64) {
-        if self.top.len() == self.top_len {
+        if self.top.len() == self.len {
             // Full: the common case is a tid that does not reach the worst
             // retained entry. (A tid already retained always does, unless
-            // its score did not move.)
-            let worst = self.top[self.top_len - 1];
-            if rank_cmp((tid, score), worst) != Ordering::Less {
+            // its score did not move.) The float test settles most of them;
+            // `-0.0` and NaN fall through to `total_cmp`.
+            let worst = self.top[self.len - 1];
+            if score < worst.1 || rank_cmp((tid, score), worst) != Ordering::Less {
                 return;
             }
         }
@@ -187,7 +191,7 @@ impl ScoreTable {
     fn promote(&mut self, tid: u32, score: f64) {
         if let Some(at) = self.top.iter().position(|e| e.0 == tid) {
             self.top.remove(at);
-        } else if self.top.len() == self.top_len {
+        } else if self.top.len() == self.len {
             self.top.pop();
         }
         let at = self
@@ -201,58 +205,45 @@ impl TidScores for ScoreTable {
     fn begin(&mut self, k: usize) {
         self.live.clear();
         self.processed = 0;
-        self.top.clear();
-        self.top_len = k + 1;
+        self.best.top.clear();
+        self.best.len = k + 1;
         self.heap.clear();
-        if self.slots.len() > MAX_RETAINED_SLOTS {
-            // Back to the cap, not to `MIN_SLOTS`: a workload that needs
-            // this much on every query must not regrow through every
-            // doubling each time.
-            self.slots = vec![EMPTY; MAX_RETAINED_SLOTS];
-            self.stamp = 0;
-            self.live.shrink_to(MAX_RETAINED_SLOTS / 2);
-            self.heap.shrink_to(MAX_RETAINED_SLOTS / 2);
-        }
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             // The stamp wrapped: leftovers from 2^32 queries ago would
             // read as live.
-            self.slots.fill(EMPTY);
+            for page in &mut self.pages {
+                page.stamps.fill(0);
+            }
             self.stamp = 1;
         }
     }
 
     fn absorb(&mut self, tids: impl Iterator<Item = u32>, weight: f64, admit_new: bool) {
+        let stamp = self.stamp;
+        // The tids arrive sorted, so the page changes rarely; `at` starts
+        // past every page, so the first tid looks its page up.
+        let mut at = usize::MAX;
+        let mut page = &mut Page::default();
         for tid in tids {
-            let mask = self.slots.len() - 1;
-            let mut i = home(tid, self.slots.len());
-            loop {
-                let slot = self.slots[i];
-                if slot.stamp != self.stamp {
-                    if admit_new {
-                        self.slots[i] = Slot {
-                            tid,
-                            stamp: self.stamp,
-                            score: weight,
-                        };
-                        self.live.push(i as u32);
-                        self.processed += 1;
-                        self.note(tid, weight);
-                        if self.live.len() * 2 > self.slots.len() {
-                            self.grow();
-                        }
-                    }
-                    break;
-                }
-                if slot.tid == tid {
-                    let score = slot.score + weight;
-                    self.slots[i].score = score;
-                    self.processed += 1;
-                    self.note(tid, score);
-                    break;
-                }
-                i = (i + 1) & mask;
+            if (tid >> PAGE_BITS) as usize != at {
+                at = (tid >> PAGE_BITS) as usize;
+                page = page_mut(&mut self.pages, at);
             }
+            let i = tid as usize & (PAGE_LEN - 1);
+            let score = if page.stamps[i] == stamp {
+                page.scores[i] += weight;
+                page.scores[i]
+            } else if admit_new {
+                page.stamps[i] = stamp;
+                page.scores[i] = weight;
+                self.live.push(tid);
+                weight
+            } else {
+                continue;
+            };
+            self.processed += 1;
+            self.best.note(tid, score);
         }
     }
 
@@ -265,15 +256,15 @@ impl TidScores for ScoreTable {
     }
 
     fn top(&self) -> &[(u32, f64)] {
-        &self.top
+        &self.best.top
     }
 
     fn rank(&mut self) {
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         entries.clear();
-        entries.extend(self.live.iter().map(|&at| {
-            let slot = &self.slots[at as usize];
-            Ranked(slot.tid, slot.score)
+        entries.extend(self.live.iter().map(|&tid| {
+            let page = &self.pages[(tid >> PAGE_BITS) as usize];
+            Ranked(tid, page.scores[tid as usize & (PAGE_LEN - 1)])
         }));
         self.heap = BinaryHeap::from(entries);
     }
