@@ -2,14 +2,13 @@
 //!
 //! Runs three representative strategies over one Type-I dataset and writes
 //! a machine-readable JSON report with per-strategy counters, batch
-//! timings, per-phase span totals from the flight recorder, the tracing
-//! overhead of `lookup_batch` (enabled vs runtime-disabled), and a
+//! timings, per-phase span totals from the flight recorder, and a
 //! telemetry-overhead measurement (the same matcher + store served by 2
 //! worker/replica pairs to 4 closed-loop clients, with the sampler at
-//! aggressive 25 ms windows vs sampler-off). `cargo xtask
-//! bench` runs this binary (plus a `--no-default-features` build for the
-//! compiled-out baseline) and fails on >20% regressions of the
-//! deterministic counters against the committed `BENCH_baseline.json`.
+//! aggressive 25 ms windows vs sampler-off). `cargo xtask bench` runs this
+//! binary and fails on >20% regressions of the deterministic counters
+//! against the committed `BENCH_baseline.json`. Tracing overhead is
+//! measured at 10^5 tuples by the benchmark (`bench.trace_overhead_pct`).
 //!
 //! Counters are exactly reproducible given `--seed`; wall-clock numbers
 //! are environment-dependent and only warned about by the gate.
@@ -150,49 +149,7 @@ fn main() {
         }
     }
 
-    // Tracing overhead on lookup_batch: enabled vs runtime-disabled,
-    // min over `reps` repetitions of the whole batch.
     let (matcher, build_time) = bench.matcher(&strategies[2]);
-    let one_batch = |enabled: bool| -> f64 {
-        fm_core::tracing::set_enabled(enabled);
-        let start = Instant::now();
-        let results = matcher
-            .lookup_batch(&dataset.inputs, 1, 0.0, 1)
-            .expect("lookup_batch");
-        std::hint::black_box(&results);
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    // One warmup, then paired enabled/disabled reps. Scheduling and
-    // frequency noise on a shared box dwarfs the per-span cost, but it
-    // hits both sides of a back-to-back pair roughly equally, so the
-    // minimum per-pair ratio is the robust overhead estimate: a real
-    // regression inflates every pair, a noise spike only some.
-    let _ = one_batch(false);
-    let mut disabled_ms = f64::INFINITY;
-    let mut enabled_ms = f64::INFINITY;
-    let mut best_ratio = f64::INFINITY;
-    for _ in 0..gate.reps.max(1) {
-        let d = one_batch(false);
-        let e = one_batch(true);
-        disabled_ms = disabled_ms.min(d);
-        enabled_ms = enabled_ms.min(e);
-        best_ratio = best_ratio.min(e / d.max(1e-9));
-    }
-    fm_core::tracing::set_enabled(true);
-    let overhead_pct = if fm_core::tracing::COMPILED {
-        ((best_ratio - 1.0) * 100.0).max(0.0)
-    } else {
-        0.0
-    };
-    eprintln!(
-        "[gate] lookup_batch overhead: enabled {enabled_ms:.2} ms vs disabled {disabled_ms:.2} ms \
-         ({overhead_pct:.2}%, tracing {})",
-        if fm_core::tracing::COMPILED {
-            "compiled in"
-        } else {
-            "compiled out"
-        },
-    );
 
     // The served workload: the same matcher + store behind 2
     // worker/replica pairs, hammered by 4 closed-loop clients.
@@ -252,8 +209,9 @@ fn main() {
     // Telemetry overhead: the same served workload with the sampler off
     // (`telemetry_window_ms: 0`) vs aggressively on (25 ms windows —
     // 40x the default sampling rate, so the gate bounds a worst case).
-    // Same paired-interleaved-reps scheme as the tracing overhead above:
-    // noise hits both sides of a pair, the minimum ratio is the signal.
+    // Paired interleaved reps: scheduling and frequency noise on a shared
+    // box hits both sides of a back-to-back pair roughly equally, so the
+    // minimum per-pair ratio is the signal.
     let _ = measure_qps(0); // warmup
     let mut telemetry_off_qps = 0.0f64;
     let mut telemetry_on_qps = 0.0f64;
@@ -395,13 +353,7 @@ fn main() {
         json.push('}');
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n  \"overhead\": {\"enabled_ms\": ");
-    push_f64(&mut json, enabled_ms);
-    json.push_str(", \"disabled_ms\": ");
-    push_f64(&mut json, disabled_ms);
-    json.push_str(", \"overhead_pct\": ");
-    push_f64(&mut json, overhead_pct);
-    json.push_str("},\n  \"telemetry\": {\"qps_on\": ");
+    json.push_str("  ],\n  \"telemetry\": {\"qps_on\": ");
     push_f64(&mut json, telemetry_on_qps);
     json.push_str(", \"qps_off\": ");
     push_f64(&mut json, telemetry_off_qps);

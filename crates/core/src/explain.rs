@@ -12,6 +12,7 @@ use crate::error::Result;
 use crate::eti::token_signature;
 use crate::matcher::FuzzyMatcher;
 use crate::query::score_bound;
+use crate::query::scores::rank_cmp;
 use crate::record::Record;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
@@ -263,7 +264,7 @@ impl FuzzyMatcher {
         let adjustment = total_weight * dq;
 
         let mut ranked: Vec<(u32, f64)> = scores.iter().map(|(&t, &s)| (t, s)).collect();
-        ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked.sort_unstable_by(|&a, &b| rank_cmp(a, b));
         let mut sim = Similarity::new(&*weights, config);
         let prepared = sim.prepare(&tokens);
         let mut candidates = Vec::new();

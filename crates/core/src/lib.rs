@@ -46,6 +46,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library hygiene: errors propagate and nothing writes to the terminal.
+// Tests are exempt through `clippy.toml`'s `allow-*-in-tests` settings.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod config;
 pub mod error;

@@ -19,9 +19,10 @@
 //!   ordering is sufficient because each counter is an independent
 //!   monotone sum read only by [`MetricsRegistry::snapshot`].
 //!
-//! This module is the one place in `fm-core` allowed to use relaxed
-//! atomics (`cargo xtask lint` enforces the boundary): every other use of
-//! `Ordering::Relaxed` must justify itself with a `lint:allow`.
+//! Relaxed ordering is right for monotone counters like these and wrong
+//! for a flag that publishes other writes; `cargo xtask analyze`'s
+//! `atomics-ordering` rule flags the latter anywhere outside this module,
+//! `tracing` and `telemetry`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -42,7 +42,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 /// The ranking order: higher score first, ties by ascending tid.
 /// `Less` means `a` ranks before `b`.
-fn rank_cmp(a: (u32, f64), b: (u32, f64)) -> Ordering {
+pub(crate) fn rank_cmp(a: (u32, f64), b: (u32, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 

@@ -30,10 +30,10 @@
 //! `le="0"`, `le="1"`, `le="3"`, … `le="2^18−1"`, `le="+Inf"` with no
 //! rebinning error, and `_count`/`_sum` equal the registry totals.
 //!
-//! Like `metrics` and `tracing`, this module is on the relaxed-atomic
-//! allowlist (`cargo xtask lint` enforces the boundary): the ring
-//! cursor and drop counter are independent monotone values, never used
-//! to order other memory operations.
+//! Like `metrics` and `tracing`, this module uses relaxed atomics: the
+//! ring cursor and drop counter are independent monotone values, never
+//! used to order other memory operations. (A relaxed *flag* would be a
+//! bug; `cargo xtask analyze`'s `atomics-ordering` rule catches that.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -16,9 +16,8 @@
 //!   by a per-slot `try_lock` so a *writer never blocks* — under
 //!   contention the trace is dropped and counted. (`fm-core` is
 //!   `forbid(unsafe_code)`, so this is the honest std-only approximation
-//!   of a seqlock: readers lock, writers try-lock.) Relaxed atomics are
-//!   confined to this module and `metrics` under the `xtask lint`
-//!   boundary.
+//!   of a seqlock: readers lock, writers try-lock.) The relaxed slot
+//!   claim orders nothing else; the `try_lock` publishes the copy.
 //! * **Two retention classes.** The `recent` ring keeps the last
 //!   [`RECENT_CAPACITY`] completed traces of any speed; the `slow` ring
 //!   keeps the last [`SLOW_CAPACITY`] traces whose root span exceeded the

@@ -91,7 +91,8 @@ pub fn generate_customers(config: &GeneratorConfig) -> Vec<Record> {
 
     let mut rows: Vec<Record> = Vec::with_capacity(config.size);
     while rows.len() < config.size {
-        {
+        // The fields of the row last pushed: each sibling derives from it.
+        let mut base = {
             let name = if rng.gen_bool(config.business_fraction) {
                 // Business customer: "[industry] <surname> <suffix>". The
                 // industry words are mid-frequency and the suffixes very
@@ -128,18 +129,18 @@ pub fn generate_customers(config: &GeneratorConfig) -> Vec<Record> {
             };
             let (city, state, zip_base) = CITIES[city_zipf.sample(&mut rng)];
             let zip = format!("{:03}{:02}", zip_base, rng.gen_range(0..100u32));
-            rows.push(Record::new(&[&name, city, state, &zip]));
-        }
+            [name, city.to_string(), state.to_string(), zip]
+        };
+        rows.push(Record::new(&[&base[0], &base[1], &base[2], &base[3]]));
 
-        // Optionally spawn confuser siblings of the tuple just created.
+        // Optionally spawn confuser siblings of the tuple just pushed.
         while rows.len() < config.size && rng.gen_bool(config.sibling_probability) {
-            let base = rows.last().unwrap().clone();
-            let name = base.get(0).unwrap().to_string();
+            let [name, base_city, base_state, base_zip] = &base;
             let mut tokens: Vec<String> = name.split(' ').map(str::to_string).collect();
             let variant = rng.gen_range(0..4u8);
             let (new_name, relocate) = match variant {
                 // (a) same name, different city (a branch office).
-                0 => (name.clone(), true),
+                0 => (name.to_string(), true),
                 // (b) swap the trailing suffix-like token for another
                 //     frequent one ("barker company" vs "barker corporation").
                 1 => {
@@ -181,16 +182,14 @@ pub fn generate_customers(config: &GeneratorConfig) -> Vec<Record> {
                 )
             } else {
                 // Same city; usually a nearby zip.
-                let city = base.get(1).unwrap().to_string();
-                let state = base.get(2).unwrap().to_string();
-                let base_zip = base.get(3).unwrap();
                 let zip = format!("{}{:02}", &base_zip[..3], rng.gen_range(0..100u32));
-                (city, state, zip)
+                (base_city.clone(), base_state.clone(), zip)
             };
-            if new_name == name && !relocate {
+            if new_name == *name && !relocate {
                 break; // would be an exact duplicate; skip
             }
-            rows.push(Record::new(&[&new_name, &city, &state, &zip]));
+            base = [new_name, city, state, zip];
+            rows.push(Record::new(&[&base[0], &base[1], &base[2], &base[3]]));
         }
     }
     rows

@@ -52,11 +52,20 @@ fn leaf_cell(key: &[u8], value: &[u8]) -> Vec<u8> {
     cell
 }
 
-fn split_leaf_cell(cell: &[u8]) -> (&[u8], &[u8]) {
-    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-    let key = &cell[2..2 + klen];
-    let value = &cell[2 + klen..];
-    (key, value)
+/// `(key, rest)` of a cell laid out as `klen: u16 LE | key | rest` — a
+/// leaf's value or an internal node's child id. A `klen` read from a
+/// corrupt page that overruns the cell is an error, not a panic.
+fn split_cell(cell: &[u8]) -> Result<(&[u8], &[u8])> {
+    if let [lo, hi, body @ ..] = cell {
+        let klen = usize::from(u16::from_le_bytes([*lo, *hi]));
+        if klen <= body.len() {
+            return Ok(body.split_at(klen));
+        }
+    }
+    Err(StoreError::Corrupt(format!(
+        "btree cell of {} bytes overrun by its key length",
+        cell.len()
+    )))
 }
 
 fn internal_cell(key: &[u8], child: PageId) -> Vec<u8> {
@@ -67,12 +76,15 @@ fn internal_cell(key: &[u8], child: PageId) -> Vec<u8> {
     cell
 }
 
-fn split_internal_cell(cell: &[u8]) -> (&[u8], PageId) {
-    let klen = u16::from_le_bytes([cell[0], cell[1]]) as usize;
-    let key = &cell[2..2 + klen];
-    // lint:allow(unwrap): try_into on an exact 4-byte slice cannot fail
-    let child = u32::from_le_bytes(cell[2 + klen..2 + klen + 4].try_into().unwrap());
-    (key, PageId(child))
+fn split_internal_cell(cell: &[u8]) -> Result<(&[u8], PageId)> {
+    let (key, child) = split_cell(cell)?;
+    let child = <[u8; 4]>::try_from(child).map_err(|_| {
+        StoreError::Corrupt(format!(
+            "btree internal cell with a {}-byte child id",
+            child.len()
+        ))
+    })?;
+    Ok((key, PageId(u32::from_le_bytes(child))))
 }
 
 /// Binary search over a node's cells by key.
@@ -80,11 +92,7 @@ fn split_internal_cell(cell: &[u8]) -> (&[u8], PageId) {
 /// Returns `Ok(slot)` when `key` equals the slot's key, else `Err(slot)` of
 /// the insertion point — or [`StoreError::Corrupt`] on a dead slot, which a
 /// btree node never has.
-fn search_node(
-    page: &SlottedPage<'_>,
-    key: &[u8],
-    internal: bool,
-) -> Result<std::result::Result<u16, u16>> {
+fn search_node(page: &SlottedPage<'_>, key: &[u8]) -> Result<std::result::Result<u16, u16>> {
     let mut lo = 0u16;
     let mut hi = page.slot_count();
     while lo < hi {
@@ -94,12 +102,7 @@ fn search_node(
                 "dead slot {mid} in btree node"
             )));
         };
-        let ckey = if internal {
-            split_internal_cell(cell).0
-        } else {
-            split_leaf_cell(cell).0
-        };
-        match ckey.cmp(key) {
+        match split_cell(cell)?.0.cmp(key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
             std::cmp::Ordering::Equal => return Ok(Ok(mid)),
@@ -177,12 +180,12 @@ impl BTree {
             let sp = SlottedPage::new(&page);
             match sp.page_type()? {
                 PageType::BTreeLeaf => {
-                    return match search_node(&sp, key, false)? {
+                    return match search_node(&sp, key)? {
                         Ok(slot) => {
                             let cell = sp.get(slot).ok_or_else(|| {
                                 StoreError::Corrupt(format!("dead slot {slot} in btree leaf"))
                             })?;
-                            let (_, value) = split_leaf_cell(cell);
+                            let (_, value) = split_cell(cell)?;
                             Ok(Some(value.to_vec()))
                         }
                         Err(_) => Ok(None),
@@ -204,7 +207,7 @@ impl BTree {
 
     /// The child of `node` responsible for `key`.
     fn child_for(node: &SlottedPage<'_>, key: &[u8]) -> Result<PageId> {
-        let slot = match search_node(node, key, true)? {
+        let slot = match search_node(node, key)? {
             Ok(slot) => slot,
             Err(0) => return Ok(node.next_page()), // leftmost child
             Err(slot) => slot - 1,
@@ -212,7 +215,7 @@ impl BTree {
         let cell = node
             .get(slot)
             .ok_or_else(|| StoreError::Corrupt(format!("dead slot {slot} in btree node")))?;
-        Ok(split_internal_cell(cell).1)
+        Ok(split_internal_cell(cell)?.1)
     }
 
     /// Insert or update (`upsert`). Returns `true` if the key was new.
@@ -279,7 +282,7 @@ impl BTree {
         {
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            match search_node(&sp.view(), key, false)? {
+            match search_node(&sp.view(), key)? {
                 Ok(slot) => {
                     was_present = true;
                     // Upsert; replacement may itself overflow the page.
@@ -311,7 +314,7 @@ impl BTree {
         };
         let mut page = self.pool.get_mut(target)?;
         let mut sp = SlottedPageMut::new(&mut page);
-        match search_node(&sp.view(), key, false)? {
+        match search_node(&sp.view(), key)? {
             Ok(slot) => sp.replace(slot, &cell)?,
             Err(slot) => {
                 sp.insert_at(slot, &cell)?;
@@ -332,7 +335,7 @@ impl BTree {
         {
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            match search_node(&sp.view(), &child_split.sep, true)? {
+            match search_node(&sp.view(), &child_split.sep)? {
                 Ok(_) => {
                     return Err(StoreError::Corrupt(
                         "duplicate separator during split propagation".into(),
@@ -353,7 +356,7 @@ impl BTree {
         };
         let mut page = self.pool.get_mut(target)?;
         let mut sp = SlottedPageMut::new(&mut page);
-        match search_node(&sp.view(), &child_split.sep, true)? {
+        match search_node(&sp.view(), &child_split.sep)? {
             Ok(_) => {
                 return Err(StoreError::Corrupt(
                     "duplicate separator during split propagation".into(),
@@ -403,7 +406,7 @@ impl BTree {
             let sep;
             match page_type {
                 PageType::BTreeLeaf => {
-                    sep = split_leaf_cell(&cells[mid]).0.to_vec();
+                    sep = split_cell(&cells[mid])?.0.to_vec();
                     // Right sibling chain: right takes left's old sibling.
                     rp.set_next_page(next_page);
                     for (i, cell) in cells[mid..].iter().enumerate() {
@@ -411,7 +414,7 @@ impl BTree {
                     }
                 }
                 PageType::BTreeInternal => {
-                    let (mid_key, mid_child) = split_internal_cell(&cells[mid]);
+                    let (mid_key, mid_child) = split_internal_cell(&cells[mid])?;
                     sep = mid_key.to_vec();
                     // Middle key moves up; its child is right's leftmost.
                     rp.set_next_page(mid_child);
@@ -517,25 +520,23 @@ impl BTree {
             }
             let cell = leaf_cell(&key, &value);
             let need = cell.len() + 4; // slot entry
-            let start_new = match &current {
-                None => true,
-                Some((_, _, used)) => used + need > fill_limit,
-            };
-            if start_new {
-                // Seal the previous leaf and open a new one.
-                let (pid, mut page) = self.pool.allocate()?;
-                SlottedPageMut::new(&mut page).init(PageType::BTreeLeaf);
-                drop(page);
-                if let Some((prev_pid, first_key, _)) = current.take() {
-                    let mut prev_page = self.pool.get_mut(prev_pid)?;
-                    SlottedPageMut::new(&mut prev_page).set_next_page(pid);
-                    drop(prev_page);
-                    leaves.push((first_key, prev_pid));
+            let open = match current.take() {
+                Some(open) if open.2 + need <= fill_limit => open,
+                sealed => {
+                    // Seal the previous leaf and open a new one.
+                    let (pid, mut page) = self.pool.allocate()?;
+                    SlottedPageMut::new(&mut page).init(PageType::BTreeLeaf);
+                    drop(page);
+                    if let Some((prev_pid, first_key, _)) = sealed {
+                        let mut prev_page = self.pool.get_mut(prev_pid)?;
+                        SlottedPageMut::new(&mut prev_page).set_next_page(pid);
+                        drop(prev_page);
+                        leaves.push((first_key, prev_pid));
+                    }
+                    (pid, key.clone(), crate::page::HEADER_SIZE)
                 }
-                current = Some((pid, key.clone(), crate::page::HEADER_SIZE));
-            }
-            // lint:allow(unwrap): `current` was just opened when start_new held
-            let (pid, _, used) = current.as_mut().unwrap();
+            };
+            let (pid, _, used) = current.insert(open);
             let mut page = self.pool.get_mut(*pid)?;
             let mut sp = SlottedPageMut::new(&mut page);
             let n = sp.view().slot_count();
@@ -566,25 +567,20 @@ impl BTree {
             height += 1;
             let mut next_level: Vec<(Vec<u8>, PageId)> = Vec::new();
             let mut iter = level.into_iter().peekable();
-            while iter.peek().is_some() {
-                // lint:allow(unwrap): peek() just confirmed another item
-                let (node_key, leftmost) = iter.next().unwrap();
+            while let Some((node_key, leftmost)) = iter.next() {
                 let (pid, mut page) = self.pool.allocate()?;
                 let mut sp = SlottedPageMut::new(&mut page);
                 sp.init(PageType::BTreeInternal);
                 sp.set_aux(height);
                 sp.set_next_page(leftmost);
                 let mut used = crate::page::HEADER_SIZE;
-                while let Some((sep, _)) = iter.peek() {
-                    let cell_len = 2 + sep.len() + 4 + 4;
-                    if used + cell_len > fill_limit {
-                        break;
-                    }
-                    // lint:allow(unwrap): peek() just confirmed another item
-                    let (sep, child) = iter.next().unwrap();
+                let cell_len = |sep: &[u8]| 2 + sep.len() + 4 + 4;
+                while let Some((sep, child)) =
+                    iter.next_if(|(sep, _)| used + cell_len(sep) <= fill_limit)
+                {
                     let n = sp.view().slot_count();
                     sp.insert_at(n, &internal_cell(&sep, child))?;
-                    used += cell_len;
+                    used += cell_len(&sep);
                 }
                 drop(page);
                 next_level.push((node_key, pid));
@@ -623,7 +619,7 @@ impl BTree {
             debug_assert_eq!(page_type, PageType::BTreeLeaf);
             let mut page = self.pool.get_mut(page_id)?;
             let mut sp = SlottedPageMut::new(&mut page);
-            return Ok(match search_node(&sp.view(), key, false)? {
+            return Ok(match search_node(&sp.view(), key)? {
                 Ok(slot) => {
                     sp.remove_at(slot);
                     true
@@ -675,10 +671,10 @@ impl BTree {
         let sp = SlottedPage::new(&page);
         let first = match start {
             Bound::Unbounded => 0,
-            Bound::Included(k) => match search_node(&sp, k, false)? {
+            Bound::Included(k) => match search_node(&sp, k)? {
                 Ok(slot) | Err(slot) => slot,
             },
-            Bound::Excluded(k) => match search_node(&sp, k, false)? {
+            Bound::Excluded(k) => match search_node(&sp, k)? {
                 Ok(slot) => slot + 1,
                 Err(slot) => slot,
             },
@@ -687,7 +683,7 @@ impl BTree {
             let Some(cell) = sp.get(i) else {
                 return Err(StoreError::Corrupt(format!("dead slot {i} in btree leaf")));
             };
-            let (key, value) = split_leaf_cell(cell);
+            let (key, value) = split_cell(cell)?;
             if !visit(key, value)? {
                 return Ok(PageId::NONE);
             }
@@ -851,8 +847,8 @@ impl BTree {
                 PageType::BTreeLeaf => {
                     let keys = sp
                         .iter()
-                        .map(|(_, cell)| split_leaf_cell(cell).0.to_vec())
-                        .collect();
+                        .map(|(_, cell)| Ok(split_cell(cell)?.0.to_vec()))
+                        .collect::<Result<_>>()?;
                     let live_bytes = sp.iter().map(|(_, cell)| cell.len()).sum();
                     (Node::Leaf { keys, live_bytes }, level)
                 }
@@ -860,10 +856,10 @@ impl BTree {
                     let cells = sp
                         .iter()
                         .map(|(_, cell)| {
-                            let (key, child) = split_internal_cell(cell);
-                            (key.to_vec(), child)
+                            let (key, child) = split_internal_cell(cell)?;
+                            Ok((key.to_vec(), child))
                         })
-                        .collect();
+                        .collect::<Result<_>>()?;
                     (
                         Node::Internal {
                             leftmost: sp.next_page(),
@@ -1371,6 +1367,46 @@ mod tests {
                     .and_then(|mut scan| scan.try_for_each(|r| r.map(|_| ())))
             ));
             assert!(corrupt(t.get(&k(dead as u32)).map(|_| ())));
+        }
+    }
+
+    #[test]
+    fn a_key_length_overrunning_its_cell_is_corrupt_not_a_panic() {
+        let corrupt = |r: Result<Option<Vec<u8>>>| matches!(r, Err(StoreError::Corrupt(_)));
+        // `klen` = 0xFFFF in a 3-byte cell.
+        let overrun = [0xFF, 0xFF, b'x'];
+
+        // A leaf cell: slot 5 of 10 is where the binary search looks first.
+        let t = tree();
+        for i in 0..10 {
+            t.insert(&k(i), &v(i)).unwrap();
+        }
+        {
+            let mut page = t.pool.get_mut(t.root).unwrap();
+            SlottedPageMut::new(&mut page).replace(5, &overrun).unwrap();
+        }
+        assert!(corrupt(t.get(&k(5))));
+        assert!(matches!(
+            t.for_each_prefix(b"key-", |_, _| Ok(())),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        // Internal cells: every separator of a split root, so each descent
+        // decodes one. A well-formed key with a short child id is corrupt too.
+        for bad in [&overrun[..], &[1, 0, b'k', 7, 7][..]] {
+            let t = tree();
+            for i in 0..1000 {
+                t.insert(&k(i), &v(i)).unwrap();
+            }
+            {
+                let mut page = t.pool.get_mut(t.root).unwrap();
+                let mut sp = SlottedPageMut::new(&mut page);
+                assert_eq!(sp.view().page_type().unwrap(), PageType::BTreeInternal);
+                for slot in 0..sp.view().slot_count() {
+                    sp.replace(slot, bad).unwrap();
+                }
+            }
+            assert!(corrupt(t.get(&k(500))));
         }
     }
 

@@ -67,29 +67,20 @@ fn decode_entry(bytes: &[u8]) -> Result<(String, CatalogEntry)> {
     let name = String::from_utf8(bytes[3..3 + name_len].to_vec())
         .map_err(|_| StoreError::Corrupt("catalog name not utf-8".into()))?;
     let payload = &bytes[3 + name_len..];
-    let entry = match kind {
-        0 => {
-            if payload.len() < 4 {
-                return Err(StoreError::Corrupt("catalog table record truncated".into()));
-            }
-            // lint:allow(unwrap): payload.len() >= 4 checked above
-            let first_page = PageId(u32::from_le_bytes(payload[..4].try_into().unwrap()));
-            let schema = Schema::decode(&payload[4..])?;
-            CatalogEntry::Table { first_page, schema }
-        }
-        1 => {
-            if payload.len() < 4 {
-                return Err(StoreError::Corrupt("catalog index record truncated".into()));
-            }
-            CatalogEntry::Index {
-                // lint:allow(unwrap): payload.len() >= 4 checked above
-                root: PageId(u32::from_le_bytes(payload[..4].try_into().unwrap())),
-            }
-        }
-        2 => CatalogEntry::Meta {
+    let entry = match (kind, payload) {
+        (0, [p0, p1, p2, p3, schema @ ..]) => CatalogEntry::Table {
+            first_page: PageId(u32::from_le_bytes([*p0, *p1, *p2, *p3])),
+            schema: Schema::decode(schema)?,
+        },
+        (0, _) => return Err(StoreError::Corrupt("catalog table record truncated".into())),
+        (1, [p0, p1, p2, p3, ..]) => CatalogEntry::Index {
+            root: PageId(u32::from_le_bytes([*p0, *p1, *p2, *p3])),
+        },
+        (1, _) => return Err(StoreError::Corrupt("catalog index record truncated".into())),
+        (2, _) => CatalogEntry::Meta {
             bytes: payload.to_vec(),
         },
-        other => return Err(StoreError::Corrupt(format!("bad catalog kind {other}"))),
+        (other, _) => return Err(StoreError::Corrupt(format!("bad catalog kind {other}"))),
     };
     Ok((name, entry))
 }

@@ -1,8 +1,8 @@
 //! Observability hooks: a span sink the layer above installs.
 //!
-//! `fm-store` sits below `fm-core` in the workspace layering (enforced
-//! by `cargo xtask lint`), so it cannot call `fm_core::tracing`
-//! directly. Instead the storage layer emits named begin/end callbacks
+//! `fm-store` sits below `fm-core` in the workspace layering (the
+//! `layering` rule of `cargo xtask lint` rejects the manifest edge), so it
+//! cannot call `fm_core::tracing` directly. Instead the storage layer emits named begin/end callbacks
 //! through a process-wide [`SpanSink`]; `fm-core::tracing` installs a
 //! sink that forwards them into its per-thread span collector. With no
 //! sink installed every hook is a single `OnceLock` load — the storage

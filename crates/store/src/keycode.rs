@@ -13,6 +13,8 @@
 //! different encoded string — which is what makes concatenation of encoded
 //! fields order-preserving. Integers are big-endian.
 
+#![deny(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+
 use crate::error::{Result, StoreError};
 
 const ESCAPE: u8 = 0x00;
@@ -57,32 +59,26 @@ pub fn encode_u64(out: &mut Vec<u8>, v: u64) {
 /// `input`. Returns the decoded bytes and the remaining input.
 pub fn decode_bytes(input: &[u8]) -> Result<(Vec<u8>, &[u8])> {
     let mut out = Vec::new();
-    let mut i = 0;
+    let mut rest = input;
     loop {
-        let &b = input
-            .get(i)
-            .ok_or_else(|| StoreError::Corrupt("unterminated key string".into()))?;
-        if b == ESCAPE {
-            let &next = input
-                .get(i + 1)
-                .ok_or_else(|| StoreError::Corrupt("dangling key escape".into()))?;
-            match next {
-                // lint:allow(panic-path): get(i + 1) above proves i + 2 <= len
-                TERMINATOR => return Ok((out, &input[i + 2..])),
-                ESCAPED_00 => {
-                    out.push(0x00);
-                    i += 2;
-                }
-                other => {
-                    return Err(StoreError::Corrupt(format!(
-                        "bad key escape byte 0x{other:02x}"
-                    )))
-                }
+        rest = match rest {
+            [ESCAPE, TERMINATOR, tail @ ..] => return Ok((out, tail)),
+            [ESCAPE, ESCAPED_00, tail @ ..] => {
+                out.push(0x00);
+                tail
             }
-        } else {
-            out.push(b);
-            i += 1;
-        }
+            [ESCAPE, other, ..] => {
+                return Err(StoreError::Corrupt(format!(
+                    "bad key escape byte 0x{other:02x}"
+                )))
+            }
+            [ESCAPE] => return Err(StoreError::Corrupt("dangling key escape".into())),
+            [b, tail @ ..] => {
+                out.push(*b);
+                tail
+            }
+            [] => return Err(StoreError::Corrupt("unterminated key string".into())),
+        };
     }
 }
 

@@ -1,7 +1,8 @@
 //! Debug-only runtime verification of the canonical lock order.
 //!
-//! `cargo xtask analyze` proves statically that every `Mutex`/`RwLock`
-//! acquisition respects the declared order (DESIGN.md §8):
+//! `cargo xtask analyze` (`lock-order`) checks statically that every
+//! `Mutex`/`RwLock` acquisition it can resolve respects the declared
+//! order, on every path, including those no test drives (DESIGN.md §8):
 //!
 //! ```text
 //! weights < objects < latch < tail_hint < state < frame-data < wal

@@ -19,6 +19,12 @@
 //!   — slot ids are stable forever (they are half of a [`crate::heap::Rid`]);
 //! * the B+-tree uses [`SlottedPageMut::insert_at`] / [`SlottedPageMut::remove_at`]
 //!   — the slot directory is kept sorted by key, so entries shift.
+//!
+//! A truncating cast or an unchecked index here would corrupt or abort on
+//! a bad page, so clippy denies both in this module; the few vetted sites
+//! carry an `#[allow]` with their reason.
+
+#![deny(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::error::{Result, StoreError};
 
@@ -37,6 +43,18 @@ const DEAD: u16 = u16::MAX;
 
 /// The largest record a single page can store (one slot, empty page).
 pub const MAX_RECORD: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
+
+const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
+
+/// An offset or length inside a page. All of them are at most
+/// [`PAGE_SIZE`], which the assertion above proves fits the u16
+/// slot-directory fields.
+#[inline]
+#[allow(clippy::cast_possible_truncation)]
+fn page_u16(v: usize) -> u16 {
+    debug_assert!(v <= PAGE_SIZE);
+    v as u16
+}
 
 /// Identifier of a page within a page store. Page 0 is the store header and
 /// is never handed out by allocation.
@@ -91,26 +109,26 @@ impl PageType {
 // exactly what a panic is for.
 
 #[inline]
+#[allow(clippy::indexing_slicing)] // fixed header/slot offsets in a PAGE_SIZE buffer
 fn read_u16(data: &[u8], at: usize) -> u16 {
-    // lint:allow(panic-path): fixed header/slot offsets in a PAGE_SIZE buffer
     u16::from_le_bytes([data[at], data[at + 1]])
 }
 
 #[inline]
+#[allow(clippy::indexing_slicing)] // fixed header/slot offsets in a PAGE_SIZE buffer
 fn write_u16(data: &mut [u8], at: usize, v: u16) {
-    // lint:allow(panic-path): fixed header/slot offsets in a PAGE_SIZE buffer
     data[at..at + 2].copy_from_slice(&v.to_le_bytes());
 }
 
 #[inline]
+#[allow(clippy::indexing_slicing)] // fixed header/slot offsets in a PAGE_SIZE buffer
 fn read_u32(data: &[u8], at: usize) -> u32 {
-    // lint:allow(panic-path): fixed header/slot offsets in a PAGE_SIZE buffer
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
 #[inline]
+#[allow(clippy::indexing_slicing)] // fixed header/slot offsets in a PAGE_SIZE buffer
 fn write_u32(data: &mut [u8], at: usize, v: u32) {
-    // lint:allow(panic-path): fixed header/slot offsets in a PAGE_SIZE buffer
     data[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
@@ -126,8 +144,8 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { data }
     }
 
+    #[allow(clippy::indexing_slicing)] // byte 0 of a PAGE_SIZE buffer always exists
     pub fn page_type(&self) -> Result<PageType> {
-        // lint:allow(panic-path): byte 0 of a PAGE_SIZE buffer always exists
         PageType::from_u8(self.data[0])
     }
 
@@ -204,8 +222,8 @@ impl<'a> SlottedPage<'a> {
     /// Returns `StoreError::Corrupt` with the offending slot on failure.
     pub fn check_invariants(&self) -> Result<()> {
         self.page_type()?;
-        let n = self.slot_count() as usize;
-        let dir_end = HEADER_SIZE + SLOT_SIZE * n;
+        let n = self.slot_count();
+        let dir_end = HEADER_SIZE + SLOT_SIZE * n as usize;
         let free_end = self.free_end() as usize;
         if free_end > PAGE_SIZE {
             return Err(StoreError::Corrupt(format!(
@@ -217,8 +235,8 @@ impl<'a> SlottedPage<'a> {
                 "slot directory ({n} slots, ends at {dir_end}) overlaps cell area (free_end {free_end})"
             )));
         }
-        let mut extents: Vec<(usize, usize, u16)> = Vec::with_capacity(n);
-        for i in 0..n as u16 {
+        let mut extents: Vec<(usize, usize, u16)> = Vec::with_capacity(n as usize);
+        for i in 0..n {
             let at = HEADER_SIZE + SLOT_SIZE * i as usize;
             let off = read_u16(self.data, at) as usize;
             if off == DEAD as usize {
@@ -234,8 +252,9 @@ impl<'a> SlottedPage<'a> {
             extents.push((off, off + len, i));
         }
         extents.sort_unstable();
-        for w in extents.windows(2) {
-            let ((_, end_a, slot_a), (start_b, _, slot_b)) = (w[0], w[1]);
+        for (&(_, end_a, slot_a), &(start_b, _, slot_b)) in
+            extents.iter().zip(extents.iter().skip(1))
+        {
             if start_b < end_a {
                 return Err(StoreError::Corrupt(format!(
                     "cells of slots {slot_a} and {slot_b} overlap at offset {start_b}"
@@ -258,13 +277,12 @@ impl<'a> SlottedPageMut<'a> {
     }
 
     /// Format the page as empty with the given type.
+    #[allow(clippy::indexing_slicing)] // HEADER_SIZE is far below PAGE_SIZE
     pub fn init(&mut self, page_type: PageType) {
-        // lint:allow(panic-path): HEADER_SIZE is far below PAGE_SIZE
         self.data[..HEADER_SIZE].fill(0);
-        // lint:allow(panic-path): byte 0 of a PAGE_SIZE buffer always exists
         self.data[0] = page_type as u8;
         write_u16(self.data, 2, 0); // slot_count
-        write_u16(self.data, 6, PAGE_SIZE as u16); // free_end (8192 fits in u16)
+        write_u16(self.data, 6, page_u16(PAGE_SIZE)); // free_end
         write_u32(self.data, 8, PageId::NONE.0);
         write_u32(self.data, 12, 0);
     }
@@ -295,15 +313,15 @@ impl<'a> SlottedPageMut<'a> {
         write_u16(self.data, 6, v);
     }
 
-    /// Write `cell` into the cell area, returning its offset. Caller must
-    /// have verified fit.
-    fn write_cell(&mut self, cell: &[u8]) -> u16 {
+    /// Write `cell` into the cell area and point slot `i` at it. Caller
+    /// must have verified fit.
+    #[allow(clippy::indexing_slicing)] // every caller checks free_space() fit first
+    fn write_cell(&mut self, i: u16, cell: &[u8]) {
         let free_end = self.view().free_end() as usize;
         let off = free_end - cell.len();
-        // lint:allow(panic-path): every caller checks free_space() fit first
         self.data[off..free_end].copy_from_slice(cell);
-        self.set_free_end(off as u16);
-        off as u16
+        self.set_free_end(page_u16(off));
+        self.set_slot(i, page_u16(off), page_u16(cell.len()));
     }
 
     /// Append a cell with a stable slot id (heap discipline).
@@ -327,8 +345,7 @@ impl<'a> SlottedPageMut<'a> {
             self.compact();
         }
         let n = self.view().slot_count();
-        let off = self.write_cell(cell);
-        self.set_slot(n, off, cell.len() as u16);
+        self.write_cell(n, cell);
         self.set_slot_count(n + 1);
         Ok(n)
     }
@@ -361,12 +378,11 @@ impl<'a> SlottedPageMut<'a> {
             }
             self.compact();
         }
-        let off = self.write_cell(cell);
         // Shift directory entries [i, n) one slot right.
         let start = HEADER_SIZE + SLOT_SIZE * i as usize;
         let end = HEADER_SIZE + SLOT_SIZE * n as usize;
         self.data.copy_within(start..end, start + SLOT_SIZE);
-        self.set_slot(i, off, cell.len() as u16);
+        self.write_cell(i, cell);
         self.set_slot_count(n + 1);
         Ok(())
     }
@@ -420,8 +436,7 @@ impl<'a> SlottedPageMut<'a> {
         if self.view().free_space() + SLOT_SIZE < cell.len() {
             self.compact();
         }
-        let new_off = self.write_cell(cell);
-        self.set_slot(i, new_off, cell.len() as u16);
+        self.write_cell(i, cell);
         Ok(())
     }
 
@@ -437,10 +452,9 @@ impl<'a> SlottedPageMut<'a> {
                 live.push((i, cell.to_vec()));
             }
         }
-        self.set_free_end(PAGE_SIZE as u16);
+        self.set_free_end(page_u16(PAGE_SIZE));
         for (i, cell) in live {
-            let off = self.write_cell(&cell);
-            self.set_slot(i, off, cell.len() as u16);
+            self.write_cell(i, &cell);
         }
     }
 }
@@ -508,7 +522,7 @@ mod tests {
         let mut buf = fresh(PageType::Heap);
         let mut p = SlottedPageMut::new(&mut buf);
         let cell = [7u8; 100];
-        let mut count = 0;
+        let mut count = 0u16;
         loop {
             match p.push(&cell) {
                 Ok(_) => count += 1,
@@ -521,7 +535,7 @@ mod tests {
         // Everything still readable.
         let v = p.view();
         for i in 0..count {
-            assert_eq!(v.get(i as u16), Some(&cell[..]));
+            assert_eq!(v.get(i), Some(&cell[..]));
         }
     }
 
@@ -688,7 +702,7 @@ mod tests {
         SlottedPageMut::new(&mut buf).push(b"abc").unwrap();
         // Point slot 0 past the end of the page.
         let at = HEADER_SIZE;
-        buf[at..at + 2].copy_from_slice(&(PAGE_SIZE as u16 - 1).to_le_bytes());
+        buf[at..at + 2].copy_from_slice(&(page_u16(PAGE_SIZE) - 1).to_le_bytes());
         let err = SlottedPage::new(&buf).check_invariants().unwrap_err();
         assert!(err.to_string().contains("outside cell area"), "{err}");
     }

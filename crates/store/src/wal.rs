@@ -41,6 +41,16 @@ const RECORD_COMMIT: u8 = 2;
 /// Header: tag(1) + page_id(4) + checksum(8).
 const HEADER_LEN: u64 = 13;
 
+/// `(tag, page id, checksum)` of a record header.
+fn decode_header(header: [u8; HEADER_LEN as usize]) -> (u8, u32, u64) {
+    let [tag, p0, p1, p2, p3, sum @ ..] = header;
+    (
+        tag,
+        u32::from_le_bytes([p0, p1, p2, p3]),
+        u64::from_le_bytes(sum),
+    )
+}
+
 /// CRC-less checksum: the seeded FNV/SplitMix hash used across the project.
 /// Detects torn records; adversarial corruption is out of scope.
 fn checksum(page_id: u32, payload: &[u8]) -> u64 {
@@ -86,7 +96,6 @@ pub struct WalPager {
     page_count: AtomicU32,
     /// Cumulative bytes ever appended to the WAL (records + commits); never
     /// reset by checkpoints, unlike [`WalPager::wal_len`].
-    // lint:allow(relaxed-atomic): monotonic IO counter; reads need no ordering
     bytes_appended: AtomicU64,
 }
 
@@ -164,18 +173,12 @@ impl WalPager {
                 )));
             }
             wal.file.read_exact_at(&mut header, offset)?;
-            if header[0] != RECORD_PAGE {
+            let (tag, page_id, sum) = decode_header(header);
+            if tag != RECORD_PAGE {
                 return Err(StoreError::Corrupt(format!(
-                    "wal record at offset {offset} has tag {} (expected page record {RECORD_PAGE})",
-                    header[0]
+                    "wal record at offset {offset} has tag {tag} (expected page record {RECORD_PAGE})"
                 )));
             }
-            let page_id = u32::from_le_bytes(
-                header[1..5].try_into().expect("4-byte slice"), // lint:allow(expect): slice length is fixed
-            );
-            let sum = u64::from_le_bytes(
-                header[5..13].try_into().expect("8-byte slice"), // lint:allow(expect): slice length is fixed
-            );
             if page_id >= self.page_count.load(Ordering::Acquire) {
                 return Err(StoreError::Corrupt(format!(
                     "wal record at offset {offset} references unallocated page {page_id}"
@@ -224,7 +227,7 @@ impl WalPager {
                 break; // torn tail
             }
             wal.read_exact_at(&mut header, offset)?;
-            let tag = header[0];
+            let (tag, page_id, sum) = decode_header(header);
             match tag {
                 RECORD_COMMIT => {
                     committed.extend(pending.drain());
@@ -234,9 +237,6 @@ impl WalPager {
                     if offset + HEADER_LEN + PAGE_SIZE as u64 > wal_size {
                         break; // torn page record
                     }
-                    // lint:allow(unwrap): slice lengths are fixed
-                    let page_id = u32::from_le_bytes(header[1..5].try_into().unwrap());
-                    let sum = u64::from_le_bytes(header[5..13].try_into().unwrap()); // lint:allow(unwrap): fixed-size slice
                     let mut payload = vec![0u8; PAGE_SIZE];
                     wal.read_exact_at(&mut payload, offset + HEADER_LEN)?;
                     if checksum(page_id, &payload) != sum {

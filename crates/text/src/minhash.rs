@@ -78,14 +78,12 @@ impl MinHasher {
         if grams.is_empty() {
             return vec![token.to_string()];
         }
+        // `grams` is non-empty, so every seed has an argmin.
         self.seeds
             .iter()
             .map(|&seed| {
-                grams
-                    .iter()
-                    .min_by_key(|g| hash_str(seed, g))
-                    .expect("non-empty gram set") // lint:allow(expect): emptiness returned early above
-                    .clone()
+                let argmin = grams.iter().min_by_key(|g| hash_str(seed, g));
+                argmin.cloned().unwrap_or_default()
             })
             .collect()
     }

@@ -107,7 +107,6 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
                         "`{field}.{t}(… Relaxed …)` on a flag atomic — publication \
                          needs Release on the store side and Acquire on the load side"
                     ),
-                    anchor: file.src_line(line).trim().to_string(),
                 });
             }
         }

@@ -81,7 +81,6 @@ fn scan_fn(file: &FileIndex, f: &super::items::Function, cfg: &Config, out: &mut
                              worker/acceptor critical sections must stay O(instructions)",
                             a.source
                         ),
-                        anchor: file.src_line(line).trim().to_string(),
                     });
                 }
             }

@@ -39,7 +39,6 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
                      the hasher seed, so scores stop being reproducible — use BTreeMap \
                      or a sorted Vec"
                 ),
-                anchor: file.src_line(line).trim().to_string(),
             });
         }
     }

@@ -18,7 +18,7 @@
 //!    (`let h = self.field.clone_handle()` / `let h = self.replicate()`)
 //!    resolves on the aliased receiver's type — the shared-handle
 //!    boundary introduced by the concurrent read path must not dead-end
-//!    the lock-order and panic-path propagation;
+//!    the lock-order propagation;
 //! 5. bare `m(…)` resolves to free functions, same file preferred;
 //! 6. `expr.m(…)` on an unknown receiver resolves by bare name — but only
 //!    when the name is unambiguous: names on the deny list of ubiquitous
@@ -342,35 +342,5 @@ impl CallGraph {
                 return facts;
             }
         }
-    }
-
-    /// Shortest call chain (as function ids) from `from` to any function
-    /// satisfying `target`, following resolved edges. Returns the chain
-    /// including both endpoints, or `None`.
-    pub fn chain_to(&self, from: FnId, target: impl Fn(FnId) -> bool) -> Option<Vec<FnId>> {
-        use std::collections::VecDeque;
-        let mut prev: HashMap<FnId, FnId> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        prev.insert(from, from);
-        while let Some(cur) = queue.pop_front() {
-            if target(cur) {
-                let mut chain = vec![cur];
-                let mut at = cur;
-                while at != from {
-                    at = prev[&at];
-                    chain.push(at);
-                }
-                chain.reverse();
-                return Some(chain);
-            }
-            for (next, _) in self.callees.get(&cur).into_iter().flatten() {
-                if !prev.contains_key(next) {
-                    prev.insert(*next, cur);
-                    queue.push_back(*next);
-                }
-            }
-        }
-        None
     }
 }

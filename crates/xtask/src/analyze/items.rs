@@ -3,7 +3,7 @@
 //! [`FileIndex`] turns one lexed file into the facts the flow rules need:
 //!
 //! * **functions** — name, `impl` context (so `Pager::write_page` and
-//!   `BTree::get` are distinct), visibility, body span, whether the
+//!   `BTree::get` are distinct), body span, whether the
 //!   function lives under `#[cfg(test)]` or `#[test]`;
 //! * **struct field types** — `pool: Arc<BufferPool>` records
 //!   `(Struct, pool) → BufferPool` after stripping smart-pointer/lock
@@ -70,12 +70,9 @@ pub struct Function {
     pub impl_type: Option<String>,
     /// The trait being implemented, for `impl Trait for Type` blocks.
     pub trait_name: Option<String>,
-    pub is_pub: bool,
     /// Under `#[cfg(test)]` or carrying `#[test]`.
     pub is_test: bool,
     pub line: u32,
-    /// The signature line's trimmed text (fingerprint anchor).
-    pub sig_text: String,
     /// Body span as a range of significant-token indices (excl. braces).
     pub body: Range<usize>,
     pub calls: Vec<Call>,
@@ -394,7 +391,6 @@ impl FileIndex {
         if !is_ident(&name) {
             return None;
         }
-        let is_pub = self.pub_before(i);
         let line = self.sig_line(i);
         // Scan forward for the body `{` or a trailing `;` (trait decl).
         let mut j = i + 2;
@@ -425,29 +421,11 @@ impl FileIndex {
             qual,
             impl_type,
             trait_name,
-            is_pub,
             is_test,
             line,
-            sig_text: self.src_line(line).trim().to_string(),
             body: body_open + 1..body_close,
             calls: Vec::new(),
         })
-    }
-
-    /// Is the `fn` at `i` preceded by `pub` within its item prefix?
-    fn pub_before(&self, i: usize) -> bool {
-        let mut j = i;
-        let mut budget = 12usize;
-        while j > 0 && budget > 0 {
-            j -= 1;
-            budget -= 1;
-            match self.sig_text(j) {
-                "pub" => return true,
-                ";" | "{" | "}" => return false,
-                _ => {}
-            }
-        }
-        false
     }
 
     // ---------------------------------------------------------------- calls

@@ -21,13 +21,12 @@
 //! lock *is* the IO serializer by design) are skipped wholesale. Justify
 //! an individual site with `// lint:allow(lock-across-io): <why>`.
 
-use super::graph::CallGraph;
 use super::items::FileIndex;
 use super::{Config, Finding};
 
 pub const RULE: &str = "lock-across-io";
 
-pub fn check(files: &[FileIndex], _graph: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
+pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
     let mut findings: Vec<Finding> = Vec::new();
     for file in files {
         if cfg.lockio_exempt_files.contains(&file.path) {
@@ -108,7 +107,6 @@ fn scan_fn(
                              serializes every waiter behind the IO",
                             cfg.lock_order[a.class].name
                         ),
-                        anchor: file.src_line(line).trim().to_string(),
                     });
                 }
             }

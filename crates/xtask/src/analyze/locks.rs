@@ -153,7 +153,6 @@ pub fn check(files: &[FileIndex], graph: &CallGraph, cfg: &Config, out: &mut Vec
                     cfg.lock_order[inner].name,
                     order_string(cfg),
                 ),
-                anchor: caller_file.src_line(line).trim().to_string(),
             });
         }
     }
@@ -189,7 +188,6 @@ fn direct_finding(
         path: file.path.clone(),
         line,
         message,
-        anchor: file.src_line(line).trim().to_string(),
     }
 }
 

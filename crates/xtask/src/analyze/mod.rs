@@ -1,17 +1,15 @@
 //! `cargo xtask analyze` — flow-aware static analysis over a real lexer.
 //!
-//! Where `xtask lint` judges single lines, `analyze` reasons about *paths*:
-//! it lexes every library source file ([`lexer`]), extracts functions,
-//! struct field types, and call sites ([`items`]), resolves calls into a
-//! workspace call graph ([`graph`]), and runs the project-specific flow
-//! rules on top:
+//! Where clippy and `xtask lint` judge lines and manifests, `analyze`
+//! reasons about *paths*: it lexes every library source file ([`lexer`]),
+//! extracts functions, struct field types, and call sites ([`items`]),
+//! resolves calls into a workspace call graph ([`graph`]), and runs the
+//! project-specific flow rules on top:
 //!
 //! * [`locks`] — `lock-order`: lock acquisitions must respect the declared
 //!   canonical order, including through calls (`may-hold-while-acquiring`);
 //! * [`walwrite`] — `wal-write`: page writes are confined to the WAL-aware
 //!   layer, and the checkpoint syncs the WAL before touching the main file;
-//! * [`panics`] — `panic-path`: a plain-`pub` fn must not transitively
-//!   reach `panic!`/`unwrap`/`expect`/codec indexing;
 //! * [`floatdet`] — `float-det`: no hash-order float accumulation in the
 //!   similarity kernels;
 //! * [`lockio`] — `lock-across-io`: no lock-class guard live across a
@@ -22,13 +20,11 @@
 //!   layer while the queue or connection-registry lock is held.
 //!
 //! `analyze --explain <rule>` prints each rule's rationale and fix
-//! guidance.
-//!
-//! Known findings are frozen per content fingerprint in
-//! `xtask-analyze.baseline` (see [`crate::baseline`]); `--rebaseline`
-//! regenerates it, `--json` emits machine-readable findings. Every rule is
-//! proven live by seeded-violation fixtures under
-//! `crates/xtask/tests/fixtures/` (see DESIGN.md §8).
+//! guidance. There is no baseline: a finding fails the gate, and a vetted
+//! site carries `// lint:allow(<rule>): <why>`. Every rule is proven live
+//! by seeded-violation fixtures under `crates/xtask/tests/fixtures/` (see
+//! DESIGN.md §8, which also says what each rule owns that rustc, clippy,
+//! `HeldRank` or a test does not).
 
 pub mod atomics;
 pub mod blocking;
@@ -38,15 +34,12 @@ pub mod items;
 pub mod lexer;
 pub mod lockio;
 pub mod locks;
-pub mod panics;
 pub mod walwrite;
 
 use std::fs;
 
 use graph::CallGraph;
 use items::FileIndex;
-
-pub const BASELINE_FILE: &str = "xtask-analyze.baseline";
 
 /// One lock class: a named `Mutex`/`RwLock` field, identified by the file
 /// that declares it. `Config::lock_order` lists these outermost-first.
@@ -73,8 +66,6 @@ pub struct Config {
     pub wal_main_field: String,
     /// The call that makes the WAL durable (`sync_data`).
     pub wal_sync_call: String,
-    /// Codec files where slice indexing is a panic fact.
-    pub codec_files: Vec<String>,
     /// Path prefixes of the float kernels banned from hash containers.
     pub float_det_dirs: Vec<String>,
     /// Method names that perform device IO (`lock-across-io`).
@@ -95,15 +86,13 @@ pub struct Config {
     pub blocking_calls: Vec<String>,
 }
 
-/// One rule finding. `anchor` is the content the baseline fingerprints —
-/// the offending source line, fn signature, or a synthetic stable string.
+/// One rule finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub rule: &'static str,
     pub path: String,
     pub line: u32,
     pub message: String,
-    pub anchor: String,
 }
 
 /// The real workspace's configuration, including the canonical lock order
@@ -138,10 +127,6 @@ pub fn project_config() -> Config {
         wal_checkpoint_file: "crates/store/src/wal.rs".to_string(),
         wal_main_field: "main".to_string(),
         wal_sync_call: "sync_data".to_string(),
-        codec_files: vec![
-            "crates/store/src/keycode.rs".to_string(),
-            "crates/store/src/page.rs".to_string(),
-        ],
         float_det_dirs: vec!["crates/core/src/sim".to_string()],
         io_methods: [
             "read_page",
@@ -191,9 +176,8 @@ pub fn analyze_sources(sources: Vec<(String, String)>, cfg: &Config) -> Vec<Find
     let mut out = Vec::new();
     locks::check(&files, &graph, cfg, &mut out);
     walwrite::check(&files, cfg, &mut out);
-    panics::check(&files, &graph, cfg, &mut out);
     floatdet::check(&files, cfg, &mut out);
-    lockio::check(&files, &graph, cfg, &mut out);
+    lockio::check(&files, cfg, &mut out);
     atomics::check(&files, cfg, &mut out);
     blocking::check(&files, cfg, &mut out);
     out.sort_by(|a, b| {
@@ -217,109 +201,18 @@ fn workspace_sources(cfg: &Config) -> Vec<(String, String)> {
     sources
 }
 
-pub fn run(args: &[String]) -> i32 {
-    let json = args.iter().any(|a| a == "--json");
-    let rebaseline = args.iter().any(|a| a == "--rebaseline");
-    if let Some(pos) = args.iter().position(|a| a == "--explain") {
-        return match args.get(pos + 1) {
-            Some(rule) => explain(rule),
-            None => {
-                eprintln!("analyze: --explain needs a rule name");
-                explain_list();
-                2
-            }
-        };
-    }
-    let root = crate::workspace_root();
+pub fn run() -> i32 {
     let cfg = project_config();
     let findings = analyze_sources(workspace_sources(&cfg), &cfg);
-    let fps = crate::baseline::assign(&findings, |f| {
-        (f.rule.to_string(), f.path.clone(), f.anchor.clone())
-    });
-    let baseline_path = root.join(BASELINE_FILE);
-
-    if rebaseline {
-        let entries: Vec<(String, u64, String, String)> = findings
-            .iter()
-            .zip(&fps)
-            .map(|(f, &fp)| (f.rule.to_string(), fp, f.path.clone(), f.anchor.clone()))
-            .collect();
-        if let Err(e) = crate::baseline::write(&baseline_path, "analyze", &entries) {
-            eprintln!("analyze: cannot write {BASELINE_FILE}: {e}");
-            return 1;
-        }
-        println!(
-            "analyze: baseline rewritten with {} findings",
-            entries.len()
-        );
+    if findings.is_empty() {
+        println!("analyze: ok");
         return 0;
     }
-
-    let base = crate::baseline::load(&baseline_path);
-    if base.legacy {
-        eprintln!(
-            "analyze: {BASELINE_FILE} is in the legacy count format; run \
-             `cargo xtask analyze --rebaseline` once to migrate"
-        );
-        return 1;
+    for f in &findings {
+        eprintln!("  {}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
     }
-    let new: Vec<(&Finding, u64)> = findings
-        .iter()
-        .zip(fps.iter().copied())
-        .filter(|(_, fp)| !base.contains(*fp))
-        .collect();
-    let matched = fps.iter().filter(|fp| base.contains(**fp)).count();
-    let current: std::collections::HashSet<u64> = fps.iter().copied().collect();
-    let stale = base
-        .entries
-        .iter()
-        .filter(|fp| !current.contains(fp))
-        .count();
-
-    if json {
-        println!("{}", to_json(&findings, &fps, &base));
-    } else {
-        for (f, _) in &new {
-            eprintln!("  {}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
-        }
-        if stale > 0 {
-            println!(
-                "analyze: note: {stale} baselined findings no longer occur; run \
-                 `cargo xtask analyze --rebaseline` to lock in the progress"
-            );
-        }
-    }
-    if new.is_empty() {
-        if !json {
-            println!("analyze: ok ({matched} baselined findings, 0 new)");
-        }
-        0
-    } else {
-        eprintln!("analyze: FAILED ({} new findings)", new.len());
-        1
-    }
-}
-
-/// Render findings as a JSON array (std-only, hence by hand).
-fn to_json(findings: &[Finding], fps: &[u64], base: &crate::baseline::Baseline) -> String {
-    let mut out = String::from("[");
-    for (i, (f, &fp)) in findings.iter().zip(fps).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":{},\"path\":{},\"line\":{},\"fingerprint\":\"{fp:016x}\",\
-             \"baselined\":{},\"message\":{},\"anchor\":{}}}",
-            json_str(f.rule),
-            json_str(&f.path),
-            f.line,
-            base.contains(fp),
-            json_str(&f.message),
-            json_str(&f.anchor),
-        ));
-    }
-    out.push_str("\n]");
-    out
+    eprintln!("analyze: FAILED ({} findings)", findings.len());
+    1
 }
 
 /// Rationale and fix guidance for `analyze --explain <rule>`. One entry
@@ -346,16 +239,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "Route page writes through the buffer pool / WAL pager. In the \
          checkpoint, emit and fsync the COMMIT record before any \
          `main.write_page`.",
-    ),
-    (
-        "panic-path",
-        "A plain-`pub` fn must not transitively reach `panic!`/`unwrap`/\
-         `expect`/codec slice-indexing: library callers get aborts instead of \
-         errors, and a poisoned panic in the store can take the whole server \
-         down.",
-        "Return `Result` and propagate with `?`; replace indexing with `get`. \
-         For invariants that genuinely cannot fail, justify the site with \
-         `// lint:allow(panic-path): <why>` at the pub fn's signature.",
     ),
     (
         "float-det",
@@ -399,7 +282,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ),
 ];
 
-fn explain(rule: &str) -> i32 {
+/// `analyze --explain <rule>`.
+pub fn explain(rule: &str) -> i32 {
     match RULES.iter().find(|(name, _, _)| *name == rule) {
         Some((name, why, fix)) => {
             println!("{name}");
@@ -437,23 +321,5 @@ fn rewrap(text: &str) -> String {
         out.push_str(word);
         col += word.len();
     }
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }

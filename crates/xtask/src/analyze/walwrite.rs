@@ -58,7 +58,6 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
                              be bypassed",
                             cfg.wal_allowed_files.join(", ")
                         ),
-                        anchor: file.src_line(line).trim().to_string(),
                     });
                 }
                 if checkpoint_file
@@ -81,7 +80,6 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
                              durable; a crash mid-checkpoint would lose committed data",
                             f.qual, cfg.wal_main_field, cfg.wal_sync_call
                         ),
-                        anchor: file.src_line(line).trim().to_string(),
                     });
                 }
             }

@@ -3,11 +3,12 @@
 //! Runs the `bench_gate` binary (`crates/bench/src/bin/bench_gate.rs`) in
 //! release mode, which writes its report to `target/bench_gate.json`, then:
 //!
-//! 1. checks the structured-tracing overhead on `lookup_batch`
-//!    (enabled vs runtime-disabled, same binary) is under 5%, and the
-//!    server-telemetry overhead (sampler at 25 ms windows vs off) is
-//!    under 5% as well — both are paired-interleaved ratios, so host
-//!    noise hits both sides of a pair;
+//! 1. checks the server-telemetry overhead (sampler at 25 ms windows vs
+//!    off) is under 5% — a paired-interleaved ratio, so host noise hits
+//!    both sides of a pair. (The tracing overhead is not gated here: a
+//!    5k-tuple ratio's noise is wider than any useful limit, so
+//!    `bench.trace_overhead_pct` at 10^5 under `benchmark compare` owns
+//!    it);
 //! 2. checks the LSH candidate tier (`lsh` section): top-1 agreement
 //!    with the exact ETI must stay at or above 0.95 and the banding index
 //!    must fetch fewer candidates per input than the ETI — the
@@ -92,29 +93,8 @@ pub fn run(args: &[String]) -> i32 {
         }
     };
 
-    let mut failures = 0usize;
-
-    // 1. Tracing overhead gate.
-    match report
-        .get("overhead")
-        .and_then(|o| o.get("overhead_pct"))
-        .and_then(Json::as_f64)
-    {
-        Some(pct) if pct <= MAX_OVERHEAD_PCT => {
-            println!("bench: tracing overhead {pct:.2}% (limit {MAX_OVERHEAD_PCT}%)");
-        }
-        Some(pct) => {
-            eprintln!("bench: FAIL tracing overhead {pct:.2}% exceeds {MAX_OVERHEAD_PCT}%");
-            failures += 1;
-        }
-        None => {
-            eprintln!("bench: FAIL report has no overhead.overhead_pct");
-            failures += 1;
-        }
-    }
-
-    // 1b. Server-telemetry overhead gate (same limit as tracing).
-    failures += telemetry_gate(&report);
+    // 1. Server-telemetry overhead gate.
+    let mut failures = telemetry_gate(&report);
 
     // 2. LSH candidate-tier accuracy/efficiency gate.
     failures += lsh_gate(&report);

@@ -58,12 +58,12 @@ pub fn run() -> i32 {
     }
 
     println!("ci: lint");
-    let code = crate::lint::run(false);
+    let code = crate::lint::run();
     if code != 0 {
         return code;
     }
     println!("ci: analyze");
-    let code = crate::analyze::run(&[]);
+    let code = crate::analyze::run();
     if code != 0 {
         return code;
     }

@@ -3,28 +3,28 @@
 //!
 //! Commands (dispatched by the `xtask` binary):
 //!
-//! * [`lint`] — structural lints: crate layering direction, panic/print
-//!   hygiene in library code, truncating casts in the storage codecs,
-//!   `#[must_use]` on boolean predicates, unused dependencies.
+//! * [`lint`] — the two structural lints clippy cannot express: crate
+//!   layering direction and `#[must_use]` on boolean predicates. Panic,
+//!   print and cast hygiene and unused dependencies are denied at the
+//!   library crate roots, so `clippy -D warnings` owns them.
 //! * [`analyze`] — flow-aware rules over a hand-rolled Rust lexer and call
-//!   graph: lock ordering, lock-across-IO, WAL-before-write, transitive
-//!   panic reachability, float determinism, flag-atomic ordering, and
-//!   blocking under the serving layer's locks.
+//!   graph: lock ordering, lock-across-IO, WAL-before-write, float
+//!   determinism, flag-atomic ordering, and blocking under the serving
+//!   layer's locks.
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
 //! * [`bench`] — the performance gate: runs the fig6/fig8/fig9
-//!   micro-harness (`bench_gate`), checks tracing and telemetry overhead
-//!   and LSH recall, and fails on >20% drift of deterministic counters vs
+//!   micro-harness (`bench_gate`), checks telemetry overhead and LSH
+//!   recall, and fails on >20% drift of deterministic counters vs
 //!   `BENCH_baseline.json`.
 //! * [`ci`] — the pre-PR gate: fmt, clippy, lint, analyze, the line
 //!   budget, deepcheck, a traced-lookup → Chrome-export smoke test, an
 //!   `fm-server` round-trip/overload/drain smoke test, and the tests.
 //!
-//! Known debt for `lint` and `analyze` is frozen in content-fingerprinted
-//! [`baseline`] files at the workspace root.
+//! `lint` and `analyze` keep no baseline: every finding fails, and a
+//! vetted site carries `// lint:allow(<rule>): <why>`.
 
 pub mod analyze;
-pub mod baseline;
 pub mod bench;
 pub mod ci;
 pub mod deepcheck;

@@ -1,5 +1,8 @@
-//! The workspace lint engine: rules the compiler and clippy cannot express
-//! because they encode *this* project's architecture.
+//! The workspace lint engine: the two rules neither rustc nor clippy can
+//! express, because they encode *this* project's architecture. Everything
+//! else a line lint used to check (panics, prints, truncating casts in the
+//! storage codecs, unused dependencies) is denied at the library crate
+//! roots and owned by clippy and rustc (DESIGN.md §8).
 //!
 //! ## Rules
 //!
@@ -7,45 +10,22 @@
 //! `fm-text` and `fm-store` are leaves (no `fm-*` dependencies), `fm-core`
 //! may use only `fm-text` + `fm-store`, `fm-datagen` only `fm-core` +
 //! `fm-text`; binaries, benches, examples, and integration tests are
-//! unrestricted. Enforced both on `Cargo.toml` declarations and on `use`
-//! paths in source, so a path dependency can't sneak in through a re-export.
+//! unrestricted. Checked on the `Cargo.toml` declarations: a `use fm_x`
+//! without the manifest dependency does not compile.
 //!
-//! **Line lints** (library crates only, test modules excluded), matched on
-//! the token stream from [`crate::analyze::lexer`] — an `.unwrap()` inside
-//! a string literal or doc comment is not a finding:
-//! * `unwrap`, `expect`, `panic` — library code must propagate errors;
-//! * `print`, `dbg` — library code must not write to stdout/stderr;
-//! * `as-truncation` — the storage codecs (`fm-store::keycode`,
-//!   `fm-store::page`) must not use truncating `as` casts, where a silent
-//!   wrap corrupts pages;
-//! * `must-use-bool` — `pub fn … -> bool` predicates need `#[must_use]`
-//!   (`Result` returns are already `#[must_use]` via rustc; re-tagging them
-//!   would trip `clippy::double_must_use`, so the boolean rule is the
-//!   useful remainder — see DESIGN.md);
-//! * `relaxed-atomic` — `fm-core::metrics`, `fm-core::tracing`, and
-//!   `fm-core::telemetry` are the fm-core modules allowed
-//!   `Ordering::Relaxed` (independent monotonic counters, the flight
-//!   recorder's single-writer slot claim, and the time-series ring that
-//!   copies the recorder's idiom);
-//!   elsewhere in fm-core a relaxed atomic needs a per-line justification,
-//!   because "it's just a counter" is exactly how ordering bugs start.
+//! **`must-use-bool`**: `pub fn … -> bool` predicates in the library crates
+//! need `#[must_use]` (`Result` returns are already `#[must_use]` via rustc;
+//! re-tagging them would trip `clippy::double_must_use`, so the boolean
+//! rule is the useful remainder — see DESIGN.md). Test modules are exempt.
+//! A line carrying `// lint:allow(must-use-bool): <why>` — on the
+//! signature or the line above — is exempt.
 //!
-//! A line carrying `// lint:allow(<rule>[, <rule>…]): <why>` — on the
-//! offending line or the line above — is exempt from the listed rules.
-//! Pre-existing debt is frozen per content fingerprint in
-//! `xtask-lint.baseline` (see [`crate::baseline`]); `--rebaseline`
-//! regenerates it, and is the one-shot migration from the old
-//! `(rule, file, count)` format.
-//!
-//! **Unused dependencies** (`unused-dep`): every dependency declared in a
-//! member manifest must be referenced from that package's sources.
+//! There is no baseline: a finding fails the gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::analyze::items::FileIndex;
-
-/// Crates whose `src/` is held to library hygiene (no panics, no prints).
+/// Crates whose `src/` is held to library hygiene.
 const LIB_CRATES: &[&str] = &["fm-text", "fm-store", "fm-core", "fm-datagen", "fm-server"];
 
 /// Allowed `fm-*` dependencies per crate. Crates absent from this table
@@ -57,8 +37,8 @@ const LAYERS: &[(&str, &[&str])] = &[
     ("fm-core", &["fm-text", "fm-store"]),
     ("fm-datagen", &["fm-core", "fm-text"]),
     // The serving layer sits on top of the matcher; nothing below it may
-    // ever reach back up (fm-server is in FM_CRATES, so every other
-    // layered crate rejects it as a dependency or source reference).
+    // ever reach back up (fm-server is in LIB_CRATES, so every other
+    // layered crate rejects it as a dependency).
     ("fm-server", &["fm-core", "fm-store"]),
     // The offline stand-ins shadow external crates; they must never reach
     // back into the workspace.
@@ -68,23 +48,6 @@ const LAYERS: &[(&str, &[&str])] = &[
     ("parking_lot", &[]),
 ];
 
-const FM_CRATES: &[&str] = &["fm-text", "fm-store", "fm-core", "fm-datagen", "fm-server"];
-
-/// Files where truncating `as` casts are corruption hazards.
-const AS_CAST_FILES: &[&str] = &["crates/store/src/keycode.rs", "crates/store/src/page.rs"];
-
-/// The fm-core modules allowed `Ordering::Relaxed` without justification:
-/// the metrics registry (independent monotonic counters) and the tracing
-/// flight recorder (single-writer slot claim; see the module docs for the
-/// publication protocol).
-const RELAXED_ATOMIC_HOMES: &[&str] = &[
-    "crates/core/src/metrics.rs",
-    "crates/core/src/tracing.rs",
-    "crates/core/src/telemetry.rs",
-];
-
-const BASELINE_FILE: &str = "xtask-lint.baseline";
-
 struct Package {
     name: String,
     dir: PathBuf,
@@ -92,95 +55,47 @@ struct Package {
     deps: Vec<String>,
 }
 
+/// One finding: `rule` at `path:line` (line 0 for a manifest).
 #[derive(Debug)]
-struct Violation {
-    rule: &'static str,
-    /// Workspace-relative path.
-    path: String,
-    line: usize,
-    message: String,
-    /// Content the baseline fingerprints (offending line, or the message
-    /// for file-level findings).
-    anchor: String,
+pub struct Violation {
+    pub rule: &'static str,
+    /// Path relative to the linted root.
+    pub path: String,
+    pub line: usize,
+    pub message: String,
 }
 
-pub fn run(update_baseline: bool) -> i32 {
-    let root = crate::workspace_root();
-    let packages = match load_packages(&root) {
-        Ok(p) => p,
+pub fn run() -> i32 {
+    match findings(&crate::workspace_root()) {
+        Ok(violations) if violations.is_empty() => {
+            println!("lint: ok");
+            0
+        }
+        Ok(violations) => {
+            for v in &violations {
+                eprintln!("  {}:{}: [{}] {}", v.path, v.line, v.rule, v.message);
+            }
+            eprintln!("lint: FAILED ({} findings)", violations.len());
+            1
+        }
         Err(e) => {
             eprintln!("lint: cannot read workspace manifests: {e}");
-            return 1;
+            1
         }
-    };
+    }
+}
 
+/// Every rule's findings for the workspace at `root` (its member packages
+/// under `crates/`, `vendor/`, `tests/` and `examples/`), sorted.
+pub fn findings(root: &Path) -> std::io::Result<Vec<Violation>> {
+    let packages = load_packages(root)?;
     let mut violations = Vec::new();
-    check_layering(&root, &packages, &mut violations);
-    check_lines(&root, &packages, &mut violations);
-    check_unused_deps(&root, &packages, &mut violations);
+    check_layering(root, &packages, &mut violations);
+    check_must_use(root, &packages, &mut violations);
     violations.sort_by(|a, b| {
         (a.rule, &a.path, a.line, &a.message).cmp(&(b.rule, &b.path, b.line, &b.message))
     });
-
-    let fps = crate::baseline::assign(&violations, |v| {
-        (v.rule.to_string(), v.path.clone(), v.anchor.clone())
-    });
-    let baseline_path = root.join(BASELINE_FILE);
-
-    if update_baseline {
-        let entries: Vec<(String, u64, String, String)> = violations
-            .iter()
-            .zip(&fps)
-            .map(|(v, &fp)| (v.rule.to_string(), fp, v.path.clone(), v.anchor.clone()))
-            .collect();
-        if let Err(e) = crate::baseline::write(&baseline_path, "lint", &entries) {
-            eprintln!("lint: cannot write {BASELINE_FILE}: {e}");
-            return 1;
-        }
-        println!("lint: baseline rewritten with {} findings", entries.len());
-        return 0;
-    }
-
-    let base = crate::baseline::load(&baseline_path);
-    if base.legacy {
-        eprintln!(
-            "lint: {BASELINE_FILE} is in the legacy (rule, file, count) format; \
-             run `cargo xtask lint --rebaseline` once to migrate to content \
-             fingerprints"
-        );
-        return 1;
-    }
-
-    let mut failed = false;
-    for (v, &fp) in violations.iter().zip(&fps) {
-        if !base.contains(fp) {
-            failed = true;
-            eprintln!("  {}:{}: [{}] {}", v.path, v.line, v.rule, v.message);
-        }
-    }
-    let current: std::collections::HashSet<u64> = fps.iter().copied().collect();
-    let stale = base
-        .entries
-        .iter()
-        .filter(|fp| !current.contains(fp))
-        .count();
-    if stale > 0 {
-        println!(
-            "lint: note: {stale} baselined findings no longer occur; run \
-             `cargo xtask lint --rebaseline` to lock in the progress"
-        );
-    }
-    if failed {
-        eprintln!("lint: FAILED");
-        1
-    } else {
-        println!(
-            "lint: ok ({} packages, {} baselined findings)",
-            packages.len(),
-            base.entries.len()
-        );
-        0
-    }
+    Ok(violations)
 }
 
 // ---------------------------------------------------------------- manifests
@@ -251,64 +166,30 @@ fn parse_manifest(dir: &Path) -> std::io::Result<Package> {
 
 // ----------------------------------------------------------------- layering
 
-fn allowed_fm_deps(name: &str) -> Option<&'static [&'static str]> {
-    LAYERS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, allowed)| *allowed)
-}
-
 fn check_layering(root: &Path, packages: &[Package], out: &mut Vec<Violation>) {
     for pkg in packages {
-        let Some(allowed) = allowed_fm_deps(&pkg.name) else {
+        let Some(&(_, allowed)) = LAYERS.iter().find(|(n, _)| *n == pkg.name) else {
             continue; // unrestricted layer
         };
-        let manifest = rel(root, &pkg.dir.join("Cargo.toml"));
         for dep in &pkg.deps {
-            if FM_CRATES.contains(&dep.as_str()) && !allowed.contains(&dep.as_str()) {
-                let message = format!(
-                    "{} must not depend on {dep} (allowed fm-* deps: {:?})",
-                    pkg.name, allowed
-                );
+            if LIB_CRATES.contains(&dep.as_str()) && !allowed.contains(&dep.as_str()) {
                 out.push(Violation {
                     rule: "layering",
-                    path: manifest.clone(),
+                    path: rel(root, &pkg.dir.join("Cargo.toml")),
                     line: 0,
-                    anchor: message.clone(),
-                    message,
+                    message: format!(
+                        "{} must not depend on {dep} (allowed fm-* deps: {:?})",
+                        pkg.name, allowed
+                    ),
                 });
-            }
-        }
-        // Source-level check: a `use fm_x::...` path without the manifest
-        // dependency cannot compile, but catching it here gives the layering
-        // error instead of a confusing resolution failure — and guards
-        // against future re-export laundering.
-        for file in rs_files(&pkg.dir) {
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            for (lineno, line) in text.lines().enumerate() {
-                let code = strip_comment(line);
-                for fm in FM_CRATES {
-                    let ident = fm.replace('-', "_");
-                    if *fm != pkg.name && !allowed.contains(fm) && code.contains(&ident) {
-                        out.push(Violation {
-                            rule: "layering",
-                            path: rel(root, &file),
-                            line: lineno + 1,
-                            message: format!("{} must not reference {fm}", pkg.name),
-                            anchor: line.trim().to_string(),
-                        });
-                    }
-                }
             }
         }
     }
 }
 
-// --------------------------------------------------------------- line lints
+// ------------------------------------------------------------ must-use-bool
 
-fn check_lines(root: &Path, packages: &[Package], out: &mut Vec<Violation>) {
+fn check_must_use(root: &Path, packages: &[Package], out: &mut Vec<Violation>) {
     for pkg in packages {
         if !LIB_CRATES.contains(&pkg.name.as_str()) {
             continue;
@@ -318,129 +199,15 @@ fn check_lines(root: &Path, packages: &[Package], out: &mut Vec<Violation>) {
                 continue;
             };
             let path = rel(root, &file);
-            lint_file(&pkg.name, path, text, out);
-        }
-    }
-}
-
-/// Run every line lint over one source file, as it would be linted when it
-/// lives at `path` inside package `pkg_name`.
-fn lint_file(pkg_name: &str, path: String, text: String, out: &mut Vec<Violation>) {
-    let index = FileIndex::build(path.clone(), text);
-    let as_cast_scope = AS_CAST_FILES.contains(&path.as_str());
-    let relaxed_scope = pkg_name == "fm-core" && !RELAXED_ATOMIC_HOMES.contains(&path.as_str());
-    let limit = test_boundary(&index);
-
-    let mut lint = |i: usize, rule: &'static str, message: String| {
-        let line = index.sig_line(i);
-        if !index.allowed(line, rule) {
-            out.push(Violation {
-                rule,
-                path: path.clone(),
-                line: line as usize,
-                message,
-                anchor: index.src_line(line).trim().to_string(),
-            });
-        }
-    };
-    for i in 0..limit {
-        let t = index.sig_text(i);
-        let prev = if i > 0 { index.sig_text(i - 1) } else { "" };
-        let next = if i + 1 < limit {
-            index.sig_text(i + 1)
-        } else {
-            ""
-        };
-        match t {
-            "unwrap" if prev == "." && next == "(" => lint(
-                i,
-                "unwrap",
-                "unwrap() in library code; propagate the error".into(),
-            ),
-            "expect" if prev == "." && next == "(" => lint(
-                i,
-                "expect",
-                "expect() in library code; propagate the error".into(),
-            ),
-            "panic" if next == "!" => lint(
-                i,
-                "panic",
-                "panic!() in library code; return an error".into(),
-            ),
-            "println" | "print" | "eprintln" | "eprint" if next == "!" => lint(
-                i,
-                "print",
-                "library code must not write to stdout/stderr".into(),
-            ),
-            "dbg" if next == "!" => lint(i, "dbg", "dbg!() left in library code".into()),
-            "Relaxed"
-                if relaxed_scope
-                    && prev == ":"
-                    && i >= 3
-                    && index.sig_text(i - 2) == ":"
-                    && index.sig_text(i - 3) == "Ordering" =>
-            {
-                lint(
-                    i,
-                    "relaxed-atomic",
-                    format!(
-                        "relaxed atomic outside {}; move the counter into the \
-                         metrics registry or tracing recorder, or justify the \
-                         ordering",
-                        RELAXED_ATOMIC_HOMES.join(", ")
-                    ),
-                )
+            let lines: Vec<&str> = text.lines().collect();
+            for i in 0..lines.len() {
+                if lines[i].trim_start().starts_with("#[cfg(test)]") {
+                    break; // test modules trail the library code in this repo
+                }
+                must_use_bool(&lines, i, &path, out);
             }
-            "as" if as_cast_scope && matches!(next, "u8" | "u16" | "u32") => lint(
-                i,
-                "as-truncation",
-                "truncating `as` cast in a storage codec; use try_into/from".into(),
-            ),
-            _ => {}
         }
     }
-
-    // `must-use-bool` works on signature *lines* (it has to join a
-    // multi-line signature and look upward for attributes anyway).
-    let lines: Vec<&str> = index.src.lines().collect();
-    for i in 0..lines.len() {
-        if lines[i].trim_start().starts_with("#[cfg(test)]") {
-            break; // test modules trail the library code in this repo
-        }
-        must_use_bool(&lines, i, &path, out);
-    }
-}
-
-/// Fixture entry point: lint `text` as if it were the file at `path` in
-/// package `pkg_name`, returning `(rule, line, message)` triples. Lets the
-/// integration tests seed violations without touching the real tree.
-pub fn lint_source_for_tests(
-    pkg_name: &str,
-    path: &str,
-    text: &str,
-) -> Vec<(String, usize, String)> {
-    let mut out = Vec::new();
-    lint_file(pkg_name, path.to_string(), text.to_string(), &mut out);
-    out.into_iter()
-        .map(|v| (v.rule.to_string(), v.line, v.message))
-        .collect()
-}
-
-/// First significant-token index of a top-level `#[cfg(test)]` attribute;
-/// tokens from there on are test code. (Test modules trail the library
-/// code in this repo, which `xtask check` verifies structurally.)
-fn test_boundary(index: &FileIndex) -> usize {
-    let n = index.sig.len();
-    (0..n)
-        .find(|&i| {
-            i + 4 < n
-                && index.sig_text(i) == "#"
-                && index.sig_text(i + 1) == "["
-                && index.sig_text(i + 2) == "cfg"
-                && index.sig_text(i + 3) == "("
-                && index.sig_text(i + 4) == "test"
-        })
-        .unwrap_or(n)
 }
 
 /// `pub fn … -> bool` predicates must be `#[must_use]`: a dropped boolean
@@ -486,41 +253,7 @@ fn must_use_bool(lines: &[&str], i: usize, path: &str, out: &mut Vec<Violation>)
             path: path.to_string(),
             line: i + 1,
             message: "public boolean predicate without #[must_use]".into(),
-            anchor: lines[i].trim().to_string(),
         });
-    }
-}
-
-// -------------------------------------------------------------- unused deps
-
-fn check_unused_deps(root: &Path, packages: &[Package], out: &mut Vec<Violation>) {
-    for pkg in packages {
-        if pkg.deps.is_empty() {
-            continue;
-        }
-        let mut sources = String::new();
-        for file in rs_files(&pkg.dir) {
-            if let Ok(text) = fs::read_to_string(&file) {
-                sources.push_str(&text);
-                sources.push('\n');
-            }
-        }
-        for dep in &pkg.deps {
-            let ident = dep.replace('-', "_");
-            if !sources.contains(&ident) {
-                let message = format!(
-                    "{} declares dependency `{dep}` but never references `{ident}`",
-                    pkg.name
-                );
-                out.push(Violation {
-                    rule: "unused-dep",
-                    path: rel(root, &pkg.dir.join("Cargo.toml")),
-                    line: 0,
-                    anchor: message.clone(),
-                    message,
-                });
-            }
-        }
     }
 }
 
@@ -549,8 +282,7 @@ pub fn allows(line: &str, rule: &str) -> bool {
     false
 }
 
-/// The code portion of a line (naive `//` strip; used only by the
-/// line-shaped checks above — the token lints use the real lexer).
+/// The code portion of a line (naive `//` strip).
 fn strip_comment(line: &str) -> &str {
     match line.find("//") {
         Some(pos) => &line[..pos],

@@ -5,22 +5,20 @@ use xtask::{analyze, bench, ci, deepcheck, lint};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("lint") => lint::run(
-            args.iter()
-                .any(|a| a == "--rebaseline" || a == "--update-baseline"),
-        ),
-        Some("analyze") => analyze::run(&args[1..]),
-        Some("bench") => bench::run(&args[1..]),
-        Some("deepcheck") => deepcheck::run(),
-        Some("ci") => ci::run(),
+    let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+    let code = match argv.as_slice() {
+        ["lint"] => lint::run(),
+        ["analyze"] => analyze::run(),
+        ["analyze", "--explain", rule] => analyze::explain(rule),
+        ["bench", ..] => bench::run(&args[1..]),
+        ["deepcheck"] => deepcheck::run(),
+        ["ci"] => ci::run(),
         other => {
-            if let Some(cmd) = other {
-                eprintln!("unknown command: {cmd}");
+            if !other.is_empty() {
+                eprintln!("unknown command: {}", other.join(" "));
             }
             eprintln!(
-                "usage: cargo xtask <lint [--rebaseline] | \
-                 analyze [--json] [--rebaseline] [--explain <rule>] | \
+                "usage: cargo xtask <lint | analyze [--explain <rule>] | \
                  bench [--rebaseline] [--skip-run] | deepcheck | ci>"
             );
             2

@@ -1,11 +1,9 @@
 //! Lexer unit tests (the tricky token shapes), the lossless round-trip
-//! property, and the satellite parsing/fingerprinting helpers: multi-rule
-//! `lint:allow(…)` and content-fingerprinted baselines.
+//! property, and multi-rule `lint:allow(…)` parsing.
 
 use proptest::prelude::*;
 
 use xtask::analyze::lexer::{lex, Token, TokenKind};
-use xtask::baseline;
 use xtask::lint::allows;
 
 fn texts(src: &str) -> Vec<(TokenKind, &str)> {
@@ -182,10 +180,10 @@ proptest! {
 
 #[test]
 fn allows_parses_multiple_rules_and_cr() {
-    let line = "let x = v[0]; // lint:allow(unwrap, panic-path): fixture\r";
-    assert!(allows(line, "unwrap"));
-    assert!(allows(line, "panic-path"));
-    assert!(!allows(line, "expect"));
+    let line = "let x = v[0]; // lint:allow(float-det, must-use-bool): fixture\r";
+    assert!(allows(line, "float-det"));
+    assert!(allows(line, "must-use-bool"));
+    assert!(!allows(line, "wal-write"));
 
     // Whitespace-heavy variant.
     let line = "foo(); // lint:allow( lock-order ,  wal-write ): vetted";
@@ -199,110 +197,7 @@ fn allows_parses_multiple_rules_and_cr() {
     assert!(allows(line, "b"));
 
     // Unclosed paren must not panic and must still match the listed rule.
-    let line = "y(); // lint:allow(unwrap";
-    assert!(allows(line, "unwrap"));
-    assert!(!allows("no marker here", "unwrap"));
-}
-
-#[test]
-fn baseline_fingerprints_distinguish_occurrences_not_lines() {
-    let a = baseline::fingerprint("rule", "src/a.rs", "x.unwrap()", 0);
-    let b = baseline::fingerprint("rule", "src/a.rs", "x.unwrap()", 1);
-    let c = baseline::fingerprint("rule", "src/b.rs", "x.unwrap()", 0);
-    assert_ne!(a, b, "occurrence must disambiguate identical anchors");
-    assert_ne!(a, c, "path is part of the identity");
-    // Same content again → same fingerprint (line moves don't matter).
-    assert_eq!(
-        a,
-        baseline::fingerprint("rule", "src/a.rs", "x.unwrap()", 0)
-    );
-}
-
-#[test]
-fn baseline_rename_invalidates_entries_but_line_moves_do_not() {
-    // Freeze one finding in `src/old.rs`, then model two refactors: the
-    // offending line moving within the file (baseline must keep matching,
-    // since line numbers are not part of the identity) and the file being
-    // renamed/moved (the path IS part of the identity, so the entry must
-    // go stale and the finding resurface as new).
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("xtask-test-rename-{}.baseline", std::process::id()));
-    let anchor = "let v = x.unwrap();";
-    let frozen = baseline::fingerprint("unwrap", "src/old.rs", anchor, 0);
-    baseline::write(
-        &path,
-        "lint",
-        &[(
-            "unwrap".to_string(),
-            frozen,
-            "src/old.rs".to_string(),
-            anchor.to_string(),
-        )],
-    )
-    .expect("write baseline");
-    let base = baseline::load(&path);
-    std::fs::remove_file(&path).ok();
-    assert!(!base.legacy);
-
-    // Line move within the file: same rule/path/anchor → still baselined.
-    assert!(
-        base.contains(baseline::fingerprint("unwrap", "src/old.rs", anchor, 0)),
-        "moving the line within the file must not invalidate the entry"
-    );
-    // Rename: same content, new path → new fingerprint, not baselined.
-    let renamed = baseline::fingerprint("unwrap", "src/new.rs", anchor, 0);
-    assert_ne!(frozen, renamed);
-    assert!(
-        !base.contains(renamed),
-        "a renamed file must resurface its findings as new"
-    );
-    // And the frozen entry is now stale: no current finding produces it.
-    let current = [renamed];
-    assert!(
-        !current.contains(&frozen),
-        "the old-path entry no longer corresponds to any finding"
-    );
-}
-
-#[test]
-fn baseline_assign_numbers_duplicate_anchors_in_order() {
-    let items = vec![
-        ("r".to_string(), "f.rs".to_string(), "anchor".to_string()),
-        ("r".to_string(), "f.rs".to_string(), "anchor".to_string()),
-        ("r".to_string(), "f.rs".to_string(), "other".to_string()),
-    ];
-    let fps = baseline::assign(&items, |i| i.clone());
-    assert_eq!(fps.len(), 3);
-    assert_ne!(fps[0], fps[1], "duplicates get distinct occurrences");
-    assert_eq!(fps[0], baseline::fingerprint("r", "f.rs", "anchor", 0));
-    assert_eq!(fps[1], baseline::fingerprint("r", "f.rs", "anchor", 1));
-}
-
-#[test]
-fn baseline_load_detects_legacy_and_fingerprint_formats() {
-    let dir = std::env::temp_dir();
-    let legacy = dir.join(format!("xtask-test-legacy-{}.baseline", std::process::id()));
-    std::fs::write(&legacy, "# comment\nunwrap src/a.rs 3\n").expect("write");
-    let b = baseline::load(&legacy);
-    assert!(b.legacy, "count-format entry must flag legacy");
-    let _ = std::fs::remove_file(&legacy);
-
-    let modern = dir.join(format!("xtask-test-modern-{}.baseline", std::process::id()));
-    let fp = baseline::fingerprint("unwrap", "src/a.rs", "x.unwrap()", 0);
-    std::fs::write(
-        &modern,
-        format!("# comment\nunwrap {fp:016x} src/a.rs x.unwrap()\n"),
-    )
-    .expect("write");
-    let b = baseline::load(&modern);
-    assert!(!b.legacy);
-    assert!(b.contains(fp));
-    assert!(!b.contains(fp ^ 1));
-    let _ = std::fs::remove_file(&modern);
-
-    // A missing file is an empty, non-legacy baseline.
-    let missing = dir.join("xtask-test-definitely-missing.baseline");
-    let b = baseline::load(&missing);
-    assert!(!b.legacy);
-    assert!(b.entries.is_empty());
+    let line = "y(); // lint:allow(float-det";
+    assert!(allows(line, "float-det"));
+    assert!(!allows("no marker here", "float-det"));
 }

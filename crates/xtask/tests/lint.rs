@@ -1,114 +1,159 @@
-//! Seeded-violation fixtures for the line lints, driven through
-//! [`xtask::lint::lint_source_for_tests`] so no real tree is touched.
+//! Liveness proof for the two `xtask lint` rules: seeded violations in a
+//! throwaway workspace under the temp dir must fail, and the negative
+//! controls beside them must stay silent. Also pins the crate-root lint
+//! attributes that hand panic/print hygiene to clippy.
 
-use xtask::lint::lint_source_for_tests;
+use std::fs;
+use std::path::PathBuf;
 
-const RELAXED_COUNTER: &str = r#"
-use std::sync::atomic::{AtomicU64, Ordering};
-static HITS: AtomicU64 = AtomicU64::new(0);
-pub fn bump() {
-    HITS.fetch_add(1, Ordering::Relaxed);
+/// A throwaway workspace holding `(relative path, contents)` files.
+struct Fixture(PathBuf);
+
+impl Fixture {
+    fn new(name: &str, files: &[(&str, &str)]) -> Fixture {
+        let root = std::env::temp_dir().join(format!("xtask-lint-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        fs::create_dir_all(root.join("vendor")).unwrap();
+        for (path, text) in files {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        Fixture(root)
+    }
+
+    /// `(rule, path, line)` of every finding.
+    fn findings(&self) -> Vec<(&'static str, String, usize)> {
+        xtask::lint::findings(&self.0)
+            .unwrap()
+            .into_iter()
+            .map(|v| (v.rule, v.path, v.line))
+            .collect()
+    }
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn manifest(name: &str, deps: &[&str]) -> String {
+    let deps: String = deps
+        .iter()
+        .map(|d| format!("{d}.workspace = true\n"))
+        .collect();
+    format!("[package]\nname = \"{name}\"\n\n[dependencies]\n{deps}")
+}
+
+#[test]
+fn layering_rejects_a_forbidden_fm_dependency() {
+    let fixture = Fixture::new(
+        "layering",
+        &[
+            // Violations: the store is a leaf, and nothing below the
+            // serving layer may reach back up to it.
+            (
+                "crates/store/Cargo.toml",
+                &manifest("fm-store", &["fm-core"]),
+            ),
+            (
+                "crates/core/Cargo.toml",
+                &manifest("fm-core", &["fm-text", "fm-store", "fm-server"]),
+            ),
+            // Controls: an allowed edge and an unrestricted binary crate.
+            (
+                "crates/server/Cargo.toml",
+                &manifest("fm-server", &["fm-core"]),
+            ),
+            ("crates/cli/Cargo.toml", &manifest("fm-cli", &["fm-server"])),
+        ],
+    );
+    assert_eq!(
+        fixture.findings(),
+        [
+            ("layering", "crates/core/Cargo.toml".to_string(), 0),
+            ("layering", "crates/store/Cargo.toml".to_string(), 0),
+        ]
+    );
+}
+
+const PREDICATES: &str = r#"pub fn is_empty_page(n: u32) -> bool {
+    n == 0
+}
+
+#[must_use]
+pub fn is_full(n: u32) -> bool {
+    n > 9
+}
+
+// lint:allow(must-use-bool): advisory, callers may ignore it
+pub fn is_warm(n: u32) -> bool {
+    n > 3
+}
+
+pub fn count(n: u32) -> u32 {
+    n
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn helper() -> bool {
+        true
+    }
 }
 "#;
 
 #[test]
-fn relaxed_atomic_fires_outside_allowed_modules() {
-    let findings = lint_source_for_tests("fm-core", "crates/core/src/matcher.rs", RELAXED_COUNTER);
-    let relaxed: Vec<_> = findings
-        .iter()
-        .filter(|(rule, _, _)| rule == "relaxed-atomic")
-        .collect();
-    assert_eq!(relaxed.len(), 1, "expected one finding, got {findings:?}");
-    assert_eq!(relaxed[0].1, 5, "should anchor on the fetch_add line");
-    assert!(
-        relaxed[0].2.contains("crates/core/src/metrics.rs")
-            && relaxed[0].2.contains("crates/core/src/tracing.rs")
-            && relaxed[0].2.contains("crates/core/src/telemetry.rs"),
-        "message should name every allowed module: {}",
-        relaxed[0].2
+fn must_use_bool_fires_without_the_attribute() {
+    let fixture = Fixture::new(
+        "must-use",
+        &[
+            ("crates/core/Cargo.toml", &manifest("fm-core", &[])),
+            ("crates/core/src/lib.rs", PREDICATES),
+        ],
+    );
+    // Only `is_empty_page` fires: `#[must_use]`, `lint:allow`, a non-bool
+    // return and a test module are the negative controls.
+    assert_eq!(
+        fixture.findings(),
+        [("must-use-bool", "crates/core/src/lib.rs".to_string(), 1)]
     );
 }
 
 #[test]
-fn relaxed_atomic_is_silent_in_metrics_and_tracing() {
-    for home in [
-        "crates/core/src/metrics.rs",
-        "crates/core/src/tracing.rs",
-        "crates/core/src/telemetry.rs",
-    ] {
-        let findings = lint_source_for_tests("fm-core", home, RELAXED_COUNTER);
-        assert!(
-            findings.iter().all(|(rule, _, _)| rule != "relaxed-atomic"),
-            "{home} is an allowed module, got {findings:?}"
-        );
-    }
-}
-
-#[test]
-fn relaxed_atomic_is_scoped_to_fm_core() {
-    let findings = lint_source_for_tests("fm-store", "crates/store/src/pool.rs", RELAXED_COUNTER);
-    assert!(
-        findings.iter().all(|(rule, _, _)| rule != "relaxed-atomic"),
-        "rule only applies to fm-core, got {findings:?}"
+fn must_use_bool_is_scoped_to_the_library_crates() {
+    let fixture = Fixture::new(
+        "must-use-scope",
+        &[
+            ("crates/cli/Cargo.toml", &manifest("fm-cli", &[])),
+            ("crates/cli/src/lib.rs", PREDICATES),
+        ],
     );
-}
-
-#[test]
-fn relaxed_atomic_respects_line_allow() {
-    let allowed = RELAXED_COUNTER.replace(
-        "HITS.fetch_add(1, Ordering::Relaxed);",
-        "// lint:allow(relaxed-atomic): independent counter, never read back\n    \
-         HITS.fetch_add(1, Ordering::Relaxed);",
-    );
-    let findings = lint_source_for_tests("fm-core", "crates/core/src/matcher.rs", &allowed);
-    assert!(
-        findings.iter().all(|(rule, _, _)| rule != "relaxed-atomic"),
-        "lint:allow should suppress, got {findings:?}"
-    );
+    assert_eq!(fixture.findings(), []);
 }
 
 #[test]
 fn server_crate_is_held_to_library_hygiene() {
-    // fm-server joined LIB_CRATES with the serving layer: prints and
-    // unwraps in its src/ must fire like any other library crate...
-    let text = r#"
-pub fn log_request(n: u64) {
-    println!("request {n}");
-    let v: Option<u32> = None;
-    v.unwrap();
-}
-"#;
-    let findings = lint_source_for_tests("fm-server", "crates/server/src/server.rs", text);
-    assert!(
-        findings.iter().any(|(rule, _, _)| rule == "print"),
-        "print should fire in fm-server src, got {findings:?}"
-    );
-    assert!(
-        findings.iter().any(|(rule, _, _)| rule == "unwrap"),
-        "unwrap should fire in fm-server src, got {findings:?}"
-    );
-    // ...while relaxed-atomic stays scoped to fm-core (the serving
-    // counters are independent monotonic totals, like a registry).
-    let findings =
-        lint_source_for_tests("fm-server", "crates/server/src/server.rs", RELAXED_COUNTER);
-    assert!(
-        findings.iter().all(|(rule, _, _)| rule != "relaxed-atomic"),
-        "relaxed-atomic only applies to fm-core, got {findings:?}"
-    );
-}
-
-#[test]
-fn other_line_lints_still_fire_through_the_fixture_entry() {
-    let text = r#"
-pub fn f(v: &[u32]) -> u32 {
-    *v.first().unwrap()
-}
-"#;
-    let findings = lint_source_for_tests("fm-core", "crates/core/src/matcher.rs", text);
-    assert!(
-        findings
-            .iter()
-            .any(|(rule, line, _)| rule == "unwrap" && *line == 3),
-        "got {findings:?}"
-    );
+    // fm-server joined the library crates with the serving layer: its root,
+    // like the other four, must deny what the retired line lints checked,
+    // or clippy silently stops checking it.
+    let root = xtask::workspace_root();
+    for krate in ["server", "text", "store", "core", "datagen"] {
+        let lib = fs::read_to_string(root.join(format!("crates/{krate}/src/lib.rs"))).unwrap();
+        for lint in [
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::unreachable",
+            "clippy::print_stdout",
+            "clippy::print_stderr",
+            "#![cfg_attr(not(test), deny(unused_crate_dependencies))]",
+        ] {
+            assert!(
+                lib.contains(lint),
+                "crates/{krate}/src/lib.rs does not deny {lint}"
+            );
+        }
+    }
 }
