@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use fm_bench::{make_dataset, run_strategy, Strategy, Workbench};
-use fm_core::{CandidateTier, QueryMode, SignatureScheme};
+use fm_core::{QueryMode, SignatureScheme};
 use fm_datagen::ErrorModel;
 
 struct GateOpts {
@@ -149,7 +149,7 @@ fn main() {
         }
     }
 
-    let (matcher, build_time) = bench.matcher(&strategies[2]);
+    let (_, build_time) = bench.matcher(&strategies[2]);
 
     // The served workload: the same matcher + store behind 2
     // worker/replica pairs, hammered by 4 closed-loop clients.
@@ -229,91 +229,6 @@ fn main() {
          {telemetry_off_qps:.1} qps ({telemetry_overhead_pct:.2}% at 25 ms windows)"
     );
 
-    // LSH candidate tier (DESIGN §12): the same matcher served through
-    // the exact ETI vs the min-hash banding index. Recall-of-top-1 is
-    // agreement with the ETI answer (the ETI is ground truth here — it
-    // admits every candidate sharing a q-gram, LSH only those colliding
-    // on a full band). Counters are deterministic; qps is wall-clock and
-    // only warned about by the gate.
-    fm_core::tracing::set_enabled(false);
-    let mut eti_handle = matcher.replicate();
-    eti_handle.set_candidate_tier(CandidateTier::Eti);
-    let mut lsh_handle = matcher.replicate();
-    lsh_handle.set_candidate_tier(CandidateTier::Lsh);
-    struct TierRun {
-        answers: Vec<Option<(u32, f64)>>,
-        fetches: u64,
-        tids: u64,
-        band_probes: u64,
-        fallbacks: u64,
-        qps: f64,
-    }
-    let run_tier = |m: &fm_core::FuzzyMatcher| -> TierRun {
-        let mut answers = Vec::with_capacity(dataset.inputs.len());
-        let mut fetches = 0u64;
-        let mut tids = 0u64;
-        let mut band_probes = 0u64;
-        let mut fallbacks = 0u64;
-        let start = Instant::now();
-        for input in &dataset.inputs {
-            let result = m
-                .lookup_with(input, 1, 0.0, QueryMode::Basic)
-                .expect("tier lookup");
-            answers.push(result.matches.first().map(|m| (m.tid, m.similarity)));
-            fetches += result.trace.candidates_fetched;
-            tids += result.trace.tids_processed;
-            band_probes += result.trace.lsh_probes;
-            fallbacks += result.trace.lsh_fallbacks;
-        }
-        let qps = dataset.inputs.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        TierRun {
-            answers,
-            fetches,
-            tids,
-            band_probes,
-            fallbacks,
-            qps,
-        }
-    };
-    let eti_run = run_tier(&eti_handle);
-    let lsh_run = run_tier(&lsh_handle);
-    fm_core::tracing::set_enabled(true);
-    let agree = eti_run
-        .answers
-        .iter()
-        .zip(&lsh_run.answers)
-        .filter(|(e, l)| match (e, l) {
-            (None, None) => true,
-            // Equal-similarity ties may surface a different tid; either
-            // answer is "the" top-1.
-            (Some((et, es)), Some((lt, ls))) => et == lt || (es - ls).abs() < 1e-9,
-            _ => false,
-        })
-        .count();
-    let n_inputs = dataset.inputs.len() as f64;
-    let recall_top1 = agree as f64 / n_inputs;
-    let eti_avg_fetches = eti_run.fetches as f64 / n_inputs;
-    let lsh_avg_fetches = lsh_run.fetches as f64 / n_inputs;
-    let eti_avg_tids = eti_run.tids as f64 / n_inputs;
-    let lsh_avg_tids = lsh_run.tids as f64 / n_inputs;
-    let (eti_qps, lsh_qps) = (eti_run.qps, lsh_run.qps);
-    let lsh_fallbacks = lsh_run.fallbacks;
-    let auto_tier = CandidateTier::Auto.resolve(ref_size as u64).label();
-    eprintln!(
-        "[gate] lsh tier: recall@1 {:.3}, fetches {:.2} -> {:.2}/input, tids {:.0} -> {:.0}/input, \
-         {:.0} -> {:.0} qps, {} fallbacks over {} inputs (auto tier at {ref_size} tuples: \
-         {auto_tier})",
-        recall_top1,
-        eti_avg_fetches,
-        lsh_avg_fetches,
-        eti_avg_tids,
-        lsh_avg_tids,
-        eti_qps,
-        lsh_qps,
-        lsh_fallbacks,
-        inputs,
-    );
-
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"schema\": 1,\n  \"quick\": {},", gate.quick);
@@ -360,26 +275,6 @@ fn main() {
     json.push_str(", \"overhead_pct\": ");
     push_f64(&mut json, telemetry_overhead_pct);
     json.push_str(", \"window_ms\": 25");
-    json.push_str("},\n  \"lsh\": {\"recall_top1\": ");
-    push_f64(&mut json, recall_top1);
-    json.push_str(", \"eti_avg_fetches\": ");
-    push_f64(&mut json, eti_avg_fetches);
-    json.push_str(", \"lsh_avg_fetches\": ");
-    push_f64(&mut json, lsh_avg_fetches);
-    json.push_str(", \"eti_avg_tids\": ");
-    push_f64(&mut json, eti_avg_tids);
-    json.push_str(", \"lsh_avg_tids\": ");
-    push_f64(&mut json, lsh_avg_tids);
-    json.push_str(", \"eti_qps\": ");
-    push_f64(&mut json, eti_qps);
-    json.push_str(", \"lsh_qps\": ");
-    push_f64(&mut json, lsh_qps);
-    json.push_str(", \"avg_band_probes\": ");
-    push_f64(&mut json, lsh_run.band_probes as f64 / n_inputs);
-    let _ = write!(
-        json,
-        ", \"fallbacks\": {lsh_fallbacks}, \"auto_tier\": \"{auto_tier}\""
-    );
     json.push_str("},\n  \"phases_us\": {");
     for (i, (name, us)) in phases.iter().enumerate() {
         if i > 0 {

@@ -19,7 +19,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fm_core::{CandidateTier, Config, FuzzyMatcher, OscStopping, Record, SignatureScheme};
+use fm_core::{Config, FuzzyMatcher, OscStopping, Record, SignatureScheme};
 use fm_store::Database;
 
 const MATCHER_NAME: &str = "reference";
@@ -62,8 +62,6 @@ GLOBAL OPTIONS:
 QUERY/BATCH OPTIONS:
   -k N                  return up to N matches (default 1)
   -c X                  minimum similarity threshold in [0,1) (default 0.0)
-  --tier TIER           candidate tier for this invocation: eti (exact,
-                        default), lsh (min-hash banding), or auto
   --trace               print the per-query lookup trace (q-grams probed,
                         ETI rows, candidates, fms evaluations, ...) to stderr
 
@@ -90,8 +88,6 @@ SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9)
   --replicas N          matcher read replicas over the shared store
                         (default 0 = one per worker)
   --queue-depth N       bounded request queue (default 64)
-  --candidate-tier TIER serve lookups from eti (default), lsh, or auto
-                        (auto picks lsh above the tuple-count threshold)
   --max-inflight N      admission cap (default workers + queue depth)
   --deadline-ms N       default per-request deadline (default 0 = none)
   --batch-max N         micro-batch fusion limit (default 8)
@@ -256,16 +252,6 @@ fn open_db(args: &Args) -> Result<Database, String> {
     result.map_err(|e| format!("cannot open {}: {e}", path.display()))
 }
 
-/// Apply a `--tier` / `--candidate-tier` override to an opened matcher.
-/// Per-handle only: the tier persisted in the catalog is not rewritten.
-fn apply_tier(matcher: &mut FuzzyMatcher, args: &Args, flag: &str) -> Result<(), String> {
-    if let Some(spec) = args.get(flag) {
-        let tier = CandidateTier::parse(spec).map_err(|e| e.to_string())?;
-        matcher.set_candidate_tier(tier);
-    }
-    Ok(())
-}
-
 fn parse_signature(s: &str) -> Result<(SignatureScheme, usize), String> {
     let lower = s.to_lowercase();
     let (scheme, rest) = if let Some(rest) = lower.strip_prefix("q+t_") {
@@ -369,8 +355,7 @@ fn parse_input(input: &str, arity: usize) -> Result<Record, String> {
 
 fn cmd_query(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let mut matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
-    apply_tier(&mut matcher, args, "tier")?;
+    let matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
     let k: usize = args.get_parsed("k", 1)?;
     let c: f64 = args.get_parsed("c", 0.0)?;
     let input = parse_input(args.require("input")?, matcher.config().arity())?;
@@ -406,12 +391,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         eprintln!("  q-grams probed:     {}", t.qgrams_probed);
         eprintln!("  stop q-grams:       {}", t.stop_qgrams);
         eprintln!("  ETI rows touched:   {}", t.eti_rows);
-        if t.lsh_probes > 0 {
-            eprintln!(
-                "  LSH bands probed:   {} ({} collisions, {} fallback)",
-                t.lsh_probes, t.lsh_collisions, t.lsh_fallbacks
-            );
-        }
         eprintln!(
             "  tid-list entries:   {} (longest list {})",
             t.tid_list_entries, t.tid_list_max
@@ -477,8 +456,7 @@ fn read_inputs_csv(path: &str, matcher: &FuzzyMatcher) -> Result<Vec<Record>, St
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let mut matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
-    apply_tier(&mut matcher, args, "tier")?;
+    let matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
     if let Some(path) = args.get("inputs") {
         let k: usize = args.get_parsed("k", 1)?;
         let c: f64 = args.get_parsed("c", 0.0)?;
@@ -492,10 +470,6 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     println!("  q-grams probed:     {}", m.qgrams_probed);
     println!("  stop q-grams:       {}", m.stop_qgrams);
     println!("  ETI rows touched:   {}", m.eti_rows);
-    println!(
-        "  LSH bands probed:   {} ({} collisions, {} fallbacks)",
-        m.lsh_probes, m.lsh_collisions, m.lsh_fallbacks
-    );
     println!("  tid-list entries:   {}", m.tid_list_entries);
     println!("  tids processed:     {}", m.tids_processed);
     println!("  candidates:         {}", m.candidates);
@@ -528,8 +502,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 
 fn cmd_batch(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let mut matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
-    apply_tier(&mut matcher, args, "tier")?;
+    let matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
     let k: usize = args.get_parsed("k", 1)?;
     let c: f64 = args.get_parsed("c", 0.0)?;
     let arity = matcher.config().arity();
@@ -768,10 +741,7 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
 /// the `shutdown` verb, then print the drained final snapshot.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let db = std::sync::Arc::new(open_db(args)?);
-    let mut matcher = fm_core::FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
-    // The tier must be set before the matcher is shared: replicas are
-    // cloned from this handle and inherit its candidate tier.
-    apply_tier(&mut matcher, args, "candidate-tier")?;
+    let matcher = fm_core::FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
     let matcher = std::sync::Arc::new(matcher);
     let config = fm_server::ServerConfig {
         workers: args.get_parsed("workers", 4)?,

@@ -290,55 +290,6 @@ fn explain_shows_trace() {
 }
 
 #[test]
-fn query_tier_flag_switches_the_candidate_source() {
-    let dir = TempDir::new("tier");
-    let db = build_db(&dir);
-    // LSH tier: the trace shows band probes and no q-gram probes.
-    let out = bin()
-        .args(["query", "--db"])
-        .arg(&db)
-        .args([
-            "--input",
-            "Beoing Company,Seattle,WA,98004",
-            "--tier",
-            "lsh",
-            "--trace",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("Boeing Company"), "got: {stdout}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("LSH bands probed"), "got: {stderr}");
-    assert!(stderr.contains("q-grams probed:     0"), "got: {stderr}");
-    // An unknown tier is rejected with the accepted spellings.
-    let out = bin()
-        .args(["query", "--db"])
-        .arg(&db)
-        .args(["--input", "a,b,c,d", "--tier", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("expected eti, lsh, or auto"), "{stderr}");
-    // `explain` renders the banding section for the same database.
-    let out = bin()
-        .args(["explain", "--db"])
-        .arg(&db)
-        .args(["--input", "Beoing Company,Seattle,WA,98004"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("lsh bands"), "got: {stdout}");
-}
-
-#[test]
 fn help_prints_usage() {
     let out = bin().args(["--help"]).output().unwrap();
     assert!(out.status.success());

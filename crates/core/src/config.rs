@@ -7,6 +7,9 @@
 
 use crate::error::{CoreError, Result};
 
+/// Column numbers are one index key byte each.
+const MAX_COLUMNS: usize = 256;
+
 /// How token signatures are formed (paper §6.2: `Q_H` vs `Q+T_H`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignatureScheme {
@@ -75,70 +78,6 @@ impl TranspositionCost {
                 )))
             }
         })
-    }
-}
-
-/// Which index tier generates candidate tids for a lookup (DESIGN §12).
-///
-/// The ETI is the paper's exact candidate generator; the LSH tier trades a
-/// bounded recall loss for fewer tid-list fetches by probing band keys of
-/// the same min-hash signatures. `Auto` resolves to one of the two per
-/// reference-table size via [`CandidateTier::resolve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateTier {
-    /// The exact Error Tolerant Index (paper §4.2). The default.
-    #[default]
-    Eti,
-    /// The approximate min-hash LSH banding index (DESIGN §12), with an
-    /// automatic per-query ETI fallback when no band collides.
-    Lsh,
-    /// Pick per table size: ETI below [`AUTO_LSH_MIN_TUPLES`] tuples, LSH at
-    /// or above it.
-    Auto,
-}
-
-/// Relation size at which [`CandidateTier::Auto`] switches from the exact
-/// ETI to the LSH tier. Below this the ETI's tid-lists are short enough
-/// that banding saves little and costs recall; the quick bench corpus
-/// (5 000 tuples) sits far under it, so `Auto` stays exact there.
-pub const AUTO_LSH_MIN_TUPLES: u64 = 100_000;
-
-impl CandidateTier {
-    /// Resolve `Auto` against the current reference-table size; fixed tiers
-    /// pass through unchanged. Pure, so replicas sharing one `next_tid`
-    /// counter resolve identically.
-    pub fn resolve(self, relation_size: u64) -> CandidateTier {
-        match self {
-            CandidateTier::Auto => {
-                if relation_size >= AUTO_LSH_MIN_TUPLES {
-                    CandidateTier::Lsh
-                } else {
-                    CandidateTier::Eti
-                }
-            }
-            fixed => fixed,
-        }
-    }
-
-    /// The CLI/server spelling of this tier.
-    pub fn label(self) -> &'static str {
-        match self {
-            CandidateTier::Eti => "eti",
-            CandidateTier::Lsh => "lsh",
-            CandidateTier::Auto => "auto",
-        }
-    }
-
-    /// Parse the CLI/server spelling (`eti` | `lsh` | `auto`).
-    pub fn parse(s: &str) -> Result<CandidateTier> {
-        match s {
-            "eti" => Ok(CandidateTier::Eti),
-            "lsh" => Ok(CandidateTier::Lsh),
-            "auto" => Ok(CandidateTier::Auto),
-            other => Err(CoreError::Config(format!(
-                "unknown candidate tier {other:?} (expected eti, lsh, or auto)"
-            ))),
-        }
     }
 }
 
@@ -216,11 +155,13 @@ pub struct Config {
     pub max_candidates: usize,
     /// Bound used by the OSC stopping test (see [`OscStopping`]).
     pub osc_stopping: OscStopping,
-    /// Which index tier generates candidates (DESIGN §12).
-    pub candidate_tier: CandidateTier,
-    /// LSH band count `b` (signatures are banded into `b·r` coordinates).
+    /// A band count `b` for `fm_text::Bander`. Kept only for the
+    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP 7a
+    /// folds the benchmark into the workspace. No matcher path reads it.
     pub lsh_bands: usize,
-    /// LSH rows per band `r`.
+    /// Rows per band `r` for `fm_text::Bander`. Kept only for the
+    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP 7a
+    /// folds the benchmark into the workspace. No matcher path reads it.
     pub lsh_rows: usize,
 }
 
@@ -239,12 +180,6 @@ impl Default for Config {
             insert_pruning: true,
             max_candidates: 64,
             osc_stopping: OscStopping::default(),
-            candidate_tier: CandidateTier::default(),
-            // 3 bands x 3 rows: on the synthetic Customer corpus this is
-            // the smallest shape whose banding is selective enough to
-            // fetch fewer candidates than the exact ETI while keeping
-            // top-1 agreement with it above the bench gate's 0.95 floor
-            // (the `lsh` section of `cargo xtask bench`'s report).
             lsh_bands: 3,
             lsh_rows: 3,
         }
@@ -310,19 +245,6 @@ impl Config {
         self
     }
 
-    /// Choose the candidate-generation tier (DESIGN §12).
-    pub fn with_candidate_tier(mut self, tier: CandidateTier) -> Config {
-        self.candidate_tier = tier;
-        self
-    }
-
-    /// Shape of the LSH banding: `bands` bands of `rows` rows.
-    pub fn with_lsh_shape(mut self, bands: usize, rows: usize) -> Config {
-        self.lsh_bands = bands;
-        self.lsh_rows = rows;
-        self
-    }
-
     /// The paper's display label, e.g. `Q+T_3`.
     pub fn strategy_label(&self) -> String {
         self.scheme.label(self.h)
@@ -355,12 +277,15 @@ impl Config {
                 "Q_0 has no signature at all; use Q+T_0 for a tokens-only index".into(),
             ));
         }
-        // Coordinates, band numbers and column numbers are one key byte
-        // each (coordinate 0 is the whole token, DESIGN.md §4.5).
+        // Coordinates and column numbers are one key byte each (coordinate
+        // 0 is the whole token, DESIGN.md §4.5).
         for (what, value, max) in [
             ("h", self.h, 255),
-            ("lsh_bands", self.lsh_bands, 255),
-            ("the number of columns", self.column_names.len(), 256),
+            (
+                "the number of columns",
+                self.column_names.len(),
+                MAX_COLUMNS,
+            ),
         ] {
             if value > max {
                 return Err(CoreError::Config(format!(
@@ -400,12 +325,6 @@ impl Config {
         }
         if self.stop_qgram_threshold == 0 {
             return Err(CoreError::Config("stop threshold must be positive".into()));
-        }
-        if self.lsh_bands == 0 || self.lsh_rows == 0 {
-            return Err(CoreError::Config(format!(
-                "lsh shape must be positive, got {} bands × {} rows",
-                self.lsh_bands, self.lsh_rows
-            )));
         }
         Ok(())
     }
@@ -449,15 +368,6 @@ impl Config {
                 }
             }
         }
-        // Appended in PR 10; decode treats an absent tail as the defaults so
-        // pre-LSH catalogs keep opening.
-        out.push(match self.candidate_tier {
-            CandidateTier::Eti => 0,
-            CandidateTier::Lsh => 1,
-            CandidateTier::Auto => 2,
-        });
-        out.extend_from_slice(&(self.lsh_bands as u32).to_le_bytes());
-        out.extend_from_slice(&(self.lsh_rows as u32).to_le_bytes());
         out
     }
 
@@ -504,6 +414,13 @@ impl Config {
         let targ = f64::from_le_bytes(arr(take(8)?)?);
         let transposition = TranspositionCost::from_code(tcode, targ)?;
         let ncols = u32::from_le_bytes(arr(take(4)?)?) as usize;
+        // Bounded before it sizes any allocation: a corrupt count would
+        // otherwise abort the process instead of failing the decode.
+        if ncols > MAX_COLUMNS {
+            return Err(CoreError::BadState(format!(
+                "config claims {ncols} columns (at most {MAX_COLUMNS})"
+            )));
+        }
         let mut column_names = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let len = u32::from_le_bytes(arr(take(4)?)?) as usize;
@@ -521,31 +438,23 @@ impl Config {
                 Some(w)
             }
         };
-        // LSH tail (PR 10): absent in pre-LSH catalogs, so an exhausted
-        // input means the defaults; a *partial* tail is still corruption.
-        // `take` is not used past this point, which releases its mutable
-        // borrow of `input` for the direct reads below.
-        let (candidate_tier, lsh_bands, lsh_rows) = if input.is_empty() {
-            let d = Config::default();
-            (d.candidate_tier, d.lsh_bands, d.lsh_rows)
-        } else {
+        // Catalogs written while the LSH candidate tier existed end in a
+        // 9-byte tail: a tier code (0 eti, 1 lsh, 2 auto) and the band
+        // shape. The tier is gone and every lookup runs on the ETI, so a
+        // well-formed tail is skipped; a partial tail or an unknown code
+        // is still corruption. `take` is not used past this point, which
+        // releases its mutable borrow of `input`.
+        if !input.is_empty() {
             if input.len() < 9 {
                 return Err(CoreError::BadState("truncated config".into()));
             }
-            let tier = match input[0] {
-                0 => CandidateTier::Eti,
-                1 => CandidateTier::Lsh,
-                2 => CandidateTier::Auto,
-                other => {
-                    return Err(CoreError::BadState(format!(
-                        "bad candidate tier code {other}"
-                    )))
-                }
-            };
-            let bands = u32::from_le_bytes(arr(&input[1..5])?) as usize;
-            let rows = u32::from_le_bytes(arr(&input[5..9])?) as usize;
-            (tier, bands, rows)
-        };
+            if input[0] > 2 {
+                return Err(CoreError::BadState(format!(
+                    "bad candidate tier code {}",
+                    input[0]
+                )));
+            }
+        }
         Ok(Config {
             q,
             h,
@@ -559,9 +468,8 @@ impl Config {
             insert_pruning,
             max_candidates,
             osc_stopping,
-            candidate_tier,
-            lsh_bands,
-            lsh_rows,
+            // The band shape is not persisted.
+            ..Config::default()
         })
     }
 }
@@ -665,48 +573,47 @@ mod tests {
     #[test]
     fn decode_rejects_truncation() {
         let enc = base().encode();
-        // Cuts in the mandatory prefix and inside the 9-byte LSH tail: both
-        // are corruption. (A cut that removes the tail *exactly* is the
-        // pre-LSH layout and is accepted — see the back-compat test.)
         for cut in [0, 5, 30, enc.len() - 10, enc.len() - 4, enc.len() - 1] {
             assert!(Config::decode(&enc[..cut]).is_err(), "cut {cut}");
         }
     }
 
+    /// `base()` as a catalog written while the LSH tier existed stored it:
+    /// followed by the tier code and a band shape.
+    fn with_tier_tail(tier: u8) -> Vec<u8> {
+        let mut enc = base().encode();
+        enc.push(tier);
+        enc.extend_from_slice(&8u32.to_le_bytes());
+        enc.extend_from_slice(&2u32.to_le_bytes());
+        enc
+    }
+
     #[test]
-    fn decode_pre_lsh_catalog_defaults_the_tier() {
-        // A config encoded before PR 10 has no tier/band/row tail; decoding
-        // must fill in the defaults so existing stores keep opening.
-        let c = base()
-            .with_candidate_tier(CandidateTier::Lsh)
-            .with_lsh_shape(8, 3);
-        let mut enc = c.encode();
-        enc.truncate(enc.len() - 9);
-        let dec = Config::decode(&enc).unwrap();
-        assert_eq!(dec.candidate_tier, CandidateTier::Eti);
-        assert_eq!(dec.lsh_bands, Config::default().lsh_bands);
-        assert_eq!(dec.lsh_rows, Config::default().lsh_rows);
+    fn decode_skips_the_retired_tier_tail() {
+        for tier in [0, 1, 2] {
+            assert_eq!(Config::decode(&with_tier_tail(tier)).unwrap(), base());
+        }
+        // A partial tail is corruption, as it always was.
+        let enc = with_tier_tail(1);
+        assert!(Config::decode(&enc[..enc.len() - 4]).is_err());
     }
 
     #[test]
     fn decode_rejects_bad_tier_code() {
-        let mut enc = base().encode();
-        let i = enc.len() - 9;
-        enc[i] = 7;
-        let err = Config::decode(&enc).unwrap_err().to_string();
-        assert!(err.contains("candidate tier"), "got: {err}");
+        for tier in [3, 7] {
+            let err = Config::decode(&with_tier_tail(tier))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("candidate tier"), "got: {err}");
+        }
     }
 
     #[test]
-    fn tier_round_trips_and_validates() {
-        for tier in [CandidateTier::Eti, CandidateTier::Lsh, CandidateTier::Auto] {
-            let c = base().with_candidate_tier(tier).with_lsh_shape(6, 3);
-            assert!(c.validate().is_ok());
-            let dec = Config::decode(&c.encode()).unwrap();
-            assert_eq!(dec, c);
-        }
-        assert!(base().with_lsh_shape(0, 2).validate().is_err());
-        assert!(base().with_lsh_shape(4, 0).validate().is_err());
+    fn decode_rejects_a_corrupt_column_count_without_allocating() {
+        let mut enc = Config::default().with_columns(&["a"]).encode();
+        assert_eq!(&enc[52..56], &1u32.to_le_bytes());
+        enc[52..56].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(Config::decode(&enc), Err(CoreError::BadState(_))));
     }
 
     #[test]
@@ -717,7 +624,6 @@ mod tests {
         };
         for ok in [
             base().with_signature(SignatureScheme::QGrams, 255),
-            base().with_lsh_shape(255, 1),
             wide(256),
         ] {
             assert!(ok.validate().is_ok());
@@ -731,44 +637,10 @@ mod tests {
                 base().with_signature(SignatureScheme::QGramsPlusToken, 300),
                 "h must be at most 255",
             ),
-            (
-                base().with_lsh_shape(256, 1),
-                "lsh_bands must be at most 255",
-            ),
             (wide(257), "number of columns must be at most 256"),
         ] {
             let err = config.validate().unwrap_err().to_string();
             assert!(err.contains(fragment), "got: {err}");
-        }
-    }
-
-    #[test]
-    fn tier_labels_parse_round_trip() {
-        for tier in [CandidateTier::Eti, CandidateTier::Lsh, CandidateTier::Auto] {
-            assert_eq!(CandidateTier::parse(tier.label()).unwrap(), tier);
-        }
-        assert!(CandidateTier::parse("fancy").is_err());
-    }
-
-    #[test]
-    fn auto_tier_policy_picks_eti_small_lsh_large() {
-        // The acceptance-criteria policy function: Auto resolves to Eti on
-        // the 5k quick corpus and to Lsh at paper scale; fixed tiers pass
-        // through regardless of size.
-        assert_eq!(CandidateTier::Auto.resolve(0), CandidateTier::Eti);
-        assert_eq!(CandidateTier::Auto.resolve(5_000), CandidateTier::Eti);
-        assert_eq!(
-            CandidateTier::Auto.resolve(AUTO_LSH_MIN_TUPLES - 1),
-            CandidateTier::Eti
-        );
-        assert_eq!(
-            CandidateTier::Auto.resolve(AUTO_LSH_MIN_TUPLES),
-            CandidateTier::Lsh
-        );
-        assert_eq!(CandidateTier::Auto.resolve(1_700_000), CandidateTier::Lsh);
-        for size in [0, 5_000, 1_700_000] {
-            assert_eq!(CandidateTier::Eti.resolve(size), CandidateTier::Eti);
-            assert_eq!(CandidateTier::Lsh.resolve(size), CandidateTier::Lsh);
         }
     }
 }

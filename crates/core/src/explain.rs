@@ -43,32 +43,6 @@ pub struct GramExplain {
     pub stop: bool,
 }
 
-/// One LSH band probe for one input token (DESIGN §12). A band *collides*
-/// when its key has a posting list in the index — the tier's unit of
-/// recall; a token whose bands all miss is invisible to the LSH tier.
-#[derive(Debug, Clone)]
-pub struct BandExplain {
-    pub column: usize,
-    pub token: String,
-    pub band: u8,
-    /// The seeded band hash of the token's signature rows for this band.
-    pub key: u64,
-    /// Posting-list length; `None` when no reference token hashed here.
-    pub list_len: Option<usize>,
-    /// The posting list is a stop band (frequency above threshold,
-    /// tid-list elided).
-    pub stop: bool,
-}
-
-impl BandExplain {
-    /// Whether this band found a posting list (stop bands count: the key
-    /// collided, the list was merely too hot to store).
-    #[must_use]
-    pub fn collided(&self) -> bool {
-        self.list_len.is_some()
-    }
-}
-
 /// One scored candidate, fms-verified.
 #[derive(Debug, Clone)]
 pub struct CandidateExplain {
@@ -96,13 +70,6 @@ pub struct Explain {
     /// The full adjustment term `Σ w(t)(1 − 1/q)`.
     pub adjustment: f64,
     pub grams: Vec<GramExplain>,
-    /// Per-token LSH band probes (what the LSH candidate tier would see
-    /// for this input, whatever tier actually serves lookups).
-    pub bands: Vec<BandExplain>,
-    /// The LSH shape `b` (bands per token).
-    pub lsh_bands: usize,
-    /// The LSH shape `r` (signature rows per band).
-    pub lsh_rows: usize,
     /// Top candidates by score (up to the requested limit), fms-verified,
     /// in score order.
     pub candidates: Vec<CandidateExplain>,
@@ -147,19 +114,6 @@ impl std::fmt::Display for Explain {
                 width = 18usize.saturating_sub(g.gram.len()),
             )?;
         }
-        writeln!(f, "lsh bands (b={}, r={}):", self.lsh_bands, self.lsh_rows)?;
-        for b in &self.bands {
-            let outcome = match (b.stop, b.list_len) {
-                (true, _) => "STOP band".to_string(),
-                (false, Some(n)) => format!("{n} tids"),
-                (false, None) => "no collision".to_string(),
-            };
-            writeln!(
-                f,
-                "  col {} {:<24} band {} key {:016x}  {}",
-                b.column, b.token, b.band, b.key, outcome
-            )?;
-        }
         writeln!(
             f,
             "candidates ({} distinct tids scored, adjustment {:.3}):",
@@ -202,7 +156,6 @@ impl FuzzyMatcher {
         let dq = 1.0 - 1.0 / config.q as f64;
         let mut token_explains = Vec::new();
         let mut gram_explains = Vec::new();
-        let mut band_explains = Vec::new();
         let mut total_weight = 0.0;
         let mut scores: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
         for (col, token) in tokens.iter_tokens() {
@@ -231,24 +184,6 @@ impl FuzzyMatcher {
                     coordinate: entry.coordinate,
                     gram: entry.gram,
                     weight: gram_weight,
-                    list_len,
-                    stop,
-                });
-            }
-            for (band, key) in self.lsh().band_keys(token).into_iter().enumerate() {
-                let list = self.lsh().lookup(col as u8, band as u8, key)?;
-                let (list_len, stop) = match &list {
-                    None => (None, false),
-                    Some(l) => match &l.tids {
-                        None => (Some(l.frequency as usize), true),
-                        Some(tids) => (Some(tids.len()), false),
-                    },
-                };
-                band_explains.push(BandExplain {
-                    column: col,
-                    token: token.to_string(),
-                    band: band as u8,
-                    key,
                     list_len,
                     stop,
                 });
@@ -295,9 +230,6 @@ impl FuzzyMatcher {
             total_weight,
             adjustment,
             grams: gram_explains,
-            bands: band_explains,
-            lsh_bands: self.lsh().bands(),
-            lsh_rows: self.lsh().rows(),
             candidates,
             distinct_tids: scores.len(),
         })
@@ -367,43 +299,8 @@ mod tests {
         let text = m.explain(&input, 2).unwrap().to_string();
         assert!(text.contains("input tokens"));
         assert!(text.contains("eti probes"));
-        assert!(text.contains("lsh bands"));
         assert!(text.contains("candidates"));
         assert!(text.contains("beoing"));
-    }
-
-    #[test]
-    fn explain_reports_band_keys_and_collisions() {
-        let (_db, m) = matcher();
-        let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
-        let ex = m.explain(&input, 3).unwrap();
-        // Every token gets exactly b band probes.
-        assert_eq!(ex.bands.len(), ex.tokens.len() * ex.lsh_bands);
-        assert_eq!(ex.lsh_bands, m.config().lsh_bands);
-        assert_eq!(ex.lsh_rows, m.config().lsh_rows);
-        // 'seattle' is in every reference tuple, so all of its bands
-        // collide with posting lists of length 3.
-        let seattle: Vec<_> = ex.bands.iter().filter(|b| b.token == "seattle").collect();
-        assert_eq!(seattle.len(), ex.lsh_bands);
-        assert!(seattle
-            .iter()
-            .all(|b| b.collided() && b.list_len == Some(3)));
-        // Band keys match the index's own hash family.
-        let keys = m.lsh().band_keys("seattle");
-        for (b, key) in seattle.iter().zip(keys) {
-            assert_eq!(b.key, key);
-        }
-        // A token far from anything indexed misses on every band.
-        let ex2 = m
-            .explain(&Record::new(&["zzqqxxyyzz", "", "", ""]), 1)
-            .unwrap();
-        let miss: Vec<_> = ex2
-            .bands
-            .iter()
-            .filter(|b| b.token == "zzqqxxyyzz")
-            .collect();
-        assert_eq!(miss.len(), ex2.lsh_bands);
-        assert!(miss.iter().all(|b| !b.collided()));
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod config;
 pub mod error;
 pub mod eti;
 pub mod explain;
-pub mod lsh;
 pub mod matcher;
 pub mod metrics;
 pub mod naive;
@@ -74,10 +73,9 @@ pub mod telemetry;
 pub mod tracing;
 pub mod weights;
 
-pub use config::{CandidateTier, Config, OscStopping, SignatureScheme, TranspositionCost};
+pub use config::{Config, OscStopping, SignatureScheme, TranspositionCost};
 pub use error::{CoreError, Result};
 pub use explain::Explain;
-pub use lsh::LshIndex;
 pub use matcher::{FuzzyMatcher, Match, MatchResult, MatcherCheck};
 pub use metrics::{LookupTrace, MetricsCheck, MetricsRegistry, MetricsSnapshot};
 pub use postings::PostingCheck;

@@ -9,10 +9,12 @@
 //! | `{p}.ref`         | the reference relation `R[tid, A1..An]`         |
 //! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute") |
 //! | `{p}.eti`         | the Error Tolerant Index                        |
-//! | `{p}.lsh`         | the LSH candidate tier: band-key → tid posting lists (DESIGN §12) |
 //! | `{p}.freq`        | token frequencies `(column, token) → freq`      |
 //! | `{p}.state`       | relation size and tid counter                   |
-//! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds and candidate tier) |
+//! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds)           |
+//!
+//! Catalogs built while the LSH candidate tier existed also hold a
+//! `{p}.lsh` index; it is never opened, read or written.
 //!
 //! Lookups are `&self` and internally read-locked, so one matcher can serve
 //! concurrent query threads; [`FuzzyMatcher::insert_reference`] (ETI
@@ -29,16 +31,14 @@ use fm_store::{BTree, Database, StoreError, Value};
 use fm_text::minhash::MinHasher;
 use fm_text::Tokenizer;
 
-use crate::config::{CandidateTier, Config};
+use crate::config::Config;
 use crate::error::{CoreError, Result};
 use crate::eti::build::{BuildStats, EtiBuilder};
 use crate::eti::{token_signature, Eti};
-use crate::lsh::LshIndex;
 use crate::metrics::{LookupTrace, MetricsRegistry, MetricsSnapshot};
 use crate::postings::PostingCheck;
 use crate::query::{
-    basic_lookup, basic_lookup_with, osc_lookup, osc_lookup_with, LshSource, QueryContext,
-    QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
+    basic_lookup, osc_lookup, QueryContext, QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
 };
 use crate::record::Record;
 use crate::sim::Similarity;
@@ -83,7 +83,6 @@ pub struct FuzzyMatcher {
     minhasher: MinHasher,
     weights: Arc<RwLock<WeightTable>>,
     eti: Eti,
-    lsh: LshIndex,
     // Table handles synchronize on the pool's frame latches (DESIGN §11)
     ref_table: fm_store::catalog::Table,
     // BTree handles share one structural latch (DESIGN §11)
@@ -205,15 +204,13 @@ impl FuzzyMatcher {
         let trees = [
             index("tid")?,
             index("eti")?,
-            index("lsh")?,
             index("freq")?,
             index("state")?,
         ];
         let mut m = Self::assemble(config, ref_table, trees, TokenFrequencies::new(arity), 1);
 
         let mut freqs = TokenFrequencies::new(arity);
-        let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?
-            .with_lsh(&m.lsh, sort_budget)?;
+        let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?;
         let mut next_tid = 1u32;
         {
             let _span = tracing::span("pre_eti");
@@ -253,22 +250,19 @@ impl FuzzyMatcher {
     }
 
     /// A handle over the storage objects of one matcher: `trees` are its
-    /// tid, ETI, LSH, frequency and state indexes.
+    /// tid, ETI, frequency and state indexes.
     fn assemble(
         config: Config,
         ref_table: fm_store::catalog::Table,
-        [tid_index, eti, lsh, freq_index, state_index]: [BTree; 5],
+        [tid_index, eti, freq_index, state_index]: [BTree; 4],
         freqs: TokenFrequencies,
         next_tid: u32,
     ) -> FuzzyMatcher {
-        let (bands, rows, q, seed) = (config.lsh_bands, config.lsh_rows, config.q, config.seed);
-        let stop = config.stop_qgram_threshold;
         FuzzyMatcher {
             tokenizer: Tokenizer::new(),
-            minhasher: MinHasher::new(config.h, q, seed),
+            minhasher: MinHasher::new(config.h, config.q, config.seed),
             weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
-            eti: Eti::new(eti, stop),
-            lsh: LshIndex::new(lsh, bands, rows, q, seed, stop),
+            eti: Eti::new(eti, config.stop_qgram_threshold),
             ref_table,
             tid_index,
             freq_index,
@@ -289,14 +283,6 @@ impl FuzzyMatcher {
         let ref_table = db.open_table(&format!("{prefix}.ref"))?;
         let tid_index = db.open_index(&format!("{prefix}.tid"))?;
         let eti_tree = db.open_index(&format!("{prefix}.eti"))?;
-        // Pre-LSH catalogs have no `{p}.lsh` object (the same stores whose
-        // configs decode to the default Eti tier): create an empty one so
-        // maintenance keeps it current from here on.
-        let lsh_tree = match db.open_index(&format!("{prefix}.lsh")) {
-            Ok(tree) => tree,
-            Err(StoreError::NotFound(_)) => db.create_index(&format!("{prefix}.lsh"))?,
-            Err(e) => return Err(e.into()),
-        };
         let freq_index = db.open_index(&format!("{prefix}.freq"))?;
         let state_index = db.open_index(&format!("{prefix}.state"))?;
 
@@ -310,7 +296,7 @@ impl FuzzyMatcher {
             "relation_size",
         )?));
         let next_tid = u32::from_le_bytes(state_row(&state_index, "next_tid")?);
-        let trees = [tid_index, eti_tree, lsh_tree, freq_index, state_index];
+        let trees = [tid_index, eti_tree, freq_index, state_index];
         Ok(Self::assemble(config, ref_table, trees, freqs, next_tid))
     }
 
@@ -332,7 +318,6 @@ impl FuzzyMatcher {
             minhasher: self.minhasher.clone(),
             weights: Arc::clone(&self.weights),
             eti: self.eti.clone_handle(),
-            lsh: self.lsh.clone_handle(),
             ref_table: self.ref_table.clone_handle(),
             tid_index: self.tid_index.clone_handle(),
             freq_index: self.freq_index.clone_handle(),
@@ -346,15 +331,6 @@ impl FuzzyMatcher {
     /// The configuration the matcher was built with.
     pub fn config(&self) -> &Config {
         &self.config
-    }
-
-    /// Override the candidate tier for this handle (serving-layer and CLI
-    /// hook; `replicate` copies the override into new replicas). The
-    /// persisted config is untouched — the tier is a per-handle query-time
-    /// choice, not a property of the on-disk indexes, which always carry
-    /// both tiers.
-    pub fn set_candidate_tier(&mut self, tier: CandidateTier) {
-        self.config.candidate_tier = tier;
     }
 
     pub(crate) fn tokenizer(&self) -> &Tokenizer {
@@ -385,17 +361,6 @@ impl FuzzyMatcher {
     /// Number of physical ETI entries.
     pub fn eti_entry_count(&self) -> Result<usize> {
         self.eti.entry_count()
-    }
-
-    /// Number of physical LSH posting-list rows.
-    pub fn lsh_entry_count(&self) -> Result<usize> {
-        self.lsh.entry_count()
-    }
-
-    /// The LSH candidate tier (band keys for `explain`, direct probes for
-    /// tests).
-    pub(crate) fn lsh(&self) -> &LshIndex {
-        &self.lsh
     }
 
     /// Inspect one ETI row (the tid-list of a `(gram, coordinate, column)`
@@ -484,38 +449,9 @@ impl FuzzyMatcher {
             eti: &self.eti,
             reference: self,
         };
-        let resolved = self
-            .config
-            .candidate_tier
-            .resolve(weights.frequencies().relation_size());
-        let (scored, mut trace) = match resolved {
-            CandidateTier::Eti | CandidateTier::Auto => match mode {
-                QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
-                QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
-            },
-            CandidateTier::Lsh => {
-                let source = LshSource { lsh: &self.lsh };
-                let (scored, trace) = match mode {
-                    QueryMode::Basic => basic_lookup_with(&ctx, &source, &tokens, k, c)?,
-                    QueryMode::Osc => osc_lookup_with(&ctx, &source, &tokens, k, c)?,
-                };
-                if scored.is_empty() && trace.lsh_probes > 0 {
-                    // Recall safety net: the banding filter found nothing
-                    // above threshold — re-run through the exact ETI and
-                    // carry the tier's counters into the final trace.
-                    crate::tracing::instant("lsh_fallback");
-                    let (scored, mut retrace) = match mode {
-                        QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
-                        QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
-                    };
-                    retrace.lsh_probes = trace.lsh_probes;
-                    retrace.lsh_collisions = trace.lsh_collisions;
-                    retrace.lsh_fallbacks = 1;
-                    (scored, retrace)
-                } else {
-                    (scored, trace)
-                }
-            }
+        let (scored, mut trace) = match mode {
+            QueryMode::Basic => basic_lookup(&ctx, &tokens, k, c)?,
+            QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
         };
         drop(weights);
         drop(_rank);
@@ -597,13 +533,12 @@ impl FuzzyMatcher {
                 .insert(b"relation_size", &n.to_le_bytes())?;
         }
 
-        // ETI rows, then the LSH tier's posting lists.
+        // ETI rows.
         for (col, token) in tokens.iter_tokens() {
             for entry in token_signature(token, &self.minhasher, self.config.scheme) {
                 self.eti
                     .remove_tid(&entry.gram, entry.coordinate, col as u8, tid)?;
             }
-            self.lsh.remove_token(col as u8, token, tid)?;
         }
         Ok(record)
     }
@@ -739,7 +674,6 @@ impl FuzzyMatcher {
                 self.eti
                     .append_tid(&entry.gram, entry.coordinate, col as u8, tid)?;
             }
-            self.lsh.append_token(col as u8, token, tid)?;
         }
         Ok(tid)
     }
@@ -747,9 +681,8 @@ impl FuzzyMatcher {
     /// Deep-validate the matcher's six storage objects and their cross-
     /// object consistency at a quiescent point:
     ///
-    /// * the ETI and the LSH tier pass [`Eti::check_invariants`] and
-    ///   [`LshIndex::check_invariants`] (B+-tree structure plus the
-    ///   chunking/stop-row/frequency rules of DESIGN.md §4.5);
+    /// * the ETI passes [`Eti::check_invariants`] (B+-tree structure plus
+    ///   the chunking/stop-row/frequency rules of DESIGN.md §4.5);
     /// * the live weight table passes [`WeightTable::check_invariants`] and
     ///   its IDF inputs — `|R|` and every `(column, token)` frequency —
     ///   equal a fresh recount from a full scan of the reference relation;
@@ -759,7 +692,6 @@ impl FuzzyMatcher {
     /// * the tid counter is strictly above every stored tid.
     pub fn check_invariants(&self) -> Result<MatcherCheck> {
         let eti = self.eti.check_invariants()?;
-        let lsh = self.lsh.check_invariants()?;
         let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
         weights.check_invariants()?;
@@ -845,7 +777,6 @@ impl FuzzyMatcher {
             reference_tuples: tuples,
             distinct_tokens: weights.frequencies().distinct_tokens(),
             eti,
-            lsh,
         })
     }
 }
@@ -859,8 +790,6 @@ pub struct MatcherCheck {
     pub distinct_tokens: usize,
     /// The ETI's own report.
     pub eti: PostingCheck,
-    /// The LSH candidate tier's own report.
-    pub lsh: PostingCheck,
 }
 
 impl ReferenceFetch for FuzzyMatcher {
@@ -1451,156 +1380,63 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lsh_tier_answers_without_touching_the_eti() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        for mode in [QueryMode::Basic, QueryMode::Osc] {
-            let result = m
-                .lookup_with(
-                    &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                    1,
-                    0.0,
-                    mode,
-                )
-                .unwrap();
-            assert_eq!(result.matches[0].tid, 1, "under {mode:?}");
-            let t = result.trace;
-            t.check_consistent().unwrap();
-            assert!(t.lsh_probes > 0, "{t:?}");
-            assert!(t.lsh_collisions > 0, "{t:?}");
-            assert_eq!(t.lsh_fallbacks, 0, "{t:?}");
-            // The pure LSH path never probes a signature coordinate.
-            assert_eq!(t.qgrams_probed, 0, "{t:?}");
-        }
-        let snap = m.metrics_snapshot();
-        assert!(snap.lsh_probes > 0 && snap.lsh_collisions > 0);
-        snap.check_invariants().unwrap();
+    /// Everything a lookup reports except how long it took.
+    fn bitwise(
+        m: &FuzzyMatcher,
+        input: &Record,
+        mode: QueryMode,
+    ) -> (Vec<(u32, u64)>, LookupTrace) {
+        let mut r = m.lookup_with(input, 3, 0.0, mode).unwrap();
+        r.trace.latency_us = 0;
+        let bits = r.matches.iter().map(|m| (m.tid, m.similarity.to_bits()));
+        (bits.collect(), r.trace)
     }
 
+    /// A catalog written while the LSH tier existed holds a `{p}.lsh`
+    /// index and a config that ends in a tier code. It opens, never reads
+    /// the index, and answers like a fresh build; no write touches it.
     #[test]
-    fn lsh_tier_falls_back_to_the_eti_on_a_miss() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let garbage = Record::new(&["zzzzqqqq xyxyxy", "nowhere", "ZZ", "00000"]);
-        let result = m.lookup(&garbage, 3, 0.9).unwrap();
-        assert!(result.matches.is_empty());
-        let t = result.trace;
-        t.check_consistent().unwrap();
-        assert_eq!(t.lsh_fallbacks, 1, "{t:?}");
-        assert!(t.lsh_probes > 0, "{t:?}");
-        assert!(t.qgrams_probed > 0, "the rerun goes through the ETI: {t:?}");
-        assert_eq!(m.metrics_snapshot().lsh_fallbacks, 1);
-    }
+    fn a_catalog_with_the_retired_lsh_index_opens_and_answers_like_a_fresh_build() {
+        let fresh = build_table1(&Database::in_memory().unwrap());
+        let inputs = [
+            Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
+            Record::new(&["Bon Corp", "Seattle", "WA", "98014"]),
+        ];
+        for tier in [1u8, 2] {
+            let db = Database::in_memory().unwrap();
+            build_table1(&db);
+            // Garbage in the old index: reading it would fail to decode.
+            let lsh = db.create_index("org.lsh").unwrap();
+            lsh.insert(b"junk", b"not a posting value").unwrap();
+            let mut config = db.get_meta("org.config").unwrap();
+            config.push(tier);
+            config.extend_from_slice(&[3, 0, 0, 0, 3, 0, 0, 0]);
+            db.put_meta("org.config", &config).unwrap();
 
-    #[test]
-    fn auto_tier_uses_the_eti_on_a_small_relation() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Auto);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let result = m
-            .lookup(
-                &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                1,
-                0.0,
-            )
-            .unwrap();
-        assert_eq!(result.matches[0].tid, 1);
-        assert_eq!(result.trace.lsh_probes, 0, "{:?}", result.trace);
-        assert!(result.trace.qgrams_probed > 0);
-    }
-
-    #[test]
-    fn lsh_tier_sees_maintenance_inserts_and_deletes() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let tid = m
-            .insert_reference(&Record::new(&[
-                "Microsoft Corporation",
-                "Redmond",
-                "WA",
-                "98052",
-            ]))
-            .unwrap();
-        // The new tuple is reachable *through the LSH tier*, with errors.
-        let input = Record::new(&["Microsft Corp", "Redmond", "WA", "98052"]);
-        let result = m.lookup(&input, 1, 0.0).unwrap();
-        assert_eq!(result.matches[0].tid, tid);
-        assert!(result.trace.lsh_probes > 0);
-        // Invariants hold over the maintained posting lists, and deletion
-        // unwires the tuple from the tier again.
-        let check = m.check_invariants().unwrap();
-        assert!(check.lsh.groups > 0 && check.lsh.tids > 0);
-        m.delete_reference(tid).unwrap();
-        let after = m.lookup(&input, 3, 0.0).unwrap();
-        assert!(after.matches.iter().all(|x| x.tid != tid), "{after:?}");
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lsh_tier_is_shared_by_replicas() {
-        let db = Database::in_memory().unwrap();
-        let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-        let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-        let replica = m.replicate();
-        let tid = m
-            .insert_reference(&Record::new(&["Amazon Inc", "Kent", "WA", "98030"]))
-            .unwrap();
-        let result = replica
-            .lookup(&Record::new(&["Amzon Inc", "Kent", "WA", "98030"]), 1, 0.0)
-            .unwrap();
-        assert_eq!(result.matches[0].tid, tid);
-        assert!(result.trace.lsh_probes > 0);
-        // One shared registry accounts tier counters from both handles.
-        assert!(m.metrics_snapshot().lsh_probes > 0);
-    }
-
-    #[test]
-    fn lsh_tier_persists_across_reopen() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("fm-core-lsh-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let db = Database::open_file(&path, 256).unwrap();
-            let cfg = org_config().with_candidate_tier(CandidateTier::Lsh);
-            let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), cfg).unwrap();
-            assert!(m.lsh_entry_count().unwrap() > 0);
-            db.flush().unwrap();
-        }
-        {
-            let db = Database::open_file(&path, 256).unwrap();
             let m = FuzzyMatcher::open(&db, "org").unwrap();
-            assert_eq!(m.config().candidate_tier, CandidateTier::Lsh);
-            let result = m
-                .lookup(
-                    &Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
-                    1,
-                    0.0,
-                )
+            assert_eq!(m.config(), fresh.config());
+            for input in &inputs {
+                for mode in [QueryMode::Basic, QueryMode::Osc] {
+                    assert_eq!(bitwise(&m, input, mode), bitwise(&fresh, input, mode));
+                }
+            }
+            m.insert_reference(&Record::new(&["Amazon Inc", "Kent", "WA", "98030"]))
                 .unwrap();
-            assert_eq!(result.matches[0].tid, 1);
-            assert!(result.trace.lsh_probes > 0);
+            m.delete_reference(2).unwrap();
             m.check_invariants().unwrap();
+            assert_eq!(lsh.len().unwrap(), 1, "tier {tier}");
+            db.check_invariants().unwrap();
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn set_candidate_tier_overrides_per_handle() {
+        // An unknown tier code is still corruption.
         let db = Database::in_memory().unwrap();
-        let mut m = build_table1(&db); // default Eti tier
-        let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
-        assert_eq!(m.lookup(&input, 1, 0.0).unwrap().trace.lsh_probes, 0);
-        m.set_candidate_tier(CandidateTier::Lsh);
-        let traced = m.lookup(&input, 1, 0.0).unwrap();
-        assert_eq!(traced.matches[0].tid, 1);
-        assert!(traced.trace.lsh_probes > 0);
-        // The persisted config still decodes to the built tier.
-        let reopened = FuzzyMatcher::open(&db, "org").unwrap();
-        assert_eq!(reopened.config().candidate_tier, CandidateTier::Eti);
+        build_table1(&db);
+        let mut config = db.get_meta("org.config").unwrap();
+        config.extend_from_slice(&[3, 3, 0, 0, 0, 3, 0, 0, 0]);
+        db.put_meta("org.config", &config).unwrap();
+        assert!(matches!(
+            FuzzyMatcher::open(&db, "org"),
+            Err(CoreError::BadState(_))
+        ));
     }
 
     /// A few hundred customer-like tuples over a small vocabulary: tokens
@@ -1663,7 +1499,7 @@ mod tests {
         use crate::query::basic::basic_run;
         use crate::query::oracle::OracleTable;
         use crate::query::osc::osc_run;
-        use crate::query::{EtiSource, Scratch, UNBOUNDED_VERIFY};
+        use crate::query::{Scratch, UNBOUNDED_VERIFY};
 
         let reference = synthetic_reference(600);
         let db = Database::in_memory().unwrap();
@@ -1707,8 +1543,6 @@ mod tests {
             eti: &m.eti,
             reference: &m,
         };
-        let eti = EtiSource { eti: &m.eti };
-        let lsh = LshSource { lsh: &m.lsh };
         let mut oracle = Scratch::<OracleTable>::default();
         let (mut short_circuits, mut stops, mut pruned, mut fallbacks) = (0, 0, 0, 0);
         let (mut evals, mut reference_evals) = (0, 0);
@@ -1716,23 +1550,19 @@ mod tests {
             let tokens = input.tokenize(&m.tokenizer);
             for k in [1usize, 3, 10] {
                 for c in [0.0, 0.8] {
-                    // [pipeline, reference pipeline] per mode × tier; the
-                    // flag is read when a reference run verifies.
+                    // [pipeline, reference pipeline] per mode; the flag is
+                    // read when a reference run verifies.
                     UNBOUNDED_VERIFY.set(false);
                     let new = [
-                        basic_lookup_with(&ctx, &eti, &tokens, k, c),
-                        basic_lookup_with(&ctx, &lsh, &tokens, k, c),
-                        osc_lookup_with(&ctx, &eti, &tokens, k, c),
-                        osc_lookup_with(&ctx, &lsh, &tokens, k, c),
+                        basic_lookup(&ctx, &tokens, k, c),
+                        osc_lookup(&ctx, &tokens, k, c),
                     ];
                     UNBOUNDED_VERIFY.set(true);
                     let old = [
-                        basic_run(&ctx, &eti, &tokens, k, c, &mut oracle),
-                        basic_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
-                        osc_run(&ctx, &eti, &tokens, k, c, &mut oracle),
-                        osc_run(&ctx, &lsh, &tokens, k, c, &mut oracle),
+                        basic_run(&ctx, &tokens, k, c, &mut oracle),
+                        osc_run(&ctx, &tokens, k, c, &mut oracle),
                     ];
-                    let rows = ["basic/eti", "basic/lsh", "osc/eti", "osc/lsh"];
+                    let rows = ["basic", "osc"];
                     for ((row, new), old) in rows.into_iter().zip(new).zip(old) {
                         let (new, new_trace) = new.unwrap();
                         let (old, mut old_trace) = old.unwrap();

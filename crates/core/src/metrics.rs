@@ -68,15 +68,6 @@ pub struct LookupTrace {
     /// Index of the signature coordinate after which OSC short-circuited,
     /// or `None` if the query ran to the ordered verification phase.
     pub osc_round: Option<u32>,
-    /// LSH band keys probed (0 unless the query ran through the LSH
-    /// candidate tier, DESIGN §12).
-    pub lsh_probes: u64,
-    /// LSH probes that hit a non-empty, non-stop posting list (band
-    /// collisions — the tier's useful work).
-    pub lsh_collisions: u64,
-    /// 1 when the LSH tier produced no matches and the query re-ran
-    /// through the exact ETI (the per-query recall safety net).
-    pub lsh_fallbacks: u64,
     /// Wall-clock latency of the whole lookup, microseconds.
     pub latency_us: u64,
 }
@@ -92,7 +83,7 @@ impl LookupTrace {
     /// The property suite runs this on random queries; `deepcheck` runs it
     /// on a churned matcher.
     pub fn check_consistent(&self) -> Result<()> {
-        let checks: [(&str, bool); 8] = [
+        let checks: [(&str, bool); 6] = [
             (
                 "stop_qgrams <= qgrams_probed",
                 self.stop_qgrams <= self.qgrams_probed,
@@ -116,14 +107,6 @@ impl LookupTrace {
             (
                 "apx_pruned <= candidates",
                 self.apx_pruned <= self.candidates,
-            ),
-            (
-                "lsh_collisions <= lsh_probes",
-                self.lsh_collisions <= self.lsh_probes,
-            ),
-            (
-                "lsh_fallbacks only after lsh probes",
-                self.lsh_fallbacks == 0 || self.lsh_probes > 0,
             ),
         ];
         for (rule, ok) in checks {
@@ -287,9 +270,6 @@ pub struct MetricsRegistry {
     fms_evals: Counter,
     osc_attempts: Counter,
     osc_short_circuits: Counter,
-    lsh_probes: Counter,
-    lsh_collisions: Counter,
-    lsh_fallbacks: Counter,
     latency: LatencyHistogram,
 }
 
@@ -315,9 +295,6 @@ impl MetricsRegistry {
         if trace.osc_round.is_some() {
             self.osc_short_circuits.add(1);
         }
-        self.lsh_probes.add(trace.lsh_probes);
-        self.lsh_collisions.add(trace.lsh_collisions);
-        self.lsh_fallbacks.add(trace.lsh_fallbacks);
         self.latency.observe(trace.latency_us);
     }
 
@@ -340,9 +317,6 @@ impl MetricsRegistry {
             fms_evals: self.fms_evals.get(),
             osc_attempts: self.osc_attempts.get(),
             osc_short_circuits: self.osc_short_circuits.get(),
-            lsh_probes: self.lsh_probes.get(),
-            lsh_collisions: self.lsh_collisions.get(),
-            lsh_fallbacks: self.lsh_fallbacks.get(),
             latency: self.latency.snapshot(),
         }
     }
@@ -365,12 +339,6 @@ pub struct MetricsSnapshot {
     pub osc_attempts: u64,
     /// Queries answered by a successful OSC short circuit.
     pub osc_short_circuits: u64,
-    /// LSH band keys probed across all queries (DESIGN §12).
-    pub lsh_probes: u64,
-    /// LSH probes that hit a non-empty, non-stop posting list.
-    pub lsh_collisions: u64,
-    /// Queries that fell back from the LSH tier to the exact ETI.
-    pub lsh_fallbacks: u64,
     pub latency: LatencySnapshot,
 }
 
@@ -379,7 +347,7 @@ impl MetricsSnapshot {
     /// telemetry layer uses to expose and delta every registry counter
     /// without hand-maintaining a second field list.
     #[must_use]
-    pub fn named_counters(&self) -> [(&'static str, u64); 15] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 12] {
         [
             ("lookups", self.lookups),
             ("qgrams_probed", self.qgrams_probed),
@@ -393,9 +361,6 @@ impl MetricsSnapshot {
             ("fms_evals", self.fms_evals),
             ("osc_attempts", self.osc_attempts),
             ("osc_short_circuits", self.osc_short_circuits),
-            ("lsh_probes", self.lsh_probes),
-            ("lsh_collisions", self.lsh_collisions),
-            ("lsh_fallbacks", self.lsh_fallbacks),
         ]
     }
 }
@@ -430,9 +395,6 @@ impl MetricsSnapshot {
             fms_evals: self.fms_evals,
             osc_attempts: self.osc_attempts,
             osc_round: None,
-            lsh_probes: self.lsh_probes,
-            lsh_collisions: self.lsh_collisions,
-            lsh_fallbacks: self.lsh_fallbacks,
             latency_us: self.latency.sum_us,
         };
         as_trace.check_consistent()?;
@@ -488,9 +450,6 @@ mod tests {
             fms_evals: 3,
             osc_attempts: 1,
             osc_round: Some(4),
-            lsh_probes: 6,
-            lsh_collisions: 4,
-            lsh_fallbacks: 0,
             latency_us: 123,
         }
     }
@@ -514,21 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_consistency_covers_the_lsh_tier() {
-        let mut t = sample_trace();
-        t.lsh_collisions = t.lsh_probes + 1;
-        let err = t.check_consistent().unwrap_err().to_string();
-        assert!(err.contains("lsh_collisions"), "got: {err}");
-
-        let mut t = sample_trace();
-        t.lsh_probes = 0;
-        t.lsh_collisions = 0;
-        t.lsh_fallbacks = 1;
-        let err = t.check_consistent().unwrap_err().to_string();
-        assert!(err.contains("lsh_fallbacks"), "got: {err}");
-    }
-
-    #[test]
     fn registry_aggregates_traces_and_passes_invariants() {
         let registry = MetricsRegistry::new();
         let t = sample_trace();
@@ -538,9 +482,6 @@ mod tests {
         assert_eq!(snap.lookups, 2);
         assert_eq!(snap.qgrams_probed, t.qgrams_probed);
         assert_eq!(snap.osc_short_circuits, 1);
-        assert_eq!(snap.lsh_probes, t.lsh_probes);
-        assert_eq!(snap.lsh_collisions, t.lsh_collisions);
-        assert_eq!(snap.lsh_fallbacks, 0);
         assert_eq!(snap.latency.count, 2);
         assert_eq!(snap.latency.sum_us, t.latency_us);
         let check = snap.check_invariants().unwrap();

@@ -1,10 +1,10 @@
-//! The chunked posting-list relation under both candidate tiers (DESIGN.md
-//! §4.5): the value codec, the one read path, and [`PostingIndex`] — the
-//! one place that writes, maintains, bulk-loads and validates rows.
+//! The chunked posting-list relation under the ETI (DESIGN.md §4.5): the
+//! value codec, the one read path, and [`PostingIndex`] — the one place
+//! that writes, maintains, bulk-loads and validates rows.
 //!
 //! A logical row is addressed by an opaque byte **prefix** chosen by a
-//! key-scheme (`(gram, coordinate, column)` in [`crate::eti`], `(column,
-//! band, key)` in [`crate::lsh`]) and stored as a run of B+-tree entries
+//! key-scheme (`(gram, coordinate, column)` in [`crate::eti`], the only
+//! one) and stored as a run of B+-tree entries
 //! `prefix ‖ be32(chunk)`, one per chunk of at most [`TIDS_PER_CHUNK`] tids.
 //! Each value is `[flags:u8][frequency:u32][count:u16][count × tid:u32]`,
 //! little-endian; chunk 0's flags and frequency speak for the whole row.
@@ -630,8 +630,8 @@ impl PostingIndex {
     }
 }
 
-/// Report from a posting index's validator — [`crate::eti::Eti::check_invariants`],
-/// [`crate::LshIndex::check_invariants`] — one per index in
+/// Report from a posting index's validator
+/// ([`crate::eti::Eti::check_invariants`]), carried in
 /// [`crate::MatcherCheck`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PostingCheck {
@@ -649,7 +649,6 @@ pub struct PostingCheck {
 mod tests {
     use super::*;
     use crate::eti::Eti;
-    use crate::lsh::LshIndex;
     use fm_store::{BufferPool, ExternalSorter, MemPager};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -729,9 +728,9 @@ mod tests {
         assert!(lookup(&tree, b"k").is_err());
     }
 
-    /// The bug both copies of `append_tid` had: deleting every tid of a
-    /// middle chunk leaves chunks 0 and 2, and a new chunk numbered by the
-    /// chunk *count* (2) then replaced the live chunk 2.
+    /// A bug `append_tid` once had: deleting every tid of a middle chunk
+    /// leaves chunks 0 and 2, and a new chunk numbered by the chunk
+    /// *count* (2) then replaced the live chunk 2.
     fn survives_a_gap(index: &PostingIndex, row: &[u8], check: &dyn Fn() -> Result<PostingCheck>) {
         let n = TIDS_PER_CHUNK as u32;
         index
@@ -758,16 +757,16 @@ mod tests {
         let eti = Eti::new(tree(), 10_000);
         let row = Eti::prefix("sea", 1, 0);
         survives_a_gap(&eti.postings, &row, &|| eti.check_invariants());
-        let lsh = LshIndex::new(tree(), 4, 2, 3, 42, 10_000);
-        let row = LshIndex::prefix(0, 1, 42);
-        survives_a_gap(&lsh.postings, &row, &|| lsh.check_invariants());
+        // The index is keyed by opaque bytes: any prefix-free row does.
+        let raw = index(10_000);
+        survives_a_gap(&raw, &[0, 1, 0, 0, 0, 0, 0, 0, 0, 42], &|| check(&raw));
     }
 
     #[test]
     fn check_invariants_detects_multi_chunk_corruption() {
         // (stop threshold, raw chunks as (number, frequency, stop, tids),
         // message fragment). What a single raw chunk can show is seeded
-        // through the key-schemes, in `crate::eti` and `crate::lsh`.
+        // through the key-scheme, in `crate::eti`.
         type Raw = (u32, u32, bool, Vec<u32>);
         let big: Vec<u32> = (0..=TIDS_PER_CHUNK as u32).collect();
         let cases: Vec<(usize, Vec<Raw>, &str)> = vec![
@@ -977,12 +976,13 @@ mod tests {
             ops in proptest::collection::vec(op(), 1..16),
         ) {
             // "ab" and "abc": one gram extends the other, the encoded
-            // prefixes do not; the last two differ in their final byte.
+            // prefixes do not; the last two are raw byte prefixes that
+            // differ only in their final byte, so their rows are adjacent.
             let rows = [
                 Eti::prefix("ab", 1, 0),
                 Eti::prefix("abc", 1, 0),
-                LshIndex::prefix(0, 1, 7),
-                LshIndex::prefix(0, 1, 8),
+                vec![0, 1, 0, 0, 0, 0, 0, 0, 0, 7],
+                vec![0, 1, 0, 0, 0, 0, 0, 0, 0, 8],
             ];
             let index = index(STOP);
             let mut model: BTreeMap<&[u8], Model> = BTreeMap::new();

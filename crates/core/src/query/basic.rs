@@ -3,19 +3,18 @@
 use crate::error::Result;
 use crate::metrics::LookupTrace;
 use crate::query::{
-    plan_query, probe_into, verify_candidates, with_scratch, CandidateSource, EtiSource, Probed,
-    QueryContext, ReferenceFetch, ScoredMatch, Scratch, TidScores,
+    plan_query, probe_into, verify_candidates, with_scratch, Probed, QueryContext, ReferenceFetch,
+    ScoredMatch, Scratch, TidScores,
 };
 use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
 
-/// Answer a K-fuzzy-match query with the basic algorithm over the exact
-/// ETI tier.
+/// Answer a K-fuzzy-match query with the basic algorithm.
 ///
 /// Looks up **every** signature coordinate of every input token against the
 /// ETI, scores tids, then fetches and verifies candidates in decreasing
-/// score order.
+/// score order. Runs in this thread's reusable scratch.
 pub fn basic_lookup<W, F>(
     ctx: &QueryContext<'_, W, F>,
     input: &TokenizedRecord,
@@ -26,32 +25,13 @@ where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
 {
-    basic_lookup_with(ctx, &EtiSource { eti: ctx.eti }, input, k, c)
+    with_scratch(|scratch| basic_run(ctx, input, k, c, scratch))
 }
 
-/// The basic algorithm over any [`CandidateSource`]: the scoring and
-/// verification math never sees which tier answers the probes. Runs in
-/// this thread's reusable scratch.
-pub(crate) fn basic_lookup_with<W, F, S>(
-    ctx: &QueryContext<'_, W, F>,
-    source: &S,
-    input: &TokenizedRecord,
-    k: usize,
-    c: f64,
-) -> Result<(Vec<ScoredMatch>, LookupTrace)>
-where
-    W: WeightProvider + ?Sized,
-    F: ReferenceFetch + ?Sized,
-    S: CandidateSource + ?Sized,
-{
-    with_scratch(|scratch| basic_run(ctx, source, input, k, c, scratch))
-}
-
-/// [`basic_lookup_with`] in a caller-supplied scratch (whatever a previous
+/// [`basic_lookup`] in a caller-supplied scratch (whatever a previous
 /// query left in it is discarded).
-pub(crate) fn basic_run<W, F, S, T>(
+pub(crate) fn basic_run<W, F, T>(
     ctx: &QueryContext<'_, W, F>,
-    source: &S,
     input: &TokenizedRecord,
     k: usize,
     c: f64,
@@ -60,7 +40,6 @@ pub(crate) fn basic_run<W, F, S, T>(
 where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
-    S: CandidateSource + ?Sized,
     T: TidScores,
 {
     let mut trace = LookupTrace::default();
@@ -69,7 +48,6 @@ where
     }
     let plan_span = crate::tracing::span("plan");
     let plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
-    let units = source.plan_units(&plan);
     drop(plan_span);
     if plan.wu == 0.0 {
         return Ok((Vec::new(), trace));
@@ -84,22 +62,22 @@ where
 
     // Step 4: the admission threshold for new tids.
     let threshold = c * plan.wu;
-    let mut remaining: f64 = units.iter().map(|u| u.weight).sum();
+    let mut remaining: f64 = plan.grams.iter().map(|g| g.weight).sum();
     // Weight of stop rows we could not score: candidates must not be
     // penalized for them, so it joins the adjustment term in every bound.
     let mut stop_credit = 0.0;
 
     let probe_span = crate::tracing::span("probe");
-    for unit in &units {
+    for gram in &plan.grams {
         // Step 9b: a new tid's best possible final score is the weight not
-        // yet consumed (this unit included) — plus the adjustment term,
-        // exactly as step 11's filter subtracts it: a low score does not
-        // bound fms without the d_q slack.
+        // yet consumed (this coordinate included) — plus the adjustment
+        // term, exactly as step 11's filter subtracts it: a low score does
+        // not bound fms without the d_q slack.
         let admit_new = !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
-        if probe_into(source, unit, key, table, admit_new, &mut trace)? == Probed::Stop {
-            stop_credit += unit.weight;
+        if probe_into(ctx.eti, gram, key, table, admit_new, &mut trace)? == Probed::Stop {
+            stop_credit += gram.weight;
         }
-        remaining -= unit.weight;
+        remaining -= gram.weight;
     }
     drop(probe_span);
 

@@ -30,7 +30,6 @@
 pub mod basic;
 pub mod osc;
 pub(crate) mod scores;
-pub(crate) mod source;
 
 #[cfg(test)]
 pub(crate) mod oracle;
@@ -51,10 +50,8 @@ use crate::weights::WeightProvider;
 pub use basic::basic_lookup;
 pub use osc::osc_lookup;
 
-pub(crate) use basic::basic_lookup_with;
-pub(crate) use osc::osc_lookup_with;
+pub(crate) use crate::postings::Probed;
 pub(crate) use scores::{with_scratch, Scratch, TidScores};
-pub(crate) use source::{CandidateSource, EtiSource, LshSource, Probed, SourceUnit};
 
 /// Which query algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,24 +144,30 @@ pub(crate) struct PlannedGram {
     pub weight: f64,
 }
 
-/// One weighted input token — the tier-independent half of the plan. The
-/// LSH source expands these into band-key probes ([`source::LshSource`]),
-/// the ETI source uses the pre-expanded [`PlannedGram`]s.
-#[derive(Debug, Clone)]
-pub(crate) struct PlannedToken<'a> {
-    pub column: u8,
-    pub token: &'a str,
-    /// `w(t)`: IDF weight × column factor.
-    pub weight: f64,
+/// The ETI row a [`PlannedGram`] probes. Its order is the deterministic
+/// tiebreak between grams of equal weight: the OSC ordering must be
+/// reproducible across runs and replicas.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct GramUnit<'p> {
+    column: u8,
+    coordinate: u8,
+    gram: &'p str,
 }
 
-/// The query plan for one input tuple (borrows the input's tokens).
+impl PlannedGram {
+    pub(crate) fn unit(&self) -> GramUnit<'_> {
+        GramUnit {
+            column: self.column,
+            coordinate: self.coordinate,
+            gram: &self.gram,
+        }
+    }
+}
+
+/// The query plan for one input tuple.
 #[derive(Debug, Clone)]
-pub(crate) struct QueryPlan<'a> {
+pub(crate) struct QueryPlan {
     pub grams: Vec<PlannedGram>,
-    /// The weighted tokens behind `grams`, for sources that probe at token
-    /// granularity.
-    pub tokens: Vec<PlannedToken<'a>>,
     /// `w(u)`: total weight of the input token set.
     pub wu: f64,
     /// `Σ_t w(t)·(1 − 1/q)`: the full adjustment term.
@@ -172,26 +175,20 @@ pub(crate) struct QueryPlan<'a> {
 }
 
 /// Build the query plan (Figure 3, steps 2–4 and 7 precomputed).
-pub(crate) fn plan_query<'a, W: WeightProvider + ?Sized>(
-    input: &'a TokenizedRecord,
+pub(crate) fn plan_query<W: WeightProvider + ?Sized>(
+    input: &TokenizedRecord,
     config: &Config,
     weights: &W,
     minhasher: &MinHasher,
-) -> QueryPlan<'a> {
+) -> QueryPlan {
     let dq = 1.0 - 1.0 / config.q as f64;
     let mut grams = Vec::new();
-    let mut tokens = Vec::new();
     let mut wu = 0.0;
     let mut adjustment = 0.0;
     for (col, token) in input.iter_tokens() {
         let w = config.column_factor(col) * weights.weight(col, token);
         wu += w;
         adjustment += w * dq;
-        tokens.push(PlannedToken {
-            column: col as u8,
-            token,
-            weight: w,
-        });
         for entry in token_signature(token, minhasher, config.scheme) {
             grams.push(PlannedGram {
                 column: col as u8,
@@ -203,34 +200,40 @@ pub(crate) fn plan_query<'a, W: WeightProvider + ?Sized>(
     }
     QueryPlan {
         grams,
-        tokens,
         wu,
         adjustment,
     }
 }
 
-/// Probe one unit and absorb its posting list into the score table as the
-/// chunks come off the index leaf (Figure 3, steps 5–10 for one
-/// coordinate). `admit_new` is the caller's step-9b decision.
-pub(crate) fn probe_into<S, T>(
-    source: &S,
-    unit: &SourceUnit<S::Unit<'_>>,
+/// Probe one coordinate's ETI row and absorb its tid-list into the score
+/// table as the chunks come off the index leaf (Figure 3, steps 5–10 for
+/// one coordinate). `admit_new` is the caller's step-9b decision; `key`
+/// is the query's reusable key buffer.
+pub(crate) fn probe_into<T: TidScores>(
+    eti: &Eti,
+    gram: &PlannedGram,
     key: &mut Vec<u8>,
     table: &mut T,
     admit_new: bool,
     trace: &mut LookupTrace,
-) -> Result<Probed>
-where
-    S: CandidateSource + ?Sized,
-    T: TidScores,
-{
-    let probed = {
+) -> Result<Probed> {
+    let (probed, rows) = {
         let _scan = crate::tracing::span("probe.scan");
-        source.probe(&unit.what, key, trace, |chunk| {
+        trace.qgrams_probed += 1;
+        eti.probe(&gram.gram, gram.coordinate, gram.column, key, |chunk| {
             let _absorb = crate::tracing::span("probe.absorb");
-            table.absorb(chunk.tids(), unit.weight, admit_new);
+            table.absorb(chunk.tids(), gram.weight, admit_new);
         })?
     };
+    trace.eti_rows += rows;
+    match probed {
+        Probed::Missing => {}
+        Probed::Stop => trace.stop_qgrams += 1,
+        Probed::List { len } => {
+            trace.tid_list_entries += len;
+            trace.tid_list_max = trace.tid_list_max.max(len);
+        }
+    }
     // The table counts for the query `trace` describes (both start at
     // zero together), so its totals are the trace's.
     trace.tids_processed = table.tids_processed();
@@ -398,10 +401,6 @@ mod tests {
         // Every long token contributes H grams; all are 4-grams of their
         // token or whole short tokens.
         assert_eq!(plan.grams.len(), 6);
-        // The token-level half of the plan carries the same total weight.
-        assert_eq!(plan.tokens.len(), 3);
-        let wt: f64 = plan.tokens.iter().map(|t| t.weight).sum();
-        assert!((wt - plan.wu).abs() < 1e-12);
     }
 
     #[test]
@@ -414,45 +413,35 @@ mod tests {
         assert!(plan.grams.is_empty());
     }
 
-    /// A tier whose rows are literal posting lists, addressed by index.
-    struct Lists(Vec<Vec<u32>>);
-
-    impl CandidateSource for Lists {
-        type Unit<'p> = usize;
-
-        fn plan_units(&self, _plan: &QueryPlan<'_>) -> Vec<SourceUnit<usize>> {
-            Vec::new()
-        }
-
-        fn probe(
-            &self,
-            unit: &usize,
-            _key: &mut Vec<u8>,
-            _trace: &mut LookupTrace,
-            mut sink: impl FnMut(crate::postings::Chunk<'_>),
-        ) -> Result<Probed> {
-            let tids = &self.0[*unit];
-            let value = crate::postings::encode_value(tids.len() as u32, false, tids);
-            sink(crate::postings::Chunk::parse(&value)?);
-            Ok(Probed::List {
-                len: tids.len() as u64,
-            })
-        }
-    }
-
     #[test]
     fn probe_into_carries_the_table_counters_into_the_trace_and_legacy_stats() {
-        let lists = Lists(vec![vec![1, 2, 3], vec![2, 3], vec![3, 4]]);
+        let db = fm_store::Database::in_memory().unwrap();
+        let eti = Eti::new(db.create_index("eti").unwrap(), 10_000);
+        // (row, tid-list, probe weight, admit new tids)
+        let lists: [(&str, &[u32], f64, bool); 3] = [
+            ("a", &[1, 2, 3], 1.0, true),
+            ("b", &[2, 3], 0.5, true),
+            ("c", &[3, 4], 0.25, false),
+        ];
+        for (gram, tids, _, _) in lists {
+            eti.insert_group(gram, 1, 0, tids).unwrap();
+        }
         let mut trace = LookupTrace::default();
         let mut table = scores::ScoreTable::default();
         table.begin(1);
         let mut key = Vec::new();
-        for (what, weight, admit_new) in [(0, 1.0, true), (1, 0.5, true), (2, 0.25, false)] {
-            let unit = SourceUnit { weight, what };
+        for (gram, _, weight, admit_new) in lists {
+            let gram = PlannedGram {
+                column: 0,
+                coordinate: 1,
+                gram: gram.to_string(),
+                weight,
+            };
             let probed =
-                probe_into(&lists, &unit, &mut key, &mut table, admit_new, &mut trace).unwrap();
+                probe_into(&eti, &gram, &mut key, &mut table, admit_new, &mut trace).unwrap();
             assert!(matches!(probed, Probed::List { .. }));
         }
+        assert_eq!((trace.qgrams_probed, trace.tid_list_entries), (3, 7));
         // Tid 4 was not admitted: 3 inserts + 2 bumps + 1 bump.
         assert_eq!(trace.candidates, 3);
         assert_eq!(trace.tids_processed, 6);

@@ -2,8 +2,8 @@
 //!
 //! Token weights vary a lot (that is the whole point of IDF weighting), so
 //! the heaviest few q-grams often determine the winner. OSC therefore
-//! processes probe units in **decreasing weight order** and, after each
-//! tid-list, runs a two-stage gate:
+//! processes signature coordinates in **decreasing weight order** and,
+//! after each tid-list, runs a two-stage gate:
 //!
 //! * **fetching test** — linearly extrapolate the current K-th best score
 //!   over the weight still to come; if even the extrapolation beats the
@@ -13,28 +13,24 @@
 //!   at least the best possible final (normalized) score of any other
 //!   tuple, the answer is provably final (w.h.p.) and the remaining — by
 //!   construction lighter and higher-frequency, hence more expensive —
-//!   units are never looked up.
+//!   coordinates are never looked up.
 //!
 //! A failed stopping test costs only the (cached) fms evaluations; the
-//! algorithm keeps processing units and falls back to the basic
+//! algorithm keeps processing coordinates and falls back to the basic
 //! verification phase after the last one.
-//!
-//! The gates reason only about weights and scores, so the same machinery
-//! runs over either candidate tier ([`CandidateSource`]): ETI signature
-//! coordinates or LSH band keys.
 
 use crate::error::Result;
 use crate::metrics::LookupTrace;
 use crate::query::{
-    insert_match, plan_query, probe_into, verify_candidates, with_scratch, CandidateSource,
-    EtiSource, Probed, QueryContext, ReferenceFetch, ScoredMatch, Scratch, TidScores,
+    insert_match, plan_query, probe_into, verify_candidates, with_scratch, Probed, QueryContext,
+    ReferenceFetch, ScoredMatch, Scratch, TidScores,
 };
 use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
 
-/// Answer a K-fuzzy-match query with optimistic short circuiting over the
-/// exact ETI tier.
+/// Answer a K-fuzzy-match query with optimistic short circuiting, in this
+/// thread's reusable scratch.
 pub fn osc_lookup<W, F>(
     ctx: &QueryContext<'_, W, F>,
     input: &TokenizedRecord,
@@ -45,30 +41,13 @@ where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
 {
-    osc_lookup_with(ctx, &EtiSource { eti: ctx.eti }, input, k, c)
+    with_scratch(|scratch| osc_run(ctx, input, k, c, scratch))
 }
 
-/// OSC over any [`CandidateSource`], in this thread's reusable scratch.
-pub(crate) fn osc_lookup_with<W, F, S>(
+/// [`osc_lookup`] in a caller-supplied scratch (whatever a previous query
+/// left in it is discarded).
+pub(crate) fn osc_run<W, F, T>(
     ctx: &QueryContext<'_, W, F>,
-    source: &S,
-    input: &TokenizedRecord,
-    k: usize,
-    c: f64,
-) -> Result<(Vec<ScoredMatch>, LookupTrace)>
-where
-    W: WeightProvider + ?Sized,
-    F: ReferenceFetch + ?Sized,
-    S: CandidateSource + ?Sized,
-{
-    with_scratch(|scratch| osc_run(ctx, source, input, k, c, scratch))
-}
-
-/// [`osc_lookup_with`] in a caller-supplied scratch (whatever a previous
-/// query left in it is discarded).
-pub(crate) fn osc_run<W, F, S, T>(
-    ctx: &QueryContext<'_, W, F>,
-    source: &S,
     input: &TokenizedRecord,
     k: usize,
     c: f64,
@@ -77,7 +56,6 @@ pub(crate) fn osc_run<W, F, S, T>(
 where
     W: WeightProvider + ?Sized,
     F: ReferenceFetch + ?Sized,
-    S: CandidateSource + ?Sized,
     T: TidScores,
 {
     let mut trace = LookupTrace::default();
@@ -85,16 +63,15 @@ where
         return Ok((Vec::new(), trace));
     }
     let plan_span = crate::tracing::span("plan");
-    let plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
+    let mut plan = plan_query(input, ctx.config, ctx.weights, ctx.minhasher);
     if plan.wu == 0.0 {
         return Ok((Vec::new(), trace));
     }
-    let mut units = source.plan_units(&plan);
     // Step 3.1: decreasing weight order; ties broken deterministically.
-    units.sort_by(|a, b| {
+    plan.grams.sort_by(|a, b| {
         b.weight
             .total_cmp(&a.weight)
-            .then_with(|| a.what.cmp(&b.what))
+            .then_with(|| a.unit().cmp(&b.unit()))
     });
     drop(plan_span);
     let Scratch {
@@ -106,27 +83,27 @@ where
     fms_cache.clear();
 
     let threshold = c * plan.wu;
-    let total: f64 = units.iter().map(|u| u.weight).sum();
+    let total: f64 = plan.grams.iter().map(|g| g.weight).sum();
     let mut remaining = total; // w(Q_p) − w(Q_i)
-    let mut processed_scored = 0.0; // weight of non-stop units processed
+    let mut processed_scored = 0.0; // weight of non-stop coordinates processed
     let mut stop_credit = 0.0;
     let mut sim = Similarity::new(ctx.weights, ctx.config);
     let prepared = sim.prepare(input);
 
-    let n_units = units.len();
+    let n_grams = plan.grams.len();
     let probe_span = crate::tracing::span("probe");
-    for (i, unit) in units.iter().enumerate() {
+    for (i, gram) in plan.grams.iter().enumerate() {
         let admit_new = !ctx.config.insert_pruning || remaining + plan.adjustment >= threshold;
-        match probe_into(source, unit, key, table, admit_new, &mut trace)? {
+        match probe_into(ctx.eti, gram, key, table, admit_new, &mut trace)? {
             Probed::Missing => {}
-            Probed::Stop => stop_credit += unit.weight,
-            Probed::List { .. } => processed_scored += unit.weight,
+            Probed::Stop => stop_credit += gram.weight,
+            Probed::List { .. } => processed_scored += gram.weight,
         }
-        remaining -= unit.weight;
+        remaining -= gram.weight;
 
         // Step 8.1: the short-circuit procedure — pointless after the last
-        // unit (the fallback handles that) or before anything scored.
-        if i + 1 == n_units || processed_scored <= 0.0 {
+        // coordinate (the fallback handles that) or before anything scored.
+        if i + 1 == n_grams || processed_scored <= 0.0 {
             continue;
         }
         let _gate_span = crate::tracing::span("osc_gate");

@@ -632,26 +632,6 @@ impl Inner {
             "lookups".to_string(),
             cut.matcher.lookups.saturating_sub(prev.matcher.lookups),
         ));
-        // Candidate-tier activity per window (DESIGN §12): how much work
-        // the LSH tier did and how often its recall safety net fired.
-        counters.push((
-            "lsh_probes".to_string(),
-            cut.matcher
-                .lsh_probes
-                .saturating_sub(prev.matcher.lsh_probes),
-        ));
-        counters.push((
-            "lsh_collisions".to_string(),
-            cut.matcher
-                .lsh_collisions
-                .saturating_sub(prev.matcher.lsh_collisions),
-        ));
-        counters.push((
-            "lsh_fallbacks".to_string(),
-            cut.matcher
-                .lsh_fallbacks
-                .saturating_sub(prev.matcher.lsh_fallbacks),
-        ));
         let pool_hits = cut.store.hits.saturating_sub(prev.store.hits);
         let pool_misses = cut.store.misses.saturating_sub(prev.store.misses);
         counters.push(("pool_hits".to_string(), pool_hits));
@@ -1160,13 +1140,6 @@ impl Inner {
                         ("fms_evals", Json::from(m.fms_evals)),
                         ("osc_attempts", Json::from(m.osc_attempts)),
                         ("osc_short_circuits", Json::from(m.osc_short_circuits)),
-                        ("lsh_probes", Json::from(m.lsh_probes)),
-                        ("lsh_collisions", Json::from(m.lsh_collisions)),
-                        ("lsh_fallbacks", Json::from(m.lsh_fallbacks)),
-                        (
-                            "candidate_tier",
-                            Json::from(self.primary().config().candidate_tier.label()),
-                        ),
                         (
                             "latency",
                             Json::obj(vec![

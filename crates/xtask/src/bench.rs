@@ -9,18 +9,11 @@
 //!    5k-tuple ratio's noise is wider than any useful limit, so
 //!    `bench.trace_overhead_pct` at 10^5 under `benchmark compare` owns
 //!    it);
-//! 2. checks the LSH candidate tier (`lsh` section): top-1 agreement
-//!    with the exact ETI must stay at or above 0.95 and the banding index
-//!    must fetch fewer candidates per input than the ETI — the
-//!    accuracy/throughput contract of DESIGN §12. Both counters are
-//!    deterministic given the seed. On the quick corpus the report must
-//!    also record `auto_tier: "eti"` (5 000 tuples sit below the Auto
-//!    cutover);
-//! 3. compares every **deterministic** per-strategy counter against the
+//! 2. compares every **deterministic** per-strategy counter against the
 //!    committed `BENCH_baseline.json` and fails on >20% relative drift —
 //!    these counters are exact functions of the seed, so drift means an
 //!    algorithm change that must be acknowledged with `--rebaseline`;
-//! 4. reports (but does not gate on) other wall-clock drift, which
+//! 3. reports (but does not gate on) other wall-clock drift, which
 //!    tracks the machine more than the code — wall-clock claims belong to
 //!    `benchmark compare` (`BENCHMARK.json`).
 //!
@@ -96,10 +89,7 @@ pub fn run(args: &[String]) -> i32 {
     // 1. Server-telemetry overhead gate.
     let mut failures = telemetry_gate(&report);
 
-    // 2. LSH candidate-tier accuracy/efficiency gate.
-    failures += lsh_gate(&report);
-
-    // 3+4. Baseline comparison.
+    // 2+3. Baseline comparison.
     if rebaseline {
         if let Err(e) = std::fs::copy(&report_path, &baseline_path) {
             eprintln!("bench: cannot write {}: {e}", baseline_path.display());
@@ -154,62 +144,6 @@ pub fn telemetry_gate(report: &Json) -> usize {
             1
         }
     }
-}
-
-/// Floor on top-1 agreement between the LSH tier and the exact ETI.
-const MIN_LSH_RECALL: f64 = 0.95;
-
-/// Gate the report's `lsh` section; returns the failure count. Both
-/// gated values are deterministic counters: recall-of-top-1 against the
-/// exact ETI answer must hold the floor, and the banding index must
-/// fetch strictly fewer candidates per input than the ETI (otherwise
-/// the tier costs accuracy and buys nothing). Throughput is wall-clock
-/// and only reported. A quick-corpus report must record that the Auto
-/// policy resolves to `eti` — 5 000 tuples are below the cutover.
-pub fn lsh_gate(report: &Json) -> usize {
-    let Some(lsh) = report.get("lsh") else {
-        eprintln!("bench: FAIL report has no lsh section");
-        return 1;
-    };
-    let field = |key: &str| lsh.get(key).and_then(Json::as_f64);
-    let (Some(recall), Some(eti_fetches), Some(lsh_fetches)) = (
-        field("recall_top1"),
-        field("eti_avg_fetches"),
-        field("lsh_avg_fetches"),
-    ) else {
-        eprintln!("bench: FAIL lsh section is missing fields");
-        return 1;
-    };
-    let mut failures = 0usize;
-    if recall < MIN_LSH_RECALL {
-        eprintln!("bench: FAIL lsh recall@1 {recall:.3} below the {MIN_LSH_RECALL} floor");
-        failures += 1;
-    }
-    if lsh_fetches >= eti_fetches {
-        eprintln!(
-            "bench: FAIL lsh tier fetches {lsh_fetches:.2}/input, not fewer than \
-             the eti's {eti_fetches:.2}"
-        );
-        failures += 1;
-    }
-    let quick = report.get("quick").and_then(Json::as_bool).unwrap_or(false);
-    let auto_tier = lsh.get("auto_tier").and_then(Json::as_str);
-    if quick && auto_tier != Some("eti") {
-        eprintln!("bench: FAIL quick-corpus auto tier resolved to {auto_tier:?}, expected \"eti\"");
-        failures += 1;
-    }
-    if failures == 0 {
-        let (eq, lq) = (
-            field("eti_qps").unwrap_or(0.0),
-            field("lsh_qps").unwrap_or(0.0),
-        );
-        println!(
-            "bench: lsh tier recall@1 {recall:.3} (floor {MIN_LSH_RECALL}), fetches \
-             {eti_fetches:.2} -> {lsh_fetches:.2}/input, {eq:.0} -> {lq:.0} qps \
-             (wall-clock, not gated)"
-        );
-    }
-    failures
 }
 
 fn read_report(path: &std::path::Path) -> Result<Json, String> {
@@ -315,39 +249,6 @@ mod tests {
         assert_eq!(telemetry_gate(&slow), 1);
         let missing = json::parse(r#"{"strategies": []}"#).unwrap();
         assert_eq!(telemetry_gate(&missing), 1);
-    }
-
-    fn lsh_report(recall: f64, eti_fetches: f64, lsh_fetches: f64, auto_tier: &str) -> Json {
-        json::parse(&format!(
-            r#"{{"quick": true, "lsh": {{"recall_top1": {recall},
-                "eti_avg_fetches": {eti_fetches}, "lsh_avg_fetches": {lsh_fetches},
-                "eti_qps": 2000.0, "lsh_qps": 1900.0, "auto_tier": "{auto_tier}"}}}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn lsh_gate_holds_recall_and_fetch_reduction() {
-        assert_eq!(lsh_gate(&lsh_report(0.975, 40.66, 39.73, "eti")), 0);
-        // Recall below the floor.
-        assert_eq!(lsh_gate(&lsh_report(0.91, 40.66, 39.73, "eti")), 1);
-        // Banding that fetches as much as the ETI buys nothing.
-        assert_eq!(lsh_gate(&lsh_report(0.975, 40.0, 40.0, "eti")), 1);
-        // Both regressions are counted separately.
-        assert_eq!(lsh_gate(&lsh_report(0.90, 40.0, 41.0, "eti")), 2);
-    }
-
-    #[test]
-    fn lsh_gate_pins_the_quick_corpus_auto_tier_to_eti() {
-        assert_eq!(lsh_gate(&lsh_report(0.975, 40.66, 39.73, "lsh")), 1);
-    }
-
-    #[test]
-    fn lsh_gate_fails_on_missing_section() {
-        let missing = json::parse(r#"{"strategies": []}"#).unwrap();
-        assert_eq!(lsh_gate(&missing), 1);
-        let partial = json::parse(r#"{"lsh": {"recall_top1": 0.99}}"#).unwrap();
-        assert_eq!(lsh_gate(&partial), 1);
     }
 
     #[test]

@@ -80,44 +80,6 @@ fn check_metrics_stack() -> Result<(), String> {
         "deepcheck: metrics ok — {} lookups, {} fms evaluations, {} histogram events",
         check.lookups, check.fms_evals, check.histogram_events
     );
-
-    // Same drift check for the LSH tier: run the batch again through the
-    // banding index on a replica and require the registry delta to equal
-    // the per-trace sums of the lsh counters exactly.
-    let mut lsh_matcher = matcher.replicate();
-    lsh_matcher.set_candidate_tier(fm_core::CandidateTier::Lsh);
-    let before = lsh_matcher.metrics_snapshot();
-    let mut probes = 0u64;
-    let mut collisions = 0u64;
-    for input in &inputs {
-        let r = lsh_matcher
-            .lookup(input, 2, 0.0)
-            .map_err(|e| format!("lsh lookup: {e}"))?;
-        r.trace
-            .check_consistent()
-            .map_err(|e| format!("lsh trace: {e}"))?;
-        probes += r.trace.lsh_probes;
-        collisions += r.trace.lsh_collisions;
-    }
-    if probes == 0 {
-        return Err("lsh-tier lookups never probed a band".into());
-    }
-    let after = lsh_matcher.metrics_snapshot();
-    if after.lsh_probes - before.lsh_probes != probes
-        || after.lsh_collisions - before.lsh_collisions != collisions
-    {
-        return Err(format!(
-            "registry drifted from the lsh trace sum: {} probes vs {probes}, \
-             {} collisions vs {collisions}",
-            after.lsh_probes - before.lsh_probes,
-            after.lsh_collisions - before.lsh_collisions
-        ));
-    }
-    println!(
-        "deepcheck: lsh tier ok — {probes} band probes, {collisions} collisions \
-         over {} lookups",
-        inputs.len()
-    );
     Ok(())
 }
 
@@ -149,22 +111,14 @@ fn check_matcher_stack() -> Result<(), String> {
         .map_err(|e| format!("matcher: {e}"))?;
     println!(
         "deepcheck: matcher ok — {} reference tuples, {} distinct tokens, \
-         eti: {} groups / {} chunks / {} stop rows / {} tids, \
-         lsh: {} groups / {} chunks / {} stop bands / {} tids",
+         eti: {} groups / {} chunks / {} stop rows / {} tids",
         report.reference_tuples,
         report.distinct_tokens,
         report.eti.groups,
         report.eti.chunks,
         report.eti.stop_groups,
-        report.eti.tids,
-        report.lsh.groups,
-        report.lsh.chunks,
-        report.lsh.stop_groups,
-        report.lsh.tids
+        report.eti.tids
     );
-    if report.lsh.groups == 0 || report.lsh.tids == 0 {
-        return Err("churned matcher has an empty LSH index — maintenance is not posting".into());
-    }
 
     // The bounded (hash-bucketed) weight table is derived, not maintained;
     // rebuild one from the live frequencies and confirm it agrees.

@@ -14,9 +14,8 @@
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
 //! * [`bench`] — the performance gate: runs the fig6/fig8/fig9
-//!   micro-harness (`bench_gate`), checks telemetry overhead and LSH
-//!   recall, and fails on >20% drift of deterministic counters vs
-//!   `BENCH_baseline.json`.
+//!   micro-harness (`bench_gate`), checks telemetry overhead, and fails
+//!   on >20% drift of deterministic counters vs `BENCH_baseline.json`.
 //! * [`ci`] — the pre-PR gate: fmt, clippy, lint, analyze, the line
 //!   budget, deepcheck, a traced-lookup → Chrome-export smoke test, an
 //!   `fm-server` round-trip/overload/drain smoke test, and the tests.

@@ -38,24 +38,6 @@ printf '%s\n' "$stats_out" | grep -q "pool hits" ||
 
 echo "ci: traced-lookup smoke test ok"
 
-# LSH candidate tier: the same lookup answered from the banding index.
-# The trace must show band probes and zero q-gram probes (the ETI was
-# never touched), and `explain` must render the per-band key table.
-lsh_out=$(cargo run -q --release -p fm-cli -- lookup \
-  --db "$smoke_dir/smoke.fmdb" --input "Beoing Company,Seattle,WA,98004" \
-  --tier lsh --trace 2>&1)
-printf '%s\n' "$lsh_out" | grep -q "Boeing Company" ||
-  { echo "ci: lsh-tier lookup found no match: $lsh_out" >&2; exit 1; }
-printf '%s\n' "$lsh_out" | grep -q "LSH bands probed" ||
-  { echo "ci: lsh-tier trace shows no band probes: $lsh_out" >&2; exit 1; }
-printf '%s\n' "$lsh_out" | grep -q "q-grams probed:     0" ||
-  { echo "ci: lsh-tier lookup touched the ETI: $lsh_out" >&2; exit 1; }
-explain_out=$(cargo run -q --release -p fm-cli -- explain \
-  --db "$smoke_dir/smoke.fmdb" --input "Beoing Company,Seattle,WA,98004")
-printf '%s\n' "$explain_out" | grep -q "lsh bands" ||
-  { echo "ci: explain has no lsh band section" >&2; exit 1; }
-echo "ci: lsh-tier smoke test ok"
-
 # Structured tracing: export a Chrome trace through the CLI and check it
 # parses (python if available, otherwise structural greps).
 cargo run -q --release -p fm-cli -- trace export \
@@ -87,7 +69,6 @@ echo "ci: chrome trace export smoke test ok"
 cargo build -q --release -p fm-cli -p fm-bench --bin fuzzymatch --bin bench_load
 ./target/release/fuzzymatch serve --db "$smoke_dir/smoke.fmdb" \
   --addr 127.0.0.1:0 --port-file "$smoke_dir/port.txt" \
-  --candidate-tier lsh \
   --telemetry-window-ms 50 --slow-us 1 --slow-log "$smoke_dir/slow.jsonl" &
 server_pid=$!
 i=0
@@ -109,14 +90,10 @@ printf '%s\n' "$lookup_out" | grep -q "Boeing Company" ||
   --input "Beoing Company,Seattle,WA,98004" --clients 4 --requests 100 |
   grep -q "dropped responses: 0" ||
   { echo "ci: bench_load dropped responses" >&2; exit 1; }
-# The server was started with --candidate-tier lsh: its stats verb must
-# label the tier and count the band probes the traffic just generated,
-# and the Prometheus scrape must export the same counters.
+# The stats verb must count the ETI probes the traffic just generated.
 server_stats=$(./target/release/fuzzymatch client stats --addr "$addr")
-printf '%s\n' "$server_stats" | grep -q '"candidate_tier":"lsh"' ||
-  { echo "ci: server stats does not label the lsh tier: $server_stats" >&2; exit 1; }
-printf '%s\n' "$server_stats" | grep -q '"lsh_probes":[1-9]' ||
-  { echo "ci: server stats counted no lsh probes under the lsh tier" >&2; exit 1; }
+printf '%s\n' "$server_stats" | grep -q '"qgrams_probed":[1-9]' ||
+  { echo "ci: server stats counted no q-gram probes: $server_stats" >&2; exit 1; }
 # The flight recorder is per-process: server-side query spans are only
 # visible through the remote trace_slowest verb.
 slowest_out=$(./target/release/fuzzymatch trace slowest 5 --addr "$addr")
@@ -157,6 +134,6 @@ else
 fi
 echo "ci: release concurrent stress ok"
 
-# The bench gate (deterministic counters vs BENCH_baseline.json, LSH
-# recall, the telemetry overhead ratio) — quick mode.
+# The bench gate (deterministic counters vs BENCH_baseline.json, the
+# telemetry overhead ratio) — quick mode.
 cargo xtask bench

@@ -3,8 +3,7 @@
 
 use fm_core::naive::NaiveMatcher;
 use fm_core::{
-    CandidateTier, Config, CoreError, FuzzyMatcher, LookupTrace, OscStopping, QueryMode, Record,
-    TranspositionCost,
+    Config, CoreError, FuzzyMatcher, LookupTrace, OscStopping, QueryMode, Record, TranspositionCost,
 };
 use fm_datagen::{make_inputs, ErrorModel, ErrorSpec, D2_PROBS, D3_PROBS};
 use fm_integration::{build, customer_config, customers};
@@ -412,43 +411,37 @@ fn answer_on_a_fresh_thread(
 }
 
 #[test]
-fn reused_scratch_answers_like_a_pristine_one_across_modes_tiers_k_and_c() {
-    // Basic/Osc × Eti/Lsh × K ∈ {1, 3, 10} × c ∈ {0, 0.8}: this thread runs
-    // the whole matrix back to back, so each lookup inherits the scratch of
-    // one with another mode, tier, K, threshold and candidate count; every
-    // answer — matches and the whole trace — must equal the one a fresh
-    // thread gives. (The bitwise comparison of this pipeline with the
+fn reused_scratch_answers_like_a_pristine_one_across_modes_k_and_c() {
+    // Basic/Osc × K ∈ {1, 3, 10} × c ∈ {0, 0.8}: this thread runs the whole
+    // matrix back to back, so each lookup inherits the scratch of one with
+    // another mode, K, threshold and candidate count; every answer —
+    // matches and the whole trace — must equal the one a fresh thread
+    // gives. (The bitwise comparison of this pipeline with the
     // collect-and-sort score table it replaced runs inside fm-core, where
-    // that oracle lives: matcher::tests::pipeline_on_the_incremental_table_
-    // equals_the_sorting_oracle.)
+    // that oracle lives: matcher::tests::pipeline_equals_the_sorting_
+    // oracle_with_unbounded_verification.)
     let reference = customers(N_REF, 31);
-    let (_db, eti) = build(&reference, customer_config());
-    let mut lsh = eti.replicate();
-    lsh.set_candidate_tier(CandidateTier::Lsh);
+    let (_db, matcher) = build(&reference, customer_config());
     let ds = make_inputs(
         &reference,
         12,
         &ErrorSpec::new(&D2_PROBS, ErrorModel::TypeI, 32),
     );
-    let (mut short_circuits, mut band_probes, mut nonempty) = (0u32, 0u64, 0usize);
+    let (mut short_circuits, mut nonempty) = (0u32, 0usize);
     for input in &ds.inputs {
         for mode in [QueryMode::Basic, QueryMode::Osc] {
-            for (tier, matcher) in [("eti", &eti), ("lsh", &lsh)] {
-                for k in [1usize, 3, 10] {
-                    for c in [0.0, 0.8] {
-                        let warm = answer(matcher, input, k, c, mode).expect("lookup");
-                        let cold = answer_on_a_fresh_thread(matcher, input, k, c, mode);
-                        assert_eq!(warm, cold, "{mode:?}/{tier} k={k} c={c} on {input}");
-                        short_circuits += u32::from(warm.1.osc_succeeded());
-                        band_probes += warm.1.lsh_probes;
-                        nonempty += usize::from(!warm.0.is_empty());
-                    }
+            for k in [1usize, 3, 10] {
+                for c in [0.0, 0.8] {
+                    let warm = answer(&matcher, input, k, c, mode).expect("lookup");
+                    let cold = answer_on_a_fresh_thread(&matcher, input, k, c, mode);
+                    assert_eq!(warm, cold, "{mode:?} k={k} c={c} on {input}");
+                    short_circuits += u32::from(warm.1.osc_succeeded());
+                    nonempty += usize::from(!warm.0.is_empty());
                 }
             }
         }
     }
     assert!(short_circuits > 0, "no OSC success in the matrix");
-    assert!(band_probes > 0, "the LSH tier never ran");
     assert!(nonempty > 0, "no lookup matched anything");
 }
 
