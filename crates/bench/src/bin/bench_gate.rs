@@ -234,11 +234,6 @@ fn main() {
     let _ = writeln!(json, "  \"schema\": 1,\n  \"quick\": {},", gate.quick);
     let _ = writeln!(
         json,
-        "  \"tracing_compiled\": {},",
-        fm_core::tracing::COMPILED
-    );
-    let _ = writeln!(
-        json,
         "  \"ref_size\": {ref_size},\n  \"inputs\": {inputs},\n  \"seed\": {},",
         gate.seed
     );

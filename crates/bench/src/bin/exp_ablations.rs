@@ -37,8 +37,8 @@ fn accuracy_and_stats(matcher: &FuzzyMatcher, ctx: &Ctx, mode: QueryMode) -> (f6
         ) {
             correct += 1;
         }
-        fetches += result.stats.candidates_fetched;
-        successes += usize::from(result.stats.osc_succeeded);
+        fetches += result.trace.candidates_fetched;
+        successes += usize::from(result.trace.osc_succeeded());
     }
     let n = ctx.dataset.inputs.len() as f64;
     (correct as f64 / n, fetches as f64 / n, successes as f64 / n)

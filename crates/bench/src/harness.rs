@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use fm_core::config::OscStopping;
 use fm_core::naive::{EditDistanceMatcher, NaiveMatcher};
-use fm_core::{Config, FuzzyMatcher, QueryMode, Record, SignatureScheme};
+use fm_core::{Config, FuzzyMatcher, MetricsRegistry, QueryMode, Record, SignatureScheme};
 use fm_datagen::{
     generate_customers, make_inputs, ErrorModel, ErrorSpec, GeneratorConfig, InputDataset,
     CUSTOMER_COLUMNS,
@@ -328,15 +328,8 @@ pub fn run_strategy_with(
 ) -> EfficiencyRow {
     let (matcher, build_time) = bench.matcher_with(strategy, osc);
     let mut correct = 0usize;
-    let mut fetches = 0u64;
     let mut fetches_success = 0u64;
-    let mut fetches_failure = 0u64;
-    let mut success = 0usize;
-    let mut tids = 0u64;
-    let mut lookups = 0u64;
-    let mut eti_rows = 0u64;
-    let mut fms_evals = 0u64;
-    let mut apx_pruned = 0u64;
+    let registry = MetricsRegistry::new();
     let start = Instant::now();
     for (i, input) in dataset.inputs.iter().enumerate() {
         let result = matcher.lookup_with(input, 1, 0.0, mode).expect("lookup");
@@ -349,26 +342,22 @@ pub fn run_strategy_with(
         ) {
             correct += 1;
         }
-        // Everything below comes straight off the query-path trace; the
-        // harness no longer recomputes any counter the matcher already
-        // accounts for.
+        // Everything below comes straight off the query-path trace, summed
+        // by a registry of this run's own; the harness recomputes no
+        // counter the matcher already accounts for.
         let t = result.trace;
-        fetches += t.candidates_fetched;
-        tids += t.tids_processed;
-        lookups += t.qgrams_probed;
-        eti_rows += t.eti_rows;
-        fms_evals += t.fms_evals;
-        apx_pruned += t.apx_pruned;
+        registry.record(&t);
         if t.osc_succeeded() {
-            success += 1;
             fetches_success += t.candidates_fetched;
-        } else {
-            fetches_failure += t.candidates_fetched;
         }
     }
     let batch_time = start.elapsed();
+    let metrics = registry.snapshot();
+    let totals = metrics.totals;
     let n = dataset.inputs.len() as f64;
-    let failures = dataset.inputs.len() - success;
+    let success = metrics.osc_short_circuits;
+    let failures = metrics.lookups - success;
+    let fetches_failure = totals.candidates_fetched - fetches_success;
     EfficiencyRow {
         strategy: strategy.label(),
         accuracy: correct as f64 / n,
@@ -376,7 +365,7 @@ pub fn run_strategy_with(
         batch_time,
         normalized_time: 0.0, // filled by the caller once the naive time is known
         normalized_build: 0.0, // ditto
-        avg_fetches: fetches as f64 / n,
+        avg_fetches: totals.candidates_fetched as f64 / n,
         avg_fetches_osc_success: if success > 0 {
             fetches_success as f64 / success as f64
         } else {
@@ -387,12 +376,12 @@ pub fn run_strategy_with(
         } else {
             0.0
         },
-        avg_tids: tids as f64 / n,
+        avg_tids: totals.tids_processed as f64 / n,
         osc_success_fraction: success as f64 / n,
-        avg_eti_lookups: lookups as f64 / n,
-        avg_eti_rows: eti_rows as f64 / n,
-        avg_fms_evals: fms_evals as f64 / n,
-        avg_apx_pruned: apx_pruned as f64 / n,
+        avg_eti_lookups: totals.qgrams_probed as f64 / n,
+        avg_eti_rows: totals.eti_rows as f64 / n,
+        avg_fms_evals: totals.fms_evals as f64 / n,
+        avg_apx_pruned: totals.apx_pruned as f64 / n,
     }
 }
 

@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fm_core::{Config, FuzzyMatcher, OscStopping, Record, SignatureScheme};
+use fm_server::Json;
 use fm_store::Database;
 
 const MATCHER_NAME: &str = "reference";
@@ -375,47 +376,29 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         );
         csv::write_record(&mut out, &fields).map_err(|e| e.to_string())?;
     }
+    let t = &result.trace;
     eprintln!(
         "[{} ETI lookups, {} tuples verified, OSC {}]",
-        result.stats.eti_lookups,
-        result.stats.candidates_fetched,
-        if result.stats.osc_succeeded {
-            "hit"
-        } else {
-            "miss"
-        },
+        t.qgrams_probed,
+        t.candidates_fetched,
+        if t.osc_succeeded() { "hit" } else { "miss" },
     );
     if args.get("trace").is_some() {
-        let t = &result.trace;
         eprintln!("trace:");
-        eprintln!("  q-grams probed:     {}", t.qgrams_probed);
-        eprintln!("  stop q-grams:       {}", t.stop_qgrams);
-        eprintln!("  ETI rows touched:   {}", t.eti_rows);
+        for (name, value) in t.named() {
+            eprintln!("  {name:<20}{value}");
+        }
+        eprintln!("  {:<20}{}", "tid_list_max", t.tid_list_max);
         eprintln!(
-            "  tid-list entries:   {} (longest list {})",
-            t.tid_list_entries, t.tid_list_max
-        );
-        eprintln!("  tids processed:     {}", t.tids_processed);
-        eprintln!("  candidates:         {}", t.candidates);
-        eprintln!("  apx-pruned:         {}", t.apx_pruned);
-        eprintln!("  candidates fetched: {}", t.candidates_fetched);
-        eprintln!(
-            "  fms evaluations:    {} ({} fetched candidates bound-rejected)",
-            t.fms_evals,
+            "  {:<20}{} (fetched candidates the bounds rejected before the DP)",
+            "bound_rejected",
             t.candidates_fetched - t.fms_evals
         );
         match t.osc_round {
-            Some(round) => eprintln!(
-                "  OSC:                short-circuited after q-gram {} ({} attempts)",
-                round + 1,
-                t.osc_attempts
-            ),
-            None => eprintln!(
-                "  OSC:                no short circuit ({} attempts)",
-                t.osc_attempts
-            ),
+            Some(round) => eprintln!("  {:<20}after q-gram {}", "osc_round", round + 1),
+            None => eprintln!("  {:<20}no short circuit", "osc_round"),
         }
-        eprintln!("  latency:            {} us", t.latency_us);
+        eprintln!("  {:<20}{} us", "latency", t.latency_us);
     }
     Ok(())
 }
@@ -466,37 +449,24 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     }
     let m = matcher.metrics_snapshot();
     println!("query metrics:");
-    println!("  lookups:            {}", m.lookups);
-    println!("  q-grams probed:     {}", m.qgrams_probed);
-    println!("  stop q-grams:       {}", m.stop_qgrams);
-    println!("  ETI rows touched:   {}", m.eti_rows);
-    println!("  tid-list entries:   {}", m.tid_list_entries);
-    println!("  tids processed:     {}", m.tids_processed);
-    println!("  candidates:         {}", m.candidates);
-    println!("  apx-pruned:         {}", m.apx_pruned);
-    println!("  candidates fetched: {}", m.candidates_fetched);
+    for (name, value) in m.named() {
+        println!("  {name:<20}{value}");
+    }
     println!(
-        "  fms evaluations:    {} ({} fetched candidates bound-rejected)",
-        m.fms_evals,
-        m.candidates_fetched - m.fms_evals
+        "  {:<20}{} (fetched candidates the bounds rejected before the DP)",
+        "bound_rejected",
+        m.totals.candidates_fetched - m.totals.fms_evals
     );
     println!(
-        "  OSC:                {} short circuits / {} attempts",
-        m.osc_short_circuits, m.osc_attempts
-    );
-    println!(
-        "  latency:            {:.1} us mean over {} queries",
+        "  {:<20}{:.1} us mean over {} queries",
+        "latency",
         m.latency.mean_us(),
         m.latency.count
     );
-    let io = db.stats();
     println!("store IO:");
-    println!("  pool hits:          {}", io.hits);
-    println!("  pool misses:        {}", io.misses);
-    println!("  pool evictions:     {}", io.evictions);
-    println!("  pages read:         {}", io.pages_read);
-    println!("  pages written:      {}", io.pages_written);
-    println!("  WAL bytes:          {}", io.wal_bytes);
+    for (name, value) in db.stats().named() {
+        println!("  {name:<20}{value}");
+    }
     Ok(())
 }
 
@@ -711,27 +681,12 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
         }
         _ => {
             // "slowest"
-            let slow = recorder.slowest(top);
-            println!(
-                "{:<6} {:<6} {:>12} {:>7}  root counters",
-                "seq", "kind", "total ms", "spans"
-            );
-            for t in &slow {
-                let counters = t.counters.map_or_else(String::new, |cnt| {
-                    format!(
-                        "probed={} fetched={} fms={}",
-                        cnt.qgrams_probed, cnt.candidates_fetched, cnt.fms_evals
-                    )
-                });
-                println!(
-                    "{:<6} {:<6} {:>12.3} {:>7}  {}",
-                    t.seq,
-                    t.kind.as_str(),
-                    t.total_us() as f64 / 1000.0,
-                    t.spans.len(),
-                    counters
-                );
-            }
+            let slow: Vec<Json> = recorder
+                .slowest(top)
+                .iter()
+                .map(fm_server::protocol::completed_trace_to_json)
+                .collect();
+            print_slowest(&slow);
         }
     }
     Ok(())
@@ -826,7 +781,6 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 /// Rebuild a [`fm_core::metrics::LatencySnapshot`] from the JSON shape
 /// the `timeseries` verb emits for each per-verb window delta.
 fn latency_from_json(doc: &fm_server::Json) -> fm_core::metrics::LatencySnapshot {
-    use fm_server::Json;
     let mut snap = fm_core::metrics::LatencySnapshot {
         count: doc.get("count").and_then(Json::as_u64).unwrap_or(0),
         sum_us: doc.get("sum_us").and_then(Json::as_u64).unwrap_or(0),
@@ -843,7 +797,6 @@ fn latency_from_json(doc: &fm_server::Json) -> fm_core::metrics::LatencySnapshot
 /// One `top` refresh: everything derived from the windows newer than
 /// `last_seq`, rendered as a small fixed-layout report.
 fn render_top(addr: &str, reply: &fm_server::Json, last_seq: u64) -> Result<(u64, String), String> {
-    use fm_server::Json;
     let window_ms = reply.get("window_ms").and_then(Json::as_u64).unwrap_or(0);
     let windows = reply
         .get("windows")
@@ -891,11 +844,11 @@ fn render_top(addr: &str, reply: &fm_server::Json, last_seq: u64) -> Result<(u64
             .and_then(|g| g.get(name))
             .and_then(Json::as_f64)
     };
-    let pool_denom = counter("pool_hits") + counter("pool_misses");
+    let pool_denom = counter("store_hits") + counter("store_misses");
     let hit_rate = if pool_denom > 0 {
         format!(
             "{:.1}%",
-            100.0 * counter("pool_hits") as f64 / pool_denom as f64
+            100.0 * counter("store_hits") as f64 / pool_denom as f64
         )
     } else {
         "-".to_string()
@@ -1081,14 +1034,21 @@ fn remote_trace_slowest(addr: &str, top: usize) -> Result<(), String> {
         .get("traces")
         .and_then(fm_server::Json::as_arr)
         .ok_or_else(|| format!("malformed trace_slowest reply: {reply}"))?;
+    print_slowest(traces);
+    Ok(())
+}
+
+/// The `trace slowest` table, from traces as the `trace_slowest` verb
+/// reports them (a local recorder's are converted the same way).
+fn print_slowest(traces: &[Json]) {
     println!(
         "{:<6} {:<6} {:>12} {:>7}  root counters",
         "seq", "kind", "total ms", "spans"
     );
     for t in traces {
-        let get_u64 = |field: &str| t.get(field).and_then(fm_server::Json::as_u64).unwrap_or(0);
+        let get_u64 = |field: &str| t.get(field).and_then(Json::as_u64).unwrap_or(0);
         let counters = t.get("counters").map_or_else(String::new, |c| {
-            let cnt = |f: &str| c.get(f).and_then(fm_server::Json::as_u64).unwrap_or(0);
+            let cnt = |f: &str| c.get(f).and_then(Json::as_u64).unwrap_or(0);
             format!(
                 "probed={} fetched={} fms={}",
                 cnt("qgrams_probed"),
@@ -1099,15 +1059,12 @@ fn remote_trace_slowest(addr: &str, top: usize) -> Result<(), String> {
         println!(
             "{:<6} {:<6} {:>12.3} {:>7}  {}",
             get_u64("seq"),
-            t.get("kind")
-                .and_then(fm_server::Json::as_str)
-                .unwrap_or("?"),
+            t.get("kind").and_then(Json::as_str).unwrap_or("?"),
             get_u64("total_us") as f64 / 1000.0,
             get_u64("spans"),
             counters
         );
     }
-    Ok(())
 }
 
 /// Per-phase aggregate of one Chrome trace export: `name → (calls,

@@ -79,9 +79,9 @@ pub use explain::Explain;
 pub use matcher::{FuzzyMatcher, Match, MatchResult, MatcherCheck};
 pub use metrics::{LookupTrace, MetricsCheck, MetricsRegistry, MetricsSnapshot};
 pub use postings::PostingCheck;
-pub use query::{QueryMode, QueryStats};
+pub use query::QueryMode;
 pub use record::Record;
-pub use telemetry::{PromText, TimeSeries, WindowSnapshot};
+pub use telemetry::{PromText, Ring, WindowSnapshot};
 pub use tracing::{CompletedTrace, FlightRecorder, SpanRecord, TraceKind};
 
 // Data-race freedom of the shared handles is rustc's to prove, not an

@@ -38,7 +38,7 @@ use crate::eti::{token_signature, Eti};
 use crate::metrics::{LookupTrace, MetricsRegistry, MetricsSnapshot};
 use crate::postings::PostingCheck;
 use crate::query::{
-    basic_lookup, osc_lookup, QueryContext, QueryMode, QueryStats, ReferenceFetch, ScoredMatch,
+    basic_lookup, osc_lookup, QueryContext, QueryMode, ReferenceFetch, ScoredMatch,
 };
 use crate::record::Record;
 use crate::sim::Similarity;
@@ -63,10 +63,7 @@ pub struct MatchResult {
     /// At most K matches with `fms ≥ c`, ordered by decreasing similarity
     /// (ties by tid).
     pub matches: Vec<Match>,
-    /// Work counters for this query (the compact legacy summary; every
-    /// field is a projection of [`MatchResult::trace`]).
-    pub stats: QueryStats,
-    /// The full per-query trace: what the query processor did at every
+    /// The per-query trace: what the query processor did at every
     /// layer (see [`LookupTrace`] for the paper figure each field backs).
     pub trace: LookupTrace,
 }
@@ -471,11 +468,7 @@ impl FuzzyMatcher {
         trace.latency_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.record(&trace);
         tracing::attach_counters(&trace);
-        Ok(MatchResult {
-            matches,
-            stats: QueryStats::from(&trace),
-            trace,
-        })
+        Ok(MatchResult { matches, trace })
     }
 
     /// The flight recorder's retained traces (recent ∪ slow, oldest
@@ -1079,9 +1072,9 @@ mod tests {
                 0.0,
             )
             .unwrap();
-        assert!(result.stats.eti_lookups > 0);
-        assert!(result.stats.tids_processed > 0);
-        assert!(result.stats.candidates_fetched > 0);
+        assert!(result.trace.qgrams_probed > 0);
+        assert!(result.trace.tids_processed > 0);
+        assert!(result.trace.candidates_fetched > 0);
         let bs = m.build_stats().unwrap();
         assert_eq!(bs.reference_tuples, 3);
         assert!(bs.pre_eti_records > 0);
@@ -1094,16 +1087,23 @@ mod tests {
         let m = build_table1(&db);
         let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
         for mode in [QueryMode::Basic, QueryMode::Osc] {
-            let result = m.lookup_with(&input, 1, 0.0, mode).unwrap();
-            let t = result.trace;
+            let before = m.metrics_snapshot().totals;
+            let t = m.lookup_with(&input, 1, 0.0, mode).unwrap().trace;
+            let after = m.metrics_snapshot().totals;
             t.check_consistent().unwrap();
             assert!(t.qgrams_probed > 0);
             assert!(t.eti_rows > 0, "every probe should touch B+-tree rows");
             assert!(t.tid_list_entries > 0);
             assert!(t.tid_list_max > 0);
             assert!(t.fms_evals > 0);
-            // The legacy stats block is exactly the trace's projection.
-            assert_eq!(result.stats, crate::query::QueryStats::from(&t));
+            // The registry's stats move by exactly this trace, counter for
+            // counter, under the same names.
+            let moved: Vec<(&str, u64)> = after
+                .named()
+                .zip(before.named())
+                .map(|((name, a), (_, b))| (name, a - b))
+                .collect();
+            assert_eq!(moved, t.named().collect::<Vec<_>>());
         }
     }
 
@@ -1124,9 +1124,9 @@ mod tests {
         }
         let snap = m.metrics_snapshot();
         assert_eq!(snap.lookups, 3);
-        assert_eq!(snap.qgrams_probed, expected.qgrams_probed);
-        assert_eq!(snap.tids_processed, expected.tids_processed);
-        assert_eq!(snap.fms_evals, expected.fms_evals);
+        assert_eq!(snap.totals.qgrams_probed, expected.qgrams_probed);
+        assert_eq!(snap.totals.tids_processed, expected.tids_processed);
+        assert_eq!(snap.totals.fms_evals, expected.fms_evals);
         assert_eq!(snap.latency.count, 3);
         assert_eq!(snap.latency.sum_us, latency);
         snap.check_invariants().unwrap();

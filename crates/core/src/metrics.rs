@@ -1,8 +1,14 @@
 //! Query-path observability (the quantities behind the paper's Figures
 //! 7–10).
 //!
-//! Two layers, both std-only:
+//! Three pieces, all std-only:
 //!
+//! * [`counters!`](crate::counters) — a counter set declared once. From
+//!   one list of names it generates a plain `Copy` struct of `u64` fields
+//!   (what a caller reads) and a `Sync` tally of relaxed atomics (what
+//!   threads bump), plus `named()`, the `(name, value)` iterator every
+//!   report, exposition and window walks. No field list is copied by
+//!   hand anywhere else.
 //! * [`LookupTrace`] — a per-query record of everything the query processor
 //!   did: signature coordinates probed against the ETI, stop q-grams
 //!   skipped, physical ETI rows scanned, tid-list lengths, score-table
@@ -12,9 +18,9 @@
 //!   and the OSC short-circuit round. It is a plain `Copy` struct of
 //!   scalar counters bumped on the query's own stack — collecting it costs
 //!   a handful of register increments, so it is always on.
-//! * [`MetricsRegistry`] — a `Sync` aggregate of relaxed atomic counters
-//!   plus a fixed-bucket latency histogram, owned by the matcher and fed
-//!   one [`LookupTrace`] per query. Worker threads of
+//! * [`MetricsRegistry`] — a `Sync` aggregate fed one [`LookupTrace`] per
+//!   query: its [`LookupTally`], the query and short-circuit totals, and a
+//!   fixed-bucket latency histogram. Worker threads of
 //!   `FuzzyMatcher::lookup_batch` record into the same registry; relaxed
 //!   ordering is sufficient because each counter is an independent
 //!   monotone sum read only by [`MetricsRegistry::snapshot`].
@@ -28,48 +34,131 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{CoreError, Result};
 
-/// Everything one K-fuzzy-match query did, layer by layer. See each field
-/// for the paper figure it supports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LookupTrace {
-    /// Signature coordinates probed against the ETI — one logical ETI
-    /// lookup each (the x-axis work unit of Figures 9–10).
-    pub qgrams_probed: u64,
-    /// Probes that hit a stop q-gram (NULL tid-list, §4.2.2) and were
-    /// skipped.
-    pub stop_qgrams: u64,
-    /// Physical chunk rows scanned in the ETI B+-tree (a logical lookup
-    /// touches one row per `TIDS_PER_CHUNK` chunk of its tid-list).
-    pub eti_rows: u64,
-    /// Total length of all non-stop tid-lists returned by the probes.
-    pub tid_list_entries: u64,
-    /// Longest single tid-list seen.
-    pub tid_list_max: u64,
-    /// Tid-list entries absorbed into the score table (increments plus
-    /// insertions) — the paper's "#tids processed per input tuple"
-    /// (Figure 9).
-    pub tids_processed: u64,
-    /// Distinct tids admitted into the score table — the candidate set
-    /// that survived the min-hash filter (Figure 8's "candidate set
-    /// size").
-    pub candidates: u64,
-    /// Candidates never fetched because the score-derived `fms_apx`-style
-    /// upper bound ruled them out (Figure 3 steps 11–13 early exits).
-    pub apx_pruned: u64,
-    /// Reference tuples actually fetched for verification.
-    pub candidates_fetched: u64,
-    /// Full `fms` evaluations: fetched tuples that were tokenized and run
-    /// through the token DP. `candidates_fetched − fms_evals` is the number
-    /// the verification bounds rejected from the raw row alone, against
-    /// the K-th verified similarity (DESIGN §4.2).
-    pub fms_evals: u64,
-    /// Times the OSC fetching test fired (§4.3.2).
-    pub osc_attempts: u64,
-    /// Index of the signature coordinate after which OSC short-circuited,
-    /// or `None` if the query ran to the ordered verification phase.
-    pub osc_round: Option<u32>,
-    /// Wall-clock latency of the whole lookup, microseconds.
-    pub latency_us: u64,
+/// Declare a set of monotone `u64` counters once.
+///
+/// ```
+/// fm_core::counters! {
+///     /// Docs for the snapshot struct.
+///     pub struct Snapshot / Tally {
+///         /// Docs for one counter.
+///         pub frames: u64,
+///         pub replies: u64,
+///     }
+///     // Optional: plain fields that are not counters (maxima, options).
+///     extra {
+///         pub slowest_us: u64,
+///     }
+/// }
+///
+/// let tally = Tally::default();
+/// tally.add(&Snapshot { frames: 2, replies: 1, slowest_us: 90 });
+/// tally.frames.add(1);
+/// let snapshot = tally.snapshot();
+/// assert_eq!(snapshot.slowest_us, 0, "extras are not tallied");
+/// assert!(snapshot.named().eq([("frames", 3), ("replies", 1)]));
+/// ```
+///
+/// generates `Snapshot` (`Copy`, `Default`, public fields in declaration
+/// order, then the extras) with `named()`, and `Tally` (one public
+/// [`Counter`] per counter) with `add(&Snapshot)` and `snapshot()`.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $snap:ident / $tally:ident {
+            $( $(#[$doc:meta])* pub $name:ident: u64, )+
+        }
+        $( extra { $( $(#[$xdoc:meta])* pub $xname:ident: $xty:ty, )+ } )?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $snap {
+            $( $(#[$doc])* pub $name: u64, )+
+            $($( $(#[$xdoc])* pub $xname: $xty, )+)?
+        }
+
+        impl $snap {
+            /// Every counter as `(name, value)`, in declaration order —
+            /// the one list reports, expositions and windows iterate.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($name), self.$name) ),+].into_iter()
+            }
+        }
+
+        #[doc = concat!("Relaxed atomic tally of [`", stringify!($snap), "`]'s counters.")]
+        #[derive(Debug, Default)]
+        pub struct $tally {
+            $( $(#[$doc])* pub $name: $crate::metrics::Counter, )+
+        }
+
+        impl $tally {
+            /// Add every counter of `values`.
+            pub fn add(&self, values: &$snap) {
+                $( self.$name.add(values.$name); )+
+            }
+
+            /// The counters read one by one (extras at their defaults).
+            #[must_use]
+            #[allow(clippy::needless_update)]
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $( $name: self.$name.get(), )+
+                    ..$snap::default()
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Everything one K-fuzzy-match query did, layer by layer. See each
+    /// field for the paper figure it supports. Summed over queries (the
+    /// registry's [`MetricsSnapshot::totals`]) the counters are totals and
+    /// the extras stay at their defaults.
+    pub struct LookupTrace / LookupTally {
+        /// Signature coordinates probed against the ETI — one logical ETI
+        /// lookup each (the x-axis work unit of Figures 9–10).
+        pub qgrams_probed: u64,
+        /// Probes that hit a stop q-gram (NULL tid-list, §4.2.2) and were
+        /// skipped.
+        pub stop_qgrams: u64,
+        /// Physical chunk rows scanned in the ETI B+-tree (a logical lookup
+        /// touches one row per `TIDS_PER_CHUNK` chunk of its tid-list).
+        pub eti_rows: u64,
+        /// Total length of all non-stop tid-lists returned by the probes.
+        pub tid_list_entries: u64,
+        /// Tid-list entries absorbed into the score table (increments plus
+        /// insertions) — the paper's "#tids processed per input tuple"
+        /// (Figure 9).
+        pub tids_processed: u64,
+        /// Distinct tids admitted into the score table — the candidate set
+        /// that survived the min-hash filter (Figure 8's "candidate set
+        /// size").
+        pub candidates: u64,
+        /// Candidates never fetched because the score-derived
+        /// `fms_apx`-style upper bound ruled them out (Figure 3 steps
+        /// 11–13 early exits).
+        pub apx_pruned: u64,
+        /// Reference tuples actually fetched for verification.
+        pub candidates_fetched: u64,
+        /// Full `fms` evaluations: fetched tuples that were tokenized and
+        /// run through the token DP. `candidates_fetched − fms_evals` is
+        /// the number the verification bounds rejected from the raw row
+        /// alone, against the K-th verified similarity (DESIGN §4.2).
+        pub fms_evals: u64,
+        /// Times the OSC fetching test fired (§4.3.2).
+        pub osc_attempts: u64,
+    }
+    extra {
+        /// Longest single tid-list seen.
+        pub tid_list_max: u64,
+        /// Index of the signature coordinate after which OSC
+        /// short-circuited, or `None` if the query ran to the ordered
+        /// verification phase.
+        pub osc_round: Option<u32>,
+        /// Wall-clock latency of the whole lookup, microseconds.
+        pub latency_us: u64,
+    }
 }
 
 impl LookupTrace {
@@ -132,6 +221,11 @@ pub struct Counter(AtomicU64);
 impl Counter {
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raise the value to `n` if it is lower (a high-water mark).
+    pub fn max(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
     }
 
     #[must_use]
@@ -252,24 +346,15 @@ impl LatencySnapshot {
     }
 }
 
-/// The matcher-wide metrics registry: one relaxed atomic per
-/// [`LookupTrace`] counter, plus query totals and the latency histogram.
-/// [`MetricsRegistry::record`] is a handful of relaxed `fetch_add`s — the
-/// whole observability layer's per-query overhead.
+/// The matcher-wide metrics registry: the [`LookupTally`] of every
+/// recorded query, the query and short-circuit totals, and the latency
+/// histogram. [`MetricsRegistry::record`] is a handful of relaxed
+/// `fetch_add`s — the whole observability layer's per-query overhead.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     lookups: Counter,
-    qgrams_probed: Counter,
-    stop_qgrams: Counter,
-    eti_rows: Counter,
-    tid_list_entries: Counter,
-    tids_processed: Counter,
-    candidates: Counter,
-    apx_pruned: Counter,
-    candidates_fetched: Counter,
-    fms_evals: Counter,
-    osc_attempts: Counter,
     osc_short_circuits: Counter,
+    totals: LookupTally,
     latency: LatencyHistogram,
 }
 
@@ -282,17 +367,8 @@ impl MetricsRegistry {
     /// Fold one finished query into the aggregate.
     pub fn record(&self, trace: &LookupTrace) {
         self.lookups.add(1);
-        self.qgrams_probed.add(trace.qgrams_probed);
-        self.stop_qgrams.add(trace.stop_qgrams);
-        self.eti_rows.add(trace.eti_rows);
-        self.tid_list_entries.add(trace.tid_list_entries);
-        self.tids_processed.add(trace.tids_processed);
-        self.candidates.add(trace.candidates);
-        self.apx_pruned.add(trace.apx_pruned);
-        self.candidates_fetched.add(trace.candidates_fetched);
-        self.fms_evals.add(trace.fms_evals);
-        self.osc_attempts.add(trace.osc_attempts);
-        if trace.osc_round.is_some() {
+        self.totals.add(trace);
+        if trace.osc_succeeded() {
             self.osc_short_circuits.add(1);
         }
         self.latency.observe(trace.latency_us);
@@ -306,17 +382,8 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             lookups: self.lookups.get(),
-            qgrams_probed: self.qgrams_probed.get(),
-            stop_qgrams: self.stop_qgrams.get(),
-            eti_rows: self.eti_rows.get(),
-            tid_list_entries: self.tid_list_entries.get(),
-            tids_processed: self.tids_processed.get(),
-            candidates: self.candidates.get(),
-            apx_pruned: self.apx_pruned.get(),
-            candidates_fetched: self.candidates_fetched.get(),
-            fms_evals: self.fms_evals.get(),
-            osc_attempts: self.osc_attempts.get(),
             osc_short_circuits: self.osc_short_circuits.get(),
+            totals: self.totals.snapshot(),
             latency: self.latency.snapshot(),
         }
     }
@@ -327,41 +394,24 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Queries recorded.
     pub lookups: u64,
-    pub qgrams_probed: u64,
-    pub stop_qgrams: u64,
-    pub eti_rows: u64,
-    pub tid_list_entries: u64,
-    pub tids_processed: u64,
-    pub candidates: u64,
-    pub apx_pruned: u64,
-    pub candidates_fetched: u64,
-    pub fms_evals: u64,
-    pub osc_attempts: u64,
     /// Queries answered by a successful OSC short circuit.
     pub osc_short_circuits: u64,
+    /// Every [`LookupTrace`] counter summed over the recorded queries.
+    pub totals: LookupTrace,
     pub latency: LatencySnapshot,
 }
 
 impl MetricsSnapshot {
-    /// The scalar counters as `(name, value)` pairs — the hook the
-    /// telemetry layer uses to expose and delta every registry counter
-    /// without hand-maintaining a second field list.
-    #[must_use]
-    pub fn named_counters(&self) -> [(&'static str, u64); 12] {
-        [
-            ("lookups", self.lookups),
-            ("qgrams_probed", self.qgrams_probed),
-            ("stop_qgrams", self.stop_qgrams),
-            ("eti_rows", self.eti_rows),
-            ("tid_list_entries", self.tid_list_entries),
-            ("tids_processed", self.tids_processed),
-            ("candidates", self.candidates),
-            ("apx_pruned", self.apx_pruned),
-            ("candidates_fetched", self.candidates_fetched),
-            ("fms_evals", self.fms_evals),
-            ("osc_attempts", self.osc_attempts),
-            ("osc_short_circuits", self.osc_short_circuits),
-        ]
+    /// Every scalar counter as `(name, value)`: `lookups`, the trace
+    /// counters, `osc_short_circuits` — what the `stats` reply, the
+    /// Prometheus exposition and the CLI report print.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        std::iter::once(("lookups", self.lookups))
+            .chain(self.totals.named())
+            .chain(std::iter::once((
+                "osc_short_circuits",
+                self.osc_short_circuits,
+            )))
     }
 }
 
@@ -382,27 +432,12 @@ impl MetricsSnapshot {
     /// single trace obeys (sums of per-query invariants), plus histogram
     /// conservation: every recorded query landed in exactly one bucket.
     pub fn check_invariants(&self) -> Result<MetricsCheck> {
-        let as_trace = LookupTrace {
-            qgrams_probed: self.qgrams_probed,
-            stop_qgrams: self.stop_qgrams,
-            eti_rows: self.eti_rows,
-            tid_list_entries: self.tid_list_entries,
-            tid_list_max: 0,
-            tids_processed: self.tids_processed,
-            candidates: self.candidates,
-            apx_pruned: self.apx_pruned,
-            candidates_fetched: self.candidates_fetched,
-            fms_evals: self.fms_evals,
-            osc_attempts: self.osc_attempts,
-            osc_round: None,
-            latency_us: self.latency.sum_us,
-        };
-        as_trace.check_consistent()?;
-        if self.osc_short_circuits > self.osc_attempts {
+        self.totals.check_consistent()?;
+        if self.osc_short_circuits > self.totals.osc_attempts {
             return Err(CoreError::BadState(format!(
                 "metrics registry records {} short circuits over only {} \
                  attempts",
-                self.osc_short_circuits, self.osc_attempts
+                self.osc_short_circuits, self.totals.osc_attempts
             )));
         }
         if self.osc_short_circuits > self.lookups {
@@ -426,7 +461,7 @@ impl MetricsSnapshot {
         }
         Ok(MetricsCheck {
             lookups: self.lookups,
-            fms_evals: self.fms_evals,
+            fms_evals: self.totals.fms_evals,
             histogram_events: self.latency.count,
         })
     }
@@ -480,7 +515,22 @@ mod tests {
         registry.record(&LookupTrace::default());
         let snap = registry.snapshot();
         assert_eq!(snap.lookups, 2);
-        assert_eq!(snap.qgrams_probed, t.qgrams_probed);
+        // One list drives both sides: every trace counter reaches the
+        // totals under its own name, and only the extras are left out.
+        assert!(snap.totals.named().eq(t.named()));
+        assert_eq!(
+            snap.totals,
+            LookupTrace {
+                tid_list_max: 0,
+                osc_round: None,
+                latency_us: 0,
+                ..t
+            }
+        );
+        let names: Vec<&str> = snap.named().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), 12);
+        assert_eq!(names.first(), Some(&"lookups"));
+        assert_eq!(names.last(), Some(&"osc_short_circuits"));
         assert_eq!(snap.osc_short_circuits, 1);
         assert_eq!(snap.latency.count, 2);
         assert_eq!(snap.latency.sum_us, t.latency_us);
@@ -503,7 +553,10 @@ mod tests {
         });
         let snap = registry.snapshot();
         assert_eq!(snap.lookups, 4000);
-        assert_eq!(snap.qgrams_probed, 4000 * sample_trace().qgrams_probed);
+        assert_eq!(
+            snap.totals.qgrams_probed,
+            4000 * sample_trace().qgrams_probed
+        );
         assert_eq!(snap.latency.count, 4000);
         snap.check_invariants().unwrap();
     }

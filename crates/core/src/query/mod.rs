@@ -64,51 +64,6 @@ pub enum QueryMode {
     Osc,
 }
 
-/// Per-query counters. These are the quantities behind the paper's Figures
-/// 8–10.
-///
-/// `QueryStats` predates [`LookupTrace`] and is derived from it (every
-/// field is a projection); it survives as the compact summary the older
-/// call sites and experiment binaries consume.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueryStats {
-    /// Logical ETI lookups issued (one per signature coordinate probed).
-    pub eti_lookups: u64,
-    /// Tid-list entries processed (score increments + insertions) — the
-    /// paper's "#tids processed per input tuple" (Figure 9).
-    pub tids_processed: u64,
-    /// Distinct tids that entered the score table.
-    pub distinct_tids: u64,
-    /// Reference tuples fetched and verified with `fms` — the paper's
-    /// "candidate set size" (Figure 8).
-    pub candidates_fetched: u64,
-    /// Fetched candidates that reached the token DP (≤
-    /// `candidates_fetched`: the rest were rejected from the raw row by the
-    /// verification bounds).
-    pub fms_evaluations: u64,
-    /// Stop q-grams encountered.
-    pub stop_qgrams: u64,
-    /// Times the OSC fetching test fired.
-    pub osc_attempts: u64,
-    /// Whether the query was answered by a successful short circuit.
-    pub osc_succeeded: bool,
-}
-
-impl From<&LookupTrace> for QueryStats {
-    fn from(trace: &LookupTrace) -> QueryStats {
-        QueryStats {
-            eti_lookups: trace.qgrams_probed,
-            tids_processed: trace.tids_processed,
-            distinct_tids: trace.candidates,
-            candidates_fetched: trace.candidates_fetched,
-            fms_evaluations: trace.fms_evals,
-            stop_qgrams: trace.stop_qgrams,
-            osc_attempts: trace.osc_attempts,
-            osc_succeeded: trace.osc_round.is_some(),
-        }
-    }
-}
-
 /// A match produced by the query processor: reference tid + exact `fms`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredMatch {
@@ -414,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_into_carries_the_table_counters_into_the_trace_and_legacy_stats() {
+    fn probe_into_carries_the_table_counters_into_the_trace() {
         let db = fm_store::Database::in_memory().unwrap();
         let eti = Eti::new(db.create_index("eti").unwrap(), 10_000);
         // (row, tid-list, probe weight, admit new tids)
@@ -446,13 +401,9 @@ mod tests {
         assert_eq!(trace.candidates, 3);
         assert_eq!(trace.tids_processed, 6);
         assert_eq!(table.top(), &[(3, 1.75), (2, 1.5)]);
-        // The legacy summary projects straight out of the trace.
-        let stats = QueryStats::from(&trace);
-        assert_eq!(stats.distinct_tids, 3);
-        assert_eq!(stats.tids_processed, 6);
-        assert!(!stats.osc_succeeded);
-        trace.osc_round = Some(2);
-        assert!(QueryStats::from(&trace).osc_succeeded);
+        // Probing never decides a short circuit; the OSC runner does.
+        assert!(!trace.osc_succeeded());
+        trace.check_consistent().unwrap();
     }
 
     #[test]

@@ -4,19 +4,19 @@
 //! [`crate::metrics`] answers "what happened since boot"; this module
 //! answers "what is happening *right now*". Three std-only pieces:
 //!
-//! * [`TimeSeries`] — a fixed-capacity ring of per-window
-//!   [`WindowSnapshot`]s: counter deltas, gauge samples, and per-verb
-//!   latency-histogram deltas covering one sampling window each. One
-//!   sampler thread pushes; any reader pulls the newest N windows. The
-//!   ring reuses the flight recorder's discipline (a relaxed
-//!   `fetch_add` claims a slot, a `try_lock` guards it), so the writer
-//!   never blocks behind a reader — a contended push is dropped and
-//!   counted instead of stalling the sampler.
-//! * Delta/merge/rate helpers ([`histogram_delta`], [`histogram_merge`],
-//!   [`rate_per_s`]) that derive windowed rates and quantiles from
-//!   cumulative [`LatencySnapshot`]s. A window's histogram delta is
-//!   itself a `LatencySnapshot`, so all the quantile machinery applies
-//!   to "the last 10 seconds" exactly as it does to "since boot".
+//! * [`Ring`] — the one fixed-capacity ring of the newest published
+//!   values: a relaxed `fetch_add` claims a slot, a `try_lock` guards it,
+//!   so a writer never blocks behind a reader — a contended push is
+//!   dropped and counted instead. The flight recorder keeps its recent
+//!   and slow traces in two of them, the server sampler its
+//!   [`WindowSnapshot`]s (counter deltas, gauge samples and per-verb
+//!   latency-histogram deltas of one sampling window each), and the
+//!   server's slow-query log its lines.
+//! * Delta/merge helpers ([`histogram_delta`], [`histogram_merge`]) that
+//!   derive windowed quantiles from cumulative [`LatencySnapshot`]s. A
+//!   window's histogram delta is itself a `LatencySnapshot`, so all the
+//!   quantile machinery applies to "the last 10 seconds" exactly as it
+//!   does to "since boot".
 //! * [`PromText`] — a Prometheus text-exposition writer for counters,
 //!   gauges, and histograms with cumulative `le` buckets, plus
 //!   [`validate_exposition`], which re-checks a rendered exposition's
@@ -32,8 +32,9 @@
 //!
 //! Like `metrics` and `tracing`, this module uses relaxed atomics: the
 //! ring cursor and drop counter are independent monotone values, never
-//! used to order other memory operations. (A relaxed *flag* would be a
-//! bug; `cargo xtask analyze`'s `atomics-ordering` rule catches that.)
+//! used to order other memory operations; the slot mutex publishes the
+//! value. (A relaxed *flag* would be a bug; `cargo xtask analyze`'s
+//! `atomics-ordering` rule catches that.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,15 +42,113 @@ use parking_lot::Mutex;
 
 use crate::metrics::{LatencySnapshot, LATENCY_BUCKETS};
 
+/// A fixed-capacity ring of the most recent published values.
+///
+/// Any number of writers and readers. A writer claims the next slot with
+/// a relaxed `fetch_add` and fills it under `try_lock`; if a reader holds
+/// the slot at that instant the value is dropped and counted — a writer
+/// never blocks on an observer. A slot keeps its value between pushes, so
+/// [`Ring::push_with`] can overwrite it in place (the flight recorder
+/// reuses each slot's span buffer instead of allocating per trace).
+#[derive(Debug)]
+pub struct Ring<T> {
+    /// `(seq, value)`; `seq == 0` marks a slot never written or cleared.
+    slots: Box<[Mutex<(u64, T)>]>,
+    next: AtomicU64,
+    dropped: AtomicU64,
+}
+
+impl<T: Clone + Default> Ring<T> {
+    /// A ring keeping the newest `capacity` values (minimum 1).
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Ring<T> {
+        let slots = (0..capacity.max(1))
+            .map(|_| Mutex::new((0, T::default())))
+            .collect::<Vec<_>>()
+            .into_boxed_slice();
+        Ring {
+            slots,
+            next: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// Number of slots in the ring.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Values ever pushed (including any dropped on contention).
+    #[must_use]
+    pub fn pushed(&self) -> u64 {
+        self.next.load(Ordering::Relaxed)
+    }
+
+    /// Pushes dropped because a reader (or a later writer) held the slot.
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Publish one value over the oldest slot: `fill` receives the
+    /// value's 1-based sequence number — contiguous across wraparound, so
+    /// readers can detect gaps — and the slot's previous value to
+    /// overwrite. Returns the sequence number, whether or not the value
+    /// landed.
+    pub fn push_with(&self, fill: impl FnOnce(u64, &mut T)) -> u64 {
+        let seq = self.next.fetch_add(1, Ordering::Relaxed) + 1;
+        let slot = &self.slots[((seq - 1) % self.slots.len() as u64) as usize];
+        match slot.try_lock() {
+            // A writer that lapped this one already filled the slot with a
+            // newer value; keep it.
+            Some(mut held) if held.0 < seq => {
+                held.0 = seq;
+                fill(seq, &mut held.1);
+            }
+            _ => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        seq
+    }
+
+    /// The newest `n` retained values, oldest first. Fewer are returned
+    /// while the ring is still filling (or when pushes were dropped).
+    #[must_use]
+    pub fn recent(&self, n: usize) -> Vec<T> {
+        let mut held: Vec<(u64, T)> = self
+            .slots
+            .iter()
+            .filter_map(|slot| {
+                let slot = slot.lock();
+                (slot.0 != 0).then(|| slot.clone())
+            })
+            .collect();
+        held.sort_by_key(|&(seq, _)| seq);
+        let skip = held.len().saturating_sub(n);
+        held.into_iter()
+            .skip(skip)
+            .map(|(_, value)| value)
+            .collect()
+    }
+
+    /// Forget every retained value (the counters are kept).
+    pub fn clear(&self) {
+        for slot in self.slots.iter() {
+            slot.lock().0 = 0;
+        }
+    }
+}
+
 /// Everything one sampling window observed: counter deltas over the
 /// window, point-in-time gauge samples, and per-verb latency-histogram
 /// deltas. Names are owned strings so callers can label dynamically
 /// sized families (one counter per replica, one histogram per verb).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowSnapshot {
-    /// 1-based window number, assigned by [`TimeSeries::push`];
-    /// contiguous even across ring wraparound, so readers can detect
-    /// gaps.
+    /// 1-based window number: the [`Ring`] sequence number it was
+    /// published under, so readers can detect gaps.
     pub seq: u64,
     /// Window start, microseconds since the sampler's epoch.
     pub start_us: u64,
@@ -64,112 +163,10 @@ pub struct WindowSnapshot {
     pub verbs: Vec<(String, LatencySnapshot)>,
 }
 
-impl WindowSnapshot {
-    /// The delta recorded for counter `name` (0 when absent — an absent
-    /// counter and a zero-traffic counter mean the same thing to a
-    /// rate).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, v)| v)
-    }
-
-    /// The gauge sample for `name`, if this window carries one.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// The histogram delta recorded for verb `name`, if any.
-    #[must_use]
-    pub fn verb(&self, name: &str) -> Option<&LatencySnapshot> {
-        self.verbs.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-
-    /// Windowed rate of counter `name` in events per second.
-    #[must_use]
-    pub fn rate_per_s(&self, name: &str) -> f64 {
-        rate_per_s(self.counter(name), self.dur_us)
-    }
-}
-
-/// A fixed-capacity ring of the most recent [`WindowSnapshot`]s.
-///
-/// Single conceptual writer (the sampler thread), any number of
-/// readers. A slot is claimed with a relaxed `fetch_add` and written
-/// under `try_lock`; if a reader holds the slot at that instant the
-/// push is dropped and counted — the sampler must never block on the
-/// serving path's observers.
-#[derive(Debug)]
-pub struct TimeSeries {
-    slots: Box<[Mutex<Option<WindowSnapshot>>]>,
-    next: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl TimeSeries {
-    /// A ring keeping the newest `capacity` windows (minimum 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> TimeSeries {
-        let slots = (0..capacity.max(1))
-            .map(|_| Mutex::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        TimeSeries {
-            slots,
-            next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of slots in the ring.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total windows ever pushed (including any dropped on contention).
-    #[must_use]
-    pub fn pushed(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Pushes dropped because a reader held the slot.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Publish one window, overwriting the oldest slot. Assigns
-    /// `window.seq` (1-based, monotone).
-    pub fn push(&self, mut window: WindowSnapshot) {
-        let claimed = self.next.fetch_add(1, Ordering::Relaxed);
-        window.seq = claimed + 1;
-        let slot = &self.slots[(claimed % self.slots.len() as u64) as usize];
-        match slot.try_lock() {
-            Some(mut guard) => *guard = Some(window),
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The newest `n` windows, oldest first. Fewer are returned while
-    /// the ring is still filling (or when pushes were dropped).
-    #[must_use]
-    pub fn recent(&self, n: usize) -> Vec<WindowSnapshot> {
-        let mut windows: Vec<WindowSnapshot> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().clone())
-            .collect();
-        windows.sort_by_key(|w| w.seq);
-        if windows.len() > n {
-            windows.drain(..windows.len() - n);
-        }
-        windows
+impl Ring<WindowSnapshot> {
+    /// Publish one sampler window, numbering it with its sequence number.
+    pub fn push_window(&self, window: WindowSnapshot) -> u64 {
+        self.push_with(|seq, slot| *slot = WindowSnapshot { seq, ..window })
     }
 }
 
@@ -209,16 +206,6 @@ pub fn histogram_merge<'a>(
         merged.sum_us = merged.sum_us.saturating_add(snap.sum_us);
     }
     merged
-}
-
-/// Events per second given a delta and the window it covers.
-#[must_use]
-pub fn rate_per_s(delta: u64, dur_us: u64) -> f64 {
-    if dur_us == 0 {
-        0.0
-    } else {
-        delta as f64 / (dur_us as f64 / 1e6)
-    }
 }
 
 // ------------------------------------------------- Prometheus exposition
@@ -575,9 +562,9 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_keeps_the_newest_windows_in_order() {
-        let series = TimeSeries::with_capacity(4);
+        let series = Ring::<WindowSnapshot>::with_capacity(4);
         for i in 0..10 {
-            series.push(window(i, i));
+            series.push_window(window(i, i));
         }
         assert_eq!(series.pushed(), 10);
         assert_eq!(series.dropped(), 0);
@@ -589,15 +576,15 @@ mod tests {
         let two = series.recent(2);
         assert_eq!(two.iter().map(|w| w.seq).collect::<Vec<_>>(), vec![9, 10],);
         // Window payloads survive the wraparound intact.
-        assert_eq!(last[3].counter("frames"), 9);
-        assert_eq!(last[3].gauge("queue_len"), Some(2.0));
+        assert_eq!(last[3].counters, vec![("frames".to_string(), 9)]);
+        assert_eq!(last[3].gauges, vec![("queue_len".to_string(), 2.0)]);
     }
 
     #[test]
     fn ring_seq_is_contiguous_across_wraparound() {
-        let series = TimeSeries::with_capacity(3);
+        let series = Ring::<WindowSnapshot>::with_capacity(3);
         for i in 0..7 {
-            series.push(window(i, i));
+            series.push_window(window(i, i));
         }
         let seqs: Vec<u64> = series.recent(3).iter().map(|w| w.seq).collect();
         assert_eq!(seqs, vec![5, 6, 7]);
@@ -619,7 +606,7 @@ mod tests {
         assert_eq!(delta.sum_us, 0);
         assert!(delta.buckets.iter().all(|&b| b == 0));
         assert_eq!(delta.quantile_us(0.99), 0, "empty window has no quantile");
-        assert_eq!(rate_per_s(delta.count, 1_000_000), 0.0);
+        assert_eq!(delta.mean_us(), 0.0);
     }
 
     #[test]
@@ -702,12 +689,12 @@ mod tests {
 
     #[test]
     fn push_is_safe_under_concurrent_readers() {
-        let series = std::sync::Arc::new(TimeSeries::with_capacity(8));
+        let series = std::sync::Arc::new(Ring::<WindowSnapshot>::with_capacity(8));
         std::thread::scope(|scope| {
             let writer = std::sync::Arc::clone(&series);
             scope.spawn(move || {
                 for i in 0..500 {
-                    writer.push(window(i, i));
+                    writer.push_window(window(i, i));
                 }
             });
             for _ in 0..3 {
@@ -725,6 +712,38 @@ mod tests {
         // Every push either landed or was counted as dropped.
         assert_eq!(series.pushed(), 500);
         assert!(series.recent(8).len() <= 8);
+    }
+
+    #[test]
+    fn a_push_into_a_held_slot_is_dropped_and_counted() {
+        let ring = Ring::<u64>::with_capacity(2);
+        ring.push_with(|_, slot| *slot = 10);
+        {
+            // A reader holds the slot the next push claims.
+            let _held = ring.slots[1].lock();
+            assert_eq!(
+                ring.push_with(|_, slot| *slot = 20),
+                2,
+                "the sequence number is still claimed"
+            );
+        }
+        assert_eq!((ring.pushed(), ring.dropped()), (2, 1));
+        assert_eq!(ring.recent(8), vec![10]);
+    }
+
+    #[test]
+    fn a_lapped_writer_keeps_the_newer_value() {
+        // Seq 3 reuses seq 1's slot; when the writer of seq 1 finally takes
+        // the lock it finds seq 3 there and must not overwrite it.
+        let ring = Ring::<u64>::with_capacity(2);
+        *ring.slots[0].lock() = (3, 30);
+        ring.push_with(|_, slot| *slot = 10);
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(ring.recent(8), vec![30]);
+        ring.clear();
+        assert!(ring.recent(8).is_empty());
+        assert_eq!(ring.push_with(|_, slot| *slot = 40), 2);
+        assert_eq!(ring.recent(8), vec![40]);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   `thread_local` borrow, a bump, and one monotonic clock read. A query
 //!   that would overflow the slab keeps running and counts the overflow
 //!   in `dropped_spans` instead of allocating.
-//! * **Wait-free publication.** A finished trace is copied into a ring
-//!   slot claimed with a relaxed `fetch_add`; the copy itself is guarded
-//!   by a per-slot `try_lock` so a *writer never blocks* — under
+//! * **Wait-free publication.** A finished trace is copied into a
+//!   [`Ring`] slot claimed with a relaxed `fetch_add`; the copy itself is
+//!   guarded by a per-slot `try_lock` so a *writer never blocks* — under
 //!   contention the trace is dropped and counted. (`fm-core` is
 //!   `forbid(unsafe_code)`, so this is the honest std-only approximation
 //!   of a seqlock: readers lock, writers try-lock.) The relaxed slot
@@ -32,18 +32,16 @@
 //! Perfetto / `chrome://tracing`) and [`flame_summary`] (per-phase
 //! totals plus p50/p95/p99 from the latency histogram).
 //!
-//! Compile tracing out entirely with
-//! `--no-default-features` on `fm-core` (the `trace` feature): every
-//! entry point collapses to an inert constant branch.
+//! [`set_enabled`] is the one switch: with tracing off every entry point
+//! costs one relaxed load.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::metrics::{LatencySnapshot, LookupTrace};
+use crate::telemetry::Ring;
 
 /// Per-thread span slab capacity: a trace keeps at most this many spans;
 /// extras are counted in [`CompletedTrace::dropped_spans`].
@@ -60,9 +58,6 @@ pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
 /// Sentinel parent index for the root span.
 pub const NO_PARENT: u32 = u32::MAX;
-
-/// Tracing compiled in? (`trace` is a default feature of `fm-core`.)
-pub const COMPILED: bool = cfg!(feature = "trace");
 
 /// Which pipeline a trace covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,7 +224,7 @@ pub fn set_enabled(on: bool) {
 
 #[must_use]
 pub fn enabled() -> bool {
-    COMPILED && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Root guard for one traced pipeline run. Dropping it closes the root
@@ -295,9 +290,6 @@ impl Drop for TraceGuard {
 /// Attach the query's scalar counters to the active trace (no-op when no
 /// trace is active on this thread).
 pub fn attach_counters(t: &LookupTrace) {
-    if !COMPILED {
-        return;
-    }
     COLLECTOR.with(|cell| {
         let mut c = cell.borrow_mut();
         if c.active {
@@ -323,9 +315,6 @@ pub fn span(name: &'static str) -> Span {
 }
 
 fn open_span(name: &'static str) -> u32 {
-    if !COMPILED {
-        return INERT;
-    }
     COLLECTOR.with(|cell| {
         let mut c = cell.borrow_mut();
         if !c.active {
@@ -378,9 +367,6 @@ impl Drop for Span {
 
 /// Record a zero-duration marker span (e.g. `apx_prune` decision points).
 pub fn instant(name: &'static str) {
-    if !COMPILED {
-        return;
-    }
     COLLECTOR.with(|cell| {
         let mut c = cell.borrow_mut();
         if !c.active {
@@ -430,104 +416,13 @@ pub fn install_store_hooks() {
 // ---------------------------------------------------------------------------
 // Flight recorder
 
-/// Per-slot payload; `seq == 0` means never written.
-struct Slot {
-    seq: u64,
-    kind: TraceKind,
-    spans: Vec<SpanRecord>,
-    counters: Option<LookupTrace>,
-    dropped_spans: u32,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: 0,
-            kind: TraceKind::Query,
-            spans: Vec::with_capacity(MAX_SPANS),
-            counters: None,
-            dropped_spans: 0,
-        }
-    }
-}
-
-/// A fixed-capacity ring of trace slots. Writers claim a slot with a
-/// relaxed `fetch_add` and `try_lock` it — publication never blocks the
-/// query thread; a contended slot drops the trace and bumps a counter.
-struct Ring {
-    slots: Box<[Mutex<Slot>]>,
-    next: AtomicU64,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let slots = (0..capacity.max(1))
-            .map(|_| Mutex::new(Slot::empty()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            slots,
-            next: AtomicU64::new(0),
-        }
-    }
-
-    fn store(
-        &self,
-        seq: u64,
-        kind: TraceKind,
-        spans: &[SpanRecord],
-        counters: Option<LookupTrace>,
-        dropped_spans: u32,
-        contended: &AtomicU64,
-    ) {
-        let i = (self.next.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
-        match self.slots[i].try_lock() {
-            Some(mut slot) => {
-                slot.seq = seq;
-                slot.kind = kind;
-                slot.counters = counters;
-                slot.dropped_spans = dropped_spans;
-                slot.spans.clear();
-                // Slot capacity is MAX_SPANS and the collector slab never
-                // exceeds it, so this extend never reallocates.
-                slot.spans.extend_from_slice(spans);
-            }
-            None => {
-                contended.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn drain_into(&self, out: &mut Vec<CompletedTrace>) {
-        for slot in &self.slots {
-            let slot = slot.lock();
-            if slot.seq == 0 {
-                continue;
-            }
-            out.push(CompletedTrace {
-                seq: slot.seq,
-                kind: slot.kind,
-                spans: slot.spans.clone(),
-                counters: slot.counters,
-                dropped_spans: slot.dropped_spans,
-            });
-        }
-    }
-
-    fn clear(&self) {
-        for slot in &self.slots {
-            slot.lock().seq = 0;
-        }
-    }
-}
-
-/// The flight recorder: recent + slow rings plus publication counters.
+/// The flight recorder: the recent and slow [`Ring`]s of completed traces.
+/// Publication never blocks the query thread: a slot a reader holds drops
+/// the trace and counts it.
 pub struct FlightRecorder {
-    recent: Ring,
-    slow: Ring,
+    recent: Ring<CompletedTrace>,
+    slow: Ring<CompletedTrace>,
     slow_threshold_us: AtomicU64,
-    seq: AtomicU64,
-    contended_drops: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -536,14 +431,16 @@ impl FlightRecorder {
     #[must_use]
     pub fn with_capacity(recent: usize, slow: usize) -> FlightRecorder {
         FlightRecorder {
-            recent: Ring::new(recent),
-            slow: Ring::new(slow),
+            recent: Ring::with_capacity(recent),
+            slow: Ring::with_capacity(slow),
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
-            seq: AtomicU64::new(0),
-            contended_drops: AtomicU64::new(0),
         }
     }
 
+    /// Copy a finished trace into the recent ring — and into the slow
+    /// ring under the same sequence number when its root was slow. The
+    /// slot's span buffer is reused: publication allocates only for a
+    /// trace longer than any that slot has held.
     fn publish(
         &self,
         kind: TraceKind,
@@ -551,25 +448,18 @@ impl FlightRecorder {
         counters: Option<LookupTrace>,
         dropped_spans: u32,
     ) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.recent.store(
-            seq,
-            kind,
-            spans,
-            counters,
-            dropped_spans,
-            &self.contended_drops,
-        );
+        let fill = |seq: u64, slot: &mut CompletedTrace| {
+            slot.seq = seq;
+            slot.kind = kind;
+            slot.counters = counters;
+            slot.dropped_spans = dropped_spans;
+            slot.spans.clear();
+            slot.spans.extend_from_slice(spans);
+        };
+        let seq = self.recent.push_with(fill);
         let total = spans.first().map_or(0, SpanRecord::duration_us);
         if total >= self.slow_threshold_us.load(Ordering::Relaxed) {
-            self.slow.store(
-                seq,
-                kind,
-                spans,
-                counters,
-                dropped_spans,
-                &self.contended_drops,
-            );
+            self.slow.push_with(|_, slot| fill(seq, slot));
         }
     }
 
@@ -579,38 +469,29 @@ impl FlightRecorder {
         self.slow_threshold_us.store(us, Ordering::Relaxed);
     }
 
-    #[must_use]
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us.load(Ordering::Relaxed)
-    }
-
     /// Traces published so far (including any dropped under contention).
     #[must_use]
     pub fn published(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.recent.pushed()
     }
 
-    /// Traces dropped because their ring slot was locked by a reader.
+    /// Ring writes dropped because their slot was locked by a reader.
     #[must_use]
     pub fn contended_drops(&self) -> u64 {
-        self.contended_drops.load(Ordering::Relaxed)
+        self.recent.dropped() + self.slow.dropped()
     }
 
     /// The retained recent traces, oldest first.
     #[must_use]
     pub fn recent(&self) -> Vec<CompletedTrace> {
-        let mut out = Vec::new();
-        self.recent.drain_into(&mut out);
-        out.sort_by_key(|t| t.seq);
-        out
+        self.recent.recent(usize::MAX)
     }
 
     /// Recent ∪ slow, deduplicated by seq, oldest first.
     #[must_use]
     pub fn all(&self) -> Vec<CompletedTrace> {
-        let mut out = Vec::new();
-        self.recent.drain_into(&mut out);
-        self.slow.drain_into(&mut out);
+        let mut out = self.recent();
+        out.extend(self.slow.recent(usize::MAX));
         out.sort_by_key(|t| t.seq);
         out.dedup_by_key(|t| t.seq);
         out
@@ -674,24 +555,14 @@ fn escape_json(s: &str, out: &mut String) {
 }
 
 fn push_counter_args(out: &mut String, t: &LookupTrace) {
+    out.push('{');
+    for (name, value) in t.named() {
+        out.push_str(&format!("\"{name}\":{value},"));
+    }
+    let round = t.osc_round.map_or("null".to_string(), |r| r.to_string());
     out.push_str(&format!(
-        "{{\"qgrams_probed\":{},\"stop_qgrams\":{},\"eti_rows\":{},\
-         \"tid_list_entries\":{},\"tids_processed\":{},\"candidates\":{},\
-         \"apx_pruned\":{},\"candidates_fetched\":{},\"fms_evals\":{},\
-         \"osc_attempts\":{},\"osc_round\":{},\"latency_us\":{}}}",
-        t.qgrams_probed,
-        t.stop_qgrams,
-        t.eti_rows,
-        t.tid_list_entries,
-        t.tids_processed,
-        t.candidates,
-        t.apx_pruned,
-        t.candidates_fetched,
-        t.fms_evals,
-        t.osc_attempts,
-        t.osc_round
-            .map_or_else(|| "null".to_string(), |r| r.to_string()),
-        t.latency_us,
+        "\"tid_list_max\":{},\"osc_round\":{round},\"latency_us\":{}}}",
+        t.tid_list_max, t.latency_us
     ));
 }
 
@@ -814,13 +685,20 @@ pub fn flame_summary(traces: &[CompletedTrace], latency: Option<&LatencySnapshot
 mod tests {
     use super::*;
 
-    fn sample_recorder() -> Arc<FlightRecorder> {
-        Arc::new(FlightRecorder::with_capacity(4, 2))
+    /// A fresh recorder, plus a guard that keeps this module's tests from
+    /// overlapping: `disabled_tracing_records_nothing` turns the
+    /// process-wide switch off, which would blank a sibling's trace.
+    fn sample_recorder() -> (std::sync::MutexGuard<'static, ()>, Arc<FlightRecorder>) {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let serial = SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        (serial, Arc::new(FlightRecorder::with_capacity(4, 2)))
     }
 
     #[test]
     fn trace_round_trip_is_well_formed() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         with_recorder(rec.clone(), || {
             let guard = start(TraceKind::Query);
             {
@@ -847,7 +725,7 @@ mod tests {
 
     #[test]
     fn ring_wraparound_keeps_latest() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         with_recorder(rec.clone(), || {
             for _ in 0..10 {
                 let g = start(TraceKind::Query);
@@ -869,7 +747,7 @@ mod tests {
 
     #[test]
     fn slow_ring_retains_past_recent_eviction() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         rec.set_slow_threshold_us(0); // everything is "slow"
         with_recorder(rec.clone(), || {
             let g = start(TraceKind::Build);
@@ -889,7 +767,7 @@ mod tests {
 
     #[test]
     fn spans_outside_a_trace_are_inert() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         with_recorder(rec.clone(), || {
             let _s = span("probe"); // no active trace
         });
@@ -898,7 +776,7 @@ mod tests {
 
     #[test]
     fn slab_overflow_drops_and_counts() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         with_recorder(rec.clone(), || {
             let g = start(TraceKind::Query);
             for _ in 0..(MAX_SPANS + 10) {
@@ -916,7 +794,7 @@ mod tests {
 
     #[test]
     fn chrome_export_contains_all_spans() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         with_recorder(rec.clone(), || {
             let g = start(TraceKind::Query);
             let s = span("tokenize");
@@ -936,7 +814,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing() {
-        let rec = sample_recorder();
+        let (_serial, rec) = sample_recorder();
         set_enabled(false);
         with_recorder(rec.clone(), || {
             let g = start(TraceKind::Query);

@@ -156,9 +156,6 @@ proptest! {
         prop_assert!(t.stop_qgrams <= t.qgrams_probed, "{t:?}");
         prop_assert!(t.tid_list_max <= t.tid_list_entries, "{t:?}");
         prop_assert!(result.matches.len() <= k, "more matches than K");
-        // The compatibility projection must mirror the trace.
-        prop_assert!(result.stats.fms_evaluations == t.fms_evals);
-        prop_assert!(result.stats.tids_processed == t.tids_processed);
     }
 
     #[test]

@@ -343,6 +343,47 @@ pub fn ok_reply(latency_us: u64, fields: Vec<(&str, Json)>) -> Json {
     Json::obj(all)
 }
 
+/// A counter set's `(name, value)` pairs as JSON object fields — how
+/// every reply and log line spells counters, so each keeps its declared
+/// name.
+#[must_use]
+pub fn counter_fields(counters: impl Iterator<Item = (&'static str, u64)>) -> Vec<(String, Json)> {
+    counters
+        .map(|(name, value)| (name.to_string(), Json::from(value)))
+        .collect()
+}
+
+/// One lookup's trace: every counter, then `tid_list_max`, `osc_round`
+/// (`null` without a short circuit) and `latency_us`.
+#[must_use]
+pub fn trace_to_json(trace: &fm_core::LookupTrace) -> Json {
+    let round = trace
+        .osc_round
+        .map_or(Json::Null, |r| Json::from(u64::from(r)));
+    let mut fields = counter_fields(trace.named());
+    fields.extend([
+        ("tid_list_max".into(), Json::from(trace.tid_list_max)),
+        ("osc_round".into(), round),
+        ("latency_us".into(), Json::from(trace.latency_us)),
+    ]);
+    Json::Obj(fields)
+}
+
+/// One flight-recorder trace as the `trace_slowest` verb reports it.
+#[must_use]
+pub fn completed_trace_to_json(trace: &fm_core::CompletedTrace) -> Json {
+    let mut fields = vec![
+        ("seq", Json::from(trace.seq)),
+        ("kind", Json::from(trace.kind.as_str())),
+        ("total_us", Json::from(trace.total_us())),
+        ("spans", Json::from(trace.spans.len())),
+    ];
+    if let Some(counters) = &trace.counters {
+        fields.push(("counters", trace_to_json(counters)));
+    }
+    Json::obj(fields)
+}
+
 /// Serialize the matches of a [`fm_core::MatchResult`].
 #[must_use]
 pub fn matches_to_json(result: &fm_core::MatchResult) -> Json {

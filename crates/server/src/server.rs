@@ -58,7 +58,7 @@
 //! final counter and metrics snapshot.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -132,79 +132,41 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic serving-layer counters (all relaxed: independent totals).
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    responses: AtomicU64,
-    write_failures: AtomicU64,
-    rejected_overload: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    deadline_expired: AtomicU64,
-    malformed: AtomicU64,
-    oversized: AtomicU64,
-    batches: AtomicU64,
-    batched_lookups: AtomicU64,
-    max_queue_depth: AtomicU64,
-    queue_wait_us: AtomicU64,
-    queue_waits: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            frames: self.frames.load(Ordering::Relaxed),
-            responses: self.responses.load(Ordering::Relaxed),
-            write_failures: self.write_failures.load(Ordering::Relaxed),
-            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            oversized: self.oversized.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_lookups: self.batched_lookups.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
-            queue_waits: self.queue_waits.load(Ordering::Relaxed),
-        }
+fm_core::counters! {
+    /// Point-in-time copy of the serving-layer counters; [`Counters`] is
+    /// the live tally (all relaxed: independent totals).
+    pub struct CountersSnapshot / Counters {
+        /// Sockets accepted.
+        pub connections: u64,
+        /// Request frames decoded.
+        pub frames: u64,
+        /// Response frames written successfully.
+        pub responses: u64,
+        /// Response frames that failed to write (peer gone mid-reply).
+        pub write_failures: u64,
+        /// Lookups refused with `503 overloaded`.
+        pub rejected_overload: u64,
+        /// Lookups refused with `503 shutting down`.
+        pub rejected_shutdown: u64,
+        /// Lookups answered `408` because their deadline passed in queue.
+        pub deadline_expired: u64,
+        /// Frames whose payload failed to parse (`400`).
+        pub malformed: u64,
+        /// Length prefixes beyond [`MAX_FRAME`] (`413`, connection closed).
+        pub oversized: u64,
+        /// `lookup_batch` calls issued by the micro-batcher (fused ≥ 2).
+        pub batches: u64,
+        /// Singleton lookups served through a fused batch.
+        pub batched_lookups: u64,
+        /// High-water mark of the worker queue.
+        pub max_queue_depth: u64,
+        /// Total time dequeued jobs spent waiting in the queue, µs. Workers
+        /// always took the dequeue timestamp (for 408 deadlines); this
+        /// records the wait instead of dropping it.
+        pub queue_wait_us: u64,
+        /// Jobs dequeued (the divisor for a mean queue wait).
+        pub queue_waits: u64,
     }
-}
-
-/// Point-in-time copy of the serving-layer counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// Sockets accepted.
-    pub connections: u64,
-    /// Request frames decoded.
-    pub frames: u64,
-    /// Response frames written successfully.
-    pub responses: u64,
-    /// Response frames that failed to write (peer gone mid-reply).
-    pub write_failures: u64,
-    /// Lookups refused with `503 overloaded`.
-    pub rejected_overload: u64,
-    /// Lookups refused with `503 shutting down`.
-    pub rejected_shutdown: u64,
-    /// Lookups answered `408` because their deadline passed in queue.
-    pub deadline_expired: u64,
-    /// Frames whose payload failed to parse (`400`).
-    pub malformed: u64,
-    /// Length prefixes beyond [`MAX_FRAME`] (`413`, connection closed).
-    pub oversized: u64,
-    /// `lookup_batch` calls issued by the micro-batcher (fused ≥ 2).
-    pub batches: u64,
-    /// Singleton lookups served through a fused batch.
-    pub batched_lookups: u64,
-    /// High-water mark of the worker queue.
-    pub max_queue_depth: u64,
-    /// Total time dequeued jobs spent waiting in the queue, µs. Workers
-    /// always took the dequeue timestamp (for 408 deadlines); this
-    /// records the wait instead of dropping it.
-    pub queue_wait_us: u64,
-    /// Jobs dequeued (the divisor for a mean queue wait).
-    pub queue_waits: u64,
 }
 
 impl CountersSnapshot {
@@ -220,29 +182,6 @@ impl CountersSnapshot {
     pub fn ledger_balanced(&self) -> bool {
         self.frames == self.responses + self.write_failures
     }
-
-    /// Every counter as `(name, value)` pairs — the single field list
-    /// behind the `stats` reply's server section, the Prometheus
-    /// exposition, and the sampler's window deltas.
-    #[must_use]
-    pub fn named(&self) -> [(&'static str, u64); 14] {
-        [
-            ("connections", self.connections),
-            ("frames", self.frames),
-            ("responses", self.responses),
-            ("write_failures", self.write_failures),
-            ("rejected_overload", self.rejected_overload),
-            ("rejected_shutdown", self.rejected_shutdown),
-            ("deadline_expired", self.deadline_expired),
-            ("malformed", self.malformed),
-            ("oversized", self.oversized),
-            ("batches", self.batches),
-            ("batched_lookups", self.batched_lookups),
-            ("max_queue_depth", self.max_queue_depth),
-            ("queue_wait_us", self.queue_wait_us),
-            ("queue_waits", self.queue_waits),
-        ]
-    }
 }
 
 /// Everything [`Server::wait`] hands back after the drain completes.
@@ -251,7 +190,7 @@ pub struct ServerReport {
     pub counters: CountersSnapshot,
     /// Final matcher metrics (the "flush a final snapshot" half of
     /// graceful shutdown).
-    pub metrics: fm_core::MetricsSnapshot,
+    pub metrics: MetricsSnapshot,
     /// Final store IO accounting.
     pub store: fm_store::StoreStats,
 }
@@ -387,8 +326,12 @@ impl Server {
             let (stop_tx, stop_rx) = mpsc::channel();
             *lock_sampler_stop(&inner.sampler_stop) = Some(stop_tx);
             let inner_sampler = Arc::clone(&inner);
+            // The first cut is taken here, before any connection can be
+            // served: a sampler thread scheduled late must not fold early
+            // traffic into its baseline, where no window would show it.
+            let first = SamplerCut::capture(&inner);
             Some(std::thread::spawn(move || {
-                sampler_loop(&inner_sampler, &stop_rx);
+                sampler_loop(&inner_sampler, first, &stop_rx);
             }))
         } else {
             None
@@ -464,7 +407,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             break; // the wake-up connection (or any racer) ends the loop
         }
         let Ok(stream) = conn else { continue };
-        inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+        inner.counters.connections.add(1);
         let inner_conn = Arc::clone(inner);
         let handle = std::thread::spawn(move || conn_loop(&inner_conn, stream));
         lock_conns(&inner.conns).push(handle);
@@ -479,7 +422,7 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
         match reader.next_frame(&mut stream, MAX_FRAME) {
             Ok(FrameEvent::Frame(payload)) => {
                 let received = Instant::now();
-                inner.counters.frames.fetch_add(1, Ordering::Relaxed);
+                inner.counters.frames.add(1);
                 let (reply, verb_idx) = inner.handle_frame(&payload, received);
                 let write_start = Instant::now();
                 let usable = inner.write_reply(&mut stream, &reply);
@@ -499,8 +442,8 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
             Err(FrameError::Oversized(n)) => {
                 // Count it as a request we answered: the reply below
                 // balances the frames/responses ledger.
-                inner.counters.frames.fetch_add(1, Ordering::Relaxed);
-                inner.counters.oversized.fetch_add(1, Ordering::Relaxed);
+                inner.counters.frames.add(1);
+                inner.counters.oversized.add(1);
                 let reply = protocol::error_reply(
                     code::FRAME_TOO_LARGE,
                     &format!("frame of {n} bytes exceeds the {MAX_FRAME} byte limit"),
@@ -541,9 +484,8 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
 /// drops the stop sender, which turns the sleep into an immediate
 /// `Disconnected` — the sampler flushes one final partial window and
 /// exits.
-fn sampler_loop(inner: &Arc<Inner>, stop: &mpsc::Receiver<()>) {
+fn sampler_loop(inner: &Arc<Inner>, mut prev: SamplerCut, stop: &mpsc::Receiver<()>) {
     let window = Duration::from_millis(inner.config.telemetry_window_ms.max(1));
-    let mut prev = SamplerCut::capture(inner);
     loop {
         let alive = matches!(
             stop.recv_timeout(window),
@@ -595,10 +537,8 @@ impl Inner {
     /// charge the job to this worker's replica.
     fn note_dequeue(&self, verb_idx: usize, replica: usize, received: Instant) -> u64 {
         let waited = elapsed_us(received);
-        self.counters
-            .queue_wait_us
-            .fetch_add(waited, Ordering::Relaxed);
-        self.counters.queue_waits.fetch_add(1, Ordering::Relaxed);
+        self.counters.queue_wait_us.add(waited);
+        self.counters.queue_waits.add(1);
         self.telemetry.record_queue(verb_idx, waited);
         self.telemetry.record_replica(replica);
         waited
@@ -622,24 +562,27 @@ impl Inner {
     }
 
     /// Compute one window's deltas between two sampler cuts and publish
-    /// it into the time-series ring.
+    /// it into the time-series ring. Every counter list is delta'd by
+    /// name: the serving layer's, the matcher's, and the store's (as
+    /// `store_{name}`, the exposition's `fm_store_*`).
     fn publish_window(&self, prev: &SamplerCut, cut: &SamplerCut) {
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        for ((name, now), (_, before)) in cut.counters.named().iter().zip(prev.counters.named()) {
-            counters.push(((*name).to_string(), now.saturating_sub(before)));
+        fn deltas(
+            now: impl Iterator<Item = (&'static str, u64)>,
+            before: impl Iterator<Item = (&'static str, u64)>,
+        ) -> impl Iterator<Item = (&'static str, u64)> {
+            now.zip(before)
+                .map(|((name, now), (_, before))| (name, now.saturating_sub(before)))
         }
-        counters.push((
-            "lookups".to_string(),
-            cut.matcher.lookups.saturating_sub(prev.matcher.lookups),
-        ));
+        let mut counters: Vec<(String, u64)> = deltas(cut.counters.named(), prev.counters.named())
+            .chain(deltas(cut.matcher.named(), prev.matcher.named()))
+            .map(|(name, delta)| (name.to_string(), delta))
+            .chain(
+                deltas(cut.store.named(), prev.store.named())
+                    .map(|(name, delta)| (format!("store_{name}"), delta)),
+            )
+            .collect();
         let pool_hits = cut.store.hits.saturating_sub(prev.store.hits);
         let pool_misses = cut.store.misses.saturating_sub(prev.store.misses);
-        counters.push(("pool_hits".to_string(), pool_hits));
-        counters.push(("pool_misses".to_string(), pool_misses));
-        counters.push((
-            "pages_read".to_string(),
-            cut.store.pages_read.saturating_sub(prev.store.pages_read),
-        ));
         for (i, (now, before)) in cut
             .replica_served
             .iter()
@@ -674,8 +617,8 @@ impl Inner {
                 (delta.count > 0).then(|| (now.verb.to_string(), delta))
             })
             .collect();
-        self.telemetry.series.push(WindowSnapshot {
-            seq: 0, // assigned by push
+        self.telemetry.series.push_window(WindowSnapshot {
+            seq: 0, // assigned by push_window
             start_us: prev.at_us,
             dur_us: cut.at_us.saturating_sub(prev.at_us),
             counters,
@@ -708,11 +651,11 @@ impl Inner {
     fn write_reply(&self, stream: &mut TcpStream, reply: &Json) -> bool {
         match protocol::write_json(stream, reply) {
             Ok(()) => {
-                self.counters.responses.fetch_add(1, Ordering::Relaxed);
+                self.counters.responses.add(1);
                 true
             }
             Err(_) => {
-                self.counters.write_failures.fetch_add(1, Ordering::Relaxed);
+                self.counters.write_failures.add(1);
                 false
             }
         }
@@ -726,7 +669,7 @@ impl Inner {
         let request = match protocol::parse_request(payload) {
             Ok(request) => request,
             Err(message) => {
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                self.counters.malformed.add(1);
                 return (
                     protocol::error_reply(code::BAD_REQUEST, &message, elapsed_us(received)),
                     None,
@@ -777,7 +720,7 @@ impl Inner {
             } => {
                 let arity = self.primary().config().arity();
                 if input.arity() != arity {
-                    self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.malformed.add(1);
                     return (
                         protocol::error_reply(
                             code::BAD_REQUEST,
@@ -810,7 +753,7 @@ impl Inner {
             } => {
                 let arity = self.primary().config().arity();
                 if let Some(bad) = inputs.iter().find(|r| r.arity() != arity) {
-                    self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.malformed.add(1);
                     return (
                         protocol::error_reply(
                             code::BAD_REQUEST,
@@ -850,17 +793,13 @@ impl Inner {
     /// On admission, blocks until the worker pool answers.
     fn admit(&self, received: Instant, build: impl FnOnce(mpsc::Sender<Json>) -> Job) -> Json {
         if self.is_shutting_down() {
-            self.counters
-                .rejected_shutdown
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.rejected_shutdown.add(1);
             return protocol::error_reply(code::OVERLOADED, "shutting down", elapsed_us(received));
         }
         let inflight = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         if inflight > self.max_inflight {
             self.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.counters
-                .rejected_overload
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.rejected_overload.add(1);
             return protocol::error_reply(
                 code::OVERLOADED,
                 &format!("overloaded: {} lookups in flight", self.max_inflight),
@@ -870,15 +809,11 @@ impl Inner {
         let (tx, rx) = mpsc::channel();
         match self.queue.try_push(build(tx)) {
             Ok(depth) => {
-                self.counters
-                    .max_queue_depth
-                    .fetch_max(depth as u64, Ordering::Relaxed);
+                self.counters.max_queue_depth.max(depth as u64);
             }
             Err(PushError::Full(_)) => {
                 self.inflight.fetch_sub(1, Ordering::SeqCst);
-                self.counters
-                    .rejected_overload
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.rejected_overload.add(1);
                 return protocol::error_reply(
                     code::OVERLOADED,
                     &format!(
@@ -890,9 +825,7 @@ impl Inner {
             }
             Err(PushError::Closed(_)) => {
                 self.inflight.fetch_sub(1, Ordering::SeqCst);
-                self.counters
-                    .rejected_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.rejected_shutdown.add(1);
                 return protocol::error_reply(
                     code::OVERLOADED,
                     "shutting down",
@@ -922,9 +855,7 @@ impl Inner {
     }
 
     fn deadline_reply(&self, received: Instant) -> Json {
-        self.counters
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.deadline_expired.add(1);
         protocol::error_reply(
             code::DEADLINE_EXCEEDED,
             "deadline exceeded while queued",
@@ -1034,10 +965,8 @@ impl Inner {
                 self.execute_one(matcher, job);
             }
             n => {
-                self.counters.batches.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .batched_lookups
-                    .fetch_add(n as u64, Ordering::Relaxed);
+                self.counters.batches.add(1);
+                self.counters.batched_lookups.add(n as u64);
                 let records: Vec<Record> = live.iter().map(|j| j.input.clone()).collect();
                 let service_start = Instant::now();
                 match matcher.lookup_batch(&records, k, c, 1) {
@@ -1126,62 +1055,31 @@ impl Inner {
         protocol::ok_reply(
             elapsed_us(received),
             vec![
-                (
-                    "metrics",
-                    Json::obj(vec![
-                        ("lookups", Json::from(m.lookups)),
-                        ("qgrams_probed", Json::from(m.qgrams_probed)),
-                        ("stop_qgrams", Json::from(m.stop_qgrams)),
-                        ("eti_rows", Json::from(m.eti_rows)),
-                        ("tids_processed", Json::from(m.tids_processed)),
-                        ("candidates", Json::from(m.candidates)),
-                        ("apx_pruned", Json::from(m.apx_pruned)),
-                        ("candidates_fetched", Json::from(m.candidates_fetched)),
-                        ("fms_evals", Json::from(m.fms_evals)),
-                        ("osc_attempts", Json::from(m.osc_attempts)),
-                        ("osc_short_circuits", Json::from(m.osc_short_circuits)),
-                        (
-                            "latency",
-                            Json::obj(vec![
-                                ("count", Json::from(m.latency.count)),
-                                ("sum_us", Json::from(m.latency.sum_us)),
-                                ("mean_us", Json::from(m.latency.mean_us())),
-                                ("p50_us", Json::from(m.latency.p50_us())),
-                                ("p95_us", Json::from(m.latency.p95_us())),
-                                ("p99_us", Json::from(m.latency.p99_us())),
-                            ]),
-                        ),
-                    ]),
-                ),
-                (
-                    "store",
-                    Json::obj(vec![
-                        ("hits", Json::from(io.hits)),
-                        ("misses", Json::from(io.misses)),
-                        ("evictions", Json::from(io.evictions)),
-                        ("pages_read", Json::from(io.pages_read)),
-                        ("pages_written", Json::from(io.pages_written)),
-                        ("wal_bytes", Json::from(io.wal_bytes)),
-                    ]),
-                ),
-                ("server", {
-                    // One source of truth for the counter list: the
-                    // same `named()` pairs the exposition and the
-                    // sampler use, plus the point-in-time gauges.
-                    let mut fields: Vec<(&str, Json)> = c
-                        .named()
-                        .iter()
-                        .map(|&(name, value)| (name, Json::from(value)))
-                        .collect();
-                    fields.push(("queue_len", Json::from(self.queue.len())));
-                    fields.push(("replicas", Json::from(self.replicas.len() as u64)));
-                    fields.push(("slow_logged", Json::from(self.telemetry.slow().logged())));
-                    fields.push((
-                        "telemetry_windows",
-                        Json::from(self.telemetry.series.pushed()),
-                    ));
-                    Json::obj(fields)
+                ("metrics", {
+                    let mut fields = protocol::counter_fields(m.named());
+                    let latency = Json::obj(vec![
+                        ("count", Json::from(m.latency.count)),
+                        ("sum_us", Json::from(m.latency.sum_us)),
+                        ("mean_us", Json::from(m.latency.mean_us())),
+                        ("p50_us", Json::from(m.latency.p50_us())),
+                        ("p95_us", Json::from(m.latency.p95_us())),
+                        ("p99_us", Json::from(m.latency.p99_us())),
+                    ]);
+                    fields.push(("latency".into(), latency));
+                    Json::Obj(fields)
                 }),
+                ("store", Json::Obj(protocol::counter_fields(io.named()))),
+                // The same `named()` pairs the exposition and the sampler
+                // use, plus the point-in-time gauges.
+                (
+                    "server",
+                    Json::Obj(protocol::counter_fields(c.named().chain([
+                        ("queue_len", self.queue.len() as u64),
+                        ("replicas", self.replicas.len() as u64),
+                        ("slow_logged", self.telemetry.slow().logged()),
+                        ("telemetry_windows", self.telemetry.series.pushed()),
+                    ]))),
+                ),
             ],
         )
     }
@@ -1195,7 +1093,7 @@ impl Inner {
         let io = self.db.stats();
         let c = self.counters.snapshot();
         let mut prom = PromText::new();
-        for (name, value) in m.named_counters() {
+        for (name, value) in m.named() {
             prom.counter(
                 &format!("fm_{name}_total"),
                 "Matcher query-processor counter (see fm-core::metrics).",
@@ -1209,14 +1107,7 @@ impl Inner {
             &[],
             &m.latency,
         );
-        for (name, value) in [
-            ("hits", io.hits),
-            ("misses", io.misses),
-            ("evictions", io.evictions),
-            ("pages_read", io.pages_read),
-            ("pages_written", io.pages_written),
-            ("wal_bytes", io.wal_bytes),
-        ] {
+        for (name, value) in io.named() {
             prom.counter(
                 &format!("fm_store_{name}_total"),
                 "Store IO counter (buffer pool and WAL).",
@@ -1382,34 +1273,7 @@ impl Inner {
                 Json::Arr(
                     traces
                         .iter()
-                        .map(|t| {
-                            let mut fields = vec![
-                                ("seq", Json::from(t.seq)),
-                                ("kind", Json::from(t.kind.as_str())),
-                                ("total_us", Json::from(t.total_us())),
-                                ("spans", Json::from(t.spans.len())),
-                            ];
-                            if let Some(counters) = t.counters {
-                                fields.push((
-                                    "counters",
-                                    Json::obj(vec![
-                                        ("qgrams_probed", Json::from(counters.qgrams_probed)),
-                                        (
-                                            "candidates_fetched",
-                                            Json::from(counters.candidates_fetched),
-                                        ),
-                                        ("fms_evals", Json::from(counters.fms_evals)),
-                                        ("latency_us", Json::from(counters.latency_us)),
-                                    ]),
-                                ));
-                            }
-                            Json::Obj(
-                                fields
-                                    .into_iter()
-                                    .map(|(name, value)| (name.to_string(), value))
-                                    .collect(),
-                            )
-                        })
+                        .map(protocol::completed_trace_to_json)
                         .collect(),
                 ),
             )],

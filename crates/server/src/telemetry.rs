@@ -15,27 +15,28 @@
 //! The sampler thread in [`crate::server`] closes one window per
 //! configured interval: it snapshots every cumulative counter source
 //! (matcher registry, serving counters, store IO, per-verb service
-//! histograms), publishes the deltas plus queue-depth/inflight gauges
-//! into a [`TimeSeries`], and the `timeseries` verb serves the newest N
+//! histograms), publishes the deltas of every named counter plus
+//! queue-depth/inflight gauges into a [`Ring`] of [`WindowSnapshot`]s,
+//! and the `timeseries` verb serves the newest N
 //! windows as JSON. The `metrics` verb renders the cumulative state as
 //! Prometheus text exposition instead.
 //!
 //! Requests slower than `slow_us` append one JSON line to a bounded
-//! in-memory ring (and optionally a JSONL file): verb, per-phase
-//! timings, and the query-processor counters — the same totals the
-//! flight recorder keys its slow ring on, so a slow-log line can be
+//! in-memory [`Ring`] (and optionally a JSONL file): verb, per-phase
+//! timings, and the query's trace — the same counters the flight
+//! recorder attaches to its traces, so a slow-log line can be
 //! correlated with `trace_slowest` output by latency and counters.
 
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fm_core::metrics::{LatencyHistogram, LatencySnapshot};
-use fm_core::telemetry::TimeSeries;
+use fm_core::telemetry::{Ring, WindowSnapshot};
 use fm_core::LookupTrace;
 
 use crate::json::Json;
+use crate::protocol::trace_to_json;
 
 /// Every protocol verb, in the order used for per-verb indexing.
 pub const VERBS: &[&str] = &[
@@ -86,7 +87,7 @@ pub struct ServerTelemetry {
     /// Jobs served by each worker/replica pairing (utilization share).
     replica_served: Vec<AtomicU64>,
     /// The rolling window ring the sampler publishes into.
-    pub series: TimeSeries,
+    pub series: Ring<WindowSnapshot>,
     slow: SlowLog,
 }
 
@@ -96,7 +97,7 @@ impl ServerTelemetry {
         ServerTelemetry {
             verbs: (0..VERBS.len()).map(|_| VerbPhases::default()).collect(),
             replica_served: (0..replicas.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            series: TimeSeries::with_capacity(windows),
+            series: Ring::with_capacity(windows),
             slow,
         }
     }
@@ -150,25 +151,16 @@ impl ServerTelemetry {
     }
 }
 
-/// Bounded structured slow-query log: newest `cap` records in memory,
-/// optionally mirrored to a JSONL file (also bounded — a misbehaving
-/// workload must not grow the log without limit).
+/// Bounded structured slow-query log: newest `cap` records in a [`Ring`]
+/// (so a worker never blocks on a reader of the log), optionally mirrored
+/// to a JSONL file (also bounded — a misbehaving workload must not grow
+/// the log without limit).
 #[derive(Debug)]
 pub struct SlowLog {
     /// Requests at or above this many µs are logged; `0` disables.
     threshold_us: u64,
-    cap: usize,
-    records: Mutex<VecDeque<String>>,
+    records: Ring<String>,
     file: Option<Mutex<std::fs::File>>,
-    logged: AtomicU64,
-    file_failed: AtomicU64,
-}
-
-fn lock_or_recover<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl SlowLog {
@@ -187,11 +179,8 @@ impl SlowLog {
         };
         SlowLog {
             threshold_us,
-            cap: cap.max(1),
-            records: Mutex::new(VecDeque::new()),
+            records: Ring::with_capacity(cap),
             file,
-            logged: AtomicU64::new(0),
-            file_failed: AtomicU64::new(0),
         }
     }
 
@@ -208,12 +197,11 @@ impl SlowLog {
     /// since evicted).
     #[must_use]
     pub fn logged(&self) -> u64 {
-        self.logged.load(Ordering::Relaxed)
+        self.records.pushed()
     }
 
-    /// Record one slow request. `write_us` is `None` when the reply has
-    /// not been written yet (worker-side records; the write phase
-    /// happens later on the connection thread).
+    /// Record one slow request: decode to reply-built, so the reply's
+    /// write phase (later, on the connection thread) is not included.
     pub fn record(
         &self,
         verb: &str,
@@ -225,43 +213,34 @@ impl SlowLog {
         if self.threshold_us == 0 || total_us < self.threshold_us {
             return;
         }
-        // 1-based, like `TimeSeries` window seqs: `seq` equals
+        // `seq` is the record's 1-based ring sequence number: it equals
         // `logged()` at the moment this record was admitted.
-        let seq = self.logged.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut fields = vec![
-            ("seq", Json::from(seq)),
-            ("verb", Json::from(verb)),
-            ("total_us", Json::from(total_us)),
-            ("queue_us", Json::from(queue_us)),
-            ("service_us", Json::from(service_us)),
-            ("threshold_us", Json::from(self.threshold_us)),
-        ];
-        if let Some(t) = trace {
-            fields.push((
-                "counters",
-                Json::obj(vec![
-                    ("qgrams_probed", Json::from(t.qgrams_probed)),
-                    ("candidates", Json::from(t.candidates)),
-                    ("candidates_fetched", Json::from(t.candidates_fetched)),
-                    ("fms_evals", Json::from(t.fms_evals)),
-                    ("latency_us", Json::from(t.latency_us)),
-                ]),
-            ));
-        }
-        let line = Json::obj(fields).encode();
-        {
-            let mut records = lock_or_recover(&self.records);
-            if records.len() >= self.cap {
-                records.pop_front();
+        let mut line = String::new();
+        let seq = self.records.push_with(|seq, slot| {
+            let mut fields = vec![
+                ("seq", Json::from(seq)),
+                ("verb", Json::from(verb)),
+                ("total_us", Json::from(total_us)),
+                ("queue_us", Json::from(queue_us)),
+                ("service_us", Json::from(service_us)),
+                ("threshold_us", Json::from(self.threshold_us)),
+            ];
+            if let Some(t) = trace {
+                fields.push(("counters", trace_to_json(t)));
             }
-            records.push_back(line.clone());
-        }
+            *slot = Json::obj(fields).encode();
+            line.clone_from(slot);
+        });
         if let Some(file) = &self.file {
-            if seq <= self.cap as u64 * Self::FILE_CAP_FACTOR {
-                let mut f = lock_or_recover(file);
-                if writeln!(f, "{line}").is_err() {
-                    self.file_failed.fetch_add(1, Ordering::Relaxed);
-                }
+            let cap = self.records.capacity() as u64;
+            if !line.is_empty() && seq <= cap * Self::FILE_CAP_FACTOR {
+                let mut f = match file.lock() {
+                    Ok(guard) => guard,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                // A failed mirror write loses only the file copy; the ring
+                // keeps the record.
+                let _ = writeln!(f, "{line}");
             }
         }
     }
@@ -269,7 +248,7 @@ impl SlowLog {
     /// The newest retained records, oldest first.
     #[must_use]
     pub fn lines(&self) -> Vec<String> {
-        lock_or_recover(&self.records).iter().cloned().collect()
+        self.records.recent(usize::MAX)
     }
 }
 

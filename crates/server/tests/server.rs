@@ -334,12 +334,16 @@ fn trace_slowest_sees_server_traffic() {
         .get("traces")
         .and_then(Json::as_arr)
         .expect("traces array");
-    assert!(
-        traces
-            .iter()
-            .any(|t| t.get("kind").and_then(Json::as_str) == Some("query")),
-        "server-originated query spans must reach the flight recorder"
-    );
+    let query = traces
+        .iter()
+        .find(|t| t.get("kind").and_then(Json::as_str) == Some("query"))
+        .expect("server-originated query spans must reach the flight recorder");
+    let counters = query
+        .get("counters")
+        .expect("a query trace carries counters");
+    for (name, _) in fm_core::LookupTrace::default().named() {
+        assert!(counters.get(name).is_some(), "trace counters lack {name}");
+    }
     shutdown_and_wait(server, &addr);
 }
 
@@ -405,13 +409,21 @@ fn metrics_exposition_matches_stats_exactly_when_quiesced() {
         prom_value(&text, "fm_lookup_latency_us_sum"),
         Some(sum_us as f64)
     );
-    for name in ["lookups", "candidates", "fms_evals", "qgrams_probed"] {
+    // One counter list feeds both replies: every matcher counter is in
+    // each, under the same name, with the same value; every serving
+    // counter is in each too (those move with this very exchange).
+    for (name, _) in fm_core::MetricsSnapshot::default().named() {
         let from_stats = metrics.get(name).and_then(Json::as_u64).expect(name);
         assert_eq!(
             prom_value(&text, &format!("fm_{name}_total")),
             Some(from_stats as f64),
             "counter {name} must agree between metrics and stats"
         );
+    }
+    for (name, _) in fm_server::CountersSnapshot::default().named() {
+        let server = stats.get("server").expect("server section");
+        assert!(server.get(name).is_some(), "stats has no server.{name}");
+        assert!(prom_value(&text, &format!("fm_server_{name}_total")).is_some());
     }
 
     // The worker path fed the per-verb phase histograms.
@@ -478,6 +490,20 @@ fn timeseries_accumulates_windows_with_correct_deltas() {
         Some(0),
         "a zero-traffic window must report zero deltas"
     );
+    // Every window carries every counter list, by name.
+    let names = fm_server::CountersSnapshot::default()
+        .named()
+        .chain(fm_core::MetricsSnapshot::default().named())
+        .map(|(name, _)| name.to_string())
+        .chain(
+            fm_store::StoreStats::default()
+                .named()
+                .map(|(name, _)| format!("store_{name}")),
+        );
+    let counters = idle.get("counters").expect("counters");
+    for name in names {
+        assert!(counters.get(&name).is_some(), "window lacks {name}");
+    }
     shutdown_and_wait(server, &addr);
 }
 

@@ -118,6 +118,22 @@ pub struct StoreStats {
     pub wal_bytes: u64,
 }
 
+impl StoreStats {
+    /// Every counter as `(name, value)`, in field order — the one list the
+    /// `stats` reply, the Prometheus exposition and the CLI report walk.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("evictions", self.evictions),
+            ("pages_read", self.pages_read),
+            ("pages_written", self.pages_written),
+            ("wal_bytes", self.wal_bytes),
+        ]
+        .into_iter()
+    }
+}
+
 /// A sharded buffer pool over a [`Pager`]. See the module docs for the
 /// concurrency contract.
 pub struct BufferPool {

@@ -151,9 +151,6 @@ pub fn lines_gate() -> Result<(), String> {
 pub fn trace_smoke() -> Result<(), String> {
     use fm_core::{Config, FuzzyMatcher, Record};
 
-    if !fm_core::tracing::COMPILED {
-        return Err("fm-core built without the `trace` feature".into());
-    }
     let recorder = std::sync::Arc::new(fm_core::tracing::FlightRecorder::with_capacity(64, 32));
     let json = fm_core::tracing::with_recorder(std::sync::Arc::clone(&recorder), || {
         let db = fm_store::Database::in_memory().map_err(|e| e.to_string())?;

@@ -49,14 +49,15 @@ fn check_metrics_stack() -> Result<(), String> {
     let results = matcher
         .lookup_batch(&inputs, 2, 0.0, 4)
         .map_err(|e| format!("metrics batch: {e}"))?;
-    let mut fms_evals = 0u64;
-    let mut qgrams = 0u64;
+    // Every counter of the registry must be the sum of the traces'.
+    let mut summed: Vec<(&str, u64)> = fm_core::LookupTrace::default().named().collect();
     for r in &results {
         r.trace
             .check_consistent()
             .map_err(|e| format!("trace: {e}"))?;
-        fms_evals += r.trace.fms_evals;
-        qgrams += r.trace.qgrams_probed;
+        for (sum, (_, value)) in summed.iter_mut().zip(r.trace.named()) {
+            sum.1 += value;
+        }
     }
     let snapshot = matcher.metrics_snapshot();
     if snapshot.lookups != results.len() as u64 {
@@ -66,11 +67,10 @@ fn check_metrics_stack() -> Result<(), String> {
             results.len()
         ));
     }
-    if snapshot.fms_evals != fms_evals || snapshot.qgrams_probed != qgrams {
+    let registered: Vec<(&str, u64)> = snapshot.totals.named().collect();
+    if registered != summed {
         return Err(format!(
-            "registry drifted from the trace sum: {} fms evals vs {fms_evals}, \
-             {} q-grams vs {qgrams}",
-            snapshot.fms_evals, snapshot.qgrams_probed
+            "registry drifted from the trace sum: {registered:?} vs {summed:?}"
         ));
     }
     let check = snapshot

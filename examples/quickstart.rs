@@ -59,8 +59,8 @@ fn main() {
                 m.tid,
                 m.record,
                 m.similarity,
-                result.stats.eti_lookups,
-                result.stats.candidates_fetched,
+                result.trace.qgrams_probed,
+                result.trace.candidates_fetched,
             ),
             None => println!("{name} {input}\n  -> no match\n"),
         }

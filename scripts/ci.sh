@@ -30,10 +30,10 @@ cargo run -q --release -p fm-cli -- build \
 # pipe would kill the still-printing CLI.
 trace_out=$(cargo run -q --release -p fm-cli -- lookup \
   --db "$smoke_dir/smoke.fmdb" --input "Beoing Company,Seattle,WA,98004" --trace 2>&1)
-printf '%s\n' "$trace_out" | grep -q "fms evaluations" ||
+printf '%s\n' "$trace_out" | grep -q "fms_evals" ||
   { echo "ci: traced lookup printed no trace" >&2; exit 1; }
 stats_out=$(cargo run -q --release -p fm-cli -- stats --db "$smoke_dir/smoke.fmdb")
-printf '%s\n' "$stats_out" | grep -q "pool hits" ||
+printf '%s\n' "$stats_out" | grep -q "wal_bytes" ||
   { echo "ci: stats printed no IO report" >&2; exit 1; }
 
 echo "ci: traced-lookup smoke test ok"

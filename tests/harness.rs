@@ -1,6 +1,6 @@
 //! Shared helpers for the integration tests.
 
-use fm_core::{Config, FuzzyMatcher, Record};
+use fm_core::{Config, FuzzyMatcher, LookupTrace, MetricsRegistry, MetricsSnapshot, Record};
 use fm_datagen::{generate_customers, GeneratorConfig, CUSTOMER_COLUMNS};
 use fm_store::Database;
 
@@ -49,4 +49,30 @@ pub fn build(reference: &[Record], config: Config) -> (Database, FuzzyMatcher) {
     let matcher =
         FuzzyMatcher::build(&db, "test", reference.iter().cloned(), config).expect("matcher build");
     (db, matcher)
+}
+
+/// The registry moved from `before` to `after` by exactly `traces`: fold
+/// them one by one through a fresh registry and compare every counter by
+/// name, and the latency histograms bucket by bucket.
+pub fn assert_registry_moved_by(
+    before: &MetricsSnapshot,
+    after: &MetricsSnapshot,
+    traces: &[LookupTrace],
+) {
+    let expected = MetricsRegistry::new();
+    for t in traces {
+        t.check_consistent().expect("trace invariants");
+        expected.record(t);
+    }
+    let expected = expected.snapshot();
+    let moved: Vec<(&str, u64)> = after
+        .named()
+        .zip(before.named())
+        .map(|((name, a), (_, b))| (name, a - b))
+        .collect();
+    assert_eq!(moved, expected.named().collect::<Vec<_>>());
+    assert_eq!(
+        fm_core::telemetry::histogram_delta(&after.latency, &before.latency),
+        expected.latency
+    );
 }

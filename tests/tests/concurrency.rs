@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fm_core::Record;
 use fm_datagen::{make_inputs, ErrorModel, ErrorSpec, D3_PROBS};
-use fm_integration::{build, customer_config, customers};
+use fm_integration::{assert_registry_moved_by, build, customer_config, customers};
 
 #[test]
 fn parallel_lookups_equal_serial_lookups() {
@@ -135,57 +135,8 @@ fn metrics_snapshot_equals_sum_of_batch_traces() {
     let results = matcher.lookup_batch(&ds.inputs, 2, 0.0, 8).expect("batch");
     let after = matcher.metrics_snapshot();
 
-    let mut qgrams = 0u64;
-    let mut stop = 0u64;
-    let mut eti_rows = 0u64;
-    let mut entries = 0u64;
-    let mut tids = 0u64;
-    let mut candidates = 0u64;
-    let mut apx = 0u64;
-    let mut fetched = 0u64;
-    let mut evals = 0u64;
-    let mut attempts = 0u64;
-    let mut circuits = 0u64;
-    let mut latency = 0u64;
-    for r in &results {
-        let t = r.trace;
-        t.check_consistent().expect("trace invariants");
-        qgrams += t.qgrams_probed;
-        stop += t.stop_qgrams;
-        eti_rows += t.eti_rows;
-        entries += t.tid_list_entries;
-        tids += t.tids_processed;
-        candidates += t.candidates;
-        apx += t.apx_pruned;
-        fetched += t.candidates_fetched;
-        evals += t.fms_evals;
-        attempts += t.osc_attempts;
-        circuits += u64::from(t.osc_round.is_some());
-        latency += t.latency_us;
-    }
-    assert_eq!(after.lookups - before.lookups, results.len() as u64);
-    assert_eq!(after.qgrams_probed - before.qgrams_probed, qgrams);
-    assert_eq!(after.stop_qgrams - before.stop_qgrams, stop);
-    assert_eq!(after.eti_rows - before.eti_rows, eti_rows);
-    assert_eq!(after.tid_list_entries - before.tid_list_entries, entries);
-    assert_eq!(after.tids_processed - before.tids_processed, tids);
-    assert_eq!(after.candidates - before.candidates, candidates);
-    assert_eq!(after.apx_pruned - before.apx_pruned, apx);
-    assert_eq!(
-        after.candidates_fetched - before.candidates_fetched,
-        fetched
-    );
-    assert_eq!(after.fms_evals - before.fms_evals, evals);
-    assert_eq!(after.osc_attempts - before.osc_attempts, attempts);
-    assert_eq!(
-        after.osc_short_circuits - before.osc_short_circuits,
-        circuits
-    );
-    assert_eq!(
-        after.latency.count - before.latency.count,
-        results.len() as u64
-    );
-    assert_eq!(after.latency.sum_us - before.latency.sum_us, latency);
+    let traces: Vec<_> = results.iter().map(|r| r.trace).collect();
+    assert_registry_moved_by(&before, &after, &traces);
     after.check_invariants().expect("snapshot invariants");
 }
 

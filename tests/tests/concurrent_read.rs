@@ -8,7 +8,7 @@
 
 use fm_core::{FuzzyMatcher, MatchResult, Record};
 use fm_datagen::{make_inputs, ErrorModel, ErrorSpec, D3_PROBS};
-use fm_integration::{build, customer_config, customers};
+use fm_integration::{assert_registry_moved_by, build, customer_config, customers};
 
 /// Full fingerprint of one answer: every match's tid and the exact bit
 /// pattern of its similarity. Two fingerprints are equal only if the
@@ -246,33 +246,6 @@ fn metrics_totals_exact_across_eight_replica_threads() {
     let after = matcher.metrics_snapshot();
 
     assert_eq!(traces.len(), 240);
-    let mut lookups = 0u64;
-    let mut qgrams = 0u64;
-    let mut eti_rows = 0u64;
-    let mut tids = 0u64;
-    let mut fetched = 0u64;
-    let mut evals = 0u64;
-    let mut latency = 0u64;
-    for t in &traces {
-        t.check_consistent().expect("trace invariants");
-        lookups += 1;
-        qgrams += t.qgrams_probed;
-        eti_rows += t.eti_rows;
-        tids += t.tids_processed;
-        fetched += t.candidates_fetched;
-        evals += t.fms_evals;
-        latency += t.latency_us;
-    }
-    assert_eq!(after.lookups - before.lookups, lookups);
-    assert_eq!(after.qgrams_probed - before.qgrams_probed, qgrams);
-    assert_eq!(after.eti_rows - before.eti_rows, eti_rows);
-    assert_eq!(after.tids_processed - before.tids_processed, tids);
-    assert_eq!(
-        after.candidates_fetched - before.candidates_fetched,
-        fetched
-    );
-    assert_eq!(after.fms_evals - before.fms_evals, evals);
-    assert_eq!(after.latency.count - before.latency.count, lookups);
-    assert_eq!(after.latency.sum_us - before.latency.sum_us, latency);
+    assert_registry_moved_by(&before, &after, &traces);
     after.check_invariants().expect("snapshot invariants");
 }

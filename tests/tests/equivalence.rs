@@ -355,10 +355,10 @@ fn paper_example_osc_is_faster_but_can_differ() {
     for input in &ds.inputs {
         let a = sound.lookup(input, 1, 0.0).expect("lookup");
         let b = paper.lookup(input, 1, 0.0).expect("lookup");
-        sound_fetches += a.stats.candidates_fetched;
-        paper_fetches += b.stats.candidates_fetched;
-        sound_successes += u32::from(a.stats.osc_succeeded);
-        paper_successes += u32::from(b.stats.osc_succeeded);
+        sound_fetches += a.trace.candidates_fetched;
+        paper_fetches += b.trace.candidates_fetched;
+        sound_successes += u32::from(a.trace.osc_succeeded());
+        paper_successes += u32::from(b.trace.osc_succeeded());
     }
     assert!(
         paper_successes >= sound_successes,

@@ -27,8 +27,8 @@ fn five_k_accuracy_floor_d3() {
                 correct += 1;
             }
         }
-        total_lookups += result.stats.eti_lookups;
-        total_fetches += result.stats.candidates_fetched;
+        total_lookups += result.trace.qgrams_probed;
+        total_fetches += result.trace.candidates_fetched;
     }
     let accuracy = correct as f64 / ds.inputs.len() as f64;
     assert!(accuracy > 0.85, "D3 accuracy {accuracy:.3} below floor");
