@@ -26,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use fm_store::keycode;
-use fm_store::lockorder;
+use fm_store::lockorder::{Guard, Ranked, WEIGHTS};
 use fm_store::{BTree, Database, StoreError, Value};
 use fm_text::minhash::MinHasher;
 use fm_text::Tokenizer;
@@ -78,7 +78,7 @@ pub struct FuzzyMatcher {
     config: Config,
     tokenizer: Tokenizer,
     minhasher: MinHasher,
-    weights: Arc<RwLock<WeightTable>>,
+    weights: Arc<Ranked<RwLock<WeightTable>, WEIGHTS>>,
     eti: Eti,
     // Table handles synchronize on the pool's frame latches (DESIGN §11)
     ref_table: fm_store::catalog::Table,
@@ -241,7 +241,7 @@ impl FuzzyMatcher {
         state.insert(b"next_tid", &next_tid.to_le_bytes())?;
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
-        m.weights = Arc::new(RwLock::new(WeightTable::new(freqs)));
+        m.weights = Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs))));
         m.next_tid = Arc::new(AtomicU32::new(next_tid));
         Ok(m)
     }
@@ -258,7 +258,7 @@ impl FuzzyMatcher {
         FuzzyMatcher {
             tokenizer: Tokenizer::new(),
             minhasher: MinHasher::new(config.h, config.q, config.seed),
-            weights: Arc::new(RwLock::new(WeightTable::new(freqs))),
+            weights: Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs)))),
             eti: Eti::new(eti, config.stop_qgram_threshold),
             ref_table,
             tid_index,
@@ -338,9 +338,7 @@ impl FuzzyMatcher {
         &self.minhasher
     }
 
-    pub(crate) fn weights_snapshot(
-        &self,
-    ) -> parking_lot::RwLockReadGuard<'_, crate::weights::WeightTable> {
+    pub(crate) fn weights_snapshot(&self) -> Guard<parking_lot::RwLockReadGuard<'_, WeightTable>> {
         self.weights.read()
     }
 
@@ -351,7 +349,6 @@ impl FuzzyMatcher {
 
     /// Number of reference tuples.
     pub fn relation_size(&self) -> u64 {
-        let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         self.weights.read().frequencies().relation_size()
     }
 
@@ -374,7 +371,6 @@ impl FuzzyMatcher {
     /// A snapshot of the weight table (for the naive baselines and for
     /// offline analysis).
     pub fn clone_weights(&self) -> WeightTable {
-        let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         self.weights.read().clone()
     }
 
@@ -436,7 +432,6 @@ impl FuzzyMatcher {
             let _span = tracing::span("tokenize");
             input.tokenize(&self.tokenizer)
         };
-        let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
         let ctx = QueryContext {
             config: &self.config,
@@ -451,7 +446,6 @@ impl FuzzyMatcher {
             QueryMode::Osc => osc_lookup(&ctx, &tokens, k, c)?,
         };
         drop(weights);
-        drop(_rank);
         let matches = {
             let _span = tracing::span("materialize");
             scored
@@ -512,7 +506,6 @@ impl FuzzyMatcher {
 
         // Frequencies and relation size (O(1) per token via running sums).
         {
-            let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
             let mut weights = self.weights.write();
             weights.decrement_relation_size();
             for (col, token) in tokens.iter_tokens() {
@@ -620,7 +613,6 @@ impl FuzzyMatcher {
     pub fn fms(&self, u: &Record, v: &Record) -> f64 {
         let ut = u.tokenize(&self.tokenizer);
         let vt = v.tokenize(&self.tokenizer);
-        let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
         Similarity::new(&*weights, &self.config).fms(&ut, &vt)
     }
@@ -646,7 +638,6 @@ impl FuzzyMatcher {
         let tokens = record.tokenize(&self.tokenizer);
 
         {
-            let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
             let mut weights = self.weights.write();
             weights.bump_relation_size();
             for (col, token) in tokens.iter_tokens() {
@@ -685,7 +676,6 @@ impl FuzzyMatcher {
     /// * the tid counter is strictly above every stored tid.
     pub fn check_invariants(&self) -> Result<MatcherCheck> {
         let eti = self.eti.check_invariants()?;
-        let _rank = lockorder::HeldRank::acquire(lockorder::WEIGHTS, "weights");
         let weights = self.weights.read();
         weights.check_invariants()?;
 
@@ -811,6 +801,26 @@ mod tests {
 
     fn build_table1(db: &Database) -> FuzzyMatcher {
         FuzzyMatcher::build(db, "org", table1().into_iter(), org_config()).unwrap()
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_weights_snapshot_keeps_its_rank_after_it_escapes() {
+        // The guard `weights_snapshot` returns outlives the function that
+        // took it; while it is held, taking `weights` again on this thread
+        // must assert rather than nest a second read behind a queued writer.
+        let db = Database::in_memory().unwrap();
+        let m = build_table1(&db);
+        let snapshot = m.weights_snapshot();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.relation_size()));
+        drop(snapshot);
+        let payload = result.expect_err("re-taking weights under a held snapshot must assert");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            message.contains("lock-order violation: acquiring `weights`"),
+            "got: {message}"
+        );
+        assert_eq!(m.relation_size(), 3);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use parking_lot::RwLock;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StoreError};
-use crate::lockorder;
+use crate::lockorder::{Ranked, LATCH};
 use crate::page::{PageId, PageType, SlottedPage, SlottedPageMut, PAGE_SIZE};
 
 /// Maximum `key.len() + value.len()` accepted by [`BTree::insert`].
@@ -123,7 +123,7 @@ struct SplitResult {
 pub struct BTree {
     pool: Arc<BufferPool>,
     root: PageId,
-    latch: Arc<RwLock<()>>,
+    latch: Arc<Ranked<RwLock<()>, LATCH>>,
 }
 
 impl BTree {
@@ -137,7 +137,7 @@ impl BTree {
         Ok(BTree {
             pool,
             root,
-            latch: Arc::new(RwLock::new(())),
+            latch: Arc::new(Ranked::new(RwLock::new(()))),
         })
     }
 
@@ -147,7 +147,7 @@ impl BTree {
         BTree {
             pool,
             root,
-            latch: Arc::new(RwLock::new(())),
+            latch: Arc::new(Ranked::new(RwLock::new(()))),
         }
     }
 
@@ -172,7 +172,6 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _read = self.latch.read();
         let mut page_id = self.root;
         loop {
@@ -226,7 +225,6 @@ impl BTree {
                 max: MAX_ENTRY,
             });
         }
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _write = self.latch.write();
         let mut inserted = false;
         if let Some(split) = self.insert_rec(self.root, key, value, &mut inserted)? {
@@ -486,7 +484,6 @@ impl BTree {
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _write = self.latch.write();
         {
             let root = self.pool.get(self.root)?;
@@ -600,7 +597,6 @@ impl BTree {
     /// Delete `key`. Returns `true` if it was present. No rebalancing (see
     /// module docs).
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _write = self.latch.write();
         let mut page_id = self.root;
         loop {
@@ -703,7 +699,6 @@ impl BTree {
         prefix: &[u8],
         mut visit: impl FnMut(&[u8], &[u8]) -> Result<()>,
     ) -> Result<()> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _read = self.latch.read();
         let mut leaf = self.find_leaf(prefix)?;
         let mut start = Bound::Included(prefix);
@@ -723,7 +718,6 @@ impl BTree {
 
     /// Range scan over `[start, end)` byte-key bounds.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<RangeScan<'_>> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _read = self.latch.read();
         // Find the first leaf possibly containing the start bound.
         let seek: &[u8] = match start {
@@ -777,7 +771,6 @@ impl BTree {
     /// Fill factors are reported, not enforced: deletes never rebalance, so
     /// a leaf may legitimately be empty ([module docs](self)).
     pub fn check_invariants(&self) -> Result<TreeCheck> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::LATCH, "latch");
         let _read = self.latch.read();
         let mut visited = std::collections::HashSet::new();
         let mut leaves: Vec<PageId> = Vec::new();

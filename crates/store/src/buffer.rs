@@ -18,15 +18,21 @@
 //!
 //! # The miss path never holds a shard lock across IO
 //!
-//! A miss installs the new mapping with the frame marked *loading*, takes
-//! the frame's write latch, **releases the shard mutex**, and only then
-//! performs the eviction write-back and the fault-in read — holding
-//! nothing but the per-frame latch, which only threads wanting that very
-//! page can contend on. Hits in the same shard proceed concurrently with
-//! the fault. A thread that finds the page it wants mid-load parks on the
-//! frame latch (released when the loader finishes) and retries its map
-//! lookup, so it can never observe partially-loaded bytes; if the load
-//! failed, the retry misses and the waiter becomes the next loader.
+//! A miss picks a victim with the clock sweep under the shard mutex. A
+//! *dirty* victim is not unmapped: it is pinned, the shard mutex is
+//! released, and its bytes are written back under the frame's read latch,
+//! so a reader of that page keeps hitting the frame and can never fault
+//! in the pager's older image; then it is unpinned and the sweep resumes
+//! at it. Only a clean frame is ever unmapped: the miss installs the new
+//! mapping with the frame marked *loading*, takes the frame's write
+//! latch, **releases the shard mutex**, and only then reads the page in —
+//! holding nothing but the per-frame latch, which only threads wanting
+//! that very page can contend on. Hits in the same shard proceed
+//! concurrently with the fault. A thread that finds the page it wants
+//! mid-load parks on the frame latch (released when the loader finishes)
+//! and retries its map lookup, so it can never observe partially-loaded
+//! bytes; if the load failed, the retry misses and the waiter becomes the
+//! next loader.
 //!
 //! This retires the old single-mutex design's documented
 //! "miss IO under the pool lock" trade-off (the `lock-across-io` analyze
@@ -37,10 +43,10 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{Result, StoreError};
-use crate::lockorder;
+use crate::lockorder::{self, Guard, Ranked, STATE};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
 
@@ -84,17 +90,10 @@ struct ShardState {
 struct Shard {
     /// First global frame index owned by this shard.
     base: usize,
-    state: Mutex<ShardState>,
+    state: Ranked<Mutex<ShardState>, STATE>,
 }
 
-/// Cumulative buffer pool counters (monotonic; read with [`BufferPool::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-}
+type StateGuard<'a> = Guard<MutexGuard<'a, ShardState>>;
 
 /// IO accounting for a whole store: buffer-pool traffic plus physical page
 /// and WAL IO beneath it. All counters are cumulative and monotonic; read a
@@ -174,11 +173,11 @@ impl BufferPool {
                 };
                 Shard {
                     base,
-                    state: Mutex::new(ShardState {
+                    state: Ranked::new(Mutex::new(ShardState {
                         map: HashMap::new(),
                         meta: vec![FrameMeta::default(); len],
                         clock: 0,
-                    }),
+                    })),
                 }
             })
             .collect();
@@ -204,16 +203,6 @@ impl BufferPool {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Cumulative hit/miss/eviction counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-        }
     }
 
     /// Full IO accounting: pool counters plus the pager's physical IO.
@@ -252,7 +241,6 @@ impl BufferPool {
         // when the pool is under pin pressure.
         let mut miss_counted = false;
         loop {
-            let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
             let mut st = shard.state.lock();
             if let Some(&local) = st.map.get(&id) {
                 if !st.meta[local].loading {
@@ -268,9 +256,8 @@ impl BufferPool {
                 // misses and this thread becomes the loader.
                 let gidx = shard.base + local;
                 drop(st);
-                drop(_rank);
                 {
-                    let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME, "frame-data");
+                    let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME);
                     drop(self.frames[gidx].data.read());
                 }
                 // The loader publishes (clears `loading`) only after
@@ -311,7 +298,6 @@ impl BufferPool {
                 // unpin within microseconds, so yield and retry before
                 // declaring the shard exhausted.
                 drop(st);
-                drop(_rank);
                 stalls += 1;
                 if stalls > EXHAUSTED_RETRIES {
                     return Err(StoreError::PoolExhausted);
@@ -321,16 +307,23 @@ impl BufferPool {
             };
             let gidx = shard.base + local;
 
-            // Claim the victim: displace its old mapping, install ours
-            // marked loading, and take the frame latch. The latch is
-            // uncontended modulo a reader mid-drop that already unpinned
-            // (it releases without re-taking any lock, so blocking on it
-            // here cannot deadlock).
-            let old_page = st.meta[local].page;
-            if let Some(old_id) = old_page {
+            if let Some(old_id) = st.meta[local].page {
+                if self.frames[gidx].dirty.load(Ordering::Acquire) {
+                    // A dirty victim stays mapped while it is written back,
+                    // so a reader of its page keeps hitting it. The sweep
+                    // resumes at it: clean by then, it is the next victim
+                    // unless a reader has touched it meanwhile.
+                    st.clock = local;
+                    self.write_back(shard, st, local, old_id)?;
+                    continue;
+                }
                 st.map.remove(&old_id);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
+            // Claim the clean victim: install our mapping marked loading
+            // and take the frame latch. The latch is uncontended modulo a
+            // reader mid-drop that already unpinned (it releases without
+            // re-taking any lock, so blocking on it here cannot deadlock).
             st.meta[local] = FrameMeta {
                 page: Some(id),
                 pins: 1,
@@ -338,79 +331,80 @@ impl BufferPool {
                 loading: true,
             };
             st.map.insert(id, local);
-            // FRAME nests inside STATE here (50 < 55); the token must be
-            // dropped explicitly before the publish re-acquisition below,
-            // or re-taking STATE under it would assert.
-            let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME, "frame-data");
+            // FRAME nests inside STATE here (state < frame-data); its
+            // token goes with the latch, before the publish re-takes STATE.
+            let frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME);
             let mut data = self.frames[gidx].data.write();
             drop(st);
-            drop(_rank);
 
-            // IO with no shard lock held: write back the displaced page
-            // (its bytes are still in the frame), then fault ours in.
-            let mut wrote_back_old = false;
-            let io = (|| -> Result<()> {
-                if let Some(old_id) = old_page {
-                    if self.frames[gidx].dirty.swap(false, Ordering::AcqRel) {
-                        // lint:allow(lock-across-io): per-frame latch only, by design
-                        if let Err(e) = self.pager.write_page(old_id, &data) {
-                            self.frames[gidx].dirty.store(true, Ordering::Release);
-                            return Err(e);
-                        }
-                        self.writebacks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    wrote_back_old = true;
-                }
-                if load {
-                    self.reads.fetch_add(1, Ordering::Relaxed);
-                    // lint:allow(lock-across-io): per-frame latch only, by design
-                    self.pager.read_page(id, &mut data)
-                } else {
-                    data.fill(0);
-                    Ok(())
-                }
-            })();
+            let io = if load {
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                // lint:allow(lock-across-io): per-frame latch only, by design
+                self.pager.read_page(id, &mut data)
+            } else {
+                data.fill(0);
+                Ok(())
+            };
             // Frame latch released before re-taking the shard lock (the
             // canonical order is shard state before frame data, never the
             // reverse); waiters it wakes re-check the map and loop until
             // the publish below lands.
             drop(data);
-            drop(_frame_rank);
+            drop(frame_rank);
 
-            // Publish (or roll back) under the shard lock.
-            let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
+            // Publish, or forget the mapping: the victim was clean, so a
+            // failed fault-in loses nothing.
             let mut st = shard.state.lock();
-            match io {
-                Ok(()) => {
-                    st.meta[local].loading = false;
-                    return Ok(gidx);
-                }
-                Err(e) => {
-                    st.map.remove(&id);
-                    if let (Some(old_id), false) = (old_page, wrote_back_old) {
-                        // The write-back failed before the frame was
-                        // overwritten: restore the old mapping so the
-                        // dirty page is not lost.
-                        st.map.insert(old_id, local);
-                        st.meta[local] = FrameMeta {
-                            page: Some(old_id),
-                            pins: 0,
-                            ref_bit: false,
-                            loading: false,
-                        };
-                        self.evictions.fetch_sub(1, Ordering::Relaxed);
-                    } else {
-                        st.meta[local] = FrameMeta::default();
-                    }
-                    return Err(e);
-                }
+            if io.is_ok() {
+                st.meta[local].loading = false;
+            } else {
+                st.map.remove(&id);
+                st.meta[local] = FrameMeta::default();
             }
+            return io.map(|()| gidx);
         }
+    }
+
+    /// Write `page`, resident in frame `local` of `shard`, back to the
+    /// pager if it is dirty: the one write-back of the eviction sweep and
+    /// of `flush`. The caller hands over the shard lock; the frame is
+    /// pinned under it, so it cannot be repurposed, and the write runs
+    /// under the frame's read latch alone. Readers of the page keep
+    /// hitting the frame, a writer waits for the write to land, and a
+    /// failed write leaves the frame dirty.
+    fn write_back(
+        &self,
+        shard: &Shard,
+        mut st: StateGuard<'_>,
+        local: usize,
+        page: PageId,
+    ) -> Result<()> {
+        st.meta[local].pins += 1;
+        drop(st);
+        let gidx = shard.base + local;
+        let frame = &self.frames[gidx];
+        let written = {
+            let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME);
+            let data = frame.data.read();
+            if frame.dirty.swap(false, Ordering::AcqRel) {
+                // lint:allow(lock-across-io): per-frame latch only, by design
+                let written = self.pager.write_page(page, &data);
+                if written.is_ok() {
+                    self.writebacks.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    frame.dirty.store(true, Ordering::Release);
+                }
+                written
+            } else {
+                Ok(())
+            }
+        };
+        self.unpin(gidx);
+        written
     }
 
     fn unpin(&self, idx: usize) {
         let shard = self.shard_of_frame(idx);
-        let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
         let mut st = shard.state.lock();
         let local = idx - shard.base;
         debug_assert!(st.meta[local].pins > 0, "unpin without pin");
@@ -459,15 +453,12 @@ impl BufferPool {
     /// Write all dirty frames back and fsync the pager.
     pub fn flush(&self) -> Result<()> {
         // Shard by shard: snapshot the resident pages without pinning, then
-        // write the dirty ones back one at a time, each under its own pin
-        // (so the frame cannot be repurposed for another page during the
-        // write) and only the per-frame read latch. The flusher never holds
+        // write the dirty ones back one at a time. The flusher never holds
         // more than one pin, so a miss in the shard it is working on still
         // finds a victim; in-flight writers block on one frame, never the
-        // shard, and re-dirtying is preserved on failure.
+        // shard.
         for shard in &self.shards {
             let resident: Vec<(usize, PageId)> = {
-                let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
                 let st = shard.state.lock();
                 st.meta
                     .iter()
@@ -477,34 +468,18 @@ impl BufferPool {
                     .collect()
             };
             for (local, page) in resident {
-                let gidx = shard.base + local;
+                let st = shard.state.lock();
+                // Evicted, reloaded or cleaned since the snapshot: the
+                // frame's current owner answers for its bytes.
+                let m = st.meta[local];
+                if m.page == Some(page)
+                    && !m.loading
+                    && self.frames[shard.base + local]
+                        .dirty
+                        .load(Ordering::Acquire)
                 {
-                    let _rank = lockorder::HeldRank::acquire(lockorder::STATE, "state");
-                    let mut st = shard.state.lock();
-                    // Evicted, reloaded or cleaned since the snapshot: the
-                    // frame's current owner answers for its bytes.
-                    let m = &mut st.meta[local];
-                    if m.page != Some(page)
-                        || m.loading
-                        || !self.frames[gidx].dirty.swap(false, Ordering::AcqRel)
-                    {
-                        continue;
-                    }
-                    m.pins += 1;
+                    self.write_back(shard, st, local, page)?;
                 }
-                let written = {
-                    let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME, "frame-data");
-                    let data = self.frames[gidx].data.read();
-                    // lint:allow(lock-across-io): per-frame latch only, by design
-                    self.pager.write_page(page, &data)
-                };
-                if written.is_ok() {
-                    self.writebacks.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.frames[gidx].dirty.store(true, Ordering::Release);
-                }
-                self.unpin(gidx);
-                written?;
             }
         }
         self.pager.sync()
@@ -632,9 +607,9 @@ mod tests {
             let page = pool.get(id).unwrap();
             assert!(page.iter().all(|&b| b == i as u8), "page {id} corrupted");
         }
-        let stats = pool.stats();
+        let stats = pool.store_stats();
         assert!(stats.evictions > 0);
-        assert!(stats.writebacks > 0);
+        assert!(stats.pages_written > 0);
     }
 
     #[test]
@@ -645,9 +620,9 @@ mod tests {
             drop(g);
             (id, ())
         };
-        let before = pool.stats();
+        let before = pool.store_stats();
         let _ = pool.get(id).unwrap(); // hit: still resident
-        let after = pool.stats();
+        let after = pool.store_stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
     }
@@ -676,7 +651,6 @@ mod tests {
             }
             pool.flush().unwrap();
             let s = pool.store_stats();
-            assert_eq!(s.misses, pool.stats().misses);
             assert!(s.pages_read >= 4, "re-reads of evicted pages: {s:?}");
             assert!(s.pages_written >= 6, "every page written once: {s:?}");
             assert!(
@@ -780,6 +754,44 @@ mod tests {
     }
 
     #[test]
+    fn a_dirty_victim_stays_readable_while_it_is_written_back() {
+        use std::sync::{mpsc, Arc};
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let armed = Arc::new(AtomicBool::new(false));
+        let pool = Arc::new(BufferPool::new(
+            Box::new(ParkingPager {
+                inner: MemPager::new(),
+                armed: Arc::clone(&armed),
+                parked: Mutex::new(parked_tx),
+                release: Mutex::new(release_rx),
+            }),
+            2,
+        ));
+        // Two dirty pages fill both frames; the pager holds only zeroes.
+        let ids: Vec<PageId> = [0xAA, 0xBB]
+            .into_iter()
+            .map(|byte| {
+                let (id, mut page) = pool.allocate().unwrap();
+                page.fill(byte);
+                id
+            })
+            .collect();
+        armed.store(true, Ordering::Release);
+        // A third page evicts one of them and parks inside its write-back.
+        let evictor = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.allocate().map(|(id, _)| id))
+        };
+        parked_rx.recv().unwrap();
+        // Both pages still read their dirty bytes, not the pager's image.
+        let seen: Vec<u8> = ids.iter().map(|&id| pool.get(id).unwrap()[0]).collect();
+        release_tx.send(()).unwrap();
+        evictor.join().unwrap().unwrap();
+        assert_eq!(seen, [0xAA, 0xBB], "a reader saw a stale image");
+    }
+
+    #[test]
     fn a_stalled_miss_is_counted_once() {
         use std::sync::Arc;
         // Three pages through two frames, then pin the two resident ones:
@@ -794,7 +806,7 @@ mod tests {
             .collect();
         let a = pool.get(ids[1]).unwrap();
         let b = pool.get(ids[2]).unwrap();
-        let before = pool.stats().misses;
+        let before = pool.store_stats().misses;
         let waiter = {
             let pool = Arc::clone(&pool);
             let id = ids[0];
@@ -803,14 +815,14 @@ mod tests {
         // The miss is counted under the shard lock before the sweep that
         // finds nothing to evict, so once it shows, the waiter's first
         // sweep has failed or is about to: it is in the stall loop.
-        while pool.stats().misses == before {
+        while pool.store_stats().misses == before {
             std::thread::yield_now();
         }
         drop(a);
         // Served after the release or exhausted before it — either way it
         // was one request.
         let _ = waiter.join().unwrap();
-        assert_eq!(pool.stats().misses, before + 1);
+        assert_eq!(pool.store_stats().misses, before + 1);
         drop(b);
     }
 
@@ -861,8 +873,8 @@ mod tests {
     fn failed_eviction_writeback_rolls_back_and_keeps_victim() {
         // Ops 1-2: allocate a, b (fresh pages fault in without IO). Op 3:
         // the third allocate itself; its eviction write-back of dirty `a`
-        // is op 4 — refused. The miss must roll back: `a` stays resident
-        // and dirty, nothing is left in a stuck `loading` state.
+        // is op 4 — refused. The victim was never unmapped: `a` stays
+        // resident and dirty, nothing is left in a stuck `loading` state.
         let pool = BufferPool::new(Box::new(FaultPager::new(MemPager::new(), 3)), 2);
         let (a, mut g) = pool.allocate().unwrap(); // op 1
         g.fill(0xAA);
@@ -871,8 +883,8 @@ mod tests {
         g.fill(0xBB);
         drop(g);
         assert!(matches!(pool.allocate(), Err(StoreError::InjectedFault)));
-        // Rollback restored the victim's mapping: both pages still hit in
-        // cache (zero pager budget left) with their bytes intact.
+        // Both pages still hit in cache (zero pager budget left) with
+        // their bytes intact.
         assert!(pool.get(a).unwrap().iter().all(|&x| x == 0xAA));
         assert!(pool.get(b).unwrap().iter().all(|&x| x == 0xBB));
         // And a repeat attempt fails the same clean way instead of

@@ -22,7 +22,7 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::error::{Result, StoreError};
 use crate::heap::{HeapFile, Rid};
-use crate::lockorder;
+use crate::lockorder::{Ranked, OBJECTS};
 use crate::page::{PageId, PageType, SlottedPageMut};
 use crate::pager::{FilePager, MemPager, Pager};
 use crate::table::{decode_row, encode_row, Row, Schema};
@@ -97,7 +97,7 @@ pub struct DatabaseCheck {
 pub struct Database {
     pool: Arc<BufferPool>,
     catalog: HeapFile,
-    objects: Mutex<HashMap<String, CatalogEntry>>,
+    objects: Ranked<Mutex<HashMap<String, CatalogEntry>>, OBJECTS>,
 }
 
 impl Database {
@@ -149,7 +149,7 @@ impl Database {
         Ok(Database {
             pool,
             catalog,
-            objects: Mutex::new(HashMap::new()),
+            objects: Ranked::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -184,7 +184,7 @@ impl Database {
         Ok(Database {
             pool,
             catalog,
-            objects: Mutex::new(objects),
+            objects: Ranked::new(Mutex::new(objects)),
         })
     }
 
@@ -195,7 +195,6 @@ impl Database {
 
     /// Create a table. Fails if the name exists.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Table> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         let mut objects = self.objects.lock();
         if objects.contains_key(name) {
             return Err(StoreError::AlreadyExists(name.to_string()));
@@ -216,7 +215,6 @@ impl Database {
 
     /// Open an existing table.
     pub fn open_table(&self, name: &str) -> Result<Table> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         let objects = self.objects.lock();
         match objects.get(name) {
             Some(CatalogEntry::Table { first_page, schema }) => Ok(Table {
@@ -231,7 +229,6 @@ impl Database {
 
     /// Create a B+-tree index. Fails if the name exists.
     pub fn create_index(&self, name: &str) -> Result<BTree> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         let mut objects = self.objects.lock();
         if objects.contains_key(name) {
             return Err(StoreError::AlreadyExists(name.to_string()));
@@ -245,7 +242,6 @@ impl Database {
 
     /// Open an existing index.
     pub fn open_index(&self, name: &str) -> Result<BTree> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         let objects = self.objects.lock();
         match objects.get(name) {
             Some(CatalogEntry::Index { root }) => Ok(BTree::open(Arc::clone(&self.pool), *root)),
@@ -259,7 +255,6 @@ impl Database {
     /// Whether any catalog object with this name exists.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         self.objects.lock().contains_key(name)
     }
 
@@ -269,14 +264,12 @@ impl Database {
             bytes: bytes.to_vec(),
         };
         self.catalog.insert(&encode_entry(key, &entry))?;
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         self.objects.lock().insert(key.to_string(), entry);
         Ok(())
     }
 
     /// Fetch a metadata blob.
     pub fn get_meta(&self, key: &str) -> Option<Vec<u8>> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         match self.objects.lock().get(key) {
             Some(CatalogEntry::Meta { bytes }) => Some(bytes.clone()),
             _ => None,
@@ -311,7 +304,6 @@ impl Database {
         self.catalog
             .check_invariants()
             .map_err(|e| StoreError::Corrupt(format!("catalog heap: {e}")))?;
-        let _rank = lockorder::HeldRank::acquire(lockorder::OBJECTS, "objects");
         let objects = self.objects.lock();
         let mut check = DatabaseCheck {
             tables: 0,

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StoreError};
-use crate::lockorder;
+use crate::lockorder::{Ranked, TAIL_HINT};
 use crate::page::{PageId, PageType, SlottedPage, SlottedPageMut};
 
 /// Record identifier: page + slot.
@@ -55,7 +55,7 @@ impl std::fmt::Display for Rid {
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     first_page: PageId,
-    tail_hint: Arc<Mutex<PageId>>,
+    tail_hint: Arc<Ranked<Mutex<PageId>, TAIL_HINT>>,
 }
 
 impl HeapFile {
@@ -69,7 +69,7 @@ impl HeapFile {
         Ok(HeapFile {
             pool,
             first_page: first,
-            tail_hint: Arc::new(Mutex::new(first)),
+            tail_hint: Arc::new(Ranked::new(Mutex::new(first))),
         })
     }
 
@@ -81,7 +81,7 @@ impl HeapFile {
         HeapFile {
             pool,
             first_page,
-            tail_hint: Arc::new(Mutex::new(first_page)),
+            tail_hint: Arc::new(Ranked::new(Mutex::new(first_page))),
         }
     }
 
@@ -103,7 +103,6 @@ impl HeapFile {
 
     /// Insert a record, returning its stable [`Rid`].
     pub fn insert(&self, record: &[u8]) -> Result<Rid> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::TAIL_HINT, "tail_hint");
         let mut tail = self.tail_hint.lock();
         loop {
             // Walk to the true tail from the hint.

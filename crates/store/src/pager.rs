@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use crate::error::{Result, StoreError};
+use crate::lockorder::{Ranked, MEM_PAGES};
 use crate::page::{PageId, PAGE_SIZE};
 
 /// A store of fixed-size pages.
@@ -135,7 +136,7 @@ impl Pager for FilePager {
 /// In-memory pager for tests and ephemeral databases.
 #[derive(Default)]
 pub struct MemPager {
-    pages: RwLock<Vec<Box<[u8]>>>,
+    pages: Ranked<RwLock<Vec<Box<[u8]>>>, MEM_PAGES>,
 }
 
 impl MemPager {

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::error::{Result, StoreError};
-use crate::lockorder;
+use crate::lockorder::{Ranked, WAL};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::{FilePager, Pager};
 
@@ -90,7 +90,7 @@ pub struct WalCheck {
 pub struct WalPager {
     main: FilePager,
     wal_path: PathBuf,
-    wal: Mutex<WalState>,
+    wal: Ranked<Mutex<WalState>, WAL>,
     /// Logical page count (the main pager's count can lag while pages live
     /// only in the WAL).
     page_count: AtomicU32,
@@ -122,11 +122,11 @@ impl WalPager {
         Ok(WalPager {
             main,
             wal_path,
-            wal: Mutex::new(WalState {
+            wal: Ranked::new(Mutex::new(WalState {
                 file,
                 len: 0,
                 resident: HashMap::new(),
-            }),
+            })),
             page_count: AtomicU32::new(count),
             bytes_appended: AtomicU64::new(0),
         })
@@ -140,7 +140,6 @@ impl WalPager {
 
     /// Bytes currently in the WAL (0 right after a checkpoint).
     pub fn wal_len(&self) -> u64 {
-        let _rank = lockorder::HeldRank::acquire(lockorder::WAL, "wal");
         self.wal.lock().len
     }
 
@@ -159,7 +158,6 @@ impl WalPager {
     ///   **latest** logged image, and tracks exactly the pages logged since
     ///   the last checkpoint.
     pub fn check_invariants(&self) -> Result<WalCheck> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::WAL, "wal");
         let wal = self.wal.lock();
         let mut expected_resident: HashMap<PageId, u64> = HashMap::new();
         let mut records = 0usize;
@@ -274,7 +272,6 @@ impl Pager for WalPager {
         if id.is_none() || id.0 >= self.page_count.load(Ordering::Acquire) {
             return Err(StoreError::InvalidPageId(u64::from(id.0)));
         }
-        let _rank = lockorder::HeldRank::acquire(lockorder::WAL, "wal");
         let wal = self.wal.lock();
         if let Some(&payload_offset) = wal.resident.get(&id) {
             wal.file.read_exact_at(buf, payload_offset)?;
@@ -296,7 +293,6 @@ impl Pager for WalPager {
         if id.is_none() || id.0 >= self.page_count.load(Ordering::Acquire) {
             return Err(StoreError::InvalidPageId(u64::from(id.0)));
         }
-        let _rank = lockorder::HeldRank::acquire(lockorder::WAL, "wal");
         let mut wal = self.wal.lock();
         let mut header = [0u8; HEADER_LEN as usize];
         header[0] = RECORD_PAGE;
@@ -331,7 +327,6 @@ impl Pager for WalPager {
     /// Checkpoint: COMMIT + fsync the WAL (durability point), copy logged
     /// pages into the main file, fsync it, truncate the WAL.
     fn sync(&self) -> Result<()> {
-        let _rank = lockorder::HeldRank::acquire(lockorder::WAL, "wal");
         let mut wal = self.wal.lock();
         if wal.resident.is_empty() {
             return Ok(()); // nothing since last checkpoint

@@ -87,7 +87,7 @@ fn scan_fn(file: &FileIndex, f: &super::items::Function, cfg: &Config, out: &mut
         }
         // Acquisition, shape 1: guard-returning helper `lock_state(…)`.
         if !preceded_by_fn && cfg.worker_guard_fns.iter().any(|g| g == t) {
-            let (binding, temporary) = super::locks::binding_for(file, k, f.body.start);
+            let (binding, temporary) = super::items::binding_for(file, k, f.body.start);
             held.push(Held {
                 source: t.to_string(),
                 binding,
@@ -105,7 +105,7 @@ fn scan_fn(file: &FileIndex, f: &super::items::Function, cfg: &Config, out: &mut
                 .iter()
                 .any(|fld| fld == file.sig_text(k - 2))
         {
-            let (binding, temporary) = super::locks::binding_for(file, k - 2, f.body.start);
+            let (binding, temporary) = super::items::binding_for(file, k - 2, f.body.start);
             held.push(Held {
                 source: file.sig_text(k - 2).to_string(),
                 binding,

@@ -1,15 +1,14 @@
-//! Item and call extraction over the token stream.
+//! Item extraction over the token stream.
 //!
 //! [`FileIndex`] turns one lexed file into the facts the flow rules need:
 //!
-//! * **functions** — name, `impl` context (so `Pager::write_page` and
-//!   `BTree::get` are distinct), body span, whether the
-//!   function lives under `#[cfg(test)]` or `#[test]`;
+//! * **functions** — qualified name (`Type::name` inside an `impl`), body
+//!   span, whether the function lives under `#[cfg(test)]` or `#[test]`;
 //! * **struct field types** — `pool: Arc<BufferPool>` records
 //!   `(Struct, pool) → BufferPool` after stripping smart-pointer/lock
-//!   wrappers, which lets `self.pool.get(…)` resolve to `BufferPool::get`;
-//! * **calls** — every `…(`-shaped call site inside a body, classified by
-//!   receiver shape ([`CalleeRef`]) for the resolver in `graph`.
+//!   wrappers (`atomics-ordering` finds its `AtomicBool` flags this way);
+//! * **guard bindings** — [`binding_for`], the `let`-scope of a lock
+//!   guard, shared by the guard-scope rules.
 //!
 //! This is deliberately not a parser: brace matching plus a handful of
 //! token patterns covers the project's idioms, and every approximation is
@@ -20,62 +19,15 @@ use std::ops::Range;
 
 use super::lexer::{lex, Token};
 
-/// How a call site names its callee (before resolution).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CalleeRef {
-    /// `self.m(…)`
-    SelfMethod(String),
-    /// `self.field.m(…)` — resolvable through the field's declared type.
-    FieldMethod { field: String, method: String },
-    /// `Type::m(…)` (the last two path segments).
-    Qualified { ty: String, method: String },
-    /// `m(…)` — a free function.
-    Bare(String),
-    /// `h.m(…)` where `h` was bound from a handle-preserving call:
-    /// `let h = self.field.clone_handle()` (field `Some`) or
-    /// `let h = self.clone_handle()` / `self.replicate()` (field `None`,
-    /// receiver type = the enclosing impl type). Resolves like
-    /// `FieldMethod` / `SelfMethod` — the handle shares the same object.
-    HandleMethod {
-        field: Option<String>,
-        method: String,
-    },
-    /// `expr.m(…)` with an unknown receiver.
-    Method(String),
-}
-
-/// Methods that return a shared handle to their receiver (`Arc`-clone
-/// constructors introduced by the concurrent read path). A local bound from
-/// one of these aliases the receiver, so calls through it must not
-/// dead-end in the call graph.
-pub const HANDLE_FNS: &[&str] = &["clone_handle", "replicate"];
-
-/// One call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct Call {
-    pub callee: CalleeRef,
-    /// Index into the file's significant-token list (for ordering checks).
-    pub sig_idx: usize,
-    pub line: u32,
-}
-
 /// One function (or method) defined in a file.
 #[derive(Debug, Clone)]
 pub struct Function {
-    /// Bare name, e.g. `write_page`.
-    pub name: String,
     /// `Type::name` for methods, `name` for free functions.
     pub qual: String,
-    /// The `impl` target type, if inside an `impl` block.
-    pub impl_type: Option<String>,
-    /// The trait being implemented, for `impl Trait for Type` blocks.
-    pub trait_name: Option<String>,
     /// Under `#[cfg(test)]` or carrying `#[test]`.
     pub is_test: bool,
-    pub line: u32,
     /// Body span as a range of significant-token indices (excl. braces).
     pub body: Range<usize>,
-    pub calls: Vec<Call>,
 }
 
 /// A lexed file plus the item facts extracted from it.
@@ -147,34 +99,14 @@ impl FileIndex {
         self.sig.len() // unbalanced: treat the rest of the file as the body
     }
 
-    /// Find the significant-token index of the matching close paren, given
-    /// the index of an open paren (for scanning call-argument spans, e.g.
-    /// the closure handed to `thread::spawn`).
-    pub fn matching_paren(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        for i in open..self.sig.len() {
-            match self.sig_text(i) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.sig.len()
-    }
-
     // ------------------------------------------------------------- scanning
 
     fn scan_items(&mut self) {
-        let mut impl_stack: Vec<(usize, String, Option<String>)> = Vec::new(); // (close idx, type, trait)
+        let mut impl_stack: Vec<(usize, String)> = Vec::new(); // (close idx, type)
         let mut test_until = 0usize; // significant-token index bounding a #[cfg(test)] mod
         let mut i = 0usize;
         while i < self.sig.len() {
-            while let Some(&(close, _, _)) = impl_stack.last() {
+            while let Some(&(close, _)) = impl_stack.last() {
                 if i > close {
                     impl_stack.pop();
                 } else {
@@ -183,8 +115,8 @@ impl FileIndex {
             }
             match self.sig_text(i) {
                 "impl" => {
-                    if let Some((close, ty, tr, body_open)) = self.parse_impl_header(i) {
-                        impl_stack.push((close, ty, tr));
+                    if let Some((close, ty, body_open)) = self.parse_impl_header(i) {
+                        impl_stack.push((close, ty));
                         i = body_open + 1;
                         continue;
                     }
@@ -200,11 +132,8 @@ impl FileIndex {
                 }
                 "fn" => {
                     let in_test = i < test_until || self.attr_before(i, "test");
-                    let (ty, tr) = impl_stack
-                        .last()
-                        .map(|(_, t, tr)| (Some(t.clone()), tr.clone()))
-                        .unwrap_or((None, None));
-                    if let Some(f) = self.parse_fn(i, ty, tr, in_test) {
+                    let ty = impl_stack.last().map(|(_, t)| t.as_str());
+                    if let Some(f) = self.parse_fn(i, ty, in_test) {
                         let next = f.body.end.max(i + 1);
                         self.functions.push(f);
                         i = next;
@@ -215,7 +144,6 @@ impl FileIndex {
             }
             i += 1;
         }
-        self.extract_calls();
     }
 
     /// Is there an `#[attr…]` (by leading ident) directly before token `i`,
@@ -263,8 +191,8 @@ impl FileIndex {
     }
 
     /// Parse `impl [<…>] Path [for Path] {`, returning
-    /// `(close brace idx, impl type, trait name, open brace idx)`.
-    fn parse_impl_header(&self, i: usize) -> Option<(usize, String, Option<String>, usize)> {
+    /// `(close brace idx, impl type, open brace idx)`.
+    fn parse_impl_header(&self, i: usize) -> Option<(usize, String, usize)> {
         let mut j = i + 1;
         let mut first_path_last_ident = None;
         let mut second_path_last_ident = None;
@@ -279,10 +207,9 @@ impl FileIndex {
                     let ty = if saw_for {
                         second_path_last_ident
                     } else {
-                        first_path_last_ident.clone()
+                        first_path_last_ident
                     }?;
-                    let tr = if saw_for { first_path_last_ident } else { None };
-                    return Some((self.matching_brace(j), ty, tr, j));
+                    return Some((self.matching_brace(j), ty, j));
                 }
                 ";" => return None, // e.g. stray; not an impl block
                 "for" if angle == 0 => saw_for = true,
@@ -380,18 +307,11 @@ impl FileIndex {
     }
 
     /// Parse a `fn` item starting at significant index `i` (the `fn` token).
-    fn parse_fn(
-        &self,
-        i: usize,
-        impl_type: Option<String>,
-        trait_name: Option<String>,
-        is_test: bool,
-    ) -> Option<Function> {
-        let name = self.sig_text(i + 1).to_string();
-        if !is_ident(&name) {
+    fn parse_fn(&self, i: usize, impl_type: Option<&str>, is_test: bool) -> Option<Function> {
+        let name = self.sig_text(i + 1);
+        if !is_ident(name) {
             return None;
         }
-        let line = self.sig_line(i);
         // Scan forward for the body `{` or a trailing `;` (trait decl).
         let mut j = i + 2;
         let mut angle = 0usize;
@@ -411,157 +331,43 @@ impl FileIndex {
             }
             j += 1;
         };
-        let body_close = self.matching_brace(body_open);
-        let qual = match &impl_type {
+        let qual = match impl_type {
             Some(t) => format!("{t}::{name}"),
-            None => name.clone(),
+            None => name.to_string(),
         };
         Some(Function {
-            name,
             qual,
-            impl_type,
-            trait_name,
             is_test,
-            line,
-            body: body_open + 1..body_close,
-            calls: Vec::new(),
+            body: body_open + 1..self.matching_brace(body_open),
         })
     }
+}
 
-    // ---------------------------------------------------------------- calls
-
-    /// Populate `calls` for every function from the `ident (` sites in its
-    /// body. Macro invocations (`ident ! (`) never match because the `!`
-    /// sits between the identifier and the paren.
-    fn extract_calls(&mut self) {
-        let mut functions = std::mem::take(&mut self.functions);
-        for f in &mut functions {
-            for k in f.body.clone() {
-                if k + 1 >= self.sig.len() || k >= f.body.end {
-                    break;
+/// The binding of the guard acquired by the expression whose receiver
+/// token sits at significant index `recv`: scan back to the statement
+/// start for a `let [mut] <ident> =` prefix. Returns `(binding, temporary)`
+/// — an unbound guard (or `let _ =`) lives to the end of its statement.
+pub fn binding_for(file: &FileIndex, recv: usize, body_start: usize) -> (Option<String>, bool) {
+    let mut j = recv;
+    while j > body_start && recv - j < 24 {
+        j -= 1;
+        match file.sig_text(j) {
+            ";" | "{" | "}" => break,
+            "let" => {
+                let mut k = j + 1;
+                if file.sig_text(k) == "mut" {
+                    k += 1;
                 }
-                if self.sig_text(k + 1) != "(" || !is_ident(self.sig_text(k)) {
-                    continue;
+                let ident = file.sig_text(k);
+                if ident != "_" && is_ident(ident) {
+                    return (Some(ident.to_string()), false);
                 }
-                let name = self.sig_text(k);
-                if is_keyword(name) {
-                    continue;
-                }
-                let callee = self.classify_call(k, f.body.start);
-                if let Some(callee) = callee {
-                    f.calls.push(Call {
-                        callee,
-                        sig_idx: k,
-                        line: self.sig_line(k),
-                    });
-                }
+                return (None, true); // `let _ =` (or a pattern): treat as temp
             }
+            _ => {}
         }
-        self.functions = functions;
     }
-
-    /// Classify the call whose name token sits at significant index `k`.
-    fn classify_call(&self, k: usize, body_start: usize) -> Option<CalleeRef> {
-        let name = self.sig_text(k).to_string();
-        if k == 0 || k <= body_start {
-            return Some(CalleeRef::Bare(name));
-        }
-        let prev = self.sig_text(k - 1);
-        if prev == "." {
-            // Receiver shapes: `self . m`, `self . field . m`, `expr . m`.
-            if k >= 2 && self.sig_text(k - 2) == "self" {
-                return Some(CalleeRef::SelfMethod(name));
-            }
-            if k >= 4
-                && self.sig_text(k - 3) == "."
-                && self.sig_text(k - 4) == "self"
-                && is_ident(self.sig_text(k - 2))
-            {
-                return Some(CalleeRef::FieldMethod {
-                    field: self.sig_text(k - 2).to_string(),
-                    method: name,
-                });
-            }
-            // `h.m(…)` where `h` is a plain local: if `h` was bound from a
-            // handle-preserving call (`let h = self.field.clone_handle()`),
-            // the receiver type is known and the call need not fall into
-            // the ambiguous-receiver bucket.
-            if k >= 2 && is_ident(self.sig_text(k - 2)) && (k < 3 || self.sig_text(k - 3) != ".") {
-                let recv = self.sig_text(k - 2).to_string();
-                if let Some(field) = self.handle_binding(body_start, k, &recv) {
-                    return Some(CalleeRef::HandleMethod {
-                        field,
-                        method: name,
-                    });
-                }
-            }
-            return Some(CalleeRef::Method(name));
-        }
-        if prev == ":" && k >= 3 && self.sig_text(k - 2) == ":" {
-            // `Path :: m (` — take the segment before the `::`.
-            let ty = self.sig_text(k - 3);
-            if is_ident(ty) {
-                return Some(CalleeRef::Qualified {
-                    ty: ty.to_string(),
-                    method: name,
-                });
-            }
-            return None;
-        }
-        if prev == "fn" {
-            return None; // a definition, not a call
-        }
-        Some(CalleeRef::Bare(name))
-    }
-
-    /// Was local `recv` bound (earlier in this body, before token `before`)
-    /// from a handle-preserving call? Recognized shapes:
-    ///
-    /// * `let [mut] recv = self . field . clone_handle (` → `Some(Some(field))`
-    /// * `let [mut] recv = self . clone_handle (` (or `replicate`) → `Some(None)`
-    ///
-    /// Linear back-scan; bodies are small and rebinding is rare, so the
-    /// *last* matching binding before the call wins.
-    fn handle_binding(
-        &self,
-        body_start: usize,
-        before: usize,
-        recv: &str,
-    ) -> Option<Option<String>> {
-        let mut j = before;
-        while j > body_start + 2 {
-            j -= 1;
-            if self.sig_text(j) != "let" {
-                continue;
-            }
-            let mut k = j + 1;
-            if self.sig_text(k) == "mut" {
-                k += 1;
-            }
-            if self.sig_text(k) != recv || k + 3 >= before || self.sig_text(k + 1) != "=" {
-                continue;
-            }
-            // `self . <a> [. <b>] (` with the last segment a handle fn.
-            if self.sig_text(k + 2) != "self" || self.sig_text(k + 3) != "." {
-                continue;
-            }
-            let a = self.sig_text(k + 4);
-            if !is_ident(a) {
-                continue;
-            }
-            if HANDLE_FNS.contains(&a) && k + 5 < self.sig.len() && self.sig_text(k + 5) == "(" {
-                return Some(None);
-            }
-            if k + 7 < self.sig.len()
-                && self.sig_text(k + 5) == "."
-                && HANDLE_FNS.contains(&self.sig_text(k + 6))
-                && self.sig_text(k + 7) == "("
-            {
-                return Some(Some(a.to_string()));
-            }
-        }
-        None
-    }
+    (None, true) // temporary: statement-scoped
 }
 
 /// The "interesting" base type of a field: strip smart-pointer and lock

@@ -1,27 +1,28 @@
-//! Rule `lock-across-io`: no lock-class guard may be live across a pager
-//! read/write or WAL append.
+//! Rule `lock-across-io`: no guard of a listed lock may be live across a
+//! pager read/write or WAL append.
 //!
 //! Holding a latch while the device does IO serializes every other thread
 //! that needs the latch behind a disk (or at best a syscall): the exact
 //! pattern the concurrent-read-path refactor has to drive out of the hot
-//! path. The rule reuses the lock classes declared in
-//! [`super::Config::lock_order`] and the guard-scope simulation of
-//! [`super::locks`], and flags any **direct** call to a configured IO
-//! method (`Config::io_methods` — `read_page`, `write_page`,
-//! `read_exact_at`, `write_all_at`, `sync_data`, `sync` in the real tree)
-//! made while a guard is live.
+//! path. The locks are listed in [`super::Config::guarded_fields`] as
+//! `(declaring file, field)` pairs; the rule simulates guard scopes (a
+//! `let`-bound guard lives to the end of its block or an explicit
+//! `drop(guard)`; an unbound temporary lives to the end of its statement)
+//! and flags any **direct** call to a configured IO method
+//! (`Config::io_methods` — `read_page`, `write_page`, `read_exact_at`,
+//! `write_all_at`, `sync_data`, `sync` in the real tree) made while a
+//! guard is live.
 //!
-//! Deliberately direct-call-only: closing the check over the call graph
-//! would flag the whole B-tree (which by design holds its latch across
-//! buffer-pool access and *may* fault), drowning the signal. The
-//! transitive story is `lock-order`'s propagation job; this rule pins the
-//! sites where the IO itself happens under a guard.
+//! Deliberately direct-call-only: the B-tree by design holds its latch
+//! across buffer-pool access that *may* fault, and flagging it would drown
+//! the signal; this rule pins the sites where the IO itself happens under
+//! a guard.
 //!
 //! Files listed in `Config::lockio_exempt_files` (the WAL layer, whose
 //! lock *is* the IO serializer by design) are skipped wholesale. Justify
 //! an individual site with `// lint:allow(lock-across-io): <why>`.
 
-use super::items::FileIndex;
+use super::items::{binding_for, FileIndex, Function};
 use super::{Config, Finding};
 
 pub const RULE: &str = "lock-across-io";
@@ -32,21 +33,20 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
         if cfg.lockio_exempt_files.contains(&file.path) {
             continue;
         }
-        let classes: Vec<(usize, &str)> = cfg
-            .lock_order
+        let fields: Vec<&str> = cfg
+            .guarded_fields
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.file == file.path)
-            .map(|(i, c)| (i, c.field.as_str()))
+            .filter(|(path, _)| *path == file.path)
+            .map(|(_, field)| field.as_str())
             .collect();
-        if classes.is_empty() {
+        if fields.is_empty() {
             continue;
         }
         for f in &file.functions {
             if f.is_test {
                 continue;
             }
-            scan_fn(file, f, &classes, cfg, &mut findings);
+            scan_fn(file, f, &fields, cfg, &mut findings);
         }
     }
     findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
@@ -54,18 +54,17 @@ pub fn check(files: &[FileIndex], cfg: &Config, out: &mut Vec<Finding>) {
     out.append(&mut findings);
 }
 
-/// Guard-scope walk of one body (same shape as `locks::check`): track
-/// live guards for this file's lock classes, flag IO-method calls made
-/// while any guard is live.
+/// Guard-scope walk of one body: track live guards of this file's listed
+/// locks, flag IO-method calls made while any guard is live.
 fn scan_fn(
     file: &FileIndex,
-    f: &super::items::Function,
-    classes: &[(usize, &str)],
+    f: &Function,
+    fields: &[&str],
     cfg: &Config,
     findings: &mut Vec<Finding>,
 ) {
-    struct Held {
-        class: usize,
+    struct Held<'a> {
+        field: &'a str,
         binding: Option<String>,
         depth: usize,
         temporary: bool,
@@ -105,14 +104,13 @@ fn scan_fn(
                         message: format!(
                             "calls `{t}` (device IO) while holding `{}` — the guard \
                              serializes every waiter behind the IO",
-                            cfg.lock_order[a.class].name
+                            a.field
                         ),
                     });
                 }
             }
         }
-        // Acquisition: `<field> . (lock|read|write) (` for this file's
-        // classes.
+        // Acquisition: `<field> . (lock|read|write) (` of a listed lock.
         if !matches!(t, "lock" | "read" | "write")
             || k < 2
             || k + 1 >= file.sig.len()
@@ -121,13 +119,12 @@ fn scan_fn(
         {
             continue;
         }
-        let field = file.sig_text(k - 2);
-        let Some(&(class, _)) = classes.iter().find(|(_, name)| *name == field) else {
+        let Some(&field) = fields.iter().find(|&&name| name == file.sig_text(k - 2)) else {
             continue;
         };
-        let (binding, temporary) = super::locks::binding_for(file, k - 2, f.body.start);
+        let (binding, temporary) = binding_for(file, k - 2, f.body.start);
         held.push(Held {
-            class,
+            field,
             binding,
             depth,
             temporary,

@@ -1,18 +1,13 @@
 //! `cargo xtask analyze` — flow-aware static analysis over a real lexer.
 //!
 //! Where clippy and `xtask lint` judge lines and manifests, `analyze`
-//! reasons about *paths*: it lexes every library source file ([`lexer`]),
-//! extracts functions, struct field types, and call sites ([`items`]),
-//! resolves calls into a workspace call graph ([`graph`]), and runs the
-//! project-specific flow rules on top:
+//! reasons about *function bodies*: it lexes every library source file
+//! ([`lexer`]), extracts functions and struct field types ([`items`]), and
+//! runs the project-specific rules on top:
 //!
-//! * [`locks`] — `lock-order`: lock acquisitions must respect the declared
-//!   canonical order, including through calls (`may-hold-while-acquiring`);
 //! * [`walwrite`] — `wal-write`: page writes are confined to the WAL-aware
 //!   layer, and the checkpoint syncs the WAL before touching the main file;
-//! * [`floatdet`] — `float-det`: no hash-order float accumulation in the
-//!   similarity kernels;
-//! * [`lockio`] — `lock-across-io`: no lock-class guard live across a
+//! * [`lockio`] — `lock-across-io`: no guard of a listed lock live across a
 //!   direct pager read/write or WAL append;
 //! * [`atomics`] — `atomics-ordering`: no `Relaxed` on flag atomics
 //!   outside the allowlisted metrics/tracing modules;
@@ -24,40 +19,26 @@
 //! site carries `// lint:allow(<rule>): <why>`. Every rule is proven live
 //! by seeded-violation fixtures under `crates/xtask/tests/fixtures/` (see
 //! DESIGN.md §8, which also says what each rule owns that rustc, clippy,
-//! `HeldRank` or a test does not).
+//! the ranked locks or a test does not).
 
 pub mod atomics;
 pub mod blocking;
-pub mod floatdet;
-pub mod graph;
 pub mod items;
 pub mod lexer;
 pub mod lockio;
-pub mod locks;
 pub mod walwrite;
 
 use std::fs;
 
-use graph::CallGraph;
 use items::FileIndex;
-
-/// One lock class: a named `Mutex`/`RwLock` field, identified by the file
-/// that declares it. `Config::lock_order` lists these outermost-first.
-pub struct LockClass {
-    pub name: String,
-    /// Workspace-relative path of the declaring file.
-    pub file: String,
-    /// The struct field holding the lock (`state` for `state: Mutex<…>`).
-    pub field: String,
-}
 
 /// Everything project-specific the rules need — kept as data so the
 /// fixture tests can run the same rules against a synthetic project.
 pub struct Config {
     /// Workspace-relative `src` directories of the analyzed crates.
     pub src_dirs: Vec<String>,
-    /// Canonical lock order, outermost first.
-    pub lock_order: Vec<LockClass>,
+    /// The locks `lock-across-io` tracks, as `(declaring file, field)`.
+    pub guarded_fields: Vec<(String, String)>,
     /// Files allowed to call `.write_page(` (the WAL-aware layer).
     pub wal_allowed_files: Vec<String>,
     /// The file holding the checkpoint (WAL → main copy).
@@ -66,8 +47,6 @@ pub struct Config {
     pub wal_main_field: String,
     /// The call that makes the WAL durable (`sync_data`).
     pub wal_sync_call: String,
-    /// Path prefixes of the float kernels banned from hash containers.
-    pub float_det_dirs: Vec<String>,
     /// Method names that perform device IO (`lock-across-io`).
     pub io_methods: Vec<String>,
     /// Files exempt from `lock-across-io` (the WAL layer, whose lock is
@@ -95,29 +74,23 @@ pub struct Finding {
     pub message: String,
 }
 
-/// The real workspace's configuration, including the canonical lock order
-/// justified in DESIGN.md §8:
-///
-/// `weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages`
+/// The real workspace's configuration. The lock order itself is not here:
+/// it is `fm_store::lockorder::ORDER`, carried by each lock's type.
 pub fn project_config() -> Config {
-    let lock = |name: &str, file: &str, field: &str| LockClass {
-        name: name.to_string(),
-        file: format!("crates/{file}"),
-        field: field.to_string(),
-    };
+    let guarded = |file: &str, field: &str| (format!("crates/{file}"), field.to_string());
     Config {
         src_dirs: ["text", "store", "core", "datagen", "server"]
             .map(|dir| format!("crates/{dir}/src"))
             .to_vec(),
-        lock_order: vec![
-            lock("weights", "core/src/matcher.rs", "weights"),
-            lock("objects", "store/src/catalog.rs", "objects"),
-            lock("latch", "store/src/btree.rs", "latch"),
-            lock("tail_hint", "store/src/heap.rs", "tail_hint"),
-            lock("state", "store/src/buffer.rs", "state"),
-            lock("frame-data", "store/src/buffer.rs", "data"),
-            lock("wal", "store/src/wal.rs", "wal"),
-            lock("mem-pages", "store/src/pager.rs", "pages"),
+        guarded_fields: vec![
+            guarded("core/src/matcher.rs", "weights"),
+            guarded("store/src/catalog.rs", "objects"),
+            guarded("store/src/btree.rs", "latch"),
+            guarded("store/src/heap.rs", "tail_hint"),
+            guarded("store/src/buffer.rs", "state"),
+            guarded("store/src/buffer.rs", "data"),
+            guarded("store/src/wal.rs", "wal"),
+            guarded("store/src/pager.rs", "pages"),
         ],
         wal_allowed_files: vec![
             "crates/store/src/pager.rs".to_string(),
@@ -127,7 +100,6 @@ pub fn project_config() -> Config {
         wal_checkpoint_file: "crates/store/src/wal.rs".to_string(),
         wal_main_field: "main".to_string(),
         wal_sync_call: "sync_data".to_string(),
-        float_det_dirs: vec!["crates/core/src/sim".to_string()],
         io_methods: [
             "read_page",
             "write_page",
@@ -172,11 +144,8 @@ pub fn analyze_sources(sources: Vec<(String, String)>, cfg: &Config) -> Vec<Find
         .into_iter()
         .map(|(path, src)| FileIndex::build(path, src))
         .collect();
-    let graph = CallGraph::build(&files);
     let mut out = Vec::new();
-    locks::check(&files, &graph, cfg, &mut out);
     walwrite::check(&files, cfg, &mut out);
-    floatdet::check(&files, cfg, &mut out);
     lockio::check(&files, cfg, &mut out);
     atomics::check(&files, cfg, &mut out);
     blocking::check(&files, cfg, &mut out);
@@ -220,17 +189,6 @@ pub fn run() -> i32 {
 /// drift apart silently — the doc test in `tests/analyze.rs` walks it.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
-        "lock-order",
-        "Lock acquisitions must respect the canonical order (weights < objects < \
-         latch < tail_hint < state < frame-data < wal < mem-pages), including \
-         through calls. Two threads taking the same pair of locks in opposite \
-         orders deadlock; one global order makes that impossible.",
-        "Reorder the acquisitions, or drop/scope the outer guard before taking \
-         the inner lock. If the nesting is genuinely safe (e.g. the outer guard \
-         is never contended there), justify it with \
-         `// lint:allow(lock-order): <why>`.",
-    ),
-    (
         "wal-write",
         "`.write_page(` is confined to the WAL-aware layer, and the checkpoint \
          must `sync_data` the WAL before first touching the main file. A page \
@@ -241,16 +199,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
          `main.write_page`.",
     ),
     (
-        "float-det",
-        "The similarity kernels may not iterate `HashMap`/`HashSet`: hash-order \
-         f64 accumulation makes scores run-to-run nondeterministic, which \
-         breaks the bitwise differential tests and the paper's reproducibility \
-         claim.",
-        "Use `BTreeMap`/`BTreeSet` or sort before accumulating.",
-    ),
-    (
         "lock-across-io",
-        "A lock-class guard live across a direct pager read/write or WAL \
+        "A guard of a listed lock live across a direct pager read/write or WAL \
          append serializes every waiter behind a disk. The concurrent \
          read path cannot scale while a miss does IO under the pool mutex — \
          this rule pins each such site so the refactor can retire them.",
@@ -299,7 +249,7 @@ pub fn explain(rule: &str) -> i32 {
     }
 }
 
-fn explain_list() {
+pub fn explain_list() {
     eprintln!("known rules:");
     for (name, _, _) in RULES {
         eprintln!("  {name}");

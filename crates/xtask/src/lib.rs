@@ -7,10 +7,10 @@
 //!   layering direction and `#[must_use]` on boolean predicates. Panic,
 //!   print and cast hygiene and unused dependencies are denied at the
 //!   library crate roots, so `clippy -D warnings` owns them.
-//! * [`analyze`] — flow-aware rules over a hand-rolled Rust lexer and call
-//!   graph: lock ordering, lock-across-IO, WAL-before-write, float
-//!   determinism, flag-atomic ordering, and blocking under the serving
-//!   layer's locks.
+//! * [`analyze`] — four rules over a hand-rolled Rust lexer: lock-across-IO,
+//!   WAL-before-write, flag-atomic ordering, and blocking under the serving
+//!   layer's locks. Lock order is the ranked locks' (`fm_store::lockorder`),
+//!   float determinism is clippy's (`disallowed_types` in `core/src/sim`).
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
 //! * [`bench`] — the performance gate: runs the fig6/fig8/fig9

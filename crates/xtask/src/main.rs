@@ -9,6 +9,10 @@ fn main() {
     let code = match argv.as_slice() {
         ["lint"] => lint::run(),
         ["analyze"] => analyze::run(),
+        ["analyze", "--explain"] => {
+            analyze::explain_list();
+            0
+        }
         ["analyze", "--explain", rule] => analyze::explain(rule),
         ["bench", ..] => bench::run(&args[1..]),
         ["deepcheck"] => deepcheck::run(),

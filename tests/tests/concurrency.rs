@@ -143,11 +143,9 @@ fn metrics_snapshot_equals_sum_of_batch_traces() {
 #[test]
 fn lock_order_holds_under_lookup_maintenance_mix() {
     // `fm_store::lockorder` asserts (under debug_assertions, which is how
-    // this test runs) that every thread acquires the tracked locks in the
-    // canonical order weights < objects < latch < tail_hint < state <
-    // frame-data < wal — the same order `cargo xtask analyze` proves
-    // statically. Drive every
-    // tracked lock concurrently: a file-backed durable database so page
+    // this test runs) that every thread acquires the ranked locks in the
+    // canonical order `lockorder::ORDER`. Drive every ranked lock
+    // concurrently: a file-backed durable database so page
     // writebacks append to the WAL, a small pool so lookups evict (state →
     // wal while holding the pool mutex), lookups (weights → latch → state),
     // maintenance (weights → latch → tail_hint), checkpoints (wal held
