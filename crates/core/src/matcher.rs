@@ -7,7 +7,7 @@
 //! | object            | contents                                        |
 //! |-------------------|-------------------------------------------------|
 //! | `{p}.ref`         | the reference relation `R[tid, A1..An]`         |
-//! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute") |
+//! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute"): the durable map, loaded into a dense array at open |
 //! | `{p}.eti`         | the Error Tolerant Index                        |
 //! | `{p}.freq`        | token frequencies `(column, token) → freq`      |
 //! | `{p}.state`       | relation size and tid counter                   |
@@ -19,6 +19,12 @@
 //! Lookups are `&self` and internally read-locked, so one matcher can serve
 //! concurrent query threads; [`FuzzyMatcher::insert_reference`] (ETI
 //! maintenance) takes the write path.
+//!
+//! Tids are minted densely (`1..next_tid`), so a lookup resolves a tid to
+//! its rid from an in-memory array with one slot per tid, not by a
+//! descent of `{p}.tid`. The array is filled by `build` and `open`, and
+//! every write sets or clears a slot right after it writes `{p}.tid`; only
+//! `open` and `check_invariants` read the B+-tree.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -26,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use fm_store::keycode;
-use fm_store::lockorder::{Guard, Ranked, WEIGHTS};
+use fm_store::lockorder::{Guard, Ranked, TID_MAP, WEIGHTS};
 use fm_store::{BTree, Database, StoreError, Value};
 use fm_text::minhash::MinHasher;
 use fm_text::Tokenizer;
@@ -70,10 +76,11 @@ pub struct MatchResult {
 
 /// The fuzzy matcher. See the module docs for the storage layout.
 ///
-/// The mutable state (weight table, tid counter, metrics registry) sits
-/// behind `Arc` so [`FuzzyMatcher::replicate`] can hand out additional
-/// lookup handles over the same store that agree on weights, never mint
-/// duplicate tids, and account into one registry.
+/// The mutable state (weight table, tid map, tid counter, metrics
+/// registry) sits behind `Arc` so [`FuzzyMatcher::replicate`] can hand
+/// out additional lookup handles over the same store that agree on
+/// weights and on where each tuple lives, never mint duplicate tids, and
+/// account into one registry.
 pub struct FuzzyMatcher {
     config: Config,
     tokenizer: Tokenizer,
@@ -84,6 +91,8 @@ pub struct FuzzyMatcher {
     ref_table: fm_store::catalog::Table,
     // BTree handles share one structural latch (DESIGN §11)
     tid_index: BTree,
+    // The in-memory image of `tid_index`, shared by every replica
+    rids: Arc<Ranked<RwLock<Vec<u64>>, TID_MAP>>,
     // BTree handles share one structural latch (DESIGN §11)
     freq_index: BTree,
     // BTree handles share one structural latch (DESIGN §11)
@@ -97,7 +106,36 @@ fn tid_key(tid: u32) -> [u8; 4] {
     tid.to_be_bytes()
 }
 
-/// A fixed-width little-endian value read back from the store.
+/// A tid-map slot that names no row.
+const NO_ROW: u64 = u64::MAX;
+
+/// Point `tid`'s slot at `rid`, growing the map to reach it.
+fn set_slot(rids: &mut Vec<u64>, tid: u32, rid: u64) {
+    let slot = tid as usize;
+    if rids.len() <= slot {
+        rids.resize(slot + 1, NO_ROW);
+    }
+    rids[slot] = rid;
+}
+
+/// Every `(tid, rid)` entry of the tid index, in tid order.
+fn for_each_rid(index: &BTree, mut visit: impl FnMut(u32, u64) -> Result<()>) -> Result<()> {
+    let mut scan = index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
+    while let Some((key, value)) = scan.next_entry()? {
+        visit(
+            u32::from_be_bytes(le_bytes(&key, "tid index key")?),
+            rid_value(&value)?,
+        )?;
+    }
+    Ok(())
+}
+
+/// A tid-index value: the tuple's rid as `Rid::to_u64`.
+fn rid_value(bytes: &[u8]) -> Result<u64> {
+    Ok(u64::from_le_bytes(le_bytes(bytes, "rid in tid index")?))
+}
+
+/// A fixed-width value read back from the store.
 fn le_bytes<const N: usize>(bytes: &[u8], what: &str) -> Result<[u8; N]> {
     bytes
         .try_into()
@@ -204,11 +242,19 @@ impl FuzzyMatcher {
             index("freq")?,
             index("state")?,
         ];
-        let mut m = Self::assemble(config, ref_table, trees, TokenFrequencies::new(arity), 1);
+        let mut m = Self::assemble(
+            config,
+            ref_table,
+            trees,
+            TokenFrequencies::new(arity),
+            Vec::new(),
+            1,
+        );
 
         let mut freqs = TokenFrequencies::new(arity);
         let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?;
         let mut next_tid = 1u32;
+        let mut rids = Vec::new();
         {
             let _span = tracing::span("pre_eti");
             for record in reference {
@@ -223,6 +269,7 @@ impl FuzzyMatcher {
                 let rid = m.ref_table.insert(&record_to_row(tid, &record))?;
                 m.tid_index
                     .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
+                set_slot(&mut rids, tid, rid.to_u64());
                 let tokens = record.tokenize(&m.tokenizer);
                 freqs.observe(&tokens);
                 builder.observe(tid, &tokens)?;
@@ -242,17 +289,19 @@ impl FuzzyMatcher {
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
         m.weights = Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs))));
+        m.rids = Arc::new(Ranked::new(RwLock::new(rids)));
         m.next_tid = Arc::new(AtomicU32::new(next_tid));
         Ok(m)
     }
 
     /// A handle over the storage objects of one matcher: `trees` are its
-    /// tid, ETI, frequency and state indexes.
+    /// tid, ETI, frequency and state indexes, `rids` the tid map.
     fn assemble(
         config: Config,
         ref_table: fm_store::catalog::Table,
         [tid_index, eti, freq_index, state_index]: [BTree; 4],
         freqs: TokenFrequencies,
+        rids: Vec<u64>,
         next_tid: u32,
     ) -> FuzzyMatcher {
         FuzzyMatcher {
@@ -262,6 +311,7 @@ impl FuzzyMatcher {
             eti: Eti::new(eti, config.stop_qgram_threshold),
             ref_table,
             tid_index,
+            rids: Arc::new(Ranked::new(RwLock::new(rids))),
             freq_index,
             state_index,
             next_tid: Arc::new(AtomicU32::new(next_tid)),
@@ -293,17 +343,32 @@ impl FuzzyMatcher {
             "relation_size",
         )?));
         let next_tid = u32::from_le_bytes(state_row(&state_index, "next_tid")?);
+        // Grown key by key, so a corrupt key is rejected before the map is
+        // sized for it.
+        let mut rids = Vec::new();
+        for_each_rid(&tid_index, |tid, rid| {
+            if tid >= next_tid {
+                return Err(CoreError::BadState(format!(
+                    "tid index holds tid {tid}, not below next_tid {next_tid}"
+                )));
+            }
+            set_slot(&mut rids, tid, rid);
+            Ok(())
+        })?;
         let trees = [tid_index, eti_tree, freq_index, state_index];
-        Ok(Self::assemble(config, ref_table, trees, freqs, next_tid))
+        Ok(Self::assemble(
+            config, ref_table, trees, freqs, rids, next_tid,
+        ))
     }
 
     /// A replica: another lookup handle over the same store.
     ///
     /// Replicas share everything that must stay coherent — the buffer
     /// pool and structural latches (via `clone_handle` on every index),
-    /// the weight table, the tid counter, and the metrics registry — so a
-    /// lookup through any replica is indistinguishable from one through
-    /// the original, maintenance through any handle is visible to all,
+    /// the weight table, the tid map, the tid counter, and the metrics
+    /// registry — so a lookup through any replica is indistinguishable
+    /// from one through the original, maintenance through any handle is
+    /// visible to all,
     /// and `metrics_snapshot` totals stay exact no matter which replica
     /// served a query. Only the stateless per-handle machinery
     /// (tokenizer, min-hasher, config) is duplicated.
@@ -317,6 +382,7 @@ impl FuzzyMatcher {
             eti: self.eti.clone_handle(),
             ref_table: self.ref_table.clone_handle(),
             tid_index: self.tid_index.clone_handle(),
+            rids: Arc::clone(&self.rids),
             freq_index: self.freq_index.clone_handle(),
             state_index: self.state_index.clone_handle(),
             next_tid: Arc::clone(&self.next_tid),
@@ -387,18 +453,15 @@ impl FuzzyMatcher {
         Ok(out)
     }
 
-    /// Where the tid index says `tid`'s tuple lives.
-    fn rid_of(&self, tid: u32) -> Result<Option<fm_store::Rid>> {
-        let Some(bytes) = self.tid_index.get(&tid_key(tid))? else {
-            return Ok(None);
-        };
-        let rid = u64::from_le_bytes(le_bytes(&bytes, "rid in tid index")?);
-        Ok(Some(fm_store::Rid::from_u64(rid)))
+    /// Where the tid map says `tid`'s tuple lives.
+    fn rid_of(&self, tid: u32) -> Option<fm_store::Rid> {
+        let rid = *self.rids.read().get(tid as usize)?;
+        (rid != NO_ROW).then(|| fm_store::Rid::from_u64(rid))
     }
 
     /// Where `tid`'s tuple lives, or `NotFound`.
     fn locate(&self, tid: u32) -> Result<fm_store::Rid> {
-        self.rid_of(tid)?
+        self.rid_of(tid)
             .ok_or_else(|| CoreError::Store(StoreError::NotFound(format!("tid {tid}"))))
     }
 
@@ -503,6 +566,9 @@ impl FuzzyMatcher {
         let tokens = record.tokenize(&self.tokenizer);
         self.ref_table.delete(rid)?;
         self.tid_index.delete(&tid_key(tid))?;
+        if let Some(slot) = self.rids.write().get_mut(tid as usize) {
+            *slot = NO_ROW;
+        }
 
         // Frequencies and relation size (O(1) per token via running sums).
         {
@@ -635,6 +701,7 @@ impl FuzzyMatcher {
         let rid = self.ref_table.insert(&record_to_row(tid, record))?;
         self.tid_index
             .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
+        set_slot(&mut self.rids.write(), tid, rid.to_u64());
         let tokens = record.tokenize(&self.tokenizer);
 
         {
@@ -670,7 +737,8 @@ impl FuzzyMatcher {
     /// * the live weight table passes [`WeightTable::check_invariants`] and
     ///   its IDF inputs — `|R|` and every `(column, token)` frequency —
     ///   equal a fresh recount from a full scan of the reference relation;
-    /// * the tid index is a bijection onto the reference rows;
+    /// * the tid map and the tid index each map every reference row's tid
+    ///   to its rid, and neither holds a tid no row carries;
     /// * the persisted frequency index and state rows agree with the live
     ///   table, so a reopened matcher would see the same weights;
     /// * the tid counter is strictly above every stored tid.
@@ -679,37 +747,59 @@ impl FuzzyMatcher {
         let weights = self.weights.read();
         weights.check_invariants()?;
 
-        // Recount frequencies from the relation itself; walk the tid index.
+        // Recount frequencies from the relation itself; check both tid maps
+        // entry by entry against it.
         let mut observed = TokenFrequencies::new(self.config.arity());
         let mut max_tid: Option<u32> = None;
         let mut tuples = 0usize;
+        let mut live = vec![false; self.rids.read().len()];
         for row in self.ref_table.scan() {
             let (rid, row) = row?;
             let tid = row[0]
                 .as_u32()
                 .ok_or_else(|| CoreError::BadState("reference row without tid".into()))?;
-            let mapped = self.rid_of(tid)?.ok_or_else(|| {
-                CoreError::BadState(format!(
-                    "reference tuple tid {tid} is missing from the tid index"
-                ))
-            })?;
-            if mapped != rid {
-                return Err(CoreError::BadState(format!(
-                    "tid index maps tid {tid} to {mapped:?} but the tuple \
-                     lives at {rid:?}"
-                )));
+            let indexed = match self.tid_index.get(&tid_key(tid))? {
+                Some(value) => Some(fm_store::Rid::from_u64(rid_value(&value)?)),
+                None => None,
+            };
+            for (name, mapped) in [("tid map", self.rid_of(tid)), ("tid index", indexed)] {
+                let mapped = mapped.ok_or_else(|| {
+                    CoreError::BadState(format!(
+                        "reference tuple tid {tid} is missing from the {name}"
+                    ))
+                })?;
+                if mapped != rid {
+                    return Err(CoreError::BadState(format!(
+                        "{name} maps tid {tid} to {mapped:?} but the tuple \
+                         lives at {rid:?}"
+                    )));
+                }
+            }
+            if let Some(seen) = live.get_mut(tid as usize) {
+                *seen = true;
             }
             observed.observe(&row_to_record(row).tokenize(&self.tokenizer));
             max_tid = Some(max_tid.map_or(tid, |m| m.max(tid)));
             tuples += 1;
         }
-        let index_entries = self.tid_index.len()?;
-        if index_entries != tuples {
-            return Err(CoreError::BadState(format!(
-                "tid index holds {index_entries} entries for {tuples} \
-                 reference tuples (dangling or missing mappings)"
-            )));
+        let deleted = |name: &str, tid: usize| {
+            CoreError::BadState(format!(
+                "{name} holds tid {tid}, which no reference tuple carries"
+            ))
+        };
+        let stale = self
+            .rids
+            .read()
+            .iter()
+            .enumerate()
+            .position(|(tid, &rid)| rid != NO_ROW && live.get(tid) != Some(&true));
+        if let Some(tid) = stale {
+            return Err(deleted("tid map", tid));
         }
+        for_each_rid(&self.tid_index, |tid, _| match live.get(tid as usize) {
+            Some(true) => Ok(()),
+            _ => Err(deleted("tid index", tid as usize)),
+        })?;
         weights.check_consistent_with(&observed)?;
 
         // Persisted frequency index: entries with freq > 0 must mirror the
@@ -1349,6 +1439,81 @@ mod tests {
             err.contains("tid 2") && err.contains("tid index"),
             "got: {err}"
         );
+    }
+
+    #[test]
+    fn check_invariants_checks_the_tid_map_entry_by_entry() {
+        let db = Database::in_memory().unwrap();
+        let m = build_table1(&db);
+        let rid3 = m.rids.read()[3];
+        m.rids.write()[2] = rid3;
+        let err = m.check_invariants().unwrap_err();
+        assert!(
+            matches!(err, CoreError::BadState(_)) && err.to_string().contains("tid map maps tid 2"),
+            "got: {err}"
+        );
+
+        // A deleted tid left behind in the map.
+        let m = build_table1(&Database::in_memory().unwrap());
+        let rid1 = m.rids.read()[1];
+        m.delete_reference(1).unwrap();
+        m.rids.write()[1] = rid1;
+        let err = m.check_invariants().unwrap_err().to_string();
+        assert!(err.contains("tid map holds tid 1"), "got: {err}");
+    }
+
+    #[test]
+    fn open_rejects_a_corrupt_tid_index_without_allocating() {
+        let corrupt = |key: &[u8], value: &[u8]| {
+            let db = Database::in_memory().unwrap();
+            build_table1(&db);
+            db.open_index("org.tid")
+                .unwrap()
+                .insert(key, value)
+                .unwrap();
+            FuzzyMatcher::open(&db, "org")
+        };
+        let rid = 0u64.to_le_bytes();
+        // A map grown to this key would take 32 GiB.
+        let err = corrupt(&tid_key(u32::MAX), &rid).err().unwrap();
+        assert!(matches!(err, CoreError::BadState(_)), "got: {err}");
+        assert!(err.to_string().contains("next_tid"), "got: {err}");
+        for (key, value) in [(&tid_key(2)[..], &[0u8; 4][..]), (&[0, 2], &rid[..])] {
+            let err = corrupt(key, value).err().unwrap();
+            assert!(matches!(err, CoreError::BadState(_)), "got: {err}");
+        }
+    }
+
+    /// Every handle reads one tid map, and a reopen rebuilds it from the
+    /// tid index.
+    #[test]
+    fn one_tid_map_across_handles_and_reopen() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("fm-core-tidmap-{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let amazon = Record::new(&["Amazon Inc", "Seattle", "WA", "98109"]);
+        let not_found =
+            |r: Result<Record>| matches!(r, Err(CoreError::Store(StoreError::NotFound(_))));
+        let survivors = {
+            let db = Database::open_file(&path, 256).unwrap();
+            let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), org_config()).unwrap();
+            let replica = m.replicate();
+            let tid = replica.insert_reference(&amazon).unwrap();
+            assert_eq!(m.fetch_reference(tid).unwrap(), amazon);
+            m.delete_reference(2).unwrap();
+            assert!(not_found(replica.fetch_reference(2)));
+            db.flush().unwrap();
+            [1, 3, tid].map(|t| (t, m.fetch_reference(t).unwrap()))
+        };
+        let db = Database::open_file(&path, 256).unwrap();
+        let m = FuzzyMatcher::open(&db, "org").unwrap();
+        for (tid, record) in survivors {
+            assert_eq!(m.fetch_reference(tid).unwrap(), record);
+        }
+        assert!(not_found(m.fetch_reference(2)));
+        m.check_invariants().unwrap();
+        drop((m, db));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

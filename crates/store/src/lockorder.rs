@@ -1,15 +1,18 @@
 //! The canonical lock order, carried by the locks themselves.
 //!
-//! Every `Mutex`/`RwLock` in fm-store, and fm-core's weight table, is a
-//! [`Ranked`] lock: its rank is a const parameter of its type, declared
-//! once where the field is declared. Its `lock()`/`read()`/`write()`
-//! return a [`Guard`] that holds a [`HeldRank`] for exactly as long as the
-//! guard lives — including a guard returned to a caller — so no call site
-//! places a token by hand. The order, outermost first (DESIGN.md §8):
+//! Every `Mutex`/`RwLock` in fm-store, and fm-core's weight table and tid
+//! map, is a [`Ranked`] lock: its rank is a const parameter of its type,
+//! declared once where the field is declared. Its `lock()`/`read()`/
+//! `write()` return a [`Guard`] that holds a [`HeldRank`] for exactly as
+//! long as the guard lives — including a guard returned to a caller — so
+//! no call site places a token by hand. The order, outermost first (DESIGN.md §8):
 //!
 //! ```text
-//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages
+//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages < tid-map
 //! ```
+//!
+//! `tid-map` is fm-core's in-memory tid → rid array: a leaf, held for
+//! one slot read or write with nothing acquired under it.
 //!
 //! Under `debug_assertions` a thread-local stack asserts that each
 //! acquisition outranks every lock the thread already holds, before it
@@ -38,9 +41,10 @@ pub const STATE: u8 = 4;
 pub const FRAME: u8 = 5;
 pub const WAL: u8 = 6;
 pub const MEM_PAGES: u8 = 7;
+pub const TID_MAP: u8 = 8;
 
 /// The name of each rank, in order: the one place the order is written.
-pub const ORDER: [&str; 8] = [
+pub const ORDER: [&str; 9] = [
     "weights",
     "objects",
     "latch",
@@ -49,6 +53,7 @@ pub const ORDER: [&str; 8] = [
     "frame-data",
     "wal",
     "mem-pages",
+    "tid-map",
 ];
 
 #[cfg(debug_assertions)]

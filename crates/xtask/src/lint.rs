@@ -44,7 +44,6 @@ const LAYERS: &[(&str, &[&str])] = &[
     // back into the workspace.
     ("rand", &[]),
     ("proptest", &[]),
-    ("criterion", &[]),
     ("parking_lot", &[]),
 ];
 
