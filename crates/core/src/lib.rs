@@ -84,10 +84,10 @@ pub use record::Record;
 pub use telemetry::{PromText, Ring, WindowSnapshot};
 pub use tracing::{CompletedTrace, FlightRecorder, SpanRecord, TraceKind};
 
-// Data-race freedom of the shared handles is rustc's to prove, not an
-// analyzer's (DESIGN.md §8): with `unsafe_code` forbidden workspace-wide
-// no crate can write an `unsafe impl Send`/`Sync`, so these bounds hold
-// only if every field behind every handle is itself safe to share.
+// Data-race freedom of the shared handles is rustc's to prove (DESIGN.md
+// §8): with `unsafe_code` forbidden workspace-wide no crate can write an
+// `unsafe impl Send`/`Sync`, so these bounds hold only if every field
+// behind every handle is itself safe to share.
 const _: fn() = || {
     fn shared<T: Send + Sync>() {}
     shared::<FuzzyMatcher>();

@@ -26,9 +26,9 @@
 //!   monotone sum read only by [`MetricsRegistry::snapshot`].
 //!
 //! Relaxed ordering is right for monotone counters like these and wrong
-//! for a flag that publishes other writes; `cargo xtask analyze`'s
-//! `atomics-ordering` rule flags the latter anywhere outside this module,
-//! `tracing` and `telemetry`.
+//! for a flag that publishes other writes; a flag is an
+//! `fm_store::lockorder::Flag`, which has no relaxed operations, and
+//! clippy rejects any other `AtomicBool::new` (`clippy.toml`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -33,8 +33,8 @@
 //! Like `metrics` and `tracing`, this module uses relaxed atomics: the
 //! ring cursor and drop counter are independent monotone values, never
 //! used to order other memory operations; the slot mutex publishes the
-//! value. (A relaxed *flag* would be a bug; `cargo xtask analyze`'s
-//! `atomics-ordering` rule catches that.)
+//! value. (A relaxed *flag* would be a bug; flags are
+//! `fm_store::lockorder::Flag`, which has no relaxed operations.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

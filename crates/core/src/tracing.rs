@@ -33,12 +33,14 @@
 //! totals plus p50/p95/p99 from the latency histogram).
 //!
 //! [`set_enabled`] is the one switch: with tracing off every entry point
-//! costs one relaxed load.
+//! costs one acquire load (a plain load on x86).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use fm_store::lockorder::Flag;
 
 use crate::metrics::{LatencySnapshot, LookupTrace};
 use crate::telemetry::Ring;
@@ -212,19 +214,18 @@ thread_local! {
     static OVERRIDE: RefCell<Option<Arc<FlightRecorder>>> = const { RefCell::new(None) };
 }
 
-/// Runtime master switch (relaxed: an independent flag, not an ordering
-/// edge). Disabled tracing costs one load per span.
-static ENABLED: AtomicBool = AtomicBool::new(true);
+/// Runtime master switch. Disabled tracing costs one load per span.
+static ENABLED: Flag = Flag::new(true);
 
 /// Enable or disable span collection process-wide. Traces already in the
 /// flight recorder are kept.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.store(on);
 }
 
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load()
 }
 
 /// Root guard for one traced pipeline run. Dropping it closes the root

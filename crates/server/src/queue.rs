@@ -9,11 +9,14 @@
 //!
 //! Built on `std::sync::{Mutex, Condvar}` rather than the vendored
 //! `parking_lot` shim because the shim has no `Condvar`. Lock poisoning
-//! is recovered (`into_inner`): the state is a `VecDeque` plus a flag,
-//! both valid at every instruction boundary.
+//! is recovered: the state is a `VecDeque` plus a flag, both valid at
+//! every instruction boundary. The mutex has rank `queue`, which may not
+//! be held at a blocking point (`fm_store::lockorder`).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+
+use fm_store::lockorder::{Ranked, QUEUE};
 
 /// Why a `try_push` was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -31,16 +34,9 @@ struct State<T> {
 
 /// Bounded multi-producer multi-consumer FIFO.
 pub struct Bounded<T> {
-    state: Mutex<State<T>>,
+    state: Ranked<Mutex<State<T>>, QUEUE>,
     not_empty: Condvar,
     cap: usize,
-}
-
-fn lock_state<T>(m: &Mutex<State<T>>) -> MutexGuard<'_, State<T>> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl<T> Bounded<T> {
@@ -48,10 +44,10 @@ impl<T> Bounded<T> {
     #[must_use]
     pub fn new(cap: usize) -> Bounded<T> {
         Bounded {
-            state: Mutex::new(State {
+            state: Ranked::new(Mutex::new(State {
                 items: VecDeque::with_capacity(cap.max(1)),
                 closed: false,
-            }),
+            })),
             not_empty: Condvar::new(),
             cap: cap.max(1),
         }
@@ -59,7 +55,7 @@ impl<T> Bounded<T> {
 
     /// Enqueue without blocking; `Ok` carries the depth after the push.
     pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = lock_state(&self.state);
+        let mut state = self.state.lock();
         if state.closed {
             return Err(PushError::Closed(item));
         }
@@ -76,7 +72,7 @@ impl<T> Bounded<T> {
     /// Blocking dequeue. `None` only once the queue is closed and every
     /// item pushed before the close has been handed out.
     pub fn pop(&self) -> Option<T> {
-        let mut state = lock_state(&self.state);
+        let mut state = self.state.lock();
         loop {
             if let Some(item) = state.items.pop_front() {
                 return Some(item);
@@ -84,13 +80,9 @@ impl<T> Bounded<T> {
             if state.closed {
                 return None;
             }
-            // Condvar::wait atomically releases the queue mutex while the
-            // worker sleeps, so nothing is actually blocked behind the guard.
-            // lint:allow(blocking-in-worker): wait releases the queue mutex
-            state = match self.not_empty.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            // Not a blocking point: the wait releases the queue mutex
+            // while the worker sleeps, so nothing waits behind the guard.
+            state = state.wait(&self.not_empty);
         }
     }
 
@@ -98,7 +90,7 @@ impl<T> Bounded<T> {
     /// The micro-batcher uses this to pull compatible singleton lookups
     /// without stealing work it would have to put back.
     pub fn pop_front_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut state = lock_state(&self.state);
+        let mut state = self.state.lock();
         if state.items.front().is_some_and(pred) {
             state.items.pop_front()
         } else {
@@ -109,14 +101,14 @@ impl<T> Bounded<T> {
     /// Stop accepting work and wake every blocked consumer. Items already
     /// queued remain poppable (drain).
     pub fn close(&self) {
-        lock_state(&self.state).closed = true;
+        self.state.lock().closed = true;
         self.not_empty.notify_all();
     }
 
     /// Current depth.
     #[must_use]
     pub fn len(&self) -> usize {
-        lock_state(&self.state).items.len()
+        self.state.lock().items.len()
     }
 
     #[must_use]
@@ -153,6 +145,29 @@ mod tests {
         assert_eq!(q.pop_front_if(|&n| n == 10), Some(10));
         assert_eq!(q.pop_front_if(|&n| n == 11), Some(11));
         assert_eq!(q.pop_front_if(|_| true), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn blocking_under_the_queue_lock_panics() {
+        // The probe of DESIGN.md §8: a worker that sleeps, joins or
+        // receives while it holds the queue convoys every other thread.
+        let q = Bounded::<u32>::new(1);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _state = q.state.lock();
+            fm_store::lockorder::blocking_point("sleep");
+        }))
+        .expect_err("blocking under the queue lock must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("blocking point `sleep` reached while holding `queue`"),
+            "got: {message}"
+        );
+        // The guard unwound with the panic: the queue still works.
+        assert_eq!(q.try_push(7), Ok(1));
     }
 
     #[test]

@@ -58,13 +58,14 @@
 //! final counter and metrics snapshot.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fm_core::telemetry::{histogram_delta, PromText, WindowSnapshot};
 use fm_core::{FuzzyMatcher, LookupTrace, MatchResult, MetricsSnapshot, Record};
+use fm_store::lockorder::{blocking_point, Flag, Ranked, CONNS};
 use fm_store::Database;
 
 use crate::json::Json;
@@ -233,10 +234,14 @@ struct Inner {
     max_inflight: usize,
     local_addr: SocketAddr,
     queue: Bounded<Job>,
-    shutting_down: AtomicBool,
+    /// Swapped (AcqRel) once by `begin_shutdown`, which then closes the
+    /// queue and wakes the acceptor; read (Acquire) by the acceptor, the
+    /// connection threads and admission. The queue's close is ordered by
+    /// the queue's own mutex, not by this flag.
+    shutting_down: Flag,
     inflight: AtomicUsize,
     counters: Counters,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Ranked<Mutex<Vec<JoinHandle<()>>>, CONNS>,
     telemetry: ServerTelemetry,
     /// Dropping this sender wakes the sampler out of its window sleep
     /// and ends it (after a final partial-window flush).
@@ -256,13 +261,6 @@ pub struct Server {
 
 fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-fn lock_conns(m: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 fn lock_sampler_stop(
@@ -314,10 +312,10 @@ impl Server {
             config,
             max_inflight,
             local_addr,
-            shutting_down: AtomicBool::new(false),
+            shutting_down: Flag::new(false),
             inflight: AtomicUsize::new(0),
             counters: Counters::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Ranked::new(Mutex::new(Vec::new())),
             telemetry,
             sampler_stop: Mutex::new(None),
             epoch: Instant::now(),
@@ -371,26 +369,27 @@ impl Server {
     /// the final counters + metrics + IO snapshot.
     pub fn wait(mut self) -> ServerReport {
         if let Some(handle) = self.acceptor.take() {
+            blocking_point("join");
             let _ = handle.join();
         }
         // Connection threads can no longer be spawned (acceptor is
         // gone); drain the handle list until it stays empty.
         loop {
-            let handles: Vec<JoinHandle<()>> = {
-                let mut conns = lock_conns(&self.inner.conns);
-                std::mem::take(&mut *conns)
-            };
+            let handles = std::mem::take(&mut *self.inner.conns.lock());
             if handles.is_empty() {
                 break;
             }
             for handle in handles {
+                blocking_point("join");
                 let _ = handle.join();
             }
         }
         for handle in self.workers.drain(..) {
+            blocking_point("join");
             let _ = handle.join();
         }
         if let Some(handle) = self.sampler.take() {
+            blocking_point("join");
             let _ = handle.join();
         }
         ServerReport {
@@ -402,15 +401,17 @@ impl Server {
 }
 
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
-    for conn in listener.incoming() {
+    loop {
+        blocking_point("accept");
+        let conn = listener.accept();
         if inner.is_shutting_down() {
             break; // the wake-up connection (or any racer) ends the loop
         }
-        let Ok(stream) = conn else { continue };
+        let Ok((stream, _)) = conn else { continue };
         inner.counters.connections.add(1);
         let inner_conn = Arc::clone(inner);
         let handle = std::thread::spawn(move || conn_loop(&inner_conn, stream));
-        lock_conns(&inner.conns).push(handle);
+        inner.conns.lock().push(handle);
     }
 }
 
@@ -487,6 +488,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
 fn sampler_loop(inner: &Arc<Inner>, mut prev: SamplerCut, stop: &mpsc::Receiver<()>) {
     let window = Duration::from_millis(inner.config.telemetry_window_ms.max(1));
     loop {
+        blocking_point("recv_timeout");
         let alive = matches!(
             stop.recv_timeout(window),
             Err(mpsc::RecvTimeoutError::Timeout)
@@ -628,11 +630,11 @@ impl Inner {
     }
 
     fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::SeqCst)
+        self.shutting_down.load()
     }
 
     fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        if self.shutting_down.swap(true) {
             return;
         }
         // Stop admitting, let workers drain what is queued, and poke
@@ -643,6 +645,7 @@ impl Inner {
         let stop = lock_sampler_stop(&self.sampler_stop).take();
         drop(stop);
         self.queue.close();
+        blocking_point("connect");
         let _ = TcpStream::connect(self.local_addr);
     }
 
@@ -833,6 +836,7 @@ impl Inner {
                 );
             }
         }
+        blocking_point("recv");
         match rx.recv() {
             Ok(reply) => reply,
             Err(_) => protocol::error_reply(
@@ -885,6 +889,7 @@ impl Inner {
             // lands in the request's total time (so the slow-query log
             // sees it) but not in the service histogram, which measures
             // only the matcher call.
+            blocking_point("sleep");
             std::thread::sleep(Duration::from_millis(job.sleep_ms));
             self.execute_one(matcher, job);
             return;

@@ -4,12 +4,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use fm_core::{Config, FuzzyMatcher, Record};
 use fm_server::{Client, ClientError, Json, Server, ServerConfig};
+use fm_store::lockorder::Flag;
 use fm_store::Database;
 
 /// Table-1-style reference data (paper §1).
@@ -585,7 +585,7 @@ fn shutdown_drains_without_losing_inflight_responses() {
         ..ServerConfig::default()
     };
     let (server, addr) = start_server(config);
-    let draining = Arc::new(AtomicBool::new(false));
+    let draining = Arc::new(Flag::new(false));
 
     let hammers: Vec<_> = (0..4)
         .map(|_| {
@@ -605,7 +605,7 @@ fn shutdown_drains_without_losing_inflight_responses() {
                                 // Overload or drain rejections are valid
                                 // responses; stop once the drain begins.
                                 assert_eq!(reply.code, 503, "unexpected: {}", reply.error);
-                                if draining.load(Ordering::SeqCst) {
+                                if draining.load() {
                                     break;
                                 }
                             }
@@ -614,7 +614,7 @@ fn shutdown_drains_without_losing_inflight_responses() {
                         // the drain is under way.
                         Err(ClientError::Disconnected) => {
                             assert!(
-                                draining.load(Ordering::SeqCst),
+                                draining.load(),
                                 "server closed a connection before shutdown"
                             );
                             break;
@@ -631,7 +631,7 @@ fn shutdown_drains_without_losing_inflight_responses() {
     std::thread::sleep(Duration::from_millis(200));
     {
         let mut client = Client::connect(&addr).expect("connect shutdown");
-        draining.store(true, Ordering::SeqCst);
+        draining.store(true);
         client.shutdown().expect("shutdown verb");
         assert_eq!(client.health().expect("health while draining"), "draining");
     }

@@ -1294,12 +1294,12 @@ mod tests {
             t.insert(format!("o-{i:04}").as_bytes(), &big).unwrap();
             t.insert(format!("q-{i:04}").as_bytes(), &big).unwrap();
         }
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(crate::lockorder::Flag::new(false));
         let writer = {
             let (t, stop, big) = (Arc::clone(&t), Arc::clone(&stop), big.clone());
             std::thread::spawn(move || {
                 let mut round = 0u32;
-                while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                while !stop.load() {
                     let i = round % 60;
                     let inside = format!("p-{i:04}-volatile").into_bytes();
                     let outside = format!("pz-{i:04}").into_bytes();
@@ -1335,7 +1335,7 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        stop.store(true);
         writer.join().unwrap();
         t.check_invariants().unwrap();
     }

@@ -35,18 +35,19 @@
 //! next loader.
 //!
 //! This retires the old single-mutex design's documented
-//! "miss IO under the pool lock" trade-off (the `lock-across-io` analyze
-//! rule now holds here with no allowances): page faults serialize only
-//! per frame, not per pool.
+//! "miss IO under the pool lock" trade-off: page faults serialize only
+//! per frame, not per pool. Every pager read, write and sync goes
+//! through [`BufferPool::io`], a [`lockorder::blocking_point`], so a
+//! debug build panics if a shard mutex is held across it.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{Result, StoreError};
-use crate::lockorder::{self, Guard, Ranked, STATE};
+use crate::lockorder::{self, Flag, Guard, Ranked, STATE};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
 
@@ -65,7 +66,7 @@ const EXHAUSTED_RETRIES: usize = 256;
 
 struct Frame {
     data: RwLock<Box<[u8]>>,
-    dirty: AtomicBool,
+    dirty: Flag,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -158,7 +159,7 @@ impl BufferPool {
         let frames: Vec<Frame> = (0..capacity)
             .map(|_| Frame {
                 data: RwLock::new(vec![0u8; PAGE_SIZE].into_boxed_slice()),
-                dirty: AtomicBool::new(false),
+                dirty: Flag::new(false),
             })
             .collect();
         let num_shards = (capacity / MIN_SHARD_FRAMES).clamp(1, MAX_SHARDS);
@@ -215,6 +216,13 @@ impl BufferPool {
             pages_written: self.writebacks.load(Ordering::Relaxed),
             wal_bytes: self.pager.wal_bytes(),
         }
+    }
+
+    /// Run pager IO: the pool's one blocking point, where no shard mutex
+    /// may be held (debug builds assert it, DESIGN.md §8).
+    fn io<R>(&self, what: &str, f: impl FnOnce(&dyn Pager) -> R) -> R {
+        lockorder::blocking_point(what);
+        f(&*self.pager)
     }
 
     /// The shard a page hashes to.
@@ -308,7 +316,7 @@ impl BufferPool {
             let gidx = shard.base + local;
 
             if let Some(old_id) = st.meta[local].page {
-                if self.frames[gidx].dirty.load(Ordering::Acquire) {
+                if self.frames[gidx].dirty.load() {
                     // A dirty victim stays mapped while it is written back,
                     // so a reader of its page keeps hitting it. The sweep
                     // resumes at it: clean by then, it is the next victim
@@ -339,8 +347,9 @@ impl BufferPool {
 
             let io = if load {
                 self.reads.fetch_add(1, Ordering::Relaxed);
-                // lint:allow(lock-across-io): per-frame latch only, by design
-                self.pager.read_page(id, &mut data)
+                // Under this frame's latch alone: only threads wanting
+                // this very page wait on the read.
+                self.io("read_page", |pager| pager.read_page(id, &mut data))
             } else {
                 data.fill(0);
                 Ok(())
@@ -386,13 +395,14 @@ impl BufferPool {
         let written = {
             let _frame_rank = lockorder::HeldRank::acquire(lockorder::FRAME);
             let data = frame.data.read();
-            if frame.dirty.swap(false, Ordering::AcqRel) {
-                // lint:allow(lock-across-io): per-frame latch only, by design
-                let written = self.pager.write_page(page, &data);
+            if frame.dirty.swap(false) {
+                // Under this frame's read latch alone: readers of the page
+                // keep hitting it.
+                let written = self.io("write_page", |pager| pager.write_page(page, &data));
                 if written.is_ok() {
                     self.writebacks.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    frame.dirty.store(true, Ordering::Release);
+                    frame.dirty.store(true);
                 }
                 written
             } else {
@@ -426,7 +436,7 @@ impl BufferPool {
     pub fn get_mut(&self, id: PageId) -> Result<PageMut<'_>> {
         let idx = self.pin_frame(id, true)?;
         let guard = self.frames[idx].data.write();
-        self.frames[idx].dirty.store(true, Ordering::Release);
+        self.frames[idx].dirty.store(true);
         Ok(PageMut {
             pool: self,
             idx,
@@ -439,7 +449,7 @@ impl BufferPool {
         let id = self.pager.allocate()?;
         let idx = self.pin_frame(id, false)?;
         let guard = self.frames[idx].data.write();
-        self.frames[idx].dirty.store(true, Ordering::Release);
+        self.frames[idx].dirty.store(true);
         Ok((
             id,
             PageMut {
@@ -474,15 +484,13 @@ impl BufferPool {
                 let m = st.meta[local];
                 if m.page == Some(page)
                     && !m.loading
-                    && self.frames[shard.base + local]
-                        .dirty
-                        .load(Ordering::Acquire)
+                    && self.frames[shard.base + local].dirty.load()
                 {
                     self.write_back(shard, st, local, page)?;
                 }
             }
         }
-        self.pager.sync()
+        self.io("sync", |pager| pager.sync())
     }
 }
 
@@ -548,6 +556,30 @@ mod tests {
 
     fn mem_pool(frames: usize) -> BufferPool {
         BufferPool::new(Box::new(MemPager::new()), frames)
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn pager_io_under_a_shard_mutex_panics() {
+        // The probe of DESIGN.md §8: a fault-in moved back under the shard
+        // mutex reaches the pool's blocking point with `state` held.
+        let pool = mem_pool(4);
+        let (id, page) = pool.allocate().unwrap();
+        drop(page);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _st = pool.shards[0].state.lock();
+            let mut buf = vec![0u8; PAGE_SIZE];
+            pool.io("read_page", |pager| pager.read_page(id, &mut buf))
+        }))
+        .expect_err("pager IO under `state` must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("blocking point `read_page` reached while holding `state`"),
+            "got: {message}"
+        );
     }
 
     #[test]
@@ -682,7 +714,7 @@ mod tests {
     /// write-back, with no sleeps.
     struct ParkingPager {
         inner: MemPager,
-        armed: std::sync::Arc<AtomicBool>,
+        armed: std::sync::Arc<Flag>,
         parked: Mutex<std::sync::mpsc::Sender<()>>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
@@ -692,7 +724,7 @@ mod tests {
             self.inner.read_page(id, buf)
         }
         fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
-            if self.armed.swap(false, Ordering::AcqRel) {
+            if self.armed.swap(false) {
                 self.parked.lock().send(()).unwrap();
                 self.release.lock().recv().unwrap();
             }
@@ -714,7 +746,7 @@ mod tests {
         use std::sync::{mpsc, Arc};
         let (parked_tx, parked_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let armed = Arc::new(AtomicBool::new(false));
+        let armed = Arc::new(Flag::new(false));
         let pool = Arc::new(BufferPool::new(
             Box::new(ParkingPager {
                 inner: MemPager::new(),
@@ -738,7 +770,7 @@ mod tests {
             .iter()
             .find(|id| !pool.shards[0].state.lock().map.contains_key(id))
             .expect("one page was evicted");
-        armed.store(true, Ordering::Release);
+        armed.store(true);
         let flusher = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || pool.flush())
@@ -758,7 +790,7 @@ mod tests {
         use std::sync::{mpsc, Arc};
         let (parked_tx, parked_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let armed = Arc::new(AtomicBool::new(false));
+        let armed = Arc::new(Flag::new(false));
         let pool = Arc::new(BufferPool::new(
             Box::new(ParkingPager {
                 inner: MemPager::new(),
@@ -777,7 +809,7 @@ mod tests {
                 id
             })
             .collect();
-        armed.store(true, Ordering::Release);
+        armed.store(true);
         // A third page evicts one of them and parks inside its write-back.
         let evictor = {
             let pool = Arc::clone(&pool);

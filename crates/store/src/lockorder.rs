@@ -1,25 +1,34 @@
-//! The canonical lock order, carried by the locks themselves.
+//! The canonical lock order, carried by the locks themselves, and the
+//! one atomic flag type.
 //!
-//! Every `Mutex`/`RwLock` in fm-store, and fm-core's weight table and tid
-//! map, is a [`Ranked`] lock: its rank is a const parameter of its type,
-//! declared once where the field is declared. Its `lock()`/`read()`/
-//! `write()` return a [`Guard`] that holds a [`HeldRank`] for exactly as
-//! long as the guard lives — including a guard returned to a caller — so
-//! no call site places a token by hand. The order, outermost first (DESIGN.md §8):
+//! Every `Mutex`/`RwLock` in fm-store, fm-core's weight table and tid
+//! map, and fm-server's queue and connection registry is a [`Ranked`]
+//! lock: its rank is a const parameter of its type, declared once where
+//! the field is declared. Its `lock()`/`read()`/`write()` return a
+//! [`Guard`] that holds a [`HeldRank`] for exactly as long as the guard
+//! lives — including a guard returned to a caller — so no call site
+//! places a token by hand. The order, outermost first (DESIGN.md §8):
 //!
 //! ```text
-//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages < tid-map
+//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages < tid-map < queue < conns
 //! ```
 //!
-//! `tid-map` is fm-core's in-memory tid → rid array: a leaf, held for
-//! one slot read or write with nothing acquired under it.
+//! Each rank also says whether a thread may hold it at a blocking point:
+//! pager IO, a thread join, a channel receive, an accept, a connect or a
+//! sleep. [`ORDER`] writes both columns once. The ranks that may not are
+//! the short critical sections every other thread convoys behind: the
+//! pool's shard `state`, the page map of a `MemPager`, the tid map, and
+//! the server's queue and registry.
 //!
 //! Under `debug_assertions` a thread-local stack asserts that each
 //! acquisition outranks every lock the thread already holds, before it
-//! blocks; the whole test suite runs through it, and the multi-threaded
-//! lookup/maintenance mix in `tests/tests/concurrency.rs` drives every
-//! ranked lock. In release builds [`HeldRank`] is empty, so a [`Ranked`]
-//! lock compiles to the bare lock and a [`Guard`] to the bare guard.
+//! blocks, and [`blocking_point`] asserts that no held rank is one that
+//! may not block. The whole test suite runs through both: the pool calls
+//! [`blocking_point`] at every pager read, write-back and sync, and the
+//! server before every join, receive, accept, connect and sleep. In
+//! release builds [`HeldRank`] is empty and [`blocking_point`] does
+//! nothing, so a [`Ranked`] lock compiles to the bare lock and a [`Guard`]
+//! to the bare guard.
 //!
 //! One lock class stays plain: the buffer pool's per-frame `data` latches,
 //! because a B+-tree descent holds two of them at once and a rank per
@@ -27,6 +36,14 @@
 //! need (DESIGN.md §8, the pin-count argument). The pool places a
 //! [`FRAME`] token by hand only in its single-frame windows: the wait on a
 //! loading frame, the fault-in and the write-back.
+//!
+//! [`Flag`] is the one way a library crate makes an `AtomicBool`
+//! (`clippy.toml` disallows `AtomicBool::new` everywhere else): it offers
+//! only Acquire loads, Release stores and AcqRel swaps, so a flag always
+//! publishes the writes made before it was set.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, PoisonError};
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -42,18 +59,36 @@ pub const FRAME: u8 = 5;
 pub const WAL: u8 = 6;
 pub const MEM_PAGES: u8 = 7;
 pub const TID_MAP: u8 = 8;
+/// fm-server's request queue.
+pub const QUEUE: u8 = 9;
+/// fm-server's connection-thread registry.
+pub const CONNS: u8 = 10;
 
-/// The name of each rank, in order: the one place the order is written.
-pub const ORDER: [&str; 9] = [
-    "weights",
-    "objects",
-    "latch",
-    "tail_hint",
-    "state",
-    "frame-data",
-    "wal",
-    "mem-pages",
-    "tid-map",
+/// The name of each rank, in order, and whether it may be held at a
+/// blocking point: the one place both are written.
+pub const ORDER: [(&str, bool); 11] = [
+    // A lookup probes and verifies, faulting pages in, under its read lock.
+    ("weights", true),
+    // `create_table`/`create_index` allocate and `check_invariants` scans under it.
+    ("objects", true),
+    // A B+-tree descent that misses reads its page under the latch.
+    ("latch", true),
+    // A heap insert reads and writes its tail page under the hint.
+    ("tail_hint", true),
+    // The pool's shard mutex: released before any pager IO (DESIGN.md §8).
+    ("state", false),
+    // The fault-in and the write-back are the IO of exactly this frame.
+    ("frame-data", true),
+    // The WAL's lock serializes its appends and the checkpoint's copy.
+    ("wal", true),
+    // A `MemPager` page copy: no IO beneath it.
+    ("mem-pages", false),
+    // One slot read or write of the matcher's tid → rid array.
+    ("tid-map", false),
+    // Every producer and worker convoys behind the queue.
+    ("queue", false),
+    // The acceptor and the drain push and take handles, never join under it.
+    ("conns", false),
 ];
 
 #[cfg(debug_assertions)]
@@ -68,7 +103,13 @@ mod imp {
     }
 
     fn name(rank: u8) -> &'static str {
-        ORDER.get(usize::from(rank)).copied().unwrap_or("?")
+        ORDER.get(usize::from(rank)).map_or("?", |&(name, _)| name)
+    }
+
+    fn may_block(rank: u8) -> bool {
+        ORDER
+            .get(usize::from(rank))
+            .is_some_and(|&(_, may_block)| may_block)
     }
 
     pub fn push(rank: u8) {
@@ -82,11 +123,21 @@ mod imp {
                      (DESIGN.md §8)",
                     name(rank),
                     name(top),
-                    ORDER.join(" < "),
+                    ORDER.map(|(name, _)| name).join(" < "),
                 );
             }
             held.push(rank);
         });
+    }
+
+    pub fn blocking_point(what: &str) {
+        let held = HELD.with(|held| held.borrow().iter().copied().find(|&r| !may_block(r)));
+        assert!(
+            held.is_none(),
+            "blocking point `{what}` reached while holding `{}`, a rank that \
+             may not be held while blocking (lockorder::ORDER, DESIGN.md §8)",
+            held.map_or("?", name),
+        );
     }
 
     pub fn pop(rank: u8) {
@@ -97,6 +148,18 @@ mod imp {
             }
         });
     }
+}
+
+/// Mark a blocking point — pager IO, a join, a channel receive, an
+/// accept, a connect, a sleep. Under `debug_assertions` it panics naming
+/// any rank the thread holds that may not be held while blocking
+/// ([`ORDER`]); in release builds it does nothing.
+#[inline]
+pub fn blocking_point(what: &str) {
+    #[cfg(debug_assertions)]
+    imp::blocking_point(what);
+    #[cfg(not(debug_assertions))]
+    let _ = what;
 }
 
 /// RAII witness of one acquisition of rank `rank`: asserts the order on
@@ -134,7 +197,8 @@ impl Drop for HeldRank {
 }
 
 /// A lock of rank `RANK` (one of the constants above): `Ranked<Mutex<T>,
-/// STATE>` or `Ranked<RwLock<T>, WEIGHTS>`.
+/// STATE>`, `Ranked<RwLock<T>, WEIGHTS>`, or a `std::sync::Mutex` where a
+/// `Condvar` waits on it (`Ranked<std::sync::Mutex<T>, QUEUE>`).
 #[derive(Default)]
 pub struct Ranked<L, const RANK: u8>(L);
 
@@ -194,6 +258,59 @@ impl<T, const RANK: u8> Ranked<RwLock<T>, RANK> {
     #[inline]
     pub fn write(&self) -> Guard<RwLockWriteGuard<'_, T>> {
         Guard::new(RANK, || self.0.write())
+    }
+}
+
+impl<T, const RANK: u8> Ranked<std::sync::Mutex<T>, RANK> {
+    /// Lock, recovering a poisoned mutex: its holders keep the state valid
+    /// at every instruction boundary.
+    #[inline]
+    pub fn lock(&self) -> Guard<std::sync::MutexGuard<'_, T>> {
+        Guard::new(RANK, || {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        })
+    }
+}
+
+impl<'a, T> Guard<std::sync::MutexGuard<'a, T>> {
+    /// `Condvar::wait` on this guard's mutex. The wait releases the mutex
+    /// while it sleeps, so it is not a blocking point; the rank stays held.
+    pub fn wait(self, condvar: &Condvar) -> Guard<std::sync::MutexGuard<'a, T>> {
+        let Guard { guard, _rank } = self;
+        Guard {
+            guard: condvar.wait(guard).unwrap_or_else(PoisonError::into_inner),
+            _rank,
+        }
+    }
+}
+
+/// An `AtomicBool` whose loads are Acquire, stores Release and swaps
+/// AcqRel: a flag publishes the writes made before it is set.
+pub struct Flag(AtomicBool);
+
+impl Flag {
+    // The one `AtomicBool::new` in the library crates (`clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
+    pub const fn new(value: bool) -> Flag {
+        Flag(AtomicBool::new(value))
+    }
+
+    #[inline]
+    #[must_use]
+    pub fn load(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+
+    #[inline]
+    pub fn store(&self, value: bool) {
+        self.0.store(value, Ordering::Release);
+    }
+
+    /// Set to `value`, returning the previous value.
+    #[inline]
+    #[must_use]
+    pub fn swap(&self, value: bool) -> bool {
+        self.0.swap(value, Ordering::AcqRel)
     }
 }
 

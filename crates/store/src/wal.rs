@@ -517,6 +517,45 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_copy_into_the_main_file_loses_no_committed_page() {
+        // The checkpoint's order, owned by a test (DESIGN.md §8): COMMIT
+        // and `sync_data` on the WAL come before the first main-file
+        // write. Page C is one the WAL accepts and the main file refuses:
+        // only the WAL pager's own count knows it, so the checkpoint's
+        // copy fails when it reaches C. A reopen must then replay every
+        // page the checkpoint logged; a COMMIT written after the copy
+        // loop never lands, and A, B and C are lost.
+        let path = temp_base("commit-first");
+        {
+            let pager = WalPager::open(&path).unwrap();
+            let a = pager.allocate().unwrap();
+            let b = pager.allocate().unwrap();
+            pager.write_page(a, &page_of(1)).unwrap();
+            pager.write_page(b, &page_of(1)).unwrap();
+            pager.sync().unwrap();
+            let c = PageId(pager.page_count.fetch_add(1, Ordering::AcqRel));
+            for id in [a, b, c] {
+                pager.write_page(id, &page_of(2)).unwrap();
+            }
+            assert!(
+                pager.sync().is_err(),
+                "the copy into the main file must fail"
+            );
+            // Crash: the pager is dropped mid-checkpoint.
+        }
+        let pager = WalPager::open(&path).unwrap();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        for id in 0..3 {
+            let read = pager.read_page(PageId(id), &mut buf);
+            assert!(
+                read.is_ok() && buf == page_of(2),
+                "page {id} lost by a checkpoint that failed after its COMMIT: {read:?}"
+            );
+        }
+        cleanup(&path);
+    }
+
+    #[test]
     fn works_under_a_buffer_pool() {
         use crate::buffer::BufferPool;
         let path = temp_base("pool");

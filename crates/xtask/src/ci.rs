@@ -3,14 +3,13 @@
 //! 1. `cargo fmt --all -- --check`
 //! 2. `cargo clippy --workspace --all-targets -- -D warnings`
 //! 3. `cargo xtask lint` (in-process)
-//! 4. `cargo xtask analyze` (in-process)
-//! 5. the line-count gate: `*.rs` lines under `crates`, `tests` and
+//! 4. the line-count gate: `*.rs` lines under `crates`, `tests` and
 //!    `examples` against the committed `xtask-lines.budget`
-//! 6. `cargo xtask deepcheck` (in-process)
-//! 7. an in-process tracing smoke test: build a small matcher, run traced
+//! 5. `cargo xtask deepcheck` (in-process)
+//! 6. an in-process tracing smoke test: build a small matcher, run traced
 //!    lookups, export Chrome trace JSON, and re-parse it with
 //!    [`fm_server::json`] — proving the observability surface end to end
-//! 8. an in-process serving smoke test: start `fm-server` on an
+//! 7. an in-process serving smoke test: start `fm-server` on an
 //!    ephemeral port, run a traced lookup round-trip (the flight
 //!    recorder must see it through the `trace_slowest` verb), scrape
 //!    the `metrics` verb (the Prometheus exposition must validate and
@@ -18,16 +17,17 @@
 //!    the `timeseries` verb through [`fm_server::json`], provoke an
 //!    explicit overload reply, then drain and assert the lossless
 //!    shutdown ledger (every decoded frame answered)
-//! 9. `cargo test --workspace -q --no-fail-fast` — every test binary runs
+//! 8. `cargo test --workspace -q --no-fail-fast` — every test binary runs
 //!    even after one fails, so a failure in one suite cannot hide the
 //!    results of the binaries that sort after it (`equivalence`,
-//!    `persistence`, …)
-//! 10. `cargo test --release --offline --manifest-path
-//!     crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
-//!     package of its own outside the workspace (the driver builds it from
-//!     that manifest), so nothing above compiles it: this step is what
-//!     turns an API break that would stop `BENCHMARK.json`'s command from
-//!     building into a CI failure, and runs its `--smoke` workloads
+//!    `persistence`, …). Debug test builds are where the lock-order and
+//!    blocking-point assertions of `fm_store::lockorder` run.
+//! 9. `cargo test --release --offline --manifest-path
+//!    crates/bench/src/bin/benchmark/Cargo.toml` — the benchmark is a
+//!    package of its own outside the workspace, so nothing above
+//!    compiles it: this step is what turns an API break that would stop
+//!    `BENCHMARK.json`'s command from building into a CI failure, and
+//!    runs its `--smoke` workloads
 //!
 //! Everything runs offline. `scripts/ci.sh` wraps this for shell callers
 //! and adds the CLI-level `fuzzymatch trace export --chrome` smoke.
@@ -59,11 +59,6 @@ pub fn run() -> i32 {
 
     println!("ci: lint");
     let code = crate::lint::run();
-    if code != 0 {
-        return code;
-    }
-    println!("ci: analyze");
-    let code = crate::analyze::run();
     if code != 0 {
         return code;
     }

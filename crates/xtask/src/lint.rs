@@ -289,7 +289,7 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-pub fn rel(root: &Path, path: &Path) -> String {
+fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .display()

@@ -157,3 +157,29 @@ fn server_crate_is_held_to_library_hygiene() {
         }
     }
 }
+
+#[test]
+fn allows_parses_multiple_rules_and_cr() {
+    use xtask::lint::allows;
+
+    let line = "let x = v[0]; // lint:allow(layering, must-use-bool): fixture\r";
+    assert!(allows(line, "layering"));
+    assert!(allows(line, "must-use-bool"));
+    assert!(!allows(line, "must-use"));
+
+    // Whitespace-heavy variant.
+    let line = "foo(); // lint:allow( layering ,  must-use-bool ): vetted";
+    assert!(allows(line, "layering"));
+    assert!(allows(line, "must-use-bool"));
+    assert!(!allows(line, "layer"));
+
+    // Two allow markers on one line.
+    let line = "x(); // lint:allow(a): one // lint:allow(b): two";
+    assert!(allows(line, "a"));
+    assert!(allows(line, "b"));
+
+    // Unclosed paren must not panic and must still match the listed rule.
+    let line = "y(); // lint:allow(must-use-bool";
+    assert!(allows(line, "must-use-bool"));
+    assert!(!allows("no marker here", "must-use-bool"));
+}

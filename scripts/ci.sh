@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# The full pre-PR gate: fmt, clippy, xtask lint, xtask analyze, xtask
-# deepcheck, tests — then an end-to-end smoke test of the CLI observability
-# surface (build a tiny database, run one traced lookup, print the stats
-# report) and of the serving layer (fuzzymatch serve + ping/client/
-# bench_load/remote traces/drain).
+# The full pre-PR gate: fmt, clippy, xtask lint, the line budget, xtask
+# deepcheck, tests (whose debug builds run the lock-order and
+# blocking-point assertions) — then an end-to-end smoke test of the CLI
+# observability surface (build a tiny database, run one traced lookup,
+# print the stats report) and of the serving layer (fuzzymatch serve +
+# ping/client/bench_load/remote traces/drain).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -67,7 +67,7 @@ fn lookups_racing_maintenance_stay_valid() {
         300,
         &ErrorSpec::new(&D3_PROBS, ErrorModel::TypeI, 34),
     );
-    let done = std::sync::atomic::AtomicBool::new(false);
+    let done = fm_store::lockorder::Flag::new(false);
     std::thread::scope(|scope| {
         // Writer: stream of new reference tuples.
         let writer_matcher = &matcher;
@@ -83,7 +83,7 @@ fn lookups_racing_maintenance_stay_valid() {
                     ]))
                     .expect("insert");
             }
-            writer_done.store(true, Ordering::Release);
+            writer_done.store(true);
         });
         // Readers: every answer must be internally consistent.
         let done = &done;
@@ -92,7 +92,7 @@ fn lookups_racing_maintenance_stay_valid() {
         for t in 0..3usize {
             scope.spawn(move || {
                 let mut i = t;
-                while !done.load(Ordering::Acquire) || i < ds.inputs.len() {
+                while !done.load() || i < ds.inputs.len() {
                     if i >= ds.inputs.len() {
                         break;
                     }
