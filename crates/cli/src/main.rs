@@ -19,7 +19,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fm_core::{Config, FuzzyMatcher, OscStopping, Record, SignatureScheme};
+use fm_core::{Config, FuzzyMatcher, LookupTrace, OscStopping, Record, SignatureScheme};
 use fm_server::Json;
 use fm_store::Database;
 
@@ -389,11 +389,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             eprintln!("  {name:<20}{value}");
         }
         eprintln!("  {:<20}{}", "tid_list_max", t.tid_list_max);
-        eprintln!(
-            "  {:<20}{} (fetched candidates the bounds rejected before the DP)",
-            "bound_rejected",
-            t.candidates_fetched - t.fms_evals
-        );
+        eprintln!("{}", bound_rejected(t));
         match t.osc_round {
             Some(round) => eprintln!("  {:<20}after q-gram {}", "osc_round", round + 1),
             None => eprintln!("  {:<20}no short circuit", "osc_round"),
@@ -437,6 +433,18 @@ fn read_inputs_csv(path: &str, matcher: &FuzzyMatcher) -> Result<Vec<Record>, St
     Ok(inputs)
 }
 
+/// The `bound_rejected` report line: examined candidates the bounds ruled
+/// out before the DP, split by what they were ruled out from.
+fn bound_rejected(t: &LookupTrace) -> String {
+    format!(
+        "  {:<20}{} ({} from the sketch, no read; {} from the row)",
+        "bound_rejected",
+        t.candidates_fetched - t.fms_evals,
+        t.sketch_rejected,
+        t.candidates_fetched - t.sketch_rejected - t.fms_evals
+    )
+}
+
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
     let matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
@@ -452,11 +460,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     for (name, value) in m.named() {
         println!("  {name:<20}{value}");
     }
-    println!(
-        "  {:<20}{} (fetched candidates the bounds rejected before the DP)",
-        "bound_rejected",
-        m.totals.candidates_fetched - m.totals.fms_evals
-    );
+    println!("{}", bound_rejected(&m.totals));
     println!(
         "  {:<20}{:.1} us mean over {} queries",
         "latency",

@@ -11,8 +11,8 @@
 use crate::error::Result;
 use crate::eti::token_signature;
 use crate::matcher::FuzzyMatcher;
-use crate::query::score_bound;
 use crate::query::scores::rank_cmp;
+use crate::query::{score_bound, ReferenceFetch};
 use crate::record::Record;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
@@ -58,6 +58,10 @@ pub struct CandidateExplain {
     /// evaluation (DESIGN §4.2) — counted in `candidates_fetched` but not
     /// in `fms_evals`.
     pub bound_rejected: bool,
+    /// Of those, one it would have dropped from its in-memory token
+    /// sketch, without reading the row — counted in `sketch_rejected` too.
+    /// Implies `bound_rejected`.
+    pub sketch_rejected: bool,
     pub record: Record,
 }
 
@@ -127,15 +131,23 @@ impl std::fmt::Display for Explain {
                 c.score,
                 c.bound,
                 c.fms,
-                if c.bound_rejected { "*" } else { " " },
+                if c.sketch_rejected {
+                    "#"
+                } else if c.bound_rejected {
+                    "*"
+                } else {
+                    " "
+                },
                 c.record
             )?;
         }
         writeln!(
             f,
-            "  * bound-rejected at K = 1: {} of {} would skip the full fms evaluation",
+            "  * bound-rejected at K = 1: {} of {} would skip the full fms evaluation, \
+             # {} of them without reading the row",
             self.candidates.iter().filter(|c| c.bound_rejected).count(),
-            self.candidates.len()
+            self.candidates.len(),
+            self.candidates.iter().filter(|c| c.sketch_rejected).count(),
         )
     }
 }
@@ -205,6 +217,8 @@ impl FuzzyMatcher {
         let mut candidates = Vec::new();
         let mut best = 0.0f64;
         for &(tid, score) in ranked.iter().take(candidate_limit) {
+            let sketch_rejected =
+                self.sketch_test(tid, &mut |s| sim.sketch_rejects(&prepared, s, best));
             let record = self.fetch_reference(tid)?;
             let evaluations = sim.evaluations();
             let bounded = sim.fms_at_least(&prepared, &record, self.tokenizer(), best);
@@ -222,6 +236,7 @@ impl FuzzyMatcher {
                 },
                 fms,
                 bound_rejected,
+                sketch_rejected,
                 record,
             });
         }
@@ -289,6 +304,11 @@ mod tests {
         for w in ex.candidates.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
+        // A sketch rejection is a bound rejection.
+        assert!(ex
+            .candidates
+            .iter()
+            .all(|c| c.bound_rejected || !c.sketch_rejected));
         assert!(ex.distinct_tids >= ex.candidates.len());
     }
 

@@ -70,6 +70,7 @@ pub mod query;
 pub mod record;
 pub mod sim;
 pub mod telemetry;
+mod tidmap;
 pub mod tracing;
 pub mod weights;
 

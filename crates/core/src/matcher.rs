@@ -21,10 +21,12 @@
 //! maintenance) takes the write path.
 //!
 //! Tids are minted densely (`1..next_tid`), so a lookup resolves a tid to
-//! its rid from an in-memory array with one slot per tid, not by a
-//! descent of `{p}.tid`. The array is filled by `build` and `open`, and
-//! every write sets or clears a slot right after it writes `{p}.tid`; only
-//! `open` and `check_invariants` read the B+-tree.
+//! its rid from the in-memory tid map (`tidmap`), with one slot per
+//! tid, not by a descent of `{p}.tid`; the map also holds a sketch of every
+//! token, which lets verification rule a candidate out without reading its
+//! row. The map is filled by `build` and by `open` (from `{p}.tid` and one
+//! scan of `{p}.ref`), and every write sets or clears a slot right after it
+//! writes `{p}.tid`; only `open` and `check_invariants` read the B+-tree.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -47,7 +49,8 @@ use crate::query::{
     basic_lookup, osc_lookup, QueryContext, QueryMode, ReferenceFetch, ScoredMatch,
 };
 use crate::record::Record;
-use crate::sim::Similarity;
+use crate::sim::{RowSketch, Similarity};
+use crate::tidmap::TidMap;
 use crate::tracing;
 use crate::weights::{TokenFrequencies, WeightTable};
 
@@ -91,8 +94,9 @@ pub struct FuzzyMatcher {
     ref_table: fm_store::catalog::Table,
     // BTree handles share one structural latch (DESIGN §11)
     tid_index: BTree,
-    // The in-memory image of `tid_index`, shared by every replica
-    rids: Arc<Ranked<RwLock<Vec<u64>>, TID_MAP>>,
+    // The in-memory image of `tid_index` plus token sketches, shared by
+    // every replica
+    tid_map: Arc<Ranked<RwLock<TidMap>, TID_MAP>>,
     // BTree handles share one structural latch (DESIGN §11)
     freq_index: BTree,
     // BTree handles share one structural latch (DESIGN §11)
@@ -106,28 +110,25 @@ fn tid_key(tid: u32) -> [u8; 4] {
     tid.to_be_bytes()
 }
 
-/// A tid-map slot that names no row.
-const NO_ROW: u64 = u64::MAX;
-
-/// Point `tid`'s slot at `rid`, growing the map to reach it.
-fn set_slot(rids: &mut Vec<u64>, tid: u32, rid: u64) {
-    let slot = tid as usize;
-    if rids.len() <= slot {
-        rids.resize(slot + 1, NO_ROW);
-    }
-    rids[slot] = rid;
-}
-
-/// Every `(tid, rid)` entry of the tid index, in tid order.
+/// Every `(tid, rid)` entry of the tid index, in tid order, read in place
+/// in its leaf. The first error `visit` returns stops the walk and is
+/// returned.
 fn for_each_rid(index: &BTree, mut visit: impl FnMut(u32, u64) -> Result<()>) -> Result<()> {
-    let mut scan = index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
-    while let Some((key, value)) = scan.next_entry()? {
-        visit(
-            u32::from_be_bytes(le_bytes(&key, "tid index key")?),
-            rid_value(&value)?,
-        )?;
+    let mut failed = None;
+    let walked = index.for_each_prefix(&[], |key, value| {
+        let tid = le_bytes(key, "tid index key").map(u32::from_be_bytes);
+        match tid.and_then(|tid| visit(tid, rid_value(value)?)) {
+            Ok(()) => Ok(()),
+            Err(e) => {
+                failed = Some(e);
+                Err(StoreError::Corrupt("tid index walk stopped".into()))
+            }
+        }
+    });
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(walked?),
     }
-    Ok(())
 }
 
 /// A tid-index value: the tuple's rid as `Rid::to_u64`.
@@ -183,6 +184,37 @@ fn ref_schema(config: &Config) -> fm_store::Schema {
         cols.push((name.as_str(), fm_store::ColumnType::Text, true));
     }
     fm_store::Schema::new(cols)
+}
+
+/// A record's attribute values, `None` for NULL.
+fn record_values(record: &Record) -> impl Iterator<Item = Option<&str>> {
+    record.values().iter().map(Option::as_deref)
+}
+
+/// A decoded reference row's attribute values (tid dropped), `None` for
+/// NULL.
+fn row_values(row: &fm_store::Row) -> impl Iterator<Item = Option<&str>> {
+    row.iter().skip(1).map(|v| match v {
+        Value::Text(s) => Some(s.as_str()),
+        _ => None,
+    })
+}
+
+/// Sketch every row of `table` the tid map points at, in one walk of the
+/// heap.
+fn sketch_all(
+    table: &fm_store::catalog::Table,
+    tid_map: &mut TidMap,
+    tokenizer: &Tokenizer,
+) -> Result<()> {
+    table.for_each(|rid, row| {
+        let tid = row.first().and_then(Value::as_u32);
+        if let Some(tid) = tid.filter(|&t| tid_map.rid(t) == Some(rid.to_u64())) {
+            tid_map.set_sketch(tid, tokenizer, row_values(row));
+        }
+        Ok(())
+    })?;
+    Ok(())
 }
 
 fn record_to_row(tid: u32, record: &Record) -> fm_store::Row {
@@ -247,14 +279,14 @@ impl FuzzyMatcher {
             ref_table,
             trees,
             TokenFrequencies::new(arity),
-            Vec::new(),
+            TidMap::new(arity),
             1,
         );
 
         let mut freqs = TokenFrequencies::new(arity);
         let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?;
         let mut next_tid = 1u32;
-        let mut rids = Vec::new();
+        let mut tid_map = TidMap::new(arity);
         {
             let _span = tracing::span("pre_eti");
             for record in reference {
@@ -269,13 +301,15 @@ impl FuzzyMatcher {
                 let rid = m.ref_table.insert(&record_to_row(tid, &record))?;
                 m.tid_index
                     .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
-                set_slot(&mut rids, tid, rid.to_u64());
+                tid_map.set_rid(tid, rid.to_u64());
                 let tokens = record.tokenize(&m.tokenizer);
                 freqs.observe(&tokens);
                 builder.observe(tid, &tokens)?;
             }
         }
         m.build_stats = Some(builder.finish(&m.eti)?);
+        // After the pre-ETI sort has given its memory back.
+        sketch_all(&m.ref_table, &mut tid_map, &m.tokenizer)?;
 
         // Persist frequencies, state, and config.
         let _span = tracing::span("persist");
@@ -289,19 +323,19 @@ impl FuzzyMatcher {
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
         m.weights = Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs))));
-        m.rids = Arc::new(Ranked::new(RwLock::new(rids)));
+        m.tid_map = Arc::new(Ranked::new(RwLock::new(tid_map)));
         m.next_tid = Arc::new(AtomicU32::new(next_tid));
         Ok(m)
     }
 
     /// A handle over the storage objects of one matcher: `trees` are its
-    /// tid, ETI, frequency and state indexes, `rids` the tid map.
+    /// tid, ETI, frequency and state indexes.
     fn assemble(
         config: Config,
         ref_table: fm_store::catalog::Table,
         [tid_index, eti, freq_index, state_index]: [BTree; 4],
         freqs: TokenFrequencies,
-        rids: Vec<u64>,
+        tid_map: TidMap,
         next_tid: u32,
     ) -> FuzzyMatcher {
         FuzzyMatcher {
@@ -311,7 +345,7 @@ impl FuzzyMatcher {
             eti: Eti::new(eti, config.stop_qgram_threshold),
             ref_table,
             tid_index,
-            rids: Arc::new(Ranked::new(RwLock::new(rids))),
+            tid_map: Arc::new(Ranked::new(RwLock::new(tid_map))),
             freq_index,
             state_index,
             next_tid: Arc::new(AtomicU32::new(next_tid)),
@@ -345,19 +379,20 @@ impl FuzzyMatcher {
         let next_tid = u32::from_le_bytes(state_row(&state_index, "next_tid")?);
         // Grown key by key, so a corrupt key is rejected before the map is
         // sized for it.
-        let mut rids = Vec::new();
+        let mut tid_map = TidMap::new(config.arity());
         for_each_rid(&tid_index, |tid, rid| {
             if tid >= next_tid {
                 return Err(CoreError::BadState(format!(
                     "tid index holds tid {tid}, not below next_tid {next_tid}"
                 )));
             }
-            set_slot(&mut rids, tid, rid);
+            tid_map.set_rid(tid, rid);
             Ok(())
         })?;
+        sketch_all(&ref_table, &mut tid_map, &Tokenizer::new())?;
         let trees = [tid_index, eti_tree, freq_index, state_index];
         Ok(Self::assemble(
-            config, ref_table, trees, freqs, rids, next_tid,
+            config, ref_table, trees, freqs, tid_map, next_tid,
         ))
     }
 
@@ -382,7 +417,7 @@ impl FuzzyMatcher {
             eti: self.eti.clone_handle(),
             ref_table: self.ref_table.clone_handle(),
             tid_index: self.tid_index.clone_handle(),
-            rids: Arc::clone(&self.rids),
+            tid_map: Arc::clone(&self.tid_map),
             freq_index: self.freq_index.clone_handle(),
             state_index: self.state_index.clone_handle(),
             next_tid: Arc::clone(&self.next_tid),
@@ -455,8 +490,7 @@ impl FuzzyMatcher {
 
     /// Where the tid map says `tid`'s tuple lives.
     fn rid_of(&self, tid: u32) -> Option<fm_store::Rid> {
-        let rid = *self.rids.read().get(tid as usize)?;
-        (rid != NO_ROW).then(|| fm_store::Rid::from_u64(rid))
+        self.tid_map.read().rid(tid).map(fm_store::Rid::from_u64)
     }
 
     /// Where `tid`'s tuple lives, or `NotFound`.
@@ -566,9 +600,7 @@ impl FuzzyMatcher {
         let tokens = record.tokenize(&self.tokenizer);
         self.ref_table.delete(rid)?;
         self.tid_index.delete(&tid_key(tid))?;
-        if let Some(slot) = self.rids.write().get_mut(tid as usize) {
-            *slot = NO_ROW;
-        }
+        self.tid_map.write().clear(tid);
 
         // Frequencies and relation size (O(1) per token via running sums).
         {
@@ -701,7 +733,11 @@ impl FuzzyMatcher {
         let rid = self.ref_table.insert(&record_to_row(tid, record))?;
         self.tid_index
             .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
-        set_slot(&mut self.rids.write(), tid, rid.to_u64());
+        {
+            let mut map = self.tid_map.write();
+            map.set_rid(tid, rid.to_u64());
+            map.set_sketch(tid, &self.tokenizer, record_values(record));
+        }
         let tokens = record.tokenize(&self.tokenizer);
 
         {
@@ -739,6 +775,8 @@ impl FuzzyMatcher {
     ///   equal a fresh recount from a full scan of the reference relation;
     /// * the tid map and the tid index each map every reference row's tid
     ///   to its rid, and neither holds a tid no row carries;
+    /// * the tid map's sketch of every live tid is the one its row gives,
+    ///   and no dead tid has one;
     /// * the persisted frequency index and state rows agree with the live
     ///   table, so a reopened matcher would see the same weights;
     /// * the tid counter is strictly above every stored tid.
@@ -752,7 +790,7 @@ impl FuzzyMatcher {
         let mut observed = TokenFrequencies::new(self.config.arity());
         let mut max_tid: Option<u32> = None;
         let mut tuples = 0usize;
-        let mut live = vec![false; self.rids.read().len()];
+        let mut live = vec![false; self.tid_map.read().len()];
         for row in self.ref_table.scan() {
             let (rid, row) = row?;
             let tid = row[0]
@@ -775,6 +813,12 @@ impl FuzzyMatcher {
                     )));
                 }
             }
+            let fresh = TidMap::of_row(self.config.arity(), &self.tokenizer, row_values(&row));
+            if fresh.sketch(0) != self.tid_map.read().sketch(tid) {
+                return Err(CoreError::BadState(format!(
+                    "tid map's sketch of tid {tid} is not the one its row gives"
+                )));
+            }
             if let Some(seen) = live.get_mut(tid as usize) {
                 *seen = true;
             }
@@ -787,13 +831,7 @@ impl FuzzyMatcher {
                 "{name} holds tid {tid}, which no reference tuple carries"
             ))
         };
-        let stale = self
-            .rids
-            .read()
-            .iter()
-            .enumerate()
-            .position(|(tid, &rid)| rid != NO_ROW && live.get(tid) != Some(&true));
-        if let Some(tid) = stale {
+        if let Some(tid) = self.tid_map.read().stale(&live) {
             return Err(deleted("tid map", tid));
         }
         for_each_rid(&self.tid_index, |tid, _| match live.get(tid as usize) {
@@ -868,6 +906,10 @@ pub struct MatcherCheck {
 impl ReferenceFetch for FuzzyMatcher {
     fn fetch(&self, tid: u32) -> Result<Record> {
         self.fetch_reference(tid)
+    }
+
+    fn sketch_test(&self, tid: u32, test: &mut dyn FnMut(RowSketch<'_>) -> bool) -> bool {
+        self.tid_map.read().sketch(tid).is_some_and(test)
     }
 }
 
@@ -1445,8 +1487,8 @@ mod tests {
     fn check_invariants_checks_the_tid_map_entry_by_entry() {
         let db = Database::in_memory().unwrap();
         let m = build_table1(&db);
-        let rid3 = m.rids.read()[3];
-        m.rids.write()[2] = rid3;
+        let rid3 = m.tid_map.read().rid(3).unwrap();
+        m.tid_map.write().slots_mut().0[2] = rid3;
         let err = m.check_invariants().unwrap_err();
         assert!(
             matches!(err, CoreError::BadState(_)) && err.to_string().contains("tid map maps tid 2"),
@@ -1455,9 +1497,29 @@ mod tests {
 
         // A deleted tid left behind in the map.
         let m = build_table1(&Database::in_memory().unwrap());
-        let rid1 = m.rids.read()[1];
+        let rid1 = m.tid_map.read().rid(1).unwrap();
         m.delete_reference(1).unwrap();
-        m.rids.write()[1] = rid1;
+        m.tid_map.write().slots_mut().0[1] = rid1;
+        let err = m.check_invariants().unwrap_err().to_string();
+        assert!(err.contains("tid map holds tid 1"), "got: {err}");
+    }
+
+    #[test]
+    fn check_invariants_checks_every_sketch_against_its_row() {
+        // One bucket bit of a live tid's sketch flipped.
+        let m = build_table1(&Database::in_memory().unwrap());
+        {
+            let mut map = m.tid_map.write();
+            let (_, starts, once) = map.slots_mut();
+            once[starts[2] as usize] ^= 1 << 40;
+        }
+        let err = m.check_invariants().unwrap_err().to_string();
+        assert!(err.contains("sketch of tid 2"), "got: {err}");
+
+        // A deleted tid whose sketch survived.
+        let m = build_table1(&Database::in_memory().unwrap());
+        m.delete_reference(1).unwrap();
+        m.tid_map.write().slots_mut().1[1] = 0;
         let err = m.check_invariants().unwrap_err().to_string();
         assert!(err.contains("tid map holds tid 1"), "got: {err}");
     }
@@ -1484,8 +1546,15 @@ mod tests {
         }
     }
 
-    /// Every handle reads one tid map, and a reopen rebuilds it from the
-    /// tid index.
+    /// `tid`'s sketch as owned `(once, chars, ends)`.
+    fn owned(m: &FuzzyMatcher, tid: u32) -> (Vec<u64>, Vec<u8>, Vec<u8>) {
+        let map = m.tid_map.read();
+        let s = map.sketch(tid).unwrap();
+        (s.once.to_vec(), s.chars.to_vec(), s.ends.to_vec())
+    }
+
+    /// Every handle reads one tid map — rids and sketches — and a reopen
+    /// rebuilds it from the tid index and the heap.
     #[test]
     fn one_tid_map_across_handles_and_reopen() {
         let mut path = std::env::temp_dir();
@@ -1500,17 +1569,22 @@ mod tests {
             let replica = m.replicate();
             let tid = replica.insert_reference(&amazon).unwrap();
             assert_eq!(m.fetch_reference(tid).unwrap(), amazon);
+            let fresh = TidMap::of_row(4, &m.tokenizer, record_values(&amazon));
+            assert_eq!(m.tid_map.read().sketch(tid), fresh.sketch(0));
             m.delete_reference(2).unwrap();
             assert!(not_found(replica.fetch_reference(2)));
+            assert_eq!(replica.tid_map.read().sketch(2), None);
             db.flush().unwrap();
-            [1, 3, tid].map(|t| (t, m.fetch_reference(t).unwrap()))
+            [1, 3, tid].map(|t| (t, m.fetch_reference(t).unwrap(), owned(&m, t)))
         };
         let db = Database::open_file(&path, 256).unwrap();
         let m = FuzzyMatcher::open(&db, "org").unwrap();
-        for (tid, record) in survivors {
+        for (tid, record, sketch) in survivors {
             assert_eq!(m.fetch_reference(tid).unwrap(), record);
+            assert_eq!(owned(&m, tid), sketch);
         }
         assert!(not_found(m.fetch_reference(2)));
+        assert_eq!(m.tid_map.read().sketch(2), None);
         m.check_invariants().unwrap();
         drop((m, db));
         std::fs::remove_file(&path).unwrap();
@@ -1674,7 +1748,7 @@ mod tests {
         use crate::query::basic::basic_run;
         use crate::query::oracle::OracleTable;
         use crate::query::osc::osc_run;
-        use crate::query::{Scratch, UNBOUNDED_VERIFY};
+        use crate::query::{Scratch, NO_SKETCHES, UNBOUNDED_VERIFY};
 
         let reference = synthetic_reference(600);
         let db = Database::in_memory().unwrap();
@@ -1720,37 +1794,51 @@ mod tests {
         };
         let mut oracle = Scratch::<OracleTable>::default();
         let (mut short_circuits, mut stops, mut pruned, mut fallbacks) = (0, 0, 0, 0);
-        let (mut evals, mut reference_evals) = (0, 0);
+        let (mut evals, mut reference_evals, mut sketch_rejected) = (0, 0, 0);
         for input in &inputs {
             let tokens = input.tokenize(&m.tokenizer);
             for k in [1usize, 3, 10] {
                 for c in [0.0, 0.8] {
-                    // [pipeline, reference pipeline] per mode; the flag is
-                    // read when a reference run verifies.
-                    UNBOUNDED_VERIFY.set(false);
-                    let new = [
-                        basic_lookup(&ctx, &tokens, k, c),
-                        osc_lookup(&ctx, &tokens, k, c),
-                    ];
+                    // [pipeline, pipeline without sketches, reference
+                    // pipeline] per mode; the flags are read when a run
+                    // verifies.
+                    let run = |sketches: bool| {
+                        NO_SKETCHES.set(!sketches);
+                        [
+                            basic_lookup(&ctx, &tokens, k, c),
+                            osc_lookup(&ctx, &tokens, k, c),
+                        ]
+                    };
+                    let (new, unsketched) = (run(true), run(false));
+                    NO_SKETCHES.set(false);
                     UNBOUNDED_VERIFY.set(true);
                     let old = [
                         basic_run(&ctx, &tokens, k, c, &mut oracle),
                         osc_run(&ctx, &tokens, k, c, &mut oracle),
                     ];
-                    let rows = ["basic", "osc"];
-                    for ((row, new), old) in rows.into_iter().zip(new).zip(old) {
+                    UNBOUNDED_VERIFY.set(false);
+                    let rows = ["basic", "osc"].into_iter().zip(unsketched);
+                    for (((row, unsketched), new), old) in rows.zip(new).zip(old) {
                         let (new, new_trace) = new.unwrap();
                         let (old, mut old_trace) = old.unwrap();
                         let bits = |ms: &[ScoredMatch]| -> Vec<(u32, u64)> {
                             ms.iter().map(|m| (m.tid, m.similarity.to_bits())).collect()
                         };
                         assert_eq!(bits(&new), bits(&old), "{row} k={k} c={c} on {input}");
+                        // The sketches may only save heap reads.
+                        let (unsketched, mut unsketched_trace) = unsketched.unwrap();
+                        assert_eq!(bits(&new), bits(&unsketched), "{row} k={k} c={c}");
+                        assert_eq!(unsketched_trace.sketch_rejected, 0);
+                        sketch_rejected += new_trace.sketch_rejected;
+                        unsketched_trace.sketch_rejected = new_trace.sketch_rejected;
+                        assert_eq!(new_trace, unsketched_trace, "{row} k={k} c={c} on {input}");
                         // The bounds may only save token-DP evaluations.
                         assert_eq!(old_trace.fms_evals, old_trace.candidates_fetched);
                         assert!(new_trace.fms_evals <= old_trace.fms_evals);
                         evals += new_trace.fms_evals;
                         reference_evals += old_trace.fms_evals;
                         old_trace.fms_evals = new_trace.fms_evals;
+                        old_trace.sketch_rejected = new_trace.sketch_rejected;
                         assert_eq!(new_trace, old_trace, "{row} k={k} c={c} on {input}");
                         new_trace.check_consistent().unwrap();
                         short_circuits += u32::from(new_trace.osc_succeeded());
@@ -1762,12 +1850,12 @@ mod tests {
                 }
             }
         }
-        UNBOUNDED_VERIFY.set(false);
         // The matrix must actually have walked the interesting paths.
         assert!(short_circuits > 0, "no OSC success exercised");
         assert!(fallbacks > 0, "no OSC fallback exercised");
         assert!(stops > 0, "no stop row exercised");
         assert!(pruned > 0, "no bound-pruned candidate exercised");
+        assert!(sketch_rejected > 0, "no candidate rejected from its sketch");
         assert!(
             evals * 2 < reference_evals,
             "verification bounds rejected too little: {evals} of {reference_evals} evaluations left"

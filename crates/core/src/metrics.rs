@@ -13,9 +13,9 @@
 //!   did: signature coordinates probed against the ETI, stop q-grams
 //!   skipped, physical ETI rows scanned, tid-list lengths, score-table
 //!   traffic, candidates admitted past the min-hash filter, candidates
-//!   pruned by the `fms_apx`-style score bound, fetched candidates and
-//!   how many of them needed a full `fms` evaluation,
-//!   and the OSC short-circuit round. It is a plain `Copy` struct of
+//!   pruned by the `fms_apx`-style score bound, examined candidates, how
+//!   many of them were ruled out unread and how many needed a full `fms`
+//!   evaluation, and the OSC short-circuit round. It is a plain `Copy` struct of
 //!   scalar counters bumped on the query's own stack — collecting it costs
 //!   a handful of register increments, so it is always on.
 //! * [`MetricsRegistry`] — a `Sync` aggregate fed one [`LookupTrace`] per
@@ -139,12 +139,18 @@ counters! {
         /// `fms_apx`-style upper bound ruled them out (Figure 3 steps
         /// 11–13 early exits).
         pub apx_pruned: u64,
-        /// Reference tuples actually fetched for verification.
+        /// Candidates verification examined — Figure 8's count of
+        /// candidates fetched, the OSC rounds' included. Of these,
+        /// `candidates_fetched − sketch_rejected` were read from the heap.
         pub candidates_fetched: u64,
-        /// Full `fms` evaluations: fetched tuples that were tokenized and
-        /// run through the token DP. `candidates_fetched − fms_evals` is
-        /// the number the verification bounds rejected from the raw row
-        /// alone, against the K-th verified similarity (DESIGN §4.2).
+        /// Examined candidates ruled out from their in-memory token
+        /// sketches, with no heap read (DESIGN §4.2).
+        pub sketch_rejected: u64,
+        /// Full `fms` evaluations: examined tuples that were read,
+        /// tokenized and run through the token DP. `candidates_fetched −
+        /// sketch_rejected − fms_evals` is the number the verification
+        /// bounds rejected from the raw row alone, against the K-th
+        /// verified similarity (DESIGN §4.2).
         pub fms_evals: u64,
         /// Times the OSC fetching test fired (§4.3.2).
         pub osc_attempts: u64,
@@ -190,8 +196,8 @@ impl LookupTrace {
                 self.candidates_fetched <= self.candidates,
             ),
             (
-                "fms_evals <= candidates_fetched",
-                self.fms_evals <= self.candidates_fetched,
+                "sketch_rejected + fms_evals <= candidates_fetched",
+                self.sketch_rejected + self.fms_evals <= self.candidates_fetched,
             ),
             (
                 "apx_pruned <= candidates",
@@ -481,7 +487,8 @@ mod tests {
             tids_processed: 30,
             candidates: 8,
             apx_pruned: 5,
-            candidates_fetched: 3,
+            candidates_fetched: 5,
+            sketch_rejected: 2,
             fms_evals: 3,
             osc_attempts: 1,
             osc_round: Some(4),
@@ -501,6 +508,11 @@ mod tests {
         t.fms_evals = t.candidates_fetched + 1;
         let err = t.check_consistent().unwrap_err().to_string();
         assert!(err.contains("fms_evals"), "got: {err}");
+
+        let mut t = sample_trace();
+        t.sketch_rejected += 1;
+        let err = t.check_consistent().unwrap_err().to_string();
+        assert!(err.contains("sketch_rejected"), "got: {err}");
 
         let mut t = sample_trace();
         t.candidates = t.tids_processed + 1;
@@ -528,7 +540,7 @@ mod tests {
             }
         );
         let names: Vec<&str> = snap.named().map(|(name, _)| name).collect();
-        assert_eq!(names.len(), 12);
+        assert_eq!(names.len(), 13);
         assert_eq!(names.first(), Some(&"lookups"));
         assert_eq!(names.last(), Some(&"osc_short_circuits"));
         assert_eq!(snap.osc_short_circuits, 1);

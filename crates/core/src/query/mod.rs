@@ -18,9 +18,10 @@
 //!    K-th best verified similarity dominates the score-derived upper bound
 //!    `(score + adjustment)/w(u)` of every unfetched candidate (step 11–13;
 //!    see DESIGN.md on why the fetch must be ordered). Once K candidates
-//!    are verified, a fetched tuple is first bounded against the K-th of
-//!    them and dropped — untokenized — when it provably loses (DESIGN.md
-//!    §4.2).
+//!    are verified, a candidate is first bounded against the K-th of them
+//!    and dropped when it provably loses: from the in-memory sketch of its
+//!    tokens before its row is read, else from the raw row before it is
+//!    tokenized (DESIGN.md §4.2).
 //!
 //! [`basic`] runs the phases in sequence; [`osc`] interleaves phase 3 into
 //! phase 2 (optimistic short circuiting, §4.3.2). The score accumulator,
@@ -44,7 +45,7 @@ use crate::error::Result;
 use crate::eti::{token_signature, Eti};
 use crate::metrics::LookupTrace;
 use crate::record::{Record, TokenizedRecord};
-use crate::sim::{PreparedInput, Similarity};
+use crate::sim::{PreparedInput, RowSketch, Similarity};
 use crate::weights::WeightProvider;
 
 pub use basic::basic_lookup;
@@ -72,9 +73,19 @@ pub struct ScoredMatch {
 }
 
 /// Provides reference tuples by tid for the verification phase — raw, so
-/// that verification can bound a tuple before paying to tokenize it.
+/// that verification can bound a tuple before paying to tokenize it — and,
+/// optionally, an in-memory sketch of each, so that it can bound a tuple
+/// before paying to read it.
 pub trait ReferenceFetch {
     fn fetch(&self, tid: u32) -> Result<Record>;
+
+    /// Whether `test` holds for `tid`'s [`RowSketch`]. A fetcher that keeps
+    /// no sketch of `tid` answers `false` without calling it; the default
+    /// keeps none, so verification reads every candidate it examines.
+    #[must_use]
+    fn sketch_test(&self, _tid: u32, _test: &mut dyn FnMut(RowSketch<'_>) -> bool) -> bool {
+        false
+    }
 }
 
 /// Everything a query needs, borrowed from the matcher.
@@ -228,11 +239,15 @@ pub(crate) fn score_bound(score: f64, wu: f64, adjustment: f64, q: usize) -> f64
 /// [`LookupTrace::apx_pruned`]: their `fms_apx`-style score bound — not an
 /// exact evaluation — ruled them out.
 ///
-/// A fetched candidate only matters if its `fms` is at least `c` and, once
-/// K are verified, at least the K-th of them (equal still matters: a
-/// smaller tid wins the tie). That floor goes to
-/// [`Similarity::fms_at_least`], which answers exactly or proves the
-/// candidate below it — usually from the raw row.
+/// A candidate only matters if its `fms` is at least `c` and, once K are
+/// verified, at least the K-th of them (equal still matters: a smaller tid
+/// wins the tie). That floor goes first to [`Similarity::sketch_rejects`],
+/// which may prove the candidate below it from its in-memory sketch
+/// ([`ReferenceFetch::sketch_test`]) with no read, and then, for a
+/// candidate it keeps, to [`Similarity::fms_at_least`], which answers
+/// exactly or proves it below — usually from the raw row. Either way the
+/// candidate counts as examined ([`LookupTrace::candidates_fetched`]) and
+/// against `max_candidates`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates<W, F, T>(
     ctx: &QueryContext<'_, W, F>,
@@ -276,15 +291,24 @@ where
         let similarity = match fms_cache.get(&tid) {
             Some(&f) => Some(f),
             None => {
-                let row = {
-                    let _span = crate::tracing::span("fetch");
-                    ctx.reference.fetch(tid)?
-                };
                 trace.candidates_fetched += 1;
                 fetched += 1;
                 let floor = verification_floor(&top, k, c);
                 #[cfg(test)]
                 let floor = if UNBOUNDED_VERIFY.get() { 0.0 } else { floor };
+                let sketch_floor = floor;
+                #[cfg(test)]
+                let sketch_floor = if NO_SKETCHES.get() { 0.0 } else { sketch_floor };
+                let mut rejects =
+                    |sketch: RowSketch<'_>| sim.sketch_rejects(input, sketch, sketch_floor);
+                if ctx.reference.sketch_test(tid, &mut rejects) {
+                    trace.sketch_rejected += 1;
+                    continue;
+                }
+                let row = {
+                    let _span = crate::tracing::span("fetch");
+                    ctx.reference.fetch(tid)?
+                };
                 sim.fms_at_least(input, &row, ctx.tokenizer, floor)
             }
         };
@@ -310,9 +334,12 @@ fn verification_floor(top: &[ScoredMatch], k: usize, c: f64) -> f64 {
 // Test-only: make this thread's verification unbounded (floor 0, so every
 // fetched candidate is evaluated in full, as before the bounds existed) —
 // the reference the bounded pipeline is compared against.
+// `NO_SKETCHES` makes it read every candidate, as before the sketches
+// existed.
 #[cfg(test)]
 thread_local! {
     pub(crate) static UNBOUNDED_VERIFY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    pub(crate) static NO_SKETCHES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Insert into a K-bounded list kept sorted by (similarity desc, tid asc).

@@ -20,7 +20,7 @@
 //! `fms` is asymmetric by design: we only ever transform dirty inputs into
 //! clean reference tuples.
 
-use fm_text::{EditBuffer, TokenPrint, Tokenizer};
+use fm_text::{EditBuffer, TokenPrint, TokenSketch, Tokenizer};
 
 use crate::config::Config;
 use crate::record::{Record, TokenizedRecord};
@@ -75,6 +75,30 @@ pub struct PreparedInput<'u> {
 impl PreparedInput<'_> {
     fn column(&self, col: usize) -> std::ops::Range<usize> {
         self.offsets[col]..self.offsets[col + 1]
+    }
+}
+
+/// The [`TokenSketch`]es of one reference tuple's tokens, kept in memory
+/// so that [`Similarity::sketch_rejects`] can rule the tuple out without
+/// reading it. Column `col`'s sketches are `ends[col - 1]..ends[col]`
+/// (from 0 for column 0) of `once` and `chars`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowSketch<'a> {
+    pub once: &'a [u64],
+    pub chars: &'a [u8],
+    pub ends: &'a [u8],
+}
+
+impl RowSketch<'_> {
+    fn column(&self, col: usize) -> impl Iterator<Item = TokenSketch> + '_ {
+        let start = col
+            .checked_sub(1)
+            .map_or(0, |prev| usize::from(self.ends[prev]));
+        let end = usize::from(self.ends[col]);
+        (start..end).map(|i| TokenSketch {
+            once: self.once[i],
+            chars: self.chars[i],
+        })
     }
 }
 
@@ -217,16 +241,7 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
         let budget = (1.0 - floor + BOUND_SLACK) * p.wu;
 
         // Tier 1: `col_cost[col]` = the column's lower bound.
-        let mut bound = 0.0;
-        self.col_cost.clear();
-        self.col_cost.resize(row.arity(), 0.0);
-        for &col in &p.heaviest_first {
-            let prints = &p.prints[p.column(col)];
-            // Per input token, the least `ed` bound against any reference
-            // token; 1 = "deleted", what it costs when nothing is near.
-            let nearest = &mut self.nearest;
-            nearest.clear();
-            nearest.resize(prints.len(), 1.0);
+        let mut bound = self.tier1(p, budget, |col, prints, nearest| {
             if let (Some(text), false) = (row.get(col), prints.is_empty()) {
                 tokenizer.for_each_print(text, |r| {
                     for (least, t) in nearest.iter_mut().zip(prints) {
@@ -234,13 +249,7 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
                     }
                 });
             }
-            let weights = &p.wa[p.column(col)];
-            self.col_cost[col] = nearest.iter().zip(weights).map(|(d, w)| d * w).sum();
-            bound += self.col_cost[col];
-            if bound > budget {
-                return None;
-            }
-        }
+        })?;
 
         // Tier 2: exact costs replace the bounds, one column at a time.
         let v = row.tokenize(tokenizer);
@@ -257,6 +266,64 @@ impl<'a, W: WeightProvider + ?Sized> Similarity<'a, W> {
             }
         }
         Some(self.fms_of_costs(p.wu))
+    }
+
+    /// Whether tier 1 of [`Similarity::fms_at_least`] would reject the
+    /// tuple `sketch` was taken from at `floor`, decided from the sketch
+    /// alone. Each token pair's bound is
+    /// [`TokenPrint::ed_lower_bound_sketch`], never above tier 1's
+    /// [`TokenPrint::ed_lower_bound`]; the minima, products and sums are
+    /// tier 1's, in tier 1's order, and monotone under rounding. So the
+    /// bound never exceeds tier 1's, and `true` implies `fms_at_least`
+    /// returns `None`. A `floor` of 0 or less rejects nothing.
+    #[must_use]
+    pub fn sketch_rejects(
+        &mut self,
+        p: &PreparedInput<'_>,
+        sketch: RowSketch<'_>,
+        floor: f64,
+    ) -> bool {
+        if !(floor > 0.0 && p.wu > 0.0) {
+            return false;
+        }
+        let budget = (1.0 - floor + BOUND_SLACK) * p.wu;
+        self.tier1(p, budget, |col, prints, nearest| {
+            for r in sketch.column(col) {
+                for (least, t) in nearest.iter_mut().zip(prints) {
+                    *least = least.min(t.ed_lower_bound_sketch(&r));
+                }
+            }
+        })
+        .is_none()
+    }
+
+    /// Tier 1's bound on `tc`, columns heaviest first: `lower(col, prints,
+    /// nearest)` lowers each input token's `ed` bound, which starts at 1
+    /// ("deleted"), against the reference tokens of column `col`; the
+    /// column's bound `Σ nearest·w` goes to `col_cost[col]`. `None` as soon
+    /// as the running sum exceeds `budget`, else the sum.
+    fn tier1(
+        &mut self,
+        p: &PreparedInput<'_>,
+        budget: f64,
+        mut lower: impl FnMut(usize, &[TokenPrint], &mut [f64]),
+    ) -> Option<f64> {
+        let mut bound = 0.0;
+        self.col_cost.clear();
+        self.col_cost.resize(p.offsets.len() - 1, 0.0);
+        for &col in &p.heaviest_first {
+            let prints = &p.prints[p.column(col)];
+            self.nearest.clear();
+            self.nearest.resize(prints.len(), 1.0);
+            lower(col, prints, &mut self.nearest);
+            let weights = &p.wa[p.column(col)];
+            self.col_cost[col] = self.nearest.iter().zip(weights).map(|(d, w)| d * w).sum();
+            bound += self.col_cost[col];
+            if bound > budget {
+                return None;
+            }
+        }
+        Some(bound)
     }
 
     /// Minimum transformation cost for one column: edit DP over token
@@ -610,6 +677,9 @@ mod tests {
                 let prepared = sim.prepare(&ut);
                 for v in &candidates {
                     let vt = v.tokenize(&tokenizer);
+                    let values = v.values().iter().map(Option::as_deref);
+                    let map = crate::tidmap::TidMap::of_row(3, &tokenizer, values);
+                    let sketch = map.sketch(0).unwrap();
                     let exact = reference_fms(&weights, &cfg, &ut, &vt);
                     let want = exact.to_bits();
                     prop_assert_eq!(sim.fms_prepared(&prepared, &vt).to_bits(), want);
@@ -619,10 +689,15 @@ mod tests {
                     // must accept (an equal similarity with a smaller tid
                     // still has to be ranked), the next float up need not.
                     let next_up = f64::from_bits(want + 1);
+                    // A sketch rejection is a tier-1 rejection.
                     for floor in [0.0, 0.5, exact, next_up, 1.0] {
-                        match sim.fms_at_least(&prepared, v, &tokenizer, floor) {
+                        let bounded = sim.fms_at_least(&prepared, v, &tokenizer, floor);
+                        match bounded {
                             Some(f) => prop_assert_eq!(f.to_bits(), want, "floor {}", floor),
                             None => prop_assert!(exact < floor, "{} rejected at {}", exact, floor),
+                        }
+                        if sim.sketch_rejects(&prepared, sketch, floor) {
+                            prop_assert!(bounded.is_none(), "sketch rejected {} at {}", exact, floor);
                         }
                     }
                 }

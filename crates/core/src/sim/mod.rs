@@ -10,4 +10,4 @@ pub mod approx;
 pub mod fms;
 
 pub use approx::{fms_apx, fms_t_apx};
-pub use fms::{PreparedInput, Similarity};
+pub use fms::{PreparedInput, RowSketch, Similarity};

@@ -25,7 +25,7 @@ use crate::heap::{HeapFile, Rid};
 use crate::lockorder::{Ranked, OBJECTS};
 use crate::page::{PageId, PageType, SlottedPageMut};
 use crate::pager::{FilePager, MemPager, Pager};
-use crate::table::{decode_row, encode_row, Row, Schema};
+use crate::table::{decode_row, decode_row_into, encode_row, Row, Schema};
 
 const MAGIC: &[u8; 4] = b"FMDB";
 const VERSION: u16 = 1;
@@ -386,6 +386,17 @@ impl Table {
         self.heap.delete(rid)
     }
 
+    /// Visit every row as `(Rid, &Row)`, decoded straight from its page
+    /// into one reused row (`HeapFile::for_each`): a full scan with no
+    /// per-row allocation.
+    pub fn for_each(&self, mut visit: impl FnMut(Rid, &Row) -> Result<()>) -> Result<()> {
+        let mut row = Vec::new();
+        self.heap.for_each(|rid, bytes| {
+            decode_row_into(&self.schema, bytes, &mut row)?;
+            visit(rid, &row)
+        })
+    }
+
     /// Scan all rows as `(Rid, Row)`.
     pub fn scan(&self) -> impl Iterator<Item = Result<(Rid, Row)>> + '_ {
         self.heap.scan().map(move |record| {
@@ -422,6 +433,17 @@ mod tests {
         let row = t.get(rid).unwrap();
         assert_eq!(row[1].as_text(), Some("Boeing Company"));
         assert_eq!(t.scan().count(), 1);
+        let bon = vec![Value::U32(2), Value::Text("Bon".into()), Value::Null];
+        t.insert(&bon).unwrap();
+        // `for_each`'s reused row decodes each row as `scan` does.
+        let mut visited = Vec::new();
+        t.for_each(|rid, row| {
+            visited.push((rid, row.clone()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visited, t.scan().collect::<Result<Vec<_>>>().unwrap());
+        assert_eq!(visited[1].1, bon);
     }
 
     #[test]

@@ -175,6 +175,23 @@ impl HeapFile {
         }
     }
 
+    /// Call `visit` with every live record, in page order, borrowed from its
+    /// page rather than copied out of it. The page stays pinned and
+    /// read-latched while its records are visited, so `visit` must not
+    /// write to this heap.
+    pub(crate) fn for_each(&self, mut visit: impl FnMut(Rid, &[u8]) -> Result<()>) -> Result<()> {
+        let mut id = self.first_page;
+        while !id.is_none() {
+            let page = self.pool.get(id)?;
+            let sp = SlottedPage::new(&page);
+            for (slot, cell) in sp.iter() {
+                visit(Rid { page: id, slot }, cell)?;
+            }
+            id = sp.next_page();
+        }
+        Ok(())
+    }
+
     fn load_page_records(&self, id: PageId) -> Result<(Vec<RecordEntry>, PageId)> {
         let page = self.pool.get(id)?;
         let sp = SlottedPage::new(&page);

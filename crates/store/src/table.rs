@@ -248,7 +248,15 @@ pub fn encode_row(schema: &Schema, row: &Row) -> Result<Vec<u8>> {
 }
 
 /// Decode a row encoded by [`encode_row`].
-pub fn decode_row(schema: &Schema, mut input: &[u8]) -> Result<Row> {
+pub fn decode_row(schema: &Schema, input: &[u8]) -> Result<Row> {
+    let mut row = Vec::with_capacity(schema.arity());
+    decode_row_into(schema, input, &mut row)?;
+    Ok(row)
+}
+
+/// [`decode_row`] into `row`, reusing the strings of the text values it
+/// already holds.
+pub(crate) fn decode_row_into(schema: &Schema, mut input: &[u8], row: &mut Row) -> Result<()> {
     let bitmap_len = schema.arity().div_ceil(8);
     if input.len() < bitmap_len {
         return Err(StoreError::Corrupt("row shorter than null bitmap".into()));
@@ -263,20 +271,23 @@ pub fn decode_row(schema: &Schema, mut input: &[u8]) -> Result<Row> {
         input = rest;
         Ok(head)
     };
-    let mut row = Vec::with_capacity(schema.arity());
-    for (i, col) in schema.columns().iter().enumerate() {
+    row.resize(schema.arity(), Value::Null);
+    for (i, (col, value)) in schema.columns().iter().zip(row.iter_mut()).enumerate() {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            row.push(Value::Null);
+            *value = Value::Null;
             continue;
         }
-        let value = match col.ty {
+        *value = match col.ty {
             ColumnType::Text => {
                 let len = u32::from_le_bytes(arr(take(4)?)?) as usize;
-                let bytes = take(len)?;
-                Value::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| StoreError::Corrupt("text value not utf-8".into()))?,
-                )
+                let text = std::str::from_utf8(take(len)?)
+                    .map_err(|_| StoreError::Corrupt("text value not utf-8".into()))?;
+                if let Value::Text(s) = value {
+                    s.clear();
+                    s.push_str(text);
+                    continue;
+                }
+                Value::Text(text.to_owned())
             }
             ColumnType::Bytes => {
                 let len = u32::from_le_bytes(arr(take(4)?)?) as usize;
@@ -285,9 +296,8 @@ pub fn decode_row(schema: &Schema, mut input: &[u8]) -> Result<Row> {
             ColumnType::U32 => Value::U32(u32::from_le_bytes(arr(take(4)?)?)),
             ColumnType::U64 => Value::U64(u64::from_le_bytes(arr(take(8)?)?)),
         };
-        row.push(value);
     }
-    Ok(row)
+    Ok(())
 }
 
 #[cfg(test)]

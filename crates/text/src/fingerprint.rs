@@ -17,6 +17,21 @@
 //! This is the character-level filter ahead of the quadratic comparison of
 //! "Faster Algorithm of String Comparison" (PAPERS.md), reduced to what fits
 //! in three words.
+//!
+//! A [`TokenSketch`] keeps less — the "at least one" mask and the length
+//! in a byte, 9 bytes a token — so that every token of a large relation
+//! can stay in memory. Against it, [`TokenPrint::ed_lower_bound_sketch`]
+//! counts a bucket the sketch lacks once per copy on the full print's side
+//! and not at all for the sketch's second copies; each count is one of
+//! [`TokenPrint::lev_lower_bound`]'s with terms dropped, so the result is
+//! never above it.
+
+use crate::tokenize::MAX_TOKEN_BYTES;
+
+// A token is cut once it reaches `MAX_TOKEN_BYTES`; the character that
+// crosses the cap lowercases to at most three, and every character takes
+// at least a byte, so a token's length in characters fits a sketch's byte.
+const _: () = assert!(MAX_TOKEN_BYTES + 2 <= u8::MAX as usize);
 
 /// Length and saturating character bag of one token. Build with
 /// [`TokenPrint::of`] from a finished token, or one character at a time
@@ -30,6 +45,15 @@ pub struct TokenPrint {
     once: u64,
     /// Buckets holding at least two.
     twice: u64,
+}
+
+/// What stays in memory of a reference token's print: its "at least one"
+/// bucket mask and its length in characters. Make with
+/// [`TokenPrint::sketch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TokenSketch {
+    pub once: u64,
+    pub chars: u8,
 }
 
 /// Letters and digits — what attribute values are mostly made of — get a
@@ -87,10 +111,44 @@ impl TokenPrint {
     /// an integer that is no larger, so the bound also holds between the
     /// two rounded results.
     pub fn ed_lower_bound(&self, other: &TokenPrint) -> f64 {
-        match self.chars.max(other.chars) {
-            0 => 0.0,
-            longer => f64::from(self.lev_lower_bound(other)) / f64::from(longer),
-        }
+        normalized(self.lev_lower_bound(other), self.chars.max(other.chars))
+    }
+
+    /// The sketch of this print, or `None` for a token longer than a byte
+    /// can count (no token [`Tokenizer`](crate::Tokenizer) makes).
+    pub fn sketch(&self) -> Option<TokenSketch> {
+        Some(TokenSketch {
+            once: self.once,
+            chars: u8::try_from(self.chars).ok()?,
+        })
+    }
+
+    /// [`TokenPrint::ed_lower_bound`] against a token known only by its
+    /// sketch: never above `self.ed_lower_bound(&print)` for the print the
+    /// sketch was taken from. Of [`TokenPrint::unmatched`]'s two terms,
+    /// `self`'s side keeps the first and replaces `other.twice` by the
+    /// larger `other.once` in the second; `other`'s side keeps the first.
+    /// Both are no larger than before, and the rest is the same integer
+    /// arithmetic and the same division.
+    pub fn ed_lower_bound_sketch(&self, other: &TokenSketch) -> f64 {
+        let mine = (self.once & !other.once).count_ones() + (self.twice & !other.once).count_ones();
+        let theirs = (other.once & !self.once).count_ones();
+        let chars = u32::from(other.chars);
+        let lev = if self.chars >= chars {
+            mine.max(theirs + (self.chars - chars))
+        } else {
+            theirs.max(mine + (chars - self.chars))
+        };
+        normalized(lev, self.chars.max(chars))
+    }
+}
+
+/// A lower bound on `lev` over the longer length, as
+/// [`crate::EditBuffer::normalized`] divides.
+fn normalized(lev: u32, longer: u32) -> f64 {
+    match longer {
+        0 => 0.0,
+        longer => f64::from(lev) / f64::from(longer),
     }
 }
 
@@ -134,5 +192,19 @@ mod tests {
             assert!(lb(a, b) <= levenshtein(a, b));
             assert_eq!(lb(a, b), lb(b, a));
         }
+    }
+
+    #[test]
+    fn the_sketch_misses_second_copies_only() {
+        let bound = |a: &str, b: &str| {
+            TokenPrint::of(a).ed_lower_bound_sketch(&TokenPrint::of(b).sketch().unwrap())
+        };
+        // The print sees the second `b` of "abb", the sketch does not.
+        assert_eq!(bound("aab", "abb"), 0.0);
+        // A bucket the sketch lacks counts once per copy on the print's side.
+        assert_eq!(bound("aax", "xyz"), 2.0 / 3.0);
+        assert_eq!(bound("corp", "corporation"), 7.0 / 11.0);
+        assert_eq!(bound("", ""), 0.0);
+        assert_eq!(TokenPrint::of(&"x".repeat(300)).sketch(), None);
     }
 }

@@ -47,7 +47,7 @@ pub mod qgram;
 pub mod tokenize;
 
 pub use edit_distance::{levenshtein, normalized_edit_distance, EditBuffer};
-pub use fingerprint::TokenPrint;
+pub use fingerprint::{TokenPrint, TokenSketch};
 pub use jaccard::jaccard;
 pub use lsh::{collision_probability, Bander};
 pub use minhash::{MinHasher, Signature};

@@ -47,13 +47,19 @@ proptest! {
         };
         let (ta, pa) = prints_of(&a);
         let (tb, pb) = prints_of(&b);
-        for (x, px) in ta.iter().zip(&pa).chain([(&String::new(), &TokenPrint::default())]) {
+        let empty = [(&String::new(), &TokenPrint::default())];
+        for (x, px) in ta.iter().zip(&pa).chain(empty) {
             prop_assert_eq!(px.chars() as usize, x.chars().count());
-            for (y, py) in tb.iter().zip(&pb) {
+            for (y, py) in tb.iter().zip(&pb).chain(empty) {
                 let lb = px.lev_lower_bound(py);
                 prop_assert!(lb <= levenshtein(x, y), "lb {} for {:?} vs {:?}", lb, x, y);
                 prop_assert_eq!(lb, py.lev_lower_bound(px));
                 prop_assert!(px.ed_lower_bound(py) <= normalized_edit_distance(x, y));
+                // Every token fits a sketch, whose bound is below the print's.
+                let sketch = py.sketch();
+                prop_assert!(sketch.is_some(), "{} chars in {:?}", py.chars(), y);
+                let by_sketch = px.ed_lower_bound_sketch(&sketch.unwrap_or_default());
+                prop_assert!(by_sketch <= px.ed_lower_bound(py), "{:?} vs {:?}", x, y);
             }
         }
     }
