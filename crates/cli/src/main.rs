@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 use fm_core::{Config, FuzzyMatcher, LookupTrace, OscStopping, Record, SignatureScheme};
 use fm_server::Json;
-use fm_store::Database;
+use fm_store::{Database, ObjectCheck};
 
 const MATCHER_NAME: &str = "reference";
 const USAGE: &str = "\
@@ -35,7 +35,7 @@ USAGE:
   fuzzymatch insert --db FILE --input \"v1,v2,...\"
   fuzzymatch delete --db FILE --tid N
   fuzzymatch explain --db FILE --input \"v1,v2,...\" [-k N]
-  fuzzymatch info   --db FILE
+  fuzzymatch info   --db FILE [--prefix NAME]
   fuzzymatch stats  --db FILE [--inputs FILE.csv] [-k N] [-c MIN_SIM]
   fuzzymatch trace  dump    (--db FILE | --reference FILE.csv) [--inputs FILE.csv | --input \"...\"]
   fuzzymatch trace  export  (--db FILE | --reference FILE.csv) --chrome [--out FILE] [...]
@@ -1144,7 +1144,27 @@ fn cmd_trace_diff(base_path: &str, new_path: &str) -> Result<(), String> {
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let db = open_db(args)?;
-    let matcher = FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
+    // Pages first: they need no matcher, so they print for a file whose
+    // matcher this build refuses to open.
+    let check = db.check_invariants().map_err(|e| e.to_string())?;
+    println!("file pages:      {}", db.pool().page_count());
+    println!(
+        "{:<16} {:>8} {:>8} {:>10}",
+        "object", "pages", "leaves", "leaf fill"
+    );
+    for (name, object) in &check.objects {
+        let (leaves, fill) = match object {
+            ObjectCheck::Table(_) => (String::new(), String::new()),
+            ObjectCheck::Index(tree) => {
+                let bytes = (tree.leaf_pages * fm_store::PAGE_SIZE).max(1);
+                let fill = tree.leaf_live_bytes as f64 / bytes as f64;
+                (tree.leaf_pages.to_string(), format!("{fill:.3}"))
+            }
+        };
+        println!("{name:<16} {:>8} {leaves:>8} {fill:>10}", object.pages());
+    }
+    let prefix = args.get("prefix").unwrap_or(MATCHER_NAME);
+    let matcher = FuzzyMatcher::open(&db, prefix).map_err(|e| e.to_string())?;
     let cfg = matcher.config();
     println!("strategy:        {}", cfg.strategy_label());
     println!("q:               {}", cfg.q);

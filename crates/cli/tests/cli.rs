@@ -170,6 +170,15 @@ fn info_reports_configuration() {
     assert!(stdout.contains("Q+T_3"));
     assert!(stdout.contains("reference size:  4"));
     assert!(stdout.contains("name, city, state, zip"));
+    // One row of pages per catalog object; indexes add leaves and fill.
+    for object in ["ref", "tid", "eti", "freq", "state"] {
+        let row = stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(&format!("reference.{object}")))
+            .unwrap_or_else(|| panic!("no reference.{object} row in: {stdout}"));
+        let fields = row.split_whitespace().count();
+        assert_eq!(fields, if object == "ref" { 2 } else { 4 }, "{row}");
+    }
 }
 
 #[test]

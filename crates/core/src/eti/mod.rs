@@ -433,15 +433,26 @@ mod tests {
     // offending row as `(gram, coordinate, column)`.
 
     #[test]
-    fn check_invariants_detects_unsorted_tid_list() {
-        let e = eti(10_000);
-        e.postings
-            .put_raw(&Eti::prefix("bad", 1, 0), 0, 3, false, &[5, 2, 9]);
-        let err = e.check_invariants().unwrap_err().to_string();
-        assert!(
-            err.contains("\"bad\"") && err.contains("sorted"),
-            "got: {err}"
-        );
+    fn check_invariants_detects_a_malformed_chunk() {
+        let two = crate::postings::encode_value(2, false, &[5, 9]);
+        let wide = [&two[..11], &[33], &two[12..]].concat();
+        // Two tids whose gap sum wraps past `u32::MAX` decode as 4294967294
+        // then 3.
+        let wrapping = crate::postings::encode_value(2, false, &[u32::MAX - 1, 3]);
+        for (value, fragment) in [
+            (wide, "gap width 33"),
+            ([&two[..], &[0]].concat(), "length mismatch"),
+            (wrapping, "strictly ascend"),
+        ] {
+            let e = eti(10_000);
+            e.postings
+                .put_raw_value(&Eti::prefix("bad", 1, 0), 0, &value);
+            let err = e.check_invariants().unwrap_err().to_string();
+            assert!(
+                err.contains("\"bad\"") && err.contains(fragment),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]

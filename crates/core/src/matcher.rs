@@ -10,7 +10,7 @@
 //! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute"): the durable map, loaded into a dense array at open |
 //! | `{p}.eti`         | the Error Tolerant Index                        |
 //! | `{p}.freq`        | token frequencies `(column, token) → freq`      |
-//! | `{p}.state`       | relation size and tid counter                   |
+//! | `{p}.state`       | relation size, tid counter, posting format      |
 //! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds)           |
 //!
 //! Catalogs built while the LSH candidate tier existed also hold a
@@ -28,6 +28,7 @@
 //! scan of `{p}.ref`), and every write sets or clears a slot right after it
 //! writes `{p}.tid`; only `open` and `check_invariants` read the B+-tree.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ use crate::error::{CoreError, Result};
 use crate::eti::build::{BuildStats, EtiBuilder};
 use crate::eti::{token_signature, Eti};
 use crate::metrics::{LookupTrace, MetricsRegistry, MetricsSnapshot};
-use crate::postings::PostingCheck;
+use crate::postings::{PostingCheck, POSTING_FORMAT};
 use crate::query::{
     basic_lookup, osc_lookup, QueryContext, QueryMode, ReferenceFetch, ScoredMatch,
 };
@@ -299,27 +300,40 @@ impl FuzzyMatcher {
                 let tid = next_tid;
                 next_tid += 1;
                 let rid = m.ref_table.insert(&record_to_row(tid, &record))?;
-                m.tid_index
-                    .insert(&tid_key(tid), &rid.to_u64().to_le_bytes())?;
                 tid_map.set_rid(tid, rid.to_u64());
                 let tokens = record.tokenize(&m.tokenizer);
                 freqs.observe(&tokens);
                 builder.observe(tid, &tokens)?;
             }
         }
+        // Tids were minted in key order, so the index is packed, not grown
+        // by splits that leave each leaf half empty.
+        m.tid_index.bulk_fill((1..next_tid).filter_map(|tid| {
+            let rid = tid_map.rid(tid)?;
+            Some((tid_key(tid).to_vec(), rid.to_le_bytes().to_vec()))
+        }))?;
         m.build_stats = Some(builder.finish(&m.eti)?);
         // After the pre-ETI sort has given its memory back.
         sketch_all(&m.ref_table, &mut tid_map, &m.tokenizer)?;
 
         // Persist frequencies, state, and config.
         let _span = tracing::span("persist");
-        for (col, token, freq) in freqs.iter() {
-            m.freq_index
-                .insert(&freq_key(col, token), &freq.to_le_bytes())?;
-        }
+        // Sorted in a `BTreeMap`, whose nodes are small allocations: one
+        // sorted `Vec` of ≈ 17 000 rows at 10^5 is a single 800 KB block,
+        // and freeing it raises glibc's mmap threshold for the rest of
+        // the process (DESIGN §11, the tid map's blocks).
+        let rows: BTreeMap<Vec<u8>, u32> = freqs
+            .iter()
+            .map(|(col, token, freq)| (freq_key(col, token), freq))
+            .collect();
+        m.freq_index.bulk_fill(
+            rows.into_iter()
+                .map(|(key, freq)| (key, freq.to_le_bytes().to_vec())),
+        )?;
         let state = &m.state_index;
         state.insert(b"relation_size", &freqs.relation_size().to_le_bytes())?;
         state.insert(b"next_tid", &next_tid.to_le_bytes())?;
+        state.insert(b"posting_format", &POSTING_FORMAT.to_le_bytes())?;
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
         m.weights = Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs))));
@@ -361,11 +375,24 @@ impl FuzzyMatcher {
             .get_meta(&format!("{prefix}.config"))
             .ok_or_else(|| CoreError::BadState(format!("no config for matcher {prefix}")))?;
         let config = Config::decode(&config_bytes)?;
+        let state_index = db.open_index(&format!("{prefix}.state"))?;
+        // Matchers built before the marker existed store raw 4-byte tids,
+        // which this build would misread: refuse them before any probe.
+        let format = match state_index.get(b"posting_format")? {
+            Some(bytes) => u32::from_le_bytes(le_bytes(&bytes, "posting_format")?),
+            None => 1,
+        };
+        if format != POSTING_FORMAT {
+            return Err(CoreError::BadState(format!(
+                "matcher {prefix} stores its ETI in posting format {format}; this \
+                 build reads only posting format {POSTING_FORMAT} (bit-packed tid \
+                 gaps): rebuild the matcher from its reference relation"
+            )));
+        }
         let ref_table = db.open_table(&format!("{prefix}.ref"))?;
         let tid_index = db.open_index(&format!("{prefix}.tid"))?;
         let eti_tree = db.open_index(&format!("{prefix}.eti"))?;
         let freq_index = db.open_index(&format!("{prefix}.freq"))?;
-        let state_index = db.open_index(&format!("{prefix}.state"))?;
 
         let mut freqs = TokenFrequencies::new(config.arity());
         for_each_freq(&freq_index, |col, token, freq| {
@@ -1544,6 +1571,38 @@ mod tests {
             let err = corrupt(key, value).err().unwrap();
             assert!(matches!(err, CoreError::BadState(_)), "got: {err}");
         }
+    }
+
+    /// A matcher without the posting-format marker, its ETI in the raw
+    /// 4-byte layout that preceded the marker, is refused at open, not
+    /// misread at its first probe.
+    #[test]
+    fn open_refuses_a_matcher_without_the_posting_format_marker() {
+        let db = Database::in_memory().unwrap();
+        let m = build_table1(&db);
+        // Every chunk rewritten as `[flags][frequency][count][count × tid]`.
+        for (key, value) in m.eti.postings.entries() {
+            let (frequency, stop, tids) = crate::postings::decode_value(&value).unwrap();
+            let mut raw = vec![u8::from(stop)];
+            raw.extend_from_slice(&frequency.to_le_bytes());
+            raw.extend_from_slice(&(tids.len() as u16).to_le_bytes());
+            raw.extend(tids.iter().flat_map(|t| t.to_le_bytes()));
+            m.eti.postings.insert_raw(&key, &raw);
+        }
+        assert!(FuzzyMatcher::open(&db, "org").is_ok());
+        m.state_index.delete(b"posting_format").unwrap();
+        let err = FuzzyMatcher::open(&db, "org").err().unwrap();
+        assert!(matches!(err, CoreError::BadState(_)), "got: {err}");
+        let err = err.to_string();
+        assert!(
+            err.contains("posting format 1") && err.contains("rebuild"),
+            "got: {err}"
+        );
+        m.state_index
+            .insert(b"posting_format", &7u32.to_le_bytes())
+            .unwrap();
+        let err = FuzzyMatcher::open(&db, "org").err().unwrap().to_string();
+        assert!(err.contains("posting format 7"), "got: {err}");
     }
 
     /// `tid`'s sketch as owned `(once, chars, ends)`.

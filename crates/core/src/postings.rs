@@ -6,17 +6,21 @@
 //! key-scheme (`(gram, coordinate, column)` in [`crate::eti`], the only
 //! one) and stored as a run of B+-tree entries
 //! `prefix ‖ be32(chunk)`, one per chunk of at most [`TIDS_PER_CHUNK`] tids.
-//! Each value is `[flags:u8][frequency:u32][count:u16][count × tid:u32]`,
-//! little-endian; chunk 0's flags and frequency speak for the whole row.
-//! Key-schemes must be prefix-free — no row's prefix may begin another
+//! Each value is
+//! `[flags:u8][frequency:u32][count:u16][first:u32][width:u8][gaps]`,
+//! little-endian: the chunk's first tid, then its `count − 1` gaps
+//! `tid − prev − 1` bit-packed at one `width` (0..=32) per chunk, so a run
+//! of consecutive tids costs no body at all. A chunk with no tids is the
+//! 7-byte header alone. Chunk 0's flags and frequency speak for the whole
+//! row. Key-schemes must be prefix-free — no row's prefix may begin another
 //! row's key — which `keycode`'s self-delimiting fields guarantee.
 //!
 //! Every reader goes through [`for_each_chunk`], which walks the row on
 //! the pinned leaf ([`BTree::for_each_prefix`]) and hands out [`Chunk`]s
 //! that *borrow* the page bytes. The query path ([`probe`]) streams tids
-//! from there straight into the score table — no value copy, no decoded
-//! `Vec<u32>`, no concatenated list; [`lookup`] materializes a [`TidList`]
-//! for maintenance and diagnostics.
+//! from there straight into the score table — decoded on the fly, no value
+//! copy, no decoded `Vec<u32>`, no concatenated list; [`lookup`]
+//! materializes a [`TidList`] for maintenance and diagnostics.
 
 use std::collections::VecDeque;
 use std::ops::Bound;
@@ -28,61 +32,184 @@ use fm_store::{BTree, StoreError};
 use crate::error::{CoreError, Result};
 use crate::eti::TidList;
 
-/// Maximum tids stored per chunk. With 4-byte tids this keeps every entry
-/// well under the B+-tree's entry cap even alongside a long token key.
+/// Maximum tids stored per chunk. Even at the widest gap (32 bits) a chunk
+/// stays well under the B+-tree's entry cap alongside a long token key.
 pub const TIDS_PER_CHUNK: usize = 400;
+
+/// The chunk layout this build reads and writes, persisted with each
+/// matcher (`posting_format` in `{p}.state`). Format 1 stored raw 4-byte
+/// tids and had no marker.
+pub(crate) const POSTING_FORMAT: u32 = 2;
 
 const FLAG_STOP: u8 = 1;
 const HEADER_LEN: usize = 7;
+/// Header plus `first` and `width`: where the gaps of a non-empty chunk
+/// start.
+const LIST_HEADER_LEN: usize = HEADER_LEN + 5;
+
+/// Bytes holding `gaps` gaps of `width` bits.
+fn body_len(gaps: usize, width: u32) -> usize {
+    (gaps * width as usize).div_ceil(8)
+}
 
 pub(crate) fn encode_value(frequency: u32, stop: bool, tids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 4 * tids.len());
+    // Wrapping, so that any sequence round-trips: the validator, not the
+    // codec, is what rejects one that does not ascend.
+    let gaps = || {
+        tids.windows(2)
+            .map(|w| w[1].wrapping_sub(w[0]).wrapping_sub(1))
+    };
+    let width = 32 - gaps().fold(0, |all, gap| all | gap).leading_zeros();
+    let gap_count = tids.len().saturating_sub(1);
+    let mut out = Vec::with_capacity(LIST_HEADER_LEN + body_len(gap_count, width));
     out.push(if stop { FLAG_STOP } else { 0 });
     out.extend_from_slice(&frequency.to_le_bytes());
     out.extend_from_slice(&(tids.len() as u16).to_le_bytes());
-    for &tid in tids {
-        out.extend_from_slice(&tid.to_le_bytes());
+    let Some(first) = tids.first() else {
+        return out;
+    };
+    out.extend_from_slice(&first.to_le_bytes());
+    out.push(width as u8);
+    let (mut acc, mut bits) = (0u64, 0u32);
+    for gap in gaps() {
+        acc |= u64::from(gap) << bits;
+        bits += width;
+        while bits >= 8 {
+            out.push(acc as u8);
+            acc >>= 8;
+            bits -= 8;
+        }
+    }
+    if bits > 0 {
+        out.push(acc as u8);
     }
     out
 }
 
 /// One stored chunk, validated but not decoded: the header fields plus the
-/// raw little-endian tid bytes, borrowed from wherever the value lives.
+/// packed gaps, borrowed from wherever the value lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chunk<'a> {
     pub frequency: u32,
     pub stop: bool,
-    tids: &'a [u8],
+    count: usize,
+    first: u32,
+    width: u32,
+    gaps: &'a [u8],
 }
 
 impl<'a> Chunk<'a> {
+    /// `Ok` or `Corrupt` for any bytes, never a panic.
     pub fn parse(bytes: &'a [u8]) -> std::result::Result<Chunk<'a>, StoreError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(StoreError::Corrupt("posting value too short".into()));
+        let corrupt = |what: &str| Err(StoreError::Corrupt(format!("posting value {what}")));
+        let Some(&[flags, f0, f1, f2, f3, c0, c1]) = bytes.get(..HEADER_LEN) else {
+            return corrupt("too short");
+        };
+        let mut chunk = Chunk {
+            frequency: u32::from_le_bytes([f0, f1, f2, f3]),
+            stop: flags & FLAG_STOP != 0,
+            count: usize::from(u16::from_le_bytes([c0, c1])),
+            first: 0,
+            width: 0,
+            gaps: &[],
+        };
+        if chunk.count == 0 {
+            return match bytes.len() == HEADER_LEN {
+                true => Ok(chunk),
+                false => corrupt("length mismatch"),
+            };
         }
-        let stop = bytes[0] & FLAG_STOP != 0;
-        let frequency = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]);
-        let count = u16::from_le_bytes([bytes[5], bytes[6]]) as usize;
-        if bytes.len() != HEADER_LEN + 4 * count {
-            return Err(StoreError::Corrupt("posting value length mismatch".into()));
+        let Some(&[t0, t1, t2, t3, width]) = bytes.get(HEADER_LEN..LIST_HEADER_LEN) else {
+            return corrupt("length mismatch");
+        };
+        if width > 32 {
+            return corrupt(&format!("gap width {width} exceeds 32 bits"));
         }
-        Ok(Chunk {
-            frequency,
-            stop,
-            tids: &bytes[HEADER_LEN..],
-        })
+        chunk.first = u32::from_le_bytes([t0, t1, t2, t3]);
+        chunk.width = u32::from(width);
+        chunk.gaps = bytes.get(LIST_HEADER_LEN..).unwrap_or_default();
+        if chunk.gaps.len() != body_len(chunk.count - 1, chunk.width) {
+            return corrupt("length mismatch");
+        }
+        Ok(chunk)
     }
 
     /// Number of tids in this chunk.
     pub fn len(&self) -> usize {
-        self.tids.len() / 4
+        self.count
     }
 
     /// The chunk's tids, decoded on the fly.
-    pub fn tids(&self) -> impl Iterator<Item = u32> + 'a {
-        self.tids
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+    pub fn tids(&self) -> Tids<'a> {
+        // The body's last 8 bytes as one word (zero-padded above a body
+        // shorter than that), from which the last gaps are shifted out.
+        let tail_at = self.gaps.len().saturating_sub(8);
+        let tail = self.gaps.get(tail_at..).unwrap_or_default();
+        let tail_word = tail
+            .iter()
+            .rev()
+            .fold(0u64, |word, &byte| word << 8 | u64::from(byte));
+        Tids {
+            gaps: self.gaps,
+            tail_word,
+            tail_at,
+            next: self.first,
+            bit: 0,
+            width: self.width as usize,
+            mask: (1u64 << self.width) - 1,
+            left: self.count,
+        }
+    }
+}
+
+/// The decoder behind [`Chunk::tids`]. Each step reads the gap as an
+/// unaligned little-endian `u64` at its byte, then shifts and masks (a gap
+/// spans at most 32 + 7 bits); the last gaps, within 8 bytes of the end,
+/// come from a zero-padded copy of those bytes made once per chunk. Sums
+/// wrap: a chunk whose tids overflow decodes to a list that does not
+/// ascend, which the validator rejects.
+#[derive(Debug, Clone)]
+pub(crate) struct Tids<'a> {
+    gaps: &'a [u8],
+    tail_word: u64,
+    tail_at: usize,
+    next: u32,
+    bit: usize,
+    width: usize,
+    mask: u64,
+    left: usize,
+}
+
+impl Iterator for Tids<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let tid = self.next;
+        let at = self.bit >> 3;
+        let word = match self.gaps.get(at..at + 8) {
+            Some(&[b0, b1, b2, b3, b4, b5, b6, b7]) => {
+                u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
+            }
+            // Within the last 8 bytes (`at ≥ tail_at`). A shift of 64, one
+            // step past the final tid, reads nothing.
+            _ => self
+                .tail_word
+                .checked_shr(8 * (at - self.tail_at) as u32)
+                .unwrap_or(0),
+        };
+        let gap = ((word >> (self.bit & 7)) & self.mask) as u32;
+        self.bit += self.width;
+        self.next = tid.wrapping_add(gap).wrapping_add(1);
+        Some(tid)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -457,12 +584,14 @@ impl PostingIndex {
     ///
     /// * every key is `prefix ‖ be32(chunk)` with a prefix `describe_row`
     ///   accepts (the key-scheme's decoder; its `Ok` text names the row in
-    ///   every message), every value decodes as a posting record;
+    ///   every message), every value parses as a posting record (gap width
+    ///   at most 32, body length exactly what `count` and `width` give);
     /// * a row starts at chunk 0 (its further chunk numbers ascend — the
     ///   tree's key order — but may skip: see [`PostingIndex::remove_tid`]);
     /// * chunk 0's frequency equals the number of stored tids (non-stop
-    ///   rows), and tids are globally sorted and deduplicated across the
-    ///   row's chunks, at most [`TIDS_PER_CHUNK`] per chunk;
+    ///   rows), and the decoded tids strictly ascend — within a chunk no
+    ///   gap sum wraps past `u32::MAX` — across the row's chunks, at most
+    ///   [`TIDS_PER_CHUNK`] per chunk;
     /// * non-stop rows respect the stop threshold;
     /// * stop rows are a single chunk-0 entry with an empty (NULL) list;
     /// * emptied non-zero chunks were deleted, not left behind.
@@ -553,10 +682,11 @@ impl PostingIndex {
                     tids.len()
                 )));
             }
+            // Decoding wraps, so a gap sum past `u32::MAX` shows here too.
             if !tids.windows(2).all(|w| w[0] < w[1]) {
                 return Err(bad(format!(
-                    "{label} row {name} chunk {chunk}: tid-list is not sorted \
-                     and deduplicated"
+                    "{label} row {name} chunk {chunk}: tids wrap or do not \
+                     strictly ascend"
                 )));
             }
             if row.chunks == 0 {
@@ -615,12 +745,17 @@ impl PostingIndex {
         stop: bool,
         tids: &[u32],
     ) {
-        self.tree
-            .insert(
-                &chunk_key(prefix, chunk),
-                &encode_value(frequency, stop, tids),
-            )
-            .unwrap();
+        self.put_raw_value(prefix, chunk, &encode_value(frequency, stop, tids));
+    }
+
+    /// Write one chunk entry whose value is `value`, encoded or not.
+    pub(crate) fn put_raw_value(&self, prefix: &[u8], chunk: u32, value: &[u8]) {
+        self.insert_raw(&chunk_key(prefix, chunk), value);
+    }
+
+    /// Write one physical entry as it is.
+    pub(crate) fn insert_raw(&self, key: &[u8], value: &[u8]) {
+        self.tree.insert(key, value).unwrap();
     }
 
     /// Every physical entry, in key order.
@@ -667,22 +802,115 @@ mod tests {
         index.check_invariants("raw", |prefix| Ok(format!("{prefix:?}")))
     }
 
+    /// A sorted, deduplicated list shaped to hit every width: runs of
+    /// consecutive tids (width 0), small gaps, and gaps up to `u32::MAX`
+    /// (a list `[0, u32::MAX]`).
+    fn tid_list() -> impl Strategy<Value = Vec<u32>> {
+        let gap = prop_oneof![
+            4 => Just(0u32),
+            4 => 0u32..64,
+            2 => any::<u32>(),
+            1 => Just(u32::MAX),
+        ];
+        (
+            any::<u32>(),
+            proptest::collection::vec(gap, 0..TIDS_PER_CHUNK),
+        )
+            .prop_map(|(first, gaps)| {
+                let mut tids = vec![first];
+                for gap in gaps {
+                    let last = *tids.last().unwrap();
+                    match last.checked_add(gap).and_then(|t| t.checked_add(1)) {
+                        Some(tid) => tids.push(tid),
+                        None => break,
+                    }
+                }
+                tids
+            })
+    }
+
+    fn round_trips(frequency: u32, stop: bool, tids: &[u32]) {
+        let enc = encode_value(frequency, stop, tids);
+        assert_eq!(
+            decode_value(&enc).unwrap(),
+            (frequency, stop, tids.to_vec())
+        );
+        let chunk = Chunk::parse(&enc).unwrap();
+        assert_eq!(chunk.len(), tids.len());
+        assert_eq!(chunk.tids().collect::<Vec<_>>(), tids);
+        // Cut anywhere or lengthened, the value no longer parses.
+        for cut in 0..enc.len() {
+            assert!(Chunk::parse(&enc[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(Chunk::parse(&[&enc[..], &[0]].concat()).is_err());
+    }
+
     #[test]
-    fn value_codec_round_trip() {
+    fn value_codec_edge_cases() {
+        let full: Vec<u32> = (0..TIDS_PER_CHUNK as u32).map(|t| 1000 + 3 * t).collect();
         for (freq, stop, tids) in [
             (0u32, false, vec![]),
-            (3, false, vec![1, 2, 3]),
             (50_000, true, vec![]),
             (1, false, vec![u32::MAX]),
+            (1, false, vec![0]),
+            (3, false, vec![1, 2, 3]),
+            (2, false, vec![0, u32::MAX]),
+            (400, false, (7..407).collect()),
+            (400, false, full),
         ] {
-            let enc = encode_value(freq, stop, &tids);
-            assert_eq!(decode_value(&enc).unwrap(), (freq, stop, tids.clone()));
-            let chunk = Chunk::parse(&enc).unwrap();
-            assert_eq!(chunk.len(), tids.len());
-            assert_eq!(chunk.tids().collect::<Vec<_>>(), tids);
+            round_trips(freq, stop, &tids);
         }
-        assert!(decode_value(&[1, 2]).is_err());
-        assert!(decode_value(&encode_value(1, false, &[7])[..8]).is_err());
+        // Widths as the layout promises: a consecutive run has no body, a
+        // gap of `u32::MAX` takes all 32 bits.
+        assert_eq!(encode_value(3, false, &[5, 6, 7]).len(), LIST_HEADER_LEN);
+        let widest = encode_value(2, false, &[0, u32::MAX]);
+        assert_eq!((widest[11], widest.len()), (32, LIST_HEADER_LEN + 4));
+        assert_eq!(encode_value(0, false, &[]).len(), HEADER_LEN);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn value_codec_round_trip(tids in tid_list(), freq in any::<u32>(), stop in any::<bool>()) {
+            round_trips(freq, stop, &tids);
+        }
+
+        /// Arbitrary bytes, headers that claim long lists included, parse
+        /// to `Ok` or `Corrupt` and decode without a panic.
+        #[test]
+        fn parse_never_panics(
+            head in proptest::collection::vec(any::<u8>(), 0..16),
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let bytes = [head, body].concat();
+            match Chunk::parse(&bytes) {
+                Ok(chunk) => prop_assert_eq!(chunk.tids().count(), chunk.len()),
+                Err(e) => prop_assert!(matches!(e, StoreError::Corrupt(_)), "{e}"),
+            }
+        }
+
+        /// Any body of the length its header promises decodes (wrapping,
+        /// never panicking) to `count` tids.
+        #[test]
+        fn any_well_sized_body_decodes(
+            count in 1usize..=TIDS_PER_CHUNK,
+            width in 0u32..=32,
+            first in any::<u32>(),
+            seed in any::<u64>(),
+        ) {
+            let mut bytes = vec![0, 0, 0, 0, 0];
+            bytes.extend_from_slice(&(count as u16).to_le_bytes());
+            bytes.extend_from_slice(&first.to_le_bytes());
+            bytes.push(width as u8);
+            let mut x = seed;
+            bytes.extend((0..body_len(count - 1, width)).map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            }));
+            let chunk = Chunk::parse(&bytes).unwrap();
+            prop_assert_eq!(chunk.tids().count(), count);
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::btree::BTree;
+use crate::btree::{BTree, TreeCheck};
 use crate::buffer::BufferPool;
 use crate::error::{Result, StoreError};
-use crate::heap::{HeapFile, Rid};
+use crate::heap::{HeapCheck, HeapFile, Rid};
 use crate::lockorder::{Ranked, OBJECTS};
 use crate::page::{PageId, PageType, SlottedPageMut};
 use crate::pager::{FilePager, MemPager, Pager};
@@ -86,11 +86,32 @@ fn decode_entry(bytes: &[u8]) -> Result<(String, CatalogEntry)> {
 }
 
 /// Report from [`Database::check_invariants`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatabaseCheck {
     pub tables: usize,
     pub indexes: usize,
     pub meta_blobs: usize,
+    /// Every table and index by name, in name order, with its validator's
+    /// report (its pages, and an index's leaf fill).
+    pub objects: Vec<(String, ObjectCheck)>,
+}
+
+/// One catalog object's report inside a [`DatabaseCheck`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObjectCheck {
+    Table(HeapCheck),
+    Index(TreeCheck),
+}
+
+impl ObjectCheck {
+    /// Pages the object occupies.
+    #[must_use]
+    pub fn pages(&self) -> usize {
+        match self {
+            ObjectCheck::Table(heap) => heap.pages,
+            ObjectCheck::Index(tree) => tree.internal_pages + tree.leaf_pages,
+        }
+    }
 }
 
 /// A database instance.
@@ -309,12 +330,14 @@ impl Database {
             tables: 0,
             indexes: 0,
             meta_blobs: 0,
+            objects: Vec::new(),
         };
         for (name, entry) in objects.iter() {
             match entry {
                 CatalogEntry::Table { first_page, schema } => {
                     let heap = HeapFile::open(Arc::clone(&self.pool), *first_page);
-                    heap.check_invariants()
+                    let pages = heap
+                        .check_invariants()
                         .map_err(|e| StoreError::Corrupt(format!("table {name:?}: {e}")))?;
                     for record in heap.scan() {
                         let (rid, bytes) = record?;
@@ -328,16 +351,23 @@ impl Database {
                             })?;
                     }
                     check.tables += 1;
+                    check
+                        .objects
+                        .push((name.clone(), ObjectCheck::Table(pages)));
                 }
                 CatalogEntry::Index { root } => {
-                    BTree::open(Arc::clone(&self.pool), *root)
+                    let pages = BTree::open(Arc::clone(&self.pool), *root)
                         .check_invariants()
                         .map_err(|e| StoreError::Corrupt(format!("index {name:?}: {e}")))?;
                     check.indexes += 1;
+                    check
+                        .objects
+                        .push((name.clone(), ObjectCheck::Index(pages)));
                 }
                 CatalogEntry::Meta { .. } => check.meta_blobs += 1,
             }
         }
+        check.objects.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         Ok(check)
     }
 }
@@ -577,14 +607,14 @@ mod tests {
         .unwrap();
         db.create_index("by_tid").unwrap();
         db.put_meta("cfg", b"q=3").unwrap();
-        assert_eq!(
-            db.check_invariants().unwrap(),
-            DatabaseCheck {
-                tables: 1,
-                indexes: 1,
-                meta_blobs: 1
-            }
-        );
+        let check = db.check_invariants().unwrap();
+        assert_eq!((check.tables, check.indexes, check.meta_blobs), (1, 1, 1));
+        let named: Vec<_> = check
+            .objects
+            .iter()
+            .map(|(n, o)| (n.as_str(), o.pages()))
+            .collect();
+        assert_eq!(named, [("by_tid", 1), ("customer", 1)]);
     }
 
     #[test]

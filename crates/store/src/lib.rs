@@ -76,7 +76,7 @@ pub mod wal;
 
 pub use btree::{BTree, TreeCheck};
 pub use buffer::{BufferPool, StoreStats};
-pub use catalog::{Database, DatabaseCheck};
+pub use catalog::{Database, DatabaseCheck, ObjectCheck};
 pub use error::{Result, StoreError};
 pub use extsort::ExternalSorter;
 pub use heap::{HeapCheck, HeapFile, Rid};

@@ -137,7 +137,11 @@ fn tiny_buffer_pool_still_correct() {
 #[test]
 fn fault_mid_maintenance_leaves_queries_working_for_old_data() {
     let reference = customers(300, 44);
-    let budget = 1_000_000u64; // plenty for build; we will exhaust it below
+    // Plenty for the build (300 tuples fit the 64-frame pool); maintenance
+    // exhausts it after a few thousand inserts. Sized to the store's own
+    // I/O: bit-packed posting chunks keep the fillers' rows small enough
+    // that 200 000 inserts fit in 20 000 operations.
+    let budget = 500u64;
     let db =
         Database::with_pager(Box::new(FaultPager::new(MemPager::new(), budget)), 64).expect("db");
     let matcher = FuzzyMatcher::build(&db, "cust", reference.iter().cloned(), customer_config())
