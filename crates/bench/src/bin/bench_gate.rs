@@ -4,7 +4,7 @@
 //! a machine-readable JSON report with per-strategy counters, batch
 //! timings, per-phase span totals from the flight recorder, and a
 //! telemetry-overhead measurement (the same matcher + store served by 2
-//! worker/replica pairs to 4 closed-loop clients, with the sampler at
+//! workers to 4 closed-loop clients, with the sampler at
 //! aggressive 25 ms windows vs sampler-off). `cargo xtask bench` runs this
 //! binary and fails on >20% regressions of the deterministic counters
 //! against the committed `BENCH_baseline.json`. Tracing overhead is
@@ -152,7 +152,7 @@ fn main() {
     let (_, build_time) = bench.matcher(&strategies[2]);
 
     // The served workload: the same matcher + store behind 2
-    // worker/replica pairs, hammered by 4 closed-loop clients.
+    // workers, hammered by 4 closed-loop clients.
     let served_requests: usize = if gate.quick { 100 } else { 250 };
     let served_db =
         std::sync::Arc::new(fm_store::Database::in_memory().expect("in-memory database"));
@@ -166,7 +166,6 @@ fn main() {
             std::sync::Arc::clone(&served_db),
             fm_server::ServerConfig {
                 workers: 2,
-                replicas: 2,
                 telemetry_window_ms,
                 ..fm_server::ServerConfig::default()
             },

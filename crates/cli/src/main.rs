@@ -85,13 +85,11 @@ TRACE:
 
 SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9):
   --addr HOST:PORT      listen address (default 127.0.0.1:7407; port 0 = any)
-  --workers N           lookup worker threads (default 4)
-  --replicas N          matcher read replicas over the shared store
-                        (default 0 = one per worker)
+  --workers N           lookup worker threads (default 4), all serving
+                        from one matcher handle
   --queue-depth N       bounded request queue (default 64)
   --max-inflight N      admission cap (default workers + queue depth)
   --deadline-ms N       default per-request deadline (default 0 = none)
-  --batch-max N         micro-batch fusion limit (default 8)
   --port-file FILE      write the bound address to FILE once listening
   --debug-sleep         honour the sleep_ms test hook (tests/CI only)
   --telemetry-window-ms N   sampler window for the rolling time-series
@@ -114,7 +112,7 @@ METRICS / TOP (continuous telemetry; see DESIGN.md \u{a7}7.2):
                         non-zero on malformed output
   top                   refreshing terminal view over the `timeseries`
                         verb: qps, per-verb p50/p99, queue depth, pool
-                        hit rate, per-replica share
+                        hit rate, slow-logged and dropped frames
   --interval-ms N       refresh period (default 2000)
   --iterations N        stop after N refreshes (default 0 = run forever)
 ";
@@ -129,13 +127,45 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `command` reads, space-separated (`None` for an unknown
+/// command, which the dispatch then refuses by name).
+fn accepted_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "build" => {
+            "db durable reference q signature cins stop-threshold seed column-weights fast-osc"
+        }
+        "query" | "lookup" => "db durable input k c trace",
+        "batch" => "db durable inputs out k c",
+        "insert" => "db durable input",
+        "delete" => "db durable tid",
+        "explain" => "db durable input k",
+        "info" => "db durable prefix",
+        "stats" => "db durable inputs k c",
+        "serve" => {
+            "db durable addr port-file workers queue-depth max-inflight deadline-ms debug-sleep \
+             telemetry-window-ms telemetry-windows slow-us slow-log slow-log-cap"
+        }
+        "ping" | "client stats" | "client health" | "client shutdown" => "addr",
+        "metrics" => "addr check",
+        "top" => "addr interval-ms iterations",
+        "trace dump" => "db durable reference slow-us inputs input k c",
+        "trace export" => "db durable reference slow-us inputs input k c chrome out",
+        "trace slowest" => "db durable reference slow-us inputs input k c addr",
+        "client lookup" => "addr input k c deadline-ms",
+        "client timeseries" => "addr n",
+        _ => return None,
+    })
+}
+
 /// Tiny flag parser: `--name value` pairs plus `-k`/`-c` shorthands.
 struct Args {
     flags: std::collections::HashMap<String, String>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Parse `command`'s flags, refusing any it does not read.
+    fn parse(args: &[String], command: &str) -> Result<Args, String> {
+        let accepted = accepted_flags(command);
         let mut flags = std::collections::HashMap::new();
         let mut i = 0;
         while i < args.len() {
@@ -143,6 +173,9 @@ impl Args {
                 .strip_prefix("--")
                 .or_else(|| args[i].strip_prefix('-'))
                 .ok_or_else(|| format!("unexpected argument {}", args[i]))?;
+            if accepted.is_some_and(|names| !names.split_whitespace().any(|n| n == name)) {
+                return Err(format!("unknown flag {} for {command}", args[i]));
+            }
             if name == "fast-osc"
                 || name == "durable"
                 || name == "trace"
@@ -214,7 +247,7 @@ fn run() -> Result<(), String> {
                 rest = &rest[1..];
             }
         }
-        let args = Args::parse(rest)?;
+        let args = Args::parse(rest, &format!("trace {sub}"))?;
         return cmd_trace(sub, top, &args);
     }
     if command == "client" {
@@ -222,10 +255,10 @@ fn run() -> Result<(), String> {
             .get(1)
             .map(String::as_str)
             .ok_or("client: missing subcommand (lookup|stats|health|timeseries|shutdown)")?;
-        let args = Args::parse(&argv[2..])?;
+        let args = Args::parse(&argv[2..], &format!("client {sub}"))?;
         return cmd_client(sub, &args);
     }
-    let args = Args::parse(&argv[1..])?;
+    let args = Args::parse(&argv[1..], command)?;
     match command.as_str() {
         "build" => cmd_build(&args),
         "query" | "lookup" => cmd_query(&args),
@@ -614,10 +647,8 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
     }
     if let Some(addr) = args.get("addr") {
         // The flight recorder is per-process, so traces of server
-        // traffic live in the server; fetch them over the protocol.
-        if sub != "slowest" {
-            return Err("--addr is only supported for `trace slowest`".into());
-        }
+        // traffic live in the server; fetch them over the protocol. Only
+        // `trace slowest` accepts `--addr`.
         return remote_trace_slowest(addr, top);
     }
     let recorder = fm_core::tracing::recorder();
@@ -707,14 +738,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         queue_depth: args.get_parsed("queue-depth", 64)?,
         max_inflight: args.get_parsed("max-inflight", 0)?,
         deadline_ms: args.get_parsed("deadline-ms", 0)?,
-        batch_max: args.get_parsed("batch-max", 8)?,
         allow_sleep: args.get("debug-sleep").is_some(),
-        replicas: args.get_parsed("replicas", 0)?,
         telemetry_window_ms: args.get_parsed("telemetry-window-ms", 1000)?,
         telemetry_windows: args.get_parsed("telemetry-windows", 120)?,
         slow_us: args.get_parsed("slow-us", 0)?,
         slow_log: args.get("slow-log").map(PathBuf::from),
         slow_log_cap: args.get_parsed("slow-log-cap", 256)?,
+        ..fm_server::ServerConfig::default()
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:7407");
     let server = fm_server::Server::start(addr, matcher, db, config)
@@ -738,10 +768,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "  rejected: {} overload, {} shutdown, {} past deadline, {} malformed, {} oversized",
         c.rejected_overload, c.rejected_shutdown, c.deadline_expired, c.malformed, c.oversized
     );
-    eprintln!(
-        "  batching: {} fused calls covering {} lookups (queue high-water {})",
-        c.batches, c.batched_lookups, c.max_queue_depth
-    );
+    eprintln!("  queue:    high-water {}", c.max_queue_depth);
     eprintln!(
         "  store IO: {} reads, {} writes, {} WAL bytes",
         report.store.pages_read, report.store.pages_written, report.store.wal_bytes
@@ -887,29 +914,8 @@ fn render_top(addr: &str, reply: &fm_server::Json, last_seq: u64) -> Result<(u64
             merged.p99_us()
         ));
     }
-    let mut replica_shares = Vec::new();
-    let served_total: u64 = counter_sum
-        .iter()
-        .filter(|(name, _)| name.starts_with("replica_served_"))
-        .map(|(_, v)| *v)
-        .sum();
-    if served_total > 0 {
-        for (name, v) in &counter_sum {
-            if let Some(i) = name.strip_prefix("replica_served_") {
-                replica_shares.push(format!(
-                    "{i}:{:.0}%",
-                    100.0 * *v as f64 / served_total as f64
-                ));
-            }
-        }
-    }
     out.push_str(&format!(
-        "  replicas: {}   slow logged: {}   dropped frames: {}\n",
-        if replica_shares.is_empty() {
-            "-".to_string()
-        } else {
-            replica_shares.join(" ")
-        },
+        "  slow logged: {}   dropped frames: {}\n",
         counter("slow_logged"),
         counter("write_failures"),
     ));

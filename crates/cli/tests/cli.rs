@@ -305,6 +305,41 @@ fn help_prints_usage() {
     assert!(String::from_utf8(out.stdout).unwrap().contains("USAGE"));
 }
 
+/// A flag the command does not read is refused by name before the
+/// command touches anything: the database file is never created.
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let dir = TempDir::new("unknown-flags");
+    let db = dir.path("never.fmdb");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["serve", "--batch-max", "1"],
+            "unknown flag --batch-max for serve",
+        ),
+        (
+            &["serve", "--replicas", "4"],
+            "unknown flag --replicas for serve",
+        ),
+        (
+            &["lookup", "--inptu", "Beoing Company,Seattle,WA,98004"],
+            "unknown flag --inptu for lookup",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = bin()
+            .args(&args[..1])
+            .arg("--db")
+            .arg(&db)
+            .args(&args[1..])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: got {stderr}");
+        assert!(!db.exists(), "{args:?} opened the database");
+    }
+}
+
 /// Minimal structural check that a file is plausible Chrome trace JSON:
 /// balanced braces/brackets outside strings and the expected top-level key.
 fn assert_chrome_trace_shape(json: &str) {

@@ -188,15 +188,6 @@ impl Eti {
         self.postings.probe(key, sink)
     }
 
-    /// A second handle onto the same index (see
-    /// [`fm_store::BTree::clone_handle`]).
-    #[must_use]
-    pub fn clone_handle(&self) -> Eti {
-        Eti {
-            postings: self.postings.clone_handle(),
-        }
-    }
-
     /// Insert the complete tid-list of one absent row (incremental build
     /// path). `tids` must be sorted and deduplicated. Applies the
     /// stop-q-gram rule.

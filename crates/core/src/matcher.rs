@@ -30,7 +30,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -80,31 +79,24 @@ pub struct MatchResult {
 
 /// The fuzzy matcher. See the module docs for the storage layout.
 ///
-/// The mutable state (weight table, tid map, tid counter, metrics
-/// registry) sits behind `Arc` so [`FuzzyMatcher::replicate`] can hand
-/// out additional lookup handles over the same store that agree on
-/// weights and on where each tuple lives, never mint duplicate tids, and
-/// account into one registry.
+/// One handle per matcher: threads share it by reference or `Arc`, and
+/// its locks (weight table, tid map, each index's structural latch) are
+/// what they synchronize on.
 pub struct FuzzyMatcher {
     config: Config,
     tokenizer: Tokenizer,
     minhasher: MinHasher,
-    weights: Arc<Ranked<RwLock<WeightTable>, WEIGHTS>>,
+    weights: Ranked<RwLock<WeightTable>, WEIGHTS>,
     eti: Eti,
-    // Table handles synchronize on the pool's frame latches (DESIGN §11)
     ref_table: fm_store::catalog::Table,
-    // BTree handles share one structural latch (DESIGN §11)
     tid_index: BTree,
-    // The in-memory image of `tid_index` plus token sketches, shared by
-    // every replica
-    tid_map: Arc<Ranked<RwLock<TidMap>, TID_MAP>>,
-    // BTree handles share one structural latch (DESIGN §11)
+    // The in-memory image of `tid_index` plus token sketches
+    tid_map: Ranked<RwLock<TidMap>, TID_MAP>,
     freq_index: BTree,
-    // BTree handles share one structural latch (DESIGN §11)
     state_index: BTree,
-    next_tid: Arc<AtomicU32>,
+    next_tid: AtomicU32,
     build_stats: Option<BuildStats>,
-    metrics: Arc<MetricsRegistry>,
+    metrics: MetricsRegistry,
 }
 
 fn tid_key(tid: u32) -> [u8; 4] {
@@ -336,9 +328,9 @@ impl FuzzyMatcher {
         state.insert(b"posting_format", &POSTING_FORMAT.to_le_bytes())?;
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
         drop(_span);
-        m.weights = Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs))));
-        m.tid_map = Arc::new(Ranked::new(RwLock::new(tid_map)));
-        m.next_tid = Arc::new(AtomicU32::new(next_tid));
+        m.weights = Ranked::new(RwLock::new(WeightTable::new(freqs)));
+        m.tid_map = Ranked::new(RwLock::new(tid_map));
+        m.next_tid = AtomicU32::new(next_tid);
         Ok(m)
     }
 
@@ -355,16 +347,16 @@ impl FuzzyMatcher {
         FuzzyMatcher {
             tokenizer: Tokenizer::new(),
             minhasher: MinHasher::new(config.h, config.q, config.seed),
-            weights: Arc::new(Ranked::new(RwLock::new(WeightTable::new(freqs)))),
+            weights: Ranked::new(RwLock::new(WeightTable::new(freqs))),
             eti: Eti::new(eti, config.stop_qgram_threshold),
             ref_table,
             tid_index,
-            tid_map: Arc::new(Ranked::new(RwLock::new(tid_map))),
+            tid_map: Ranked::new(RwLock::new(tid_map)),
             freq_index,
             state_index,
-            next_tid: Arc::new(AtomicU32::new(next_tid)),
+            next_tid: AtomicU32::new(next_tid),
             build_stats: None,
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics: MetricsRegistry::new(),
             config,
         }
     }
@@ -421,36 +413,6 @@ impl FuzzyMatcher {
         Ok(Self::assemble(
             config, ref_table, trees, freqs, tid_map, next_tid,
         ))
-    }
-
-    /// A replica: another lookup handle over the same store.
-    ///
-    /// Replicas share everything that must stay coherent — the buffer
-    /// pool and structural latches (via `clone_handle` on every index),
-    /// the weight table, the tid map, the tid counter, and the metrics
-    /// registry — so a lookup through any replica is indistinguishable
-    /// from one through the original, maintenance through any handle is
-    /// visible to all,
-    /// and `metrics_snapshot` totals stay exact no matter which replica
-    /// served a query. Only the stateless per-handle machinery
-    /// (tokenizer, min-hasher, config) is duplicated.
-    #[must_use]
-    pub fn replicate(&self) -> FuzzyMatcher {
-        FuzzyMatcher {
-            config: self.config.clone(),
-            tokenizer: self.tokenizer.clone(),
-            minhasher: self.minhasher.clone(),
-            weights: Arc::clone(&self.weights),
-            eti: self.eti.clone_handle(),
-            ref_table: self.ref_table.clone_handle(),
-            tid_index: self.tid_index.clone_handle(),
-            tid_map: Arc::clone(&self.tid_map),
-            freq_index: self.freq_index.clone_handle(),
-            state_index: self.state_index.clone_handle(),
-            next_tid: Arc::clone(&self.next_tid),
-            build_stats: self.build_stats,
-            metrics: Arc::clone(&self.metrics),
-        }
     }
 
     /// The configuration the matcher was built with.
@@ -1612,8 +1574,9 @@ mod tests {
         (s.once.to_vec(), s.chars.to_vec(), s.ends.to_vec())
     }
 
-    /// Every handle reads one tid map — rids and sketches — and a reopen
-    /// rebuilds it from the tid index and the heap.
+    /// Writes set and clear the handle's tid map — rids and sketches —
+    /// and a reopened handle rebuilds the same map from the tid index and
+    /// the heap.
     #[test]
     fn one_tid_map_across_handles_and_reopen() {
         let mut path = std::env::temp_dir();
@@ -1625,14 +1588,13 @@ mod tests {
         let survivors = {
             let db = Database::open_file(&path, 256).unwrap();
             let m = FuzzyMatcher::build(&db, "org", table1().into_iter(), org_config()).unwrap();
-            let replica = m.replicate();
-            let tid = replica.insert_reference(&amazon).unwrap();
+            let tid = m.insert_reference(&amazon).unwrap();
             assert_eq!(m.fetch_reference(tid).unwrap(), amazon);
             let fresh = TidMap::of_row(4, &m.tokenizer, record_values(&amazon));
             assert_eq!(m.tid_map.read().sketch(tid), fresh.sketch(0));
             m.delete_reference(2).unwrap();
-            assert!(not_found(replica.fetch_reference(2)));
-            assert_eq!(replica.tid_map.read().sketch(2), None);
+            assert!(not_found(m.fetch_reference(2)));
+            assert_eq!(m.tid_map.read().sketch(2), None);
             db.flush().unwrap();
             [1, 3, tid].map(|t| (t, m.fetch_reference(t).unwrap(), owned(&m, t)))
         };

@@ -353,13 +353,6 @@ impl PostingIndex {
         }
     }
 
-    /// A second handle onto the same index, sharing the underlying tree's
-    /// pool and structural latch (see [`BTree::clone_handle`]).
-    #[must_use]
-    pub fn clone_handle(&self) -> PostingIndex {
-        PostingIndex::new(self.tree.clone_handle(), self.stop_threshold)
-    }
-
     /// Number of physical entries (chunks) in the index.
     pub fn entry_count(&self) -> Result<usize> {
         Ok(self.tree.len()?)

@@ -112,7 +112,7 @@ pub(crate) struct PlannedGram {
 
 /// The ETI row a [`PlannedGram`] probes. Its order is the deterministic
 /// tiebreak between grams of equal weight: the OSC ordering must be
-/// reproducible across runs and replicas.
+/// reproducible across runs and threads.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct GramUnit<'p> {
     column: u8,

@@ -143,8 +143,8 @@ impl<T: Clone + Default> Ring<T> {
 
 /// Everything one sampling window observed: counter deltas over the
 /// window, point-in-time gauge samples, and per-verb latency-histogram
-/// deltas. Names are owned strings so callers can label dynamically
-/// sized families (one counter per replica, one histogram per verb).
+/// deltas. Names are owned strings so callers can build them
+/// (`store_`-prefixed counters, one histogram per verb).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowSnapshot {
     /// 1-based window number: the [`Ring`] sequence number it was

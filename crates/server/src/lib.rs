@@ -6,8 +6,8 @@
 //! matcher over TCP with a length-prefixed JSON protocol
 //! ([`protocol`]), a fixed worker pool behind a bounded queue
 //! ([`queue`]), per-request deadlines, admission control with explicit
-//! overload replies, opportunistic micro-batching of queued lookups,
-//! and a graceful lossless drain ([`server`]). A blocking [`client`]
+//! overload replies, one matcher call per queued job, and a graceful
+//! lossless drain ([`server`]). A blocking [`client`]
 //! backs the CLI verbs, the load generator, and the tests.
 //!
 //! Observability reuses the existing subsystems instead of duplicating

@@ -86,18 +86,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Dequeue the front item only if `pred` accepts it; never blocks.
-    /// The micro-batcher uses this to pull compatible singleton lookups
-    /// without stealing work it would have to put back.
-    pub fn pop_front_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut state = self.state.lock();
-        if state.items.front().is_some_and(pred) {
-            state.items.pop_front()
-        } else {
-            None
-        }
-    }
-
     /// Stop accepting work and wake every blocked consumer. Items already
     /// queued remain poppable (drain).
     pub fn close(&self) {
@@ -134,17 +122,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_front_if_is_selective() {
-        let q = Bounded::new(4);
-        q.try_push(10).expect("push");
-        q.try_push(11).expect("push");
-        assert_eq!(q.pop_front_if(|&n| n == 99), None);
-        assert_eq!(q.pop_front_if(|&n| n == 10), Some(10));
-        assert_eq!(q.pop_front_if(|&n| n == 11), Some(11));
-        assert_eq!(q.pop_front_if(|_| true), None);
     }
 
     #[cfg(debug_assertions)]

@@ -11,7 +11,7 @@
 //!                                  │
 //!                                  ▼
 //!                           worker pool (fixed, `workers` threads)
-//!                                  │ micro-batch compatible lookups
+//!                                  │ one matcher call per job
 //!                                  ▼
 //!                           per-request mpsc reply ──▶ connection thread
 //!                                                        writes frame
@@ -20,7 +20,9 @@
 //! Connection threads do the cheap work (framing, parsing, control
 //! verbs) and block on a reply channel for lookups; only the worker
 //! pool executes matcher queries, so concurrency against the store is
-//! bounded by `workers` no matter how many sockets are open.
+//! bounded by `workers` no matter how many sockets are open. Every
+//! worker serves from the one `Arc<FuzzyMatcher>` the server was
+//! started with: lookups are `&self`, and their scratch is thread-local.
 //!
 //! # Admission control and overload semantics
 //!
@@ -38,15 +40,6 @@
 //! the job: a request that spent its budget queueing is answered with
 //! `408` and never touches the matcher, which sheds exactly the work
 //! that can no longer meet its latency target.
-//!
-//! # Micro-batching
-//!
-//! When a worker dequeues a singleton lookup it opportunistically pulls
-//! up to `batch_max - 1` more queued singletons with the same `(k, c)`
-//! and runs them through [`FuzzyMatcher::lookup_batch`], amortising
-//! per-call overhead under burst load while replying to each request
-//! individually. An idle server never batches (the queue is empty), so
-//! isolated requests pay zero added latency.
 //!
 //! # Graceful drain
 //!
@@ -88,15 +81,11 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Default per-request deadline in milliseconds (`0` = none).
     pub deadline_ms: u64,
-    /// Max lookups fused into one `lookup_batch` call.
-    pub batch_max: usize,
     /// Honour the `sleep_ms` request field (test hook for making a
     /// worker provably busy; off in production).
     pub allow_sleep: bool,
-    /// Matcher read replicas over the shared store; `0` derives one per
-    /// worker. Replicas come from [`FuzzyMatcher::replicate`], so they
-    /// share the buffer pool, weights, and metrics registry — workers
-    /// round-robin over them and run lookups truly in parallel.
+    /// Ignored: every worker serves from the one matcher handle. Kept
+    /// only because the benchmark package still sets it.
     pub replicas: usize,
     /// Telemetry sampling window in milliseconds; `0` disables the
     /// sampler thread (the `metrics` verb still works — it renders
@@ -121,7 +110,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_inflight: 0,
             deadline_ms: 0,
-            batch_max: 8,
             allow_sleep: false,
             replicas: 0,
             telemetry_window_ms: 1000,
@@ -155,10 +143,6 @@ fm_core::counters! {
         pub malformed: u64,
         /// Length prefixes beyond [`MAX_FRAME`] (`413`, connection closed).
         pub oversized: u64,
-        /// `lookup_batch` calls issued by the micro-batcher (fused ≥ 2).
-        pub batches: u64,
-        /// Singleton lookups served through a fused batch.
-        pub batched_lookups: u64,
         /// High-water mark of the worker queue.
         pub max_queue_depth: u64,
         /// Total time dequeued jobs spent waiting in the queue, µs. Workers
@@ -174,11 +158,9 @@ impl CountersSnapshot {
     /// The graceful-drain ledger: after `Server::wait` returns, every
     /// decoded request frame must have produced exactly one reply
     /// *attempt* — written (`responses`) or failed because the peer went
-    /// away mid-reply (`write_failures`). The old check demanded
-    /// `frames == responses` outright, which only held when one worker
-    /// served one lookup at a time; with replica-parallel dispatch a
-    /// client hanging up during the drain leaves its reply in
-    /// `write_failures`, and that is still a balanced ledger.
+    /// away mid-reply (`write_failures`). With parallel workers a client
+    /// hanging up during the drain leaves its reply in `write_failures`,
+    /// and that is still a balanced ledger.
     #[must_use]
     pub fn ledger_balanced(&self) -> bool {
         self.frames == self.responses + self.write_failures
@@ -225,10 +207,8 @@ enum Job {
 }
 
 struct Inner {
-    /// Read replicas over one store; `[0]` is the primary (control verbs
-    /// and admission-time validation go there — the shared metrics
-    /// registry makes any handle equivalent), workers index round-robin.
-    replicas: Vec<Arc<FuzzyMatcher>>,
+    /// The one matcher handle every worker and control verb uses.
+    matcher: Arc<FuzzyMatcher>,
     db: Arc<Database>,
     config: ServerConfig,
     max_inflight: usize,
@@ -289,24 +269,14 @@ impl Server {
         } else {
             config.max_inflight
         };
-        let replica_count = if config.replicas == 0 {
-            workers
-        } else {
-            config.replicas
-        };
-        let mut replicas = Vec::with_capacity(replica_count);
-        replicas.push(matcher);
-        while replicas.len() < replica_count {
-            replicas.push(Arc::new(replicas[0].replicate()));
-        }
         let slow = SlowLog::new(
             config.slow_us,
             config.slow_log_cap,
             config.slow_log.as_deref(),
         );
-        let telemetry = ServerTelemetry::new(replica_count, config.telemetry_windows.max(1), slow);
+        let telemetry = ServerTelemetry::new(config.telemetry_windows.max(1), slow);
         let inner = Arc::new(Inner {
-            replicas,
+            matcher,
             db,
             queue: Bounded::new(config.queue_depth.max(1)),
             config,
@@ -335,9 +305,9 @@ impl Server {
             None
         };
         let worker_handles = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner, w))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         let acceptor = {
@@ -394,7 +364,7 @@ impl Server {
         }
         ServerReport {
             counters: self.inner.counters.snapshot(),
-            metrics: self.inner.primary().metrics_snapshot(),
+            metrics: self.inner.matcher.metrics_snapshot(),
             store: self.inner.db.stats(),
         }
     }
@@ -458,22 +428,16 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, worker: usize) {
-    // Each worker is pinned to one replica; with the default
-    // `replicas == workers` that means no two workers ever share a
-    // matcher handle, so lookups proceed truly in parallel over the
-    // shared buffer pool.
-    let replica = worker % inner.replicas.len();
-    let matcher = &inner.replicas[replica];
+fn worker_loop(inner: &Arc<Inner>) {
     while let Some(job) = inner.queue.pop() {
         match job {
             Job::Single(mut job) => {
-                job.queue_us = inner.note_dequeue(verb::LOOKUP, replica, job.received);
-                inner.serve_single(matcher, replica, job);
+                job.queue_us = inner.note_dequeue(verb::LOOKUP, job.received);
+                inner.serve_single(job);
             }
             Job::Batch(mut job) => {
-                job.queue_us = inner.note_dequeue(verb::LOOKUP_BATCH, replica, job.received);
-                inner.serve_batch(matcher, job);
+                job.queue_us = inner.note_dequeue(verb::LOOKUP_BATCH, job.received);
+                inner.serve_batch(job);
             }
         }
     }
@@ -509,7 +473,6 @@ struct SamplerCut {
     matcher: MetricsSnapshot,
     counters: CountersSnapshot,
     store: fm_store::StoreStats,
-    replica_served: Vec<u64>,
     verbs: Vec<VerbSnapshot>,
     slow_logged: u64,
 }
@@ -518,10 +481,9 @@ impl SamplerCut {
     fn capture(inner: &Inner) -> SamplerCut {
         SamplerCut {
             at_us: u64::try_from(inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX),
-            matcher: inner.primary().metrics_snapshot(),
+            matcher: inner.matcher.metrics_snapshot(),
             counters: inner.counters.snapshot(),
             store: inner.db.stats(),
-            replica_served: inner.telemetry.replica_served(),
             verbs: inner.telemetry.verb_snapshots(),
             slow_logged: inner.telemetry.slow().logged(),
         }
@@ -529,20 +491,14 @@ impl SamplerCut {
 }
 
 impl Inner {
-    fn primary(&self) -> &FuzzyMatcher {
-        &self.replicas[0]
-    }
-
     /// A worker pulled one job off the queue: record the wait it
     /// accumulated (the timestamp the 408 deadline check already takes)
-    /// into the counters and the verb's queue-phase histogram, and
-    /// charge the job to this worker's replica.
-    fn note_dequeue(&self, verb_idx: usize, replica: usize, received: Instant) -> u64 {
+    /// into the counters and the verb's queue-phase histogram.
+    fn note_dequeue(&self, verb_idx: usize, received: Instant) -> u64 {
         let waited = elapsed_us(received);
         self.counters.queue_wait_us.add(waited);
         self.counters.queue_waits.add(1);
         self.telemetry.record_queue(verb_idx, waited);
-        self.telemetry.record_replica(replica);
         waited
     }
 
@@ -585,14 +541,6 @@ impl Inner {
             .collect();
         let pool_hits = cut.store.hits.saturating_sub(prev.store.hits);
         let pool_misses = cut.store.misses.saturating_sub(prev.store.misses);
-        for (i, (now, before)) in cut
-            .replica_served
-            .iter()
-            .zip(prev.replica_served.iter())
-            .enumerate()
-        {
-            counters.push((format!("replica_served_{i}"), now.saturating_sub(*before)));
-        }
         counters.push((
             "slow_logged".to_string(),
             cut.slow_logged.saturating_sub(prev.slow_logged),
@@ -721,7 +669,7 @@ impl Inner {
                 deadline_ms,
                 sleep_ms,
             } => {
-                let arity = self.primary().config().arity();
+                let arity = self.matcher.config().arity();
                 if input.arity() != arity {
                     self.counters.malformed.add(1);
                     return (
@@ -754,7 +702,7 @@ impl Inner {
                 c,
                 deadline_ms,
             } => {
-                let arity = self.primary().config().arity();
+                let arity = self.matcher.config().arity();
                 if let Some(bad) = inputs.iter().find(|r| r.arity() != arity) {
                     self.counters.malformed.add(1);
                     return (
@@ -847,7 +795,7 @@ impl Inner {
         }
     }
 
-    /// One lookup answered (in a batch or alone): release its
+    /// One job answered: release its
     /// admission slot and send its reply.
     fn finish(&self, reply_to: &mpsc::Sender<Json>, reply: Json) {
         self.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -877,52 +825,22 @@ impl Inner {
         )
     }
 
-    fn serve_single(&self, matcher: &FuzzyMatcher, replica: usize, job: SingleJob) {
+    fn serve_single(&self, job: SingleJob) {
         if Self::expired(job.deadline) {
             let reply = self.deadline_reply(job.received);
             self.finish(&job.reply, reply);
             return;
         }
         if job.sleep_ms > 0 && self.config.allow_sleep {
-            // Test hook: make this worker provably busy, then serve the
-            // lookup alone (a sleeper is not batchable). The sleep
-            // lands in the request's total time (so the slow-query log
-            // sees it) but not in the service histogram, which measures
-            // only the matcher call.
+            // Test hook: make this worker provably busy. The sleep lands
+            // in the request's total time (so the slow-query log sees it)
+            // but not in the service histogram, which measures only the
+            // matcher call.
             blocking_point("sleep");
             std::thread::sleep(Duration::from_millis(job.sleep_ms));
-            self.execute_one(matcher, job);
-            return;
         }
-        // Micro-batching: pull queued singletons with the same (k, c)
-        // while they are available, then fuse into one batch call.
-        let mut batch = vec![job];
-        while batch.len() < self.config.batch_max.max(1) {
-            let (k, c) = (batch[0].k, batch[0].c);
-            let compatible = |queued: &Job| match queued {
-                Job::Single(s) => s.k == k && s.c == c && s.sleep_ms == 0,
-                Job::Batch(_) => false,
-            };
-            match self.queue.pop_front_if(compatible) {
-                Some(Job::Single(mut next)) => {
-                    // This pull is the fused job's dequeue moment.
-                    next.queue_us = self.note_dequeue(verb::LOOKUP, replica, next.received);
-                    batch.push(next);
-                }
-                Some(Job::Batch(_)) | None => break, // unreachable Batch: pred refuses it
-            }
-        }
-        if batch.len() == 1 {
-            let Some(job) = batch.pop() else { return };
-            self.execute_one(matcher, job);
-            return;
-        }
-        self.execute_fused(matcher, batch);
-    }
-
-    fn execute_one(&self, matcher: &FuzzyMatcher, job: SingleJob) {
         let service_start = Instant::now();
-        let outcome = matcher.lookup(&job.input, job.k, job.c);
+        let outcome = self.matcher.lookup(&job.input, job.k, job.c);
         let service_us = elapsed_us(service_start);
         self.telemetry.record_service(verb::LOOKUP, service_us);
         let reply = match outcome {
@@ -948,80 +866,16 @@ impl Inner {
         self.finish(&job.reply, reply);
     }
 
-    /// Run ≥ 2 fused singleton lookups through `lookup_batch`, replying
-    /// to each request individually.
-    fn execute_fused(&self, matcher: &FuzzyMatcher, batch: Vec<SingleJob>) {
-        let (k, c) = (batch[0].k, batch[0].c);
-        // Answer 408 to anything whose deadline lapsed while queued and
-        // keep only live jobs.
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            if Self::expired(job.deadline) {
-                let reply = self.deadline_reply(job.received);
-                self.finish(&job.reply, reply);
-            } else {
-                live.push(job);
-            }
-        }
-        match live.len() {
-            0 => {}
-            1 => {
-                let Some(job) = live.pop() else { return };
-                self.execute_one(matcher, job);
-            }
-            n => {
-                self.counters.batches.add(1);
-                self.counters.batched_lookups.add(n as u64);
-                let records: Vec<Record> = live.iter().map(|j| j.input.clone()).collect();
-                let service_start = Instant::now();
-                match matcher.lookup_batch(&records, k, c, 1) {
-                    Ok(results) => {
-                        // Each fused lookup's service phase is the whole
-                        // batch call — that is the latency its caller
-                        // actually experienced.
-                        let service_us = elapsed_us(service_start);
-                        for (job, result) in live.iter().zip(&results) {
-                            self.telemetry.record_service(verb::LOOKUP, service_us);
-                            self.note_slow(
-                                "lookup",
-                                job.queue_us,
-                                service_us,
-                                job.received,
-                                Some(&result.trace),
-                            );
-                            self.finish(&job.reply, Self::lookup_reply(result, job.received));
-                        }
-                    }
-                    Err(e) => {
-                        let service_us = elapsed_us(service_start);
-                        let message = format!("batched lookup failed: {e}");
-                        for job in &live {
-                            self.telemetry.record_service(verb::LOOKUP, service_us);
-                            self.finish(
-                                &job.reply,
-                                protocol::error_reply(
-                                    code::INTERNAL,
-                                    &message,
-                                    elapsed_us(job.received),
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// A client-issued `lookup_batch`: one admission unit, one reply
     /// frame carrying per-input result arrays.
-    fn serve_batch(&self, matcher: &FuzzyMatcher, job: BatchJob) {
+    fn serve_batch(&self, job: BatchJob) {
         if Self::expired(job.deadline) {
             let reply = self.deadline_reply(job.received);
             self.finish(&job.reply, reply);
             return;
         }
         let service_start = Instant::now();
-        let outcome = matcher.lookup_batch(&job.inputs, job.k, job.c, 1);
+        let outcome = self.matcher.lookup_batch(&job.inputs, job.k, job.c, 1);
         let service_us = elapsed_us(service_start);
         self.telemetry
             .record_service(verb::LOOKUP_BATCH, service_us);
@@ -1054,7 +908,7 @@ impl Inner {
     }
 
     fn stats_reply(&self, received: Instant) -> Json {
-        let m = self.primary().metrics_snapshot();
+        let m = self.matcher.metrics_snapshot();
         let io = self.db.stats();
         let c = self.counters.snapshot();
         protocol::ok_reply(
@@ -1075,14 +929,16 @@ impl Inner {
                 }),
                 ("store", Json::Obj(protocol::counter_fields(io.named()))),
                 // The same `named()` pairs the exposition and the sampler
-                // use, plus the point-in-time gauges.
+                // use, plus the point-in-time gauges. `batched_lookups` is
+                // always 0: the server fuses no lookups, and the key stays
+                // because the benchmark package reads it.
                 (
                     "server",
                     Json::Obj(protocol::counter_fields(c.named().chain([
                         ("queue_len", self.queue.len() as u64),
-                        ("replicas", self.replicas.len() as u64),
                         ("slow_logged", self.telemetry.slow().logged()),
                         ("telemetry_windows", self.telemetry.series.pushed()),
+                        ("batched_lookups", 0),
                     ]))),
                 ),
             ],
@@ -1094,7 +950,7 @@ impl Inner {
     /// `_count`/`_sum` totals equal the JSON `stats` counters exactly —
     /// both read the same atomics.
     fn metrics_reply(&self, received: Instant) -> Json {
-        let m = self.primary().metrics_snapshot();
+        let m = self.matcher.metrics_snapshot();
         let io = self.db.stats();
         let c = self.counters.snapshot();
         let mut prom = PromText::new();
@@ -1140,21 +996,6 @@ impl Inner {
             &[],
             self.inflight.load(Ordering::SeqCst) as f64,
         );
-        prom.gauge(
-            "fm_server_replicas",
-            "Matcher read replicas.",
-            &[],
-            self.replicas.len() as f64,
-        );
-        for (i, served) in self.telemetry.replica_served().iter().enumerate() {
-            let index = i.to_string();
-            prom.counter(
-                "fm_server_replica_served_total",
-                "Jobs served, per worker-pinned replica.",
-                &[("replica", &index)],
-                *served,
-            );
-        }
         for snap in self.telemetry.verb_snapshots() {
             for (phase, hist) in [
                 ("queue", &snap.queue),
@@ -1270,7 +1111,7 @@ impl Inner {
     }
 
     fn traces_reply(&self, k: usize, received: Instant) -> Json {
-        let traces = self.primary().slowest_traces(k);
+        let traces = self.matcher.slowest_traces(k);
         protocol::ok_reply(
             elapsed_us(received),
             vec![(

@@ -28,7 +28,6 @@
 //! correlated with `trace_slowest` output by latency and counters.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fm_core::metrics::{LatencyHistogram, LatencySnapshot};
@@ -84,8 +83,6 @@ pub struct VerbSnapshot {
 #[derive(Debug)]
 pub struct ServerTelemetry {
     verbs: Vec<VerbPhases>,
-    /// Jobs served by each worker/replica pairing (utilization share).
-    replica_served: Vec<AtomicU64>,
     /// The rolling window ring the sampler publishes into.
     pub series: Ring<WindowSnapshot>,
     slow: SlowLog,
@@ -93,10 +90,9 @@ pub struct ServerTelemetry {
 
 impl ServerTelemetry {
     #[must_use]
-    pub fn new(replicas: usize, windows: usize, slow: SlowLog) -> ServerTelemetry {
+    pub fn new(windows: usize, slow: SlowLog) -> ServerTelemetry {
         ServerTelemetry {
             verbs: (0..VERBS.len()).map(|_| VerbPhases::default()).collect(),
-            replica_served: (0..replicas.max(1)).map(|_| AtomicU64::new(0)).collect(),
             series: Ring::with_capacity(windows),
             slow,
         }
@@ -112,21 +108,6 @@ impl ServerTelemetry {
 
     pub fn record_write(&self, verb: usize, us: u64) {
         self.verbs[verb].write.observe(us);
-    }
-
-    /// One job landed on replica `index` (worker-pinned, so this is the
-    /// per-replica utilization counter the sampler windows).
-    pub fn record_replica(&self, index: usize) {
-        self.replica_served[index % self.replica_served.len()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative per-replica job counts.
-    #[must_use]
-    pub fn replica_served(&self) -> Vec<u64> {
-        self.replica_served
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Cumulative phase snapshots for every verb.
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn phases_record_independently() {
-        let t = ServerTelemetry::new(2, 8, SlowLog::new(0, 4, None));
+        let t = ServerTelemetry::new(8, SlowLog::new(0, 4, None));
         t.record_queue(verb::LOOKUP, 50);
         t.record_service(verb::LOOKUP, 500);
         t.record_write(verb::LOOKUP, 5);
@@ -288,15 +269,6 @@ mod tests {
             0,
             "control verbs never queue"
         );
-    }
-
-    #[test]
-    fn replica_counters_wrap_by_index() {
-        let t = ServerTelemetry::new(2, 8, SlowLog::new(0, 4, None));
-        t.record_replica(0);
-        t.record_replica(1);
-        t.record_replica(3); // worker 3 pinned to replica 3 % 2 == 1
-        assert_eq!(t.replica_served(), vec![1, 2]);
     }
 
     #[test]

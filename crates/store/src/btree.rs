@@ -118,12 +118,13 @@ struct SplitResult {
     right: PageId,
 }
 
-/// A B+-tree index. [`BTree::clone_handle`] yields additional handles onto
-/// the same tree that share the pool *and* the structural latch.
+/// A B+-tree index. One handle per tree: its structural latch lives in
+/// the handle, so a second [`BTree::open`] of the same root would not
+/// exclude this handle's splits — share the handle instead.
 pub struct BTree {
     pool: Arc<BufferPool>,
     root: PageId,
-    latch: Arc<Ranked<RwLock<()>, LATCH>>,
+    latch: Ranked<RwLock<()>, LATCH>,
 }
 
 impl BTree {
@@ -137,7 +138,7 @@ impl BTree {
         Ok(BTree {
             pool,
             root,
-            latch: Arc::new(Ranked::new(RwLock::new(()))),
+            latch: Ranked::new(RwLock::new(())),
         })
     }
 
@@ -147,21 +148,7 @@ impl BTree {
         BTree {
             pool,
             root,
-            latch: Arc::new(Ranked::new(RwLock::new(()))),
-        }
-    }
-
-    /// A second handle onto the same tree. Sharing the structural latch is
-    /// what makes replica handles safe: a read through any handle still
-    /// excludes a split in progress through any other. (Opening the same
-    /// root twice with [`BTree::open`] would *not* give that guarantee —
-    /// replicas must come from `clone_handle`.)
-    #[must_use]
-    pub fn clone_handle(&self) -> BTree {
-        BTree {
-            pool: Arc::clone(&self.pool),
-            root: self.root,
-            latch: Arc::clone(&self.latch),
+            latch: Ranked::new(RwLock::new(())),
         }
     }
 

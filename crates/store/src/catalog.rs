@@ -380,17 +380,6 @@ pub struct Table {
 }
 
 impl Table {
-    /// A second handle onto the same table, sharing the heap file's pool
-    /// and tail hint (see [`HeapFile::clone_handle`]).
-    #[must_use]
-    pub fn clone_handle(&self) -> Table {
-        Table {
-            heap: self.heap.clone_handle(),
-            schema: self.schema.clone(),
-            name: self.name.clone(),
-        }
-    }
-
     pub fn schema(&self) -> &Schema {
         &self.schema
     }

@@ -55,7 +55,7 @@ impl std::fmt::Display for Rid {
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     first_page: PageId,
-    tail_hint: Arc<Ranked<Mutex<PageId>, TAIL_HINT>>,
+    tail_hint: Ranked<Mutex<PageId>, TAIL_HINT>,
 }
 
 impl HeapFile {
@@ -69,7 +69,7 @@ impl HeapFile {
         Ok(HeapFile {
             pool,
             first_page: first,
-            tail_hint: Arc::new(Ranked::new(Mutex::new(first))),
+            tail_hint: Ranked::new(Mutex::new(first)),
         })
     }
 
@@ -81,18 +81,7 @@ impl HeapFile {
         HeapFile {
             pool,
             first_page,
-            tail_hint: Arc::new(Ranked::new(Mutex::new(first_page))),
-        }
-    }
-
-    /// A second handle onto the same heap file, sharing the pool and the
-    /// tail hint, so inserts through any handle serialize on one tail.
-    #[must_use]
-    pub fn clone_handle(&self) -> HeapFile {
-        HeapFile {
-            pool: Arc::clone(&self.pool),
-            first_page: self.first_page,
-            tail_hint: Arc::clone(&self.tail_hint),
+            tail_hint: Ranked::new(Mutex::new(first_page)),
         }
     }
 

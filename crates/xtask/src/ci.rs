@@ -367,7 +367,7 @@ pub fn server_smoke() -> Result<(), String> {
         .map_err(|e| format!("shutdown verb failed: {e}"))?;
     let report = server.wait();
     let c = &report.counters;
-    // The replica-safe drain ledger: every decoded frame produced exactly
+    // The drain ledger: every decoded frame produced exactly
     // one reply attempt (a peer vanishing mid-reply counts as attempted).
     if !c.ledger_balanced() {
         return Err(format!(

@@ -122,7 +122,7 @@ wait "$server_pid" ||
 echo "ci: serving smoke test ok"
 
 # Concurrent read-path stress under release optimizations, with a
-# wall-clock cap: the replica suite must not just pass but finish
+# wall-clock cap: the shared-handle suite must not just pass but finish
 # promptly — a latching bug that deadlocks (readers parked on a loading
 # frame that never publishes, a shard lock held across IO) would
 # otherwise hang CI instead of failing it.

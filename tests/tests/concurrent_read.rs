@@ -1,10 +1,10 @@
-//! The shared-read lookup path: matcher replicas
-//! (`FuzzyMatcher::replicate`) over one store, exercised from many
-//! threads. Replicas share the buffer pool, the structural latches, the
-//! weight table, and the metrics registry — so every test here asserts
-//! an *exact* property: bitwise-identical results, invariant-clean
-//! interleavings, or to-the-unit counter totals. "Close enough" from a
-//! replica means the latching protocol is broken.
+//! The shared-read lookup path: one matcher handle over one store,
+//! shared by reference across many threads. The threads share the buffer
+//! pool, the structural latches, the weight table, and the metrics
+//! registry — so every test here asserts an *exact* property:
+//! bitwise-identical results, invariant-clean interleavings, or
+//! to-the-unit counter totals. "Close enough" from a thread means the
+//! latching protocol is broken.
 
 use fm_core::{FuzzyMatcher, MatchResult, Record};
 use fm_datagen::{make_inputs, ErrorModel, ErrorSpec, D3_PROBS};
@@ -21,14 +21,14 @@ fn fingerprint(result: &MatchResult) -> Vec<(u32, u64)> {
         .collect()
 }
 
-/// N replica threads × M lookups against a *small* file-backed pool, so
+/// N threads × M lookups against a *small* file-backed pool, so
 /// the sharded buffer pool's miss path (evict → write back → fault in,
 /// all outside the shard lock) runs constantly under contention. Every
 /// answer must be bitwise identical to the single-threaded baseline.
 #[test]
-fn replica_lookups_bitwise_identical_to_single_thread() {
+fn shared_lookups_bitwise_identical_to_single_thread() {
     let mut path = std::env::temp_dir();
-    path.push(format!("fm-int-{}-replica-stress.db", std::process::id()));
+    path.push(format!("fm-int-{}-shared-stress.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
     let reference = customers(1000, 71);
@@ -50,26 +50,24 @@ fn replica_lookups_bitwise_identical_to_single_thread() {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let replica = matcher.replicate();
-                let ds = &ds;
-                let baseline = &baseline;
+                let (matcher, ds, baseline) = (&matcher, &ds, &baseline);
                 scope.spawn(move || {
                     // Each thread walks the inputs from a different phase
-                    // so distinct replicas fault distinct pages at once.
+                    // so distinct threads fault distinct pages at once.
                     for step in 0..ds.inputs.len() {
                         let i = (step + t * 37) % ds.inputs.len();
                         let got =
-                            fingerprint(&replica.lookup(&ds.inputs[i], 2, 0.0).expect("lookup"));
+                            fingerprint(&matcher.lookup(&ds.inputs[i], 2, 0.0).expect("lookup"));
                         assert_eq!(
                             got, baseline[i],
-                            "replica {t} diverged from the baseline at input {i}"
+                            "thread {t} diverged from the baseline at input {i}"
                         );
                     }
                 })
             })
             .collect();
         for h in handles {
-            h.join().expect("replica thread");
+            h.join().expect("lookup thread");
         }
     });
 
@@ -78,7 +76,7 @@ fn replica_lookups_bitwise_identical_to_single_thread() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Reader replicas racing `insert_reference`/`delete_reference` rounds,
+/// Reader threads racing `insert_reference`/`delete_reference` rounds,
 /// with `check_invariants()` after every round: interleavings may change
 /// *which* matches a reader sees mid-maintenance, but never hand out a
 /// torn page, a similarity outside [0, 1], or a structurally invalid
@@ -95,7 +93,7 @@ fn readers_vs_maintenance_interleaving_keeps_invariants() {
 
     for round in 0..5u32 {
         std::thread::scope(|scope| {
-            // Maintenance through the primary: insert a batch, delete
+            // Maintenance through the same handle: insert a batch, delete
             // every other new tid, while the readers below are running.
             let writer = &matcher;
             scope.spawn(move || {
@@ -114,12 +112,11 @@ fn readers_vs_maintenance_interleaving_keeps_invariants() {
                 }
             });
             for t in 0..3usize {
-                let replica = matcher.replicate();
-                let ds = &ds;
+                let (matcher, ds) = (&matcher, &ds);
                 scope.spawn(move || {
                     for step in 0..30 {
                         let i = (step * 7 + t) % ds.inputs.len();
-                        match replica.lookup(&ds.inputs[i], 2, 0.0) {
+                        match matcher.lookup(&ds.inputs[i], 2, 0.0) {
                             Ok(result) => {
                                 result.trace.check_consistent().expect("trace invariants");
                                 for m in &result.matches {
@@ -146,11 +143,11 @@ fn readers_vs_maintenance_interleaving_keeps_invariants() {
 }
 
 /// Property, over several generator seeds and split shapes: a batch
-/// split across replicas (each part running concurrently on its own
-/// handle) equals `lookup_batch` on one matcher, fingerprint for
-/// fingerprint, in input order.
+/// split across threads (each part running concurrently through the one
+/// handle) equals a single `lookup_batch`, fingerprint for fingerprint,
+/// in input order.
 #[test]
-fn batch_split_across_replicas_equals_single_batch() {
+fn batch_split_across_threads_equals_single_batch() {
     for seed in [75u64, 76, 77] {
         let reference = customers(900, seed);
         let (_db, matcher) = build(&reference, customer_config());
@@ -182,11 +179,11 @@ fn batch_split_across_replicas_equals_single_batch() {
             let handles: Vec<_> = parts
                 .iter()
                 .map(|part| {
-                    let replica = matcher.replicate();
+                    let matcher = &matcher;
                     scope.spawn(move || {
-                        replica
+                        matcher
                             .lookup_batch(part, 2, 0.0, 2)
-                            .expect("replica batch")
+                            .expect("part batch")
                             .iter()
                             .map(fingerprint)
                             .collect::<Vec<_>>()
@@ -195,25 +192,24 @@ fn batch_split_across_replicas_equals_single_batch() {
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("replica thread"))
+                .flat_map(|h| h.join().expect("batch thread"))
                 .collect()
         });
 
         assert_eq!(
             split, single,
-            "seed {seed}: batch split at ({cut1}, {cut2}) across replicas \
+            "seed {seed}: batch split at ({cut1}, {cut2}) across threads \
              differs from one lookup_batch"
         );
     }
 }
 
-/// The satellite regression for trace aggregation: replicas share one
-/// metrics registry, so after 8 threads hammer 8 replicas, the registry
-/// delta must equal the sum of every returned per-query trace EXACTLY —
-/// a lost or double-counted update anywhere in the replica dispatch
+/// Trace aggregation under contention: after 8 threads hammer one
+/// handle, its registry delta must equal the sum of every returned
+/// per-query trace EXACTLY — a lost or double-counted update anywhere
 /// shows up as an off-by-n here.
 #[test]
-fn metrics_totals_exact_across_eight_replica_threads() {
+fn metrics_totals_exact_across_eight_threads() {
     let reference = customers(1100, 79);
     let (_db, matcher) = build(&reference, customer_config());
     let ds = make_inputs(
@@ -226,21 +222,20 @@ fn metrics_totals_exact_across_eight_replica_threads() {
     let traces: Vec<fm_core::LookupTrace> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8usize)
             .map(|t| {
-                let replica = matcher.replicate();
-                let ds = &ds;
+                let (matcher, ds) = (&matcher, &ds);
                 scope.spawn(move || {
                     // Contiguous chunk per thread: all 240 inputs exactly
-                    // once across the 8 replicas.
+                    // once across the 8 threads.
                     let chunk = ds.inputs.len() / 8;
                     (t * chunk..(t + 1) * chunk)
-                        .map(|i| replica.lookup(&ds.inputs[i], 2, 0.0).expect("lookup").trace)
+                        .map(|i| matcher.lookup(&ds.inputs[i], 2, 0.0).expect("lookup").trace)
                         .collect::<Vec<_>>()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("replica thread"))
+            .flat_map(|h| h.join().expect("lookup thread"))
             .collect()
     });
     let after = matcher.metrics_snapshot();
