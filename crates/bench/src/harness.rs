@@ -135,25 +135,6 @@ impl Workbench {
     }
 }
 
-/// Build a matcher for `strategy` over `reference` inside `db`, timed.
-pub fn build_matcher(
-    db: &Database,
-    reference: &[Record],
-    strategy: &Strategy,
-    seed: u64,
-) -> (FuzzyMatcher, Duration) {
-    let prefix = format!("cust_{}", strategy.label().replace('+', "t"));
-    let start = Instant::now();
-    let matcher = FuzzyMatcher::build(
-        db,
-        &prefix,
-        reference.iter().cloned(),
-        strategy.config(seed),
-    )
-    .expect("matcher build");
-    (matcher, start.elapsed())
-}
-
 /// Was the answer correct? The paper counts an input correct when the seed
 /// tuple is returned as the closest match; synthetic data can contain exact
 /// duplicate tuples, so an answer identical in content to the seed also
@@ -404,12 +385,8 @@ pub struct SuiteResult {
 
 /// Run every strategy over D1–D3 (Type I errors, Table 5 probabilities),
 /// with the paper's parameters (K = 1, q = 4, c = 0, c_ins = 0.5). All of
-/// Figures 5–10 are projections of this result.
-pub fn run_full_suite(opts: &Opts, mode: QueryMode) -> SuiteResult {
-    run_full_suite_with(opts, mode, OscStopping::Sound)
-}
-
-/// [`run_full_suite`] with an explicit OSC stopping flavor.
+/// Figures 5–10 are projections of this result; `osc` picks the OSC
+/// stopping flavor.
 pub fn run_full_suite_with(opts: &Opts, mode: QueryMode, osc: OscStopping) -> SuiteResult {
     let bench = Workbench::new(opts);
     let dataset_specs: [(&str, [f64; 4]); 3] = [

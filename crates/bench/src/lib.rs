@@ -24,10 +24,10 @@ pub mod opts;
 pub mod report;
 
 pub use harness::{
-    accuracy, answer_correct, build_matcher, default_strategies, ed_accuracy,
-    for_each_d2_paper_osc_row, make_dataset, naive_accuracy, naive_single_lookup_time, normalize,
-    reference_records, run_full_suite, run_full_suite_with, run_strategy, run_strategy_with,
-    EfficiencyRow, Strategy, SuiteResult, Workbench,
+    accuracy, answer_correct, default_strategies, ed_accuracy, for_each_d2_paper_osc_row,
+    make_dataset, naive_accuracy, naive_single_lookup_time, normalize, reference_records,
+    run_full_suite_with, run_strategy, run_strategy_with, EfficiencyRow, Strategy, SuiteResult,
+    Workbench,
 };
 pub use opts::Opts;
 pub use report::{write_csv, Table};

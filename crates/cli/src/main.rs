@@ -97,8 +97,8 @@ SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9)
   --telemetry-windows N retained windows in the time-series ring (default 120)
   --slow-us N           slow-query log threshold in microseconds
                         (default 0 = disabled)
-  --slow-log FILE       mirror slow-query records to FILE as JSONL
-  --slow-log-cap N      in-memory slow-query records kept (default 256)
+  --slow-log FILE       append slow-query records to FILE as JSONL
+                        (at most 16384 lines; fails if FILE cannot be opened)
 
 CLIENT OPTIONS:
   --addr HOST:PORT      server to talk to (required)
@@ -143,7 +143,7 @@ fn accepted_flags(command: &str) -> Option<&'static str> {
         "stats" => "db durable inputs k c",
         "serve" => {
             "db durable addr port-file workers queue-depth max-inflight deadline-ms debug-sleep \
-             telemetry-window-ms telemetry-windows slow-us slow-log slow-log-cap"
+             telemetry-window-ms telemetry-windows slow-us slow-log"
         }
         "ping" | "client stats" | "client health" | "client shutdown" => "addr",
         "metrics" => "addr check",
@@ -743,12 +743,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         telemetry_windows: args.get_parsed("telemetry-windows", 120)?,
         slow_us: args.get_parsed("slow-us", 0)?,
         slow_log: args.get("slow-log").map(PathBuf::from),
-        slow_log_cap: args.get_parsed("slow-log-cap", 256)?,
         ..fm_server::ServerConfig::default()
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:7407");
-    let server = fm_server::Server::start(addr, matcher, db, config)
-        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+    let server = fm_server::Server::start(addr, matcher, db, config).map_err(|e| e.to_string())?;
     let local = server.local_addr();
     if let Some(path) = args.get("port-file") {
         std::fs::write(path, local.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;

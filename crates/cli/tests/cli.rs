@@ -311,10 +311,14 @@ fn help_prints_usage() {
 fn unknown_flags_are_refused_before_any_work() {
     let dir = TempDir::new("unknown-flags");
     let db = dir.path("never.fmdb");
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &["serve", "--batch-max", "1"],
             "unknown flag --batch-max for serve",
+        ),
+        (
+            &["serve", "--slow-log-cap", "16"],
+            "unknown flag --slow-log-cap for serve",
         ),
         (
             &["serve", "--replicas", "4"],
@@ -338,6 +342,35 @@ fn unknown_flags_are_refused_before_any_work() {
         assert!(stderr.contains(message), "{args:?}: got {stderr}");
         assert!(!db.exists(), "{args:?} opened the database");
     }
+}
+
+/// `serve` with a slow-log path it cannot open exits with an error that
+/// names the path, instead of serving and logging to nowhere.
+#[test]
+fn serve_refuses_an_unopenable_slow_log() {
+    let dir = TempDir::new("slow-log");
+    let db = build_db(&dir);
+    let mut child = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--slow-us", "1", "--db"])
+        .arg(&db)
+        .arg("--slow-log")
+        .arg(dir.path("missing-dir").join("slow.jsonl"))
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Poll rather than wait: a server that starts anyway never exits.
+    for _ in 0..1500 {
+        if child.try_wait().unwrap().is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("cannot open slow log"), "got: {stderr}");
+    assert!(stderr.contains("missing-dir") && !stderr.contains("cannot listen"));
 }
 
 /// Minimal structural check that a file is plausible Chrome trace JSON:

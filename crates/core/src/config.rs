@@ -156,12 +156,12 @@ pub struct Config {
     /// Bound used by the OSC stopping test (see [`OscStopping`]).
     pub osc_stopping: OscStopping,
     /// A band count `b` for `fm_text::Bander`. Kept only for the
-    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP 7a
-    /// folds the benchmark into the workspace. No matcher path reads it.
+    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP item 3
+    /// retires that probe. No matcher path reads it.
     pub lsh_bands: usize,
     /// Rows per band `r` for `fm_text::Bander`. Kept only for the
-    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP 7a
-    /// folds the benchmark into the workspace. No matcher path reads it.
+    /// benchmark's `text.band_keys_ns` probe; removed when ROADMAP item 3
+    /// retires that probe. No matcher path reads it.
     pub lsh_rows: usize,
 }
 

@@ -96,11 +96,9 @@ pub struct ServerConfig {
     /// Slow-query threshold in microseconds; requests at or above it
     /// are appended to the structured slow log. `0` disables.
     pub slow_us: u64,
-    /// Optional JSONL file mirroring the slow-query log (bounded; see
-    /// [`SlowLog`]).
+    /// Optional JSONL file receiving one line per slow request (bounded;
+    /// see [`SlowLog`]). [`Server::start`] fails if it cannot be opened.
     pub slow_log: Option<std::path::PathBuf>,
-    /// In-memory slow-log ring capacity.
-    pub slow_log_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -116,7 +114,6 @@ impl Default for ServerConfig {
             telemetry_windows: 120,
             slow_us: 0,
             slow_log: None,
-            slow_log_cap: 256,
         }
     }
 }
@@ -261,7 +258,9 @@ impl Server {
         db: Arc<Database>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
+        let slow = SlowLog::new(config.slow_us, config.slow_log.as_deref())?;
+        let listener = TcpListener::bind(addr)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
         let local_addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let max_inflight = if config.max_inflight == 0 {
@@ -269,11 +268,6 @@ impl Server {
         } else {
             config.max_inflight
         };
-        let slow = SlowLog::new(
-            config.slow_us,
-            config.slow_log_cap,
-            config.slow_log.as_deref(),
-        );
         let telemetry = ServerTelemetry::new(config.telemetry_windows.max(1), slow);
         let inner = Arc::new(Inner {
             matcher,

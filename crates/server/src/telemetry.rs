@@ -21,13 +21,14 @@
 //! windows as JSON. The `metrics` verb renders the cumulative state as
 //! Prometheus text exposition instead.
 //!
-//! Requests slower than `slow_us` append one JSON line to a bounded
-//! in-memory [`Ring`] (and optionally a JSONL file): verb, per-phase
+//! Requests slower than `slow_us` are counted and, when a slow-log file
+//! is configured, append one JSON line to it (bounded): verb, per-phase
 //! timings, and the query's trace — the same counters the flight
 //! recorder attaches to its traces, so a slow-log line can be
 //! correlated with `trace_slowest` output by latency and counters.
 
 use std::io::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fm_core::metrics::{LatencyHistogram, LatencySnapshot};
@@ -132,41 +133,47 @@ impl ServerTelemetry {
     }
 }
 
-/// Bounded structured slow-query log: newest `cap` records in a [`Ring`]
-/// (so a worker never blocks on a reader of the log), optionally mirrored
-/// to a JSONL file (also bounded — a misbehaving workload must not grow
-/// the log without limit).
+/// Structured slow-query log: a count of the requests at or above the
+/// threshold, each optionally appended to a JSONL file as one line. The
+/// file is bounded too (at most [`SlowLog::FILE_CAP_LINES`] lines), so a
+/// misbehaving workload cannot grow it without limit.
 #[derive(Debug)]
 pub struct SlowLog {
     /// Requests at or above this many µs are logged; `0` disables.
     threshold_us: u64,
-    records: Ring<String>,
+    logged: AtomicU64,
     file: Option<Mutex<std::fs::File>>,
 }
 
 impl SlowLog {
+    /// The file stops growing after this many lines.
+    pub const FILE_CAP_LINES: u64 = 16_384;
+
     /// `threshold_us == 0` disables logging entirely. `path`, when
-    /// given, receives every retained record as one JSON line (the file
-    /// stops growing once `cap * FILE_CAP_FACTOR` lines are written).
-    pub fn new(threshold_us: u64, cap: usize, path: Option<&std::path::Path>) -> SlowLog {
+    /// given, is opened for append and receives every record as one JSON
+    /// line; a path that cannot be opened is an error naming the path,
+    /// not a log that silently writes nowhere.
+    pub fn new(threshold_us: u64, path: Option<&std::path::Path>) -> std::io::Result<SlowLog> {
         let file = match path {
-            Some(p) if threshold_us > 0 => std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(p)
-                .ok()
-                .map(Mutex::new),
+            Some(p) if threshold_us > 0 => {
+                let opened = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(p);
+                let file = opened.map_err(|e| {
+                    let message = format!("cannot open slow log {}: {e}", p.display());
+                    std::io::Error::new(e.kind(), message)
+                })?;
+                Some(Mutex::new(file))
+            }
             _ => None,
         };
-        SlowLog {
+        Ok(SlowLog {
             threshold_us,
-            records: Ring::with_capacity(cap),
+            logged: AtomicU64::new(0),
             file,
-        }
+        })
     }
-
-    /// The file keeps at most this many times the in-memory cap.
-    pub const FILE_CAP_FACTOR: u64 = 64;
 
     /// The configured threshold (0 = disabled).
     #[must_use]
@@ -174,11 +181,10 @@ impl SlowLog {
         self.threshold_us
     }
 
-    /// Total records logged since boot (including ones the ring has
-    /// since evicted).
+    /// Total records logged since boot, including any past the file cap.
     #[must_use]
     pub fn logged(&self) -> u64 {
-        self.records.pushed()
+        self.logged.load(Ordering::Relaxed)
     }
 
     /// Record one slow request: decode to reply-built, so the reply's
@@ -194,42 +200,33 @@ impl SlowLog {
         if self.threshold_us == 0 || total_us < self.threshold_us {
             return;
         }
-        // `seq` is the record's 1-based ring sequence number: it equals
+        // `seq` is the record's 1-based sequence number: it equals
         // `logged()` at the moment this record was admitted.
-        let mut line = String::new();
-        let seq = self.records.push_with(|seq, slot| {
-            let mut fields = vec![
-                ("seq", Json::from(seq)),
-                ("verb", Json::from(verb)),
-                ("total_us", Json::from(total_us)),
-                ("queue_us", Json::from(queue_us)),
-                ("service_us", Json::from(service_us)),
-                ("threshold_us", Json::from(self.threshold_us)),
-            ];
-            if let Some(t) = trace {
-                fields.push(("counters", trace_to_json(t)));
-            }
-            *slot = Json::obj(fields).encode();
-            line.clone_from(slot);
-        });
-        if let Some(file) = &self.file {
-            let cap = self.records.capacity() as u64;
-            if !line.is_empty() && seq <= cap * Self::FILE_CAP_FACTOR {
-                let mut f = match file.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                // A failed mirror write loses only the file copy; the ring
-                // keeps the record.
-                let _ = writeln!(f, "{line}");
-            }
+        let seq = self.logged.fetch_add(1, Ordering::Relaxed) + 1;
+        let Some(file) = &self.file else {
+            return;
+        };
+        if seq > Self::FILE_CAP_LINES {
+            return;
         }
-    }
-
-    /// The newest retained records, oldest first.
-    #[must_use]
-    pub fn lines(&self) -> Vec<String> {
-        self.records.recent(usize::MAX)
+        let mut fields = vec![
+            ("seq", Json::from(seq)),
+            ("verb", Json::from(verb)),
+            ("total_us", Json::from(total_us)),
+            ("queue_us", Json::from(queue_us)),
+            ("service_us", Json::from(service_us)),
+            ("threshold_us", Json::from(self.threshold_us)),
+        ];
+        if let Some(t) = trace {
+            fields.push(("counters", trace_to_json(t)));
+        }
+        let line = Json::obj(fields).encode();
+        let mut f = match file.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        // A failed write loses only this line; `logged()` still counts it.
+        let _ = writeln!(f, "{line}");
     }
 }
 
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn phases_record_independently() {
-        let t = ServerTelemetry::new(8, SlowLog::new(0, 4, None));
+        let t = ServerTelemetry::new(8, SlowLog::new(0, None).unwrap());
         t.record_queue(verb::LOOKUP, 50);
         t.record_service(verb::LOOKUP, 500);
         t.record_write(verb::LOOKUP, 5);
@@ -271,11 +268,30 @@ mod tests {
         );
     }
 
+    /// A fresh, empty `slow.jsonl` path in a directory of its own.
+    fn temp_log_path(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fm_slowlog_test_{}_{tag}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("slow.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn remove_log(path: &std::path::Path) {
+        let _ = std::fs::remove_file(path);
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::remove_dir(dir);
+        }
+    }
+
     #[test]
     fn slow_log_is_bounded_and_structured() {
-        let log = SlowLog::new(100, 3, None);
+        let path = temp_log_path("bounded");
+        let log = SlowLog::new(100, Some(&path)).unwrap();
         log.record("lookup", 1, 2, 50, None); // under threshold: ignored
-        for i in 0..5u64 {
+        let over = SlowLog::FILE_CAP_LINES + 3;
+        for i in 0..over {
             log.record(
                 "lookup",
                 10,
@@ -284,46 +300,61 @@ mod tests {
                 Some(&LookupTrace::default()),
             );
         }
-        assert_eq!(log.logged(), 5);
-        let lines = log.lines();
-        assert_eq!(lines.len(), 3, "ring keeps only the newest cap records");
-        // Newest record is last and parses as our own JSON.
-        let doc = crate::json::parse(&lines[2]).expect("slow line parses");
+        assert_eq!(log.logged(), over, "the count does not stop at the cap");
+        let text = std::fs::read_to_string(&path).expect("slow log file");
+        assert_eq!(
+            text.lines().count() as u64,
+            SlowLog::FILE_CAP_LINES,
+            "the file keeps only the first cap records"
+        );
+        // The newest kept record is last and parses as our own JSON.
+        let last = text.lines().last().expect("a kept line");
+        let doc = crate::json::parse(last).expect("slow line parses");
         assert_eq!(doc.get("verb").and_then(Json::as_str), Some("lookup"));
-        assert_eq!(doc.get("total_us").and_then(Json::as_u64), Some(204));
-        assert_eq!(doc.get("seq").and_then(Json::as_u64), Some(5));
+        assert_eq!(
+            doc.get("total_us").and_then(Json::as_u64),
+            Some(200 + SlowLog::FILE_CAP_LINES - 1)
+        );
+        assert_eq!(
+            doc.get("seq").and_then(Json::as_u64),
+            Some(SlowLog::FILE_CAP_LINES)
+        );
         assert!(doc.get("counters").is_some());
+        remove_log(&path);
     }
 
     #[test]
     fn slow_log_disabled_records_nothing() {
-        let log = SlowLog::new(0, 4, None);
+        let log = SlowLog::new(0, None).unwrap();
         log.record("lookup", 0, 0, u64::MAX, None);
         assert_eq!(log.logged(), 0);
-        assert!(log.lines().is_empty());
     }
 
     #[test]
     fn slow_log_mirrors_to_file() {
-        let dir = std::env::temp_dir().join(format!(
-            "fm_slowlog_test_{}_{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("slow.jsonl");
-        let _ = std::fs::remove_file(&path);
-        {
-            let log = SlowLog::new(10, 4, Some(&path));
-            log.record("lookup", 5, 20, 25, None);
-            log.record("stats", 0, 30, 30, None);
-        }
+        let path = temp_log_path("mirror");
+        let log = SlowLog::new(10, Some(&path)).unwrap();
+        log.record("lookup", 1, 2, 5, None); // under threshold: ignored
+        log.record("lookup", 5, 20, 25, Some(&LookupTrace::default()));
+        log.record("stats", 0, 30, 30, None);
+        assert_eq!(log.logged(), 2);
         let text = std::fs::read_to_string(&path).expect("slow log file");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"verb\":\"lookup\""));
-        assert!(lines[1].contains("\"verb\":\"stats\""));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+        let doc = crate::json::parse(lines[0]).expect("slow line parses");
+        assert_eq!(doc.get("verb").and_then(Json::as_str), Some("lookup"));
+        assert_eq!(doc.get("total_us").and_then(Json::as_u64), Some(25));
+        assert_eq!(doc.get("seq").and_then(Json::as_u64), Some(1));
+        assert!(doc.get("counters").is_some());
+        let doc = crate::json::parse(lines[1]).expect("slow line parses");
+        assert_eq!(doc.get("verb").and_then(Json::as_str), Some("stats"));
+        assert_eq!(doc.get("seq").and_then(Json::as_u64), Some(2));
+
+        // A file that cannot be opened is an error at construction.
+        let missing = path.with_file_name("no-such-dir").join("slow.jsonl");
+        assert!(SlowLog::new(10, Some(&missing)).is_err());
+        // With logging disabled the path is never opened.
+        assert!(SlowLog::new(0, Some(&missing)).is_ok());
+        remove_log(&path);
     }
 }

@@ -28,14 +28,20 @@ fn dirty_input() -> Record {
     Record::new(&["Beoing Company", "Seattle", "WA", "98004"])
 }
 
-/// Build an in-memory matcher and start a server over it.
-fn start_server(config: ServerConfig) -> (Server, String) {
+/// An in-memory database with a matcher over [`reference_rows`].
+fn build_matcher() -> (Arc<FuzzyMatcher>, Arc<Database>) {
     let db = Arc::new(Database::in_memory().expect("in-memory db"));
     let core_config = Config::default().with_columns(&["name", "city", "state", "zip"]);
     let matcher = Arc::new(
         FuzzyMatcher::build(&db, "reference", reference_rows().into_iter(), core_config)
             .expect("build matcher"),
     );
+    (matcher, db)
+}
+
+/// Build an in-memory matcher and start a server over it.
+fn start_server(config: ServerConfig) -> (Server, String) {
+    let (matcher, db) = build_matcher();
     let server = Server::start("127.0.0.1:0", matcher, db, config).expect("bind");
     let addr = server.local_addr().to_string();
     (server, addr)
@@ -537,6 +543,30 @@ fn queue_wait_and_slow_log_surface_in_stats() {
         "slow requests must reach the slow-query log"
     );
     shutdown_and_wait(server, &addr);
+}
+
+/// A slow-log file that cannot be opened fails `start` and names the
+/// path, rather than serving with a log that counts lines it never writes.
+#[test]
+fn an_unopenable_slow_log_fails_start_naming_the_path() {
+    let path = std::env::temp_dir()
+        .join(format!("fm-server-no-such-dir-{}", std::process::id()))
+        .join("slow.jsonl");
+    let (matcher, db) = build_matcher();
+    let config = ServerConfig {
+        slow_us: 1,
+        slow_log: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let err = Server::start("127.0.0.1:0", matcher, db, config)
+        .err()
+        .expect("start must fail on an unopenable slow log");
+    let message = err.to_string();
+    assert!(
+        message.contains("slow log") && message.contains(&path.display().to_string()),
+        "got: {message}"
+    );
+    assert!(!path.exists());
 }
 
 #[test]

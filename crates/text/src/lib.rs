@@ -14,8 +14,7 @@
 //! * [`lsh`] — banding of those signatures into seeded band keys (the
 //!   b×r LSH construction) with the `1-(1-s^r)^b` tuning curve. No matcher
 //!   path uses it: it is kept only for the benchmark's `text.band_keys_ns`
-//!   probe, and removed when ROADMAP 7a folds the benchmark into the
-//!   workspace;
+//!   probe, and goes when ROADMAP item 3 retires it;
 //! * [`hash`] — the deterministic seeded hash functions everything above is
 //!   built on;
 //! * [`fingerprint`] — per-token length + character-bag prints that bound

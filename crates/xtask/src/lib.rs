@@ -9,9 +9,6 @@
 //!   library crate roots, so `clippy -D warnings` owns them.
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
-//! * [`bench`] — the performance gate: runs the fig6/fig8/fig9
-//!   micro-harness (`bench_gate`), checks telemetry overhead, and fails
-//!   on >20% drift of deterministic counters vs `BENCH_baseline.json`.
 //! * [`ci`] — the pre-PR gate: fmt, clippy, lint, the line budget,
 //!   deepcheck, a traced-lookup → Chrome-export smoke test, an
 //!   `fm-server` round-trip/overload/drain smoke test, and the tests.
@@ -22,9 +19,11 @@
 //! debug assertions (`fm_store::lockorder`), flag orderings are
 //! `lockorder::Flag`'s with clippy's `disallowed_methods`, float
 //! determinism is clippy's `disallowed_types`, and the WAL checkpoint
-//! order is a test in `fm_store::wal` (DESIGN.md §8).
+//! order is a test in `fm_store::wal` (DESIGN.md §8). Nor is a bench
+//! gate: the quick corpus's counters are fm-bench's `strategy_counters`
+//! test, and the telemetry-sampler limit is the exit code of fm-bench's
+//! `bench_gate`, which `scripts/ci.sh` runs.
 
-pub mod bench;
 pub mod ci;
 pub mod deepcheck;
 pub mod lint;

@@ -135,6 +135,7 @@ else
 fi
 echo "ci: release concurrent stress ok"
 
-# The bench gate (deterministic counters vs BENCH_baseline.json, the
-# telemetry overhead ratio) — quick mode.
-cargo xtask bench
+# The telemetry-sampler overhead gate: the 5k-tuple matcher served with
+# the sampler off and at 25 ms windows, failing above 5% overhead. (The
+# quick corpus's counters are the tier-1 test `strategy_counters`.)
+cargo run --release -q -p fm-bench --bin bench_gate
