@@ -10,8 +10,8 @@
 //!
 //! The first CSV row is the header and defines the schema. `build` creates
 //! a persistent database file holding the reference relation, its Error
-//! Tolerant Index, token frequencies, and the matcher configuration;
-//! `query`/`batch` reopen it instantly.
+//! Tolerant Index and the matcher configuration; `query`/`batch` reopen
+//! it, counting the token frequencies from the relation.
 
 mod csv;
 

@@ -1,6 +1,6 @@
 //! The fuzzy matcher façade: build / open / lookup / maintain.
 //!
-//! A matcher owns six named objects inside one [`fm_store::Database`]
+//! A matcher owns five named objects inside one [`fm_store::Database`]
 //! (all standard relations/indexes, per the paper's deployability
 //! requirement):
 //!
@@ -9,12 +9,14 @@
 //! | `{p}.ref`         | the reference relation `R[tid, A1..An]`         |
 //! | `{p}.tid`         | B+-tree `tid → rid` (paper: "R is indexed on the Tid attribute"): the durable map, loaded into a dense array at open |
 //! | `{p}.eti`         | the Error Tolerant Index                        |
-//! | `{p}.freq`        | token frequencies `(column, token) → freq`      |
-//! | `{p}.state`       | relation size, tid counter, posting format      |
+//! | `{p}.state`       | tid counter, posting format                     |
 //! | meta `{p}.config` | the [`Config`] (incl. min-hash seeds)           |
 //!
-//! Catalogs built while the LSH candidate tier existed also hold a
-//! `{p}.lsh` index; it is never opened, read or written.
+//! The token frequencies and |R| behind the IDF weights are not stored:
+//! `open` counts them in the heap walk that sketches every row. Older
+//! catalogs also hold a `{p}.freq` index and a `relation_size` state row,
+//! or (built while the LSH candidate tier existed) a `{p}.lsh` index; none
+//! of them is ever read or written.
 //!
 //! Lookups are `&self` and internally read-locked, so one matcher can serve
 //! concurrent query threads; [`FuzzyMatcher::insert_reference`] (ETI
@@ -28,12 +30,10 @@
 //! scan of `{p}.ref`), and every write sets or clears a slot right after it
 //! writes `{p}.tid`; only `open` and `check_invariants` read the B+-tree.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::RwLock;
 
-use fm_store::keycode;
 use fm_store::lockorder::{Guard, Ranked, TID_MAP, WEIGHTS};
 use fm_store::{BTree, Database, StoreError, Value};
 use fm_text::minhash::MinHasher;
@@ -92,7 +92,6 @@ pub struct FuzzyMatcher {
     tid_index: BTree,
     // The in-memory image of `tid_index` plus token sketches
     tid_map: Ranked<RwLock<TidMap>, TID_MAP>,
-    freq_index: BTree,
     state_index: BTree,
     next_tid: AtomicU32,
     build_stats: Option<BuildStats>,
@@ -136,38 +135,12 @@ fn le_bytes<const N: usize>(bytes: &[u8], what: &str) -> Result<[u8; N]> {
         .map_err(|_| CoreError::BadState(format!("bad {what}")))
 }
 
-/// One row of the `{p}.state` index (`relation_size`, `next_tid`).
+/// One row of the `{p}.state` index.
 fn state_row<const N: usize>(state: &BTree, key: &str) -> Result<[u8; N]> {
     let bytes = state
         .get(key.as_bytes())?
         .ok_or_else(|| CoreError::BadState(format!("missing {key}")))?;
     le_bytes(&bytes, key)
-}
-
-/// Every `(column, token, frequency)` row of the frequency index, the
-/// zero-frequency tombstones deletions leave included.
-fn for_each_freq(
-    index: &BTree,
-    mut visit: impl FnMut(u8, String, u32) -> Result<()>,
-) -> Result<()> {
-    let mut scan = index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)?;
-    while let Some((key, value)) = scan.next_entry()? {
-        let (col, rest) = keycode::decode_u8(&key)?;
-        let (token, _) = keycode::decode_str(rest)?;
-        visit(
-            col,
-            token,
-            u32::from_le_bytes(le_bytes(&value, "freq value")?),
-        )?;
-    }
-    Ok(())
-}
-
-fn freq_key(col: usize, token: &str) -> Vec<u8> {
-    let mut key = Vec::with_capacity(token.len() + 4);
-    keycode::encode_u8(&mut key, col as u8);
-    keycode::encode_str(&mut key, token);
-    key
 }
 
 fn ref_schema(config: &Config) -> fm_store::Schema {
@@ -193,21 +166,26 @@ fn row_values(row: &fm_store::Row) -> impl Iterator<Item = Option<&str>> {
     })
 }
 
-/// Sketch every row of `table` the tid map points at, in one walk of the
-/// heap.
-fn sketch_all(
+/// Sketch and count every row of `table` the tid map points at, in one
+/// walk of the heap: the relation's token frequencies and |R|, the only
+/// copy of them there is.
+fn sketch_and_count(
     table: &fm_store::catalog::Table,
     tid_map: &mut TidMap,
     tokenizer: &Tokenizer,
-) -> Result<()> {
+    arity: usize,
+) -> Result<TokenFrequencies> {
+    let mut freqs = TokenFrequencies::new(arity);
+    let mut buf = String::new();
     table.for_each(|rid, row| {
         let tid = row.first().and_then(Value::as_u32);
         if let Some(tid) = tid.filter(|&t| tid_map.rid(t) == Some(rid.to_u64())) {
             tid_map.set_sketch(tid, tokenizer, row_values(row));
+            freqs.observe_values(tokenizer, row_values(row), &mut buf);
         }
         Ok(())
     })?;
-    Ok(())
+    Ok(freqs)
 }
 
 fn record_to_row(tid: u32, record: &Record) -> fm_store::Row {
@@ -261,12 +239,7 @@ impl FuzzyMatcher {
         let arity = config.arity();
         let ref_table = db.create_table(&format!("{prefix}.ref"), ref_schema(&config))?;
         let index = |name: &str| db.create_index(&format!("{prefix}.{name}"));
-        let trees = [
-            index("tid")?,
-            index("eti")?,
-            index("freq")?,
-            index("state")?,
-        ];
+        let trees = [index("tid")?, index("eti")?, index("state")?];
         let mut m = Self::assemble(
             config,
             ref_table,
@@ -276,7 +249,6 @@ impl FuzzyMatcher {
             1,
         );
 
-        let mut freqs = TokenFrequencies::new(arity);
         let mut builder = EtiBuilder::new(m.minhasher.clone(), m.config.scheme, sort_budget)?;
         let mut next_tid = 1u32;
         let mut tid_map = TidMap::new(arity);
@@ -293,9 +265,7 @@ impl FuzzyMatcher {
                 next_tid += 1;
                 let rid = m.ref_table.insert(&record_to_row(tid, &record))?;
                 tid_map.set_rid(tid, rid.to_u64());
-                let tokens = record.tokenize(&m.tokenizer);
-                freqs.observe(&tokens);
-                builder.observe(tid, &tokens)?;
+                builder.observe(tid, &record.tokenize(&m.tokenizer))?;
             }
         }
         // Tids were minted in key order, so the index is packed, not grown
@@ -306,24 +276,11 @@ impl FuzzyMatcher {
         }))?;
         m.build_stats = Some(builder.finish(&m.eti)?);
         // After the pre-ETI sort has given its memory back.
-        sketch_all(&m.ref_table, &mut tid_map, &m.tokenizer)?;
+        let freqs = sketch_and_count(&m.ref_table, &mut tid_map, &m.tokenizer, arity)?;
 
-        // Persist frequencies, state, and config.
+        // Persist state and config.
         let _span = tracing::span("persist");
-        // Sorted in a `BTreeMap`, whose nodes are small allocations: one
-        // sorted `Vec` of ≈ 17 000 rows at 10^5 is a single 800 KB block,
-        // and freeing it raises glibc's mmap threshold for the rest of
-        // the process (DESIGN §11, the tid map's blocks).
-        let rows: BTreeMap<Vec<u8>, u32> = freqs
-            .iter()
-            .map(|(col, token, freq)| (freq_key(col, token), freq))
-            .collect();
-        m.freq_index.bulk_fill(
-            rows.into_iter()
-                .map(|(key, freq)| (key, freq.to_le_bytes().to_vec())),
-        )?;
         let state = &m.state_index;
-        state.insert(b"relation_size", &freqs.relation_size().to_le_bytes())?;
         state.insert(b"next_tid", &next_tid.to_le_bytes())?;
         state.insert(b"posting_format", &POSTING_FORMAT.to_le_bytes())?;
         db.put_meta(&format!("{prefix}.config"), &m.config.encode())?;
@@ -335,11 +292,11 @@ impl FuzzyMatcher {
     }
 
     /// A handle over the storage objects of one matcher: `trees` are its
-    /// tid, ETI, frequency and state indexes.
+    /// tid, ETI and state indexes.
     fn assemble(
         config: Config,
         ref_table: fm_store::catalog::Table,
-        [tid_index, eti, freq_index, state_index]: [BTree; 4],
+        [tid_index, eti, state_index]: [BTree; 3],
         freqs: TokenFrequencies,
         tid_map: TidMap,
         next_tid: u32,
@@ -352,7 +309,6 @@ impl FuzzyMatcher {
             ref_table,
             tid_index,
             tid_map: Ranked::new(RwLock::new(tid_map)),
-            freq_index,
             state_index,
             next_tid: AtomicU32::new(next_tid),
             build_stats: None,
@@ -384,17 +340,6 @@ impl FuzzyMatcher {
         let ref_table = db.open_table(&format!("{prefix}.ref"))?;
         let tid_index = db.open_index(&format!("{prefix}.tid"))?;
         let eti_tree = db.open_index(&format!("{prefix}.eti"))?;
-        let freq_index = db.open_index(&format!("{prefix}.freq"))?;
-
-        let mut freqs = TokenFrequencies::new(config.arity());
-        for_each_freq(&freq_index, |col, token, freq| {
-            freqs.set(col as usize, &token, freq);
-            Ok(())
-        })?;
-        freqs.set_relation_size(u64::from_le_bytes(state_row(
-            &state_index,
-            "relation_size",
-        )?));
         let next_tid = u32::from_le_bytes(state_row(&state_index, "next_tid")?);
         // Grown key by key, so a corrupt key is rejected before the map is
         // sized for it.
@@ -408,8 +353,8 @@ impl FuzzyMatcher {
             tid_map.set_rid(tid, rid);
             Ok(())
         })?;
-        sketch_all(&ref_table, &mut tid_map, &Tokenizer::new())?;
-        let trees = [tid_index, eti_tree, freq_index, state_index];
+        let freqs = sketch_and_count(&ref_table, &mut tid_map, &Tokenizer::new(), config.arity())?;
+        let trees = [tid_index, eti_tree, state_index];
         Ok(Self::assemble(
             config, ref_table, trees, freqs, tid_map, next_tid,
         ))
@@ -598,12 +543,7 @@ impl FuzzyMatcher {
             for (col, token) in tokens.iter_tokens() {
                 let f = weights.frequencies().freq(col, token).saturating_sub(1);
                 weights.update_freq(col, token, f);
-                self.freq_index
-                    .insert(&freq_key(col, token), &f.to_le_bytes())?;
             }
-            let n = weights.frequencies().relation_size();
-            self.state_index
-                .insert(b"relation_size", &n.to_le_bytes())?;
         }
 
         // ETI rows.
@@ -735,12 +675,7 @@ impl FuzzyMatcher {
             for (col, token) in tokens.iter_tokens() {
                 let f = weights.frequencies().freq(col, token) + 1;
                 weights.update_freq(col, token, f);
-                self.freq_index
-                    .insert(&freq_key(col, token), &f.to_le_bytes())?;
             }
-            let n = weights.frequencies().relation_size();
-            self.state_index
-                .insert(b"relation_size", &n.to_le_bytes())?;
             self.state_index
                 .insert(b"next_tid", &(tid + 1).to_le_bytes())?;
         }
@@ -754,21 +689,20 @@ impl FuzzyMatcher {
         Ok(tid)
     }
 
-    /// Deep-validate the matcher's six storage objects and their cross-
-    /// object consistency at a quiescent point:
+    /// Deep-validate the matcher's storage objects, its in-memory state and
+    /// their cross-object consistency at a quiescent point:
     ///
     /// * the ETI passes [`Eti::check_invariants`] (B+-tree structure plus
     ///   the chunking/stop-row/frequency rules of DESIGN.md §4.5);
     /// * the live weight table passes [`WeightTable::check_invariants`] and
     ///   its IDF inputs — `|R|` and every `(column, token)` frequency —
-    ///   equal a fresh recount from a full scan of the reference relation;
+    ///   equal a recount of the reference relation, made the way `open`
+    ///   counts it, so a reopened matcher would see the same weights;
     /// * the tid map and the tid index each map every reference row's tid
     ///   to its rid, and neither holds a tid no row carries;
     /// * the tid map's sketch of every live tid is the one its row gives,
     ///   and no dead tid has one;
-    /// * the persisted frequency index and state rows agree with the live
-    ///   table, so a reopened matcher would see the same weights;
-    /// * the tid counter is strictly above every stored tid.
+    /// * the persisted tid counter is strictly above every stored tid.
     pub fn check_invariants(&self) -> Result<MatcherCheck> {
         let eti = self.eti.check_invariants()?;
         let weights = self.weights.read();
@@ -777,6 +711,7 @@ impl FuzzyMatcher {
         // Recount frequencies from the relation itself; check both tid maps
         // entry by entry against it.
         let mut observed = TokenFrequencies::new(self.config.arity());
+        let mut buf = String::new();
         let mut max_tid: Option<u32> = None;
         let mut tuples = 0usize;
         let mut live = vec![false; self.tid_map.read().len()];
@@ -811,7 +746,7 @@ impl FuzzyMatcher {
             if let Some(seen) = live.get_mut(tid as usize) {
                 *seen = true;
             }
-            observed.observe(&row_to_record(row).tokenize(&self.tokenizer));
+            observed.observe_values(&self.tokenizer, row_values(&row), &mut buf);
             max_tid = Some(max_tid.map_or(tid, |m| m.max(tid)));
             tuples += 1;
         }
@@ -829,41 +764,6 @@ impl FuzzyMatcher {
         })?;
         weights.check_consistent_with(&observed)?;
 
-        // Persisted frequency index: entries with freq > 0 must mirror the
-        // live table exactly (zero-frequency rows are tombstones left by
-        // deletions; FuzzyMatcher::open drops them on load).
-        let mut persisted_live = 0usize;
-        for_each_freq(&self.freq_index, |col, token, freq| {
-            if freq == 0 {
-                return Ok(());
-            }
-            persisted_live += 1;
-            let live = weights.frequencies().freq(col as usize, &token);
-            if live != freq {
-                return Err(CoreError::BadState(format!(
-                    "persisted frequency for {token:?} in column {col} is \
-                     {freq}, the live weight table says {live}"
-                )));
-            }
-            Ok(())
-        })?;
-        if persisted_live != weights.frequencies().distinct_tokens() {
-            return Err(CoreError::BadState(format!(
-                "frequency index persists {persisted_live} live tokens, the \
-                 weight table tracks {} (a maintenance write was lost)",
-                weights.frequencies().distinct_tokens()
-            )));
-        }
-
-        // Persisted state row.
-        let persisted_n = u64::from_le_bytes(state_row(&self.state_index, "relation_size")?);
-        if persisted_n != weights.frequencies().relation_size() {
-            return Err(CoreError::BadState(format!(
-                "persisted relation size {persisted_n} disagrees with the \
-                 live weight table's {}",
-                weights.frequencies().relation_size()
-            )));
-        }
         let persisted_next = u32::from_le_bytes(state_row(&self.state_index, "next_tid")?);
         if let Some(max) = max_tid {
             if persisted_next <= max {
@@ -901,6 +801,9 @@ impl ReferenceFetch for FuzzyMatcher {
         self.tid_map.read().sketch(tid).is_some_and(test)
     }
 }
+
+#[cfg(test)]
+mod write_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1612,31 +1515,6 @@ mod tests {
     }
 
     #[test]
-    fn check_invariants_detects_diverged_persisted_frequency() {
-        let db = Database::in_memory().unwrap();
-        let m = build_table1(&db);
-        m.freq_index
-            .insert(&freq_key(0, "boeing"), &9u32.to_le_bytes())
-            .unwrap();
-        let err = m.check_invariants().unwrap_err().to_string();
-        assert!(
-            err.contains("boeing") && err.contains("persisted"),
-            "got: {err}"
-        );
-    }
-
-    #[test]
-    fn check_invariants_detects_stale_relation_size() {
-        let db = Database::in_memory().unwrap();
-        let m = build_table1(&db);
-        m.state_index
-            .insert(b"relation_size", &99u64.to_le_bytes())
-            .unwrap();
-        let err = m.check_invariants().unwrap_err().to_string();
-        assert!(err.contains("relation size"), "got: {err}");
-    }
-
-    #[test]
     fn check_invariants_detects_rewound_tid_counter() {
         let db = Database::in_memory().unwrap();
         let m = build_table1(&db);
@@ -1663,8 +1541,10 @@ mod tests {
     }
 
     /// A catalog written while the LSH tier existed holds a `{p}.lsh`
-    /// index and a config that ends in a tier code. It opens, never reads
-    /// the index, and answers like a fresh build; no write touches it.
+    /// index and a config that ends in a tier code; one written while the
+    /// frequencies were persisted holds a `{p}.freq` index and a
+    /// `relation_size` state row. It opens, never reads them, and answers
+    /// like a fresh build; no write touches them.
     #[test]
     fn a_catalog_with_the_retired_lsh_index_opens_and_answers_like_a_fresh_build() {
         let fresh = build_table1(&Database::in_memory().unwrap());
@@ -1678,6 +1558,12 @@ mod tests {
             // Garbage in the old index: reading it would fail to decode.
             let lsh = db.create_index("org.lsh").unwrap();
             lsh.insert(b"junk", b"not a posting value").unwrap();
+            let freq = db.create_index("org.freq").unwrap();
+            freq.insert(b"junk", b"not a frequency").unwrap();
+            let state = db.open_index("org.state").unwrap();
+            state
+                .insert(b"relation_size", &99u64.to_le_bytes())
+                .unwrap();
             let mut config = db.get_meta("org.config").unwrap();
             config.push(tier);
             config.extend_from_slice(&[3, 0, 0, 0, 3, 0, 0, 0]);
@@ -1685,6 +1571,7 @@ mod tests {
 
             let m = FuzzyMatcher::open(&db, "org").unwrap();
             assert_eq!(m.config(), fresh.config());
+            assert_eq!(m.relation_size(), fresh.relation_size());
             for input in &inputs {
                 for mode in [QueryMode::Basic, QueryMode::Osc] {
                     assert_eq!(bitwise(&m, input, mode), bitwise(&fresh, input, mode));
@@ -1694,7 +1581,11 @@ mod tests {
                 .unwrap();
             m.delete_reference(2).unwrap();
             m.check_invariants().unwrap();
+            assert_eq!(m.relation_size(), fresh.relation_size());
             assert_eq!(lsh.len().unwrap(), 1, "tier {tier}");
+            assert_eq!(freq.len().unwrap(), 1, "tier {tier}");
+            let size = state.get(b"relation_size").unwrap();
+            assert_eq!(size.as_deref(), Some(&99u64.to_le_bytes()[..]));
             db.check_invariants().unwrap();
         }
         // An unknown tier code is still corruption.
@@ -1712,7 +1603,7 @@ mod tests {
     /// A few hundred customer-like tuples over a small vocabulary: tokens
     /// are shared widely, so posting lists are long, overlap, and (with a
     /// low stop threshold) some become stop rows.
-    fn synthetic_reference(n: usize) -> Vec<Record> {
+    pub(super) fn synthetic_reference(n: usize) -> Vec<Record> {
         const FIRST: [&str; 12] = [
             "boeing",
             "bonney",

@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 
 use fm_text::hash::hash_str;
+use fm_text::Tokenizer;
 
 use crate::error::{CoreError, Result};
 use crate::record::TokenizedRecord;
@@ -48,14 +49,31 @@ impl TokenFrequencies {
         assert_eq!(tuple.arity(), self.per_column.len(), "arity mismatch");
         self.relation_size += 1;
         for (col, token) in tuple.iter_tokens() {
-            *self.per_column[col].entry(token.to_string()).or_insert(0) += 1;
+            count(&mut self.per_column[col], token);
         }
     }
 
-    /// Insert a raw `(col, token, freq)` observation (used when loading a
-    /// persisted frequency index and by maintenance). A frequency of 0
-    /// removes the token — `freq(t, i) = 0` *means* "not in the relation",
-    /// and a zero entry would corrupt the column-average computation.
+    /// Record one reference tuple from its attribute `values` (`None` =
+    /// NULL), counting what [`TokenFrequencies::observe`] counts for its
+    /// tokenization. Each token is built in `buf`, so only a token never
+    /// counted before allocates: this is how `build`, `open` and
+    /// `check_invariants` count the reference relation.
+    pub(crate) fn observe_values<'v>(
+        &mut self,
+        tokenizer: &Tokenizer,
+        values: impl Iterator<Item = Option<&'v str>>,
+        buf: &mut String,
+    ) {
+        self.relation_size += 1;
+        for (map, value) in self.per_column.iter_mut().zip(values) {
+            tokenizer.for_each_token(value.unwrap_or(""), buf, |token| count(map, token));
+        }
+    }
+
+    /// Insert a raw `(col, token, freq)` observation (used by
+    /// maintenance). A frequency of 0 removes the token — `freq(t, i) = 0`
+    /// *means* "not in the relation", and a zero entry would corrupt the
+    /// column-average computation.
     pub fn set(&mut self, col: usize, token: &str, freq: u32) {
         if freq == 0 {
             self.per_column[col].remove(token);
@@ -64,7 +82,7 @@ impl TokenFrequencies {
         }
     }
 
-    /// Set the relation size directly (used when loading persisted state).
+    /// Set the relation size directly.
     pub fn set_relation_size(&mut self, n: u64) {
         self.relation_size = n;
     }
@@ -101,6 +119,17 @@ impl TokenFrequencies {
     /// columns counts twice, as the paper does).
     pub fn distinct_tokens(&self) -> usize {
         self.per_column.iter().map(|m| m.len()).sum()
+    }
+}
+
+/// One more tuple holds `token`: a lookup first, so a token already
+/// counted costs no allocation.
+fn count(map: &mut HashMap<String, u32>, token: &str) {
+    match map.get_mut(token) {
+        Some(freq) => *freq += 1,
+        None => {
+            map.insert(token.to_owned(), 1);
+        }
     }
 }
 

@@ -62,16 +62,23 @@ impl Tokenizer {
 
     /// The one definition of a token: fold `push` over the lowercased
     /// characters of each maximal delimiter-free run of `s`, capped at
-    /// [`MAX_TOKEN_BYTES`], and `emit` every non-empty result. Whatever is
-    /// accumulated — the token itself or only its [`TokenPrint`] — sees
-    /// exactly the characters [`Tokenizer::tokenize`] keeps.
-    fn scan<A: Default>(&self, s: &str, push: impl Fn(A, char) -> A, mut emit: impl FnMut(A)) {
-        let mut current = A::default();
+    /// [`MAX_TOKEN_BYTES`], starting from `current`, and hand every
+    /// non-empty result to `emit`, which returns what the next token starts
+    /// from; the last of those is returned. Whatever is accumulated — the
+    /// token itself or only its [`TokenPrint`] — sees exactly the
+    /// characters [`Tokenizer::tokenize`] keeps.
+    fn scan<A>(
+        &self,
+        s: &str,
+        mut current: A,
+        push: impl Fn(A, char) -> A,
+        mut emit: impl FnMut(A) -> A,
+    ) -> A {
         let mut bytes = 0;
         for c in s.chars() {
             if self.is_delimiter(c) {
                 if bytes > 0 {
-                    emit(std::mem::take(&mut current));
+                    current = emit(current);
                     bytes = 0;
                 }
             } else if bytes < MAX_TOKEN_BYTES {
@@ -88,15 +95,47 @@ impl Tokenizer {
             }
         }
         if bytes > 0 {
-            emit(current);
+            current = emit(current);
         }
+        current
     }
 
     /// Call `f` with the [`TokenPrint`] of every token of `s`, in order,
     /// without building the tokens. Duplicates are not collapsed: a bound
     /// that minimizes over the prints is unaffected by them.
-    pub fn for_each_print(&self, s: &str, f: impl FnMut(TokenPrint)) {
-        self.scan(s, TokenPrint::with, f);
+    pub fn for_each_print(&self, s: &str, mut f: impl FnMut(TokenPrint)) {
+        let emit = |print| {
+            f(print);
+            TokenPrint::default()
+        };
+        self.scan(s, TokenPrint::default(), TokenPrint::with, emit);
+    }
+
+    /// Call `f` with each token of `s`, in order, a repeat dropped unless
+    /// the tokenizer keeps duplicates (a scan of the earlier ones: token
+    /// counts per value are tiny, paper §2). The tokens are built in `buf`,
+    /// space-separated (a space is a delimiter), not allocated: once `buf`
+    /// has grown, a caller that counts tokens allocates only for the ones
+    /// it keeps.
+    pub fn for_each_token(&self, s: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        buf.clear();
+        let mut start = 0;
+        let push = |mut text: String, c| {
+            text.push(c);
+            text
+        };
+        let emit = |mut text: String| {
+            let (seen, token) = text.as_bytes().split_at(start);
+            if self.dedup && seen.split(|&b| b == b' ').any(|t| t == token) {
+                text.truncate(start);
+            } else {
+                f(&text[start..]);
+                text.push(' ');
+                start = text.len();
+            }
+            text
+        };
+        *buf = self.scan(s, std::mem::take(buf), push, emit);
     }
 
     /// Tokenize `s`, appending lowercase tokens to `out`.
@@ -109,7 +148,10 @@ impl Tokenizer {
             token.push(c);
             token
         };
-        self.scan(s, push, |token| out.push(token));
+        self.scan(s, String::new(), push, |token| {
+            out.push(token);
+            String::new()
+        });
         if self.dedup {
             // Set semantics while preserving first-occurrence order; token
             // counts per attribute value are tiny (typically < 10, paper §2),
@@ -215,6 +257,18 @@ mod tests {
         tokenize_into("boeing boeing co", &mut buf);
         // Pre-existing contents are untouched; dedup applies to the new span.
         assert_eq!(buf, vec!["boeing", "boeing", "co"]);
+    }
+
+    #[test]
+    fn for_each_token_yields_what_tokenize_returns() {
+        let mut buf = String::new();
+        for t in [Tokenizer::new(), Tokenizer::new().keep_duplicates()] {
+            for s in ["new new YORK  new", "", " MÜNCHEN Straße münchen ", "a A b"] {
+                let mut seen = Vec::new();
+                t.for_each_token(s, &mut buf, |token| seen.push(token.to_string()));
+                assert_eq!(seen, t.tokenize(s), "{s:?}");
+            }
+        }
     }
 
     #[test]
