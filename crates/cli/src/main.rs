@@ -19,6 +19,9 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fm_core::telemetry::{
+    histogram_delta, histogram_from_samples, parse_exposition, sample_value, Sample,
+};
 use fm_core::{Config, FuzzyMatcher, LookupTrace, OscStopping, Record, SignatureScheme};
 use fm_server::Json;
 use fm_store::{Database, ObjectCheck};
@@ -38,12 +41,12 @@ USAGE:
   fuzzymatch info   --db FILE [--prefix NAME]
   fuzzymatch stats  --db FILE [--inputs FILE.csv] [-k N] [-c MIN_SIM]
   fuzzymatch trace  dump    (--db FILE | --reference FILE.csv) [--inputs FILE.csv | --input \"...\"]
-  fuzzymatch trace  export  (--db FILE | --reference FILE.csv) --chrome [--out FILE] [...]
+  fuzzymatch trace  export  (--db FILE | --reference FILE.csv) [--out FILE] [...]
   fuzzymatch trace  slowest [K] (--db FILE | --reference FILE.csv | --addr HOST:PORT) [...]
   fuzzymatch trace  diff   A.json B.json
   fuzzymatch serve  --db FILE [--addr HOST:PORT] [serve options]
   fuzzymatch ping   --addr HOST:PORT
-  fuzzymatch client (lookup|stats|health|timeseries|shutdown) --addr HOST:PORT [...]
+  fuzzymatch client (lookup|stats|health|shutdown) --addr HOST:PORT [...]
   fuzzymatch metrics --addr HOST:PORT [--check]
   fuzzymatch top    --addr HOST:PORT [--interval-ms N] [--iterations N]
 
@@ -76,7 +79,7 @@ TRACE:
   the export also contains the ETI build spans (pre-ETI, extsort, group
   fill). Subcommands:
     dump              per-phase flame summary + p50/p95/p99 latency
-    export --chrome   Chrome trace-event JSON (open in Perfetto or
+    export            Chrome trace-event JSON (open in Perfetto or
                       chrome://tracing); --out FILE (default trace.json)
     slowest [K]       the K slowest retained traces (default 10); with
                       --addr, read from a running server instead
@@ -92,9 +95,6 @@ SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9)
   --deadline-ms N       default per-request deadline (default 0 = none)
   --port-file FILE      write the bound address to FILE once listening
   --debug-sleep         honour the sleep_ms test hook (tests/CI only)
-  --telemetry-window-ms N   sampler window for the rolling time-series
-                        (default 1000; 0 disables the sampler thread)
-  --telemetry-windows N retained windows in the time-series ring (default 120)
   --slow-us N           slow-query log threshold in microseconds
                         (default 0 = disabled)
   --slow-log FILE       append slow-query records to FILE as JSONL
@@ -110,11 +110,13 @@ METRICS / TOP (continuous telemetry; see DESIGN.md \u{a7}7.2):
                         exposition; --check also validates it (bucket
                         monotonicity, +Inf/_count agreement) and fails
                         non-zero on malformed output
-  top                   refreshing terminal view over the `timeseries`
-                        verb: qps, per-verb p50/p99, queue depth, pool
-                        hit rate, slow-logged and dropped frames
-  --interval-ms N       refresh period (default 2000)
-  --iterations N        stop after N refreshes (default 0 = run forever)
+  top                   refreshing terminal view: scrapes `metrics` every
+                        --interval-ms and shows the difference of the last
+                        two scrapes: qps, per-verb count/p50/p99, queue
+                        depth, pool hit rate, slow-logged and dropped frames
+  --interval-ms N       time between scrapes (default 2000)
+  --iterations N        stop after N refreshes (default 0 = run forever;
+                        1 takes two scrapes and prints once)
 ";
 
 fn main() -> ExitCode {
@@ -143,16 +145,15 @@ fn accepted_flags(command: &str) -> Option<&'static str> {
         "stats" => "db durable inputs k c",
         "serve" => {
             "db durable addr port-file workers queue-depth max-inflight deadline-ms debug-sleep \
-             telemetry-window-ms telemetry-windows slow-us slow-log"
+             slow-us slow-log"
         }
         "ping" | "client stats" | "client health" | "client shutdown" => "addr",
         "metrics" => "addr check",
         "top" => "addr interval-ms iterations",
         "trace dump" => "db durable reference slow-us inputs input k c",
-        "trace export" => "db durable reference slow-us inputs input k c chrome out",
+        "trace export" => "db durable reference slow-us inputs input k c out",
         "trace slowest" => "db durable reference slow-us inputs input k c addr",
         "client lookup" => "addr input k c deadline-ms",
-        "client timeseries" => "addr n",
         _ => return None,
     })
 }
@@ -179,7 +180,6 @@ impl Args {
             if name == "fast-osc"
                 || name == "durable"
                 || name == "trace"
-                || name == "chrome"
                 || name == "debug-sleep"
                 || name == "check"
             {
@@ -254,7 +254,7 @@ fn run() -> Result<(), String> {
         let sub = argv
             .get(1)
             .map(String::as_str)
-            .ok_or("client: missing subcommand (lookup|stats|health|timeseries|shutdown)")?;
+            .ok_or("client: missing subcommand (lookup|stats|health|shutdown)")?;
         let args = Args::parse(&argv[2..], &format!("client {sub}"))?;
         return cmd_client(sub, &args);
     }
@@ -700,11 +700,6 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
             );
         }
         "export" => {
-            // Only --chrome exists today; require it so a future second
-            // format has an unambiguous default story.
-            if args.get("chrome").is_none() {
-                return Err("trace export: pass --chrome (the only format so far)".into());
-            }
             let json = fm_core::tracing::chrome_trace_json(&traces);
             let out = args.get("out").unwrap_or("trace.json");
             std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -739,8 +734,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_inflight: args.get_parsed("max-inflight", 0)?,
         deadline_ms: args.get_parsed("deadline-ms", 0)?,
         allow_sleep: args.get("debug-sleep").is_some(),
-        telemetry_window_ms: args.get_parsed("telemetry-window-ms", 1000)?,
-        telemetry_windows: args.get_parsed("telemetry-windows", 120)?,
         slow_us: args.get_parsed("slow-us", 0)?,
         slow_log: args.get("slow-log").map(PathBuf::from),
         ..fm_server::ServerConfig::default()
@@ -807,137 +800,88 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuild a [`fm_core::metrics::LatencySnapshot`] from the JSON shape
-/// the `timeseries` verb emits for each per-verb window delta.
-fn latency_from_json(doc: &fm_server::Json) -> fm_core::metrics::LatencySnapshot {
-    let mut snap = fm_core::metrics::LatencySnapshot {
-        count: doc.get("count").and_then(Json::as_u64).unwrap_or(0),
-        sum_us: doc.get("sum_us").and_then(Json::as_u64).unwrap_or(0),
-        ..Default::default()
+/// One `top` refresh: the difference of two `metrics` scrapes taken
+/// `secs` apart, rendered as a small fixed-layout report. Counters and
+/// the per-verb service histograms are diffed; the queue and inflight
+/// gauges are the newer scrape's.
+fn render_top(addr: &str, prev: &[Sample], cur: &[Sample], secs: f64) -> String {
+    let delta = |name: &str| {
+        let read = |samples: &[Sample]| sample_value(samples, name, &[]).unwrap_or(0.0) as u64;
+        read(cur).saturating_sub(read(prev))
     };
-    if let Some(buckets) = doc.get("buckets").and_then(Json::as_arr) {
-        for (i, b) in buckets.iter().enumerate().take(snap.buckets.len()) {
-            snap.buckets[i] = b.as_u64().unwrap_or(0);
-        }
-    }
-    snap
-}
-
-/// One `top` refresh: everything derived from the windows newer than
-/// `last_seq`, rendered as a small fixed-layout report.
-fn render_top(addr: &str, reply: &fm_server::Json, last_seq: u64) -> Result<(u64, String), String> {
-    let window_ms = reply.get("window_ms").and_then(Json::as_u64).unwrap_or(0);
-    let windows = reply
-        .get("windows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("malformed timeseries reply: {reply}"))?;
-    let fresh: Vec<&Json> = windows
-        .iter()
-        .filter(|w| w.get("seq").and_then(Json::as_u64).unwrap_or(0) > last_seq)
-        .collect();
-    let newest_seq = windows
-        .last()
-        .and_then(|w| w.get("seq"))
-        .and_then(Json::as_u64)
-        .unwrap_or(last_seq);
-
-    let mut dur_us = 0u64;
-    let mut counter_sum = std::collections::BTreeMap::<String, u64>::new();
-    let mut verb_merged =
-        std::collections::BTreeMap::<String, Vec<fm_core::metrics::LatencySnapshot>>::new();
-    for w in &fresh {
-        dur_us += w.get("dur_us").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(Json::Obj(counters)) = w.get("counters") {
-            for (name, v) in counters {
-                *counter_sum.entry(name.clone()).or_default() += v.as_u64().unwrap_or(0);
-            }
-        }
-        if let Some(Json::Obj(verbs)) = w.get("verbs") {
-            for (name, v) in verbs {
-                verb_merged
-                    .entry(name.clone())
-                    .or_default()
-                    .push(latency_from_json(v));
-            }
-        }
-    }
-    let counter = |name: &str| counter_sum.get(name).copied().unwrap_or(0);
-    let secs = (dur_us as f64 / 1e6).max(1e-9);
-    let qps = counter("lookups") as f64 / secs;
-
-    // Gauges come from the newest window only: they are point-in-time.
-    let gauge = |name: &str| -> Option<f64> {
-        windows
-            .last()
-            .and_then(|w| w.get("gauges"))
-            .and_then(|g| g.get(name))
-            .and_then(Json::as_f64)
-    };
-    let pool_denom = counter("store_hits") + counter("store_misses");
-    let hit_rate = if pool_denom > 0 {
-        format!(
-            "{:.1}%",
-            100.0 * counter("store_hits") as f64 / pool_denom as f64
-        )
+    let gauge =
+        |name: &str| sample_value(cur, name, &[]).map_or("-".to_string(), |v| format!("{v:.0}"));
+    let qps = delta("fm_lookups_total") as f64 / secs.max(1e-9);
+    let (hits, misses) = (delta("fm_store_hits_total"), delta("fm_store_misses_total"));
+    let hit_rate = if hits + misses > 0 {
+        format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
     } else {
         "-".to_string()
     };
 
-    let mut out = String::new();
-    out.push_str(&format!(
-        "fuzzymatch top — {addr} — {} ms windows, {} fresh ({}s span)\n",
-        window_ms,
-        fresh.len(),
-        format_args!("{:.1}", dur_us as f64 / 1e6),
-    ));
+    let mut out = format!("fuzzymatch top — {addr} — {secs:.1}s between scrapes\n");
     out.push_str(&format!(
         "  qps {qps:.1}   queue {}   inflight {}   pool hit rate {hit_rate}\n",
-        gauge("queue_len").map_or("-".to_string(), |v| format!("{v:.0}")),
-        gauge("inflight").map_or("-".to_string(), |v| format!("{v:.0}")),
+        gauge("fm_server_queue_len"),
+        gauge("fm_server_inflight"),
     ));
     out.push_str(&format!(
         "  {:<14} {:>8} {:>10} {:>10}\n",
         "verb", "count", "p50 us", "p99 us"
     ));
-    if verb_merged.is_empty() {
-        out.push_str("  (no verb traffic in these windows)\n");
+    let mut quiet = true;
+    for &verb in fm_server::telemetry::VERBS {
+        let labels = [("verb", verb), ("phase", "service")];
+        let service = |samples: &[Sample]| {
+            histogram_from_samples(samples, "fm_server_phase_us", &labels).unwrap_or_default()
+        };
+        let window = histogram_delta(&service(cur), &service(prev));
+        if window.count > 0 {
+            quiet = false;
+            out.push_str(&format!(
+                "  {:<14} {:>8} {:>10} {:>10}\n",
+                verb,
+                window.count,
+                window.p50_us(),
+                window.p99_us()
+            ));
+        }
     }
-    for (name, snaps) in &verb_merged {
-        let merged = fm_core::telemetry::histogram_merge(snaps.iter());
-        out.push_str(&format!(
-            "  {:<14} {:>8} {:>10} {:>10}\n",
-            name,
-            merged.count,
-            merged.p50_us(),
-            merged.p99_us()
-        ));
+    if quiet {
+        out.push_str("  (no verb traffic)\n");
     }
     out.push_str(&format!(
         "  slow logged: {}   dropped frames: {}\n",
-        counter("slow_logged"),
-        counter("write_failures"),
+        delta("fm_server_slow_logged_total"),
+        delta("fm_server_write_failures_total"),
     ));
-    Ok((newest_seq, out))
+    out
 }
 
-/// `fuzzymatch top`: a refreshing terminal view over the `timeseries`
-/// verb — each refresh reports only the windows it has not shown yet.
+/// One `metrics` scrape, parsed, with the instant it was answered.
+fn scrape(client: &mut fm_server::Client) -> Result<(std::time::Instant, Vec<Sample>), String> {
+    let text = client.metrics_text().map_err(|e| e.to_string())?;
+    let samples = parse_exposition(&text).map_err(|e| format!("invalid exposition: {e}"))?;
+    Ok((std::time::Instant::now(), samples))
+}
+
+/// `fuzzymatch top`: a refreshing terminal view that scrapes `metrics`
+/// every `--interval-ms` and reports the difference of the last two
+/// scrapes, the way a Prometheus scraper computes a rate.
 fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args.require("addr")?;
     let interval_ms: u64 = args.get_parsed("interval-ms", 2000)?;
     let iterations: u64 = args.get_parsed("iterations", 0)?;
     let mut client =
         fm_server::Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let mut last_seq = 0u64;
+    let mut prev = scrape(&mut client)?;
     let mut iter = 0u64;
     loop {
         iter += 1;
-        let reply = client.timeseries(256).map_err(|e| e.to_string())?;
-        if reply.get("ok").and_then(fm_server::Json::as_bool) != Some(true) {
-            return Err(format!("timeseries refused: {reply}"));
-        }
-        let (newest, text) = render_top(addr, &reply, last_seq)?;
-        last_seq = newest;
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        let cur = scrape(&mut client)?;
+        let secs = cur.0.duration_since(prev.0).as_secs_f64();
+        let text = render_top(addr, &prev.1, &cur.1, secs);
         if iterations != 1 {
             // Clear the screen between refreshes; a single-shot run
             // (tests, scripts) prints plainly.
@@ -949,7 +893,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         if iterations > 0 && iter >= iterations {
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        prev = cur;
     }
 }
 
@@ -968,7 +912,7 @@ fn parse_input_any_arity(input: &str) -> Result<Record, String> {
     ))
 }
 
-/// `fuzzymatch client <lookup|stats|health|timeseries|shutdown>`.
+/// `fuzzymatch client <lookup|stats|health|shutdown>`.
 fn cmd_client(sub: &str, args: &Args) -> Result<(), String> {
     let addr = args.require("addr")?;
     let mut client =
@@ -1015,19 +959,13 @@ fn cmd_client(sub: &str, args: &Args) -> Result<(), String> {
             println!("{}", client.health().map_err(|e| e.to_string())?);
             Ok(())
         }
-        "timeseries" => {
-            let n: usize = args.get_parsed("n", 60)?;
-            let reply = client.timeseries(n).map_err(|e| e.to_string())?;
-            println!("{reply}");
-            Ok(())
-        }
         "shutdown" => {
             client.shutdown().map_err(|e| e.to_string())?;
             println!("draining");
             Ok(())
         }
         other => Err(format!(
-            "unknown client subcommand {other}; expected lookup|stats|health|timeseries|shutdown"
+            "unknown client subcommand {other}; expected lookup|stats|health|shutdown"
         )),
     }
 }
@@ -1181,4 +1119,78 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         matcher.eti_entry_count().map_err(|e| e.to_string())?
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fm_core::metrics::{LatencyHistogram, LatencySnapshot};
+    use fm_core::PromText;
+
+    /// The samples of a `metrics` scrape with the counters and histograms
+    /// `top` reads.
+    fn scrape_of(lookups: u64, hits: u64, slow: u64, lookup: &LatencySnapshot) -> Vec<Sample> {
+        let mut prom = PromText::new();
+        prom.counter("fm_lookups_total", "", &[], lookups);
+        prom.counter("fm_store_hits_total", "", &[], hits);
+        prom.counter("fm_store_misses_total", "", &[], hits / 9);
+        prom.counter("fm_server_slow_logged_total", "", &[], slow);
+        prom.counter("fm_server_write_failures_total", "", &[], 0);
+        prom.gauge("fm_server_queue_len", "", &[], 2.0);
+        prom.gauge("fm_server_inflight", "", &[], 1.0);
+        let service = |verb| [("verb", verb), ("phase", "service")];
+        prom.histogram("fm_server_phase_us", "", &service("lookup"), lookup);
+        let stats = LatencyHistogram::default();
+        stats.observe(40);
+        prom.histogram(
+            "fm_server_phase_us",
+            "",
+            &service("stats"),
+            &stats.snapshot(),
+        );
+        parse_exposition(&prom.finish()).unwrap()
+    }
+
+    #[test]
+    fn top_renders_the_difference_of_two_scrapes() {
+        let lookup = LatencyHistogram::default();
+        for _ in 0..10 {
+            lookup.observe(100);
+        }
+        let prev = scrape_of(10, 90, 1, &lookup.snapshot());
+        for us in [100, 3_000] {
+            for _ in 0..10 {
+                lookup.observe(us);
+            }
+        }
+        let cur = scrape_of(30, 180, 3, &lookup.snapshot());
+
+        let text = render_top("a:1", &prev, &cur, 2.0);
+        assert!(text.contains("qps 10.0"), "{text}");
+        assert!(text.contains("queue 2   inflight 1"), "{text}");
+        assert!(text.contains("pool hit rate 90.0%"), "{text}");
+        assert!(
+            text.contains("slow logged: 2   dropped frames: 0"),
+            "{text}"
+        );
+        let row: Vec<u64> = text
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("lookup "))
+            .expect("a lookup row")
+            .split_whitespace()
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert_eq!(row[0], 20, "only the window's lookups: {text}");
+        assert!((64..=127).contains(&row[1]), "p50 {}", row[1]);
+        assert!((2048..=4095).contains(&row[2]), "p99 {}", row[2]);
+        assert!(
+            !text.contains("stats "),
+            "a verb without traffic in the window has no row: {text}"
+        );
+
+        let idle = render_top("a:1", &cur, &cur, 2.0);
+        assert!(idle.contains("(no verb traffic)"), "{idle}");
+        assert!(idle.contains("qps 0.0"), "{idle}");
+        assert!(idle.contains("pool hit rate -"), "{idle}");
+    }
 }

@@ -313,10 +313,14 @@ fn help_prints_usage() {
 fn unknown_flags_are_refused_before_any_work() {
     let dir = TempDir::new("unknown-flags");
     let db = dir.path("never.fmdb");
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["serve", "--batch-max", "1"],
             "unknown flag --batch-max for serve",
+        ),
+        (
+            &["serve", "--telemetry-window-ms", "50"],
+            "unknown flag --telemetry-window-ms for serve",
         ),
         (
             &["serve", "--slow-log-cap", "16"],
@@ -415,7 +419,7 @@ fn trace_export_chrome_has_query_and_build_spans() {
     let out = bin()
         .args(["trace", "export", "--reference"])
         .arg(dir.path("ref.csv"))
-        .args(["--input", "Beoing Company,Seattle,WA,98004", "--chrome"])
+        .args(["--input", "Beoing Company,Seattle,WA,98004"])
         .arg("--out")
         .arg(&out_path)
         .output()
@@ -490,12 +494,17 @@ fn trace_dump_and_slowest_run_against_existing_db() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("query"), "got: {stdout}");
 
-    // export without --chrome is an error, not a silent default.
+    // Chrome JSON is export's only format, so it has no format flag.
     let out = bin()
         .args(["trace", "export", "--db"])
         .arg(&db)
-        .args(["--input", "Beoing Company,Seattle,WA,98004"])
+        .args(["--input", "Beoing Company,Seattle,WA,98004", "--chrome"])
         .output()
         .unwrap();
     assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --chrome for trace export"),
+        "got: {stderr}"
+    );
 }

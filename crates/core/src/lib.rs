@@ -82,7 +82,7 @@ pub use metrics::{LookupTrace, MetricsCheck, MetricsRegistry, MetricsSnapshot};
 pub use postings::PostingCheck;
 pub use query::QueryMode;
 pub use record::Record;
-pub use telemetry::{PromText, Ring, WindowSnapshot};
+pub use telemetry::{PromText, Ring};
 pub use tracing::{CompletedTrace, FlightRecorder, SpanRecord, TraceKind};
 
 // Data-race freedom of the shared handles is rustc's to prove (DESIGN.md

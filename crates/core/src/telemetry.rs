@@ -1,28 +1,28 @@
-//! Continuous telemetry: rolling time-series windows and Prometheus
-//! text exposition over the [`crate::metrics`] primitives.
+//! Continuous telemetry over the [`crate::metrics`] primitives: the
+//! bounded ring the flight recorder keeps its traces in, and Prometheus
+//! text exposition.
 //!
-//! [`crate::metrics`] answers "what happened since boot"; this module
-//! answers "what is happening *right now*". Three std-only pieces:
+//! [`crate::metrics`] answers "what happened since boot"; a window ("what
+//! happened in the last minute") is the difference of two such cumulative
+//! readings, taken by whoever reads them. Three std-only pieces:
 //!
-//! * [`Ring`] — the one fixed-capacity ring of the newest published
-//!   values: a relaxed `fetch_add` claims a slot, a `try_lock` guards it,
-//!   so a writer never blocks behind a reader — a contended push is
-//!   dropped and counted instead. The flight recorder keeps its recent
-//!   and slow traces in two of them, the server sampler its
-//!   [`WindowSnapshot`]s (counter deltas, gauge samples and per-verb
-//!   latency-histogram deltas of one sampling window each), and the
-//!   server's slow-query log its lines.
-//! * Delta/merge helpers ([`histogram_delta`], [`histogram_merge`]) that
-//!   derive windowed quantiles from cumulative [`LatencySnapshot`]s. A
-//!   window's histogram delta is itself a `LatencySnapshot`, so all the
-//!   quantile machinery applies to "the last 10 seconds" exactly as it
-//!   does to "since boot".
+//! * [`Ring`] — a fixed-capacity ring of the newest published values: a
+//!   relaxed `fetch_add` claims a slot, a `try_lock` guards it, so a
+//!   writer never blocks behind a reader — a contended push is dropped
+//!   and counted instead. The flight recorder keeps its recent and slow
+//!   traces in two of them.
+//! * [`histogram_delta`], which derives a window's histogram from two
+//!   cumulative [`LatencySnapshot`]s. The delta is itself a
+//!   `LatencySnapshot`, so all the quantile machinery applies to "the last
+//!   10 seconds" exactly as it does to "since boot".
 //! * [`PromText`] — a Prometheus text-exposition writer for counters,
-//!   gauges, and histograms with cumulative `le` buckets, plus
-//!   [`validate_exposition`], which re-checks a rendered exposition's
-//!   structural invariants (bucket monotonicity, `+Inf` equals
-//!   `_count`, `_sum` present). CI runs the validator against a live
-//!   scrape.
+//!   gauges, and histograms with cumulative `le` buckets; its reader
+//!   [`parse_exposition`], and [`histogram_from_samples`], which rebuilds
+//!   the `LatencySnapshot` a histogram series was written from. On top of
+//!   the reader, [`validate_exposition`] re-checks a rendered exposition's
+//!   structural invariants (bucket monotonicity, `+Inf` equals `_count`,
+//!   `_sum` present). CI runs the validator against a live scrape, and
+//!   `fuzzymatch top` diffs two scrapes.
 //!
 //! The power-of-two buckets of [`crate::metrics::LatencyHistogram`] map
 //! *exactly* onto Prometheus cumulative buckets: bucket `i` counts
@@ -71,12 +71,6 @@ impl<T: Clone + Default> Ring<T> {
             next: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Number of slots in the ring.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Values ever pushed (including any dropped on contention).
@@ -141,35 +135,6 @@ impl<T: Clone + Default> Ring<T> {
     }
 }
 
-/// Everything one sampling window observed: counter deltas over the
-/// window, point-in-time gauge samples, and per-verb latency-histogram
-/// deltas. Names are owned strings so callers can build them
-/// (`store_`-prefixed counters, one histogram per verb).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowSnapshot {
-    /// 1-based window number: the [`Ring`] sequence number it was
-    /// published under, so readers can detect gaps.
-    pub seq: u64,
-    /// Window start, microseconds since the sampler's epoch.
-    pub start_us: u64,
-    /// Actual window duration (the sampler's sleep is inexact; rates
-    /// divide by this, not by the nominal window).
-    pub dur_us: u64,
-    /// Monotone counter deltas across the window.
-    pub counters: Vec<(String, u64)>,
-    /// Instantaneous gauge values sampled at window close.
-    pub gauges: Vec<(String, f64)>,
-    /// Per-verb service-latency histogram deltas for the window.
-    pub verbs: Vec<(String, LatencySnapshot)>,
-}
-
-impl Ring<WindowSnapshot> {
-    /// Publish one sampler window, numbering it with its sequence number.
-    pub fn push_window(&self, window: WindowSnapshot) -> u64 {
-        self.push_with(|seq, slot| *slot = WindowSnapshot { seq, ..window })
-    }
-}
-
 /// Per-field saturating difference of two cumulative histogram
 /// snapshots: the histogram of everything observed between `prev` and
 /// `cur`. Saturating, so a reset (or torn read) degrades to a partial
@@ -188,24 +153,6 @@ pub fn histogram_delta(cur: &LatencySnapshot, prev: &LatencySnapshot) -> Latency
         count: cur.count.saturating_sub(prev.count),
         sum_us: cur.sum_us.saturating_sub(prev.sum_us),
     }
-}
-
-/// Sum histogram snapshots (e.g. one verb's deltas over the last N
-/// windows) into one, so windowed quantiles come from the same
-/// [`LatencySnapshot::quantile_us`] machinery as cumulative ones.
-#[must_use]
-pub fn histogram_merge<'a>(
-    snapshots: impl IntoIterator<Item = &'a LatencySnapshot>,
-) -> LatencySnapshot {
-    let mut merged = LatencySnapshot::default();
-    for snap in snapshots {
-        for (out, b) in merged.buckets.iter_mut().zip(snap.buckets.iter()) {
-            *out = out.saturating_add(*b);
-        }
-        merged.count = merged.count.saturating_add(snap.count);
-        merged.sum_us = merged.sum_us.saturating_add(snap.sum_us);
-    }
-    merged
 }
 
 // ------------------------------------------------- Prometheus exposition
@@ -330,6 +277,91 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     out
 }
 
+/// One sample line of a text exposition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    pub name: String,
+    pub labels: Vec<(String, String)>,
+    pub value: f64,
+}
+
+impl Sample {
+    /// The value of label `key`, if the sample carries it.
+    fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the sample's labels, `le` aside, are exactly `labels`.
+    fn has_labels(&self, labels: &[(&str, &str)]) -> bool {
+        self.labels.iter().filter(|(k, _)| k != "le").count() == labels.len()
+            && labels.iter().all(|&(k, v)| self.label(k) == Some(v))
+    }
+}
+
+/// Parse a Prometheus text exposition into its sample lines, in order;
+/// blank lines and `#` comments are skipped. An error names the first
+/// line that does not parse.
+pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
+    text.lines()
+        .enumerate()
+        .map(|(lineno, raw)| (lineno, raw.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(lineno, line)| {
+            parse_sample(line).map_err(|e| format!("line {}: {e}: {line}", lineno + 1))
+        })
+        .collect()
+}
+
+/// The value of the sample `name` whose labels are exactly `labels`.
+#[must_use]
+pub fn sample_value(samples: &[Sample], name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    samples
+        .iter()
+        .find(|s| s.name == name && s.has_labels(labels))
+        .map(|s| s.value)
+}
+
+/// The inverse of [`PromText::histogram`]: the [`LatencySnapshot`] that
+/// the histogram series `name` with exactly `labels` was written from, or
+/// `None` when the exposition has no such series (a `_count` sample) or
+/// one of its `le` bounds is not a bucket edge of [`LATENCY_BUCKETS`].
+#[must_use]
+pub fn histogram_from_samples(
+    samples: &[Sample],
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<LatencySnapshot> {
+    let mut snap = LatencySnapshot {
+        count: sample_value(samples, &format!("{name}_count"), labels)? as u64,
+        sum_us: sample_value(samples, &format!("{name}_sum"), labels).unwrap_or(0.0) as u64,
+        ..LatencySnapshot::default()
+    };
+    let bucket_name = format!("{name}_bucket");
+    let mut cumulative = [0u64; LATENCY_BUCKETS];
+    for s in samples
+        .iter()
+        .filter(|s| s.name == bucket_name && s.has_labels(labels))
+    {
+        let i = match s.label("le")? {
+            "+Inf" => LATENCY_BUCKETS - 1,
+            le => {
+                let le: u64 = le.parse().ok()?;
+                (0..LATENCY_BUCKETS - 1).find(|&i| LatencySnapshot::bucket_bounds(i).1 == le)?
+            }
+        };
+        cumulative[i] = s.value as u64;
+    }
+    let mut below = 0u64;
+    for (out, cum) in snap.buckets.iter_mut().zip(cumulative) {
+        *out = cum.saturating_sub(below);
+        below = below.max(cum);
+    }
+    Some(snap)
+}
+
 /// What [`validate_exposition`] measured on its way to a verdict.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExpositionSummary {
@@ -345,85 +377,43 @@ pub struct ExpositionSummary {
 /// `_count`, and `_sum` is present. This is the check CI runs against a
 /// live scrape of the `metrics` verb.
 pub fn validate_exposition(text: &str) -> Result<ExpositionSummary, String> {
-    struct Series {
-        buckets: Vec<(f64, f64)>, // (le, cumulative count)
-        sum: Option<f64>,
-        count: Option<f64>,
-    }
-    let mut series: Vec<(String, Series)> = Vec::new();
-    let mut samples = 0usize;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, labels, value) =
-            parse_sample(line).map_err(|e| format!("line {}: {e}: {line}", lineno + 1))?;
-        samples += 1;
-        let (family, role) = if let Some(f) = name.strip_suffix("_bucket") {
-            (f, "bucket")
-        } else if let Some(f) = name.strip_suffix("_sum") {
-            (f, "sum")
-        } else if let Some(f) = name.strip_suffix("_count") {
-            (f, "count")
-        } else {
-            continue; // plain counter/gauge: nothing more to check
+    let samples = parse_exposition(text)?;
+    // Every histogram series, as its family and its labels but `le`.
+    let mut series: Vec<(&str, Vec<(&str, &str)>)> = Vec::new();
+    for s in &samples {
+        let (Some(family), Some(_)) = (s.name.strip_suffix("_bucket"), s.label("le")) else {
+            continue; // a counter, gauge, `_sum` or `_count`
         };
-        let le = labels
-            .iter()
-            .find(|(k, _)| k == "le")
-            .map(|(_, v)| v.clone());
-        let key_labels: Vec<String> = labels
+        let labels: Vec<(&str, &str)> = s
+            .labels
             .iter()
             .filter(|(k, _)| k != "le")
-            .map(|(k, v)| format!("{k}={v}"))
+            .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let key = format!("{family}|{}", key_labels.join(","));
-        if role == "bucket" && le.is_none() {
-            // A `_bucket`-suffixed counter without `le` is not a
-            // histogram bucket; leave it alone.
-            continue;
-        }
-        let idx = match series.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                series.push((
-                    key.clone(),
-                    Series {
-                        buckets: Vec::new(),
-                        sum: None,
-                        count: None,
-                    },
-                ));
-                series.len() - 1
-            }
-        };
-        let entry = &mut series[idx].1;
-        match role {
-            "bucket" => {
-                let le = le.unwrap_or_default();
-                let bound = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>()
-                        .map_err(|_| format!("line {}: bad le {le:?}", lineno + 1))?
-                };
-                entry.buckets.push((bound, value));
-            }
-            "sum" => entry.sum = Some(value),
-            _ => entry.count = Some(value),
+        if !series.iter().any(|(f, l)| *f == family && *l == labels) {
+            series.push((family, labels));
         }
     }
-    let mut histogram_series = 0usize;
-    for (key, s) in &mut series {
-        if s.buckets.is_empty() {
-            continue; // `_sum`/`_count`-looking names without buckets
+    for (family, labels) in &series {
+        let key = format!("{family} {labels:?}");
+        let bucket_name = format!("{family}_bucket");
+        let mut buckets = Vec::new(); // (le, cumulative count)
+        for s in samples
+            .iter()
+            .filter(|s| s.name == bucket_name && s.has_labels(labels))
+        {
+            let le = s.label("le").unwrap_or_default();
+            let bound = match le {
+                "+Inf" => f64::INFINITY,
+                _ => le
+                    .parse::<f64>()
+                    .map_err(|_| format!("histogram {key}: bad le {le:?}"))?,
+            };
+            buckets.push((bound, s.value));
         }
-        histogram_series += 1;
-        s.buckets
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut prev = -1.0f64;
-        for &(le, v) in &s.buckets {
+        for &(le, v) in &buckets {
             if v < prev {
                 return Err(format!(
                     "histogram {key}: bucket le={le} count {v} < previous {prev} \
@@ -432,13 +422,10 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionSummary, String> {
             }
             prev = v;
         }
-        let Some(&(last_le, inf_count)) = s.buckets.last() else {
-            continue;
-        };
-        if last_le.is_finite() {
+        let Some(&(_, inf_count)) = buckets.last().filter(|b| b.0.is_infinite()) else {
             return Err(format!("histogram {key}: missing le=\"+Inf\" bucket"));
-        }
-        let Some(count) = s.count else {
+        };
+        let Some(count) = sample_value(&samples, &format!("{family}_count"), labels) else {
             return Err(format!("histogram {key}: missing _count"));
         };
         if (inf_count - count).abs() > 1e-9 {
@@ -446,20 +433,17 @@ pub fn validate_exposition(text: &str) -> Result<ExpositionSummary, String> {
                 "histogram {key}: +Inf bucket {inf_count} != _count {count}"
             ));
         }
-        if s.sum.is_none() {
+        if sample_value(&samples, &format!("{family}_sum"), labels).is_none() {
             return Err(format!("histogram {key}: missing _sum"));
         }
     }
     Ok(ExpositionSummary {
-        samples,
-        histogram_series,
+        samples: samples.len(),
+        histogram_series: series.len(),
     })
 }
 
-/// One parsed sample line: `(name, labels, value)`.
-type Sample = (String, Vec<(String, String)>, f64);
-
-/// Split one sample line into `(name, labels, value)`.
+/// Split one sample line into its name, labels and value.
 fn parse_sample(line: &str) -> Result<Sample, String> {
     let (name_part, rest) = match line.find('{') {
         Some(brace) => {
@@ -495,7 +479,11 @@ fn parse_sample(line: &str) -> Result<Sample, String> {
         .trim()
         .parse::<f64>()
         .map_err(|_| format!("bad sample value {:?}", rest.trim()))?;
-    Ok((name.to_string(), labels, value))
+    Ok(Sample {
+        name: name.to_string(),
+        labels,
+        value,
+    })
 }
 
 fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
@@ -549,48 +537,38 @@ mod tests {
     use super::*;
     use crate::metrics::LatencyHistogram;
 
-    fn window(seq_hint: u64, counter: u64) -> WindowSnapshot {
-        WindowSnapshot {
-            seq: 0, // push assigns
-            start_us: seq_hint * 1_000_000,
-            dur_us: 1_000_000,
-            counters: vec![("frames".to_string(), counter)],
-            gauges: vec![("queue_len".to_string(), 2.0)],
-            verbs: Vec::new(),
+    /// A ring of `capacity` slots after `pushes` pushes of `i * 10`.
+    fn filled(capacity: usize, pushes: u64) -> Ring<u64> {
+        let ring = Ring::with_capacity(capacity);
+        for i in 0..pushes {
+            ring.push_with(|_, slot| *slot = i * 10);
         }
+        ring
     }
 
     #[test]
     fn ring_wraps_and_keeps_the_newest_windows_in_order() {
-        let series = Ring::<WindowSnapshot>::with_capacity(4);
-        for i in 0..10 {
-            series.push_window(window(i, i));
-        }
-        assert_eq!(series.pushed(), 10);
-        assert_eq!(series.dropped(), 0);
-        let last = series.recent(10);
-        assert_eq!(last.len(), 4, "ring keeps only its capacity");
-        let seqs: Vec<u64> = last.iter().map(|w| w.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10], "newest windows, oldest first");
+        let ring = filled(4, 10);
+        assert_eq!(ring.pushed(), 10);
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(
+            ring.recent(10),
+            vec![60, 70, 80, 90],
+            "ring keeps only its capacity, newest values oldest first"
+        );
         // A smaller ask trims from the old end.
-        let two = series.recent(2);
-        assert_eq!(two.iter().map(|w| w.seq).collect::<Vec<_>>(), vec![9, 10],);
-        // Window payloads survive the wraparound intact.
-        assert_eq!(last[3].counters, vec![("frames".to_string(), 9)]);
-        assert_eq!(last[3].gauges, vec![("queue_len".to_string(), 2.0)]);
+        assert_eq!(ring.recent(2), vec![80, 90]);
     }
 
     #[test]
     fn ring_seq_is_contiguous_across_wraparound() {
-        let series = Ring::<WindowSnapshot>::with_capacity(3);
-        for i in 0..7 {
-            series.push_window(window(i, i));
-        }
-        let seqs: Vec<u64> = series.recent(3).iter().map(|w| w.seq).collect();
-        assert_eq!(seqs, vec![5, 6, 7]);
-        for pair in seqs.windows(2) {
-            assert_eq!(pair[1], pair[0] + 1, "no gaps without contention");
-        }
+        let ring = Ring::<u64>::with_capacity(3);
+        let seqs: Vec<u64> = (0..7)
+            .map(|_| ring.push_with(|seq, slot| *slot = seq))
+            .collect();
+        assert_eq!(seqs, (1..=7).collect::<Vec<u64>>());
+        // Each retained value is the seq it was pushed under: no gaps.
+        assert_eq!(ring.recent(3), vec![5, 6, 7]);
     }
 
     #[test]
@@ -599,7 +577,7 @@ mod tests {
         h.observe(100);
         h.observe(5_000);
         let before = h.snapshot();
-        // No traffic between the two sampler ticks.
+        // No traffic between the two scrapes.
         let after = h.snapshot();
         let delta = histogram_delta(&after, &before);
         assert_eq!(delta.count, 0);
@@ -642,22 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_window_deltas_matches_cumulative() {
-        let h = LatencyHistogram::default();
-        let mut cuts = vec![h.snapshot()];
-        for us in [10u64, 100, 1_000, 50_000] {
-            h.observe(us);
-            cuts.push(h.snapshot());
-        }
-        let deltas: Vec<LatencySnapshot> = cuts
-            .windows(2)
-            .map(|pair| histogram_delta(&pair[1], &pair[0]))
-            .collect();
-        let merged = histogram_merge(deltas.iter());
-        assert_eq!(merged, h.snapshot(), "sum of window deltas == cumulative");
-    }
-
-    #[test]
     fn quantiles_at_exact_bucket_edges() {
         // Samples pinned to exact power-of-two edges: 2^i lands in
         // bucket i+1 (the histogram counts `latency < 2^(i+1)`), and the
@@ -689,29 +651,29 @@ mod tests {
 
     #[test]
     fn push_is_safe_under_concurrent_readers() {
-        let series = std::sync::Arc::new(Ring::<WindowSnapshot>::with_capacity(8));
+        let ring = std::sync::Arc::new(Ring::<u64>::with_capacity(8));
         std::thread::scope(|scope| {
-            let writer = std::sync::Arc::clone(&series);
+            let writer = std::sync::Arc::clone(&ring);
             scope.spawn(move || {
-                for i in 0..500 {
-                    writer.push_window(window(i, i));
+                for _ in 0..500 {
+                    writer.push_with(|seq, slot| *slot = seq);
                 }
             });
             for _ in 0..3 {
-                let reader = std::sync::Arc::clone(&series);
+                let reader = std::sync::Arc::clone(&ring);
                 scope.spawn(move || {
                     for _ in 0..200 {
-                        let windows = reader.recent(8);
-                        for pair in windows.windows(2) {
-                            assert!(pair[0].seq < pair[1].seq);
+                        let values = reader.recent(8);
+                        for pair in values.windows(2) {
+                            assert!(pair[0] < pair[1]);
                         }
                     }
                 });
             }
         });
         // Every push either landed or was counted as dropped.
-        assert_eq!(series.pushed(), 500);
-        assert!(series.recent(8).len() <= 8);
+        assert_eq!(ring.pushed(), 500);
+        assert!(ring.recent(8).len() <= 8);
     }
 
     #[test]
@@ -778,6 +740,55 @@ mod tests {
         let summary = validate_exposition(&text).expect("valid exposition");
         assert_eq!(summary.histogram_series, 3);
         assert!(summary.samples > 3 * LATENCY_BUCKETS);
+    }
+
+    #[test]
+    fn histogram_from_samples_inverts_prom_text() {
+        let h = LatencyHistogram::default();
+        for us in [0u64, 1, 100, 100, 5_000, 1 << 30] {
+            h.observe(us);
+        }
+        let service = [("verb", "lookup"), ("phase", "service")];
+        let mut prom = PromText::new();
+        prom.counter("fm_lookups_total", "Queries.", &[], 6);
+        prom.histogram("fm_phase_us", "Phase time.", &service, &h.snapshot());
+        prom.histogram(
+            "fm_phase_us",
+            "Phase time.",
+            &[("verb", "lookup"), ("phase", "queue")],
+            &LatencySnapshot::default(),
+        );
+        let samples = parse_exposition(&prom.finish()).expect("parses");
+        assert_eq!(
+            histogram_from_samples(&samples, "fm_phase_us", &service),
+            Some(h.snapshot())
+        );
+        assert_eq!(
+            histogram_from_samples(
+                &samples,
+                "fm_phase_us",
+                &[("phase", "queue"), ("verb", "lookup")]
+            ),
+            Some(LatencySnapshot::default()),
+            "label order does not matter"
+        );
+        assert_eq!(
+            histogram_from_samples(
+                &samples,
+                "fm_phase_us",
+                &[("verb", "stats"), ("phase", "service")]
+            ),
+            None
+        );
+        assert_eq!(sample_value(&samples, "fm_lookups_total", &[]), Some(6.0));
+        assert_eq!(
+            sample_value(&samples, "fm_phase_us_count", &[("verb", "lookup")]),
+            None,
+            "labels must match exactly"
+        );
+        assert!(parse_exposition("fm_x_total 1\nnot a metric line\n")
+            .expect_err("must reject")
+            .starts_with("line 2:"));
     }
 
     #[test]

@@ -230,14 +230,6 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("metrics reply missing exposition".into()))
     }
 
-    /// `timeseries`: the raw document with the newest `n` sampler windows.
-    pub fn timeseries(&mut self, n: usize) -> Result<Json, ClientError> {
-        self.request(&Json::obj(vec![
-            ("verb", Json::from("timeseries")),
-            ("n", Json::from(n)),
-        ]))
-    }
-
     /// `trace_slowest`: the raw trace listing.
     pub fn trace_slowest(&mut self, k: usize) -> Result<Json, ClientError> {
         self.request(&Json::obj(vec![

@@ -14,12 +14,12 @@
 //! them: every lookup runs under the `fm_core::tracing` flight recorder
 //! (the `trace_slowest` verb reads it back remotely), counters land in
 //! the matcher's `MetricsRegistry`, and the `stats` verb reports
-//! `fm_store` IO accounting alongside serving-layer counters. On top
-//! of the cumulative counters sits a continuous layer ([`telemetry`]):
-//! per-verb queue/service/write phase histograms, a sampler thread
-//! publishing fixed windows into a lock-free time-series ring (the
-//! `timeseries` verb), Prometheus text exposition (the `metrics`
-//! verb), and a bounded slow-query log.
+//! `fm_store` IO accounting alongside serving-layer counters. Beside
+//! them sit per-verb queue/service/write phase histograms and a bounded
+//! slow-query log ([`telemetry`]), and the `metrics` verb renders all of
+//! it as Prometheus text exposition. The server keeps cumulative state
+//! only: a window is the difference of two scrapes, taken by the reader
+//! (`fuzzymatch top`).
 //!
 //! See DESIGN.md §9 "Serving layer" for the frame format, threading
 //! model, and overload semantics.

@@ -24,7 +24,6 @@
 //! {"verb":"stats"}
 //! {"verb":"trace_slowest","k":10}
 //! {"verb":"metrics"}
-//! {"verb":"timeseries","n":60}
 //! {"verb":"health"}
 //! {"verb":"shutdown"}
 //! ```
@@ -195,10 +194,6 @@ pub enum Request {
     /// Cumulative counters/gauges/histograms as Prometheus text
     /// exposition (in the reply's `"exposition"` field).
     Metrics,
-    /// The newest `n` sampler windows from the rolling time-series.
-    Timeseries {
-        n: usize,
-    },
     Health,
     Shutdown,
 }
@@ -303,18 +298,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
             },
         }),
         "metrics" => Ok(Request::Metrics),
-        "timeseries" => Ok(Request::Timeseries {
-            n: match doc.get("n") {
-                None => 60,
-                Some(v) => {
-                    let n = v.as_u64().ok_or("n must be a non-negative integer")? as usize;
-                    if n == 0 {
-                        return Err("n must be at least 1".into());
-                    }
-                    n
-                }
-            },
-        }),
         "health" => Ok(Request::Health),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown verb {other:?}")),

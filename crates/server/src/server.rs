@@ -56,7 +56,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fm_core::telemetry::{histogram_delta, PromText, WindowSnapshot};
+use fm_core::telemetry::PromText;
 use fm_core::{FuzzyMatcher, LookupTrace, MatchResult, MetricsSnapshot, Record};
 use fm_store::lockorder::{blocking_point, Flag, Ranked, CONNS};
 use fm_store::Database;
@@ -64,7 +64,7 @@ use fm_store::Database;
 use crate::json::Json;
 use crate::protocol::{self, code, FrameError, FrameEvent, FrameReader, Request, MAX_FRAME};
 use crate::queue::{Bounded, PushError};
-use crate::telemetry::{verb, ServerTelemetry, SlowLog, VerbSnapshot};
+use crate::telemetry::{verb, ServerTelemetry, SlowLog};
 
 /// How often a blocked connection read wakes up to poll the drain flag.
 const IDLE_POLL: Duration = Duration::from_millis(50);
@@ -87,12 +87,10 @@ pub struct ServerConfig {
     /// Ignored: every worker serves from the one matcher handle. Kept
     /// only because the benchmark package still sets it.
     pub replicas: usize,
-    /// Telemetry sampling window in milliseconds; `0` disables the
-    /// sampler thread (the `metrics` verb still works — it renders
-    /// cumulative state — but `timeseries` stays empty).
+    /// Ignored: the server keeps no time series (a window is the
+    /// difference of two `metrics` scrapes). Kept only because the
+    /// benchmark package still sets it.
     pub telemetry_window_ms: u64,
-    /// How many sampling windows the time-series ring retains.
-    pub telemetry_windows: usize,
     /// Slow-query threshold in microseconds; requests at or above it
     /// are appended to the structured slow log. `0` disables.
     pub slow_us: u64,
@@ -110,8 +108,7 @@ impl Default for ServerConfig {
             deadline_ms: 0,
             allow_sleep: false,
             replicas: 0,
-            telemetry_window_ms: 1000,
-            telemetry_windows: 120,
+            telemetry_window_ms: 0,
             slow_us: 0,
             slow_log: None,
         }
@@ -220,11 +217,6 @@ struct Inner {
     counters: Counters,
     conns: Ranked<Mutex<Vec<JoinHandle<()>>>, CONNS>,
     telemetry: ServerTelemetry,
-    /// Dropping this sender wakes the sampler out of its window sleep
-    /// and ends it (after a final partial-window flush).
-    sampler_stop: Mutex<Option<mpsc::Sender<()>>>,
-    /// Process-local epoch for window `start_us` timestamps.
-    epoch: Instant,
 }
 
 /// A running fuzzy-lookup server. Construct with [`Server::start`];
@@ -233,20 +225,10 @@ pub struct Server {
     inner: Arc<Inner>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-fn lock_sampler_stop(
-    m: &Mutex<Option<mpsc::Sender<()>>>,
-) -> std::sync::MutexGuard<'_, Option<mpsc::Sender<()>>> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl Server {
@@ -268,7 +250,7 @@ impl Server {
         } else {
             config.max_inflight
         };
-        let telemetry = ServerTelemetry::new(config.telemetry_windows.max(1), slow);
+        let telemetry = ServerTelemetry::new(slow);
         let inner = Arc::new(Inner {
             matcher,
             db,
@@ -281,23 +263,7 @@ impl Server {
             counters: Counters::default(),
             conns: Ranked::new(Mutex::new(Vec::new())),
             telemetry,
-            sampler_stop: Mutex::new(None),
-            epoch: Instant::now(),
         });
-        let sampler = if inner.config.telemetry_window_ms > 0 {
-            let (stop_tx, stop_rx) = mpsc::channel();
-            *lock_sampler_stop(&inner.sampler_stop) = Some(stop_tx);
-            let inner_sampler = Arc::clone(&inner);
-            // The first cut is taken here, before any connection can be
-            // served: a sampler thread scheduled late must not fold early
-            // traffic into its baseline, where no window would show it.
-            let first = SamplerCut::capture(&inner);
-            Some(std::thread::spawn(move || {
-                sampler_loop(&inner_sampler, first, &stop_rx);
-            }))
-        } else {
-            None
-        };
         let worker_handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -312,7 +278,6 @@ impl Server {
             inner,
             acceptor: Some(acceptor),
             workers: worker_handles,
-            sampler,
         })
     }
 
@@ -349,10 +314,6 @@ impl Server {
             }
         }
         for handle in self.workers.drain(..) {
-            blocking_point("join");
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.sampler.take() {
             blocking_point("join");
             let _ = handle.join();
         }
@@ -437,53 +398,6 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// The dedicated sampler: every `telemetry_window_ms` it cuts the
-/// cumulative counter sources, publishes the window's deltas and gauge
-/// samples into the time-series ring, and goes back to sleep. The drain
-/// drops the stop sender, which turns the sleep into an immediate
-/// `Disconnected` — the sampler flushes one final partial window and
-/// exits.
-fn sampler_loop(inner: &Arc<Inner>, mut prev: SamplerCut, stop: &mpsc::Receiver<()>) {
-    let window = Duration::from_millis(inner.config.telemetry_window_ms.max(1));
-    loop {
-        blocking_point("recv_timeout");
-        let alive = matches!(
-            stop.recv_timeout(window),
-            Err(mpsc::RecvTimeoutError::Timeout)
-        );
-        let cut = SamplerCut::capture(inner);
-        inner.publish_window(&prev, &cut);
-        prev = cut;
-        if !alive {
-            return;
-        }
-    }
-}
-
-/// One consistent-enough cut of every cumulative counter source the
-/// sampler windows over.
-struct SamplerCut {
-    at_us: u64,
-    matcher: MetricsSnapshot,
-    counters: CountersSnapshot,
-    store: fm_store::StoreStats,
-    verbs: Vec<VerbSnapshot>,
-    slow_logged: u64,
-}
-
-impl SamplerCut {
-    fn capture(inner: &Inner) -> SamplerCut {
-        SamplerCut {
-            at_us: u64::try_from(inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX),
-            matcher: inner.matcher.metrics_snapshot(),
-            counters: inner.counters.snapshot(),
-            store: inner.db.stats(),
-            verbs: inner.telemetry.verb_snapshots(),
-            slow_logged: inner.telemetry.slow().logged(),
-        }
-    }
-}
-
 impl Inner {
     /// A worker pulled one job off the queue: record the wait it
     /// accumulated (the timestamp the 408 deadline check already takes)
@@ -513,64 +427,6 @@ impl Inner {
         slow.record(verb_name, queue_us, service_us, elapsed_us(received), trace);
     }
 
-    /// Compute one window's deltas between two sampler cuts and publish
-    /// it into the time-series ring. Every counter list is delta'd by
-    /// name: the serving layer's, the matcher's, and the store's (as
-    /// `store_{name}`, the exposition's `fm_store_*`).
-    fn publish_window(&self, prev: &SamplerCut, cut: &SamplerCut) {
-        fn deltas(
-            now: impl Iterator<Item = (&'static str, u64)>,
-            before: impl Iterator<Item = (&'static str, u64)>,
-        ) -> impl Iterator<Item = (&'static str, u64)> {
-            now.zip(before)
-                .map(|((name, now), (_, before))| (name, now.saturating_sub(before)))
-        }
-        let mut counters: Vec<(String, u64)> = deltas(cut.counters.named(), prev.counters.named())
-            .chain(deltas(cut.matcher.named(), prev.matcher.named()))
-            .map(|(name, delta)| (name.to_string(), delta))
-            .chain(
-                deltas(cut.store.named(), prev.store.named())
-                    .map(|(name, delta)| (format!("store_{name}"), delta)),
-            )
-            .collect();
-        let pool_hits = cut.store.hits.saturating_sub(prev.store.hits);
-        let pool_misses = cut.store.misses.saturating_sub(prev.store.misses);
-        counters.push((
-            "slow_logged".to_string(),
-            cut.slow_logged.saturating_sub(prev.slow_logged),
-        ));
-        let mut gauges = vec![
-            ("queue_len".to_string(), self.queue.len() as f64),
-            (
-                "inflight".to_string(),
-                self.inflight.load(Ordering::SeqCst) as f64,
-            ),
-        ];
-        if pool_hits + pool_misses > 0 {
-            gauges.push((
-                "pool_hit_rate".to_string(),
-                pool_hits as f64 / (pool_hits + pool_misses) as f64,
-            ));
-        }
-        let verbs = cut
-            .verbs
-            .iter()
-            .zip(prev.verbs.iter())
-            .filter_map(|(now, before)| {
-                let delta = histogram_delta(&now.service, &before.service);
-                (delta.count > 0).then(|| (now.verb.to_string(), delta))
-            })
-            .collect();
-        self.telemetry.series.push_window(WindowSnapshot {
-            seq: 0, // assigned by push_window
-            start_us: prev.at_us,
-            dur_us: cut.at_us.saturating_sub(prev.at_us),
-            counters,
-            gauges,
-            verbs,
-        });
-    }
-
     fn is_shutting_down(&self) -> bool {
         self.shutting_down.load()
     }
@@ -580,12 +436,7 @@ impl Inner {
             return;
         }
         // Stop admitting, let workers drain what is queued, and poke
-        // the acceptor out of its blocking accept. Dropping the stop
-        // sender wakes the sampler, which flushes one final partial
-        // window and exits ([`Server::wait`] joins it after the
-        // workers, so the ledger the report sees is final).
-        let stop = lock_sampler_stop(&self.sampler_stop).take();
-        drop(stop);
+        // the acceptor out of its blocking accept.
         self.queue.close();
         blocking_point("connect");
         let _ = TcpStream::connect(self.local_addr);
@@ -646,9 +497,6 @@ impl Inner {
                 inline(verb::TRACE_SLOWEST, self.traces_reply(k, received))
             }
             Request::Metrics => inline(verb::METRICS, self.metrics_reply(received)),
-            Request::Timeseries { n } => {
-                inline(verb::TIMESERIES, self.timeseries_reply(n, received))
-            }
             Request::Shutdown => {
                 self.begin_shutdown();
                 inline(
@@ -922,8 +770,8 @@ impl Inner {
                     Json::Obj(fields)
                 }),
                 ("store", Json::Obj(protocol::counter_fields(io.named()))),
-                // The same `named()` pairs the exposition and the sampler
-                // use, plus the point-in-time gauges. `batched_lookups` is
+                // The same `named()` pairs the exposition uses, plus the
+                // point-in-time gauges. `batched_lookups` is
                 // always 0: the server fuses no lookups, and the key stays
                 // because the benchmark package reads it.
                 (
@@ -931,7 +779,6 @@ impl Inner {
                     Json::Obj(protocol::counter_fields(c.named().chain([
                         ("queue_len", self.queue.len() as u64),
                         ("slow_logged", self.telemetry.slow().logged()),
-                        ("telemetry_windows", self.telemetry.series.pushed()),
                         ("batched_lookups", 0),
                     ]))),
                 ),
@@ -1012,95 +859,9 @@ impl Inner {
             &[],
             self.telemetry.slow().logged(),
         );
-        prom.counter(
-            "fm_server_telemetry_windows_total",
-            "Sampling windows published since boot.",
-            &[],
-            self.telemetry.series.pushed(),
-        );
-        prom.counter(
-            "fm_server_telemetry_dropped_total",
-            "Sampler windows dropped on ring contention.",
-            &[],
-            self.telemetry.series.dropped(),
-        );
         protocol::ok_reply(
             elapsed_us(received),
             vec![("exposition", Json::from(prom.finish()))],
-        )
-    }
-
-    /// The `timeseries` verb: the newest `n` sampler windows as JSON.
-    fn timeseries_reply(&self, n: usize, received: Instant) -> Json {
-        let capacity = self.telemetry.series.capacity();
-        let windows = self.telemetry.series.recent(n.clamp(1, capacity));
-        let docs = windows
-            .iter()
-            .map(|w| {
-                let mut fields = vec![
-                    ("seq", Json::from(w.seq)),
-                    ("start_us", Json::from(w.start_us)),
-                    ("dur_us", Json::from(w.dur_us)),
-                    (
-                        "counters",
-                        Json::Obj(
-                            w.counters
-                                .iter()
-                                .map(|(name, v)| (name.clone(), Json::from(*v)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "gauges",
-                        Json::Obj(
-                            w.gauges
-                                .iter()
-                                .map(|(name, v)| (name.clone(), Json::from(*v)))
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if !w.verbs.is_empty() {
-                    fields.push((
-                        "verbs",
-                        Json::Obj(
-                            w.verbs
-                                .iter()
-                                .map(|(name, snap)| {
-                                    (
-                                        name.clone(),
-                                        Json::obj(vec![
-                                            ("count", Json::from(snap.count)),
-                                            ("sum_us", Json::from(snap.sum_us)),
-                                            ("p50_us", Json::from(snap.p50_us())),
-                                            ("p99_us", Json::from(snap.p99_us())),
-                                            (
-                                                "buckets",
-                                                Json::Arr(
-                                                    snap.buckets
-                                                        .iter()
-                                                        .map(|&b| Json::from(b))
-                                                        .collect(),
-                                                ),
-                                            ),
-                                        ]),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                Json::obj(fields)
-            })
-            .collect();
-        protocol::ok_reply(
-            elapsed_us(received),
-            vec![
-                ("window_ms", Json::from(self.config.telemetry_window_ms)),
-                ("capacity", Json::from(capacity)),
-                ("pushed", Json::from(self.telemetry.series.pushed())),
-                ("windows", Json::Arr(docs)),
-            ],
         )
     }
 

@@ -1,6 +1,5 @@
-//! Server-side continuous telemetry: per-verb phase histograms, the
-//! rolling time-series the sampler thread feeds, and the bounded
-//! structured slow-query log.
+//! Server-side continuous telemetry: per-verb phase histograms and the
+//! bounded structured slow-query log.
 //!
 //! The serving path records three phases per request into
 //! [`fm_core::metrics::LatencyHistogram`]s keyed by verb:
@@ -12,14 +11,10 @@
 //!   handling time for control verbs (connection thread);
 //! * **write** — the reply frame's socket write (connection thread).
 //!
-//! The sampler thread in [`crate::server`] closes one window per
-//! configured interval: it snapshots every cumulative counter source
-//! (matcher registry, serving counters, store IO, per-verb service
-//! histograms), publishes the deltas of every named counter plus
-//! queue-depth/inflight gauges into a [`Ring`] of [`WindowSnapshot`]s,
-//! and the `timeseries` verb serves the newest N
-//! windows as JSON. The `metrics` verb renders the cumulative state as
-//! Prometheus text exposition instead.
+//! The server keeps cumulative state only. The `metrics` verb renders it
+//! (matcher registry, serving counters, store IO, these histograms) as
+//! Prometheus text exposition; a window is the difference of two scrapes,
+//! which the reader takes (`fuzzymatch top`, or any Prometheus scraper).
 //!
 //! Requests slower than `slow_us` are counted and, when a slow-log file
 //! is configured, append one JSON line to it (bounded): verb, per-phase
@@ -32,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fm_core::metrics::{LatencyHistogram, LatencySnapshot};
-use fm_core::telemetry::{Ring, WindowSnapshot};
 use fm_core::LookupTrace;
 
 use crate::json::Json;
@@ -47,7 +41,6 @@ pub const VERBS: &[&str] = &[
     "health",
     "shutdown",
     "metrics",
-    "timeseries",
 ];
 
 /// Indexes into [`VERBS`] for the recording call sites.
@@ -59,7 +52,6 @@ pub mod verb {
     pub const HEALTH: usize = 4;
     pub const SHUTDOWN: usize = 5;
     pub const METRICS: usize = 6;
-    pub const TIMESERIES: usize = 7;
 }
 
 /// The three phase histograms of one verb.
@@ -70,7 +62,7 @@ pub struct VerbPhases {
     pub write: LatencyHistogram,
 }
 
-/// One verb's cumulative phase snapshots, for exposition and windowing.
+/// One verb's cumulative phase snapshots, for exposition.
 #[derive(Debug, Clone, Copy)]
 pub struct VerbSnapshot {
     pub verb: &'static str,
@@ -80,21 +72,18 @@ pub struct VerbSnapshot {
 }
 
 /// All server-side telemetry state shared between connection threads,
-/// workers, the sampler, and the reporting verbs.
+/// workers, and the reporting verbs.
 #[derive(Debug)]
 pub struct ServerTelemetry {
     verbs: Vec<VerbPhases>,
-    /// The rolling window ring the sampler publishes into.
-    pub series: Ring<WindowSnapshot>,
     slow: SlowLog,
 }
 
 impl ServerTelemetry {
     #[must_use]
-    pub fn new(windows: usize, slow: SlowLog) -> ServerTelemetry {
+    pub fn new(slow: SlowLog) -> ServerTelemetry {
         ServerTelemetry {
             verbs: (0..VERBS.len()).map(|_| VerbPhases::default()).collect(),
-            series: Ring::with_capacity(windows),
             slow,
         }
     }
@@ -243,13 +232,12 @@ mod tests {
         assert_eq!(VERBS[verb::HEALTH], "health");
         assert_eq!(VERBS[verb::SHUTDOWN], "shutdown");
         assert_eq!(VERBS[verb::METRICS], "metrics");
-        assert_eq!(VERBS[verb::TIMESERIES], "timeseries");
-        assert_eq!(VERBS.len(), 8);
+        assert_eq!(VERBS.len(), 7);
     }
 
     #[test]
     fn phases_record_independently() {
-        let t = ServerTelemetry::new(8, SlowLog::new(0, None).unwrap());
+        let t = ServerTelemetry::new(SlowLog::new(0, None).unwrap());
         t.record_queue(verb::LOOKUP, 50);
         t.record_service(verb::LOOKUP, 500);
         t.record_write(verb::LOOKUP, 5);

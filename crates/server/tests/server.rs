@@ -7,6 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use fm_core::telemetry::{histogram_from_samples, parse_exposition, sample_value};
 use fm_core::{Config, FuzzyMatcher, Record};
 use fm_server::{Client, ClientError, Json, Server, ServerConfig};
 use fm_store::lockorder::Flag;
@@ -360,14 +361,10 @@ fn stats_and_metrics_keep_the_keys_the_benchmark_reads() {
     shutdown_and_wait(server, &addr);
 }
 
-/// Extract the value of an *unlabelled* sample line from Prometheus
-/// exposition text (`name value`).
+/// The value of an *unlabelled* sample in Prometheus exposition text.
 fn prom_value(text: &str, name: &str) -> Option<f64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        let value = rest.strip_prefix(' ')?;
-        value.parse().ok()
-    })
+    let samples = parse_exposition(text).expect("exposition parses");
+    sample_value(&samples, name, &[])
 }
 
 #[test]
@@ -435,71 +432,33 @@ fn metrics_exposition_matches_stats_exactly_when_quiesced() {
     assert_eq!(report.counters.frames, report.counters.responses);
 }
 
+/// A window is the difference of two cumulative scrapes: across N
+/// lookups `fm_lookups_total` and the lookup service histogram's count
+/// move by exactly N, and across an idle gap by exactly 0.
 #[test]
-fn timeseries_accumulates_windows_with_correct_deltas() {
-    let config = ServerConfig {
-        telemetry_window_ms: 20,
-        ..ServerConfig::default()
-    };
-    let (server, addr) = start_server(config);
+fn two_metrics_scrapes_differ_by_exactly_the_traffic_between_them() {
+    let (server, addr) = start_server(ServerConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
+    let reading = |client: &mut Client| {
+        let samples = parse_exposition(&client.metrics_text().expect("metrics")).expect("parses");
+        let service = [("verb", "lookup"), ("phase", "service")];
+        (
+            sample_value(&samples, "fm_lookups_total", &[]).expect("lookup counter") as u64,
+            histogram_from_samples(&samples, "fm_server_phase_us", &service)
+                .unwrap_or_default()
+                .count,
+        )
+    };
+    assert!(client.lookup(&dirty_input(), 1, 0.0).expect("lookup").ok);
+    let before = reading(&mut client);
     for _ in 0..8 {
         assert!(client.lookup(&dirty_input(), 1, 0.0).expect("lookup").ok);
     }
-    // Let the sampler publish several windows, including idle ones after
-    // the traffic stops.
-    std::thread::sleep(Duration::from_millis(250));
-
-    let reply = client.timeseries(64).expect("timeseries");
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(reply.get("window_ms").and_then(Json::as_u64), Some(20));
-    let windows = reply
-        .get("windows")
-        .and_then(Json::as_arr)
-        .expect("windows array");
-    assert!(
-        windows.len() >= 3,
-        "only {} windows published",
-        windows.len()
-    );
-
-    let mut prev_seq = 0u64;
-    let mut lookups_total = 0u64;
-    for w in windows {
-        let seq = w.get("seq").and_then(Json::as_u64).expect("seq");
-        assert!(seq > prev_seq, "seqs must be strictly increasing");
-        prev_seq = seq;
-        assert!(w.get("dur_us").and_then(Json::as_u64).unwrap_or(0) > 0);
-        let counters = w.get("counters").expect("counters");
-        lookups_total += counters.get("lookups").and_then(Json::as_u64).unwrap_or(0);
-    }
-    assert!(
-        lookups_total >= 8,
-        "window deltas must add up to the traffic: saw {lookups_total}"
-    );
-    // The newest window covers only idle time — its deltas are zero.
-    let idle = windows.last().expect("at least one window");
-    assert_eq!(
-        idle.get("counters")
-            .and_then(|c| c.get("lookups"))
-            .and_then(Json::as_u64),
-        Some(0),
-        "a zero-traffic window must report zero deltas"
-    );
-    // Every window carries every counter list, by name.
-    let names = fm_server::CountersSnapshot::default()
-        .named()
-        .chain(fm_core::MetricsSnapshot::default().named())
-        .map(|(name, _)| name.to_string())
-        .chain(
-            fm_store::StoreStats::default()
-                .named()
-                .map(|(name, _)| format!("store_{name}")),
-        );
-    let counters = idle.get("counters").expect("counters");
-    for name in names {
-        assert!(counters.get(&name).is_some(), "window lacks {name}");
-    }
+    let after = reading(&mut client);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (8, 8));
+    std::thread::sleep(Duration::from_millis(100));
+    let idle = reading(&mut client);
+    assert_eq!(idle, after, "an idle gap moves no counter");
     shutdown_and_wait(server, &addr);
 }
 
@@ -567,28 +526,6 @@ fn an_unopenable_slow_log_fails_start_naming_the_path() {
         "got: {message}"
     );
     assert!(!path.exists());
-}
-
-#[test]
-fn sampler_shutdown_during_drain_keeps_ledger_balanced() {
-    let config = ServerConfig {
-        telemetry_window_ms: 10,
-        ..ServerConfig::default()
-    };
-    let (server, addr) = start_server(config);
-    let mut client = Client::connect(&addr).expect("connect");
-    for _ in 0..4 {
-        assert!(client.lookup(&dirty_input(), 1, 0.0).expect("lookup").ok);
-    }
-    std::thread::sleep(Duration::from_millis(50)); // several live windows
-    client.shutdown().expect("shutdown verb");
-    // `wait` joins the sampler after the workers: a sampler that missed
-    // the stop signal would hang this call.
-    let report = server.wait();
-    assert!(
-        report.counters.ledger_balanced(),
-        "drain with an active sampler must not lose responses"
-    );
 }
 
 /// The drain test: concurrent clients hammer `lookup` while one issues

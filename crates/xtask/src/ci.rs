@@ -13,8 +13,7 @@
 //!    ephemeral port, run a traced lookup round-trip (the flight
 //!    recorder must see it through the `trace_slowest` verb), scrape
 //!    the `metrics` verb (the Prometheus exposition must validate and
-//!    agree exactly with `stats` in the same quiesced state), round-trip
-//!    the `timeseries` verb through [`fm_server::json`], provoke an
+//!    agree exactly with `stats` in the same quiesced state), provoke an
 //!    explicit overload reply, then drain and assert the lossless
 //!    shutdown ledger (every decoded frame answered)
 //! 8. `cargo test --workspace -q --no-fail-fast` — every test binary runs
@@ -30,7 +29,7 @@
 //!    runs its `--smoke` workloads
 //!
 //! Everything runs offline. `scripts/ci.sh` wraps this for shell callers
-//! and adds the CLI-level `fuzzymatch trace export --chrome` smoke.
+//! and adds the CLI-level `fuzzymatch trace export` smoke.
 
 use std::process::Command;
 
@@ -249,9 +248,6 @@ pub fn server_smoke() -> Result<(), String> {
             workers: 1,
             max_inflight: 1,
             allow_sleep: true,
-            // Fast sampler windows so the smoke can observe published
-            // time-series state without waiting out the 1 s default.
-            telemetry_window_ms: 20,
             ..ServerConfig::default()
         },
     )
@@ -294,6 +290,7 @@ pub fn server_smoke() -> Result<(), String> {
         .map_err(|e| format!("metrics verb failed: {e}"))?;
     let summary = fm_core::telemetry::validate_exposition(&exposition)
         .map_err(|e| format!("invalid exposition: {e}"))?;
+    let samples = fm_core::telemetry::parse_exposition(&exposition)?;
     let stats = client
         .stats()
         .map_err(|e| format!("stats verb failed: {e}"))?;
@@ -302,12 +299,8 @@ pub fn server_smoke() -> Result<(), String> {
         .and_then(|m| m.get("latency"))
         .ok_or("stats reply has no metrics.latency")?;
     let stat_u64 = |field: &str| latency.get(field).and_then(fm_server::Json::as_u64);
-    let prom_u64 = |name: &str| -> Option<u64> {
-        exposition
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<f64>().ok())
-            .map(|v| v as u64)
-    };
+    let prom_u64 =
+        |name: &str| fm_core::telemetry::sample_value(&samples, name, &[]).map(|v| v as u64);
     if prom_u64("fm_lookup_latency_us_count") != stat_u64("count")
         || prom_u64("fm_lookup_latency_us_sum") != stat_u64("sum_us")
     {
@@ -318,21 +311,6 @@ pub fn server_smoke() -> Result<(), String> {
             prom_u64("fm_lookup_latency_us_sum"),
             stat_u64("sum_us")
         ));
-    }
-    // The timeseries verb's reply must survive a round-trip through the
-    // JSON parser, and the sampler must have published.
-    std::thread::sleep(std::time::Duration::from_millis(60));
-    let ts = client
-        .timeseries(8)
-        .map_err(|e| format!("timeseries verb failed: {e}"))?;
-    let ts_doc =
-        json::parse(&ts.encode()).map_err(|e| format!("timeseries JSON does not re-parse: {e}"))?;
-    let windows = ts_doc
-        .get("windows")
-        .and_then(Json::as_arr)
-        .ok_or("timeseries reply has no windows array")?;
-    if windows.is_empty() {
-        return Err("sampler published no windows after 60 ms at 20 ms/window".into());
     }
 
     // 2. Overload probe: a sleeper occupies the only inflight slot...
@@ -377,12 +355,8 @@ pub fn server_smoke() -> Result<(), String> {
     }
     println!(
         "ci: server smoke ok ({} frames answered, {} query traces, {} overload \
-         rejections, {} exposition samples, {} telemetry windows)",
-        c.responses,
-        query_traces,
-        c.rejected_overload,
-        summary.samples,
-        windows.len()
+         rejections, {} exposition samples)",
+        c.responses, query_traces, c.rejected_overload, summary.samples,
     );
     Ok(())
 }

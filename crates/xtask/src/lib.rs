@@ -21,8 +21,7 @@
 //! determinism is clippy's `disallowed_types`, and the WAL checkpoint
 //! order is a test in `fm_store::wal` (DESIGN.md §8). Nor is a bench
 //! gate: the quick corpus's counters are fm-bench's `strategy_counters`
-//! test, and the telemetry-sampler limit is the exit code of fm-bench's
-//! `bench_gate`, which `scripts/ci.sh` runs.
+//! test.
 
 pub mod ci;
 pub mod deepcheck;
