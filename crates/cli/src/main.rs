@@ -42,7 +42,8 @@ USAGE:
   fuzzymatch stats  --db FILE [--inputs FILE.csv] [-k N] [-c MIN_SIM]
   fuzzymatch trace  dump    (--db FILE | --reference FILE.csv) [--inputs FILE.csv | --input \"...\"]
   fuzzymatch trace  export  (--db FILE | --reference FILE.csv) [--out FILE] [...]
-  fuzzymatch trace  slowest [K] (--db FILE | --reference FILE.csv | --addr HOST:PORT) [...]
+  fuzzymatch trace  slowest [K] (--db FILE | --reference FILE.csv) [...]
+  fuzzymatch trace  slowest [K] --addr HOST:PORT
   fuzzymatch trace  diff   A.json B.json
   fuzzymatch serve  --db FILE [--addr HOST:PORT] [serve options]
   fuzzymatch ping   --addr HOST:PORT
@@ -59,9 +60,9 @@ BUILD OPTIONS:
   --column-weights CSV  per-column weights, e.g. 2.0,1.0,1.0,0.5
   --fast-osc            use the paper-example OSC bound (faster, less exact)
 
-GLOBAL OPTIONS:
-  --durable             open the database with write-ahead logging: every
-                        command's changes commit atomically (crash-safe)
+DATABASE FILE:
+  every command opens --db FILE with its write-ahead log (FILE.wal), so a
+  command's changes commit atomically and a crashed run's log is replayed
 
 QUERY/BATCH OPTIONS:
   -k N                  return up to N matches (default 1)
@@ -82,9 +83,12 @@ TRACE:
     export            Chrome trace-event JSON (open in Perfetto or
                       chrome://tracing); --out FILE (default trace.json)
     slowest [K]       the K slowest retained traces (default 10); with
-                      --addr, read from a running server instead
+                      --addr, read from a running server instead (no other
+                      flag: the server's recorder and threshold are its own)
     diff A B          per-phase delta between two Chrome exports (us / %)
-  --slow-us N         slow-query retention threshold in microseconds
+  --slow-us N         slow-query threshold in microseconds: lookups at least
+                      this slow are kept in the recorder's slow ring
+                      (default 10000)
 
 SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9):
   --addr HOST:PORT      listen address (default 127.0.0.1:7407; port 0 = any)
@@ -95,10 +99,9 @@ SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9)
   --deadline-ms N       default per-request deadline (default 0 = none)
   --port-file FILE      write the bound address to FILE once listening
   --debug-sleep         honour the sleep_ms test hook (tests/CI only)
-  --slow-us N           slow-query log threshold in microseconds
-                        (default 0 = disabled)
-  --slow-log FILE       append slow-query records to FILE as JSONL
-                        (at most 16384 lines; fails if FILE cannot be opened)
+  --slow-us N           the flight recorder's slow-query threshold in
+                        microseconds (default 10000); read the slow lookups
+                        with `trace slowest --addr`
 
 CLIENT OPTIONS:
   --addr HOST:PORT      server to talk to (required)
@@ -113,7 +116,7 @@ METRICS / TOP (continuous telemetry; see DESIGN.md \u{a7}7.2):
   top                   refreshing terminal view: scrapes `metrics` every
                         --interval-ms and shows the difference of the last
                         two scrapes: qps, per-verb count/p50/p99, queue
-                        depth, pool hit rate, slow-logged and dropped frames
+                        depth, pool hit rate and dropped frames
   --interval-ms N       time between scrapes (default 2000)
   --iterations N        stop after N refreshes (default 0 = run forever;
                         1 takes two scrapes and prints once)
@@ -133,26 +136,24 @@ fn main() -> ExitCode {
 /// command, which the dispatch then refuses by name).
 fn accepted_flags(command: &str) -> Option<&'static str> {
     Some(match command {
-        "build" => {
-            "db durable reference q signature cins stop-threshold seed column-weights fast-osc"
-        }
-        "query" | "lookup" => "db durable input k c trace",
-        "batch" => "db durable inputs out k c",
-        "insert" => "db durable input",
-        "delete" => "db durable tid",
-        "explain" => "db durable input k",
-        "info" => "db durable prefix",
-        "stats" => "db durable inputs k c",
+        "build" => "db reference q signature cins stop-threshold seed column-weights fast-osc",
+        "query" | "lookup" => "db input k c trace",
+        "batch" => "db inputs out k c",
+        "insert" => "db input",
+        "delete" => "db tid",
+        "explain" => "db input k",
+        "info" => "db prefix",
+        "stats" => "db inputs k c",
         "serve" => {
-            "db durable addr port-file workers queue-depth max-inflight deadline-ms debug-sleep \
-             slow-us slow-log"
+            "db addr port-file workers queue-depth max-inflight deadline-ms debug-sleep slow-us"
         }
         "ping" | "client stats" | "client health" | "client shutdown" => "addr",
         "metrics" => "addr check",
         "top" => "addr interval-ms iterations",
-        "trace dump" => "db durable reference slow-us inputs input k c",
-        "trace export" => "db durable reference slow-us inputs input k c out",
-        "trace slowest" => "db durable reference slow-us inputs input k c addr",
+        "trace dump" => "db reference slow-us inputs input k c",
+        "trace export" => "db reference slow-us inputs input k c out",
+        "trace slowest" => "db reference slow-us inputs input k c",
+        "trace slowest --addr" => "addr",
         "client lookup" => "addr input k c deadline-ms",
         _ => return None,
     })
@@ -177,12 +178,7 @@ impl Args {
             if accepted.is_some_and(|names| !names.split_whitespace().any(|n| n == name)) {
                 return Err(format!("unknown flag {} for {command}", args[i]));
             }
-            if name == "fast-osc"
-                || name == "durable"
-                || name == "trace"
-                || name == "debug-sleep"
-                || name == "check"
-            {
+            if name == "fast-osc" || name == "trace" || name == "debug-sleep" || name == "check" {
                 flags.insert(name.to_string(), "true".to_string());
                 i += 1;
                 continue;
@@ -247,7 +243,14 @@ fn run() -> Result<(), String> {
                 rest = &rest[1..];
             }
         }
-        let args = Args::parse(rest, &format!("trace {sub}"))?;
+        // With --addr, `trace slowest` reads a running server's recorder,
+        // so every local flag is refused rather than ignored.
+        let command = if sub == "slowest" && rest.iter().any(|a| a == "--addr") {
+            "trace slowest --addr".to_string()
+        } else {
+            format!("trace {sub}")
+        };
+        let args = Args::parse(rest, &command)?;
         return cmd_trace(sub, top, &args);
     }
     if command == "client" {
@@ -276,14 +279,22 @@ fn run() -> Result<(), String> {
     }
 }
 
+/// Open `--db` with its write-ahead log. A plain open would read the
+/// main file and ignore `<db>.wal`, which a crashed run can leave holding
+/// committed pages the main file lacks.
 fn open_db(args: &Args) -> Result<Database, String> {
     let path = PathBuf::from(args.require("db")?);
-    let result = if args.get("durable").is_some() {
-        Database::open_file_durable(&path, 4096)
-    } else {
-        Database::open_file(&path, 4096)
-    };
-    result.map_err(|e| format!("cannot open {}: {e}", path.display()))
+    Database::open_file_durable(&path, 4096)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))
+}
+
+/// `--slow-us N`: the flight recorder's slow-query threshold (default
+/// [`fm_core::tracing::DEFAULT_SLOW_THRESHOLD_US`]). `serve` and `trace`
+/// call it before they open a database, so a bad value touches nothing.
+fn set_slow_threshold(args: &Args) -> Result<(), String> {
+    let us = args.get_parsed("slow-us", fm_core::tracing::DEFAULT_SLOW_THRESHOLD_US)?;
+    fm_core::tracing::recorder().set_slow_threshold_us(us);
+    Ok(())
 }
 
 fn parse_signature(s: &str) -> Result<(SignatureScheme, usize), String> {
@@ -651,10 +662,8 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
         // `trace slowest` accepts `--addr`.
         return remote_trace_slowest(addr, top);
     }
+    set_slow_threshold(args)?;
     let recorder = fm_core::tracing::recorder();
-    if let Some(us) = args.get("slow-us") {
-        recorder.set_slow_threshold_us(us.parse().map_err(|_| "bad --slow-us".to_string())?);
-    }
     recorder.clear();
 
     // With --reference, build the matcher in-process (in memory unless
@@ -725,6 +734,7 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
 /// `fuzzymatch serve`: expose the matcher over TCP until a client sends
 /// the `shutdown` verb, then print the drained final snapshot.
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    set_slow_threshold(args)?;
     let db = std::sync::Arc::new(open_db(args)?);
     let matcher = fm_core::FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
     let matcher = std::sync::Arc::new(matcher);
@@ -734,8 +744,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_inflight: args.get_parsed("max-inflight", 0)?,
         deadline_ms: args.get_parsed("deadline-ms", 0)?,
         allow_sleep: args.get("debug-sleep").is_some(),
-        slow_us: args.get_parsed("slow-us", 0)?,
-        slow_log: args.get("slow-log").map(PathBuf::from),
         ..fm_server::ServerConfig::default()
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:7407");
@@ -851,9 +859,8 @@ fn render_top(addr: &str, prev: &[Sample], cur: &[Sample], secs: f64) -> String 
         out.push_str("  (no verb traffic)\n");
     }
     out.push_str(&format!(
-        "  slow logged: {}   dropped frames: {}\n",
-        delta("fm_server_slow_logged_total"),
-        delta("fm_server_write_failures_total"),
+        "  dropped frames: {}\n",
+        delta("fm_server_write_failures_total")
     ));
     out
 }
@@ -1129,12 +1136,11 @@ mod tests {
 
     /// The samples of a `metrics` scrape with the counters and histograms
     /// `top` reads.
-    fn scrape_of(lookups: u64, hits: u64, slow: u64, lookup: &LatencySnapshot) -> Vec<Sample> {
+    fn scrape_of(lookups: u64, hits: u64, lookup: &LatencySnapshot) -> Vec<Sample> {
         let mut prom = PromText::new();
         prom.counter("fm_lookups_total", "", &[], lookups);
         prom.counter("fm_store_hits_total", "", &[], hits);
         prom.counter("fm_store_misses_total", "", &[], hits / 9);
-        prom.counter("fm_server_slow_logged_total", "", &[], slow);
         prom.counter("fm_server_write_failures_total", "", &[], 0);
         prom.gauge("fm_server_queue_len", "", &[], 2.0);
         prom.gauge("fm_server_inflight", "", &[], 1.0);
@@ -1157,22 +1163,19 @@ mod tests {
         for _ in 0..10 {
             lookup.observe(100);
         }
-        let prev = scrape_of(10, 90, 1, &lookup.snapshot());
+        let prev = scrape_of(10, 90, &lookup.snapshot());
         for us in [100, 3_000] {
             for _ in 0..10 {
                 lookup.observe(us);
             }
         }
-        let cur = scrape_of(30, 180, 3, &lookup.snapshot());
+        let cur = scrape_of(30, 180, &lookup.snapshot());
 
         let text = render_top("a:1", &prev, &cur, 2.0);
         assert!(text.contains("qps 10.0"), "{text}");
         assert!(text.contains("queue 2   inflight 1"), "{text}");
         assert!(text.contains("pool hit rate 90.0%"), "{text}");
-        assert!(
-            text.contains("slow logged: 2   dropped frames: 0"),
-            "{text}"
-        );
+        assert!(text.contains("dropped frames: 0"), "{text}");
         let row: Vec<u64> = text
             .lines()
             .find_map(|l| l.trim().strip_prefix("lookup "))

@@ -15,9 +15,11 @@
 //! (the `trace_slowest` verb reads it back remotely), counters land in
 //! the matcher's `MetricsRegistry`, and the `stats` verb reports
 //! `fm_store` IO accounting alongside serving-layer counters. Beside
-//! them sit per-verb queue/service/write phase histograms and a bounded
-//! slow-query log ([`telemetry`]), and the `metrics` verb renders all of
-//! it as Prometheus text exposition. The server keeps cumulative state
+//! them sit per-verb queue/service/write phase histograms
+//! ([`telemetry`]), and the `metrics` verb renders all of it as
+//! Prometheus text exposition. A slow request is the flight recorder's:
+//! its threshold is `fm_core::tracing::recorder().set_slow_threshold_us`
+//! (`fuzzymatch serve --slow-us`). The server keeps cumulative state
 //! only: a window is the difference of two scrapes, taken by the reader
 //! (`fuzzymatch top`).
 //!
@@ -48,4 +50,4 @@ pub use client::{record_to_json, Client, ClientError, LookupReply, ReplyMatch};
 pub use json::Json;
 pub use protocol::{FrameReader, Request, MAX_FRAME};
 pub use server::{CountersSnapshot, Server, ServerConfig, ServerReport};
-pub use telemetry::{ServerTelemetry, SlowLog, VerbSnapshot};
+pub use telemetry::{ServerTelemetry, VerbSnapshot};

@@ -49,6 +49,14 @@
 //! once closed *and* empty — then workers exit, connection threads
 //! close on their next idle poll, and [`Server::wait`] returns the
 //! final counter and metrics snapshot.
+//!
+//! # Slow requests
+//!
+//! The server keeps no slow-query record of its own. Every lookup runs
+//! under the process-wide flight recorder (`fm_core::tracing`), whose
+//! slow ring keeps the span tree and `LookupTrace` counters of each
+//! lookup at or above its threshold (`fuzzymatch serve --slow-us`); the
+//! `trace_slowest` verb reads them back.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,14 +65,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fm_core::telemetry::PromText;
-use fm_core::{FuzzyMatcher, LookupTrace, MatchResult, MetricsSnapshot, Record};
+use fm_core::{FuzzyMatcher, MatchResult, MetricsSnapshot, Record};
 use fm_store::lockorder::{blocking_point, Flag, Ranked, CONNS};
 use fm_store::Database;
 
 use crate::json::Json;
 use crate::protocol::{self, code, FrameError, FrameEvent, FrameReader, Request, MAX_FRAME};
 use crate::queue::{Bounded, PushError};
-use crate::telemetry::{verb, ServerTelemetry, SlowLog};
+use crate::telemetry::{verb, ServerTelemetry};
 
 /// How often a blocked connection read wakes up to poll the drain flag.
 const IDLE_POLL: Duration = Duration::from_millis(50);
@@ -91,12 +99,6 @@ pub struct ServerConfig {
     /// difference of two `metrics` scrapes). Kept only because the
     /// benchmark package still sets it.
     pub telemetry_window_ms: u64,
-    /// Slow-query threshold in microseconds; requests at or above it
-    /// are appended to the structured slow log. `0` disables.
-    pub slow_us: u64,
-    /// Optional JSONL file receiving one line per slow request (bounded;
-    /// see [`SlowLog`]). [`Server::start`] fails if it cannot be opened.
-    pub slow_log: Option<std::path::PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -109,8 +111,6 @@ impl Default for ServerConfig {
             allow_sleep: false,
             replicas: 0,
             telemetry_window_ms: 0,
-            slow_us: 0,
-            slow_log: None,
         }
     }
 }
@@ -179,8 +179,6 @@ struct SingleJob {
     deadline: Option<Instant>,
     sleep_ms: u64,
     received: Instant,
-    /// Time spent queued, filled in at dequeue (phase telemetry).
-    queue_us: u64,
     reply: mpsc::Sender<Json>,
 }
 
@@ -190,8 +188,6 @@ struct BatchJob {
     c: f64,
     deadline: Option<Instant>,
     received: Instant,
-    /// Time spent queued, filled in at dequeue (phase telemetry).
-    queue_us: u64,
     reply: mpsc::Sender<Json>,
 }
 
@@ -240,7 +236,6 @@ impl Server {
         db: Arc<Database>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let slow = SlowLog::new(config.slow_us, config.slow_log.as_deref())?;
         let listener = TcpListener::bind(addr)
             .map_err(|e| std::io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
         let local_addr = listener.local_addr()?;
@@ -250,7 +245,6 @@ impl Server {
         } else {
             config.max_inflight
         };
-        let telemetry = ServerTelemetry::new(slow);
         let inner = Arc::new(Inner {
             matcher,
             db,
@@ -262,7 +256,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             counters: Counters::default(),
             conns: Ranked::new(Mutex::new(Vec::new())),
-            telemetry,
+            telemetry: ServerTelemetry::default(),
         });
         let worker_handles = (0..workers)
             .map(|_| {
@@ -386,12 +380,12 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
 fn worker_loop(inner: &Arc<Inner>) {
     while let Some(job) = inner.queue.pop() {
         match job {
-            Job::Single(mut job) => {
-                job.queue_us = inner.note_dequeue(verb::LOOKUP, job.received);
+            Job::Single(job) => {
+                inner.note_dequeue(verb::LOOKUP, job.received);
                 inner.serve_single(job);
             }
-            Job::Batch(mut job) => {
-                job.queue_us = inner.note_dequeue(verb::LOOKUP_BATCH, job.received);
+            Job::Batch(job) => {
+                inner.note_dequeue(verb::LOOKUP_BATCH, job.received);
                 inner.serve_batch(job);
             }
         }
@@ -402,29 +396,11 @@ impl Inner {
     /// A worker pulled one job off the queue: record the wait it
     /// accumulated (the timestamp the 408 deadline check already takes)
     /// into the counters and the verb's queue-phase histogram.
-    fn note_dequeue(&self, verb_idx: usize, received: Instant) -> u64 {
+    fn note_dequeue(&self, verb_idx: usize, received: Instant) {
         let waited = elapsed_us(received);
         self.counters.queue_wait_us.add(waited);
         self.counters.queue_waits.add(1);
         self.telemetry.record_queue(verb_idx, waited);
-        waited
-    }
-
-    /// Append to the slow-query log if the request's total time (decode
-    /// to reply-built) crossed the threshold.
-    fn note_slow(
-        &self,
-        verb_name: &str,
-        queue_us: u64,
-        service_us: u64,
-        received: Instant,
-        trace: Option<&LookupTrace>,
-    ) {
-        let slow = self.telemetry.slow();
-        if slow.threshold_us() == 0 {
-            return;
-        }
-        slow.record(verb_name, queue_us, service_us, elapsed_us(received), trace);
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -532,7 +508,6 @@ impl Inner {
                         deadline,
                         sleep_ms,
                         received,
-                        queue_us: 0,
                         reply,
                     })
                 });
@@ -564,7 +539,6 @@ impl Inner {
                         c,
                         deadline,
                         received,
-                        queue_us: 0,
                         reply,
                     })
                 });
@@ -674,36 +648,25 @@ impl Inner {
             return;
         }
         if job.sleep_ms > 0 && self.config.allow_sleep {
-            // Test hook: make this worker provably busy. The sleep lands
-            // in the request's total time (so the slow-query log sees it)
-            // but not in the service histogram, which measures only the
+            // Test hook: make this worker provably busy. The sleep holds
+            // the worker, so queued requests wait behind it (their queue
+            // phase grows), but it lands in neither this request's service
+            // histogram nor its flight-recorder trace: both time only the
             // matcher call.
             blocking_point("sleep");
             std::thread::sleep(Duration::from_millis(job.sleep_ms));
         }
         let service_start = Instant::now();
         let outcome = self.matcher.lookup(&job.input, job.k, job.c);
-        let service_us = elapsed_us(service_start);
-        self.telemetry.record_service(verb::LOOKUP, service_us);
+        self.telemetry
+            .record_service(verb::LOOKUP, elapsed_us(service_start));
         let reply = match outcome {
-            Ok(result) => {
-                self.note_slow(
-                    "lookup",
-                    job.queue_us,
-                    service_us,
-                    job.received,
-                    Some(&result.trace),
-                );
-                Self::lookup_reply(&result, job.received)
-            }
-            Err(e) => {
-                self.note_slow("lookup", job.queue_us, service_us, job.received, None);
-                protocol::error_reply(
-                    code::INTERNAL,
-                    &format!("lookup failed: {e}"),
-                    elapsed_us(job.received),
-                )
-            }
+            Ok(result) => Self::lookup_reply(&result, job.received),
+            Err(e) => protocol::error_reply(
+                code::INTERNAL,
+                &format!("lookup failed: {e}"),
+                elapsed_us(job.received),
+            ),
         };
         self.finish(&job.reply, reply);
     }
@@ -718,10 +681,8 @@ impl Inner {
         }
         let service_start = Instant::now();
         let outcome = self.matcher.lookup_batch(&job.inputs, job.k, job.c, 1);
-        let service_us = elapsed_us(service_start);
         self.telemetry
-            .record_service(verb::LOOKUP_BATCH, service_us);
-        self.note_slow("lookup_batch", job.queue_us, service_us, job.received, None);
+            .record_service(verb::LOOKUP_BATCH, elapsed_us(service_start));
         let reply = match outcome {
             Ok(results) => protocol::ok_reply(
                 elapsed_us(job.received),
@@ -778,7 +739,6 @@ impl Inner {
                     "server",
                     Json::Obj(protocol::counter_fields(c.named().chain([
                         ("queue_len", self.queue.len() as u64),
-                        ("slow_logged", self.telemetry.slow().logged()),
                         ("batched_lookups", 0),
                     ]))),
                 ),
@@ -853,12 +813,6 @@ impl Inner {
                 }
             }
         }
-        prom.counter(
-            "fm_server_slow_logged_total",
-            "Requests recorded in the slow-query log.",
-            &[],
-            self.telemetry.slow().logged(),
-        );
         protocol::ok_reply(
             elapsed_us(received),
             vec![("exposition", Json::from(prom.finish()))],

@@ -10,8 +10,7 @@
 //! * [`deepcheck`] — builds a reference relation, ETI, and weight tables,
 //!   then runs every `check_invariants()` validator against them.
 //! * [`ci`] — the pre-PR gate: fmt, clippy, lint, the line budget,
-//!   deepcheck, a traced-lookup → Chrome-export smoke test, an
-//!   `fm-server` round-trip/overload/drain smoke test, and the tests.
+//!   deepcheck, and the tests.
 //!
 //! `lint` keeps no baseline: every finding fails, and a vetted site
 //! carries `// lint:allow(<rule>): <why>`. The concurrency checks are not
