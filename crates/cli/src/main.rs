@@ -16,7 +16,7 @@
 mod csv;
 
 use std::io::{BufReader, BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fm_core::telemetry::{
@@ -92,9 +92,11 @@ TRACE:
 
 SERVE OPTIONS (fuzzymatch serve exposes lookups over TCP; see DESIGN.md \u{a7}9):
   --addr HOST:PORT      listen address (default 127.0.0.1:7407; port 0 = any)
-  --workers N           lookup worker threads (default 4), all serving
-                        from one matcher handle
-  --queue-depth N       bounded request queue (default 64)
+  --workers N           lookup permits (default 4): matcher calls that run
+                        at once, each on its connection's thread, all on
+                        one matcher handle
+  --queue-depth N       lookups that may wait for a permit, first come
+                        first served (default 64)
   --max-inflight N      admission cap (default workers + queue depth)
   --deadline-ms N       default per-request deadline (default 0 = none)
   --port-file FILE      write the bound address to FILE once listening
@@ -279,12 +281,25 @@ fn run() -> Result<(), String> {
     }
 }
 
-/// Open `--db` with its write-ahead log. A plain open would read the
-/// main file and ignore `<db>.wal`, which a crashed run can leave holding
-/// committed pages the main file lacks.
+/// Open the existing database `--db` with its write-ahead log, creating
+/// nothing: every command but `build` reads a database, and a missing
+/// file is refused by name. A plain open would read the main file and
+/// ignore `<db>.wal`, which a crashed run can leave holding committed
+/// pages the main file lacks.
 fn open_db(args: &Args) -> Result<Database, String> {
     let path = PathBuf::from(args.require("db")?);
-    Database::open_file_durable(&path, 4096)
+    if !path.exists() {
+        return Err(format!(
+            "no database at {}; create one with `fuzzymatch build`",
+            path.display()
+        ));
+    }
+    open_durable(&path)
+}
+
+/// Open `path` with its write-ahead log, creating both if missing.
+fn open_durable(path: &Path) -> Result<Database, String> {
+    Database::open_file_durable(path, 4096)
         .map_err(|e| format!("cannot open {}: {e}", path.display()))
 }
 
@@ -362,7 +377,7 @@ fn cmd_build(args: &Args) -> Result<(), String> {
     }
     let n = rows.len();
 
-    let db = open_db(args)?;
+    let db = open_durable(&PathBuf::from(args.require("db")?))?;
     let start = std::time::Instant::now();
     let matcher = FuzzyMatcher::build(&db, MATCHER_NAME, rows.into_iter(), config)
         .map_err(|e| e.to_string())?;
@@ -734,10 +749,8 @@ fn cmd_trace(sub: &str, top: usize, args: &Args) -> Result<(), String> {
 /// `fuzzymatch serve`: expose the matcher over TCP until a client sends
 /// the `shutdown` verb, then print the drained final snapshot.
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    // Every option is checked before the database opens.
     set_slow_threshold(args)?;
-    let db = std::sync::Arc::new(open_db(args)?);
-    let matcher = fm_core::FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
-    let matcher = std::sync::Arc::new(matcher);
     let config = fm_server::ServerConfig {
         workers: args.get_parsed("workers", 4)?,
         queue_depth: args.get_parsed("queue-depth", 64)?,
@@ -746,6 +759,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         allow_sleep: args.get("debug-sleep").is_some(),
         ..fm_server::ServerConfig::default()
     };
+    let db = std::sync::Arc::new(open_db(args)?);
+    let matcher = fm_core::FuzzyMatcher::open(&db, MATCHER_NAME).map_err(|e| e.to_string())?;
+    let matcher = std::sync::Arc::new(matcher);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7407");
     let server = fm_server::Server::start(addr, matcher, db, config).map_err(|e| e.to_string())?;
     let local = server.local_addr();
@@ -767,7 +783,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "  rejected: {} overload, {} shutdown, {} past deadline, {} malformed, {} oversized",
         c.rejected_overload, c.rejected_shutdown, c.deadline_expired, c.malformed, c.oversized
     );
-    eprintln!("  queue:    high-water {}", c.max_queue_depth);
+    eprintln!(
+        "  waiters:  high-water {} lookups waiting for a permit",
+        c.max_queue_depth
+    );
     eprintln!(
         "  store IO: {} reads, {} writes, {} WAL bytes",
         report.store.pages_read, report.store.pages_written, report.store.wal_bytes

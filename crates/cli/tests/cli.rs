@@ -211,14 +211,36 @@ fn build_options_are_applied() {
 #[test]
 fn errors_are_reported_not_panicked() {
     let dir = TempDir::new("errors");
-    // Missing db.
-    let out = bin()
-        .args(["query", "--db"])
-        .arg(dir.path("missing.fmdb"))
-        .args(["--input", "x"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // Missing db: every command but `build` reads one, refuses a missing
+    // path by name, and creates neither the file nor its WAL.
+    let (missing, wal) = (dir.path("missing.fmdb"), dir.path("missing.fmdb.wal"));
+    let input = "Beoing Company,Seattle,WA,98004";
+    for command in [
+        &["query", "--input", input][..],
+        &["batch", "--inputs", "in.csv"],
+        &["stats"],
+        &["explain", "--input", input],
+        &["insert", "--input", input],
+        &["delete", "--tid", "1"],
+        &["trace", "dump", "--input", input],
+        &["serve", "--addr", "127.0.0.1:0"],
+        &["info"],
+    ] {
+        let out = bin()
+            .args(command)
+            .arg("--db")
+            .arg(&missing)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{command:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("no database at {}", missing.display());
+        assert!(stderr.contains(&refusal), "{command:?}: got {stderr}");
+        assert!(
+            !missing.exists() && !wal.exists(),
+            "{command:?} created a file"
+        );
+    }
     // Arity mismatch.
     let db = build_db(&dir);
     let out = bin()
@@ -407,6 +429,34 @@ fn slow_us_is_checked_by_one_helper_before_the_database_opens() {
             "{command:?}: got {stderr}"
         );
         assert!(!db.exists(), "{command:?} opened the database");
+    }
+}
+
+/// `serve` parses its serving options before it opens anything: a bad
+/// value is reported as such even when `--db` names no file.
+#[test]
+fn serve_checks_its_options_before_the_database_opens() {
+    let dir = TempDir::new("serve-options");
+    let db = dir.path("never.fmdb");
+    for flag in [
+        "--workers",
+        "--queue-depth",
+        "--max-inflight",
+        "--deadline-ms",
+    ] {
+        let out = bin()
+            .args(["serve", "--db"])
+            .arg(&db)
+            .args(["--addr", "127.0.0.1:0", flag, "-1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} -1 must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("invalid value for {flag}: -1")),
+            "{flag}: got {stderr}"
+        );
+        assert!(!db.exists(), "{flag} -1 opened the database");
     }
 }
 

@@ -1775,23 +1775,32 @@ mod tests {
     }
 
     /// A posting naming a tid far outside the relation (`u32::MAX - 1`,
-    /// written past every rule) costs the thread's score table one page,
-    /// not gigabytes, and the thread's next lookup answers exactly as a
-    /// fresh thread's does.
+    /// written past every rule) costs the score table of the scratch it
+    /// ran in one page, not gigabytes, and nothing of it shows afterwards:
+    /// that scratch's next lookup answers exactly as a fresh scratch's.
     #[test]
     fn a_corrupt_posting_tid_costs_one_page_and_leaves_the_thread_clean() {
-        use std::thread::scope;
+        use crate::query::osc::osc_run;
+        use crate::query::scores::ScoreTable;
+        use crate::query::Scratch;
 
         let input = Record::new(&["Beoing Company", "Seattle", "WA", "98004"]);
-        let answer = |m: &FuzzyMatcher| {
-            let mut r = m.lookup(&input, 1, 0.0)?;
-            r.trace.latency_us = 0;
-            let bits: Vec<_> = r
-                .matches
+        let answer = |m: &FuzzyMatcher, scratch: &mut Scratch<ScoreTable>| {
+            let weights = m.weights.read();
+            let ctx = QueryContext {
+                config: &m.config,
+                weights: &*weights,
+                tokenizer: &m.tokenizer,
+                minhasher: &m.minhasher,
+                eti: &m.eti,
+                reference: m,
+            };
+            let (matches, trace) = osc_run(&ctx, &input.tokenize(&m.tokenizer), 1, 0.0, scratch)?;
+            let bits: Vec<_> = matches
                 .iter()
                 .map(|m| (m.tid, m.similarity.to_bits()))
                 .collect();
-            Ok::<_, CoreError>((bits, r.trace))
+            Ok::<_, CoreError>((bits, trace))
         };
         let clean = build_table1(&Database::in_memory().unwrap());
         let corrupt = build_table1(&Database::in_memory().unwrap());
@@ -1807,17 +1816,56 @@ mod tests {
                 }
             }
         }
-        let fresh = scope(|s| s.spawn(|| answer(&clean).unwrap()).join().unwrap());
-        scope(|s| {
-            s.spawn(|| {
-                // The unknown tid outscores everything and its fetch fails.
-                let err = answer(&corrupt).unwrap_err().to_string();
-                assert!(err.contains("tid 4294967294"), "{err}");
-                let cells = crate::query::with_scratch(|s| s.table.capacity());
-                assert!(cells <= 2 << 16, "{cells}");
-                assert_eq!(answer(&clean).unwrap(), fresh);
-            });
+        let fresh = answer(&clean, &mut Scratch::default()).unwrap();
+        let mut scratch = Scratch::default();
+        // The unknown tid outscores everything and its fetch fails.
+        let err = answer(&corrupt, &mut scratch).unwrap_err().to_string();
+        assert!(err.contains("tid 4294967294"), "{err}");
+        let cells = scratch.table.capacity();
+        assert!(cells <= 2 << 16, "{cells}");
+        assert_eq!(answer(&clean, &mut scratch).unwrap(), fresh);
+    }
+
+    /// The scratch pool: after 8 threads each run lookups and exit, at
+    /// most `available_parallelism()` scratches stay idle, and every
+    /// pooled answer — matches and trace — equals a fresh scratch's.
+    #[test]
+    fn pooled_scratches_stay_bounded_and_answer_like_fresh_ones() {
+        use crate::query::scores::{max_idle, POOL};
+        use crate::query::with_fresh_scratch;
+
+        let db = Database::in_memory().unwrap();
+        let m = build_table1(&db);
+        let inputs = [
+            Record::new(&["Beoing Company", "Seattle", "WA", "98004"]),
+            Record::new(&["Bon Corp", "Seattle", "WA", "98014"]),
+            Record::new(&["Company Beoing", "Bellevue", "WA", "98004"]),
+        ];
+        let answer = |input: &Record, k: usize| {
+            let mut r = m.lookup(input, k, 0.0).unwrap();
+            r.trace.latency_us = 0;
+            let bits: Vec<_> = r
+                .matches
+                .iter()
+                .map(|m| (m.tid, m.similarity.to_bits()))
+                .collect();
+            (bits, r.trace)
+        };
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (answer, inputs) = (&answer, &inputs);
+                s.spawn(move || {
+                    for (i, input) in inputs.iter().enumerate() {
+                        let k = 1 + (t + i) % 3;
+                        let pooled = answer(input, k);
+                        let fresh = with_fresh_scratch(|| answer(input, k));
+                        assert_eq!(pooled, fresh, "k={k} on {input}");
+                    }
+                });
+            }
         });
+        let idle = POOL.idle();
+        assert!(idle <= max_idle(), "{idle} idle scratches");
     }
 
     #[test]

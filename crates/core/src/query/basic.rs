@@ -14,7 +14,7 @@ use crate::weights::WeightProvider;
 ///
 /// Looks up **every** signature coordinate of every input token against the
 /// ETI, scores tids, then fetches and verifies candidates in decreasing
-/// score order. Runs in this thread's reusable scratch.
+/// score order. Runs in a reusable scratch from the pool.
 pub fn basic_lookup<W, F>(
     ctx: &QueryContext<'_, W, F>,
     input: &TokenizedRecord,

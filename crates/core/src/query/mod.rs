@@ -52,6 +52,8 @@ pub use basic::basic_lookup;
 pub use osc::osc_lookup;
 
 pub(crate) use crate::postings::Probed;
+#[doc(hidden)]
+pub use scores::with_fresh_scratch;
 pub(crate) use scores::{with_scratch, Scratch, TidScores};
 
 /// Which query algorithm to run.

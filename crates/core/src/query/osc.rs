@@ -29,8 +29,8 @@ use crate::record::TokenizedRecord;
 use crate::sim::Similarity;
 use crate::weights::WeightProvider;
 
-/// Answer a K-fuzzy-match query with optimistic short circuiting, in this
-/// thread's reusable scratch.
+/// Answer a K-fuzzy-match query with optimistic short circuiting, in a
+/// reusable scratch from the pool.
 pub fn osc_lookup<W, F>(
     ctx: &QueryContext<'_, W, F>,
     input: &TokenizedRecord,

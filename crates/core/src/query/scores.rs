@@ -1,5 +1,5 @@
-//! The score accumulator (Figure 3's `TidScores`) and the per-thread
-//! scratch it lives in.
+//! The score accumulator (Figure 3's `TidScores`) and the pooled scratch
+//! it lives in.
 //!
 //! A lookup at 10^5 reference tuples bumps ~20 000 tid scores, asks "what
 //! are the two best scores right now?" after every probe unit (the OSC
@@ -12,7 +12,7 @@
 //!   dense array forward, in address order the prefetcher follows. Each
 //!   cell carries the stamp of the query that wrote it, so "clearing" the
 //!   array for the next query is one increment and its storage is reused
-//!   for the life of the thread; the query's tids are also listed in
+//!   for the life of the scratch; the query's tids are also listed in
 //!   admission order, so every later pass is O(candidates);
 //! * **best K+1, always current** — scores only grow, so a tid can enter
 //!   the top set only at one of its own bumps: each bump is compared with
@@ -25,7 +25,7 @@
 //! **Footprint.** The array is paged: a page holds the cells of 2^16
 //! consecutive tids (a score and a stamp, 12 B), is allocated zeroed on
 //! first touch and found through a directory indexed by `tid >> 16`. A
-//! thread's table follows the relation, not the query — one page per
+//! scratch's table follows the relation, not the query — one page per
 //! 2^16-tid range its queries scored, ≈ 1.2 MB of touched cells at 10^5
 //! tuples — so there is nothing to give back between queries, and a tid
 //! outside the relation (a corrupt posting) costs one page, never
@@ -36,9 +36,13 @@
 //! set and the pop order are the same whatever algorithm realises them:
 //! results are bitwise those of collecting and fully sorting the table.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Mutex, OnceLock};
+use std::thread::{self, ThreadId};
+
+use fm_store::lockorder::{self, SCRATCH};
 
 /// The ranking order: higher score first, ties by ascending tid.
 /// `Less` means `a` ranks before `b`.
@@ -278,9 +282,9 @@ impl TidScores for ScoreTable {
     }
 }
 
-/// Everything a query allocates besides its answer, kept per thread and
-/// reused: the score table, the probe key buffer, and the exact-`fms`
-/// cache that lets OSC's failed attempts pay off in the fallback.
+/// Everything a query allocates besides its answer, pooled and reused:
+/// the score table, the probe key buffer, and the exact-`fms` cache that
+/// lets OSC's failed attempts pay off in the fallback.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch<T> {
     pub table: T,
@@ -288,18 +292,132 @@ pub(crate) struct Scratch<T> {
     pub fms_cache: HashMap<u32, f64>,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch<ScoreTable>> = RefCell::new(Scratch::default());
+/// Idle scratches, each with the thread that returned it, oldest first.
+/// The lock is held only to pop or push one entry.
+pub(crate) struct Pool {
+    idle: lockorder::Ranked<Mutex<Vec<Idle>>, SCRATCH>,
 }
 
-/// Run `f` with this thread's scratch. A lookup re-entered from inside
-/// another one on the same thread (a [`ReferenceFetch`] that itself looks
-/// something up) gets a fresh scratch instead of the busy one.
+type Idle = (ThreadId, Scratch<ScoreTable>);
+
+impl Pool {
+    pub(crate) const fn new() -> Pool {
+        Pool {
+            idle: lockorder::Ranked::new(Mutex::new(Vec::new())),
+        }
+    }
+
+    /// The scratch `me` returned last, else the one returned most
+    /// recently by any thread.
+    pub(crate) fn take(&self, me: ThreadId) -> Option<Scratch<ScoreTable>> {
+        let mut idle = self.idle.lock();
+        let at = idle
+            .iter()
+            .rposition(|(owner, _)| *owner == me)
+            .or_else(|| idle.len().checked_sub(1))?;
+        Some(idle.remove(at).1)
+    }
+
+    /// Return `scratch`, dropping the oldest idle one beyond `max`.
+    pub(crate) fn give_back(&self, me: ThreadId, scratch: Scratch<ScoreTable>, max: usize) {
+        let mut idle = self.idle.lock();
+        idle.push((me, scratch));
+        let evicted = (idle.len() > max).then(|| idle.remove(0));
+        drop(idle);
+        drop(evicted); // freed outside the lock
+    }
+
+    #[cfg(test)]
+    pub(crate) fn idle(&self) -> usize {
+        self.idle.lock().len()
+    }
+}
+
+pub(crate) static POOL: Pool = Pool::new();
+
+thread_local! {
+    /// Set by [`with_fresh_scratch`]: bypass the pool.
+    static FRESH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// At most this many scratches stay idle: one per core the process may
+/// run on. Lookups in flight hold theirs besides.
+pub(crate) fn max_idle() -> usize {
+    static MAX: OnceLock<usize> = OnceLock::new();
+    *MAX.get_or_init(|| thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+/// Run `f` with a scratch from [`POOL`]: the one this thread returned
+/// last (its pages are likely still in this core's caches), else the one
+/// returned most recently by any thread, else a new one. Afterwards it
+/// goes back, keeping at most [`max_idle`] idle. So scratch memory
+/// follows the number of lookups running at once, not the number of
+/// threads that ever ran one. A lookup re-entered from inside another
+/// one on the same thread (a [`ReferenceFetch`] that itself looks
+/// something up) simply takes a second scratch.
 ///
 /// [`ReferenceFetch`]: crate::query::ReferenceFetch
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch<ScoreTable>) -> R) -> R {
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut Scratch::default()),
-    })
+    if FRESH.get() {
+        return f(&mut Scratch::default());
+    }
+    let me = thread::current().id();
+    let mut scratch = POOL.take(me).unwrap_or_default();
+    let result = f(&mut scratch);
+    POOL.give_back(me, scratch, max_idle());
+    result
+}
+
+/// Run `f` with every lookup it makes on this thread scored in a scratch
+/// of its own, allocated for that lookup and dropped after it: the
+/// pristine reference a pooled scratch must be indistinguishable from.
+#[doc(hidden)]
+pub fn with_fresh_scratch<R>(f: impl FnOnce() -> R) -> R {
+    let was = FRESH.replace(true);
+    let result = f();
+    FRESH.set(was);
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn marked(mark: u8) -> Scratch<ScoreTable> {
+        Scratch {
+            key: vec![mark],
+            ..Scratch::default()
+        }
+    }
+
+    #[test]
+    fn a_thread_gets_its_own_scratch_back() {
+        let pool = Pool::new();
+        let me = thread::current().id();
+        let other = thread::spawn(|| thread::current().id()).join().unwrap();
+        pool.give_back(me, marked(1), 4);
+        pool.give_back(other, marked(2), 4);
+        // Its own, though another thread returned one since...
+        assert_eq!(pool.take(me).unwrap().key, [1]);
+        // ...else the one returned most recently, by whichever thread.
+        pool.give_back(other, marked(3), 4);
+        assert_eq!(pool.take(me).unwrap().key, [3]);
+        assert_eq!(pool.take(me).unwrap().key, [2]);
+        assert!(pool.take(me).is_none());
+    }
+
+    #[test]
+    fn at_most_max_scratches_stay_idle_and_the_oldest_go() {
+        let pool = Pool::new();
+        for mark in 0..8 {
+            let owner = thread::spawn(|| thread::current().id()).join().unwrap();
+            pool.give_back(owner, marked(mark), 3);
+            assert!(pool.idle() <= 3);
+        }
+        let me = thread::current().id();
+        let left: Vec<_> = std::iter::from_fn(|| pool.take(me))
+            .map(|s| s.key[0])
+            .collect();
+        assert_eq!(left, [7, 6, 5]);
+    }
 }

@@ -4,15 +4,16 @@
 //! that cleans incoming tuples at ingestion time, not a batch tool.
 //! This crate closes that gap for the reproduction: it exposes a shared
 //! matcher over TCP with a length-prefixed JSON protocol
-//! ([`protocol`]), a fixed worker pool behind a bounded queue
-//! ([`queue`]), per-request deadlines, admission control with explicit
-//! overload replies, one matcher call per queued job, and a graceful
-//! lossless drain ([`server`]). A blocking [`client`]
+//! ([`protocol`]), lookups run on their own connection threads behind a
+//! permit gate ([`gate`]: at most `workers` at once, FIFO waiters),
+//! per-request deadlines, admission control with explicit overload
+//! replies, and a graceful lossless drain ([`server`]). A blocking [`client`]
 //! backs the CLI verbs, the load generator, and the tests.
 //!
 //! Observability reuses the existing subsystems instead of duplicating
 //! them: every lookup runs under the `fm_core::tracing` flight recorder
-//! (the `trace_slowest` verb reads it back remotely), counters land in
+//! (the `trace_slowest` verb returns its K slowest recent or slow
+//! traces remotely), counters land in
 //! the matcher's `MetricsRegistry`, and the `stats` verb reports
 //! `fm_store` IO accounting alongside serving-layer counters. Beside
 //! them sit per-verb queue/service/write phase histograms
@@ -40,9 +41,9 @@
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod client;
+pub mod gate;
 pub mod json;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod telemetry;
 

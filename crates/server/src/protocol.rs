@@ -177,7 +177,7 @@ pub enum Request {
         /// Per-request deadline override; `None` = server default,
         /// `Some(0)` = explicitly no deadline.
         deadline_ms: Option<u64>,
-        /// Test hook: hold the worker for this long before the lookup
+        /// Test hook: hold the permit for this long before the lookup
         /// (ignored unless the server enables `allow_sleep`).
         sleep_ms: u64,
     },

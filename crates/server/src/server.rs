@@ -1,5 +1,5 @@
-//! The TCP serving loop: accept → frame → admit → queue → worker →
-//! reply.
+//! The TCP serving loop: accept → frame → admit → permit → lookup →
+//! reply, all on the connection thread.
 //!
 //! # Threading model
 //!
@@ -7,28 +7,30 @@
 //! acceptor thread ──spawns──▶ connection threads (one per socket)
 //!                                  │ parse frame, admission control
 //!                                  ▼
-//!                           bounded MPMC queue  (depth = queue_depth)
-//!                                  │
+//!                           permit gate  (`workers` permits,
+//!                                  │      `queue_depth` FIFO waiters)
 //!                                  ▼
-//!                           worker pool (fixed, `workers` threads)
-//!                                  │ one matcher call per job
-//!                                  ▼
-//!                           per-request mpsc reply ──▶ connection thread
-//!                                                        writes frame
+//!                           the same connection thread runs the
+//!                           matcher call, gives the permit back,
+//!                           writes the reply frame
 //! ```
 //!
-//! Connection threads do the cheap work (framing, parsing, control
-//! verbs) and block on a reply channel for lookups; only the worker
-//! pool executes matcher queries, so concurrency against the store is
-//! bounded by `workers` no matter how many sockets are open. Every
-//! worker serves from the one `Arc<FuzzyMatcher>` the server was
-//! started with: lookups are `&self`, and their scratch is thread-local.
+//! A connection thread does all the work of its requests: framing,
+//! parsing, control verbs, and its own lookups. There is no hand-off
+//! between threads on the lookup path. The gate ([`crate::gate`]) bounds
+//! concurrency against the store: at most `workers` matcher calls run at
+//! once, no matter how many sockets are open, and callers beyond that
+//! wait for a permit in arrival order. Every lookup uses the one
+//! `Arc<FuzzyMatcher>` the server was started with: lookups are `&self`,
+//! and each takes its scratch from fm-core's pool, so scratch memory
+//! follows the permits, not the connections.
 //!
 //! # Admission control and overload semantics
 //!
 //! A lookup is admitted only if (a) the server is not draining, (b) the
-//! number of admitted-but-unanswered lookups is below `max_inflight`,
-//! and (c) the queue accepts it. Anything else is answered immediately
+//! number of admitted-but-unanswered lookups (permits out plus waiters)
+//! is below `max_inflight`, and (c) fewer than `queue_depth` callers
+//! already wait for a permit. Anything else is answered immediately
 //! with a `503` error frame — the caller learns about overload in
 //! microseconds instead of waiting behind an unbounded backlog (the
 //! "fail fast under overload" discipline of production lookup services).
@@ -36,31 +38,33 @@
 //! # Deadlines
 //!
 //! Each lookup carries a deadline (request `deadline_ms`, defaulting to
-//! the server's `--deadline-ms`). Workers check it when they dequeue
-//! the job: a request that spent its budget queueing is answered with
-//! `408` and never touches the matcher, which sheds exactly the work
-//! that can no longer meet its latency target.
+//! the server's `--deadline-ms`), checked when the permit is granted: a
+//! request that spent its budget waiting is answered with `408` and
+//! never touches the matcher, which sheds exactly the work that can no
+//! longer meet its latency target. The wait from frame decode to grant
+//! is the request's queue phase.
 //!
 //! # Graceful drain
 //!
-//! `shutdown` (the verb, or [`Server::shutdown`]) flips the drain flag,
-//! closes the queue to new work, and wakes the acceptor. Already-queued
-//! lookups are still served — the queue's `pop` only reports exhaustion
-//! once closed *and* empty — then workers exit, connection threads
-//! close on their next idle poll, and [`Server::wait`] returns the
-//! final counter and metrics snapshot.
+//! `shutdown` (the verb, or [`Server::shutdown`]) flips the drain flag
+//! and wakes the acceptor. New lookups are refused with `503`; lookups
+//! already running or waiting for a permit are still served, each by its
+//! own connection thread. Connection threads close on their next idle
+//! poll, and [`Server::wait`] joins them and returns the final counter
+//! and metrics snapshot.
 //!
 //! # Slow requests
 //!
 //! The server keeps no slow-query record of its own. Every lookup runs
-//! under the process-wide flight recorder (`fm_core::tracing`), whose
-//! slow ring keeps the span tree and `LookupTrace` counters of each
-//! lookup at or above its threshold (`fuzzymatch serve --slow-us`); the
-//! `trace_slowest` verb reads them back.
+//! under the process-wide flight recorder (`fm_core::tracing`), which
+//! keeps the span tree and `LookupTrace` counters of recent lookups and,
+//! in a slow ring, of each lookup at or above its threshold (`fuzzymatch
+//! serve --slow-us`). The `trace_slowest` verb returns the K slowest of
+//! the recent and slow rings together, so it can list lookups under the
+//! threshold when fewer than K are above it.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,9 +73,9 @@ use fm_core::{FuzzyMatcher, MatchResult, MetricsSnapshot, Record};
 use fm_store::lockorder::{blocking_point, Flag, Ranked, CONNS};
 use fm_store::Database;
 
+use crate::gate::{Gate, Permit, Refused};
 use crate::json::Json;
 use crate::protocol::{self, code, FrameError, FrameEvent, FrameReader, Request, MAX_FRAME};
-use crate::queue::{Bounded, PushError};
 use crate::telemetry::{verb, ServerTelemetry};
 
 /// How often a blocked connection read wakes up to poll the drain flag.
@@ -80,19 +84,19 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing matcher lookups.
+    /// Lookup permits: matcher calls that may run at once.
     pub workers: usize,
-    /// Bounded queue depth between connections and workers.
+    /// Callers that may wait for a permit.
     pub queue_depth: usize,
     /// Max admitted-but-unanswered lookups; `0` derives
     /// `workers + queue_depth`.
     pub max_inflight: usize,
     /// Default per-request deadline in milliseconds (`0` = none).
     pub deadline_ms: u64,
-    /// Honour the `sleep_ms` request field (test hook for making a
-    /// worker provably busy; off in production).
+    /// Honour the `sleep_ms` request field (test hook for holding a
+    /// permit provably long; off in production).
     pub allow_sleep: bool,
-    /// Ignored: every worker serves from the one matcher handle. Kept
+    /// Ignored: every lookup runs on the one matcher handle. Kept
     /// only because the benchmark package still sets it.
     pub replicas: usize,
     /// Ignored: the server keeps no time series (a window is the
@@ -131,19 +135,20 @@ fm_core::counters! {
         pub rejected_overload: u64,
         /// Lookups refused with `503 shutting down`.
         pub rejected_shutdown: u64,
-        /// Lookups answered `408` because their deadline passed in queue.
+        /// Lookups answered `408` because their deadline passed while
+        /// they waited for a permit.
         pub deadline_expired: u64,
         /// Frames whose payload failed to parse (`400`).
         pub malformed: u64,
         /// Length prefixes beyond [`MAX_FRAME`] (`413`, connection closed).
         pub oversized: u64,
-        /// High-water mark of the worker queue.
+        /// High-water mark of the callers waiting for a permit (0 if no
+        /// lookup ever waited).
         pub max_queue_depth: u64,
-        /// Total time dequeued jobs spent waiting in the queue, µs. Workers
-        /// always took the dequeue timestamp (for 408 deadlines); this
-        /// records the wait instead of dropping it.
+        /// Total time admitted lookups spent from frame decode to permit
+        /// grant, µs: the timestamp the 408 deadline check takes anyway.
         pub queue_wait_us: u64,
-        /// Jobs dequeued (the divisor for a mean queue wait).
+        /// Permits granted (the divisor for a mean queue wait).
         pub queue_waits: u64,
     }
 }
@@ -152,9 +157,9 @@ impl CountersSnapshot {
     /// The graceful-drain ledger: after `Server::wait` returns, every
     /// decoded request frame must have produced exactly one reply
     /// *attempt* — written (`responses`) or failed because the peer went
-    /// away mid-reply (`write_failures`). With parallel workers a client
-    /// hanging up during the drain leaves its reply in `write_failures`,
-    /// and that is still a balanced ledger.
+    /// away mid-reply (`write_failures`). A client hanging up during the
+    /// drain leaves its reply in `write_failures`, and that is still a
+    /// balanced ledger.
     #[must_use]
     pub fn ledger_balanced(&self) -> bool {
         self.frames == self.responses + self.write_failures
@@ -172,44 +177,18 @@ pub struct ServerReport {
     pub store: fm_store::StoreStats,
 }
 
-struct SingleJob {
-    input: Record,
-    k: usize,
-    c: f64,
-    deadline: Option<Instant>,
-    sleep_ms: u64,
-    received: Instant,
-    reply: mpsc::Sender<Json>,
-}
-
-struct BatchJob {
-    inputs: Vec<Record>,
-    k: usize,
-    c: f64,
-    deadline: Option<Instant>,
-    received: Instant,
-    reply: mpsc::Sender<Json>,
-}
-
-enum Job {
-    Single(SingleJob),
-    Batch(BatchJob),
-}
-
 struct Inner {
-    /// The one matcher handle every worker and control verb uses.
+    /// The one matcher handle every lookup and control verb uses.
     matcher: Arc<FuzzyMatcher>,
     db: Arc<Database>,
     config: ServerConfig,
     max_inflight: usize,
     local_addr: SocketAddr,
-    queue: Bounded<Job>,
-    /// Swapped (AcqRel) once by `begin_shutdown`, which then closes the
-    /// queue and wakes the acceptor; read (Acquire) by the acceptor, the
-    /// connection threads and admission. The queue's close is ordered by
-    /// the queue's own mutex, not by this flag.
+    gate: Gate,
+    /// Swapped (AcqRel) once by `begin_shutdown`, which then wakes the
+    /// acceptor; read (Acquire) by the acceptor, the connection threads
+    /// and admission.
     shutting_down: Flag,
-    inflight: AtomicUsize,
     counters: Counters,
     conns: Ranked<Mutex<Vec<JoinHandle<()>>>, CONNS>,
     telemetry: ServerTelemetry,
@@ -220,7 +199,6 @@ struct Inner {
 pub struct Server {
     inner: Arc<Inner>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 fn elapsed_us(since: Instant) -> u64 {
@@ -229,7 +207,7 @@ fn elapsed_us(since: Instant) -> u64 {
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), spawn
-    /// the worker pool and the acceptor, and return immediately.
+    /// the acceptor, and return immediately.
     pub fn start(
         addr: &str,
         matcher: Arc<FuzzyMatcher>,
@@ -248,22 +226,15 @@ impl Server {
         let inner = Arc::new(Inner {
             matcher,
             db,
-            queue: Bounded::new(config.queue_depth.max(1)),
+            gate: Gate::new(workers, config.queue_depth.max(1), max_inflight),
             config,
             max_inflight,
             local_addr,
             shutting_down: Flag::new(false),
-            inflight: AtomicUsize::new(0),
             counters: Counters::default(),
             conns: Ranked::new(Mutex::new(Vec::new())),
             telemetry: ServerTelemetry::default(),
         });
-        let worker_handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || accept_loop(&inner, &listener))
@@ -271,7 +242,6 @@ impl Server {
         Ok(Server {
             inner,
             acceptor: Some(acceptor),
-            workers: worker_handles,
         })
     }
 
@@ -288,8 +258,8 @@ impl Server {
     }
 
     /// Block until the drain completes: acceptor gone, every connection
-    /// closed, every queued lookup answered, workers exited. Returns
-    /// the final counters + metrics + IO snapshot.
+    /// closed, every admitted lookup answered. Returns the final
+    /// counters + metrics + IO snapshot.
     pub fn wait(mut self) -> ServerReport {
         if let Some(handle) = self.acceptor.take() {
             blocking_point("join");
@@ -306,10 +276,6 @@ impl Server {
                 blocking_point("join");
                 let _ = handle.join();
             }
-        }
-        for handle in self.workers.drain(..) {
-            blocking_point("join");
-            let _ = handle.join();
         }
         ServerReport {
             counters: self.inner.counters.snapshot(),
@@ -377,32 +343,7 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>) {
-    while let Some(job) = inner.queue.pop() {
-        match job {
-            Job::Single(job) => {
-                inner.note_dequeue(verb::LOOKUP, job.received);
-                inner.serve_single(job);
-            }
-            Job::Batch(job) => {
-                inner.note_dequeue(verb::LOOKUP_BATCH, job.received);
-                inner.serve_batch(job);
-            }
-        }
-    }
-}
-
 impl Inner {
-    /// A worker pulled one job off the queue: record the wait it
-    /// accumulated (the timestamp the 408 deadline check already takes)
-    /// into the counters and the verb's queue-phase histogram.
-    fn note_dequeue(&self, verb_idx: usize, received: Instant) {
-        let waited = elapsed_us(received);
-        self.counters.queue_wait_us.add(waited);
-        self.counters.queue_waits.add(1);
-        self.telemetry.record_queue(verb_idx, waited);
-    }
-
     fn is_shutting_down(&self) -> bool {
         self.shutting_down.load()
     }
@@ -411,9 +352,8 @@ impl Inner {
         if self.shutting_down.swap(true) {
             return;
         }
-        // Stop admitting, let workers drain what is queued, and poke
-        // the acceptor out of its blocking accept.
-        self.queue.close();
+        // Stop admitting (lookups already admitted still finish on their
+        // connection threads) and poke the acceptor out of its accept.
         blocking_point("connect");
         let _ = TcpStream::connect(self.local_addr);
     }
@@ -436,7 +376,8 @@ impl Inner {
     /// Serve one decoded frame. Returns the reply plus the verb's
     /// telemetry index (`None` for malformed frames), so the connection
     /// thread can attribute the write phase. Control verbs record their
-    /// service phase here; queued lookups record theirs on the worker.
+    /// service phase as the whole of their handling; lookups only their
+    /// matcher call.
     fn handle_frame(&self, payload: &[u8], received: Instant) -> (Json, Option<usize>) {
         let request = match protocol::parse_request(payload) {
             Ok(request) => request,
@@ -499,18 +440,10 @@ impl Inner {
                         Some(verb::LOOKUP),
                     );
                 }
-                let deadline = self.resolve_deadline(deadline_ms, received);
-                let reply = self.admit(received, |reply| {
-                    Job::Single(SingleJob {
-                        input,
-                        k,
-                        c,
-                        deadline,
-                        sleep_ms,
-                        received,
-                        reply,
-                    })
-                });
+                let reply = match self.admit(verb::LOOKUP, deadline_ms, received) {
+                    Ok(permit) => self.serve_single(permit, &input, k, c, sleep_ms, received),
+                    Err(reply) => reply,
+                };
                 (reply, Some(verb::LOOKUP))
             }
             Request::LookupBatch {
@@ -531,104 +464,60 @@ impl Inner {
                         Some(verb::LOOKUP_BATCH),
                     );
                 }
-                let deadline = self.resolve_deadline(deadline_ms, received);
-                let reply = self.admit(received, |reply| {
-                    Job::Batch(BatchJob {
-                        inputs,
-                        k,
-                        c,
-                        deadline,
-                        received,
-                        reply,
-                    })
-                });
+                let reply = match self.admit(verb::LOOKUP_BATCH, deadline_ms, received) {
+                    Ok(permit) => self.serve_batch(permit, &inputs, k, c, received),
+                    Err(reply) => reply,
+                };
                 (reply, Some(verb::LOOKUP_BATCH))
             }
         }
     }
 
-    fn resolve_deadline(&self, request_ms: Option<u64>, received: Instant) -> Option<Instant> {
-        let ms = request_ms.unwrap_or(self.config.deadline_ms);
-        if ms == 0 {
-            None
-        } else {
-            Some(received + Duration::from_millis(ms))
-        }
-    }
-
-    /// Admission control: drain flag, in-flight cap, queue capacity.
-    /// On admission, blocks until the worker pool answers.
-    fn admit(&self, received: Instant, build: impl FnOnce(mpsc::Sender<Json>) -> Job) -> Json {
+    /// Admission control: drain flag, then the gate's in-flight cap and
+    /// waiter bound. An admitted lookup waits for its permit here, and its
+    /// deadline is checked when the permit is granted. `Err` is the reply.
+    fn admit(
+        &self,
+        verb_idx: usize,
+        deadline_ms: Option<u64>,
+        received: Instant,
+    ) -> Result<Permit<'_>, Json> {
         if self.is_shutting_down() {
             self.counters.rejected_shutdown.add(1);
-            return protocol::error_reply(code::OVERLOADED, "shutting down", elapsed_us(received));
-        }
-        let inflight = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        if inflight > self.max_inflight {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.counters.rejected_overload.add(1);
-            return protocol::error_reply(
+            return Err(protocol::error_reply(
                 code::OVERLOADED,
-                &format!("overloaded: {} lookups in flight", self.max_inflight),
+                "shutting down",
                 elapsed_us(received),
-            );
+            ));
         }
-        let (tx, rx) = mpsc::channel();
-        match self.queue.try_push(build(tx)) {
-            Ok(depth) => {
-                self.counters.max_queue_depth.max(depth as u64);
-            }
-            Err(PushError::Full(_)) => {
-                self.inflight.fetch_sub(1, Ordering::SeqCst);
-                self.counters.rejected_overload.add(1);
-                return protocol::error_reply(
-                    code::OVERLOADED,
-                    &format!(
-                        "overloaded: queue depth {} reached",
-                        self.config.queue_depth
-                    ),
-                    elapsed_us(received),
-                );
-            }
-            Err(PushError::Closed(_)) => {
-                self.inflight.fetch_sub(1, Ordering::SeqCst);
-                self.counters.rejected_shutdown.add(1);
-                return protocol::error_reply(
-                    code::OVERLOADED,
-                    "shutting down",
-                    elapsed_us(received),
-                );
-            }
-        }
-        blocking_point("recv");
-        match rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => protocol::error_reply(
-                code::INTERNAL,
-                "worker dropped the request",
+        let (permit, waiters) = self.gate.acquire().map_err(|refused| {
+            self.counters.rejected_overload.add(1);
+            let message = match refused {
+                Refused::Inflight => {
+                    format!("overloaded: {} lookups in flight", self.max_inflight)
+                }
+                Refused::Full => format!(
+                    "overloaded: queue depth {} reached",
+                    self.config.queue_depth
+                ),
+            };
+            protocol::error_reply(code::OVERLOADED, &message, elapsed_us(received))
+        })?;
+        self.counters.max_queue_depth.max(waiters as u64);
+        let waited = elapsed_us(received);
+        self.counters.queue_wait_us.add(waited);
+        self.counters.queue_waits.add(1);
+        self.telemetry.record_queue(verb_idx, waited);
+        let ms = deadline_ms.unwrap_or(self.config.deadline_ms);
+        if ms > 0 && waited >= ms.saturating_mul(1000) {
+            self.counters.deadline_expired.add(1);
+            return Err(protocol::error_reply(
+                code::DEADLINE_EXCEEDED,
+                "deadline exceeded while queued",
                 elapsed_us(received),
-            ),
+            ));
         }
-    }
-
-    /// One job answered: release its
-    /// admission slot and send its reply.
-    fn finish(&self, reply_to: &mpsc::Sender<Json>, reply: Json) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = reply_to.send(reply); // receiver gone = connection died
-    }
-
-    fn expired(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    fn deadline_reply(&self, received: Instant) -> Json {
-        self.counters.deadline_expired.add(1);
-        protocol::error_reply(
-            code::DEADLINE_EXCEEDED,
-            "deadline exceeded while queued",
-            elapsed_us(received),
-        )
+        Ok(permit)
     }
 
     fn lookup_reply(result: &MatchResult, received: Instant) -> Json {
@@ -641,51 +530,56 @@ impl Inner {
         )
     }
 
-    fn serve_single(&self, job: SingleJob) {
-        if Self::expired(job.deadline) {
-            let reply = self.deadline_reply(job.received);
-            self.finish(&job.reply, reply);
-            return;
-        }
-        if job.sleep_ms > 0 && self.config.allow_sleep {
-            // Test hook: make this worker provably busy. The sleep holds
-            // the worker, so queued requests wait behind it (their queue
-            // phase grows), but it lands in neither this request's service
-            // histogram nor its flight-recorder trace: both time only the
-            // matcher call.
+    fn serve_single(
+        &self,
+        permit: Permit<'_>,
+        input: &Record,
+        k: usize,
+        c: f64,
+        sleep_ms: u64,
+        received: Instant,
+    ) -> Json {
+        if sleep_ms > 0 && self.config.allow_sleep {
+            // Test hook: hold the permit provably long. Lookups waiting
+            // for it see their queue phase grow, but the sleep lands in
+            // neither this request's service histogram nor its
+            // flight-recorder trace: both time only the matcher call.
             blocking_point("sleep");
-            std::thread::sleep(Duration::from_millis(job.sleep_ms));
+            std::thread::sleep(Duration::from_millis(sleep_ms));
         }
         let service_start = Instant::now();
-        let outcome = self.matcher.lookup(&job.input, job.k, job.c);
+        let outcome = self.matcher.lookup(input, k, c);
+        drop(permit);
         self.telemetry
             .record_service(verb::LOOKUP, elapsed_us(service_start));
-        let reply = match outcome {
-            Ok(result) => Self::lookup_reply(&result, job.received),
+        match outcome {
+            Ok(result) => Self::lookup_reply(&result, received),
             Err(e) => protocol::error_reply(
                 code::INTERNAL,
                 &format!("lookup failed: {e}"),
-                elapsed_us(job.received),
+                elapsed_us(received),
             ),
-        };
-        self.finish(&job.reply, reply);
+        }
     }
 
     /// A client-issued `lookup_batch`: one admission unit, one reply
     /// frame carrying per-input result arrays.
-    fn serve_batch(&self, job: BatchJob) {
-        if Self::expired(job.deadline) {
-            let reply = self.deadline_reply(job.received);
-            self.finish(&job.reply, reply);
-            return;
-        }
+    fn serve_batch(
+        &self,
+        permit: Permit<'_>,
+        inputs: &[Record],
+        k: usize,
+        c: f64,
+        received: Instant,
+    ) -> Json {
         let service_start = Instant::now();
-        let outcome = self.matcher.lookup_batch(&job.inputs, job.k, job.c, 1);
+        let outcome = self.matcher.lookup_batch(inputs, k, c, 1);
+        drop(permit);
         self.telemetry
             .record_service(verb::LOOKUP_BATCH, elapsed_us(service_start));
-        let reply = match outcome {
+        match outcome {
             Ok(results) => protocol::ok_reply(
-                elapsed_us(job.received),
+                elapsed_us(received),
                 vec![(
                     "results",
                     Json::Arr(
@@ -704,10 +598,9 @@ impl Inner {
             Err(e) => protocol::error_reply(
                 code::INTERNAL,
                 &format!("batch lookup failed: {e}"),
-                elapsed_us(job.received),
+                elapsed_us(received),
             ),
-        };
-        self.finish(&job.reply, reply);
+        }
     }
 
     fn stats_reply(&self, received: Instant) -> Json {
@@ -738,7 +631,7 @@ impl Inner {
                 (
                     "server",
                     Json::Obj(protocol::counter_fields(c.named().chain([
-                        ("queue_len", self.queue.len() as u64),
+                        ("queue_len", self.gate.waiting() as u64),
                         ("batched_lookups", 0),
                     ]))),
                 ),
@@ -787,15 +680,15 @@ impl Inner {
         }
         prom.gauge(
             "fm_server_queue_len",
-            "Jobs waiting in the worker queue.",
+            "Lookups waiting for a permit.",
             &[],
-            self.queue.len() as f64,
+            self.gate.waiting() as f64,
         );
         prom.gauge(
             "fm_server_inflight",
             "Admitted but unanswered lookups.",
             &[],
-            self.inflight.load(Ordering::SeqCst) as f64,
+            self.gate.inflight() as f64,
         );
         for snap in self.telemetry.verb_snapshots() {
             for (phase, hist) in [

@@ -3,12 +3,15 @@
 //! The serving path records three phases per request into
 //! [`fm_core::metrics::LatencyHistogram`]s keyed by verb:
 //!
-//! * **queue** — decode→dequeue, taken by the worker from the same
-//!   `received` timestamp it already uses for 408 deadlines (control
-//!   verbs never queue, so they record nothing here);
-//! * **service** — dequeue→reply-built (worker), or the inline
-//!   handling time for control verbs (connection thread);
-//! * **write** — the reply frame's socket write (connection thread).
+//! * **queue** — decode→permit grant, from the same `received`
+//!   timestamp the 408 deadline check uses (control verbs take no
+//!   permit, so they record nothing here);
+//! * **service** — a lookup's matcher call, or the whole handling time
+//!   of a control verb;
+//! * **write** — the reply frame's socket write.
+//!
+//! All three are recorded on the connection thread that served the
+//! request.
 //!
 //! The server keeps cumulative state only. The `metrics` verb renders it
 //! (matcher registry, serving counters, store IO, these histograms) as
@@ -58,8 +61,8 @@ pub struct VerbSnapshot {
     pub write: LatencySnapshot,
 }
 
-/// All server-side telemetry state shared between connection threads,
-/// workers, and the reporting verbs.
+/// All server-side telemetry state shared between connection threads
+/// and the reporting verbs.
 #[derive(Debug)]
 pub struct ServerTelemetry {
     verbs: Vec<VerbPhases>,

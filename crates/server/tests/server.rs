@@ -140,7 +140,7 @@ fn queued_request_past_deadline_gets_408() {
     };
     let (server, addr) = start_server(config);
 
-    // Occupy the only worker for 400 ms from one connection...
+    // Hold the only permit for 400 ms from one connection...
     let addr_sleeper = addr.clone();
     let sleeper = std::thread::spawn(move || {
         let mut client = Client::connect(&addr_sleeper).expect("connect sleeper");
@@ -188,9 +188,9 @@ fn overload_beyond_queue_depth_gets_503() {
             .lookup_with(&dirty_input(), 1, 0.0, None, 400)
             .expect("sleeper lookup")
     });
-    std::thread::sleep(Duration::from_millis(100)); // sleeper now holds the worker
+    std::thread::sleep(Duration::from_millis(100)); // sleeper now holds the permit
 
-    // Fills the depth-1 queue and blocks awaiting the worker.
+    // The one waiter a depth-1 queue allows: blocks awaiting the permit.
     let addr_queued = addr.clone();
     let queued = std::thread::spawn(move || {
         let mut client = Client::connect(&addr_queued).expect("connect queued");
@@ -327,8 +327,10 @@ fn stats_verb_reports_metrics_store_and_server_counters() {
 /// The benchmark package reads `server.batched_lookups` and
 /// `server.max_queue_depth` from `stats`, and the `lookup` verb's
 /// queue/service/write phase histograms from `metrics`. After real
-/// lookups through two workers they are all there, `batched_lookups`
+/// lookups under two permits they are all there, `batched_lookups`
 /// reads 0 (no lookups are fused), and no per-replica family is left.
+/// `max_queue_depth` is the high-water mark of lookups waiting for a
+/// permit; one client never waits, so it may read 0.
 #[test]
 fn stats_and_metrics_keep_the_keys_the_benchmark_reads() {
     let config = ServerConfig {
@@ -346,7 +348,10 @@ fn stats_and_metrics_keep_the_keys_the_benchmark_reads() {
         counters.get("batched_lookups").and_then(Json::as_u64),
         Some(0)
     );
-    assert!(counters.get("max_queue_depth").and_then(Json::as_u64) >= Some(1));
+    assert!(counters
+        .get("max_queue_depth")
+        .and_then(Json::as_u64)
+        .is_some());
     let text = client.metrics_text().expect("metrics");
     for phase in ["queue", "service", "write"] {
         for suffix in ["sum", "count"] {
@@ -419,7 +424,7 @@ fn metrics_exposition_matches_stats_exactly_when_quiesced() {
         assert!(prom_value(&text, &format!("fm_server_{name}_total")).is_some());
     }
 
-    // The worker path fed the per-verb phase histograms.
+    // The lookup path fed the per-verb phase histograms.
     assert!(
         text.contains("fm_server_phase_us_bucket{verb=\"lookup\",phase=\"service\""),
         "missing lookup service histogram in:\n{text}"
@@ -462,44 +467,77 @@ fn two_metrics_scrapes_differ_by_exactly_the_traffic_between_them() {
     shutdown_and_wait(server, &addr);
 }
 
+/// More connections than permits: 6 connections each send one lookup
+/// holding its permit for `SLEEP_MS`, all at once, through 2 permits. No
+/// more than 2 lookups run at a time, so they finish in at least 3 waves;
+/// the waits surface in `stats` and in the queue phase, and the ledger
+/// balances.
 #[test]
 fn queue_wait_surfaces_in_stats() {
+    const SLEEP_MS: u64 = 150;
     let config = ServerConfig {
-        workers: 1,
+        workers: 2,
         allow_sleep: true,
         ..ServerConfig::default()
     };
     let (server, addr) = start_server(config);
-
-    // Occupy the only worker so the next lookup measurably queues.
-    let addr_sleeper = addr.clone();
-    let sleeper = std::thread::spawn(move || {
-        let mut client = Client::connect(&addr_sleeper).expect("connect sleeper");
-        client
-            .lookup_with(&dirty_input(), 1, 0.0, None, 300)
-            .expect("sleeper lookup")
+    let mut clients: Vec<Client> = (0..6)
+        .map(|_| Client::connect(&addr).expect("connect"))
+        .collect();
+    let start = std::time::Instant::now();
+    let mut finished: Vec<Duration> = std::thread::scope(|s| {
+        let running: Vec<_> = clients
+            .iter_mut()
+            .map(|client| {
+                s.spawn(move || {
+                    let reply = client
+                        .lookup_with(&dirty_input(), 1, 0.0, None, SLEEP_MS)
+                        .expect("lookup");
+                    assert!(reply.ok, "{}", reply.error);
+                    start.elapsed()
+                })
+            })
+            .collect();
+        running
+            .into_iter()
+            .map(|r| r.join().expect("client"))
+            .collect()
     });
-    std::thread::sleep(Duration::from_millis(100));
+    finished.sort_unstable();
+    for (i, at) in finished.iter().enumerate() {
+        // The i-th to finish (from 0) ran in wave i / 2 or later.
+        let wave = i as u64 / 2 + 1;
+        assert!(
+            *at >= Duration::from_millis(wave * SLEEP_MS),
+            "lookup {i} finished at {at:?}, before wave {wave} could: {finished:?}"
+        );
+    }
 
     let mut client = Client::connect(&addr).expect("connect");
-    assert!(client.lookup(&dirty_input(), 1, 0.0).expect("queued").ok);
-    assert!(sleeper.join().expect("sleeper").ok);
-
     let stats = client.stats().expect("stats");
-    let server_section = stats.get("server").expect("server section");
+    let counters = stats.get("server").expect("server section");
+    let counter = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
+    assert_eq!(counter("queue_waits"), 6);
+    assert_eq!(counter("rejected_overload"), 0);
+    assert!(counter("max_queue_depth") >= 1, "{counters}");
+    // Waves 2 and 3 wait about 1 and 2 sleeps each: 6 sleeps in all, less
+    // what arriving apart shaves off.
     assert!(
-        server_section.get("queue_waits").and_then(Json::as_u64) >= Some(1),
-        "the queued lookup must be counted"
+        counter("queue_wait_us") >= 3 * SLEEP_MS * 1000,
+        "the waits must surface in queue_wait_us: {counters}"
     );
-    assert!(
-        server_section.get("queue_wait_us").and_then(Json::as_u64) >= Some(50_000),
-        "~200 ms of queueing must surface in queue_wait_us: {server_section}"
-    );
-    shutdown_and_wait(server, &addr);
+    let samples = parse_exposition(&client.metrics_text().expect("metrics")).expect("parses");
+    let phase = [("verb", "lookup"), ("phase", "queue")];
+    let queued = sample_value(&samples, "fm_server_phase_us_count", &phase);
+    assert_eq!(queued, Some(6.0));
+    drop(client);
+    let report = shutdown_and_wait(server, &addr);
+    assert!(report.counters.ledger_balanced(), "{:?}", report.counters);
+    assert_eq!(report.counters.write_failures, 0);
 }
 
 /// The drain test: concurrent clients hammer `lookup` while one issues
-/// `shutdown`, with lookups served in parallel by two workers. The drain
+/// `shutdown`, with lookups served in parallel under two permits. The drain
 /// must complete, and no in-flight response may be lost — every frame
 /// the server decoded gets exactly one response attempt.
 #[test]

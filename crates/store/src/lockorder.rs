@@ -1,31 +1,32 @@
 //! The canonical lock order, carried by the locks themselves, and the
 //! one atomic flag type.
 //!
-//! Every `Mutex`/`RwLock` in fm-store, fm-core's weight table and tid
-//! map, and fm-server's queue and connection registry is a [`Ranked`]
-//! lock: its rank is a const parameter of its type, declared once where
-//! the field is declared. Its `lock()`/`read()`/`write()` return a
-//! [`Guard`] that holds a [`HeldRank`] for exactly as long as the guard
-//! lives — including a guard returned to a caller — so no call site
-//! places a token by hand. The order, outermost first (DESIGN.md §8):
+//! Every `Mutex`/`RwLock` in fm-store, fm-core's weight table, tid map
+//! and scratch pool, and fm-server's permit gate and connection registry
+//! is a [`Ranked`] lock: its rank is a const parameter of its type,
+//! declared once where the field is declared. Its `lock()`/`read()`/
+//! `write()` return a [`Guard`] that holds a [`HeldRank`] for exactly as
+//! long as the guard lives — including a guard returned to a caller — so
+//! no call site places a token by hand. The order, outermost first
+//! (DESIGN.md §8):
 //!
 //! ```text
-//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages < tid-map < queue < conns
+//! weights < objects < latch < tail_hint < state < frame-data < wal < mem-pages < tid-map < gate < conns < scratch
 //! ```
 //!
 //! Each rank also says whether a thread may hold it at a blocking point:
 //! pager IO, a thread join, a channel receive, an accept, a connect or a
 //! sleep. [`ORDER`] writes both columns once. The ranks that may not are
 //! the short critical sections every other thread convoys behind: the
-//! pool's shard `state`, the page map of a `MemPager`, the tid map, and
-//! the server's queue and registry.
+//! pool's shard `state`, the page map of a `MemPager`, the tid map, the
+//! server's gate and registry, and the query scratch pool.
 //!
 //! Under `debug_assertions` a thread-local stack asserts that each
 //! acquisition outranks every lock the thread already holds, before it
 //! blocks, and [`blocking_point`] asserts that no held rank is one that
 //! may not block. The whole test suite runs through both: the pool calls
 //! [`blocking_point`] at every pager read, write-back and sync, and the
-//! server before every join, receive, accept, connect and sleep. In
+//! server before every join, accept, connect and sleep. In
 //! release builds [`HeldRank`] is empty and [`blocking_point`] does
 //! nothing, so a [`Ranked`] lock compiles to the bare lock and a [`Guard`]
 //! to the bare guard.
@@ -59,14 +60,16 @@ pub const FRAME: u8 = 5;
 pub const WAL: u8 = 6;
 pub const MEM_PAGES: u8 = 7;
 pub const TID_MAP: u8 = 8;
-/// fm-server's request queue.
-pub const QUEUE: u8 = 9;
+/// fm-server's lookup permit gate.
+pub const GATE: u8 = 9;
 /// fm-server's connection-thread registry.
 pub const CONNS: u8 = 10;
+/// fm-core's pool of idle query scratches.
+pub const SCRATCH: u8 = 11;
 
 /// The name of each rank, in order, and whether it may be held at a
 /// blocking point: the one place both are written.
-pub const ORDER: [(&str, bool); 11] = [
+pub const ORDER: [(&str, bool); 12] = [
     // A lookup probes and verifies, faulting pages in, under its read lock.
     ("weights", true),
     // `create_table`/`create_index` allocate and `check_invariants` scans under it.
@@ -85,10 +88,13 @@ pub const ORDER: [(&str, bool); 11] = [
     ("mem-pages", false),
     // One slot read or write of the matcher's tid → rid array.
     ("tid-map", false),
-    // Every producer and worker convoys behind the queue.
-    ("queue", false),
+    // Every lookup takes and returns its permit under the gate's mutex.
+    ("gate", false),
     // The acceptor and the drain push and take handles, never join under it.
     ("conns", false),
+    // A lookup pops and pushes one idle scratch: a leaf, taken inside any
+    // other rank a lookup holds.
+    ("scratch", false),
 ];
 
 #[cfg(debug_assertions)]
@@ -198,7 +204,7 @@ impl Drop for HeldRank {
 
 /// A lock of rank `RANK` (one of the constants above): `Ranked<Mutex<T>,
 /// STATE>`, `Ranked<RwLock<T>, WEIGHTS>`, or a `std::sync::Mutex` where a
-/// `Condvar` waits on it (`Ranked<std::sync::Mutex<T>, QUEUE>`).
+/// `Condvar` waits on it (`Ranked<std::sync::Mutex<T>, GATE>`).
 #[derive(Default)]
 pub struct Ranked<L, const RANK: u8>(L);
 

@@ -393,30 +393,25 @@ fn answer(
     Ok((matches, trace))
 }
 
-/// The same lookup on a thread that has never run one: its score-table
-/// scratch is pristine, so nothing a previous query did can show.
-fn answer_on_a_fresh_thread(
+/// The same lookup in a scratch of its own, allocated for it: nothing a
+/// previous query did can show.
+fn answer_on_a_fresh_scratch(
     matcher: &FuzzyMatcher,
     input: &Record,
     k: usize,
     c: f64,
     mode: QueryMode,
 ) -> Answer {
-    std::thread::scope(|scope| {
-        scope
-            .spawn(|| answer(matcher, input, k, c, mode).expect("lookup"))
-            .join()
-            .expect("fresh-thread lookup")
-    })
+    fm_core::query::with_fresh_scratch(|| answer(matcher, input, k, c, mode)).expect("lookup")
 }
 
 #[test]
 fn reused_scratch_answers_like_a_pristine_one_across_modes_k_and_c() {
     // Basic/Osc × K ∈ {1, 3, 10} × c ∈ {0, 0.8}: this thread runs the whole
-    // matrix back to back, so each lookup inherits the scratch of one with
-    // another mode, K, threshold and candidate count; every answer —
-    // matches and the whole trace — must equal the one a fresh thread
-    // gives. (The bitwise comparison of this pipeline with the
+    // matrix back to back, so each lookup inherits the pooled scratch of
+    // one with another mode, K, threshold and candidate count; every
+    // answer — matches and the whole trace — must equal the one a fresh
+    // scratch gives. (The bitwise comparison of this pipeline with the
     // collect-and-sort score table it replaced runs inside fm-core, where
     // that oracle lives: matcher::tests::pipeline_equals_the_sorting_
     // oracle_with_unbounded_verification.)
@@ -433,7 +428,7 @@ fn reused_scratch_answers_like_a_pristine_one_across_modes_k_and_c() {
             for k in [1usize, 3, 10] {
                 for c in [0.0, 0.8] {
                     let warm = answer(&matcher, input, k, c, mode).expect("lookup");
-                    let cold = answer_on_a_fresh_thread(&matcher, input, k, c, mode);
+                    let cold = answer_on_a_fresh_scratch(&matcher, input, k, c, mode);
                     assert_eq!(warm, cold, "{mode:?} k={k} c={c} on {input}");
                     short_circuits += u32::from(warm.1.osc_succeeded());
                     nonempty += usize::from(!warm.0.is_empty());
@@ -459,7 +454,7 @@ fn a_small_query_after_a_huge_one_and_after_a_failed_one_sees_a_clean_scratch() 
     .inputs;
     let cold: Vec<Answer> = small_inputs
         .iter()
-        .map(|i| answer_on_a_fresh_thread(&small, i, 3, 0.0, QueryMode::Osc))
+        .map(|i| answer_on_a_fresh_scratch(&small, i, 3, 0.0, QueryMode::Osc))
         .collect();
 
     // A matcher whose store runs out of IO budget mid-query: a tiny pool
@@ -483,8 +478,9 @@ fn a_small_query_after_a_huge_one_and_after_a_failed_one_sees_a_clean_scratch() 
         }
     };
 
-    // One thread, one scratch, in sequence: huge query → small ones, then
-    // queries that die with Err part-way → small ones again.
+    // One thread in sequence, which the pool hands back the scratch it
+    // returned last: huge query → small ones, then queries that die with
+    // Err part-way → small ones again.
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
