@@ -90,11 +90,13 @@ impl Json {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(128);
-        self.write(&mut out);
+        self.encode_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact encoding to `out` (a frame writer encodes after
+    /// its length prefix, into the buffer it sends).
+    pub(crate) fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -107,7 +109,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.encode_into(out);
                 }
                 out.push(']');
             }
@@ -119,7 +121,7 @@ impl Json {
                     }
                     write_str(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.encode_into(out);
                 }
                 out.push('}');
             }
@@ -199,6 +201,7 @@ fn write_str(s: &str, out: &mut String) {
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -217,6 +220,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -377,13 +381,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via chars()).
+                    // Copy the run up to the next `"` or `\` as one slice.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the `&str` input, and the whole string costs one
+                    // pass over its bytes.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let end = self.pos + run;
+                    out.push_str(self.text.get(self.pos..end).ok_or("invalid UTF-8")?);
+                    self.pos = end;
                 }
             }
         }
@@ -411,6 +420,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips() {
@@ -493,6 +503,30 @@ mod tests {
     fn rejects_pathological_nesting() {
         let deep = "[".repeat(100_000);
         assert!(parse(&deep).is_err());
+    }
+
+    /// Any char, weighted toward the ones the string scan treats
+    /// specially: quotes and backslashes end a run, control characters
+    /// are escaped, and multi-byte characters must not be split.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            2 => Just('"'),
+            2 => Just('\\'),
+            2 => (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap_or('\0')),
+            4 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap_or(' ')),
+            2 => (0x80u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_string_round_trips(chars in prop::collection::vec(any_char(), 0..48)) {
+            let s: String = chars.into_iter().collect();
+            let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::from(s.as_str())]))]);
+            prop_assert_eq!(parse(&doc.encode()), Ok(doc));
+        }
     }
 
     #[test]

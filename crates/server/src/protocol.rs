@@ -10,6 +10,12 @@
 //! +----------------+---------------------+
 //! ```
 //!
+//! A frame leaves in one `write` call: the length prefix and the payload
+//! share one buffer. Both ends set `TCP_NODELAY`, so two writes would
+//! send two segments and wake the peer for the 4-byte header alone.
+//! Parsing a payload is linear in its size (`json::parse` copies string
+//! runs as slices), so a full-size frame costs milliseconds, not seconds.
+//!
 //! The payload is a UTF-8 JSON object. Frames larger than [`MAX_FRAME`]
 //! are rejected with a `413` reply and the connection is closed (the
 //! stream cannot be resynchronised past a length prefix we refuse to
@@ -61,21 +67,35 @@ pub mod code {
 
 /// Write one frame: 4-byte big-endian length then the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(payload);
+    send_frame(w, frame)
 }
 
-/// Encode and write a JSON frame.
+/// Encode and write a JSON frame. The document is encoded after the
+/// length's placeholder bytes, so the frame is one allocation.
 pub fn write_json(w: &mut impl Write, doc: &Json) -> io::Result<()> {
-    write_frame(w, doc.encode().as_bytes())
+    let mut text = String::with_capacity(128);
+    text.push_str("\0\0\0\0");
+    doc.encode_into(&mut text);
+    send_frame(w, text.into_bytes())
+}
+
+/// Patch the payload's length into `frame`'s first 4 bytes and send it
+/// with one `write_all`. A payload above [`MAX_FRAME`] is refused before
+/// anything is written.
+fn send_frame(w: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
+        ));
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// One observation from [`FrameReader::next_frame`].
@@ -476,6 +496,115 @@ mod tests {
         match reader.next_frame(&mut stream, MAX_FRAME) {
             Err(FrameError::Oversized(n)) => assert_eq!(n, MAX_FRAME + 1),
             other => panic!("expected oversized error, got {other:?}"),
+        }
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let reply = ok_reply(
+            42,
+            vec![(
+                "matches",
+                Json::Arr(vec![Json::obj(vec![
+                    ("tid", Json::from(7u64)),
+                    ("similarity", Json::from(0.93)),
+                    (
+                        "record",
+                        Json::Arr(vec![Json::from("Boeing Company"), Json::Null]),
+                    ),
+                ])]),
+            )],
+        );
+        // A JSON string of MAX_FRAME - 2 characters encodes to exactly
+        // MAX_FRAME bytes with its quotes.
+        let full = Json::from("x".repeat(MAX_FRAME - 2));
+        for doc in [Json::Obj(vec![]), reply, full] {
+            let payload = doc.encode();
+            let mut framed = CountingWriter::default();
+            write_frame(&mut framed, payload.as_bytes()).expect("write_frame");
+            assert_eq!(framed.writes, 1, "write_frame of {} bytes", payload.len());
+            let mut encoded = CountingWriter::default();
+            write_json(&mut encoded, &doc).expect("write_json");
+            assert_eq!(encoded.writes, 1, "write_json of {} bytes", payload.len());
+            // The same bytes on the wire either way: len ‖ payload.
+            assert_eq!(encoded.bytes, framed.bytes);
+            assert_eq!(framed.bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&framed.bytes[4..], payload.as_bytes());
+        }
+        let mut empty = CountingWriter::default();
+        write_frame(&mut empty, b"").expect("empty frame");
+        assert_eq!((empty.writes, empty.bytes), (1, vec![0; 4]));
+    }
+
+    #[test]
+    fn an_oversized_frame_writes_nothing() {
+        let mut sink = CountingWriter::default();
+        assert!(write_frame(&mut sink, &vec![b'x'; MAX_FRAME + 1]).is_err());
+        assert!(write_json(&mut sink, &Json::from("x".repeat(MAX_FRAME - 1))).is_err());
+        assert_eq!((sink.writes, sink.bytes.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_full_size_lookup_batch_parses_in_one_pass() {
+        // Records with escapes and multi-byte characters, as many as fit
+        // in one frame: at one scalar per step the parse took seconds
+        // in release and hours in a debug build.
+        let record = |i: usize| {
+            Json::Arr(vec![
+                Json::from(format!("Beoing \"Company\" #{i}")),
+                Json::from("Zürich\\Seattle"),
+                Json::Null,
+            ])
+        };
+        let head = r#"{"verb":"lookup_batch","inputs":[],"k":1}"#.len();
+        let mut size = head;
+        let mut inputs = Vec::new();
+        loop {
+            let next = record(inputs.len()).encode().len() + 1;
+            if size + next > MAX_FRAME {
+                break;
+            }
+            size += next;
+            inputs.push(record(inputs.len()));
+        }
+        let count = inputs.len();
+        let doc = Json::obj(vec![
+            ("verb", Json::from("lookup_batch")),
+            ("inputs", Json::Arr(inputs)),
+            ("k", Json::from(1u64)),
+        ]);
+        let payload = doc.encode();
+        assert!(payload.len() <= MAX_FRAME && payload.len() > MAX_FRAME - 64);
+        match parse_request(payload.as_bytes()).expect("parse") {
+            Request::LookupBatch { inputs, .. } => {
+                assert_eq!(inputs.len(), count);
+                let last = inputs.last().expect("inputs");
+                assert_eq!(
+                    last.get(0),
+                    Some(format!("Beoing \"Company\" #{}", count - 1).as_str())
+                );
+                assert_eq!(last.get(1), Some("Zürich\\Seattle"));
+                assert_eq!(last.get(2), None);
+            }
+            other => panic!("wrong request {other:?}"),
         }
     }
 
